@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Per-tick cost benchmark: verification should scale as O(rows*cols + droplets^2).
+"""Single-shot wall times of verify_program and verify_program_pins.
 
-Builds synthetic programs that park k droplets on an r x c array and then
-shuttle one of them back and forth for many ticks, so each tick pays the
-k-choose-2 pair scan plus the grid-linear bookkeeping.  Not a unit test;
-run directly:  python3 benchmarks/bench_verify.py
+Times the PCR fixture in general and pin mode, then synthetic programs that
+park k droplets three cells apart and shuttle the last one for 400 ticks:
+pin mode on a 30x30 array at k = 4, 8 and 16, and general mode with k = 4 on
+15x15 to 60x60 arrays.  Each case runs once and nothing is checked, so the
+numbers are rough; perfbench/ is the benchmark with repeats and known
+answers.  Not a unit test; run from the repository root:
+
+    PYTHONPATH=src python3 benchmarks/bench_verify.py
 """
 
 from __future__ import annotations
@@ -59,14 +63,11 @@ def main() -> None:
           lambda: verify_program_pins(prog, dedicated_map(15, 15)))
 
     print("\nscaling in droplet count (30x30 array, 400 ticks):")
-    base = None
     for k in (4, 8, 16):
         text = synthetic(30, k, 400)
         p = parse_program(text)
         pmap = dedicated_map(30, 30)
-        dt = timed(f"  {k:>2} droplets, pin mode", lambda: verify_program_pins(p, pmap))
-        if base is None:
-            base = (k, dt)
+        timed(f"  {k:>2} droplets, pin mode", lambda: verify_program_pins(p, pmap))
     print("\nscaling in array size (4 droplets, 400 ticks):")
     for n in (15, 30, 60):
         text = synthetic(n, 4, 400)

@@ -1,9 +1,9 @@
 """Symbolic chip description: occupancy, reservoir table, active mixers, droplets.
 
-State is a value.  Every operation returns a new ChipState; the verifier
-snapshots the state at the start of each tick and commits all concurrent
-effects together, mirroring the per-tick occupancy encoding the checks are
-defined over.
+State is a value.  Every public operation returns a new ChipState; the
+verifier snapshots the state at the start of each tick and commits all
+concurrent effects together onto one fresh copy, mirroring the per-tick
+occupancy encoding the checks are defined over.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ if TYPE_CHECKING:
 
 class OutOfBounds(Exception):
     pass
+
+
+class InconsistentState(Exception):
+    """The grid and the droplet registry disagree (an engine bug)."""
 
 
 class DoubleClaim(Exception):
@@ -220,32 +224,38 @@ class ChipState:
 
     def add_droplet(self, node: str, loc: Loc, cf, born_at: int) -> tuple["ChipState", DropletRecord]:
         new = self.copy()
-        rec = DropletRecord(new.next_key, node, loc, cf, born_at)
-        new.droplets[rec.key] = rec
-        new.by_loc[loc] = rec.key
-        new.next_key += 1
-        return new, rec
+        return new, new._add(node, loc, cf, born_at)
 
     def move_droplet(self, key: int, dst: Loc) -> "ChipState":
         new = self.copy()
-        rec = new.droplets[key]
-        del new.by_loc[rec.loc]
-        rec = replace(rec, loc=dst)
-        new.droplets[key] = rec
-        new.by_loc[dst] = key
+        new._move(key, dst)
         return new
 
     def remove_droplet(self, key: int) -> "ChipState":
         new = self.copy()
-        rec = new.droplets.pop(key)
-        del new.by_loc[rec.loc]
+        new._remove(key)
         return new
 
-    def fresh_node(self) -> tuple["ChipState", str]:
-        new = self.copy()
-        node = f"v{new.next_node}"
-        new.next_node += 1
-        return new, node
+    # In-place forms of the updates above, for a copy that no one else holds
+    # yet: the engine copies the state once per tick and builds on that copy.
+
+    def _add(self, node: str, loc: Loc, cf, born_at: int) -> DropletRecord:
+        rec = DropletRecord(self.next_key, node, loc, cf, born_at)
+        self.droplets[rec.key] = rec
+        self.by_loc[loc] = rec.key
+        self.next_key += 1
+        return rec
+
+    def _move(self, key: int, dst: Loc) -> None:
+        rec = self.droplets[key]
+        del self.by_loc[rec.loc]
+        self.droplets[key] = replace(rec, loc=dst)
+        self.by_loc[dst] = key
+
+    def _remove(self, key: int) -> DropletRecord:
+        rec = self.droplets.pop(key)
+        del self.by_loc[rec.loc]
+        return rec
 
     def at_tick(self, t: int) -> "ChipState":
         new = self.copy()
@@ -254,9 +264,15 @@ class ChipState:
         return new
 
     def check_consistency(self) -> None:
-        assert len(self.by_loc) == len(self.droplets)
+        """Raise InconsistentState unless grid and registry are a bijection."""
+        if len(self.by_loc) != len(self.droplets):
+            raise InconsistentState(
+                f"{len(self.by_loc)} occupied cells but {len(self.droplets)} droplets")
         for loc, key in self.by_loc.items():
-            assert self.droplets[key].loc == loc
+            rec = self.droplets.get(key)
+            if rec is None or rec.loc != loc:
+                raise InconsistentState(f"cell {loc} maps to droplet {key}, "
+                                        f"which is not there")
 
 
 def init_state(header: ChipHeader, detectors: Iterable[DetectorDecl] = ()) -> ChipState:
@@ -278,10 +294,12 @@ def expire_mixers(state: ChipState, t: int) -> tuple[ChipState, list[MixComplete
     for mx in sorted(due, key=lambda m: (m.t_e, m.a)):
         k1, k2 = mx.input_keys
         cf = cf_mix(new.droplets[k1].cf, new.droplets[k2].cf)
-        new = new.remove_droplet(k1).remove_droplet(k2)
-        new, node = new.fresh_node()
+        new._remove(k1)
+        new._remove(k2)
+        node = f"v{new.next_node}"
+        new.next_node += 1
         for loc in (mx.a, mx.b):
-            new, _ = new.add_droplet(node, loc, cf, mx.t_e)
+            new._add(node, loc, cf, mx.t_e)
         events.append(MixCompleted(mx.t_e, node, mx.a, mx.b, mx.t_s, mx.t_e,
                                    mx.input_nodes, cf))
     return new, events

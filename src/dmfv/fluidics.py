@@ -4,8 +4,10 @@ Every formula here is a conjunction of single-cell literals over the
 occupancy snapshot at the start of the tick, so truth checking is a direct
 table lookup (witness checking, no solver).  Concurrent instructions on one
 line are all validated against that snapshot plus the intra-tick claim set,
-then their effects commit together; a global separation check and the
-active-mixer guard run on the committed state.
+then their effects commit together; a global separation check runs on the
+committed state.  It also covers every active mixer's guard region, since
+each droplet in that region is adjacent to an occupied mixer endpoint, so
+``active_mixer_guard`` is not run by the engine.
 
 Violation classification follows the error taxonomy: a movement conflict
 with a droplet that also moves this tick is dynamic (e2, both instructions
@@ -438,29 +440,27 @@ def _plan(snapshot: ChipState, instr: Instruction, i: int,
 
 def _commit(snapshot: ChipState, line: TimedLine,
             effects: list[tuple[int, Instruction]], t: int) -> tuple[ChipState, list[chip.Event]]:
-    new = snapshot.at_tick(t)
+    new = snapshot.at_tick(t)   # the one copy of this tick; updated in place
     events: list[chip.Event] = []
     # removals first, then transports, then arrivals, then bookkeeping
     for _, instr in effects:
         if isinstance(instr, (Waste, Output)):
-            rec = new.droplet_at(instr.loc)
-            new = new.remove_droplet(rec.key)
+            rec = new._remove(new.by_loc[instr.loc])
             ev = chip.Wasted if isinstance(instr, Waste) else chip.Outputted
             events.append(ev(t, rec.node, instr.loc, rec.cf))
     for _, instr in effects:
         if isinstance(instr, Move):
-            new = new.move_droplet(new.by_loc[instr.src], instr.dst)
+            new._move(new.by_loc[instr.src], instr.dst)
     for _, instr in effects:
         if isinstance(instr, Dispense):
             reagent = new.reservoirs[instr.loc].name
-            new, rec = new.add_droplet(reagent, instr.loc, CFVector.unit(reagent), t)
+            rec = new._add(reagent, instr.loc, CFVector.unit(reagent), t)
             events.append(chip.Dispensed(t, reagent, instr.loc, rec.key, rec.cf))
     for _, instr in effects:
         if isinstance(instr, MixStart):
             ka, kb = new.by_loc[instr.a], new.by_loc[instr.b]
             entry = MixerEntry(instr.a, instr.b, t, t + instr.t_mix + 1, instr.mtype,
                                (ka, kb), (new.droplets[ka].node, new.droplets[kb].node))
-            new = new.copy()
             new.mixers = new.mixers + (entry,)
             events.append(chip.MixStarted(t, instr.a, instr.b, entry.t_e, instr.mtype,
                                           entry.input_nodes))
@@ -468,29 +468,42 @@ def _commit(snapshot: ChipState, line: TimedLine,
             decl = new.detectors[instr.detector]
             entry = DetectionEntry(instr.detector, new.by_loc[decl.loc], decl.loc,
                                    t + decl.duration)
-            new = new.copy()
             new.detections = new.detections + (entry,)
     return new, events
 
 
+# Of the eight neighbours of (r, c), the four that sort after it, in sorted order.
+_FORWARD_N8 = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
 def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int],
                  t: int) -> list[Violation]:
-    """Global separation invariant over the committed state."""
+    """Global separation invariant over the committed state.
+
+    Each adjacent pair is found once, from its smaller cell, by probing the
+    forward half of that cell's 8-neighbourhood; rows come out in the sorted
+    (c1, c2) order of a scan over all pairs.  Every active mixer's guard
+    region is covered: its endpoints stay occupied, so any droplet in the
+    region is adjacent to one of them.
+    """
     out: list[Violation] = []
-    locs = sorted(state.by_loc)
-    for i, c1 in enumerate(locs):
-        for c2 in locs[i + 1:]:
-            if abs(c1.row - c2.row) <= 1 and abs(c1.col - c2.col) <= 1:
-                idxs = [claimed[c] for c in (c1, c2) if c in claimed]
-                detail = ""
-                for mx in state.mixers:
-                    if c1 in (mx.a, mx.b) or c2 in (mx.a, mx.b):
-                        detail = mx.span()
-                        break
-                out.append(classify(
-                    Code.E1, "Static fluidic constraint violated", t=t,
-                    instructions=_line_instrs(line, idxs), cells=(c1, c2),
-                    detail=detail))
+    by_loc = state.by_loc
+    for c1 in sorted(by_loc):
+        r, c = c1
+        for dr, dc in _FORWARD_N8:
+            if (r + dr, c + dc) not in by_loc:
+                continue
+            c2 = Loc(r + dr, c + dc)
+            idxs = [claimed[x] for x in (c1, c2) if x in claimed]
+            detail = ""
+            for mx in state.mixers:
+                if c1 in (mx.a, mx.b) or c2 in (mx.a, mx.b):
+                    detail = mx.span()
+                    break
+            out.append(classify(
+                Code.E1, "Static fluidic constraint violated", t=t,
+                instructions=_line_instrs(line, idxs), cells=(c1, c2),
+                detail=detail))
     return out
 
 

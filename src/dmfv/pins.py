@@ -3,8 +3,12 @@
 One physical pin may drive several electrodes, so actuating a cell for one
 droplet can tug at another.  The rules decompose into per-droplet checks
 (distinct pins around every droplet) and pairwise checks between the time-t
-and time-t+1 positions of every droplet pair; a droplet that stays put is
-the degenerate case with both positions equal.
+and time-t+1 positions of two droplets; a droplet that stays put is the
+degenerate case with both positions equal.  Every pairwise rule tests a pin
+of one droplet against pins on the N4 cells around the other, so each tick
+indexes droplets by the pins of their N4 regions and checks only the pairs
+that meet in that index.  Each map caches the N4 pin set and the split
+finding of every cell it is asked about.
 
 Consequence wording: a shared pin on the cell directly behind a moving
 droplet fights the destination electrode and strands it ("Droplet stuck on
@@ -15,7 +19,7 @@ droplet split").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chip import ChipState, OutOfBounds, neighbors4
 from .diag import Code, Report, Violation, classify
@@ -34,6 +38,11 @@ class PinMap:
     rows: int
     cols: int
     pin: dict[Loc, int]
+    # per-cell caches, filled on first use; not part of the map's value
+    _n4_pins: dict[Loc, frozenset[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _case1: dict[Loc, "PinFinding | None"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for r in range(1, self.rows + 1):
@@ -48,6 +57,19 @@ class PinMap:
 
     def n4(self, loc: Loc) -> set[Loc]:
         return neighbors4(loc, self.rows, self.cols)
+
+    def n4_pins(self, loc: Loc) -> frozenset[int]:
+        """Pins driving the N4 neighborhood of loc (cached)."""
+        pins = self._n4_pins.get(loc)
+        if pins is None:
+            pins = self._n4_pins[loc] = frozenset(pins_of(self, self.n4(loc)))
+        return pins
+
+    def case1(self, loc: Loc) -> "PinFinding | None":
+        """check_case1 at loc (cached)."""
+        if loc not in self._case1:
+            self._case1[loc] = check_case1(self, loc)
+        return self._case1[loc]
 
     def injective(self) -> bool:
         return len(set(self.pin.values())) == len(self.pin)
@@ -167,15 +189,15 @@ def check_dispense_pins(pmap: PinMap, state: ChipState, loc: Loc,
                         extra_droplets: tuple[Loc, ...] = ()) -> "PinFinding | None":
     """A dispensed droplet's pin must avoid its own and every droplet's N4 pins."""
     own = pmap.pin_of(loc)
-    shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin_of(c) == own)
-    if shared_self:
+    if own in pmap.n4_pins(loc):
+        shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin_of(c) == own)
         return PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
                           cells=(loc, *shared_self),
                           detail=f"pin {own} is repeated in N4({loc})")
     others = sorted(state.by_loc) + [c for c in extra_droplets if c != loc]
     for d in others:
-        shared = sorted(c for c in pmap.n4(d) if pmap.pin_of(c) == own)
-        if shared:
+        if own in pmap.n4_pins(d):
+            shared = sorted(c for c in pmap.n4(d) if pmap.pin_of(c) == own)
             return PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
                               cells=(loc, d, *shared),
                               detail=f"pin {own} of {loc} drives a neighbor of the "
@@ -194,7 +216,11 @@ def _finding_to_violation(f: PinFinding, t: int, instructions: tuple[str, ...],
 
 def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
               line: TimedLine, effects, t: int) -> list[Violation]:
-    """Pin rules for one tick: dispense checks, all droplet pairs, Case 1."""
+    """Pin rules for one tick: dispense checks, droplet pairs, Case 1.
+
+    Pairs are checked in sorted order, but only those that meet in the pin
+    index of ``_candidate_pairs``; every other pair passes every pairwise rule.
+    """
     out: list[Violation] = []
 
     moved: dict[Loc, tuple[Loc, int]] = {}      # new loc -> (old loc, instr index)
@@ -204,6 +230,7 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
             moved[instr.dst] = (instr.src, i)
         elif isinstance(instr, Dispense):
             dispensed.append((instr.loc, i))
+    dispensed_at = {l for l, _ in dispensed}
 
     for loc, i in dispensed:
         others = tuple(l for l, _ in dispensed if l != loc)
@@ -220,7 +247,7 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
         if loc in moved:
             old, i = moved[loc]
             participants.append((old, loc, i))
-        elif loc in {l for l, _ in dispensed}:
+        elif loc in dispensed_at:
             continue  # covered by the dispense rule this tick
         else:
             participants.append((loc, loc, None))
@@ -230,23 +257,48 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
             participants.append((instr.loc, instr.loc, None))
 
     participants.sort(key=lambda p: p[0])
-    for a in range(len(participants)):
-        for b in range(a + 1, len(participants)):
-            o1, n1, i1 = participants[a]
-            o2, n2, i2 = participants[b]
-            f = check_pair(pmap, o1, n1, o2, n2)
-            if f is not None:
-                idxs = tuple(sorted(i for i in (i1, i2) if i is not None))
-                instrs = tuple(line.instrs[i].compact() for i in idxs)
-                out.append(_finding_to_violation(f, t, instrs))
+    for a, b in _candidate_pairs(pmap, participants):
+        o1, n1, i1 = participants[a]
+        o2, n2, i2 = participants[b]
+        f = check_pair(pmap, o1, n1, o2, n2)
+        if f is not None:
+            idxs = tuple(sorted(i for i in (i1, i2) if i is not None))
+            instrs = tuple(line.instrs[i].compact() for i in idxs)
+            out.append(_finding_to_violation(f, t, instrs))
 
     for loc in sorted(committed.by_loc):
-        f = check_case1(pmap, loc)
+        f = pmap.case1(loc)
         if f is not None:
             idx = moved.get(loc)
             instrs = (line.instrs[idx[1]].compact(),) if idx else ()
             out.append(_finding_to_violation(f, t, instrs))
     return out
+
+
+def _candidate_pairs(pmap: PinMap,
+                     participants: list[tuple[Loc, Loc, int | None]]) -> list[tuple[int, int]]:
+    """Index pairs (a < b, sorted) that check_pair could fail on.
+
+    Each case of check_pair tests the pin of one droplet's old or new cell
+    against pins in N4(old) or N4(new) of the other droplet.  Indexing every
+    participant under the pins of N4(old) | N4(new) and looking up the pins
+    of each participant's own two cells therefore finds every such pair.
+    """
+    if any(old not in pmap.pin or new not in pmap.pin for old, new, _ in participants):
+        # off-map cells: let check_pair raise exactly as an all-pairs scan would
+        n = len(participants)
+        return [(a, b) for a in range(n) for b in range(a + 1, n)]
+    holders: dict[int, list[int]] = {}
+    for j, (old, new, _) in enumerate(participants):
+        for p in pmap.n4_pins(old) | pmap.n4_pins(new):
+            holders.setdefault(p, []).append(j)
+    pairs: set[tuple[int, int]] = set()
+    for a, (old, new, _) in enumerate(participants):
+        for p in {pmap.pin[old], pmap.pin[new]}:
+            for b in holders.get(p, ()):
+                if b != a:
+                    pairs.add((a, b) if a < b else (b, a))
+    return sorted(pairs)
 
 
 def verify_program_pins(program: Program, pmap: PinMap, *, policy: str = "first",

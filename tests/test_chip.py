@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from dmfv.chip import (ChipState, DoubleClaim, MixerEntry, OutOfBounds,
-                       expire_mixers, init_state, neighbors4, neighbors8)
+from dmfv.chip import (ChipState, DoubleClaim, InconsistentState, MixerEntry,
+                       OutOfBounds, expire_mixers, init_state, neighbors4, neighbors8)
 from dmfv.graph import CFVector, cf_mix
 from dmfv.isa import ChipHeader, Loc, MType, ReservoirDecl, RKind
 
@@ -129,3 +134,38 @@ def test_grid_registry_bijection_after_operations():
     st = st.remove_droplet(rec.key)
     st.check_consistency()
     assert not st.droplets
+
+
+def test_check_consistency_rejects_corrupted_states():
+    st = init_state(header(6, 6))
+    st, rec = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"), 0)
+    moved = st.copy()
+    moved.by_loc = {Loc(5, 5): rec.key}          # grid and registry disagree
+    with pytest.raises(InconsistentState):
+        moved.check_consistency()
+    orphan = st.copy()
+    orphan.by_loc = {}                           # droplet with no cell
+    with pytest.raises(InconsistentState):
+        orphan.check_consistency()
+
+
+def test_check_consistency_raises_under_python_O():
+    code = textwrap.dedent("""
+        from dmfv.chip import InconsistentState, init_state
+        from dmfv.graph import CFVector
+        from dmfv.isa import ChipHeader, Loc
+        assert False, "assert statements must be stripped under -O"
+        st, rec = init_state(ChipHeader(6, 6, 5, ())).add_droplet(
+            "S", Loc(2, 2), CFVector.unit("S"), 0)
+        st.by_loc = {Loc(5, 5): rec.key}
+        try:
+            st.check_consistency()
+        except InconsistentState:
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -8,12 +8,14 @@ occupied grids, valid or not.
 
 import random
 
-from dmfv.chip import init_state, neighbors8
-from dmfv.fluidics import (active_mixer_guard, check_dispense, check_mix_start,
-                           check_move, mixer_geometry_ok, move_clearance_cells,
-                           static_fc)
+from dmfv.chip import MixerEntry, init_state, neighbors8
+from dmfv.diag import Code, classify
+from dmfv.fluidics import (_post_checks, active_mixer_guard, check_dispense,
+                           check_mix_start, check_move, mixer_geometry_ok,
+                           move_clearance_cells, static_fc)
 from dmfv.graph import CFVector
-from dmfv.isa import ChipHeader, Loc, MType, ReservoirDecl, RKind
+from dmfv.isa import (ChipHeader, Dispense, Loc, Move, MType, ReservoirDecl, RKind,
+                      TimedLine)
 
 
 def eval_conj(literals, occupied):
@@ -101,7 +103,6 @@ def test_guard_matches_mixer_formula_on_random_walks():
         a, b = Loc(4, 3), Loc(4, 6)
         st, ra = st.add_droplet("A", a, CFVector.unit("S"), 0)
         st, rb = st.add_droplet("B", b, CFVector.unit("S"), 0)
-        from dmfv.chip import MixerEntry
         st = st.copy()
         st.mixers = (MixerEntry(a, b, 0, 9, MType.H14, (ra.key, rb.key), ("A", "B")),)
         walker = Loc(rng.randrange(1, 9), rng.randrange(1, 9))
@@ -119,3 +120,45 @@ def test_guard_matches_mixer_formula_on_random_walks():
             nxt = Loc(walker.row + d.row, walker.col + d.col)
             if 1 <= nxt.row <= 8 and 1 <= nxt.col <= 8 and nxt not in (a, b):
                 walker = nxt
+
+
+def pairwise_separation(state, line, claimed, t):
+    """The separation check as a scan over every droplet pair (oracle)."""
+    out = []
+    locs = sorted(state.by_loc)
+    for i, c1 in enumerate(locs):
+        for c2 in locs[i + 1:]:
+            if abs(c1.row - c2.row) <= 1 and abs(c1.col - c2.col) <= 1:
+                idxs = sorted({claimed[c] for c in (c1, c2) if c in claimed})
+                detail = next((mx.span() for mx in state.mixers
+                               if c1 in (mx.a, mx.b) or c2 in (mx.a, mx.b)), "")
+                out.append(classify(
+                    Code.E1, "Static fluidic constraint violated", t=t,
+                    instructions=tuple(line.instrs[i].compact() for i in idxs),
+                    cells=(c1, c2), detail=detail))
+    return out
+
+
+def test_separation_probe_matches_pairwise_scan():
+    rng = random.Random(4104)
+    rows_seen = 0
+    for _ in range(400):
+        st, occ = random_state(rng)
+        locs = sorted(occ)
+        st = st.copy()
+        mixers = []
+        for _ in range(min(rng.randrange(3), len(locs) // 2)):
+            a, b = rng.sample(locs, 2)
+            mixers.append(MixerEntry(a, b, 0, 9, MType.H14,
+                                     (st.by_loc[a], st.by_loc[b]), ("S", "S")))
+        st.mixers = tuple(mixers)
+        # droplets that arrived this tick: each claims its cell for one instruction
+        arrived = rng.sample(locs, rng.randrange(len(locs) + 1))
+        instrs = [Dispense(c) if rng.random() < 0.3 else Move(Loc(c.row, c.col + 1), c)
+                  for c in arrived]
+        claimed = {c: i for i, c in enumerate(arrived)}
+        line = TimedLine(3, tuple(instrs))
+        expected = pairwise_separation(st, line, claimed, 3)
+        assert _post_checks(st, line, claimed, 3) == expected
+        rows_seen += len(expected)
+    assert rows_seen > 400

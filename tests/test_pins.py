@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from dmfv.chip import OutOfBounds, init_state
+from dmfv.chip import MixerEntry, OutOfBounds, init_state
 from dmfv.diag import Code
+from dmfv.fluidics import _commit
 from dmfv.graph import CFVector
-from dmfv.isa import ChipHeader, Loc, parse_program
-from dmfv.pins import (PinMap, check_case1, check_dispense_pins, check_pair,
-                       dedicated_map, parse_pins, pins_of, reset_stats,
-                       serialize_pins, stats, verify_program_pins)
+from dmfv.isa import (ChipHeader, Dispense, Loc, Move, MType, Output, ReservoirDecl,
+                      RKind, TimedLine, Waste, parse_program)
+from dmfv.pins import (PinMap, _finding_to_violation, check_case1, check_dispense_pins,
+                       check_pair, dedicated_map, parse_pins, pin_phase, pins_of,
+                       reset_stats, serialize_pins, stats, verify_program_pins)
 
 from conftest import load
 
@@ -165,19 +167,137 @@ def test_injective_map_reports_match_general_mode_on_bad_program():
     assert rows(general) == rows(pinned)
 
 
-def test_pair_decomposition_count():
+def test_pair_checks_skip_distant_droplets():
     text = ("dim(9,9)\naccuracy 5\nR(1,1,A) R(1,9,B) R(9,1,C)\n"
             "1 d(1,1) d(1,9) d(9,1)\n"
             "2 m([1,1]->[2,1]) m([1,9]->[2,9]) m([9,1]->[8,1])\n"
             "3 m([2,1]->[3,1])\n4 end\n")
     prog = parse_program(text)
-    pmap = dedicated_map(9, 9)
     reset_stats()
-    report = verify_program_pins(prog, pmap)
+    report = verify_program_pins(prog, dedicated_map(9, 9))
     assert report.ok
-    # t=1: dispensed droplets are covered by the dispense rule (0 pairs);
-    # t=2, t=3, t=4: three droplets each, k*(k-1)/2 = 3 pairs per tick
-    assert stats["pair_checks"] == 9
+    # no droplet sits in another's N4 region and no pin is shared, so the
+    # pin index joins no pair on any tick
+    assert stats["pair_checks"] == 0
+
+
+def all_pairs_pin_phase(pmap, snapshot, committed, line, effects, t):
+    """The pin phase as a plain scan over every participant pair (oracle)."""
+    out = []
+    moved, dispensed = {}, []
+    for i, instr in effects:
+        if isinstance(instr, Move):
+            moved[instr.dst] = (instr.src, i)
+        elif isinstance(instr, Dispense):
+            dispensed.append((instr.loc, i))
+    for loc, i in dispensed:
+        others = tuple(l for l, _ in dispensed if l != loc)
+        f = check_dispense_pins(pmap, snapshot, loc, extra_droplets=others)
+        if f is not None:
+            out.append(_finding_to_violation(f, t, (line.instrs[i].compact(),)))
+    participants = []
+    pinned_cells = {c for mx in committed.mixers for c in (mx.a, mx.b)}
+    for loc in sorted(committed.by_loc):
+        if loc in pinned_cells:
+            continue
+        if loc in moved:
+            old, i = moved[loc]
+            participants.append((old, loc, i))
+        elif loc in {l for l, _ in dispensed}:
+            continue
+        else:
+            participants.append((loc, loc, None))
+    for i, instr in effects:
+        if isinstance(instr, (Waste, Output)):
+            participants.append((instr.loc, instr.loc, None))
+    participants.sort(key=lambda p: p[0])
+    for a in range(len(participants)):
+        for b in range(a + 1, len(participants)):
+            o1, n1, i1 = participants[a]
+            o2, n2, i2 = participants[b]
+            f = check_pair(pmap, o1, n1, o2, n2)
+            if f is not None:
+                idxs = tuple(sorted(i for i in (i1, i2) if i is not None))
+                instrs = tuple(line.instrs[i].compact() for i in idxs)
+                out.append(_finding_to_violation(f, t, instrs))
+    for loc in sorted(committed.by_loc):
+        f = check_case1(pmap, loc)
+        if f is not None:
+            idx = moved.get(loc)
+            instrs = (line.instrs[idx[1]].compact(),) if idx else ()
+            out.append(_finding_to_violation(f, t, instrs))
+    return out
+
+
+def random_tick(rng, rows, cols):
+    """A committed tick with moves, dispenses, waste/output and a mixer."""
+    cells = [Loc(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    rng.shuffle(cells)
+    sources, sinks = cells[:3], cells[3:5]
+    res = tuple(ReservoirDecl(l, RKind.REAGENT, "AB"[i % 2]) for i, l in enumerate(sources))
+    res += (ReservoirDecl(sinks[0], RKind.WASTE), ReservoirDecl(sinks[1], RKind.OUTPUT))
+    snapshot = init_state(ChipHeader(rows, cols, 5, res))
+    parked = [l for l in cells[5:] if rng.random() < 0.18]
+    parked += [l for l in sinks if rng.random() < 0.6]
+    for loc in parked:
+        snapshot, _ = snapshot.add_droplet("S", loc, CFVector.unit("A"), 0)
+    free = [l for l in parked if l not in sinks]
+    if len(free) >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(free, 2)
+        snapshot = snapshot.copy()
+        snapshot.mixers = (MixerEntry(a, b, 0, 99, MType.H14,
+                                      (snapshot.by_loc[a], snapshot.by_loc[b]), ("S", "S")),)
+        free = [l for l in free if l not in (a, b)]
+    instrs, claimed = [], set()
+    for src in free:
+        if rng.random() < 0.5:
+            dr, dc = rng.choice([(-1, 0), (1, 0), (0, -1), (0, 1)])
+            dst = Loc(src.row + dr, src.col + dc)
+            if snapshot.in_bounds(dst) and dst not in snapshot.by_loc and dst not in claimed:
+                instrs.append(Move(src, dst))
+                claimed.add(dst)
+    for loc in sources:
+        if loc not in snapshot.by_loc and loc not in claimed and rng.random() < 0.5:
+            instrs.append(Dispense(loc))
+            claimed.add(loc)
+    for loc, kind in zip(sinks, (Waste, Output)):
+        if loc in snapshot.by_loc and rng.random() < 0.7:
+            instrs.append(kind(loc))
+    rng.shuffle(instrs)
+    line = TimedLine(1, tuple(instrs))
+    effects = list(enumerate(instrs))
+    committed, _ = _commit(snapshot, line, effects, 1)
+    return snapshot, committed, line, effects
+
+
+def random_pin_maps(rng, rows, cols):
+    """Dedicated, remapped and randomly shared maps over one grid."""
+    base = dedicated_map(rows, cols)
+    cells = list(base.pin)
+    remapped = base.with_remap({c: rng.randrange(1, 6) for c in rng.sample(cells, 6)})
+    shared = [PinMap(rows, cols, {c: rng.randrange(1, n + 1) for c in cells})
+              for n in (rows * cols, rows * cols // 3, 12, 4)]
+    return [base, remapped, *shared]
+
+
+def test_pin_phase_matches_all_pairs_oracle():
+    rng = random.Random(20221108)
+    codes, joined, scanned = set(), 0, 0
+    for _ in range(50):
+        rows, cols = rng.randrange(5, 10), rng.randrange(5, 10)
+        pmaps = random_pin_maps(rng, rows, cols)
+        for _ in range(3):   # several ticks per map exercise its caches
+            tick = random_tick(rng, rows, cols)
+            for pmap in pmaps:
+                reset_stats()
+                expected = all_pairs_pin_phase(pmap, *tick, 1)
+                scanned += stats["pair_checks"]
+                reset_stats()
+                assert pin_phase(pmap, *tick, 1) == expected
+                joined += stats["pair_checks"]
+                codes.update(v.code for v in expected)
+    assert codes >= {Code.PIN_CASE1, Code.PIN_CASE2, Code.PIN_CASE3, Code.PIN_DISPENSE}
+    assert joined < scanned
 
 
 def test_mplex_fixture_rows(fixtures):
