@@ -13,7 +13,6 @@ from .graph import (CFVector, SeqGraph, cf_mix, conformance, parse_input_sg,
                     ratio_str, reconstruct, round_cf, to_dot)
 from .pins import (PinMap, check_case1, check_dispense_pins, check_pair,
                    parse_pins, pins_of, verify_program_pins)
-from .branches import (PathSpec, detect_semantics, enumerate_paths,
-                       verify_all_paths)
+from .branches import PathSpec, enumerate_paths, verify_all_paths
 
 __version__ = "0.1.0"

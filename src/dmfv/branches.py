@@ -6,6 +6,12 @@ recovery block right after the conditional (internal gaps preserved) and
 the main line resumes one tick after the block; a not-taken branch lets the
 continuation fire on the very next tick.  Written timestamps therefore
 match the all-faulty path; every other path is a compaction of it.
+
+Paths that share their leading outcomes run the same lines at the same
+ticks up to their next conditional, so ``verify_all_paths`` walks the tree
+of outcomes depth first and steps each shared prefix once, forking the run
+at every conditional.  Each path's report is still the one its spliced
+program gets when verified alone.
 """
 
 from __future__ import annotations
@@ -13,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fluidics, graph
-from .chip import ChipState, DetectionEntry
 from .diag import Code, Report, classify
-from .isa import (CondCall, DetectorDecl, DetectStart, DmfError, Program,
-                  TimedLine, validate_structure)
+from .isa import CondCall, DmfError, Program, TimedLine, ValidationError, validate_structure
 
 
 class PathLimitExceeded(DmfError):
@@ -40,31 +44,59 @@ def _cond_of(line: TimedLine) -> CondCall | None:
     return None
 
 
+def _branch(program: Program, idx: int, delta: int,
+            taken: bool) -> tuple[tuple[TimedLine, ...], int]:
+    """Resolve the conditional at ``program.main[idx]`` on a path whose main
+    lines are shifted by ``delta`` ticks.
+
+    Returns the recovery lines it inserts (none when not taken), starting one
+    tick after the conditional, and the shift of the main lines after it,
+    which makes the next one fire one tick after the last inserted line, or
+    after the conditional itself.
+    """
+    main = program.main
+    tau = main[idx].t + delta
+    inserted: tuple[TimedLine, ...] = ()
+    if taken:
+        block = program.recoveries[_cond_of(main[idx]).recovery]
+        base = block[0].t
+        inserted = tuple(TimedLine(tau + 1 + (bl.t - base), bl.instrs) for bl in block)
+    if idx + 1 == len(main):
+        return inserted, delta
+    resume = inserted[-1].t if inserted else tau
+    return inserted, resume + 1 - main[idx + 1].t
+
+
 def _splice(program: Program, outcomes: tuple[bool, ...]) -> Program:
     lines: list[TimedLine] = []
     delta = 0
     cond_i = 0
-    main = program.main
-    for idx, line in enumerate(main):
-        cond = _cond_of(line)
-        if cond is None:
+    for idx, line in enumerate(program.main):
+        if _cond_of(line) is None:
             lines.append(TimedLine(line.t + delta, line.instrs))
             continue
-        tau = line.t + delta
-        nxt = main[idx + 1] if idx + 1 < len(main) else None
-        if outcomes[cond_i]:
-            block = program.recoveries[cond.recovery]
-            base = block[0].t
-            for bl in block:
-                lines.append(TimedLine(tau + 1 + (bl.t - base), bl.instrs))
-            resume = lines[-1].t
-            if nxt is not None:
-                delta = resume + 1 - nxt.t
-        else:
-            if nxt is not None:
-                delta = tau + 1 - nxt.t
+        inserted, delta = _branch(program, idx, delta, outcomes[cond_i])
+        lines.extend(inserted)
         cond_i += 1
     return Program(program.header, tuple(lines), program.detectors, {}, program.t_max)
+
+
+def _count_conditionals(program: Program, max_conditionals: int) -> int:
+    """Validate a program's structure and return its number of conditionals."""
+    issues = validate_structure(program)
+    if any(i.code == "NestedConditional" for i in issues):
+        raise NestedConditional("recovery routines may not branch")
+    if issues:
+        raise ValidationError(issues)
+    k = sum(1 for ln in program.main if _cond_of(ln) is not None)
+    if k > max_conditionals:
+        raise PathLimitExceeded(
+            f"{k} conditionals expand to 2^{k} paths; raise the limit explicitly")
+    return k
+
+
+def _label(outcomes: tuple[bool, ...]) -> str:
+    return "".join("1" if o else "0" for o in outcomes)
 
 
 def enumerate_paths(program: Program, *, max_conditionals: int = 16) -> list[PathSpec]:
@@ -73,24 +105,13 @@ def enumerate_paths(program: Program, *, max_conditionals: int = 16) -> list[Pat
     Returns 2^k specs for k conditionals; a conditional-free program yields
     the single identity path labeled with the empty string.
     """
-    issues = validate_structure(program)
-    if any(i.code == "NestedConditional" for i in issues):
-        raise NestedConditional("recovery routines may not branch")
-    if issues:
-        from .isa import ValidationError
-        raise ValidationError(issues)
-    conds = [ln for ln in program.main if _cond_of(ln) is not None]
-    k = len(conds)
-    if k > max_conditionals:
-        raise PathLimitExceeded(
-            f"{k} conditionals expand to 2^{k} paths; raise the limit explicitly")
+    k = _count_conditionals(program, max_conditionals)
     if k == 0:
         return [PathSpec((), "", program)]
     paths = []
     for mask in range(1 << k):
         outcomes = tuple(bool((mask >> (k - 1 - bit)) & 1) for bit in range(k))
-        label = "".join("1" if o else "0" for o in outcomes)
-        paths.append(PathSpec(outcomes, label, _splice(program, outcomes)))
+        paths.append(PathSpec(outcomes, _label(outcomes), _splice(program, outcomes)))
     return paths
 
 
@@ -117,35 +138,65 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
                      policy: str = "first", t_max: int | None = None,
                      only: str | None = None,
                      max_conditionals: int = 16) -> list[PathReport]:
-    """Verify every path (or the one selected by ``only``) independently.
+    """Verify every path (or the one selected by ``only``), in label order.
 
-    When an input graph is supplied, each clean path is additionally required
-    to deliver the same multiset of output concentrations the input graph
-    specifies; recovery detours must re-produce the same mixture.
+    Each path's report equals that of its spliced program verified alone,
+    but the lines a group of paths shares up to a conditional are stepped
+    once: the run is forked there, and each fork goes on under one outcome.
+
+    When an input graph is supplied (annotated, as ``graph.parse_input_sg``
+    returns it), each clean path is additionally required to deliver the
+    same multiset of output concentrations the input graph specifies;
+    recovery detours must re-produce the same mixture.
     """
+    k = _count_conditionals(program, max_conditionals)
+    if only is not None and (len(only) != k or not set(only) <= {"0", "1"}):
+        raise DmfError(f"no path labeled {only!r}")
+    n = program.header.accuracy
+    want = None if input_sg is None else _output_cfs(input_sg, n)
     out: list[PathReport] = []
-    for spec in enumerate_paths(program, max_conditionals=max_conditionals):
-        if only is not None and spec.label != only:
-            continue
-        trace, report = fluidics.verify_program(spec.program, pin_map=pin_map,
-                                                policy=policy, t_max=t_max)
-        report = _tagged(report, spec.label)
+
+    def emit(outcomes: tuple[bool, ...], cursor: fluidics.Cursor) -> None:
+        label = _label(outcomes)
+        trace, report = cursor.finish()
+        report = _tagged(report, label)
         sg = None
         if not any(v.phase == 1 for v in report.violations):
             sg = graph.reconstruct(trace)
-            if input_sg is not None:
-                _check_outputs(input_sg, sg, program.header.accuracy, report,
-                               spec.label)
-        out.append(PathReport(spec.label, spec.outcomes, report, trace, sg))
-    if only is not None and not out:
-        raise DmfError(f"no path labeled {only!r}")
+            if want is not None:
+                _check_outputs(want, sg, n, report, label)
+        out.append(PathReport(label, outcomes, report, trace, sg))
+
+    def walk(cursor: fluidics.Cursor, idx: int, delta: int,
+             outcomes: tuple[bool, ...]) -> None:
+        main = program.main
+        while idx < len(main) and _cond_of(main[idx]) is None:
+            line = main[idx]
+            cursor.advance(TimedLine(line.t + delta, line.instrs) if delta else line)
+            idx += 1
+        if idx == len(main):
+            emit(outcomes, cursor)
+            return
+        choices = (False, True) if only is None else (only[len(outcomes)] == "1",)
+        for i, taken in enumerate(choices):
+            # the last child takes the cursor over; the others get forks
+            child = cursor if i == len(choices) - 1 else cursor.fork()
+            inserted, child_delta = _branch(program, idx, delta, taken)
+            for line in inserted:
+                child.advance(line)
+            walk(child, idx + 1, child_delta, outcomes + (taken,))
+
+    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, ())
     return out
 
 
-def _check_outputs(input_sg, synth_sg, n: int, report: Report, label: str) -> None:
-    input_sg.annotate_cfs()
-    want = sorted(str(graph.round_cf(cf, n)) for cf in input_sg.terminal_cfs(graph.OUTPUT))
-    got = sorted(str(graph.round_cf(cf, n)) for cf in synth_sg.terminal_cfs(graph.OUTPUT))
+def _output_cfs(sg: graph.SeqGraph, n: int) -> list[str]:
+    """The sorted multiset of output concentrations, rounded to accuracy n."""
+    return sorted(str(graph.round_cf(cf, n)) for cf in sg.terminal_cfs(graph.OUTPUT))
+
+
+def _check_outputs(want: list[str], synth_sg, n: int, report: Report, label: str) -> None:
+    got = _output_cfs(synth_sg, n)
     if want != got:
         report.violations.append(classify(
             Code.E7, "Incorrect realization of input sequencing graph",
@@ -164,22 +215,3 @@ def merge_reports(path_reports: list[PathReport]) -> Report:
                 merged.final_t = pr.report.final_t
         merged.t_max = pr.report.t_max
     return merged
-
-
-def detect_semantics(state: ChipState, instr: DetectStart,
-                     decl: DetectorDecl) -> ChipState:
-    """Pin the droplet sitting on the detector cell for the detection window.
-
-    The measured flag itself stays symbolic; only branching consumes it.
-    """
-    if any(d.detector == decl.id for d in state.detections):
-        raise DmfError(f"detector {decl.id} is busy")
-    rec = state.droplet_at(decl.loc)
-    if rec is None:
-        raise DmfError(f"no droplet on detector {decl.id} at {decl.loc}")
-    if state.mixer_pinning(rec.key) is not None:
-        raise DmfError(f"droplet on {decl.loc} is in an active mixer")
-    new = state.copy()
-    new.detections = state.detections + (
-        DetectionEntry(decl.id, rec.key, decl.loc, state.t + decl.duration),)
-    return new

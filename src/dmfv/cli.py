@@ -62,6 +62,9 @@ def cmd_verify(args) -> int:
             f"ends t={pr.report.final_t}" for pr in path_reports]
         report.notes = summaries + report.notes
         return _emit(report, args.format)
+    if args.path:
+        # a conditional-free program has one path, labeled with the empty string
+        return _fail_input(DmfError(f"no path labeled {args.path!r}"))
 
     trace, report = fluidics.verify_program(program, pin_map=pin_map,
                                             policy=policy, t_max=t_max)

@@ -17,6 +17,7 @@ committed state and is static (e1).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from . import chip
@@ -509,13 +510,6 @@ def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int],
 
 # --- whole-program verification --------------------------------------------------
 
-@dataclass
-class TickRecord:
-    t: int
-    state: ChipState
-    events: list[chip.Event]
-
-
 def format_event(ev: chip.Event) -> str:
     if isinstance(ev, chip.Dispensed):
         return f"{ev.t}\tdispense\t{ev.node}\t{ev.loc}"
@@ -534,7 +528,6 @@ def format_event(ev: chip.Event) -> str:
 class Trace:
     header: object
     reagents: tuple[str, ...]
-    ticks: list[TickRecord] = field(default_factory=list)
     events: list[chip.Event] = field(default_factory=list)
     final_state: ChipState | None = None
 
@@ -547,48 +540,81 @@ class Trace:
         return "\n".join(format_event(e) for e in self.events) + "\n"
 
 
+class Cursor:
+    """A program run advanced one timed line at a time.
+
+    It holds the chip state, the trace's events and the Phase-I report.
+    Violations after the first failing tick are marked secondary; under
+    policy "first" the run stops at the first failing tick and ignores later
+    lines.  ``fork`` returns a second cursor that goes on independently from
+    the same point: states are values, so only the event and violation
+    lists are copied.
+    """
+
+    def __init__(self, program: Program, *, pin_map=None, policy: str = "first",
+                 t_max: int | None = None):
+        if policy not in ("first", "all"):
+            raise EngineError(f"unknown violation policy {policy!r}")
+        self.pin_map, self.policy = pin_map, policy
+        self.state = chip.init_state(program.header, program.detectors)
+        self.trace = Trace(program.header, program.header.reagents)
+        self.report = Report(t_max=t_max if t_max is not None else program.t_max)
+        self.first_bad_t: int | None = None
+        self.stopped = False
+        self.ended = False            # an end marker has been stepped
+        self.last_t: int | None = None
+
+    def advance(self, line: TimedLine) -> None:
+        if self.stopped:
+            return
+        result = step(self.state, line, policy=self.policy, pin_map=self.pin_map)
+        for v in result.violations:
+            if self.first_bad_t is not None and line.t > self.first_bad_t:
+                v = classify(v.code, v.response, t=v.t, instructions=v.instructions,
+                             cells=v.cells, pins=v.pins, path=v.path,
+                             detail=v.detail, secondary=True)
+            self.report.violations.append(v)
+        if result.violations and self.first_bad_t is None:
+            self.first_bad_t = line.t
+        self.state = result.state
+        self.trace.events.extend(result.events)
+        self.last_t = line.t
+        self.ended = self.ended or any(isinstance(i, End) for i in line.instrs)
+        self.stopped = bool(result.violations) and self.policy == "first"
+
+    def fork(self) -> "Cursor":
+        new = copy.copy(self)
+        new.trace = Trace(self.trace.header, self.trace.reagents, list(self.trace.events))
+        new.report = Report(violations=list(self.report.violations),
+                            t_max=self.report.t_max)
+        return new
+
+    def finish(self) -> tuple[Trace, Report]:
+        """The trace and report of the lines advanced so far, as the run's end."""
+        if not self.stopped:
+            if self.last_t is not None:
+                self.report.final_t = self.last_t
+                if not self.ended:
+                    self.report.notes.append("program has no end marker")
+            for mx in self.state.mixers:
+                self.report.notes.append(f"mixer still active at program end: {mx.span()}")
+            self.trace.final_state = self.state
+        return self.trace, self.report
+
+
 def verify_program(program: Program, *, pin_map=None, policy: str = "first",
                    t_max: int | None = None) -> tuple[Trace, Report]:
     """Run the design-constraint phase over a straight-line program.
 
-    Returns the per-tick trace (consumed by graph reconstruction and the
-    renderer) and the Phase-I report.  Conditional programs must be expanded
-    into linear paths first.
+    Returns the trace (consumed by graph reconstruction) and the Phase-I
+    report.  Conditional programs must be expanded into linear paths first.
     """
     if program.has_conditionals:
         raise EngineError("program has conditional calls; expand paths first")
-    if policy not in ("first", "all"):
-        raise EngineError(f"unknown violation policy {policy!r}")
-    state = chip.init_state(program.header, program.detectors)
-    trace = Trace(program.header, program.header.reagents)
-    report = Report(t_max=t_max if t_max is not None else program.t_max)
-    first_bad_t: int | None = None
-
+    cursor = Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max)
     for line in program.main:
-        result = step(state, line, policy=policy, pin_map=pin_map)
-        for v in result.violations:
-            if first_bad_t is not None and line.t > first_bad_t:
-                v = classify(v.code, v.response, t=v.t, instructions=v.instructions,
-                             cells=v.cells, pins=v.pins, path=v.path,
-                             detail=v.detail, secondary=True)
-            report.violations.append(v)
-        if result.violations and first_bad_t is None:
-            first_bad_t = line.t
-        state = result.state
-        trace.ticks.append(TickRecord(line.t, state, result.events))
-        trace.events.extend(result.events)
-        if result.violations and policy == "first":
-            return trace, report
-
-    if any(isinstance(i, End) for ln in program.main for i in ln.instrs):
-        report.final_t = program.main[-1].t
-    elif program.main:
-        report.final_t = program.main[-1].t
-        report.notes.append("program has no end marker")
-    for mx in state.mixers:
-        report.notes.append(f"mixer still active at program end: {mx.span()}")
-    trace.final_state = state
-    return trace, report
+        cursor.advance(line)
+    return cursor.finish()
 
 
 def state_at(program: Program, t: int, *, policy: str = "first") -> ChipState:

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
-from dmfv.branches import (NestedConditional, PathLimitExceeded, detect_semantics,
-                           enumerate_paths, merge_reports, verify_all_paths)
-from dmfv.chip import init_state
-from dmfv.diag import Code
-from dmfv.graph import CFVector, conformance, parse_input_sg
-from dmfv.isa import (CondCall, DetectorDecl, DetectStart, DmfError, Loc, Move,
-                      Program, TimedLine, parse_program, serialize_program)
+from dmfv import fluidics
+from dmfv.branches import (NestedConditional, PathLimitExceeded, _check_outputs,
+                           _output_cfs, _tagged, enumerate_paths, merge_reports,
+                           verify_all_paths)
+from dmfv.diag import Code, format_report
+from dmfv.graph import conformance, parse_input_sg, reconstruct
+from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, parse_program,
+                      serialize_program)
+from dmfv.pins import dedicated_map
 
 from conftest import load
 
@@ -166,15 +170,139 @@ def test_fault_injected_into_recovery_hits_taken_paths_only():
         assert vs[0].path == label
 
 
-def test_detect_semantics_direct():
-    from dmfv.isa import ChipHeader, ReservoirDecl, RKind
-    header = ChipHeader(6, 6, 5, (ReservoirDecl(Loc(1, 1), RKind.REAGENT, "S"),))
-    decl = DetectorDecl("d1", Loc(3, 3), 2)
-    st = init_state(header, (decl,))
-    with pytest.raises(DmfError):
-        detect_semantics(st, DetectStart("d1"), decl)   # empty detector cell
-    st, _ = st.add_droplet("S", Loc(3, 3), CFVector.unit("S"), 0)
-    pinned = detect_semantics(st, DetectStart("d1"), decl)
-    assert pinned.detections[0].detector == "d1"
-    with pytest.raises(DmfError):
-        detect_semantics(pinned, DetectStart("d1"), decl)  # busy
+# --- the depth-first walk against naive per-path replay ---------------------------
+
+def _random_conditional(rng: random.Random, c: int) -> Program:
+    """A droplet P walks row 6 past c detector checkpoints; each recovery is a
+    detour up and back.  A parked droplet Q sits on (2,1) and a 1x4 mixer on
+    row 9 may still be active at the end.  Up to two faults land on random
+    main or recovery lines: a move from an empty cell (e4), a dispense onto Q
+    (e1) or one from a cell that is no reservoir (e3)."""
+    cols = 4 * c + 10
+    decls = [f"dim(10,{cols})", "accuracy 2",
+             f"R(6,1,S) R(2,1,B) R(9,1,S) R(9,4,B) O(6,{cols})"]
+    main = [[1, ["d(6,1)", "d(2,1)", "d(9,1)", "d(9,4)"]],
+            [2, [f"mix([9,1]<->[9,4],{rng.randint(2, 60)},14)"]]]
+    recoveries = []
+    t, col = 3, 1
+
+    def walk_to(end_col):
+        nonlocal t, col
+        while col < end_col:
+            main.append([t, [f"m([6,{col}]->[6,{col + 1}])"]])
+            t, col = t + rng.randint(1, 2), col + 1
+
+    for i in range(c):
+        walk_to(col + rng.randint(1, 3))
+        dur = rng.randint(1, 3)
+        decls.append(f"D(d{i},6,{col},{dur})")
+        main.append([t, [f"detect(d{i})"]])
+        t += dur
+        main.append([t, [f"if(d{i}) call Recovery({i})"]])
+        t += rng.randint(1, 3)
+        trip = [(6 - j, col) for j in range(rng.randint(1, 2) + 1)]
+        trip += trip[-2::-1]
+        bt, block = rng.randint(0, 300), []
+        for (r1, c1), (r2, c2) in zip(trip, trip[1:]):
+            block.append([bt, [f"m([{r1},{c1}]->[{r2},{c2}])"]])
+            bt += rng.randint(1, 2)
+        recoveries.append(block)
+    walk_to(cols)
+    main.append([t, [f"output(6,{cols})"]])
+    if rng.random() < 0.8:
+        main.append([t + 1, ["end"]])
+    targets = [ln for ln in main[:-1] if not ln[1][0].startswith("if(")]
+    targets += [ln for block in recoveries for ln in block]
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        rng.choice(targets)[1].append(rng.choice(("m([3,5]->[3,6])", "d(2,1)", "d(3,3)")))
+    text = decls + [f"{t} {' '.join(ins)}" for t, ins in main]
+    for i, block in enumerate(recoveries):
+        text += [f"recovery {i}:"] + [f"{t} {' '.join(ins)}" for t, ins in block]
+        text.append("endrecovery")
+    return parse_program("\n".join(text) + "\n")
+
+
+def _naive_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=None):
+    """Verify each spliced path on its own, as verify_all_paths once did."""
+    n = program.header.accuracy
+    out = []
+    for spec in enumerate_paths(program):
+        trace, report = fluidics.verify_program(spec.program, pin_map=pin_map,
+                                                policy=policy, t_max=t_max)
+        report = _tagged(report, spec.label)
+        sg = None
+        if not any(v.phase == 1 for v in report.violations):
+            sg = reconstruct(trace)
+            if input_sg is not None:
+                _check_outputs(_output_cfs(input_sg, n), sg, n, report, spec.label)
+        out.append((spec.label, spec.outcomes, report, trace, sg))
+    return out
+
+
+def _final(state):
+    if state is None:
+        return None
+    return (state.t, state.droplets, state.by_loc, state.mixers, state.detections)
+
+
+def _assert_same(walked, naive):
+    assert [(pr.label, pr.outcomes) for pr in walked] == [x[:2] for x in naive]
+    for pr, (label, _, report, trace, sg) in zip(walked, naive):
+        for fmt in ("json", "text"):
+            assert format_report(pr.report, fmt) == format_report(report, fmt), label
+        assert pr.graph == sg, label
+        assert pr.trace.events == trace.events, label
+        assert _final(pr.trace.final_state) == _final(trace.final_state), label
+
+
+_OUT_S = "reagents S B\nnode S dispense S\nnode O output\nedge S O\n"
+_OUT_SB = ("reagents S B\nnode S dispense S\nnode B dispense B\nnode M mix 1\n"
+           "node O output\nedge S M\nedge B M\nedge M O\n")
+
+
+def test_walk_matches_naive_replay_on_random_programs():
+    rng = random.Random(20080801)
+    seen = set()
+    for c in range(6):
+        for _ in range(5):
+            prog = _random_conditional(rng, c)
+            rows, cols = prog.header.rows, prog.header.cols
+            shared = dedicated_map(rows, cols).with_remap(
+                {Loc(rng.randint(4, 7), rng.randint(1, cols)): rng.randint(1, 6)
+                 for _ in range(3)})
+            input_sg = parse_input_sg(rng.choice((_OUT_S, _OUT_SB)))
+            t_max = rng.choice((None, 20, 40))
+            for pin_map in (None, shared):
+                for policy in ("first", "all"):
+                    kw = dict(pin_map=pin_map, input_sg=input_sg, policy=policy,
+                              t_max=t_max)
+                    naive = _naive_paths(prog, **kw)
+                    _assert_same(verify_all_paths(prog, **kw), naive)
+                    for i, x in enumerate(naive):
+                        _assert_same(verify_all_paths(prog, only=x[0], **kw), naive[i:i + 1])
+                    for x in naive:
+                        # rows after the first failing tick are marked secondary
+                        rows = [v for v in x[2].violations if v.t is not None]
+                        assert all(v.secondary == (v.t > rows[0].t) for v in rows)
+                        seen.update((policy, pin_map is None, v.code, v.secondary)
+                                    for v in x[2].violations)
+    # the corpus reaches each kind of row under both policies and both modes
+    codes = {code for _, _, code, _ in seen}
+    assert {Code.E1, Code.E3, Code.E4, Code.E7} <= codes
+    assert any(code.name.startswith("PIN") for code in codes), codes
+    assert {(p, m, True) for p, m, _, s in seen if s} == {("all", True, True),
+                                                            ("all", False, True)}
+
+
+def test_walk_steps_each_shared_prefix_once(monkeypatch):
+    prog = parse_program(load("recovery.dmf"))
+    specs = enumerate_paths(prog)
+    prefixes = {spec.program.main[:i + 1] for spec in specs
+                for i in range(len(spec.program.main))}
+    naive_steps = sum(len(spec.program.main) for spec in specs)
+    calls = []
+    step = fluidics.step
+    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    reports = verify_all_paths(prog)
+    assert all(pr.report.ok for pr in reports)
+    assert len(calls) == len(prefixes) < naive_steps

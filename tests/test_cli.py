@@ -78,6 +78,15 @@ def test_verify_single_path(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_path_label_on_linear_program(capsys):
+    rc = main(["verify", fx("pcr.dmf"), "--path", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "no path labeled '10'" in captured.err
+    # the one path of a conditional-free program has the empty label
+    assert main(["verify", fx("pcr.dmf"), "--path", ""]) == 0
+
+
 def test_verify_pins_mode(capsys):
     rc = main(["verify", fx("mplex.dmf"), "--pins", fx("mplex_pin3.pins")])
     out = capsys.readouterr().out

@@ -214,6 +214,18 @@ def test_detect_needs_droplet():
     assert v.code is Code.E4 and "No droplet on detector d1" in v.response
 
 
+def test_detect_on_busy_detector():
+    text = ("dim(6,6)\naccuracy 5\nR(1,1,S)\nD(d1,3,1,3)\n"
+            "1 d(1,1)\n2 m([1,1]->[2,1])\n3 m([2,1]->[3,1])\n"
+            "4 detect(d1)\n5 detect(d1)\n9 end\n")
+    _, report = verify_program(parse_program(text))
+    v = report.violations[0]
+    assert (v.code, v.t) == (Code.E4, 5) and "Detector d1 is busy" in v.response
+    # once the window has closed the detector can measure again
+    _, report = verify_program(parse_program(text.replace("5 detect", "7 detect")))
+    assert report.ok
+
+
 def test_mixer_endpoint_departure_is_e4():
     prog = parse_program(
         "dim(6,6)\naccuracy 5\nR(1,1,S) R(1,4,B)\n"
