@@ -8,7 +8,7 @@ occupancy encoding the checks are defined over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .isa import ChipHeader, DetectorDecl, Loc, MType, RKind
@@ -249,7 +249,7 @@ class ChipState:
     def _move(self, key: int, dst: Loc) -> None:
         rec = self.droplets[key]
         del self.by_loc[rec.loc]
-        self.droplets[key] = replace(rec, loc=dst)
+        self.droplets[key] = DropletRecord(rec.key, rec.node, dst, rec.cf, rec.born_at)
         self.by_loc[dst] = key
 
     def _remove(self, key: int) -> DropletRecord:

@@ -3,11 +3,18 @@
 Concentration vectors are exact dyadic rationals per reagent (the (1:1)
 mix-split model only ever averages two vectors, so denominators stay powers
 of two).  Rounding to the declared accuracy happens at comparison and
-display time, never inside the arithmetic.
+display time, never inside the arithmetic, and in integers.
+
+``SeqGraph.edges`` is the only record of a graph's wiring.  Each operation
+that walks a graph builds its predecessor and successor lists once, in one
+pass over the edges, so parsing, ordering, depths, concentration propagation
+and conformance all cost O(V+E) (conformance adds a sort within each depth
+level).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -74,25 +81,30 @@ def cf_mix(a: CFVector, b: CFVector) -> CFVector:
     return CFVector.of({k: v / 2 for k, v in out.items()})
 
 
-def round_cf(cf: CFVector, n: int) -> CFVector:
-    """Round each component to denominator 2^n; the residue lands on the
-    largest component so the total stays exactly 1."""
+def _rounded(cf: CFVector, n: int) -> dict[str, int]:
+    """Numerators of cf's components over 2^n, each rounded half away from
+    zero; the residue lands on the largest so they sum to exactly 2^n."""
     scale = 1 << n
-    rounded: dict[str, int] = {}
-    for k, v in cf.components:
-        num, den = (v * scale).numerator, (v * scale).denominator
-        rounded[k] = (2 * num + den) // (2 * den)  # half away from zero
+    rounded = {k: (2 * v.numerator * scale + v.denominator) // (2 * v.denominator)
+               for k, v in cf.components}
     residue = scale - sum(rounded.values())
     if residue and rounded:
         largest = max(rounded, key=lambda k: (rounded[k], k))
         rounded[largest] += residue
-    return CFVector.of({k: Fraction(v, scale) for k, v in rounded.items()})
+    return rounded
+
+
+def round_cf(cf: CFVector, n: int) -> CFVector:
+    """Round each component to denominator 2^n; the residue lands on the
+    largest component so the total stays exactly 1."""
+    scale = 1 << n
+    return CFVector.of({k: Fraction(v, scale) for k, v in _rounded(cf, n).items()})
 
 
 def ratio_str(cf: CFVector, reagents: tuple[str, ...], n: int) -> str:
     """Render as an integer ratio over the reagent order, gcd-reduced."""
-    scaled = round_cf(cf, n)
-    nums = [int(scaled.get(r) * (1 << n)) for r in reagents]
+    rounded = _rounded(cf, n)
+    nums = [rounded.get(r, 0) for r in reagents]
     g = gcd(*nums) if any(nums) else 1
     return "(" + ":".join(str(v // max(g, 1)) for v in nums) + ")"
 
@@ -143,56 +155,90 @@ class SeqGraph:
         return [d for s, d in self.edges if s == nid]
 
     def topo_order(self) -> list[str]:
-        indeg = {nid: 0 for nid in self.nodes}
-        for _, d in self.edges:
-            indeg[d] += 1
-        queue = [nid for nid, deg in indeg.items() if deg == 0]
-        order: list[str] = []
-        while queue:
-            nid = queue.pop(0)
-            order.append(nid)
-            for d in self.succs(nid):
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    queue.append(d)
-        if len(order) != len(self.nodes):
-            raise CycleDetected("sequencing graph has a cycle")
-        return order
+        return _topo(*_adjacency(self))
 
     def depths(self) -> dict[str, int]:
         """Longest-path depth from the dummy entry; sources sit at depth 1."""
-        depth: dict[str, int] = {}
-        for nid in self.topo_order():
-            ps = self.preds(nid)
-            depth[nid] = 1 if not ps else 1 + max(depth[p] for p in ps)
-        return depth
+        preds, succs = _adjacency(self)
+        return _depths(_topo(preds, succs), preds)
 
     def annotate_cfs(self) -> None:
         """Propagate concentration vectors from dispense sources through mixes."""
-        for nid in self.topo_order():
-            node = self.nodes[nid]
-            if node.kind == DISPENSE:
-                node.cf = CFVector.unit(node.reagent)
-            elif node.kind == MIX and node.cf is None:
-                ps = self.preds(nid)
-                if len(ps) != 2:
-                    raise BadArity(f"mix node {nid!r} has in-degree {len(ps)}, needs 2")
-                ca, cb = self.nodes[ps[0]].cf, self.nodes[ps[1]].cf
-                if ca is None or cb is None:
-                    raise BadArity(f"mix node {nid!r} fed by a node without a concentration")
-                node.cf = cf_mix(ca, cb)
+        preds, succs = _adjacency(self)
+        for nid, cf in _concentrations(self, _topo(preds, succs), preds).items():
+            self.nodes[nid].cf = cf
 
     def terminal_cfs(self, kind: str) -> list[CFVector]:
         """Concentrations arriving at output (or waste) nodes, one per edge."""
+        preds, _ = _adjacency(self)
         out: list[CFVector] = []
         for nid, node in self.nodes.items():
             if node.kind != kind:
                 continue
-            for p in self.preds(nid):
+            for p in preds[nid]:
                 cf = self.nodes[p].cf
                 if cf is not None:
                     out.append(cf)
         return out
+
+
+def _adjacency(sg: SeqGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Predecessor and successor lists of every node, in edge order (repeated
+    edges repeat), from one pass over ``sg.edges``."""
+    preds: dict[str, list[str]] = {nid: [] for nid in sg.nodes}
+    succs: dict[str, list[str]] = {nid: [] for nid in sg.nodes}
+    for s, d in sg.edges:
+        succs[s].append(d)
+        preds[d].append(s)
+    return preds, succs
+
+
+def _topo(preds: dict[str, list[str]], succs: dict[str, list[str]]) -> list[str]:
+    """Kahn's order: sources in node order, then FIFO as in-degrees reach 0."""
+    indeg = {nid: len(ps) for nid, ps in preds.items()}
+    queue = deque(nid for nid, deg in indeg.items() if deg == 0)
+    order: list[str] = []
+    while queue:
+        nid = queue.popleft()
+        order.append(nid)
+        for d in succs[nid]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                queue.append(d)
+    if len(order) != len(preds):
+        raise CycleDetected("sequencing graph has a cycle")
+    return order
+
+
+def _depths(order: list[str], preds: dict[str, list[str]]) -> dict[str, int]:
+    depth: dict[str, int] = {}
+    for nid in order:
+        ps = preds[nid]
+        depth[nid] = 1 if not ps else 1 + max(depth[p] for p in ps)
+    return depth
+
+
+def _concentrations(sg: SeqGraph, order: list[str],
+                    preds: dict[str, list[str]]) -> dict[str, CFVector | None]:
+    """Every node's concentration, leaving the nodes as they are: a dispense
+    node's unit vector, a mix node's own ``cf`` or else the mix of its two
+    predecessors', any other node's own ``cf``."""
+    cfs: dict[str, CFVector | None] = {}
+    for nid in order:
+        node = sg.nodes[nid]
+        if node.kind == DISPENSE:
+            cfs[nid] = CFVector.unit(node.reagent)
+        elif node.kind == MIX and node.cf is None:
+            ps = preds[nid]
+            if len(ps) != 2:
+                raise BadArity(f"mix node {nid!r} has in-degree {len(ps)}, needs 2")
+            ca, cb = cfs[ps[0]], cfs[ps[1]]
+            if ca is None or cb is None:
+                raise BadArity(f"mix node {nid!r} fed by a node without a concentration")
+            cfs[nid] = cf_mix(ca, cb)
+        else:
+            cfs[nid] = node.cf
+    return cfs
 
 
 def parse_input_sg(text: str) -> SeqGraph:
@@ -243,18 +289,20 @@ def parse_input_sg(text: str) -> SeqGraph:
             raise ParseError(f"edge {src}->{dst} references an unknown node", lineno)
         sg.edges.append((src, dst))
 
+    preds, succs = _adjacency(sg)
     for nid, node in sg.nodes.items():
-        if node.kind == DISPENSE and sg.preds(nid):
+        if node.kind == DISPENSE and preds[nid]:
             raise BadArity(f"dispense node {nid!r} cannot have predecessors")
-        if node.kind == MIX and len(sg.preds(nid)) != 2:
-            raise BadArity(f"mix node {nid!r} has in-degree {len(sg.preds(nid))}, needs 2")
+        if node.kind == MIX and len(preds[nid]) != 2:
+            raise BadArity(f"mix node {nid!r} has in-degree {len(preds[nid])}, needs 2")
         if node.kind in (OUTPUT, WASTE):
-            if sg.succs(nid):
+            if succs[nid]:
                 raise BadArity(f"{node.kind} node {nid!r} cannot have successors")
-            if not sg.preds(nid):
+            if not preds[nid]:
                 raise BadArity(f"{node.kind} node {nid!r} receives no droplets")
-    sg.topo_order()  # raises CycleDetected
-    sg.annotate_cfs()
+    order = _topo(preds, succs)  # raises CycleDetected
+    for nid, cf in _concentrations(sg, order, preds).items():
+        sg.nodes[nid].cf = cf
     return sg
 
 
@@ -302,25 +350,31 @@ def reconstruct(trace) -> SeqGraph:
 # --- conformance ---------------------------------------------------------------
 
 def _cf_key(cf: CFVector, n: int):
-    return tuple((k, int(v * (1 << n))) for k, v in round_cf(cf, n).components)
+    return tuple(sorted((k, v) for k, v in _rounded(cf, n).items() if v))
 
 
-def _signature(sg: SeqGraph, nid: str, n: int):
+def _signature(sg: SeqGraph, nid: str, n: int, cfs=None, preds=None):
+    """A node's kind and rounded concentration; a sink's carries the sorted
+    rounded concentrations it receives.  ``cfs`` and ``preds`` default to
+    the nodes' own ``cf`` and to ``sg.preds``."""
+    if cfs is None:
+        cfs = {k: node.cf for k, node in sg.nodes.items()}
+        preds = {nid: sg.preds(nid)}
+    kind = sg.nodes[nid].kind
+    if kind in (OUTPUT, WASTE):
+        incoming = sorted(_cf_key(cfs[p], n) for p in preds[nid] if cfs[p] is not None)
+        return (kind, tuple(incoming))
+    return (kind, _cf_key(cfs[nid], n) if cfs[nid] is not None else ())
+
+
+def _describe(sg: SeqGraph, nid: str, reagents: tuple[str, ...], n: int,
+              cfs: dict[str, CFVector | None], preds: dict[str, list[str]]) -> str:
     node = sg.nodes[nid]
     if node.kind in (OUTPUT, WASTE):
-        incoming = sorted(_cf_key(sg.nodes[p].cf, n) for p in sg.preds(nid)
-                          if sg.nodes[p].cf is not None)
-        return (node.kind, tuple(incoming))
-    return (node.kind, _cf_key(node.cf, n) if node.cf is not None else ())
-
-
-def _describe(sg: SeqGraph, nid: str, reagents: tuple[str, ...], n: int) -> str:
-    node = sg.nodes[nid]
-    if node.kind in (OUTPUT, WASTE):
-        ratios = sorted(ratio_str(sg.nodes[p].cf, reagents, n) for p in sg.preds(nid)
-                        if sg.nodes[p].cf is not None)
+        ratios = sorted(ratio_str(cfs[p], reagents, n) for p in preds[nid]
+                        if cfs[p] is not None)
         return " + ".join(ratios) if ratios else "(empty)"
-    return ratio_str(node.cf, reagents, n) if node.cf is not None else "(none)"
+    return ratio_str(cfs[nid], reagents, n) if cfs[nid] is not None else "(none)"
 
 
 def _duration_check(spec_node: SGNode, real_node: SGNode, report: Report) -> None:
@@ -336,6 +390,18 @@ def _duration_check(spec_node: SGNode, real_node: SGNode, report: Report) -> Non
             f"{real_node.id} mixed for {realized} > {spec} time units (allowed)")
 
 
+def _levels(sg: SeqGraph):
+    """Adjacency, concentrations and the (depth, kind) buckets of sg."""
+    preds, succs = _adjacency(sg)
+    order = _topo(preds, succs)
+    cfs = _concentrations(sg, order, preds)
+    depth = _depths(order, preds)
+    levels: dict[tuple[int, str], list[str]] = {}
+    for nid in order:
+        levels.setdefault((depth[nid], sg.nodes[nid].kind), []).append(nid)
+    return preds, cfs, levels
+
+
 def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int,
                 t_max: int | None = None, final_t: int | None = None, *,
                 ignore_waste: bool = False) -> Report:
@@ -344,6 +410,11 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int,
     Nodes are matched per depth and kind by (kind, rounded concentration)
     signature; mismatched signatures or counts raise e7, matched mixes whose
     realized window is shorter than the specified mixing time raise e6.
+    Within a level, each realized node in id order takes the first spec node
+    in id order with its signature; the leftovers are paired in id order.
+
+    Pure: concentrations missing from either graph are computed on the side,
+    and neither graph changes.  Costs O(V+E) plus a sort within each level.
     """
     report = Report(final_t=final_t, t_max=t_max)
     reagents = input_sg.reagents or synth_sg.reagents
@@ -354,48 +425,48 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int,
                    f"realized {sorted(synth_sg.reagents)}"))
         return report
 
-    input_sg.annotate_cfs()
-    synth_sg.annotate_cfs()
-    d_in, d_sy = input_sg.depths(), synth_sg.depths()
+    in_preds, in_cfs, in_levels = _levels(input_sg)
+    sy_preds, sy_cfs, sy_levels = _levels(synth_sg)
     kinds = [DISPENSE, MIX, OUTPUT] + ([] if ignore_waste else [WASTE])
+    rank = {kind: i for i, kind in enumerate(kinds)}
+    levels = sorted({key for key in (*in_levels, *sy_levels) if key[1] in rank},
+                    key=lambda key: (key[0], rank[key[1]]))
 
-    for depth in sorted(set(d_in.values()) | set(d_sy.values())):
-        for kind in kinds:
-            spec_ids = sorted(nid for nid, d in d_in.items()
-                              if d == depth and input_sg.nodes[nid].kind == kind)
-            real_ids = sorted(nid for nid, d in d_sy.items()
-                              if d == depth and synth_sg.nodes[nid].kind == kind)
-            if not spec_ids and not real_ids:
-                continue
-            if len(spec_ids) != len(real_ids):
-                report.violations.append(classify(
-                    Code.E7, "Incorrect realization of input sequencing graph",
-                    detail=f"depth {depth}: specified {len(spec_ids)} {kind} node(s), "
-                           f"realized {len(real_ids)}"))
-            # multiset match on signatures
-            unmatched_spec = list(spec_ids)
-            matched: list[tuple[str, str]] = []
-            leftovers: list[str] = []
-            for rid in real_ids:
-                sig = _signature(synth_sg, rid, n)
-                hit = next((sid for sid in unmatched_spec
-                            if _signature(input_sg, sid, n) == sig), None)
-                if hit is None:
-                    leftovers.append(rid)
-                else:
-                    unmatched_spec.remove(hit)
-                    matched.append((hit, rid))
-            for sid, rid in matched:
-                if kind == MIX:
-                    _duration_check(input_sg.nodes[sid], synth_sg.nodes[rid], report)
-            # pair leftovers of the same kind for ratio evidence
-            for rid, sid in zip(sorted(leftovers), sorted(unmatched_spec)):
-                report.violations.append(classify(
-                    Code.E7, "Incorrect realization of input sequencing graph",
-                    detail=f"ratio {_describe(synth_sg, rid, reagents, n)} produced, "
-                           f"{_describe(input_sg, sid, reagents, n)} specified"))
-                if kind == MIX:
-                    _duration_check(input_sg.nodes[sid], synth_sg.nodes[rid], report)
+    for depth, kind in levels:
+        spec_ids = sorted(in_levels.get((depth, kind), ()))
+        real_ids = sorted(sy_levels.get((depth, kind), ()))
+        if len(spec_ids) != len(real_ids):
+            report.violations.append(classify(
+                Code.E7, "Incorrect realization of input sequencing graph",
+                detail=f"depth {depth}: specified {len(spec_ids)} {kind} node(s), "
+                       f"realized {len(real_ids)}"))
+        # multiset match on signatures: spec ids queued per signature, in id order
+        by_sig: dict[tuple, deque[str]] = {}
+        for sid in spec_ids:
+            by_sig.setdefault(_signature(input_sg, sid, n, in_cfs, in_preds),
+                              deque()).append(sid)
+        matched: list[tuple[str, str]] = []
+        leftovers: list[str] = []
+        for rid in real_ids:
+            queue = by_sig.get(_signature(synth_sg, rid, n, sy_cfs, sy_preds))
+            if queue:
+                matched.append((queue.popleft(), rid))
+            else:
+                leftovers.append(rid)
+        for sid, rid in matched:
+            if kind == MIX:
+                _duration_check(input_sg.nodes[sid], synth_sg.nodes[rid], report)
+        # pair leftovers of the same kind for ratio evidence
+        taken = {sid for sid, _ in matched}
+        unmatched_spec = [sid for sid in spec_ids if sid not in taken]
+        for rid, sid in zip(leftovers, unmatched_spec):
+            report.violations.append(classify(
+                Code.E7, "Incorrect realization of input sequencing graph",
+                detail=f"ratio {_describe(synth_sg, rid, reagents, n, sy_cfs, sy_preds)} "
+                       f"produced, {_describe(input_sg, sid, reagents, n, in_cfs, in_preds)} "
+                       f"specified"))
+            if kind == MIX:
+                _duration_check(input_sg.nodes[sid], synth_sg.nodes[rid], report)
     return report
 
 

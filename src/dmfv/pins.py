@@ -20,6 +20,7 @@ droplet split").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse, product
 
 from .chip import ChipState, OutOfBounds, neighbors4
 from .diag import Code, Report, Violation, classify
@@ -45,10 +46,11 @@ class PinMap:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for r in range(1, self.rows + 1):
-            for c in range(1, self.cols + 1):
-                if Loc(r, c) not in self.pin:
-                    raise DmfError(f"pin map is missing cell ({r},{c})")
+        # plain (r, c) tuples hash and compare equal to Loc keys
+        cells = product(range(1, self.rows + 1), range(1, self.cols + 1))
+        missing = next(filterfalse(self.pin.__contains__, cells), None)
+        if missing is not None:
+            raise DmfError(f"pin map is missing cell ({missing[0]},{missing[1]})")
 
     def pin_of(self, loc: Loc) -> int:
         if not (1 <= loc.row <= self.rows and 1 <= loc.col <= self.cols):

@@ -1,4 +1,5 @@
 import json
+import random
 
 from dmfv.cli import main
 from dmfv.diag import format_report
@@ -168,3 +169,88 @@ def test_inject_inapplicable_exit_two(tmp_path, capsys):
     rc = main(["inject", str(empty), "--error", "e5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+_SG_PAIRS = (("twowaymix.dmf", "twowaymix.sg"), ("pcr.dmf", "pcr.sg"),
+             ("threeway_bad.dmf", "threeway.sg"), ("recovery.dmf", "recovery.sg"))
+
+
+def _mutate_sg(rng, text: str) -> tuple[str, bool]:
+    """One malformed-graph mutation of an .sg text; the flag says whether it
+    always makes the graph invalid."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    nodes = {ln.split()[1]: ln.split()[2] for ln in lines if ln.startswith("node")}
+    edges = [tuple(ln.split()[1:]) for ln in lines if ln.startswith("edge")]
+    mixes = [n for n, k in nodes.items() if k == "mix"]
+    sinks = [n for n, k in nodes.items() if k in ("output", "waste")]
+    kind = rng.choice(("cycle", "dangling", "indegree", "duplicate", "sink", "kind",
+                       "drop-line", "dup-line", "swap-lines", "token"))
+    if kind == "cycle":
+        # reverse the feed of a mix into a mix: arities hold, a cycle appears
+        a, b = rng.choice([e for e in edges if e[0] in mixes and e[1] in mixes])
+        feed = next(i for i, ln in enumerate(lines) if ln.startswith("edge")
+                    and ln.split()[2] == a)
+        lines[feed] = f"edge {b} {a}"
+        return "\n".join(lines) + "\n", True
+    if kind == "dangling":
+        a = rng.choice(list(nodes))
+        lines.append(rng.choice((f"edge {a} ghost", f"edge ghost {a}")))
+        return "\n".join(lines) + "\n", True
+    if kind == "indegree":
+        m = rng.choice(mixes)
+        feeds = [i for i, ln in enumerate(lines) if ln.startswith("edge")
+                 and ln.split()[2] == m]
+        if rng.random() < 0.5:
+            del lines[rng.choice(feeds)]
+        else:
+            lines.append(lines[rng.choice(feeds)])
+        return "\n".join(lines) + "\n", True
+    if kind == "duplicate":
+        nid = rng.choice(list(nodes))
+        lines.insert(rng.randrange(1, len(lines)),
+                     rng.choice((f"node {nid} output", f"node {nid} mix 3")))
+        return "\n".join(lines) + "\n", True
+    if kind == "sink":
+        # a sink feeds a mix in place of one of its inputs: arities hold
+        if not sinks:
+            sinks = ["Q"]
+            lines += ["node Q waste", f"edge {mixes[-1]} Q"]
+        feed = rng.choice([i for i, ln in enumerate(lines) if ln.startswith("edge")
+                           and ln.split()[2] in mixes])
+        lines[feed] = f"edge {rng.choice(sinks)} {lines[feed].split()[2]}"
+        return "\n".join(lines) + "\n", True
+    if kind == "kind":
+        i = rng.choice([i for i, ln in enumerate(lines) if ln.startswith("node")])
+        parts = lines[i].split()
+        lines[i] = " ".join(parts[:2] + [rng.choice(("heat", "split", "Mix", ""))])
+        return "\n".join(lines) + "\n", True
+    if kind == "drop-line":
+        del lines[rng.randrange(len(lines))]
+    elif kind == "dup-line":
+        lines.insert(rng.randrange(len(lines)), rng.choice(lines))
+    elif kind == "swap-lines":
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        i = rng.randrange(len(lines))
+        parts = lines[i].split()
+        parts[rng.randrange(len(parts))] = rng.choice(("0", "-1", "x", "S", "M1", "O", ""))
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n", False
+
+
+def test_verify_survives_mutated_sg_files(tmp_path, capsys):
+    rng = random.Random(2718)
+    sg_file = tmp_path / "mutated.sg"
+    invalid = 0
+    for _ in range(200):
+        program, sg = rng.choice(_SG_PAIRS)
+        text, always_invalid = _mutate_sg(rng, load(sg))
+        sg_file.write_text(text)
+        rc = main(["verify", fx(program), "--sg", str(sg_file)])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), text
+        if always_invalid:
+            assert rc == 2 and err.startswith("error: "), text
+            invalid += 1
+    assert invalid >= 100

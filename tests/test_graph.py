@@ -1,13 +1,15 @@
+import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from dmfv.diag import Code
+from dmfv.diag import Code, Report, classify
 from dmfv.fluidics import verify_program
 from dmfv.graph import (MIX, OUTPUT, WASTE, BadArity, CFVector, CycleDetected,
-                        SeqGraph, SGNode, cf_mix, conformance, parse_input_sg,
-                        ratio_str, reconstruct, round_cf, to_dot)
+                        SeqGraph, SGNode, _duration_check, cf_mix, conformance,
+                        parse_input_sg, ratio_str, reconstruct, round_cf, to_dot)
 from dmfv.isa import parse_program
 
 from conftest import load
@@ -79,6 +81,7 @@ def test_parse_input_sg_twowaymix_shape():
     assert {n.kind for n in sg.nodes.values()} == {"dispense", MIX, WASTE, OUTPUT}
     assert len([n for n in sg.nodes.values() if n.kind == MIX]) == 2
     assert sg.preds("W") == ["M1"]
+    assert sg.topo_order() == ["S", "B", "M1", "W", "M2", "O"]
 
 
 def test_reconstruct_twowaymix_matches_expected_graph():
@@ -245,3 +248,234 @@ def test_to_dot_contains_windows_and_ratios():
     dot = to_dot(sg, n=5)
     assert '"v1" -> "v2"' in dot
     assert "[4,17]" in dot and "[20,33]" in dot
+
+
+def test_conformance_leaves_its_graphs_unannotated():
+    rng = random.Random(4711)
+    for _ in range(40):
+        left, right = _random_tree(rng), _random_tree(rng)
+        report = conformance(left, right, 3)
+        assert all(node.cf is None for sg in (left, right) for node in sg.nodes.values())
+        annotated = [copy.deepcopy(sg) for sg in (left, right)]
+        for sg in annotated:
+            sg.annotate_cfs()
+        again = conformance(*annotated, 3)
+        assert (report.violations, report.notes) == (again.violations, again.notes)
+
+
+# --- level-order conformance as first written: the oracle ----------------------
+# Depths and concentrations by edge scans, each level rescanned for each kind,
+# spec ids matched by a first-match scan, rounding in Fractions.
+
+def _oracle_round_key(cf: CFVector, n: int):
+    scale = 1 << n
+    rounded = {}
+    for k, v in cf.components:
+        num, den = (v * scale).numerator, (v * scale).denominator
+        rounded[k] = (2 * num + den) // (2 * den)
+    residue = scale - sum(rounded.values())
+    if residue and rounded:
+        largest = max(rounded, key=lambda k: (rounded[k], k))
+        rounded[largest] += residue
+    exact = CFVector.of({k: Fraction(v, scale) for k, v in rounded.items()})
+    return exact, tuple((k, int(v * scale)) for k, v in exact.components)
+
+
+def _oracle_annotate(sg: SeqGraph) -> None:
+    def cf(nid):
+        node = sg.nodes[nid]
+        if node.kind == "dispense":
+            node.cf = CFVector.unit(node.reagent)
+        elif node.kind == MIX and node.cf is None:
+            a, b = sg.preds(nid)
+            node.cf = cf_mix(cf(a), cf(b))
+        return node.cf
+    for nid in sg.nodes:
+        cf(nid)
+
+
+def _oracle_depths(sg: SeqGraph) -> dict:
+    depth = {}
+
+    def d(nid):
+        if nid not in depth:
+            ps = sg.preds(nid)
+            depth[nid] = 1 if not ps else 1 + max(d(p) for p in ps)
+        return depth[nid]
+    for nid in sg.nodes:
+        d(nid)
+    return depth
+
+
+def _oracle_signature(sg, nid, n):
+    node = sg.nodes[nid]
+    if node.kind in (OUTPUT, WASTE):
+        return (node.kind, tuple(sorted(_oracle_round_key(sg.nodes[p].cf, n)[1]
+                                        for p in sg.preds(nid) if sg.nodes[p].cf is not None)))
+    return (node.kind, _oracle_round_key(node.cf, n)[1] if node.cf is not None else ())
+
+
+def _oracle_describe(sg, nid, reagents, n):
+    def ratio(cf):
+        nums = [int(_oracle_round_key(cf, n)[0].get(r) * (1 << n)) for r in reagents]
+        g = gcd(*nums) if any(nums) else 1
+        return "(" + ":".join(str(v // max(g, 1)) for v in nums) + ")"
+    node = sg.nodes[nid]
+    if node.kind in (OUTPUT, WASTE):
+        ratios = sorted(ratio(sg.nodes[p].cf) for p in sg.preds(nid)
+                        if sg.nodes[p].cf is not None)
+        return " + ".join(ratios) if ratios else "(empty)"
+    return ratio(node.cf) if node.cf is not None else "(none)"
+
+
+def _oracle_conformance(input_sg, synth_sg, n, ignore_waste=False) -> Report:
+    report = Report()
+    reagents = input_sg.reagents or synth_sg.reagents
+    if set(input_sg.reagents) != set(synth_sg.reagents) and input_sg.reagents and synth_sg.reagents:
+        report.violations.append(classify(
+            Code.E7, "Incorrect realization of input sequencing graph",
+            detail=f"reagent universes differ: specified {sorted(input_sg.reagents)}, "
+                   f"realized {sorted(synth_sg.reagents)}"))
+        return report
+    _oracle_annotate(input_sg)
+    _oracle_annotate(synth_sg)
+    d_in, d_sy = _oracle_depths(input_sg), _oracle_depths(synth_sg)
+    kinds = ["dispense", MIX, OUTPUT] + ([] if ignore_waste else [WASTE])
+    for depth in sorted(set(d_in.values()) | set(d_sy.values())):
+        for kind in kinds:
+            spec_ids = sorted(nid for nid, d in d_in.items()
+                              if d == depth and input_sg.nodes[nid].kind == kind)
+            real_ids = sorted(nid for nid, d in d_sy.items()
+                              if d == depth and synth_sg.nodes[nid].kind == kind)
+            if not spec_ids and not real_ids:
+                continue
+            if len(spec_ids) != len(real_ids):
+                report.violations.append(classify(
+                    Code.E7, "Incorrect realization of input sequencing graph",
+                    detail=f"depth {depth}: specified {len(spec_ids)} {kind} node(s), "
+                           f"realized {len(real_ids)}"))
+            unmatched_spec = list(spec_ids)
+            matched, leftovers = [], []
+            for rid in real_ids:
+                sig = _oracle_signature(synth_sg, rid, n)
+                hit = next((sid for sid in unmatched_spec
+                            if _oracle_signature(input_sg, sid, n) == sig), None)
+                if hit is None:
+                    leftovers.append(rid)
+                else:
+                    unmatched_spec.remove(hit)
+                    matched.append((hit, rid))
+            for sid, rid in matched:
+                if kind == MIX:
+                    _duration_check(input_sg.nodes[sid], synth_sg.nodes[rid], report)
+            for rid, sid in zip(sorted(leftovers), sorted(unmatched_spec)):
+                report.violations.append(classify(
+                    Code.E7, "Incorrect realization of input sequencing graph",
+                    detail=f"ratio {_oracle_describe(synth_sg, rid, reagents, n)} produced, "
+                           f"{_oracle_describe(input_sg, sid, reagents, n)} specified"))
+                if kind == MIX:
+                    _duration_check(input_sg.nodes[sid], synth_sg.nodes[rid], report)
+    return report
+
+
+def _random_dag(rng: random.Random, reagents: tuple[str, ...]) -> SeqGraph:
+    """A spec graph: dispenses (a reagent may have two), mixes of any two
+    earlier non-sink nodes (the same one twice makes a repeated edge), and an
+    output and a waste sink fed by many nodes."""
+    sg = SeqGraph(reagents)
+    pool = []
+    for i, r in enumerate(reagents + tuple(rng.sample(reagents, rng.randrange(2)))):
+        pool.append(sg.add_node(SGNode(f"{r}{i}", "dispense", reagent=r)).id)
+    for i in range(rng.randrange(1, 14)):
+        # bias toward recent nodes for depth, but reuse older intermediates too
+        a, b = (pool[-1 - min(int(rng.expovariate(0.4)), len(pool) - 1)] for _ in "ab")
+        nid = sg.add_node(SGNode(f"m{i:02d}", MIX, t_mix=rng.randrange(1, 6))).id
+        sg.add_edge(a, nid)
+        sg.add_edge(b, nid)
+        pool.append(nid)
+    sg.add_node(SGNode("O", OUTPUT))
+    sg.add_edge(pool[-1], "O")
+    for p in rng.sample(pool, rng.randrange(0, len(pool) // 2)):
+        sg.add_edge(p, "O")
+    if rng.random() < 0.7:
+        sg.add_node(SGNode("W", WASTE))
+        for p in rng.sample(pool, rng.randrange(1, len(pool))):
+            for _ in range(rng.randrange(1, 3)):
+                sg.add_edge(p, "W")
+    return sg
+
+
+def _realize(rng: random.Random, spec: SeqGraph) -> SeqGraph:
+    """A realized graph for spec under fresh ids, with one mutation or none,
+    mixed for about the specified times.  Some carry concentrations, as
+    reconstructed graphs do, some recorded before the mutation; the rest
+    leave them to conformance."""
+    ids = list(spec.nodes)
+    order = spec.topo_order()
+    mapping = {nid: f"v{i:02d}" for i, nid in enumerate(rng.sample(ids, len(ids)))}
+    nodes = {mapping[nid]: SGNode(mapping[nid], node.kind, node.reagent)
+             for nid, node in spec.nodes.items()}
+    edges = [(mapping[a], mapping[b]) for a, b in spec.edges]
+    mixes = [mapping[nid] for nid in order if spec.nodes[nid].kind == MIX]
+    for nid in spec.nodes:
+        if spec.nodes[nid].kind == MIX:
+            t_s = rng.randrange(1, 50)
+            dur = spec.nodes[nid].t_mix + rng.choice((0, 0, 0, -1, 1, 2))
+            nodes[mapping[nid]].t_s, nodes[mapping[nid]].t_e = t_s, t_s + dur + 1
+    rng.shuffle(edges)          # realized edges come in event order
+    real = SeqGraph(spec.reagents, nodes, edges)
+    annotate = rng.random()
+    if annotate < 0.3:          # concentrations recorded before the mutation
+        real.annotate_cfs()
+    mutation = rng.choice(("none", "none", "reagent", "rewire", "add", "drop", "window"))
+    if mutation == "reagent":
+        src = rng.choice([n for n in nodes.values() if n.kind == "dispense"])
+        src.reagent = rng.choice([r for r in spec.reagents if r != src.reagent])
+    elif mutation == "rewire":
+        i = rng.randrange(len(mixes))
+        target = mixes[i]
+        idx = rng.choice([k for k, (_, d) in enumerate(edges) if d == target])
+        sources = [n for n in nodes if nodes[n].kind == "dispense"] + mixes[:i]
+        edges[idx] = (rng.choice(sources), target)
+    elif mutation == "add":
+        a, b = (rng.choice([n for n in nodes if nodes[n].kind in ("dispense", MIX)])
+                for _ in "ab")
+        nodes["vx"] = SGNode("vx", MIX, t_s=3, t_e=3 + rng.randrange(1, 7))
+        sink = rng.choice([n for n in nodes if nodes[n].kind in (OUTPUT, WASTE)])
+        edges += [(a, "vx"), (b, "vx"), ("vx", sink)]
+    elif mutation == "drop":
+        gone = rng.choice(mixes)
+        first = next(a for a, b in edges if b == gone)
+        edges = [(first if a == gone else a, b) for a, b in edges if b != gone]
+        del nodes[gone]
+    elif mutation == "window":
+        node = nodes[rng.choice(mixes)]
+        node.t_e += rng.choice((-2, -1, 1, 3))
+    real.edges = edges
+    if 0.3 <= annotate < 0.7:
+        real.annotate_cfs()
+    return real
+
+
+def test_conformance_matches_level_order_oracle():
+    rng = random.Random(50321)
+    seen_e6 = seen_e7 = seen_allowed = 0
+    for case in range(400):
+        reagents = ("A", "B", "C", "D")[:rng.randrange(2, 5)]
+        spec = _random_dag(rng, reagents)
+        real = _realize(rng, spec)
+        if rng.random() < 0.05:
+            real.reagents = reagents[:-1] + ("Z",)
+        if rng.random() < 0.5:
+            spec.annotate_cfs()
+        n = rng.randrange(1, 9)
+        ignore_waste = rng.random() < 0.3
+        got = conformance(spec, real, n, ignore_waste=ignore_waste)
+        want = _oracle_conformance(copy.deepcopy(spec), copy.deepcopy(real), n,
+                                   ignore_waste=ignore_waste)
+        assert got.violations == want.violations, case
+        assert got.notes == want.notes, case
+        seen_e6 += any(v.code is Code.E6 for v in got.violations)
+        seen_e7 += any(v.code is Code.E7 for v in got.violations)
+        seen_allowed += any("(allowed)" in note for note in got.notes)
+    assert seen_e6 and seen_e7 and seen_allowed

@@ -6,8 +6,8 @@ from dmfv.chip import MixerEntry, OutOfBounds, init_state
 from dmfv.diag import Code
 from dmfv.fluidics import _commit
 from dmfv.graph import CFVector
-from dmfv.isa import (ChipHeader, Dispense, Loc, Move, MType, Output, ReservoirDecl,
-                      RKind, TimedLine, Waste, parse_program)
+from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
+                      ReservoirDecl, RKind, TimedLine, Waste, parse_program)
 from dmfv.pins import (PinMap, _finding_to_violation, check_case1, check_dispense_pins,
                        check_pair, dedicated_map, parse_pins, pin_phase, pins_of,
                        reset_stats, serialize_pins, stats, verify_program_pins)
@@ -318,6 +318,18 @@ def test_mplex_fixture_rows(fixtures):
         v = report.violations[0]
         assert (v.response, v.t, v.instruction_text(), tuple(sorted(v.pins))) == (
             response, t, instr, shared)
+
+
+def test_pin_map_reports_first_missing_cell():
+    pin = dict(parse_pins(load("mplex.pins")).pin)
+    rows, cols = max(pin)
+    del pin[Loc(3, 4)], pin[Loc(2, 5)]
+    with pytest.raises(DmfError, match=r"^pin map is missing cell \(2,5\)$"):
+        PinMap(rows, cols, pin)
+    pin[Loc(rows + 1, 1)] = pin[Loc(rows, cols + 1)] = 1   # as many keys, two off the grid
+    assert len(pin) == rows * cols
+    with pytest.raises(DmfError, match=r"^pin map is missing cell \(2,5\)$"):
+        PinMap(rows, cols, pin)
 
 
 def test_pin_map_roundtrip_and_dim_check():
