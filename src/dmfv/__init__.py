@@ -6,9 +6,9 @@ from .isa import (ChipHeader, DetectorDecl, Loc, MType, Program, RKind,
                   validate_structure)
 from .chip import ChipState, init_state, expire_mixers, neighbors4, neighbors8
 from .diag import Code, Report, Violation, classify, format_report
-from .fluidics import (Trace, Verdict, active_mixer_guard, check_dispense,
-                       check_mix_start, check_move, check_output, check_waste,
-                       static_fc, step, verify_program)
+from .fluidics import (Trace, Verdict, check_dispense, check_mix_start,
+                       check_move, check_output, check_waste, static_fc, step,
+                       verify_program)
 from .graph import (CFVector, SeqGraph, cf_mix, conformance, parse_input_sg,
                     ratio_str, reconstruct, round_cf, to_dot)
 from .pins import (PinMap, check_case1, check_dispense_pins, check_pair,

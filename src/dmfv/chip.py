@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .isa import ChipHeader, DetectorDecl, Loc, MType, RKind
+from .isa import ChipHeader, DetectorDecl, Loc, MType
 
 if TYPE_CHECKING:
     from .graph import CFVector
@@ -23,12 +23,6 @@ class OutOfBounds(Exception):
 
 class InconsistentState(Exception):
     """The grid and the droplet registry disagree (an engine bug)."""
-
-
-class DoubleClaim(Exception):
-    def __init__(self, loc: Loc, t: int):
-        self.loc, self.t = loc, t
-        super().__init__(f"cell {loc} already claimed at t={t}")
 
 
 def neighbors4(loc: Loc, rows: int, cols: int) -> set[Loc]:
@@ -128,10 +122,10 @@ Event = Dispensed | MixStarted | MixCompleted | Wasted | Outputted
 
 
 class ChipState:
-    """Occupancy grid, droplet registry, T_reservoir, T_mixer and claims."""
+    """Occupancy grid, droplet registry, T_reservoir, T_mixer and detections."""
 
     __slots__ = ("header", "t", "droplets", "by_loc", "mixers", "detections",
-                 "pending", "reservoirs", "detectors", "next_key", "next_node")
+                 "reservoirs", "detectors", "next_key", "next_node")
 
     def __init__(self, header: ChipHeader, detectors: Iterable[DetectorDecl] = ()):
         self.header = header
@@ -140,7 +134,6 @@ class ChipState:
         self.by_loc: dict[Loc, int] = {}
         self.mixers: tuple[MixerEntry, ...] = ()
         self.detections: tuple[DetectionEntry, ...] = ()
-        self.pending: frozenset[Loc] = frozenset()
         self.reservoirs = {r.loc: r for r in header.reservoirs}
         self.detectors = {d.id: d for d in detectors}
         self.next_key = 1
@@ -154,7 +147,6 @@ class ChipState:
         new.by_loc = dict(self.by_loc)
         new.mixers = self.mixers
         new.detections = self.detections
-        new.pending = self.pending
         new.reservoirs = self.reservoirs
         new.detectors = self.detectors
         new.next_key = self.next_key
@@ -193,51 +185,12 @@ class ChipState:
                 return det
         return None
 
-    def reservoir_kind(self, loc: Loc) -> RKind | None:
-        decl = self.reservoirs.get(loc)
-        return None if decl is None else decl.kind
-
-    # -- updates (value semantics) --
-
-    def claim(self, loc: Loc) -> "ChipState":
-        """Mark loc occupied within the current tick; a second claim conflicts."""
-        if loc in self.pending or loc in self.by_loc:
-            raise DoubleClaim(loc, self.t)
-        new = self.copy()
-        new.pending = self.pending | {loc}
-        return new
-
-    def release(self, loc: Loc) -> "ChipState":
-        """Clear occupancy at loc: drop the droplet there, or undo a claim."""
-        key = self.by_loc.get(loc)
-        if key is None:
-            if loc not in self.pending:
-                raise OutOfBounds(f"no droplet or claim at {loc} to release")
-            new = self.copy()
-            new.pending = self.pending - {loc}
-            return new
-        new = self.copy()
-        del new.droplets[key]
-        del new.by_loc[loc]
-        new.pending = self.pending - {loc}
-        return new
-
     def add_droplet(self, node: str, loc: Loc, cf, born_at: int) -> tuple["ChipState", DropletRecord]:
         new = self.copy()
         return new, new._add(node, loc, cf, born_at)
 
-    def move_droplet(self, key: int, dst: Loc) -> "ChipState":
-        new = self.copy()
-        new._move(key, dst)
-        return new
-
-    def remove_droplet(self, key: int) -> "ChipState":
-        new = self.copy()
-        new._remove(key)
-        return new
-
-    # In-place forms of the updates above, for a copy that no one else holds
-    # yet: the engine copies the state once per tick and builds on that copy.
+    # In-place updates, for a copy that no one else holds yet: the engine
+    # copies the state once per tick and builds on that copy.
 
     def _add(self, node: str, loc: Loc, cf, born_at: int) -> DropletRecord:
         rec = DropletRecord(self.next_key, node, loc, cf, born_at)
@@ -260,7 +213,6 @@ class ChipState:
     def at_tick(self, t: int) -> "ChipState":
         new = self.copy()
         new.t = t
-        new.pending = frozenset()
         return new
 
     def check_consistency(self) -> None:

@@ -13,7 +13,8 @@ from pathlib import Path
 
 from . import branches, fluidics, graph, inject, pins, render
 from .diag import Report, format_report
-from .isa import DmfError, Loc, ParseError, Program, ValidationError, parse_program
+from .isa import (DmfError, Loc, ParseError, Program, ValidationError, parse_program,
+                  serialize_program)
 
 
 def _load_program(path: str) -> Program:
@@ -40,10 +41,8 @@ def cmd_verify(args) -> int:
         program = _load_program(args.program)
         pin_map = pins.parse_pins(Path(args.pins).read_text()) if args.pins else None
         input_sg = graph.parse_input_sg(Path(args.sg).read_text()) if args.sg else None
-        if pin_map is not None and (pin_map.rows, pin_map.cols) != (
-                program.header.rows, program.header.cols):
-            raise DmfError(f"pin map is {pin_map.rows}x{pin_map.cols} but the chip "
-                           f"is {program.header.rows}x{program.header.cols}")
+        if pin_map is not None:
+            pin_map.check_chip(program.header)
     except (OSError, ParseError, ValidationError, DmfError) as err:
         return _fail_input(err)
     policy = "all" if args.all else "first"
@@ -87,7 +86,7 @@ def cmd_graph(args) -> int:
         return _fail_input(err)
     if program.has_conditionals:
         print("error: conditional programs have one graph per path; "
-              "use verify --all-paths", file=sys.stderr)
+              "dmfv verify checks every path", file=sys.stderr)
         return 2
     trace, report = fluidics.verify_program(program)
     if report.violations:
@@ -148,10 +147,9 @@ def cmd_inject(args) -> int:
         swap=tuple(args.swap.split(",")) if args.swap else None)
     try:
         mutated, note = inject.inject_error(program, spec)
-    except inject.MutationInapplicable as err:
+    except DmfError as err:
         return _fail_input(err)
     out = Path(args.out) if args.out else stem.with_name(f"{stem.stem}_{args.error}.dmf")
-    from .isa import serialize_program
     out.write_text(serialize_program(mutated))
     print(f"{note}\nwrote {out}")
     return 0
@@ -176,28 +174,19 @@ def cmd_render(args) -> int:
         bad_t = min(v.t for v in report.violations if v.t is not None)
         upto = min(upto, bad_t)
 
-    def render_one(state) -> str:
-        return render.svg_frame(state) if args.svg else render.ascii_frame(state)
-
-    if args.animate:
-        if args.svg:
-            if not args.out:
-                print("error: --animate --svg needs -o DIRECTORY", file=sys.stderr)
-                return 2
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            for i, (t, state) in enumerate(render.frames(program, upto)):
-                (outdir / f"frame_{i:04d}_t{t}.svg").write_text(render.svg_frame(state))
-        else:
-            body = "\n".join(render.ascii_frame(state)
-                             for _, state in render.frames(program, upto))
-            if args.out:
-                Path(args.out).write_text(body)
-            else:
-                sys.stdout.write(body)
+    draw = render.svg_frame if args.svg else render.ascii_frame
+    if args.animate and args.svg:
+        if not args.out:
+            print("error: --animate --svg needs -o DIRECTORY", file=sys.stderr)
+            return 2
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i, (t, state) in enumerate(fluidics.ticks(program, upto)):
+            (outdir / f"frame_{i:04d}_t{t}.svg").write_text(draw(state))
     else:
-        state = fluidics.state_at(program, upto)
-        body = render_one(state)
+        states = ([state for _, state in fluidics.ticks(program, upto)] if args.animate
+                  else [fluidics.state_at(program, upto)])
+        body = "\n".join(map(draw, states))
         if args.out:
             Path(args.out).write_text(body)
         else:
@@ -219,15 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--sg", help="input sequencing graph (.sg) for conformance")
     pv.add_argument("--pins", help="pin assignment (.pins); enables pin-constrained mode")
     pv.add_argument("--tmax", type=int, help="override the completion bound")
-    pv.add_argument("--all-paths", action="store_true",
-                    help="verify every execution path (default for conditional programs)")
     pv.add_argument("--path", help="verify a single path, e.g. --path 10")
     pv.add_argument("--max-paths", type=int, default=16,
                     help="conditional count guard (default 16)")
     pv.add_argument("--all", action="store_true",
                     help="report every violation instead of stopping at the first")
-    pv.add_argument("--first-error", action="store_true",
-                    help="stop at the first violation (default)")
     pv.add_argument("--ignore-waste", action="store_true",
                     help="exclude waste nodes from conformance matching")
     pv.add_argument("--events", metavar="FILE",
@@ -263,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("render", help="ASCII or SVG snapshots of the chip")
     pr.add_argument("program")
     pr.add_argument("--at", type=int, help="render the state after tick T")
-    pr.add_argument("--animate", action="store_true", help="render every line tick")
+    pr.add_argument("--animate", action="store_true", help="render every tick")
     pr.add_argument("--svg", action="store_true")
     pr.add_argument("-o", "--out")
     pr.set_defaults(func=cmd_render)

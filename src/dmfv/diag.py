@@ -99,14 +99,6 @@ class Report:
     def ok(self) -> bool:
         return not self.violations and not self.tmax_exceeded
 
-    def extend(self, other: "Report") -> None:
-        self.violations.extend(other.violations)
-        self.notes.extend(other.notes)
-        if other.final_t is not None:
-            self.final_t = other.final_t
-        if other.t_max is not None:
-            self.t_max = other.t_max
-
     @property
     def exit_code(self) -> int:
         return 0 if self.ok else 1

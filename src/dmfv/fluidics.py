@@ -6,8 +6,12 @@ table lookup (witness checking, no solver).  Concurrent instructions on one
 line are all validated against that snapshot plus the intra-tick claim set,
 then their effects commit together; a global separation check runs on the
 committed state.  It also covers every active mixer's guard region, since
-each droplet in that region is adjacent to an occupied mixer endpoint, so
-``active_mixer_guard`` is not run by the engine.
+each droplet in that region is adjacent to an occupied mixer endpoint.
+
+``Cursor`` is the one engine that steps lines.  ``verify_program`` and the
+path walk advance it over timed lines only; ``ticks`` also passes the idle
+ticks between lines, and rendering, ``state_at`` and the injection search
+read their states from it.
 
 Violation classification follows the error taxonomy: a movement conflict
 with a droplet that also moves this tick is dynamic (e2, both instructions
@@ -266,22 +270,6 @@ def check_detect(state: ChipState, detector: str, *, t: int | None = None) -> Ve
     return Verdict.passed()
 
 
-def active_mixer_guard(state: ChipState, t: int | None = None) -> Verdict:
-    """Re-evaluate every active mixer's constraint against the current state."""
-    t = state.t if t is None else t
-    for mx in state.mixers:
-        conflicts = mixer_conflicts(state, mx.a, mx.b)
-        if conflicts:
-            return Verdict.failed(classify(
-                Code.E1, "Static fluidic constraint violated", t=t,
-                cells=tuple(conflicts), detail=mx.span()))
-        if mx.a not in state.by_loc or mx.b not in state.by_loc:
-            return Verdict.failed(classify(
-                Code.E4, f"Droplet on {mx.a if mx.a not in state.by_loc else mx.b} "
-                         "is in active mixer", t=t, cells=(mx.a, mx.b), detail=mx.span()))
-    return Verdict.passed()
-
-
 # --- stepping ------------------------------------------------------------------
 
 @dataclass
@@ -293,6 +281,12 @@ class StepResult:
 
 def _line_instrs(line: TimedLine, idxs: list[int]) -> tuple[str, ...]:
     return tuple(line.instrs[i].compact() for i in sorted(set(idxs)))
+
+
+def expire(state: ChipState, t: int) -> tuple[ChipState, list[chip.MixCompleted]]:
+    """Resolve the mixers and detections due by tick t, before its line runs."""
+    state, completed = chip.expire_mixers(state, t)
+    return chip.expire_detections(state, t), completed
 
 
 def step(state: ChipState, line: TimedLine, *, policy: str = "first",
@@ -307,12 +301,8 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     t = line.t
     if t < state.t:
         raise EngineError(f"line at t={t} precedes current state t={state.t}")
-    events: list[chip.Event] = []
-    state, completed = chip.expire_mixers(state, t)
-    events.extend(completed)
-    state = chip.expire_detections(state, t)
-
-    snapshot = state
+    snapshot, completed = expire(state, t)
+    events: list[chip.Event] = list(completed)
     violations: list[Violation] = []
     movers: dict[Loc, int] = {}
     for i, instr in enumerate(line.instrs):
@@ -541,7 +531,7 @@ class Trace:
 
 
 class Cursor:
-    """A program run advanced one timed line at a time.
+    """A program run, advanced one timed line or idle tick at a time.
 
     It holds the chip state, the trace's events and the Phase-I report.
     Violations after the first failing tick are marked secondary; under
@@ -582,6 +572,12 @@ class Cursor:
         self.ended = self.ended or any(isinstance(i, End) for i in line.instrs)
         self.stopped = bool(result.violations) and self.policy == "first"
 
+    def idle(self, t: int) -> None:
+        """Pass tick t, which has no line: only due mixers and detections resolve."""
+        state, completed = expire(self.state, t)
+        self.state = state.at_tick(t)
+        self.trace.events.extend(completed)
+
     def fork(self) -> "Cursor":
         new = copy.copy(self)
         new.trace = Trace(self.trace.header, self.trace.reagents, list(self.trace.events))
@@ -617,15 +613,34 @@ def verify_program(program: Program, *, pin_map=None, policy: str = "first",
     return cursor.finish()
 
 
-def state_at(program: Program, t: int, *, policy: str = "first") -> ChipState:
-    """Chip state right after tick t (expiries included), for rendering."""
+def ticks(program: Program, upto: int | None = None):
+    """Yield (t, state) after each tick up to ``upto`` (default: the last line).
+
+    Ticks run from 1, or from 0 when a line sits there.  A tick with a line
+    advances a cursor over it; a tick without one only resolves the mixers
+    and detections due by then.  The first failing tick yields the state
+    its line found, and the run stops there.
+    """
+    lines = {ln.t: ln for ln in program.main}
+    last = program.main[-1].t if program.main else 0
+    cursor = Cursor(program)
+    for t in range(0 if 0 in lines else 1, (last if upto is None else upto) + 1):
+        if t in lines:
+            cursor.advance(lines[t])
+        else:
+            cursor.idle(t)
+        yield t, cursor.state
+        if cursor.stopped:
+            return
+
+
+def state_at(program: Program, t: int) -> ChipState:
+    """Chip state right after tick t, the last state ``ticks`` yields.
+
+    t=0 gives the blank chip unless a line sits there; past a failing tick
+    it is the state the failing line found.
+    """
     state = chip.init_state(program.header, program.detectors)
-    for line in program.main:
-        if line.t > t:
-            break
-        result = step(state, line, policy=policy)
-        if result.violations and policy == "first":
-            return result.state
-        state = result.state
-    state, _ = chip.expire_mixers(state, t)
-    return chip.expire_detections(state, t).at_tick(t)
+    for _, state in ticks(program, t):
+        pass
+    return state

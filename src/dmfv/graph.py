@@ -36,10 +36,6 @@ class OrphanDroplet(DmfError):
     pass
 
 
-class ReagentUniverseMismatch(DmfError):
-    pass
-
-
 # --- concentration vectors ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -56,9 +52,6 @@ class CFVector:
     @staticmethod
     def unit(reagent: str) -> "CFVector":
         return CFVector(((reagent, Fraction(1)),))
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.components)
 
     def get(self, reagent: str) -> Fraction:
         return dict(self.components).get(reagent, Fraction(0))

@@ -7,7 +7,7 @@ e5/e6/e7 take the mutation site as parameters with simple defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import chip, fluidics
 from .isa import (Dispense, DmfError, Instruction, Loc, MixStart, Move, MType,
@@ -27,7 +27,6 @@ class InjectionSpec:
     to: Loc | None = None
     duration: int | None = None
     swap: tuple[str, str] | None = None
-    remap: dict[Loc, int] = field(default_factory=dict)
 
 
 # --- structural edits -----------------------------------------------------------
@@ -111,21 +110,7 @@ def swap_reagent_names(program: Program, a: str, b: str) -> Program:
 _DIRS = (Loc(-1, 0), Loc(1, 0), Loc(0, -1), Loc(0, 1))
 
 
-def _clean_trace(program: Program) -> fluidics.Trace:
-    trace, report = fluidics.verify_program(program)
-    if not report.ok:
-        raise MutationInapplicable("program is not clean; cannot stage an injection")
-    return trace
-
-
-def _pre_line_state(program: Program, t: int) -> chip.ChipState:
-    state = fluidics.state_at(program, t - 1)
-    state, _ = chip.expire_mixers(state, t)
-    return chip.expire_detections(state, t)
-
-
-def _line_context(program: Program, t: int):
-    line = program.line_at(t)
+def _line_context(line: TimedLine | None):
     move_srcs: set[Loc] = set()
     busy: set[Loc] = set()      # engaged by non-move instructions
     claimed: set[Loc] = set()
@@ -143,55 +128,52 @@ def _line_context(program: Program, t: int):
     return move_srcs, busy, claimed
 
 
-def _move_candidates(program: Program, *, want_dynamic: bool):
-    """Earliest (t, src, dst) whose added move trips the clearance rule."""
-    final_t = program.main[-1].t if program.main else 0
-    for t in range(1, final_t + 1):
-        state = _pre_line_state(program, t)
-        move_srcs, busy, claimed = _line_context(program, t)
-        for src in sorted(state.by_loc):
-            rec = state.droplets[state.by_loc[src]]
-            if (src in busy or src in move_srcs or state.mixer_pinning(rec.key)
-                    or state.detection_pinning(rec.key)):
+def _sites(state: chip.ChipState, line: TimedLine | None, *, want_dynamic: bool):
+    """(src, dst) of each move that, added to ``line`` on the state the line
+    finds, trips the clearance rule next to a moving (e2) or idle (e1) droplet."""
+    move_srcs, busy, claimed = _line_context(line)
+    for src in sorted(state.by_loc):
+        rec = state.droplets[state.by_loc[src]]
+        if (src in busy or src in move_srcs or state.mixer_pinning(rec.key)
+                or state.detection_pinning(rec.key)):
+            continue
+        for d in _DIRS:
+            dst = Loc(src.row + d.row, src.col + d.col)
+            if not state.in_bounds(dst) or dst in state.by_loc or dst in claimed:
                 continue
-            for d in _DIRS:
-                dst = Loc(src.row + d.row, src.col + d.col)
-                if not state.in_bounds(dst) or dst in state.by_loc or dst in claimed:
-                    continue
-                conflicts = fluidics.move_conflicts(state, src, dst)
-                if not conflicts or any(c in busy for c in conflicts):
-                    continue
-                moving = [c for c in conflicts if c in move_srcs]
-                if want_dynamic and moving:
-                    yield t, src, dst
-                elif not want_dynamic and not moving:
-                    yield t, src, dst
+            conflicts = fluidics.move_conflicts(state, src, dst)
+            if not conflicts or any(c in busy for c in conflicts):
+                continue
+            if any(c in move_srcs for c in conflicts) == want_dynamic:
+                yield src, dst
 
 
-def _find_move(program: Program, *, want_dynamic: bool) -> tuple[int, Loc, Loc]:
-    for hit in _move_candidates(program, want_dynamic=want_dynamic):
-        return hit
-    raise MutationInapplicable("no suitable move-injection site found")
+def _move_candidates(program: Program, *, want_dynamic: bool):
+    """Every site (t, src, dst), earliest first, from one pass of the clean run."""
+    lines = {ln.t: ln for ln in program.main}
+    prev = chip.init_state(program.header, program.detectors)
+    for t, after in fluidics.ticks(program):
+        state, _ = fluidics.expire(prev, t)     # the state line t finds
+        prev = after
+        for src, dst in _sites(state, lines.get(t), want_dynamic=want_dynamic):
+            yield t, src, dst
 
 
-def _inject_e1(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
-    _clean_trace(program)
+def _inject_move(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
+    """e1/e2: add a move that lands next to an idle (e1) or moving (e2) droplet."""
+    if not fluidics.verify_program(program)[1].ok:
+        raise MutationInapplicable("program is not clean; cannot stage an injection")
+    dynamic = spec.code == "e2"
     if spec.move and spec.line:
         t, (src, dst) = spec.line, spec.move
     else:
-        t, src, dst = _find_move(program, want_dynamic=False)
-    p = add_instruction(program, t, Move(src, dst))
-    return p, f"added {Move(src, dst).compact()} at t={t} (lands next to an idle droplet)"
-
-
-def _inject_e2(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
-    _clean_trace(program)
-    if spec.move and spec.line:
-        t, (src, dst) = spec.line, spec.move
-    else:
-        t, src, dst = _find_move(program, want_dynamic=True)
-    p = add_instruction(program, t, Move(src, dst))
-    return p, f"added {Move(src, dst).compact()} at t={t} (interferes with a concurrent move)"
+        hit = next(_move_candidates(program, want_dynamic=dynamic), None)
+        if hit is None:
+            raise MutationInapplicable("no suitable move-injection site found")
+        t, src, dst = hit
+    why = "interferes with a concurrent move" if dynamic else "lands next to an idle droplet"
+    return add_instruction(program, t, Move(src, dst)), (
+        f"added {Move(src, dst).compact()} at t={t} ({why})")
 
 
 def _inject_e3(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
@@ -292,7 +274,7 @@ def _inject_e7(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
 def inject_error(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
     """Apply the preset for spec.code; returns the mutated program and a note."""
     dispatch = {
-        "e1": _inject_e1, "e2": _inject_e2, "e3": _inject_e3,
+        "e1": _inject_move, "e2": _inject_move, "e3": _inject_e3,
         "e4": _inject_e4, "e5": _inject_e5, "e6": _inject_e6, "e7": _inject_e7,
     }
     if spec.code not in dispatch:

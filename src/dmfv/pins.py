@@ -24,15 +24,8 @@ from itertools import filterfalse, product
 
 from .chip import ChipState, OutOfBounds, neighbors4
 from .diag import Code, Report, Violation, classify
-from .isa import Dispense, DmfError, Loc, Move, Output, Program, TimedLine, Waste
-
-# test-support counters (reset via reset_stats)
-stats = {"pair_checks": 0}
-
-
-def reset_stats() -> None:
-    stats["pair_checks"] = 0
-
+from .isa import (ChipHeader, Dispense, DmfError, Loc, Move, Output, Program,
+                  TimedLine, Waste)
 
 @dataclass(frozen=True)
 class PinMap:
@@ -51,6 +44,12 @@ class PinMap:
         missing = next(filterfalse(self.pin.__contains__, cells), None)
         if missing is not None:
             raise DmfError(f"pin map is missing cell ({missing[0]},{missing[1]})")
+
+    def check_chip(self, header: ChipHeader) -> None:
+        """Raise DmfError unless the map covers exactly the chip's array."""
+        if (self.rows, self.cols) != (header.rows, header.cols):
+            raise DmfError(f"pin map is {self.rows}x{self.cols} but the chip "
+                           f"is {header.rows}x{header.cols}")
 
     def pin_of(self, loc: Loc) -> int:
         if not (1 <= loc.row <= self.rows and 1 <= loc.col <= self.cols):
@@ -160,7 +159,6 @@ def _consequence(shared_cells: list[Loc], affected_old: Loc, affected_new: Loc) 
 
 def check_pair(pmap: PinMap, d1_t: Loc, d1_t1: Loc, d2_t: Loc, d2_t1: Loc) -> "PinFinding | None":
     """Pairwise movement rules between two droplets (static = equal positions)."""
-    stats["pair_checks"] += 1
     checks = [
         ("2(a)", Code.PIN_CASE2, d1_t, set(pmap.n4(d2_t)), (d2_t, d2_t1)),
         ("2(b)", Code.PIN_CASE2, d2_t, set(pmap.n4(d1_t)), (d1_t, d1_t1)),
@@ -308,10 +306,7 @@ def verify_program_pins(program: Program, pmap: PinMap, *, policy: str = "first"
     """Fluidic verification plus the per-tick pin phase."""
     from . import fluidics
 
-    if (pmap.rows, pmap.cols) != (program.header.rows, program.header.cols):
-        raise DmfError(
-            f"pin map is {pmap.rows}x{pmap.cols} but the chip is "
-            f"{program.header.rows}x{program.header.cols}")
+    pmap.check_chip(program.header)
     _, report = fluidics.verify_program(program, pin_map=pmap, policy=policy,
                                         t_max=t_max)
     return report

@@ -1,9 +1,12 @@
-"""Static ASCII / SVG snapshots of the chip (replaces interactive viewing)."""
+"""Static ASCII / SVG snapshots of the chip (replaces interactive viewing).
+
+This module only draws; the states come from ``fluidics.ticks``.
+"""
 
 from __future__ import annotations
 
 from .chip import ChipState
-from .isa import Loc, Program, RKind
+from .isa import Loc, RKind
 
 _RES_GLYPH = {RKind.REAGENT: "R", RKind.OUTPUT: "O", RKind.WASTE: "W"}
 
@@ -86,23 +89,3 @@ def svg_frame(state: ChipState, *, cell: int = 28) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def frames(program: Program, upto: int | None = None):
-    """Yield (t, state) for every tick 1..upto; stops at the first violation."""
-    from . import chip, fluidics
-
-    last = program.main[-1].t if program.main else 0
-    limit = last if upto is None else upto
-    state = chip.init_state(program.header, program.detectors)
-    lines = {ln.t: ln for ln in program.main}
-    for t in range(1, limit + 1):
-        if t in lines:
-            result = fluidics.step(state, lines[t])
-            if result.violations:
-                yield t, result.state
-                return
-            state = result.state
-        else:
-            state, _ = chip.expire_mixers(state, t)
-            state = chip.expire_detections(state, t).at_tick(t)
-        yield t, state

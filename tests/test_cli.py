@@ -1,10 +1,13 @@
 import json
 import random
+import re
+from collections import Counter
 
 from dmfv.cli import main
 from dmfv.diag import format_report
 from dmfv.fluidics import verify_program
-from dmfv.isa import parse_program
+from dmfv.inject import add_instruction
+from dmfv.isa import Loc, Move, parse_program, serialize_program
 
 from conftest import FIXTURES, load
 
@@ -65,8 +68,7 @@ def test_verify_parse_error_exit_two(tmp_path, capsys):
 
 
 def test_verify_all_paths(capsys):
-    rc = main(["verify", fx("recovery.dmf"), "--sg", fx("recovery.sg"),
-               "--all-paths"])
+    rc = main(["verify", fx("recovery.dmf"), "--sg", fx("recovery.sg")])
     out = capsys.readouterr().out
     assert rc == 0 and "PASS" in out
     assert out.count("path ") == 4      # one report row per execution path
@@ -146,6 +148,39 @@ def test_render_stops_at_violation(tmp_path, capsys):
     assert "violation at t=28" in captured.err
 
 
+def _frames(text: str) -> list[str]:
+    """The ASCII frames of a render output, without any report after them."""
+    frames = [f for f in text.split("\n\n") if f.startswith("t=")]
+    return [f.split("\nPhase I")[0].rstrip("\n") for f in frames]
+
+
+def test_render_at_and_animate_label_failing_tick_alike(tmp_path, capsys):
+    # pcr has no line between t=7 and t=14; the added move fails at t=14
+    prog = add_instruction(parse_program(load("pcr.dmf")), 14, Move(Loc(1, 1), Loc(1, 2)))
+    path = tmp_path / "gap.dmf"
+    path.write_text(serialize_program(prog))
+    assert main(["render", str(path), "--at", "14"]) == 1
+    at = capsys.readouterr()
+    assert main(["render", str(path), "--animate"]) == 1
+    animate = capsys.readouterr()
+    assert "violation at t=14" in at.err and "violation at t=14" in animate.err
+    # both show the state the failing line found, labeled with the tick before
+    assert _frames(at.out) == _frames(animate.out)[-1:]
+    assert _frames(at.out)[0].startswith("t=13\n")
+
+
+def test_render_steps_a_line_at_t0(tmp_path, capsys):
+    path = tmp_path / "t0.dmf"
+    path.write_text("dim(6,6)\naccuracy 5\nR(1,1,S) R(1,4,B)\n"
+                    "0 d(1,1)\n1 d(1,4)\n2 m([1,1]->[2,1])\n3 end\n")
+    assert main(["render", str(path), "--animate"]) == 0
+    frames = _frames(capsys.readouterr().out)
+    assert [f.split("\n")[0] for f in frames] == ["t=0", "t=1", "t=2", "t=3"]
+    assert "(2,1) id=S" in frames[-1] and "(1,4) id=B" in frames[-1]
+    assert main(["render", str(path), "--at", "0"]) == 0
+    assert _frames(capsys.readouterr().out) == frames[:1]
+
+
 def test_render_svg(tmp_path):
     out_file = tmp_path / "frame.svg"
     rc = main(["render", fx("twowaymix.dmf"), "--at", "4", "--svg",
@@ -169,6 +204,79 @@ def test_inject_inapplicable_exit_two(tmp_path, capsys):
     rc = main(["inject", str(empty), "--error", "e5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+_DMF_FIXTURES = ("pcr.dmf", "twowaymix.dmf", "mplex.dmf", "threeway_bad.dmf",
+                 "recovery.dmf")
+_JUNK = ("zzz", "m([1,1]->[1,1])", "m([2,2]->[2,3])", "mix([1,1]<->[1,2],3,14)",
+         "detect(d9)", "detect(d1)", "waste(1,1)", "output(2,2)", "d(1,1)", "end",
+         "if(d1) call Recovery(9)")
+
+
+def _mutate_dmf(rng, text: str) -> str:
+    """One or two random edits of a .dmf text: whole lines, a timestamp, one
+    instruction or one number."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    for _ in range(rng.choice((1, 1, 2))):
+        timed = [i for i, ln in enumerate(lines) if ln.split()[0].isdigit()]
+        i = rng.choice(timed or range(len(lines)))
+        head, *instrs = lines[i].split()
+        kind = rng.choice(("drop-line", "dup-line", "swap-lines", "retime", "drop-instr",
+                           "dup-instr", "move-instr", "number", "junk"))
+        if kind == "drop-line":
+            del lines[rng.randrange(len(lines))]
+        elif kind == "dup-line":
+            lines.insert(rng.randrange(len(lines)), lines[i])
+        elif kind == "swap-lines":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "number":
+            k = rng.randrange(len(lines))
+            parts = re.split(r"(-?\d+)", lines[k])     # numbers at odd positions
+            if len(parts) > 1:
+                parts[rng.randrange(1, len(parts), 2)] = str(
+                    rng.choice((0, -1, 1, 2, 3, 4, 16, 40)))
+                lines[k] = "".join(parts)
+        else:
+            moved = None
+            if kind == "retime" and head.isdigit():
+                head = str(max(0, int(head) + rng.randrange(-3, 4)))
+            elif kind == "drop-instr" and instrs:
+                instrs.pop(rng.randrange(len(instrs)))
+            elif kind == "dup-instr" and instrs:
+                instrs.append(rng.choice(instrs))
+            elif kind == "move-instr" and instrs:
+                moved = instrs.pop(rng.randrange(len(instrs)))
+            elif kind == "junk":
+                instrs.insert(rng.randrange(len(instrs) + 1), rng.choice(_JUNK))
+            lines[i] = " ".join([head, *instrs])
+            if moved is not None:
+                j = rng.choice(timed or [i])
+                lines[j] += " " + moved
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_survives_mutated_dmf_files(tmp_path, capsys):
+    rng = random.Random(1618)
+    prog = tmp_path / "mutated.dmf"
+    codes = Counter()
+    for _ in range(200):
+        text = _mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES)))
+        prog.write_text(text)
+        at = str(rng.randrange(0, 40))
+        for argv in (["verify", str(prog)], ["render", str(prog), "--at", at],
+                     ["render", str(prog), "--animate"], ["graph", str(prog)],
+                     ["inject", str(prog), "--error", "e1", "-o", str(tmp_path / "e1.dmf")],
+                     ["inject", str(prog), "--error", "e2", "-o", str(tmp_path / "e2.dmf")]):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2), (argv, text)
+            assert rc != 2 or err.startswith("error: "), (argv, text, err)
+            codes[argv[0], rc] += 1
+    # the corpus reaches every exit code of every command
+    assert all(codes[cmd, rc] for cmd in ("verify", "render", "graph")
+               for rc in (0, 1, 2)), codes
+    assert codes["inject", 0] and codes["inject", 2], codes
 
 
 _SG_PAIRS = (("twowaymix.dmf", "twowaymix.sg"), ("pcr.dmf", "pcr.sg"),

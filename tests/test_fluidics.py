@@ -1,11 +1,15 @@
+import random
+from collections import Counter
+
 import pytest
 
-from dmfv.chip import init_state
+from dmfv import fluidics, inject
+from dmfv.chip import expire_detections, expire_mixers, init_state
 from dmfv.diag import Code
-from dmfv.fluidics import (EngineError, active_mixer_guard, check_dispense,
-                           check_mix_start, check_move, check_output, check_waste,
-                           mixer_conflicts, move_clearance_cells, sfc_conflicts,
-                           state_at, static_fc, step, verify_program)
+from dmfv.fluidics import (EngineError, check_dispense, check_mix_start, check_move,
+                           check_output, check_waste, mixer_conflicts,
+                           move_clearance_cells, sfc_conflicts, state_at, static_fc,
+                           step, ticks, verify_program)
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Loc, MType, ReservoirDecl, RKind,
                       parse_program)
@@ -108,20 +112,6 @@ def test_check_waste_and_output():
     assert check_waste(state_with(5, 4, [], res), Loc(5, 4)).violation.code is Code.E4
     assert check_output(st, Loc(5, 4)).violation.code is Code.E3
     assert check_waste(st, Loc(3, 3)).violation.code is Code.E3
-
-
-def test_active_mixer_guard_trivial_and_violating():
-    st = state_with(6, 6, [])
-    assert active_mixer_guard(st).ok
-    prog = parse_program(
-        "dim(6,6)\naccuracy 5\nR(1,1,S) R(1,4,B)\n"
-        "1 d(1,1) d(1,4)\n2 m([1,1]->[2,1]) m([1,4]->[2,4])\n"
-        "3 m([2,1]->[3,1]) m([2,4]->[3,4])\n4 mix([3,1]<->[3,4],6,14)\n11 end\n")
-    st = state_at(prog, 5)
-    assert active_mixer_guard(st).ok
-    st2, _ = st.add_droplet("X", Loc(4, 2), CFVector.unit("S"), 5)
-    guard = active_mixer_guard(st2)
-    assert not guard.ok and Loc(4, 2) in guard.violation.cells
 
 
 def test_step_simultaneous_moves():
@@ -248,3 +238,150 @@ def test_global_check_catches_diagonal_landing():
     assert any(v.code is Code.E2 or v.code is Code.E1 for v in report.violations)
     ts = [v.t for v in report.violations]
     assert 3 in ts
+
+
+def replay_state_at(program, t):
+    """State right after tick t by replaying every line from t=1 (oracle).
+
+    This is the ``state_at`` that ``ticks`` replaced: lines up to t step on
+    the state of the previous line, a failing line returns the state it
+    found, and the mixers and detections due by t resolve at the end.
+    """
+    state = init_state(program.header, program.detectors)
+    for line in program.main:
+        if line.t > t:
+            break
+        result = step(state, line)
+        if result.violations:
+            return result.state
+        state = result.state
+    state, _ = expire_mixers(state, t)
+    return expire_detections(state, t).at_tick(t)
+
+
+_LANES = (1, 4, 7, 10)
+
+
+def lane_program(rng):
+    """A random program on a 9x10 chip, with gaps of 1-4 ticks between lines.
+
+    Droplets ride four columns three apart, so lanes never touch; droplets
+    of neighbouring lanes that share a row may mix, lane 7 passes detector
+    d1 on row 5, and row 9 holds the sinks.  Mixers and detections often
+    end between two lines.  Half the programs get one failing instruction.
+    """
+    dur = rng.randrange(1, 5)
+    head = ["dim(9,10)", "accuracy 5",
+            "R(1,1,A) R(1,4,B) R(1,7,A) R(1,10,B) W(9,1) O(9,4) W(9,7) O(9,10)",
+            f"D(d1,5,7,{dur})"]
+    pos = dict.fromkeys(_LANES)          # lane -> row of its droplet
+    free_at = dict.fromkeys(_LANES, 0)   # first tick the droplet may act
+    n_lines = rng.randrange(8, 22)
+    fault_at = rng.randrange(n_lines) if rng.random() < 0.5 else None
+    t = rng.choice((0, 1, 1, 1))
+    lines = []
+    for k in range(n_lines):
+        instrs, used = [], set()
+        for a, b in zip(_LANES, _LANES[1:]):
+            if (a not in used and pos[a] is not None and pos[a] == pos[b]
+                    and max(free_at[a], free_at[b]) <= t and rng.random() < 0.6):
+                t_mix = rng.randrange(1, 6)
+                instrs.append(f"mix([{pos[a]},{a}]<->[{pos[b]},{b}],{t_mix},14)")
+                used.update((a, b))
+                free_at[a] = free_at[b] = t + t_mix + 1
+        for c in _LANES:
+            r = pos[c]
+            if c in used or rng.random() < 0.3:
+                continue
+            if r is None:
+                instrs.append(f"d(1,{c})")
+                pos[c] = 1
+            elif free_at[c] > t:
+                continue
+            elif r == 9:
+                instrs.append(f"{'waste' if c in (1, 7) else 'output'}(9,{c})")
+                pos[c] = None
+            elif c == 7 and r == 5 and rng.random() < 0.5:
+                instrs.append("detect(d1)")
+                free_at[c] = t + dur
+            else:
+                step_r = 1 if r < 3 or rng.random() < 0.7 else -1
+                instrs.append(f"m([{r},{c}]->[{r + step_r},{c}])")
+                pos[c] = r + step_r
+        if k == fault_at:
+            r = rng.randrange(2, 9)
+            instrs.append(rng.choice((f"m([{r},2]->[{r + 1},2])", f"d({r},3)")))
+        if instrs:
+            lines.append(f"{t} " + " ".join(instrs))
+        t += rng.choice((1, 1, 2, 3, 4))
+    lines.append(f"{t} end")
+    return parse_program("\n".join(head + lines) + "\n")
+
+
+def test_ticks_match_replay_oracle(fixtures):
+    rng = random.Random(8086)
+    programs = [parse_program(load(name)) for name in
+                ("pcr.dmf", "twowaymix.dmf", "mplex.dmf", "threeway_bad.dmf")]
+    programs += [lane_program(rng) for _ in range(30)]
+    seen = Counter()
+    for prog in programs:
+        last = prog.main[-1].t
+        line_ticks = {ln.t for ln in prog.main}
+        _, report = verify_program(prog)
+        bad_t = report.violations[0].t if report.violations else None
+        frames = list(ticks(prog, last + 3))
+        first = 0 if 0 in line_ticks else 1
+        stop = last + 3 if bad_t is None else bad_t
+        assert [t for t, _ in frames] == list(range(first, stop + 1))
+        prev = None
+        for t, state in frames:
+            want = replay_state_at(prog, t)
+            assert (state.by_loc, state.droplets, state.mixers, state.detections) == (
+                want.by_loc, want.droplets, want.mixers, want.detections), (t, prog)
+            # a failing tick shows the state its line found, one tick earlier
+            assert state.t == (max(t - 1, 0) if t == bad_t else t)
+            if prev is not None and t not in line_ticks:
+                seen["idle mixer ends"] += len(prev.mixers) - len(state.mixers)
+                seen["idle detection ends"] += len(prev.detections) - len(state.detections)
+            seen["mixer ticks"] += bool(state.mixers)
+            seen["detection ticks"] += bool(state.detections)
+            prev = state
+        seen["failing"] += bad_t is not None
+        seen["line at t=0"] += first == 0
+        for t in {0, first, last // 2, last, last + 3, stop}:
+            state, want = state_at(prog, t), replay_state_at(prog, t)
+            assert (state.by_loc, state.droplets, state.mixers, state.detections) == (
+                want.by_loc, want.droplets, want.mixers, want.detections)
+            assert state.t == (frames[-1][1].t if bad_t is not None and t >= bad_t else t)
+    assert all(seen[k] >= 3 for k in ("idle mixer ends", "idle detection ends",
+                                      "mixer ticks", "detection ticks",
+                                      "failing", "line at t=0")), seen
+    assert seen["failing"] <= len(programs) - 10, seen
+
+
+def replay_move_candidates(program, want_dynamic):
+    """The injection search with each line's state replayed from t=1 (oracle)."""
+    lines = {ln.t: ln for ln in program.main}
+    for t in range(1, program.main[-1].t + 1):
+        state, _ = expire_mixers(replay_state_at(program, t - 1), t)
+        state = expire_detections(state, t)
+        for src, dst in inject._sites(state, lines.get(t), want_dynamic=want_dynamic):
+            yield t, src, dst
+
+
+def test_injection_search_matches_replay_in_one_pass(monkeypatch):
+    calls = [0]
+    real = fluidics.step
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(fluidics, "step", counted)
+    for name in ("pcr.dmf", "twowaymix.dmf", "threeway_bad.dmf"):
+        prog = parse_program(load(name))
+        for want_dynamic in (False, True):
+            calls[0] = 0
+            hits = list(inject._move_candidates(prog, want_dynamic=want_dynamic))
+            assert calls[0] <= len(prog.main), (name, want_dynamic)   # one step per line
+            assert hits and hits == list(replay_move_candidates(prog, want_dynamic))

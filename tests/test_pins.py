@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dmfv import pins
 from dmfv.chip import MixerEntry, OutOfBounds, init_state
 from dmfv.diag import Code
 from dmfv.fluidics import _commit
@@ -10,7 +11,7 @@ from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
 from dmfv.pins import (PinMap, _finding_to_violation, check_case1, check_dispense_pins,
                        check_pair, dedicated_map, parse_pins, pin_phase, pins_of,
-                       reset_stats, serialize_pins, stats, verify_program_pins)
+                       serialize_pins, verify_program_pins)
 
 from conftest import load
 
@@ -21,6 +22,19 @@ def make_map(rows, cols, overrides):
            for r in range(1, rows + 1) for c in range(1, cols + 1)}
     pin.update({Loc(r, c): p for (r, c), p in overrides.items()})
     return PinMap(rows, cols, pin)
+
+
+@pytest.fixture
+def pair_checks(monkeypatch):
+    """Counts calls of ``pins.check_pair``; read and reset ``calls[0]``."""
+    calls = [0]
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return check_pair(*args, **kw)
+
+    monkeypatch.setattr(pins, "check_pair", counted)
+    return calls
 
 
 def droplets(rows, cols, locs):
@@ -167,18 +181,17 @@ def test_injective_map_reports_match_general_mode_on_bad_program():
     assert rows(general) == rows(pinned)
 
 
-def test_pair_checks_skip_distant_droplets():
+def test_pair_checks_skip_distant_droplets(pair_checks):
     text = ("dim(9,9)\naccuracy 5\nR(1,1,A) R(1,9,B) R(9,1,C)\n"
             "1 d(1,1) d(1,9) d(9,1)\n"
             "2 m([1,1]->[2,1]) m([1,9]->[2,9]) m([9,1]->[8,1])\n"
             "3 m([2,1]->[3,1])\n4 end\n")
     prog = parse_program(text)
-    reset_stats()
     report = verify_program_pins(prog, dedicated_map(9, 9))
     assert report.ok
     # no droplet sits in another's N4 region and no pin is shared, so the
     # pin index joins no pair on any tick
-    assert stats["pair_checks"] == 0
+    assert pair_checks[0] == 0
 
 
 def all_pairs_pin_phase(pmap, snapshot, committed, line, effects, t):
@@ -215,7 +228,7 @@ def all_pairs_pin_phase(pmap, snapshot, committed, line, effects, t):
         for b in range(a + 1, len(participants)):
             o1, n1, i1 = participants[a]
             o2, n2, i2 = participants[b]
-            f = check_pair(pmap, o1, n1, o2, n2)
+            f = pins.check_pair(pmap, o1, n1, o2, n2)
             if f is not None:
                 idxs = tuple(sorted(i for i in (i1, i2) if i is not None))
                 instrs = tuple(line.instrs[i].compact() for i in idxs)
@@ -280,7 +293,7 @@ def random_pin_maps(rng, rows, cols):
     return [base, remapped, *shared]
 
 
-def test_pin_phase_matches_all_pairs_oracle():
+def test_pin_phase_matches_all_pairs_oracle(pair_checks):
     rng = random.Random(20221108)
     codes, joined, scanned = set(), 0, 0
     for _ in range(50):
@@ -289,12 +302,12 @@ def test_pin_phase_matches_all_pairs_oracle():
         for _ in range(3):   # several ticks per map exercise its caches
             tick = random_tick(rng, rows, cols)
             for pmap in pmaps:
-                reset_stats()
+                pair_checks[0] = 0
                 expected = all_pairs_pin_phase(pmap, *tick, 1)
-                scanned += stats["pair_checks"]
-                reset_stats()
+                scanned += pair_checks[0]
+                pair_checks[0] = 0
                 assert pin_phase(pmap, *tick, 1) == expected
-                joined += stats["pair_checks"]
+                joined += pair_checks[0]
                 codes.update(v.code for v in expected)
     assert codes >= {Code.PIN_CASE1, Code.PIN_CASE2, Code.PIN_CASE3, Code.PIN_DISPENSE}
     assert joined < scanned
