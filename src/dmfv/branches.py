@@ -1,17 +1,18 @@
-"""Execution-path expansion for cyberphysical programs.
+"""Execution paths of cyberphysical programs.
 
-A program with k conditional recovery calls can execute in 2^k ways.  Each
-path is spliced into a straight-line program: a taken branch inserts the
-recovery block right after the conditional (internal gaps preserved) and
-the main line resumes one tick after the block; a not-taken branch lets the
-continuation fire on the very next tick.  Written timestamps therefore
+A program with k conditional recovery calls can execute in 2^k ways.  On
+each path a taken branch runs the recovery block right after the
+conditional (internal gaps preserved) and the main line resumes one tick
+after the block; a not-taken branch lets the continuation fire on the very
+next tick.  ``_branch`` holds this rule.  Written timestamps therefore
 match the all-faulty path; every other path is a compaction of it.
 
 Paths that share their leading outcomes run the same lines at the same
 ticks up to their next conditional, so ``verify_all_paths`` walks the tree
 of outcomes depth first and steps each shared prefix once, forking the run
-at every conditional.  Each path's report is still the one its spliced
-program gets when verified alone.
+at every conditional.  ``path_shapes`` walks the same tree without
+stepping, for ``dmfv paths``.  Each path's report is the one its spliced
+straight-line program gets when verified alone.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ class PathLimitExceeded(DmfError):
 
 class NestedConditional(DmfError):
     pass
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    outcomes: tuple[bool, ...]      # one entry per conditional, program order
-    label: str                      # e.g. "10" (1 = recovery taken)
-    program: Program                # spliced straight-line program
 
 
 def _cond_of(line: TimedLine) -> CondCall | None:
@@ -67,20 +61,6 @@ def _branch(program: Program, idx: int, delta: int,
     return inserted, resume + 1 - main[idx + 1].t
 
 
-def _splice(program: Program, outcomes: tuple[bool, ...]) -> Program:
-    lines: list[TimedLine] = []
-    delta = 0
-    cond_i = 0
-    for idx, line in enumerate(program.main):
-        if _cond_of(line) is None:
-            lines.append(TimedLine(line.t + delta, line.instrs))
-            continue
-        inserted, delta = _branch(program, idx, delta, outcomes[cond_i])
-        lines.extend(inserted)
-        cond_i += 1
-    return Program(program.header, tuple(lines), program.detectors, {}, program.t_max)
-
-
 def _count_conditionals(program: Program, max_conditionals: int) -> int:
     """Validate a program's structure and return its number of conditionals."""
     issues = validate_structure(program)
@@ -99,20 +79,31 @@ def _label(outcomes: tuple[bool, ...]) -> str:
     return "".join("1" if o else "0" for o in outcomes)
 
 
-def enumerate_paths(program: Program, *, max_conditionals: int = 16) -> list[PathSpec]:
-    """Expand every feasible execution path of a conditional program.
+def path_shapes(program: Program, *,
+                max_conditionals: int = 16) -> list[tuple[str, int, int]]:
+    """(label, line count, final tick) of every path, in label order.
 
-    Returns 2^k specs for k conditionals; a conditional-free program yields
-    the single identity path labeled with the empty string.
+    A conditional-free program has the one path labeled with the empty
+    string; a path without lines ends at t=0.
     """
-    k = _count_conditionals(program, max_conditionals)
-    if k == 0:
-        return [PathSpec((), "", program)]
-    paths = []
-    for mask in range(1 << k):
-        outcomes = tuple(bool((mask >> (k - 1 - bit)) & 1) for bit in range(k))
-        paths.append(PathSpec(outcomes, _label(outcomes), _splice(program, outcomes)))
-    return paths
+    _count_conditionals(program, max_conditionals)
+    main = program.main
+    out: list[tuple[str, int, int]] = []
+
+    def walk(idx: int, delta: int, label: str, lines: int, last: int) -> None:
+        while idx < len(main) and _cond_of(main[idx]) is None:
+            lines, last = lines + 1, main[idx].t + delta
+            idx += 1
+        if idx == len(main):
+            out.append((label, lines, last))
+            return
+        for taken in (False, True):
+            inserted, child_delta = _branch(program, idx, delta, taken)
+            walk(idx + 1, child_delta, label + "01"[taken], lines + len(inserted),
+                 inserted[-1].t if inserted else last)
+
+    walk(0, 0, "", 0, 0)
+    return out
 
 
 @dataclass

@@ -103,13 +103,11 @@ def cmd_graph(args) -> int:
 def cmd_paths(args) -> int:
     try:
         program = _load_program(args.program)
-        specs = branches.enumerate_paths(program, max_conditionals=args.max_paths)
+        shapes = branches.path_shapes(program, max_conditionals=args.max_paths)
     except (OSError, ParseError, ValidationError, DmfError) as err:
         return _fail_input(err)
-    for spec in specs:
-        label = spec.label or "(linear)"
-        final = spec.program.main[-1].t if spec.program.main else 0
-        print(f"path {label}: {len(spec.program.main)} lines, ends at t={final}")
+    for label, lines, final in shapes:
+        print(f"path {label or '(linear)'}: {lines} lines, ends at t={final}")
     return 0
 
 

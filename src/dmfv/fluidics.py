@@ -8,6 +8,12 @@ then their effects commit together; a global separation check runs on the
 committed state.  It also covers every active mixer's guard region, since
 each droplet in that region is adjacent to an occupied mixer endpoint.
 
+What each instruction does is written once, in ``RULES``: the cells of the
+droplets it consumes, the cells it claims, its check and the phase in which
+its effect commits.  ``step`` walks that table, and the injection search
+reads the same consumes and claims.  One generic rule rejects a droplet
+that two instructions of a line consume; each entry keeps its own wording.
+
 ``Cursor`` is the one engine that steps lines.  ``verify_program`` and the
 path walk advance it over timed lines only; ``ticks`` also passes the idle
 ticks between lines, and rendering, ``state_at`` and the injection search
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import chip
 from .chip import ChipState, DetectionEntry, MixerEntry
@@ -34,20 +41,6 @@ from .isa import (CondCall, Dispense, DetectStart, DmfError, End, Instruction, L
 
 class EngineError(DmfError):
     pass
-
-
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    violation: Violation | None = None
-
-    @staticmethod
-    def passed() -> "Verdict":
-        return Verdict(True)
-
-    @staticmethod
-    def failed(v: Violation) -> "Verdict":
-        return Verdict(False, v)
 
 
 # --- constraint geometry -------------------------------------------------------
@@ -68,30 +61,9 @@ def move_clearance_cells(src: Loc, dst: Loc) -> tuple[Loc, ...]:
     return (Loc(r - 1, c - 1), Loc(r - 1, c), Loc(r - 1, c + 1))  # up
 
 
-def static_fc(state: ChipState, loc: Loc) -> bool:
-    """True iff a droplet sits at loc with its whole 8-neighborhood free."""
-    if not state.occupied(loc):
-        return False
-    return not any(n in state.by_loc for n in state.n8(loc))
-
-
-def sfc_conflicts(state: ChipState, loc: Loc) -> list[Loc]:
-    return sorted(n for n in state.n8(loc) if n in state.by_loc)
-
-
-def dispense_conflicts(state: ChipState, loc: Loc) -> list[Loc]:
-    cells = [loc] if loc in state.by_loc else []
-    return sorted(cells + sfc_conflicts(state, loc))
-
-
 def move_conflicts(state: ChipState, src: Loc, dst: Loc) -> list[Loc]:
     cells = move_clearance_cells(src, dst)
     return sorted(c for c in cells if state.in_bounds(c) and c in state.by_loc)
-
-
-def mixer_conflicts(state: ChipState, a: Loc, b: Loc) -> list[Loc]:
-    region = (state.n8(a) | state.n8(b)) - {a, b}
-    return sorted(c for c in region if c in state.by_loc)
 
 
 def mixer_geometry_ok(a: Loc, b: Loc, mtype: MType) -> bool:
@@ -100,174 +72,250 @@ def mixer_geometry_ok(a: Loc, b: Loc, mtype: MType) -> bool:
     return a.col == b.col and abs(a.row - b.row) == 3
 
 
-# --- standalone checks (public surface; the engine passes richer context) ------
+# --- the rule table ------------------------------------------------------------
 
-def check_dispense(state: ChipState, loc: Loc, *, t: int | None = None,
-                   claims: frozenset[Loc] = frozenset()) -> Verdict:
-    t = state.t + 1 if t is None else t
+# commit phases, applied in this order within a tick
+REMOVE, TRANSPORT, ARRIVE, BOOK = range(4)
+
+
+class LineContext:
+    """One line as the checks of its instructions see it.
+
+    ``movers`` maps each cell that a transport on the line leaves to the
+    position of the first such instruction.  As instructions pass,
+    ``claimed`` maps the cells they claim, and ``engaged`` the keys of the
+    droplets they consume, to their positions.
+    """
+
+    __slots__ = ("line", "t", "movers", "claimed", "engaged")
+
+    def __init__(self, state: ChipState, line: TimedLine):
+        self.line, self.t = line, line.t
+        self.movers: dict[Loc, int] = {}
+        self.claimed: dict[Loc, int] = {}
+        self.engaged: dict[int, int] = {}
+        for i, instr in enumerate(line.instrs):
+            rule = RULES.get(type(instr))
+            if rule is not None and rule.phase == TRANSPORT:
+                for cell in rule.consumes(state, instr):
+                    self.movers.setdefault(cell, i)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What one instruction type does on a tick.
+
+    ``consumes(state, instr)`` gives the cells of the droplets it takes up,
+    ``claims(instr)`` the cells it fills with an arriving droplet.
+    ``check(state, instr, i, ctx)`` returns its violation on the snapshot,
+    or None, for the instruction at position i of the line.  ``commit``
+    applies its effect to the tick's copy of the state in ``phase`` order.
+    ``taken`` words the row for a droplet it consumes that an earlier
+    instruction of the line already consumed: code, response and detail
+    (formatted with ``cell`` and ``instr``), and whether the row also names
+    that earlier instruction.
+    """
+    consumes: Callable[[ChipState, Instruction], tuple[Loc, ...]]
+    claims: Callable[[Instruction], tuple[Loc, ...]]
+    check: Callable[[ChipState, Instruction, int, LineContext], Violation | None]
+    phase: int
+    commit: Callable[[ChipState, Instruction, int, list], None]
+    taken: tuple[Code, str, str, bool] | None = None
+
+
+def _line_instrs(line: TimedLine, idxs) -> tuple[str, ...]:
+    return tuple(line.instrs[i].compact() for i in sorted(set(idxs)))
+
+
+def _row(code: Code, response: str, instr: Instruction, t: int, cells=(),
+         detail: str = "") -> Violation:
+    """A row that names only the instruction being checked."""
+    return classify(code, response, t=t, instructions=(instr.compact(),), cells=cells,
+                    detail=detail)
+
+
+def _pinned(state: ChipState, key: int, cell: Loc, instr: Instruction, t: int, *,
+            name_detector: bool = False) -> Violation | None:
+    """The e4 row for a droplet that an active mixer or a detection holds."""
+    mx = state.mixer_pinning(key)
+    if mx is not None:
+        return _row(Code.E4, f"Droplet on {cell} is in active mixer", instr, t, (cell,),
+                    mx.span())
+    det = state.detection_pinning(key)
+    if det is not None:
+        return _row(Code.E4, f"Droplet on {cell} is under detection", instr, t, (cell,),
+                    f"detector {det.detector}" if name_detector else "")
+    return None
+
+
+def _check_dispense(state: ChipState, instr: Dispense, i: int,
+                    ctx: LineContext) -> Violation | None:
+    loc, t = instr.loc, ctx.t
     decl = state.reservoirs.get(loc)
     if decl is None or decl.kind is not RKind.REAGENT:
-        return Verdict.failed(classify(
-            Code.E3, "Dispense from invalid input reservoir", t=t,
-            instructions=(Dispense(loc).compact(),), cells=(loc,),
-            detail=f"{loc} is not a reagent reservoir"))
-    if loc in claims:
-        return Verdict.failed(classify(
-            Code.E1, "Static fluidic constraint violated", t=t,
-            instructions=(Dispense(loc).compact(),), cells=(loc,),
-            detail=f"double claim on {loc} within the tick"))
-    conflicts = dispense_conflicts(state, loc)
+        return _row(Code.E3, "Dispense from invalid input reservoir", instr, t, (loc,),
+                    f"{loc} is not a reagent reservoir")
+    if loc in ctx.claimed:
+        return _row(Code.E1, "Static fluidic constraint violated", instr, t, (loc,),
+                    f"double claim on {loc} within the tick")
+    conflicts = sorted(c for c in state.n8(loc) | {loc} if c in state.by_loc)
     if conflicts:
-        return Verdict.failed(classify(
-            Code.E1, "Static fluidic constraint violated", t=t,
-            instructions=(Dispense(loc).compact(),), cells=tuple(conflicts),
-            detail="dispense neighborhood is not free"))
-    return Verdict.passed()
+        return _row(Code.E1, "Static fluidic constraint violated", instr, t,
+                    tuple(conflicts), "dispense neighborhood is not free")
+    return None
 
 
-def check_move(state: ChipState, src: Loc, dst: Loc, *, t: int | None = None,
-               movers: dict[Loc, int] | None = None) -> Verdict:
-    """Verify one droplet transport.
-
-    ``movers`` maps source cells of concurrent moves to their line position;
-    without it (direct calls) every clearance conflict reports as dynamic,
-    matching the raw movement rule.
-    """
-    t = state.t + 1 if t is None else t
-    instr = Move(src, dst).compact()
-    rec = state.droplet_at(src)
-    if rec is None:
-        return Verdict.failed(classify(
-            Code.E4, f"No droplet present on {src}", t=t,
-            instructions=(instr,), cells=(src,)))
-    mx = state.mixer_pinning(rec.key)
-    if mx is not None:
-        return Verdict.failed(classify(
-            Code.E4, f"Droplet on {src} is in active mixer", t=t,
-            instructions=(instr,), cells=(src,), detail=mx.span()))
-    det = state.detection_pinning(rec.key)
-    if det is not None:
-        return Verdict.failed(classify(
-            Code.E4, f"Droplet on {src} is under detection", t=t,
-            instructions=(instr,), cells=(src,), detail=f"detector {det.detector}"))
+def _check_move(state: ChipState, instr: Move, i: int,
+                ctx: LineContext) -> Violation | None:
+    src, dst, t = instr.src, instr.dst, ctx.t
+    if dst in ctx.claimed:
+        j = ctx.claimed[dst]
+        if isinstance(ctx.line.instrs[j], Move):
+            return classify(Code.E2, "Dynamic fluidic constraint violated", t=t,
+                            instructions=_line_instrs(ctx.line, [j, i]), cells=(dst,),
+                            detail="two droplets head for the same cell")
+        return classify(Code.E1, "Static fluidic constraint violated", t=t,
+                        instructions=_line_instrs(ctx.line, [j, i]), cells=(dst,),
+                        detail="destination already claimed")
+    key = state.by_loc.get(src)
+    if key is None:
+        return _row(Code.E4, f"No droplet present on {src}", instr, t, (src,))
+    pinned = _pinned(state, key, src, instr, t, name_detector=True)
+    if pinned is not None:
+        return pinned
     if dst in state.by_loc:
-        return Verdict.failed(classify(
-            Code.E1, "Static fluidic constraint violated", t=t,
-            instructions=(instr,), cells=(dst,), detail="destination cell occupied"))
+        return _row(Code.E1, "Static fluidic constraint violated", instr, t, (dst,),
+                    "destination cell occupied")
     conflicts = move_conflicts(state, src, dst)
-    if conflicts:
-        if movers is None or any(c in movers for c in conflicts):
-            return Verdict.failed(classify(
-                Code.E2, "Dynamic fluidic constraint violated", t=t,
-                instructions=(instr,), cells=tuple(conflicts)))
-        return Verdict.failed(classify(
-            Code.E1, "Static fluidic constraint violated", t=t,
-            instructions=(instr,), cells=tuple(conflicts),
-            detail="move lands next to an idle droplet"))
-    return Verdict.passed()
+    if not conflicts:
+        return None
+    moving = [ctx.movers[c] for c in conflicts if c in ctx.movers]
+    if moving:
+        # name every concurrent move whose droplet collides
+        return classify(Code.E2, "Dynamic fluidic constraint violated", t=t,
+                        instructions=_line_instrs(ctx.line, [i, *moving]),
+                        cells=tuple(conflicts))
+    return _row(Code.E1, "Static fluidic constraint violated", instr, t, tuple(conflicts),
+                "move lands next to an idle droplet")
 
 
-def _missing_text(missing: list[Loc], a: Loc, b: Loc) -> str:
-    if len(missing) == 2:
-        return f"Droplet is not present on {a} and {b}"
-    return f"Droplet is not present on {missing[0]}"
-
-
-def check_mix_start(state: ChipState, a: Loc, b: Loc, t_mix: int, mtype: MType, *,
-                    t: int | None = None,
-                    movers: dict[Loc, int] | None = None) -> Verdict:
-    t = state.t + 1 if t is None else t
-    instr = MixStart(a, b, t_mix, mtype).compact()
-    if not mixer_geometry_ok(a, b, mtype):
-        return Verdict.failed(classify(
-            Code.STRUCTURAL, f"Invalid mixer geometry for type {mtype.value}", t=t,
-            instructions=(instr,), cells=(a, b)))
-    missing = [e for e in (a, b) if e not in state.by_loc]
+def _check_mix(state: ChipState, instr: MixStart, i: int,
+               ctx: LineContext) -> Violation | None:
+    a, b, t = instr.a, instr.b, ctx.t
+    if not mixer_geometry_ok(a, b, instr.mtype):
+        return _row(Code.STRUCTURAL, f"Invalid mixer geometry for type {instr.mtype.value}",
+                    instr, t, (a, b))
+    missing = tuple(e for e in (a, b) if e not in state.by_loc)
     if missing:
-        return Verdict.failed(classify(
-            Code.E5, _missing_text(missing, a, b), t=t,
-            instructions=(instr,), cells=tuple(missing)))
+        return _row(Code.E5, "Droplet is not present on " + " and ".join(map(str, missing)),
+                    instr, t, missing)
     for endpoint in (a, b):
-        rec = state.droplet_at(endpoint)
-        mx = state.mixer_pinning(rec.key)
-        if mx is not None:
-            return Verdict.failed(classify(
-                Code.E4, f"Droplet on {endpoint} is in active mixer", t=t,
-                instructions=(instr,), cells=(endpoint,), detail=mx.span()))
-        det = state.detection_pinning(rec.key)
-        if det is not None:
-            return Verdict.failed(classify(
-                Code.E4, f"Droplet on {endpoint} is under detection", t=t,
-                instructions=(instr,), cells=(endpoint,)))
-    moving = set(movers or ())
-    conflicts = [c for c in mixer_conflicts(state, a, b) if c not in moving]
+        pinned = _pinned(state, state.by_loc[endpoint], endpoint, instr, t)
+        if pinned is not None:
+            return pinned
+    region = (state.n8(a) | state.n8(b)) - {a, b}
+    conflicts = sorted(c for c in region if c in state.by_loc and c not in ctx.movers)
     if conflicts:
-        return Verdict.failed(classify(
-            Code.E1, "Static fluidic constraint violated", t=t,
-            instructions=(instr,), cells=tuple(conflicts),
-            detail="mixer neighborhood is not free"))
-    return Verdict.passed()
+        return _row(Code.E1, "Static fluidic constraint violated", instr, t,
+                    tuple(conflicts), "mixer neighborhood is not free")
+    return None
 
 
-def _check_sink(state: ChipState, loc: Loc, kind: RKind, instr_text: str,
-                t: int) -> Verdict:
-    decl = state.reservoirs.get(loc)
-    if decl is None or decl.kind is not kind:
-        word = "waste" if kind is RKind.WASTE else "output"
-        return Verdict.failed(classify(
-            Code.E3, f"Dispense to invalid {word} reservoir", t=t,
-            instructions=(instr_text,), cells=(loc,),
-            detail=f"{loc} is not a registered {word} cell"))
-    rec = state.droplet_at(loc)
-    if rec is None:
-        return Verdict.failed(classify(
-            Code.E4, f"No droplet present on {loc}", t=t,
-            instructions=(instr_text,), cells=(loc,)))
-    mx = state.mixer_pinning(rec.key)
-    if mx is not None:
-        return Verdict.failed(classify(
-            Code.E4, f"Droplet on {loc} is in active mixer", t=t,
-            instructions=(instr_text,), cells=(loc,), detail=mx.span()))
-    det = state.detection_pinning(rec.key)
-    if det is not None:
-        return Verdict.failed(classify(
-            Code.E4, f"Droplet on {loc} is under detection", t=t,
-            instructions=(instr_text,), cells=(loc,)))
-    return Verdict.passed()
-
-
-def check_waste(state: ChipState, loc: Loc, *, t: int | None = None) -> Verdict:
-    t = state.t + 1 if t is None else t
-    return _check_sink(state, loc, RKind.WASTE, Waste(loc).compact(), t)
-
-
-def check_output(state: ChipState, loc: Loc, *, t: int | None = None) -> Verdict:
-    t = state.t + 1 if t is None else t
-    return _check_sink(state, loc, RKind.OUTPUT, Output(loc).compact(), t)
-
-
-def check_detect(state: ChipState, detector: str, *, t: int | None = None) -> Verdict:
-    t = state.t + 1 if t is None else t
-    decl = state.detectors.get(detector)
-    instr = DetectStart(detector).compact()
+def _check_detect(state: ChipState, instr: DetectStart, i: int,
+                  ctx: LineContext) -> Violation | None:
+    name, t = instr.detector, ctx.t
+    decl = state.detectors.get(name)
     if decl is None:
-        return Verdict.failed(classify(
-            Code.STRUCTURAL, f"Detector {detector} is not declared", t=t,
-            instructions=(instr,)))
-    if any(d.detector == detector for d in state.detections):
-        return Verdict.failed(classify(
-            Code.E4, f"Detector {detector} is busy", t=t,
-            instructions=(instr,), cells=(decl.loc,)))
-    rec = state.droplet_at(decl.loc)
-    if rec is None:
-        return Verdict.failed(classify(
-            Code.E4, f"No droplet on detector {detector} at {decl.loc}", t=t,
-            instructions=(instr,), cells=(decl.loc,)))
-    if state.mixer_pinning(rec.key) is not None:
-        return Verdict.failed(classify(
-            Code.E4, f"Droplet on {decl.loc} is in active mixer", t=t,
-            instructions=(instr,), cells=(decl.loc,)))
-    return Verdict.passed()
+        return _row(Code.STRUCTURAL, f"Detector {name} is not declared", instr, t)
+    if any(d.detector == name for d in state.detections):
+        return _row(Code.E4, f"Detector {name} is busy", instr, t, (decl.loc,))
+    key = state.by_loc.get(decl.loc)
+    if key is None:
+        return _row(Code.E4, f"No droplet on detector {name} at {decl.loc}", instr, t,
+                    (decl.loc,))
+    if state.mixer_pinning(key) is not None:
+        return _row(Code.E4, f"Droplet on {decl.loc} is in active mixer", instr, t,
+                    (decl.loc,))
+    return None
+
+
+def _commit_dispense(state: ChipState, instr: Dispense, t: int, events: list) -> None:
+    reagent = state.reservoirs[instr.loc].name
+    rec = state._add(reagent, instr.loc, CFVector.unit(reagent), t)
+    events.append(chip.Dispensed(t, reagent, instr.loc, rec.key, rec.cf))
+
+
+def _commit_move(state: ChipState, instr: Move, t: int, events: list) -> None:
+    state._move(state.by_loc[instr.src], instr.dst)
+
+
+def _commit_mix(state: ChipState, instr: MixStart, t: int, events: list) -> None:
+    ka, kb = state.by_loc[instr.a], state.by_loc[instr.b]
+    entry = MixerEntry(instr.a, instr.b, t, t + instr.t_mix + 1, instr.mtype,
+                       (ka, kb), (state.droplets[ka].node, state.droplets[kb].node))
+    state.mixers = state.mixers + (entry,)
+    events.append(chip.MixStarted(t, instr.a, instr.b, entry.t_e, instr.mtype,
+                                  entry.input_nodes))
+
+
+def _commit_detect(state: ChipState, instr: DetectStart, t: int, events: list) -> None:
+    decl = state.detectors[instr.detector]
+    state.detections = state.detections + (
+        DetectionEntry(instr.detector, state.by_loc[decl.loc], decl.loc, t + decl.duration),)
+
+
+def _sink(kind: RKind, event) -> Rule:
+    """The rule of ``waste`` or ``output``: the droplet leaves through a sink."""
+    word = "waste" if kind is RKind.WASTE else "output"
+
+    def check(state: ChipState, instr, i: int, ctx: LineContext) -> Violation | None:
+        loc, t = instr.loc, ctx.t
+        decl = state.reservoirs.get(loc)
+        if decl is None or decl.kind is not kind:
+            return _row(Code.E3, f"Dispense to invalid {word} reservoir", instr, t, (loc,),
+                        f"{loc} is not a registered {word} cell")
+        key = state.by_loc.get(loc)
+        if key is None:
+            return _row(Code.E4, f"No droplet present on {loc}", instr, t, (loc,))
+        return _pinned(state, key, loc, instr, t)
+
+    def commit(state: ChipState, instr, t: int, events: list) -> None:
+        rec = state._remove(state.by_loc[instr.loc])
+        events.append(event(t, rec.node, instr.loc, rec.cf))
+
+    return Rule(consumes=lambda state, instr: (instr.loc,), claims=_no_cells,
+                check=check, phase=REMOVE, commit=commit,
+                taken=(Code.E4, "No droplet present on {cell}",
+                       "droplet consumed by a concurrent instruction", False))
+
+
+def _no_cells(*_) -> tuple[Loc, ...]:
+    return ()
+
+
+def _detector_cell(state: ChipState, instr: DetectStart) -> tuple[Loc, ...]:
+    decl = state.detectors.get(instr.detector)
+    return () if decl is None else (decl.loc,)
+
+
+RULES: dict[type, Rule] = {
+    Dispense: Rule(consumes=_no_cells, claims=lambda instr: (instr.loc,),
+                   check=_check_dispense, phase=ARRIVE, commit=_commit_dispense),
+    Move: Rule(consumes=lambda state, instr: (instr.src,), claims=lambda instr: (instr.dst,),
+               check=_check_move, phase=TRANSPORT, commit=_commit_move,
+               taken=(Code.E4, "Droplet on {cell} is used by a concurrent instruction",
+                      "", True)),
+    MixStart: Rule(consumes=lambda state, instr: (instr.a, instr.b), claims=_no_cells,
+                   check=_check_mix, phase=BOOK, commit=_commit_mix,
+                   taken=(Code.E5, "Droplet is not present on {cell}",
+                          "endpoint droplet consumed by a concurrent instruction", False)),
+    Waste: _sink(RKind.WASTE, chip.Wasted),
+    Output: _sink(RKind.OUTPUT, chip.Outputted),
+    DetectStart: Rule(consumes=_detector_cell, claims=_no_cells,
+                      check=_check_detect, phase=BOOK, commit=_commit_detect,
+                      taken=(Code.E4, "No droplet on detector {instr.detector} at {cell}",
+                             "", False)),
+}
 
 
 # --- stepping ------------------------------------------------------------------
@@ -279,14 +327,23 @@ class StepResult:
     events: list[chip.Event]
 
 
-def _line_instrs(line: TimedLine, idxs: list[int]) -> tuple[str, ...]:
-    return tuple(line.instrs[i].compact() for i in sorted(set(idxs)))
-
-
 def expire(state: ChipState, t: int) -> tuple[ChipState, list[chip.MixCompleted]]:
     """Resolve the mixers and detections due by tick t, before its line runs."""
     state, completed = chip.expire_mixers(state, t)
     return chip.expire_detections(state, t), completed
+
+
+def _consumed_twice(snapshot: ChipState, ctx: LineContext, rule: Rule,
+                    instr: Instruction, i: int, cells: tuple[Loc, ...]) -> Violation | None:
+    """The generic rule: no droplet is consumed by two instructions of a line."""
+    for cell in cells:
+        j = ctx.engaged.get(snapshot.by_loc.get(cell))
+        if j is not None:
+            code, response, detail, both = rule.taken
+            return classify(code, response.format(cell=cell, instr=instr), t=ctx.t,
+                            instructions=_line_instrs(ctx.line, [j, i] if both else [i]),
+                            cells=(cell,), detail=detail)
+    return None
 
 
 def step(state: ChipState, line: TimedLine, *, policy: str = "first",
@@ -304,32 +361,33 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     snapshot, completed = expire(state, t)
     events: list[chip.Event] = list(completed)
     violations: list[Violation] = []
-    movers: dict[Loc, int] = {}
-    for i, instr in enumerate(line.instrs):
-        if isinstance(instr, Move) and instr.src not in movers:
-            movers[instr.src] = i
-
-    claimed: dict[Loc, int] = {}
-    engaged: dict[int, int] = {}   # droplet key -> instruction index
+    ctx = LineContext(snapshot, line)
     effects: list[tuple[int, Instruction]] = []
 
     for i, instr in enumerate(line.instrs):
-        if isinstance(instr, CondCall):
-            raise EngineError("conditional programs must be expanded into paths first")
-        if isinstance(instr, End):
-            continue
-        v = _check_one(snapshot, line, i, instr, t, movers, claimed, engaged)
+        rule = RULES.get(type(instr))
+        if rule is None:
+            if isinstance(instr, CondCall):
+                raise EngineError("conditional programs must be expanded into paths first")
+            continue    # end
+        consumed = rule.consumes(snapshot, instr)
+        v = _consumed_twice(snapshot, ctx, rule, instr, i, consumed)
+        if v is None:
+            v = rule.check(snapshot, instr, i, ctx)
         if v is not None:
             violations.append(v)
             if policy == "first":
                 return StepResult(snapshot, violations, events)
             continue
-        _plan(snapshot, instr, i, claimed, engaged)
+        for cell in rule.claims(instr):
+            ctx.claimed[cell] = i
+        for cell in consumed:
+            ctx.engaged[snapshot.by_loc[cell]] = i
         effects.append((i, instr))
 
-    new, more = _commit(snapshot, line, effects, t)
+    new, more = _commit(snapshot, effects, t)
     events.extend(more)
-    post = _post_checks(new, line, claimed, t)
+    post = _post_checks(new, line, ctx.claimed, t)
     if post:
         violations.extend(post)
         if policy == "first":
@@ -345,121 +403,19 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     return StepResult(new, violations, events)
 
 
-def _check_one(snapshot: ChipState, line: TimedLine, i: int, instr: Instruction,
-               t: int, movers: dict[Loc, int], claimed: dict[Loc, int],
-               engaged: dict[int, int]) -> Violation | None:
-    if isinstance(instr, Dispense):
-        verdict = check_dispense(snapshot, instr.loc, t=t,
-                                 claims=frozenset(claimed))
-        return verdict.violation
-
-    if isinstance(instr, Move):
-        rec = snapshot.droplet_at(instr.src)
-        if rec is not None and rec.key in engaged:
-            return classify(Code.E4, f"Droplet on {instr.src} is used by a "
-                            "concurrent instruction", t=t,
-                            instructions=_line_instrs(line, [engaged[rec.key], i]),
-                            cells=(instr.src,))
-        if instr.dst in claimed:
-            other = claimed[instr.dst]
-            if isinstance(line.instrs[other], Move):
-                return classify(Code.E2, "Dynamic fluidic constraint violated", t=t,
-                                instructions=_line_instrs(line, [other, i]),
-                                cells=(instr.dst,),
-                                detail="two droplets head for the same cell")
-            return classify(Code.E1, "Static fluidic constraint violated", t=t,
-                            instructions=_line_instrs(line, [other, i]),
-                            cells=(instr.dst,), detail="destination already claimed")
-        verdict = check_move(snapshot, instr.src, instr.dst, t=t, movers=movers)
-        if verdict.ok:
-            return None
-        v = verdict.violation
-        if v.code is Code.E2:
-            # name every concurrent move whose droplet collides
-            idxs = [i] + [movers[c] for c in v.cells if c in movers and movers[c] != i]
-            v = classify(Code.E2, v.response, t=t,
-                         instructions=_line_instrs(line, idxs), cells=v.cells)
-        return v
-
-    if isinstance(instr, MixStart):
-        for endpoint in (instr.a, instr.b):
-            rec = snapshot.droplet_at(endpoint)
-            if rec is not None and rec.key in engaged:
-                return classify(Code.E5, _missing_text([endpoint], instr.a, instr.b),
-                                t=t, instructions=(instr.compact(),), cells=(endpoint,),
-                                detail="endpoint droplet consumed by a concurrent instruction")
-        return check_mix_start(snapshot, instr.a, instr.b, instr.t_mix, instr.mtype,
-                               t=t, movers=movers).violation
-
-    if isinstance(instr, (Waste, Output)):
-        rec = snapshot.droplet_at(instr.loc)
-        if rec is not None and rec.key in engaged:
-            return classify(Code.E4, f"No droplet present on {instr.loc}", t=t,
-                            instructions=(instr.compact(),), cells=(instr.loc,),
-                            detail="droplet consumed by a concurrent instruction")
-        check = check_waste if isinstance(instr, Waste) else check_output
-        return check(snapshot, instr.loc, t=t).violation
-
-    if isinstance(instr, DetectStart):
-        decl = snapshot.detectors.get(instr.detector)
-        if decl is not None:
-            rec = snapshot.droplet_at(decl.loc)
-            if rec is not None and rec.key in engaged:
-                return classify(Code.E4, f"No droplet on detector {instr.detector} "
-                                f"at {decl.loc}", t=t,
-                                instructions=(instr.compact(),), cells=(decl.loc,))
-        return check_detect(snapshot, instr.detector, t=t).violation
-    return None
+def _phase(effect: tuple[int, Instruction]) -> int:
+    return RULES[type(effect[1])].phase
 
 
-def _plan(snapshot: ChipState, instr: Instruction, i: int,
-          claimed: dict[Loc, int], engaged: dict[int, int]) -> None:
-    if isinstance(instr, Dispense):
-        claimed[instr.loc] = i
-    elif isinstance(instr, Move):
-        claimed[instr.dst] = i
-        engaged[snapshot.by_loc[instr.src]] = i
-    elif isinstance(instr, MixStart):
-        engaged[snapshot.by_loc[instr.a]] = i
-        engaged[snapshot.by_loc[instr.b]] = i
-    elif isinstance(instr, (Waste, Output)):
-        engaged[snapshot.by_loc[instr.loc]] = i
-    elif isinstance(instr, DetectStart):
-        decl = snapshot.detectors[instr.detector]
-        engaged[snapshot.by_loc[decl.loc]] = i
-
-
-def _commit(snapshot: ChipState, line: TimedLine,
-            effects: list[tuple[int, Instruction]], t: int) -> tuple[ChipState, list[chip.Event]]:
+def _commit(snapshot: ChipState, effects: list[tuple[int, Instruction]],
+            t: int) -> tuple[ChipState, list[chip.Event]]:
+    """Apply the effects of the passed instructions to one copy of the snapshot,
+    phase by phase (removals, transports, arrivals, bookkeeping), each phase
+    in line order."""
     new = snapshot.at_tick(t)   # the one copy of this tick; updated in place
     events: list[chip.Event] = []
-    # removals first, then transports, then arrivals, then bookkeeping
-    for _, instr in effects:
-        if isinstance(instr, (Waste, Output)):
-            rec = new._remove(new.by_loc[instr.loc])
-            ev = chip.Wasted if isinstance(instr, Waste) else chip.Outputted
-            events.append(ev(t, rec.node, instr.loc, rec.cf))
-    for _, instr in effects:
-        if isinstance(instr, Move):
-            new._move(new.by_loc[instr.src], instr.dst)
-    for _, instr in effects:
-        if isinstance(instr, Dispense):
-            reagent = new.reservoirs[instr.loc].name
-            rec = new._add(reagent, instr.loc, CFVector.unit(reagent), t)
-            events.append(chip.Dispensed(t, reagent, instr.loc, rec.key, rec.cf))
-    for _, instr in effects:
-        if isinstance(instr, MixStart):
-            ka, kb = new.by_loc[instr.a], new.by_loc[instr.b]
-            entry = MixerEntry(instr.a, instr.b, t, t + instr.t_mix + 1, instr.mtype,
-                               (ka, kb), (new.droplets[ka].node, new.droplets[kb].node))
-            new.mixers = new.mixers + (entry,)
-            events.append(chip.MixStarted(t, instr.a, instr.b, entry.t_e, instr.mtype,
-                                          entry.input_nodes))
-        elif isinstance(instr, DetectStart):
-            decl = new.detectors[instr.detector]
-            entry = DetectionEntry(instr.detector, new.by_loc[decl.loc], decl.loc,
-                                   t + decl.duration)
-            new.detections = new.detections + (entry,)
+    for _, instr in sorted(effects, key=_phase):
+        RULES[type(instr)].commit(new, instr, t, events)
     return new, events
 
 

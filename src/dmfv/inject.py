@@ -110,28 +110,25 @@ def swap_reagent_names(program: Program, a: str, b: str) -> Program:
 _DIRS = (Loc(-1, 0), Loc(1, 0), Loc(0, -1), Loc(0, 1))
 
 
-def _line_context(line: TimedLine | None):
+def _line_context(state: chip.ChipState, line: TimedLine | None):
+    """Cells the line's moves leave, cells its other instructions consume, and
+    cells it claims, read from the engine's rule table."""
     move_srcs: set[Loc] = set()
-    busy: set[Loc] = set()      # engaged by non-move instructions
+    busy: set[Loc] = set()
     claimed: set[Loc] = set()
-    if line is not None:
-        for instr in line.instrs:
-            if isinstance(instr, Move):
-                move_srcs.add(instr.src)
-                claimed.add(instr.dst)
-            elif isinstance(instr, Dispense):
-                claimed.add(instr.loc)
-            elif isinstance(instr, MixStart):
-                busy.update((instr.a, instr.b))
-            elif hasattr(instr, "loc"):
-                busy.add(instr.loc)
+    for instr in line.instrs if line is not None else ():
+        rule = fluidics.RULES.get(type(instr))
+        if rule is not None:
+            consumed = rule.consumes(state, instr)
+            (move_srcs if rule.phase == fluidics.TRANSPORT else busy).update(consumed)
+            claimed.update(rule.claims(instr))
     return move_srcs, busy, claimed
 
 
 def _sites(state: chip.ChipState, line: TimedLine | None, *, want_dynamic: bool):
     """(src, dst) of each move that, added to ``line`` on the state the line
     finds, trips the clearance rule next to a moving (e2) or idle (e1) droplet."""
-    move_srcs, busy, claimed = _line_context(line)
+    move_srcs, busy, claimed = _line_context(state, line)
     for src in sorted(state.by_loc):
         rec = state.droplets[state.by_loc[src]]
         if (src in busy or src in move_srcs or state.mixer_pinning(rec.key)
@@ -219,23 +216,25 @@ def _inject_e4(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
     return p, f"added {Move(a, dst).compact()} at t={t} (droplet is mixing until t={t_s + mix.t_mix + 1})"
 
 
-def _first_mix(program: Program) -> tuple[int, int, MixStart]:
-    for ln in program.main:
-        for pos, instr in enumerate(ln.instrs):
-            if isinstance(instr, MixStart):
-                return ln.t, pos, instr
-    raise MutationInapplicable("no mixing operation present")
+def _mix_at(program: Program, t: int | None, pos: int | None) -> tuple[int, int, MixStart]:
+    """(t, pos, mix) of the mix at position ``pos`` (default 0) of line t, or
+    of the program's first mix when t is None."""
+    if t is None:
+        for ln in program.main:
+            for p, instr in enumerate(ln.instrs):
+                if isinstance(instr, MixStart):
+                    return ln.t, p, instr
+        raise MutationInapplicable("no mixing operation present")
+    pos = pos or 0
+    line = program.line_at(t)
+    if line is None or not 0 <= pos < len(line.instrs) or not isinstance(
+            line.instrs[pos], MixStart):
+        raise MutationInapplicable(f"no mix instruction at t={t} #{pos}")
+    return t, pos, line.instrs[pos]
 
 
 def _inject_e5(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
-    if spec.line is not None:
-        t, pos = spec.line, spec.pos or 0
-        line = program.line_at(t)
-        if line is None or not isinstance(line.instrs[pos], MixStart):
-            raise MutationInapplicable(f"no mix instruction at t={t} #{pos}")
-        mix = line.instrs[pos]
-    else:
-        t, pos, mix = _first_mix(program)
+    t, pos, mix = _mix_at(program, spec.line, spec.pos)
     if t < 1:
         raise MutationInapplicable("cannot schedule the mixer any earlier")
     p = shift_instruction(program, t, pos, t - 1)
@@ -243,14 +242,7 @@ def _inject_e5(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
 
 
 def _inject_e6(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
-    if spec.line is not None:
-        t, pos = spec.line, spec.pos or 0
-        line = program.line_at(t)
-        if line is None or pos >= len(line.instrs) or not isinstance(line.instrs[pos], MixStart):
-            raise MutationInapplicable(f"no mix instruction at t={t} #{pos}")
-        mix = line.instrs[pos]
-    else:
-        t, pos, mix = _first_mix(program)
+    t, pos, mix = _mix_at(program, spec.line, spec.pos)
     duration = spec.duration if spec.duration is not None else max(1, mix.t_mix - 2)
     if duration >= mix.t_mix:
         raise MutationInapplicable("shortened duration must be below the original")

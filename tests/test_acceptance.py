@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from dmfv.branches import enumerate_paths, verify_all_paths
+from dmfv.branches import verify_all_paths
 from dmfv.chip import init_state
 from dmfv.diag import CAUSE, Code
 from dmfv.fluidics import step, verify_program
@@ -21,6 +21,7 @@ from dmfv.pins import (check_case1, check_dispense_pins, check_pair,
                        dedicated_map, parse_pins, verify_program_pins)
 
 from conftest import load
+from test_branches import enumerate_paths
 from test_oracle import run_oracle_equivalence
 from test_pins import DISPENSE_PINS, MOVE_PINS, droplets, make_map
 

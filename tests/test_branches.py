@@ -1,11 +1,12 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from dmfv import fluidics
-from dmfv.branches import (NestedConditional, PathLimitExceeded, _check_outputs,
-                           _output_cfs, _tagged, enumerate_paths, merge_reports,
-                           verify_all_paths)
+from dmfv.branches import (NestedConditional, PathLimitExceeded, _branch, _check_outputs,
+                           _cond_of, _count_conditionals, _label, _output_cfs, _tagged,
+                           merge_reports, path_shapes, verify_all_paths)
 from dmfv.diag import Code, format_report
 from dmfv.graph import conformance, parse_input_sg, reconstruct
 from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, parse_program,
@@ -13,6 +14,45 @@ from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, parse_p
 from dmfv.pins import dedicated_map
 
 from conftest import load
+
+
+# --- naive splicing: each path as a straight-line program (oracle) ---------------
+
+@dataclass(frozen=True)
+class PathSpec:
+    outcomes: tuple[bool, ...]      # one entry per conditional, program order
+    label: str                      # e.g. "10" (1 = recovery taken)
+    program: Program                # spliced straight-line program
+
+
+def _splice(program: Program, outcomes: tuple[bool, ...]) -> Program:
+    lines: list[TimedLine] = []
+    delta = 0
+    cond_i = 0
+    for idx, line in enumerate(program.main):
+        if _cond_of(line) is None:
+            lines.append(TimedLine(line.t + delta, line.instrs))
+            continue
+        inserted, delta = _branch(program, idx, delta, outcomes[cond_i])
+        lines.extend(inserted)
+        cond_i += 1
+    return Program(program.header, tuple(lines), program.detectors, {}, program.t_max)
+
+
+def enumerate_paths(program: Program, *, max_conditionals: int = 16) -> list[PathSpec]:
+    """Every execution path of a conditional program, spliced, in label order.
+
+    Returns 2^k specs for k conditionals; a conditional-free program yields
+    the single identity path labeled with the empty string.
+    """
+    k = _count_conditionals(program, max_conditionals)
+    if k == 0:
+        return [PathSpec((), "", program)]
+    paths = []
+    for mask in range(1 << k):
+        outcomes = tuple(bool((mask >> (k - 1 - bit)) & 1) for bit in range(k))
+        paths.append(PathSpec(outcomes, _label(outcomes), _splice(program, outcomes)))
+    return paths
 
 
 def test_linear_program_single_path():
@@ -104,6 +144,8 @@ def test_path_limit_guard():
     prog = _synthetic_conditional(3)
     with pytest.raises(PathLimitExceeded):
         enumerate_paths(prog, max_conditionals=2)
+    with pytest.raises(PathLimitExceeded):
+        path_shapes(prog, max_conditionals=2)
 
 
 def test_nested_conditional_rejected():
@@ -113,6 +155,21 @@ def test_nested_conditional_rejected():
     prog = parse_program(text, validate=False)
     with pytest.raises(NestedConditional):
         enumerate_paths(prog)
+    with pytest.raises(NestedConditional):
+        path_shapes(prog)
+
+
+def test_path_shapes_match_spliced_paths():
+    rng = random.Random(20080801)
+    programs = [parse_program(load(n)) for n in ("recovery.dmf", "twowaymix.dmf")]
+    programs += [_synthetic_conditional(k) for k in (1, 2, 3)]
+    programs += [_random_conditional(rng, c) for c in range(6) for _ in range(5)]
+    programs.append(Program(programs[0].header, ()))
+    for prog in programs:
+        want = [(s.label, len(s.program.main), s.program.main[-1].t if s.program.main else 0)
+                for s in enumerate_paths(prog)]
+        assert path_shapes(prog) == want
+    assert path_shapes(programs[-1]) == [("", 0, 0)]
 
 
 def test_verify_all_paths_clean_and_output_conformance():

@@ -101,8 +101,10 @@ def test_paths_listing(capsys):
     rc = main(["paths", fx("recovery.dmf")])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "path 11" in out and "ends at t=69" in out
-    assert out.count("path ") == 4
+    assert out == ("path 00: 24 lines, ends at t=35\npath 01: 41 lines, ends at t=56\n"
+                   "path 10: 33 lines, ends at t=48\npath 11: 50 lines, ends at t=69\n")
+    assert main(["paths", fx("pcr.dmf")]) == 0
+    assert capsys.readouterr().out == "path (linear): 16 lines, ends at t=34\n"
 
 
 def test_graph_dot_output(capsys):
@@ -198,6 +200,24 @@ def test_inject_pin_companion_file(tmp_path, capsys):
     assert written == load("mplex_pin1.pins")
 
 
+def test_inject_e1_skips_droplet_under_detect(tmp_path, capsys):
+    # at t=9 the droplet on (3,3) starts a detection next to an idle droplet
+    # on (3,5); moving either toward the other is no e1 site while it does
+    path = tmp_path / "detect.dmf"
+    path.write_text("dim(8,8)\naccuracy 5\nR(1,1,S) R(1,5,B)\nD(d1,3,3,2)\n"
+                    "1 d(1,1)\n2 m([1,1]->[2,1])\n3 m([2,1]->[3,1])\n4 m([3,1]->[3,2])\n"
+                    "5 m([3,2]->[3,3])\n6 d(1,5)\n7 m([1,5]->[2,5])\n8 m([2,5]->[3,5])\n"
+                    "9 detect(d1)\n12 end\n")
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["inject", str(path), "--error", "e1", "-o", str(tmp_path / "e1.dmf")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "added m(3,5,3,4) at t=10 (lands next to an idle droplet)")
+    _, report = verify_program(parse_program((tmp_path / "e1.dmf").read_text()))
+    first = next(v for v in report.violations if not v.secondary)
+    assert (first.code.value, first.t, first.instructions) == ("e1", 10, ("m(3,5,3,4)",))
+
+
 def test_inject_inapplicable_exit_two(tmp_path, capsys):
     empty = tmp_path / "empty.dmf"
     empty.write_text("dim(3,3)\naccuracy 1\nR(1,1,S)\n0 end\n")
@@ -258,25 +278,33 @@ def _mutate_dmf(rng, text: str) -> str:
 
 def test_cli_survives_mutated_dmf_files(tmp_path, capsys):
     rng = random.Random(1618)
+    site = random.Random(1729)          # --line/--pos of the e5/e6 runs
     prog = tmp_path / "mutated.dmf"
     codes = Counter()
     for _ in range(200):
         text = _mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES)))
         prog.write_text(text)
         at = str(rng.randrange(0, 40))
+        stamps = [ln.split()[0] for ln in text.splitlines() if ln.split()[0].isdigit()]
+        line = site.choice(stamps + ["0", "999"])
+        pos = site.choice((0, 0, 1, 2, 9, -1, -9))
         for argv in (["verify", str(prog)], ["render", str(prog), "--at", at],
                      ["render", str(prog), "--animate"], ["graph", str(prog)],
                      ["inject", str(prog), "--error", "e1", "-o", str(tmp_path / "e1.dmf")],
-                     ["inject", str(prog), "--error", "e2", "-o", str(tmp_path / "e2.dmf")]):
+                     ["inject", str(prog), "--error", "e2", "-o", str(tmp_path / "e2.dmf")],
+                     *(["inject", str(prog), "--error", e, f"--line={line}", f"--pos={pos}",
+                        "-o", str(tmp_path / f"{e}.dmf")] for e in ("e5", "e6"))):
             rc = main(argv)
             err = capsys.readouterr().err
             assert rc in (0, 1, 2), (argv, text)
             assert rc != 2 or err.startswith("error: "), (argv, text, err)
             codes[argv[0], rc] += 1
+            if argv[0] == "inject":
+                codes[argv[3], rc] += 1
     # the corpus reaches every exit code of every command
     assert all(codes[cmd, rc] for cmd in ("verify", "render", "graph")
                for rc in (0, 1, 2)), codes
-    assert codes["inject", 0] and codes["inject", 2], codes
+    assert all(codes[e, rc] for e in ("e1", "e2", "e5", "e6") for rc in (0, 2)), codes
 
 
 _SG_PAIRS = (("twowaymix.dmf", "twowaymix.sg"), ("pcr.dmf", "pcr.sg"),

@@ -6,15 +6,13 @@ import pytest
 from dmfv import fluidics, inject
 from dmfv.chip import expire_detections, expire_mixers, init_state
 from dmfv.diag import Code
-from dmfv.fluidics import (EngineError, check_dispense, check_mix_start, check_move,
-                           check_output, check_waste, mixer_conflicts,
-                           move_clearance_cells, sfc_conflicts, state_at, static_fc,
-                           step, ticks, verify_program)
+from dmfv.fluidics import EngineError, move_clearance_cells, state_at, step, ticks, verify_program
 from dmfv.graph import CFVector
-from dmfv.isa import (ChipHeader, Loc, MType, ReservoirDecl, RKind,
-                      parse_program)
+from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, Loc, MixStart, Move,
+                      MType, Output, ReservoirDecl, RKind, TimedLine, Waste, parse_program)
 
 from conftest import load
+from test_oracle import check, separation_partners, static_fc
 
 
 def header(rows, cols, reservoirs=()):
@@ -35,71 +33,72 @@ def test_static_fc_instance_on_6x6():
     st = state_with(6, 6, [Loc(3, 3)])
     assert static_fc(st, Loc(3, 3))
     # the constraint instance is the conjunction over the eight neighbors
-    assert sfc_conflicts(st, Loc(3, 3)) == []
+    assert separation_partners(st, Loc(3, 3)) == []
     st2 = state_with(6, 6, [Loc(3, 3), Loc(4, 4)])
     assert not static_fc(st2, Loc(3, 3))
-    assert sfc_conflicts(st2, Loc(3, 3)) == [Loc(4, 4)]
+    assert separation_partners(st2, Loc(3, 3)) == [Loc(4, 4)]
 
 
 def test_check_dispense_worked_example():
     res = (ReservoirDecl(Loc(1, 1), RKind.REAGENT, "S"),)
-    ok = check_dispense(state_with(5, 4, EXAMPLE_STATE, res), Loc(1, 1))
-    assert ok.ok
-    bad = check_dispense(state_with(5, 4, EXAMPLE_STATE + [Loc(2, 2)], res), Loc(1, 1))
-    assert not bad.ok
-    assert bad.violation.code is Code.E1
-    assert Loc(2, 2) in bad.violation.cells
+    ok = check(state_with(5, 4, EXAMPLE_STATE, res), Dispense(Loc(1, 1)))
+    assert ok is None
+    bad = check(state_with(5, 4, EXAMPLE_STATE + [Loc(2, 2)], res), Dispense(Loc(1, 1)))
+    assert bad is not None
+    assert bad.code is Code.E1
+    assert Loc(2, 2) in bad.cells
 
 
 def test_check_dispense_wrong_reservoir_is_e3():
     res = (ReservoirDecl(Loc(3, 1), RKind.REAGENT, "R1"),)
-    v = check_dispense(state_with(15, 15, [], res), Loc(2, 1)).violation
+    v = check(state_with(15, 15, [], res), Dispense(Loc(2, 1)))
     assert v.code is Code.E3
     assert v.response == "Dispense from invalid input reservoir"
 
 
 def test_check_move_worked_examples():
     st = state_with(5, 4, EXAMPLE_STATE)
-    up = check_move(st, Loc(3, 3), Loc(2, 3))
-    assert up.ok
+    up = check(st, Move(Loc(3, 3), Loc(2, 3)))
+    assert up is None
     assert move_clearance_cells(Loc(3, 3), Loc(2, 3)) == (
         Loc(1, 2), Loc(1, 3), Loc(1, 4))
-    left = check_move(st, Loc(3, 3), Loc(3, 2))
-    assert not left.ok
-    assert Loc(4, 1) in left.violation.cells  # conflicts on that cell
-    missing = check_move(st, Loc(2, 2), Loc(2, 3))
-    assert missing.violation.code is Code.E4
+    left = check(st, Move(Loc(3, 3), Loc(3, 2)))
+    assert left is not None
+    assert Loc(4, 1) in left.cells  # conflicts on that cell
+    missing = check(st, Move(Loc(2, 2), Loc(2, 3)))
+    assert missing.code is Code.E4
 
 
 def test_check_move_conflict_with_idle_droplet_is_static_in_context():
     st = state_with(5, 4, EXAMPLE_STATE)
-    v = check_move(st, Loc(3, 3), Loc(3, 2), movers={Loc(3, 3): 0}).violation
+    left = Move(Loc(3, 3), Loc(3, 2))
+    v = check(st, left, TimedLine(1, (left,)))
     assert v.code is Code.E1    # the droplet on (4,1) stays put
-    v = check_move(st, Loc(3, 3), Loc(3, 2), movers={Loc(3, 3): 0, Loc(4, 1): 1}).violation
+    v = check(st, left, TimedLine(1, (left, Move(Loc(4, 1), Loc(5, 1)))))
     assert v.code is Code.E2    # both droplets in motion: dynamic
 
 
 def test_check_mix_start_linear_instance():
     st = state_with(6, 6, [Loc(5, 2), Loc(5, 5)])
-    assert check_mix_start(st, Loc(5, 2), Loc(5, 5), 12, MType.H14).ok
+    # passing means every one of the 16 negated cells below is free
+    assert check(st, MixStart(Loc(5, 2), Loc(5, 5), 12, MType.H14)) is None
     # the 18-literal instance: 2 positive endpoints + 16 negated cells
     region = (st.n8(Loc(5, 2)) | st.n8(Loc(5, 5))) - {Loc(5, 2), Loc(5, 5)}
     expected = ({Loc(4, j) for j in range(1, 7)} | {Loc(6, j) for j in range(1, 7)}
                 | {Loc(5, 1), Loc(5, 3), Loc(5, 4), Loc(5, 6)})
     assert region == expected
-    assert mixer_conflicts(st, Loc(5, 2), Loc(5, 5)) == []
 
 
 def test_check_mix_start_missing_droplets_is_e5():
     st = state_with(15, 15, [Loc(11, 3), Loc(11, 8)])
-    v = check_mix_start(st, Loc(11, 4), Loc(11, 7), 6, MType.H14).violation
+    v = check(st, MixStart(Loc(11, 4), Loc(11, 7), 6, MType.H14))
     assert v.code is Code.E5
     assert v.response == "Droplet is not present on (11,4) and (11,7)"
 
 
 def test_check_mix_start_geometry():
     st = state_with(6, 6, [Loc(5, 2), Loc(5, 4)])
-    v = check_mix_start(st, Loc(5, 2), Loc(5, 4), 12, MType.H14).violation
+    v = check(st, MixStart(Loc(5, 2), Loc(5, 4), 12, MType.H14))
     assert v.code is Code.STRUCTURAL
 
 
@@ -108,10 +107,49 @@ def test_check_waste_and_output():
            ReservoirDecl(Loc(5, 1), RKind.OUTPUT),
            ReservoirDecl(Loc(1, 1), RKind.REAGENT, "S"))
     st = state_with(5, 4, [Loc(5, 4)], res)
-    assert check_waste(st, Loc(5, 4)).ok
-    assert check_waste(state_with(5, 4, [], res), Loc(5, 4)).violation.code is Code.E4
-    assert check_output(st, Loc(5, 4)).violation.code is Code.E3
-    assert check_waste(st, Loc(3, 3)).violation.code is Code.E3
+    assert check(st, Waste(Loc(5, 4))) is None
+    assert check(state_with(5, 4, [], res), Waste(Loc(5, 4))).code is Code.E4
+    assert check(st, Output(Loc(5, 4))).code is Code.E3
+    assert check(st, Waste(Loc(3, 3))).code is Code.E3
+
+
+# one droplet on (3,2), the endpoint of a 1x4 mixer and the cell of detector d1,
+# consumed twice on one line: the second instruction's row, as each kind words it
+_CONSUMERS = {"move": Move(Loc(3, 2), Loc(2, 2)),
+              "mix": MixStart(Loc(3, 2), Loc(3, 5), 4, MType.H14),
+              "waste": Waste(Loc(3, 2)), "output": Output(Loc(3, 2)),
+              "detect": DetectStart("d1")}
+_SECOND_ROW = {
+    "move": (Code.E4, "Droplet on (3,2) is used by a concurrent instruction", ""),
+    "mix": (Code.E5, "Droplet is not present on (3,2)",
+            "endpoint droplet consumed by a concurrent instruction"),
+    "waste": (Code.E4, "No droplet present on (3,2)",
+              "droplet consumed by a concurrent instruction"),
+    "output": (Code.E4, "No droplet present on (3,2)",
+               "droplet consumed by a concurrent instruction"),
+    "detect": (Code.E4, "No droplet on detector d1 at (3,2)", ""),
+}
+_TEXT = {"move": "m(3,2,2,2)", "mix": "mix(3,2,3,5,4,14)", "waste": "waste(3,2)",
+         "output": "output(3,2)", "detect": "detect(d1)"}
+
+
+@pytest.mark.parametrize("first", sorted(_CONSUMERS))
+@pytest.mark.parametrize("second", sorted(_CONSUMERS))
+def test_droplet_consumed_by_two_instructions(first, second):
+    # the sink kind of the cell lets a first waste or output pass
+    kind = {"waste": RKind.WASTE, "output": RKind.OUTPUT}.get(first, RKind.WASTE)
+    st = init_state(header(6, 7, [ReservoirDecl(Loc(3, 2), kind)]),
+                    (DetectorDecl("d1", Loc(3, 2), 2),))
+    for node, loc in (("A", Loc(3, 2)), ("B", Loc(3, 5))):
+        st, _ = st.add_droplet(node, loc, CFVector.unit(node), 0)
+    result = step(st, TimedLine(1, (_CONSUMERS[first], _CONSUMERS[second])))
+    [v] = result.violations
+    code, response, detail = _SECOND_ROW[second]
+    # only a move names the instruction that took the droplet first
+    texts = (_TEXT[first], _TEXT[second]) if second == "move" else (_TEXT[second],)
+    assert (v.code, v.response, v.t, v.instructions, v.cells, v.detail) == (
+        code, response, 1, texts, (Loc(3, 2),), detail)
+    assert result.state.by_loc == st.by_loc     # the failing line leaves the chip as it was
 
 
 def test_step_simultaneous_moves():

@@ -10,12 +10,31 @@ import random
 
 from dmfv.chip import MixerEntry, init_state, neighbors8
 from dmfv.diag import Code, classify
-from dmfv.fluidics import (_post_checks, check_dispense, check_mix_start,
-                           check_move, mixer_geometry_ok, move_clearance_cells,
-                           static_fc)
+from dmfv.fluidics import (RULES, LineContext, _post_checks, mixer_geometry_ok,
+                           move_clearance_cells)
 from dmfv.graph import CFVector
-from dmfv.isa import (ChipHeader, Dispense, Loc, Move, MType, ReservoirDecl, RKind,
-                      TimedLine)
+from dmfv.isa import (ChipHeader, Dispense, Loc, MixStart, Move, MType, ReservoirDecl,
+                      RKind, TimedLine)
+
+
+def check(state, instr, line=None):
+    """The rule-table check of ``instr`` on ``state``, as the instruction at
+    its position on ``line`` (default: a line of its own at the next tick)."""
+    line = line or TimedLine(state.t + 1, (instr,))
+    return RULES[type(instr)].check(state, instr, line.instrs.index(instr),
+                                    LineContext(state, line))
+
+
+def separation_partners(state, loc):
+    """The droplets the separation check pairs with the one on loc."""
+    rows = _post_checks(state, TimedLine(state.t, ()), {}, state.t)
+    return sorted(c for v in rows if loc in v.cells for c in v.cells if c != loc)
+
+
+def static_fc(state, loc):
+    """The static rule at loc as the engine applies it: a droplet sits there
+    and the separation check pairs it with no other."""
+    return loc in state.by_loc and not separation_partners(state, loc)
 
 
 def eval_conj(literals, occupied):
@@ -70,22 +89,22 @@ def run_oracle_equivalence(samples: int, seed: int = 90125) -> int:
         assert static_fc(st, loc) == eval_conj(sfc_formula(loc, rows, cols), occ)
 
         res_loc = next(iter(st.reservoirs))
-        verdict = check_dispense(st, res_loc)
-        assert verdict.ok == eval_conj(dispense_formula(res_loc, rows, cols), occ)
+        ok = check(st, Dispense(res_loc)) is None
+        assert ok == eval_conj(dispense_formula(res_loc, rows, cols), occ)
 
         dirs = [Loc(-1, 0), Loc(1, 0), Loc(0, -1), Loc(0, 1)]
         d = rng.choice(dirs)
         dst = Loc(loc.row + d.row, loc.col + d.col)
         if st.in_bounds(dst) and dst not in occ:
-            verdict = check_move(st, loc, dst)
-            assert verdict.ok == eval_conj(move_formula(loc, dst, rows, cols), occ)
+            ok = check(st, Move(loc, dst)) is None
+            assert ok == eval_conj(move_formula(loc, dst, rows, cols), occ)
 
         if cols >= 4:
             a = Loc(rng.randrange(1, rows + 1), rng.randrange(1, cols - 2))
             b = Loc(a.row, a.col + 3)
             assert mixer_geometry_ok(a, b, MType.H14)
-            verdict = check_mix_start(st, a, b, 4, MType.H14)
-            assert verdict.ok == eval_conj(mixer_formula(a, b, rows, cols), occ)
+            ok = check(st, MixStart(a, b, 4, MType.H14)) is None
+            assert ok == eval_conj(mixer_formula(a, b, rows, cols), occ)
         checked += 1
     return checked
 

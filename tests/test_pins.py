@@ -279,7 +279,7 @@ def random_tick(rng, rows, cols):
     rng.shuffle(instrs)
     line = TimedLine(1, tuple(instrs))
     effects = list(enumerate(instrs))
-    committed, _ = _commit(snapshot, line, effects, 1)
+    committed, _ = _commit(snapshot, effects, 1)
     return snapshot, committed, line, effects
 
 
