@@ -4,6 +4,11 @@ State is a value.  Every public operation returns a new ChipState; the
 verifier snapshots the state at the start of each tick and commits all
 concurrent effects together onto one fresh copy, mirroring the per-tick
 occupancy encoding the checks are defined over.
+
+Bounds are checked once, when a program is validated: every cell a
+droplet can reach is on the array, so ``by_loc`` holds only cells on the
+array, and the engine probes it with any cell, off the array too, without
+a bounds test.  ``check_consistency`` still runs after every step.
 """
 
 from __future__ import annotations
@@ -166,12 +171,6 @@ class ChipState:
     def droplet_at(self, loc: Loc) -> DropletRecord | None:
         key = self.by_loc.get(loc)
         return None if key is None else self.droplets[key]
-
-    def n4(self, loc: Loc) -> set[Loc]:
-        return neighbors4(loc, self.header.rows, self.header.cols)
-
-    def n8(self, loc: Loc) -> set[Loc]:
-        return neighbors8(loc, self.header.rows, self.header.cols)
 
     def mixer_pinning(self, key: int) -> MixerEntry | None:
         for mx in self.mixers:

@@ -8,6 +8,7 @@ modules with identical results; this file only wires them together.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -196,7 +197,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dmfv", description="Verifier for digital microfluidic actuation programs")
     sub = parser.add_subparsers(dest="command", required=True)

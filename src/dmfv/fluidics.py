@@ -14,10 +14,14 @@ its effect commits.  ``step`` walks that table, and the injection search
 reads the same consumes and claims.  One generic rule rejects a droplet
 that two instructions of a line consume; each entry keeps its own wording.
 
-``Cursor`` is the one engine that steps lines.  ``verify_program`` and the
-path walk advance it over timed lines only; ``ticks`` also passes the idle
-ticks between lines, and rendering, ``state_at`` and the injection search
+``Cursor`` is the one engine that steps lines.  ``verify_program``, the
+path walk and ``state_at`` advance it over timed lines only; ``ticks`` also
+passes the idle ticks between lines, and rendering and the injection search
 read their states from it.
+
+Probes of the occupancy grid test no bounds: validation has bounded every
+cell a program names, so the grid holds only cells on the array and a
+probe off it simply misses.
 
 Violation classification follows the error taxonomy: a movement conflict
 with a droplet that also moves this tick is dynamic (e2, both instructions
@@ -45,25 +49,31 @@ class EngineError(DmfError):
 
 # --- constraint geometry -------------------------------------------------------
 
-def move_clearance_cells(src: Loc, dst: Loc) -> tuple[Loc, ...]:
-    """The three cells beyond the destination checked by the dynamic rule.
-
-    Out-of-bounds cells are dropped by callers; walls cannot hold droplets.
-    """
-    dr, dc = dst.row - src.row, dst.col - src.col
-    r, c = dst.row, dst.col
-    if dc == 1:    # right
-        return (Loc(r - 1, c + 1), Loc(r, c + 1), Loc(r + 1, c + 1))
-    if dc == -1:   # left
-        return (Loc(r - 1, c - 1), Loc(r, c - 1), Loc(r + 1, c - 1))
-    if dr == 1:    # down
-        return (Loc(r + 1, c - 1), Loc(r + 1, c), Loc(r + 1, c + 1))
-    return (Loc(r - 1, c - 1), Loc(r - 1, c), Loc(r - 1, c + 1))  # up
-
-
 def move_conflicts(state: ChipState, src: Loc, dst: Loc) -> list[Loc]:
-    cells = move_clearance_cells(src, dst)
-    return sorted(c for c in cells if state.in_bounds(c) and c in state.by_loc)
+    """The occupied cells among the three beyond the destination that the
+    dynamic rule checks, in sorted order.
+
+    The probes are plain (row, col) pairs, which hash and compare equal to
+    Loc keys; a Loc is built only for a hit.  ``by_loc`` holds only cells
+    on the array, so a probe off the array misses without a bounds test.
+    """
+    by_loc = state.by_loc
+    r, c = dst
+    dr, dc = r - src[0], c - src[1]
+    if dc:
+        probes = ((r - 1, c + dc), (r, c + dc), (r + 1, c + dc))
+    else:
+        probes = ((r + dr, c - 1), (r + dr, c), (r + dr, c + 1))
+    return [Loc(*p) for p in probes if p in by_loc]
+
+
+def _occupied_near(state: ChipState, *centres: Loc) -> list[Loc]:
+    """The occupied cells of the 3x3 blocks around ``centres``, sorted.
+
+    As in ``move_conflicts``, cells off the array need no test.
+    """
+    block = {(r + dr, c + dc) for r, c in centres for dr in (-1, 0, 1) for dc in (-1, 0, 1)}
+    return sorted(Loc(*p) for p in block & state.by_loc.keys())
 
 
 def mixer_geometry_ok(a: Loc, b: Loc, mtype: MType) -> bool:
@@ -137,6 +147,8 @@ def _row(code: Code, response: str, instr: Instruction, t: int, cells=(),
 def _pinned(state: ChipState, key: int, cell: Loc, instr: Instruction, t: int, *,
             name_detector: bool = False) -> Violation | None:
     """The e4 row for a droplet that an active mixer or a detection holds."""
+    if not state.mixers and not state.detections:
+        return None
     mx = state.mixer_pinning(key)
     if mx is not None:
         return _row(Code.E4, f"Droplet on {cell} is in active mixer", instr, t, (cell,),
@@ -158,7 +170,7 @@ def _check_dispense(state: ChipState, instr: Dispense, i: int,
     if loc in ctx.claimed:
         return _row(Code.E1, "Static fluidic constraint violated", instr, t, (loc,),
                     f"double claim on {loc} within the tick")
-    conflicts = sorted(c for c in state.n8(loc) | {loc} if c in state.by_loc)
+    conflicts = _occupied_near(state, loc)
     if conflicts:
         return _row(Code.E1, "Static fluidic constraint violated", instr, t,
                     tuple(conflicts), "dispense neighborhood is not free")
@@ -213,8 +225,8 @@ def _check_mix(state: ChipState, instr: MixStart, i: int,
         pinned = _pinned(state, state.by_loc[endpoint], endpoint, instr, t)
         if pinned is not None:
             return pinned
-    region = (state.n8(a) | state.n8(b)) - {a, b}
-    conflicts = sorted(c for c in region if c in state.by_loc and c not in ctx.movers)
+    conflicts = [c for c in _occupied_near(state, a, b)
+                 if c != a and c != b and c not in ctx.movers]
     if conflicts:
         return _row(Code.E1, "Static fluidic constraint violated", instr, t,
                     tuple(conflicts), "mixer neighborhood is not free")
@@ -403,10 +415,6 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     return StepResult(new, violations, events)
 
 
-def _phase(effect: tuple[int, Instruction]) -> int:
-    return RULES[type(effect[1])].phase
-
-
 def _commit(snapshot: ChipState, effects: list[tuple[int, Instruction]],
             t: int) -> tuple[ChipState, list[chip.Event]]:
     """Apply the effects of the passed instructions to one copy of the snapshot,
@@ -414,8 +422,13 @@ def _commit(snapshot: ChipState, effects: list[tuple[int, Instruction]],
     in line order."""
     new = snapshot.at_tick(t)   # the one copy of this tick; updated in place
     events: list[chip.Event] = []
-    for _, instr in sorted(effects, key=_phase):
-        RULES[type(instr)].commit(new, instr, t, events)
+    phases: tuple[list, ...] = ([], [], [], [])
+    for _, instr in effects:
+        rule = RULES[type(instr)]
+        phases[rule.phase].append((rule.commit, instr))
+    for phase in phases:
+        for commit, instr in phase:
+            commit(new, instr, t, events)
     return new, events
 
 
@@ -525,7 +538,9 @@ class Cursor:
         self.state = result.state
         self.trace.events.extend(result.events)
         self.last_t = line.t
-        self.ended = self.ended or any(isinstance(i, End) for i in line.instrs)
+        # validation puts an end marker last on its line
+        if line.instrs and isinstance(line.instrs[-1], End):
+            self.ended = True
         self.stopped = bool(result.violations) and self.policy == "first"
 
     def idle(self, t: int) -> None:
@@ -593,10 +608,19 @@ def ticks(program: Program, upto: int | None = None):
 def state_at(program: Program, t: int) -> ChipState:
     """Chip state right after tick t, the last state ``ticks`` yields.
 
-    t=0 gives the blank chip unless a line sits there; past a failing tick
-    it is the state the failing line found.
+    A cursor advances over the lines up to t and then passes tick t once:
+    ``expire`` resolves everything due by t in (t_e, a) order, as the idle
+    ticks in between would one by one.  t=0 gives the blank chip unless a
+    line sits there; past a failing tick it is the state the failing line
+    found, labeled with the tick before it.
     """
-    state = chip.init_state(program.header, program.detectors)
-    for _, state in ticks(program, t):
-        pass
-    return state
+    cursor = Cursor(program)
+    for line in program.main:
+        if line.t > t:
+            break
+        cursor.advance(line)
+        if cursor.stopped:
+            return cursor.state.at_tick(max(line.t - 1, 0))
+    if t > cursor.state.t:
+        cursor.idle(t)
+    return cursor.state

@@ -161,7 +161,9 @@ def _inject_move(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
     if not fluidics.verify_program(program)[1].ok:
         raise MutationInapplicable("program is not clean; cannot stage an injection")
     dynamic = spec.code == "e2"
-    if spec.move and spec.line:
+    if spec.move is not None:
+        if spec.line is None:
+            raise MutationInapplicable("an explicit move needs the line to add it to (--line)")
         t, (src, dst) = spec.line, spec.move
     else:
         hit = next(_move_candidates(program, want_dynamic=dynamic), None)
@@ -211,7 +213,11 @@ def _inject_e4(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
         dst = Loc(a.row - 1, a.col) if a.row < b.row else Loc(a.row + 1, a.col)
     if not program.header.in_bounds(dst):
         raise MutationInapplicable("mixer endpoint sits on the array edge")
+    # the mixer holds its droplets on ticks t_s+1 .. t_s+t_mix
     t = spec.line if spec.line is not None else t_s + 1
+    if not t_s < t <= t_s + mix.t_mix:
+        raise MutationInapplicable(f"line t={t} is outside the mixing window "
+                                   f"t={t_s + 1}..{t_s + mix.t_mix} of {mix.compact()}")
     p = add_instruction(program, t, Move(a, dst))
     return p, f"added {Move(a, dst).compact()} at t={t} (droplet is mixing until t={t_s + mix.t_mix + 1})"
 

@@ -12,6 +12,12 @@ Two move/mix spellings are accepted, the arrow form ``m([3,1]->[3,2])`` /
 ``mix([3,1]<->[3,4],12,14)`` and the compact form ``m(3,1,3,2)`` /
 ``mix(3,1,3,4,12,14)``; both parse to the same AST and serialize back to
 the arrow form.
+
+Within one ``parse_program`` call each distinct instruction text builds its
+frozen instruction once and each distinct cell its ``Loc`` once, so lines
+share them; the memo lives only as long as the call.  Validation checks
+every cell a program names against the array once; the engine relies on
+that and tests no bounds itself.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 
@@ -193,7 +200,7 @@ class Program:
     recoveries: dict[str, tuple[TimedLine, ...]] = field(default_factory=dict)
     t_max: int | None = None
 
-    @property
+    @cached_property
     def has_conditionals(self) -> bool:
         return any(isinstance(i, CondCall) for ln in self.main for i in ln.instrs)
 
@@ -251,29 +258,63 @@ _TMAX_RE = re.compile(r"tmax\s+(\d+)\s*$")
 _RECOVERY_RE = re.compile(r"recovery\s+(\w+)\s*:\s*$")
 _TIMED_RE = re.compile(r"(\d+)\s+(\S.*)$")
 
+
+def _move(m: re.Match, cell, lineno: int, col: int) -> Move:
+    src, dst = cell(m[1], m[2]), cell(m[3], m[4])
+    if abs(src.row - dst.row) + abs(src.col - dst.col) != 1:
+        raise ParseError(f"move destination {dst} is not a 4-neighbor of {src}",
+                         lineno, col)
+    return Move(src, dst)
+
+
+def _mix(m: re.Match, cell, lineno: int, col: int) -> MixStart:
+    a, b = cell(m[1], m[2]), cell(m[3], m[4])
+    t_mix = int(m[5])
+    if t_mix < 1:
+        raise ParseError("mixing time must be at least 1", lineno, col)
+    try:
+        mtype = MType(m[6])
+    except ValueError:
+        raise ParseError(f"unknown mixer type {m[6]!r}", lineno, col, "14 or 41") from None
+    return MixStart(a, b, t_mix, mtype)
+
+
+# (pattern, builder) pairs, tried in order at each position of a line.  A
+# builder takes the match, the parse's cell memo, the line number and column.
+# No two patterns of a table match at one position (their literal prefixes
+# differ), so the order only decides how soon the match is found: moves,
+# the commonest instruction, come first.
 _DECL_PATTERNS = [
-    ("R", re.compile(r"R\((\d+),(\d+),([A-Za-z_]\w*)\)")),
-    ("O", re.compile(r"O\((\d+),(\d+)\)")),
-    ("W", re.compile(r"W\((\d+),(\d+)\)")),
-    ("D", re.compile(r"D\(([A-Za-z_]\w*),(\d+),(\d+),(\d+)\)")),
+    (re.compile(r"R\((\d+),(\d+),([A-Za-z_]\w*)\)"),
+     lambda m, cell, *_: ReservoirDecl(cell(m[1], m[2]), RKind.REAGENT, m[3])),
+    (re.compile(r"O\((\d+),(\d+)\)"),
+     lambda m, cell, *_: ReservoirDecl(cell(m[1], m[2]), RKind.OUTPUT)),
+    (re.compile(r"W\((\d+),(\d+)\)"),
+     lambda m, cell, *_: ReservoirDecl(cell(m[1], m[2]), RKind.WASTE)),
+    (re.compile(r"D\(([A-Za-z_]\w*),(\d+),(\d+),(\d+)\)"),
+     lambda m, cell, *_: DetectorDecl(m[1], cell(m[2], m[3]), int(m[4]))),
 ]
 
 _INSTR_PATTERNS = [
-    ("mix_a", re.compile(r"mix\(\[(\d+),(\d+)\]\s*<->\s*\[(\d+),(\d+)\],(\d+),(\d+)\)")),
-    ("mix_c", re.compile(r"mix\((\d+),(\d+),(\d+),(\d+),(\d+),(\d+)\)")),
-    ("move_a", re.compile(r"m\(\[(\d+),(\d+)\]\s*->\s*\[(\d+),(\d+)\]\)")),
-    ("move_c", re.compile(r"m\((\d+),(\d+),(\d+),(\d+)\)")),
-    ("dispense", re.compile(r"d\((\d+),(\d+)\)")),
-    ("waste", re.compile(r"waste\((\d+),(\d+)\)")),
-    ("output", re.compile(r"output\((\d+),(\d+)\)")),
-    ("detect", re.compile(r"detect\(([A-Za-z_]\w*)\)")),
-    ("cond", re.compile(r"if\s*\(\s*([A-Za-z_]\w*)\s*\)\s*call\s*<?\s*Recovery\(\s*(\w+)\s*\)\s*>?")),
-    ("end", re.compile(r"end\b")),
+    (re.compile(r"m\(\[(\d+),(\d+)\]\s*->\s*\[(\d+),(\d+)\]\)"), _move),
+    (re.compile(r"m\((\d+),(\d+),(\d+),(\d+)\)"), _move),
+    (re.compile(r"mix\(\[(\d+),(\d+)\]\s*<->\s*\[(\d+),(\d+)\],(\d+),(\d+)\)"), _mix),
+    (re.compile(r"mix\((\d+),(\d+),(\d+),(\d+),(\d+),(\d+)\)"), _mix),
+    (re.compile(r"d\((\d+),(\d+)\)"), lambda m, cell, *_: Dispense(cell(m[1], m[2]))),
+    (re.compile(r"waste\((\d+),(\d+)\)"), lambda m, cell, *_: Waste(cell(m[1], m[2]))),
+    (re.compile(r"output\((\d+),(\d+)\)"), lambda m, cell, *_: Output(cell(m[1], m[2]))),
+    (re.compile(r"detect\(([A-Za-z_]\w*)\)"), lambda m, *_: DetectStart(m[1])),
+    (re.compile(r"if\s*\(\s*([A-Za-z_]\w*)\s*\)\s*call\s*<?\s*Recovery\(\s*(\w+)\s*\)\s*>?"),
+     lambda m, *_: CondCall(m[1], m[2])),
+    (re.compile(r"end\b"), lambda *_: End()),
 ]
 
 
 def _scan(line: str, lineno: int, patterns, build) -> list:
-    """Scan a whole line as a whitespace-separated sequence of pattern matches."""
+    """Scan a whole line as a whitespace-separated sequence of pattern matches.
+
+    ``build(builder, match, lineno, col)`` turns each match into its value.
+    """
     out = []
     pos = 0
     n = len(line)
@@ -281,57 +322,16 @@ def _scan(line: str, lineno: int, patterns, build) -> list:
         if line[pos].isspace():
             pos += 1
             continue
-        for name, pat in patterns:
+        for pat, builder in patterns:
             m = pat.match(line, pos)
             if m:
-                out.append(build(name, m, lineno, pos))
+                out.append(build(builder, m, lineno, pos + 1))
                 pos = m.end()
                 break
         else:
             raise ParseError(f"unrecognized token {line[pos:pos + 24]!r}",
                              lineno, pos + 1, "an instruction or declaration")
     return out
-
-
-def _mk_decl(name: str, m: re.Match, lineno: int, pos: int):
-    if name == "R":
-        return ReservoirDecl(Loc(int(m[1]), int(m[2])), RKind.REAGENT, m[3])
-    if name == "O":
-        return ReservoirDecl(Loc(int(m[1]), int(m[2])), RKind.OUTPUT)
-    if name == "W":
-        return ReservoirDecl(Loc(int(m[1]), int(m[2])), RKind.WASTE)
-    return DetectorDecl(m[1], Loc(int(m[2]), int(m[3])), int(m[4]))
-
-
-def _mk_instr(name: str, m: re.Match, lineno: int, pos: int) -> Instruction:
-    col = pos + 1
-    if name in ("move_a", "move_c"):
-        src, dst = Loc(int(m[1]), int(m[2])), Loc(int(m[3]), int(m[4]))
-        if abs(src.row - dst.row) + abs(src.col - dst.col) != 1:
-            raise ParseError(f"move destination {dst} is not a 4-neighbor of {src}",
-                             lineno, col)
-        return Move(src, dst)
-    if name in ("mix_a", "mix_c"):
-        a, b = Loc(int(m[1]), int(m[2])), Loc(int(m[3]), int(m[4]))
-        t_mix = int(m[5])
-        if t_mix < 1:
-            raise ParseError("mixing time must be at least 1", lineno, col)
-        try:
-            mtype = MType(m[6])
-        except ValueError:
-            raise ParseError(f"unknown mixer type {m[6]!r}", lineno, col, "14 or 41") from None
-        return MixStart(a, b, t_mix, mtype)
-    if name == "dispense":
-        return Dispense(Loc(int(m[1]), int(m[2])))
-    if name == "waste":
-        return Waste(Loc(int(m[1]), int(m[2])))
-    if name == "output":
-        return Output(Loc(int(m[1]), int(m[2])))
-    if name == "detect":
-        return DetectStart(m[1])
-    if name == "cond":
-        return CondCall(m[1], m[2])
-    return End()
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -358,6 +358,22 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
     recoveries: dict[str, tuple[TimedLine, ...]] = {}
     current_recovery: str | None = None
     recovery_lines: list[TimedLine] = []
+    # Per-call memos: each distinct token text builds its value once, each
+    # distinct cell its Loc once.  Values are frozen, so lines share them.
+    built: dict[str, object] = {}
+    cells: dict[tuple[str, str], Loc] = {}
+
+    def cell(row: str, col: str) -> Loc:
+        loc = cells.get((row, col))
+        if loc is None:
+            loc = cells[row, col] = Loc(int(row), int(col))
+        return loc
+
+    def build(builder, m: re.Match, lineno: int, col: int):
+        value = built.get(m[0])
+        if value is None:
+            value = built[m[0]] = builder(m, cell, lineno, col)
+        return value
 
     for lineno, line in _content_lines(text):
         m = _DIM_RE.match(line)
@@ -394,14 +410,14 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
             continue
         m = _TIMED_RE.match(line)
         if m:
-            instrs = _scan(m[2], lineno, _INSTR_PATTERNS, _mk_instr)
+            instrs = _scan(m[2], lineno, _INSTR_PATTERNS, build)
             tl = TimedLine(int(m[1]), tuple(instrs))
             (recovery_lines if current_recovery is not None else main).append(tl)
             continue
         if line[0] in "ROWD":
             if main or current_recovery is not None:
                 raise ParseError("declarations must precede instruction lines", lineno)
-            for decl in _scan(line, lineno, _DECL_PATTERNS, _mk_decl):
+            for decl in _scan(line, lineno, _DECL_PATTERNS, build):
                 (detectors if isinstance(decl, DetectorDecl) else reservoirs).append(decl)
             continue
         raise ParseError(f"unrecognized line {line[:32]!r}", lineno)
@@ -441,23 +457,27 @@ def serialize_program(p: Program) -> str:
 
 # --- structural validation ---------------------------------------------------
 
-def _check_locs(p: Program, line: TimedLine, issues: list[SemanticError]) -> None:
-    def bad(loc: Loc) -> bool:
-        return not p.header.in_bounds(loc)
+# the cells each instruction type names, for the bounds check
+_CELLS = {
+    Dispense: lambda instr: (instr.loc,),
+    Waste: lambda instr: (instr.loc,),
+    Output: lambda instr: (instr.loc,),
+    Move: lambda instr: (instr.src, instr.dst),
+    MixStart: lambda instr: (instr.a, instr.b),
+}
 
+
+def _check_locs(p: Program, line: TimedLine, issues: list[SemanticError]) -> None:
+    rows, cols = p.header.rows, p.header.cols
     for instr in line.instrs:
-        locs: tuple[Loc, ...] = ()
-        if isinstance(instr, (Dispense, Waste, Output)):
-            locs = (instr.loc,)
-        elif isinstance(instr, Move):
-            locs = (instr.src, instr.dst)
-        elif isinstance(instr, MixStart):
-            locs = (instr.a, instr.b)
-        for loc in locs:
-            if bad(loc):
+        cells = _CELLS.get(type(instr))
+        if cells is None:
+            continue
+        for loc in cells(instr):
+            if not (0 < loc[0] <= rows and 0 < loc[1] <= cols):
                 issues.append(SemanticError(
                     "OutOfBounds", f"{instr.compact()} references {loc} outside the "
-                    f"{p.header.rows}x{p.header.cols} array", line.t))
+                    f"{rows}x{cols} array", line.t))
 
 
 def validate_structure(p: Program) -> list[SemanticError]:
@@ -486,9 +506,13 @@ def validate_structure(p: Program) -> list[SemanticError]:
         if d.duration < 1:
             issues.append(SemanticError("BadDuration", f"detector {d.id} duration must be at least 1"))
 
+    # (line index, position, instruction) of each main-line instruction that
+    # names no cell: the end marker and conditional rules below read only these
+    main_control: list[tuple[int, int, Instruction]] = []
+
     def check_lines(lines: tuple[TimedLine, ...], in_recovery: str | None) -> None:
         prev = None
-        for ln in lines:
+        for i, ln in enumerate(lines):
             if prev is not None and ln.t <= prev:
                 issues.append(SemanticError(
                     "NonMonotonicTime", f"timestamp {ln.t} does not increase past {prev}", ln.t))
@@ -496,7 +520,11 @@ def validate_structure(p: Program) -> list[SemanticError]:
             if ln.t < 0:
                 issues.append(SemanticError("BadTimestamp", "timestamps must be non-negative", ln.t))
             _check_locs(p, ln, issues)
-            for instr in ln.instrs:
+            control = [(j, instr) for j, instr in enumerate(ln.instrs)
+                       if type(instr) not in _CELLS]
+            for j, instr in control:
+                if in_recovery is None:
+                    main_control.append((i, j, instr))
                 if isinstance(instr, (DetectStart, CondCall)) and instr.detector not in det_ids:
                     issues.append(SemanticError(
                         "UndeclaredDetector", f"detector {instr.detector!r} is not declared", ln.t))
@@ -520,19 +548,18 @@ def validate_structure(p: Program) -> list[SemanticError]:
         check_lines(lines, rid)
 
     # end must be the final instruction of the final main line, nowhere else
-    for i, ln in enumerate(p.main):
-        for j, instr in enumerate(ln.instrs):
-            if isinstance(instr, End):
-                last = i == len(p.main) - 1 and j == len(ln.instrs) - 1
-                if not last:
-                    issues.append(SemanticError("EndNotLast", "end must be the final instruction", ln.t))
+    for i, j, instr in main_control:
+        if isinstance(instr, End):
+            ln = p.main[i]
+            last = i == len(p.main) - 1 and j == len(ln.instrs) - 1
+            if not last:
+                issues.append(SemanticError("EndNotLast", "end must be the final instruction", ln.t))
 
     # each recovery referenced by at most one conditional (fault model)
     used: dict[str, int] = {}
-    for ln in p.main:
-        for instr in ln.instrs:
-            if isinstance(instr, CondCall):
-                used[instr.recovery] = used.get(instr.recovery, 0) + 1
+    for _, _, instr in main_control:
+        if isinstance(instr, CondCall):
+            used[instr.recovery] = used.get(instr.recovery, 0) + 1
     for rid, count in used.items():
         if count > 1:
             issues.append(SemanticError(

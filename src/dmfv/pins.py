@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import filterfalse, product
 
+from . import fluidics
 from .chip import ChipState, OutOfBounds, neighbors4
 from .diag import Code, Report, Violation, classify
-from .isa import (ChipHeader, Dispense, DmfError, Loc, Move, Output, Program,
-                  TimedLine, Waste)
+from .isa import ChipHeader, DmfError, Loc, Program, TimedLine
 
 @dataclass(frozen=True)
 class PinMap:
@@ -223,13 +223,21 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
     """
     out: list[Violation] = []
 
+    # each effect's participants, from the engine's rule table: a transport
+    # takes the droplet on its consumed cell to its claimed cell, an arrival
+    # fills its claimed cell, and a removal's droplet sits on its consumed cell
     moved: dict[Loc, tuple[Loc, int]] = {}      # new loc -> (old loc, instr index)
     dispensed: list[tuple[Loc, int]] = []
+    removed: list[Loc] = []
     for i, instr in effects:
-        if isinstance(instr, Move):
-            moved[instr.dst] = (instr.src, i)
-        elif isinstance(instr, Dispense):
-            dispensed.append((instr.loc, i))
+        rule = fluidics.RULES[type(instr)]
+        if rule.phase == fluidics.TRANSPORT:
+            for src, dst in zip(rule.consumes(snapshot, instr), rule.claims(instr)):
+                moved[dst] = (src, i)
+        elif rule.phase == fluidics.ARRIVE:
+            dispensed.extend((loc, i) for loc in rule.claims(instr))
+        elif rule.phase == fluidics.REMOVE:
+            removed.extend(rule.consumes(snapshot, instr))
     dispensed_at = {l for l, _ in dispensed}
 
     for loc, i in dispensed:
@@ -252,9 +260,7 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
         else:
             participants.append((loc, loc, None))
     # droplets sent to waste/output this tick participate as static at t
-    for i, instr in effects:
-        if isinstance(instr, (Waste, Output)):
-            participants.append((instr.loc, instr.loc, None))
+    participants.extend((loc, loc, None) for loc in removed)
 
     participants.sort(key=lambda p: p[0])
     for a, b in _candidate_pairs(pmap, participants):
@@ -304,8 +310,6 @@ def _candidate_pairs(pmap: PinMap,
 def verify_program_pins(program: Program, pmap: PinMap, *, policy: str = "first",
                         t_max: int | None = None) -> Report:
     """Fluidic verification plus the per-tick pin phase."""
-    from . import fluidics
-
     pmap.check_chip(program.header)
     _, report = fluidics.verify_program(program, pin_map=pmap, policy=policy,
                                         t_max=t_max)

@@ -1,8 +1,13 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
+from dmfv.chip import ChipState
 from dmfv.cli import main
 from dmfv.diag import format_report
 from dmfv.fluidics import verify_program
@@ -183,6 +188,24 @@ def test_render_steps_a_line_at_t0(tmp_path, capsys):
     assert _frames(capsys.readouterr().out) == frames[:1]
 
 
+def test_render_at_copies_state_once_per_line_not_per_tick(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "gap.dmf"
+    path.write_text("dim(6,6)\naccuracy 5\nR(1,1,S)\n1 d(1,1)\n300000 end\n")
+    copies = [0]
+    real = ChipState.copy
+
+    def counted(self):
+        copies[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(ChipState, "copy", counted)
+    assert main(["render", str(path), "--at", "300000"]) == 0
+    frames = _frames(capsys.readouterr().out)
+    assert [f.split("\n")[0] for f in frames] == ["t=300000"]
+    assert "(1,1) id=S" in frames[0]
+    assert copies[0] <= 10, copies     # O(lines), where one copy per tick is 300,000
+
+
 def test_render_svg(tmp_path):
     out_file = tmp_path / "frame.svg"
     rc = main(["render", fx("twowaymix.dmf"), "--at", "4", "--svg",
@@ -216,6 +239,38 @@ def test_inject_e1_skips_droplet_under_detect(tmp_path, capsys):
     _, report = verify_program(parse_program((tmp_path / "e1.dmf").read_text()))
     first = next(v for v in report.violations if not v.secondary)
     assert (first.code.value, first.t, first.instructions) == ("e1", 10, ("m(3,5,3,4)",))
+
+
+def test_inject_explicit_move_needs_its_line(tmp_path, capsys):
+    out = str(tmp_path / "e2.dmf")
+    # --line 0 is a line like any other
+    assert main(["inject", fx("pcr.dmf"), "--error", "e2", "--line", "0",
+                 "--move", "1,1->1,2", "-o", out]) == 0
+    assert capsys.readouterr().out.startswith("added m(1,1,1,2) at t=0 ")
+    assert parse_program((tmp_path / "e2.dmf").read_text()).main[0].instrs[-1] == Move(
+        Loc(1, 1), Loc(1, 2))
+    # without --line the move has no tick: an input error, not a site search
+    assert main(["inject", fx("pcr.dmf"), "--error", "e2", "--move", "1,1->1,2",
+                 "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_inject_e4_line_must_fall_in_the_mixing_window(tmp_path, capsys):
+    # pcr's last mix starts at t=27 with t_mix 6: its mixer holds t=28..33
+    out = tmp_path / "e4.dmf"
+    for line in (0, 26, 27, 34):
+        assert main(["inject", fx("pcr.dmf"), "--error", "e4", "--line", str(line),
+                     "-o", str(out)]) == 2, line
+        assert capsys.readouterr().err.startswith("error: "), line
+    for line in (28, 33):
+        assert main(["inject", fx("pcr.dmf"), "--error", "e4", "--line", str(line),
+                     "-o", str(out)]) == 0, line
+        assert f"at t={line} " in capsys.readouterr().out
+        _, report = verify_program(parse_program(out.read_text()))
+        first = report.violations[0]
+        assert (first.code.value, first.t) == ("e4", line)
+        assert first.response == "Droplet on (5,5) is in active mixer"
 
 
 def test_inject_inapplicable_exit_two(tmp_path, capsys):
@@ -390,3 +445,42 @@ def test_verify_survives_mutated_sg_files(tmp_path, capsys):
             assert rc == 2 and err.startswith("error: "), text
             invalid += 1
     assert invalid >= 100
+
+
+def _fixture_verify_argvs() -> list[list[str]]:
+    argvs = [["verify", fx(name), "--format", "json"] for name in _DMF_FIXTURES]
+    argvs += [["verify", fx(dmf), "--sg", fx(sg), "--format", "json"] for dmf, sg in _SG_PAIRS]
+    argvs += [["verify", fx("mplex.dmf"), "--pins", fx(pins), "--format", "json"]
+              for pins in ("mplex.pins", "mplex_pin1.pins", "mplex_pin2.pins",
+                           "mplex_pin3.pins")]
+    return argvs
+
+
+def _verify_in_subprocess(argvs, *flags) -> list:
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from dmfv.cli import main
+        out = []
+        for argv in json.loads(sys.argv[1]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = main(argv)
+            out.append([rc, buf.getvalue()])
+        print(json.dumps({"optimize": sys.flags.optimize, "runs": out}))
+    """)
+    src = FIXTURES.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, *flags, "-c", code, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_verify_reports_unchanged_under_python_O():
+    # assert statements vanish under -O; no verdict may rest on one
+    argvs = _fixture_verify_argvs()
+    plain = _verify_in_subprocess(argvs)
+    optimized = _verify_in_subprocess(argvs, "-O")
+    assert (plain["optimize"], optimized["optimize"]) == (0, 1)
+    assert optimized["runs"] == plain["runs"]
+    assert {rc for rc, _ in plain["runs"]} == {0, 1}

@@ -4,15 +4,17 @@ from collections import Counter
 import pytest
 
 from dmfv import fluidics, inject
-from dmfv.chip import expire_detections, expire_mixers, init_state
+from dmfv.cli import main
+from dmfv.chip import expire_detections, expire_mixers, init_state, neighbors8
 from dmfv.diag import Code
-from dmfv.fluidics import EngineError, move_clearance_cells, state_at, step, ticks, verify_program
+from dmfv.fluidics import EngineError, state_at, step, ticks, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, Loc, MixStart, Move,
                       MType, Output, ReservoirDecl, RKind, TimedLine, Waste, parse_program)
 
 from conftest import load
-from test_oracle import check, separation_partners, static_fc
+from test_cli import _fixture_verify_argvs
+from test_oracle import check, move_clearance_cells, separation_partners, static_fc
 
 
 def header(rows, cols, reservoirs=()):
@@ -83,7 +85,7 @@ def test_check_mix_start_linear_instance():
     # passing means every one of the 16 negated cells below is free
     assert check(st, MixStart(Loc(5, 2), Loc(5, 5), 12, MType.H14)) is None
     # the 18-literal instance: 2 positive endpoints + 16 negated cells
-    region = (st.n8(Loc(5, 2)) | st.n8(Loc(5, 5))) - {Loc(5, 2), Loc(5, 5)}
+    region = (neighbors8(Loc(5, 2), 6, 6) | neighbors8(Loc(5, 5), 6, 6)) - {Loc(5, 2), Loc(5, 5)}
     expected = ({Loc(4, j) for j in range(1, 7)} | {Loc(6, j) for j in range(1, 7)}
                 | {Loc(5, 1), Loc(5, 3), Loc(5, 4), Loc(5, 6)})
     assert region == expected
@@ -423,3 +425,24 @@ def test_injection_search_matches_replay_in_one_pass(monkeypatch):
             hits = list(inject._move_candidates(prog, want_dynamic=want_dynamic))
             assert calls[0] <= len(prog.main), (name, want_dynamic)   # one step per line
             assert hits and hits == list(replay_move_candidates(prog, want_dynamic))
+
+
+def test_grid_holds_only_cells_on_the_array(monkeypatch, capsys):
+    # engine probes test no bounds, which is sound only while every occupied
+    # cell is on the array: check that after every step of every fixture run
+    real = fluidics.step
+    steps = [0]
+
+    def checked(state, line, **kw):
+        result = real(state, line, **kw)
+        header = result.state.header
+        assert all(header.in_bounds(loc) for loc in result.state.by_loc), line
+        steps[0] += 1
+        return result
+
+    monkeypatch.setattr(fluidics, "step", checked)
+    for argv in _fixture_verify_argvs():
+        for extra in ([], ["--all"]):
+            assert main(argv + extra) in (0, 1)
+    capsys.readouterr()
+    assert steps[0] > 300

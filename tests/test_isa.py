@@ -1,13 +1,16 @@
 import random
+import re
 
 import pytest
 
-from dmfv.isa import (ChipHeader, CondCall, Dispense, End, Loc, MixStart, Move,
-                      MType, ParseError, Program, ReservoirDecl, RKind,
-                      TimedLine, ValidationError, parse_program,
-                      serialize_program, validate_structure)
+from dmfv import isa
+from dmfv.isa import (ChipHeader, CondCall, DetectorDecl, DetectStart, Dispense, End,
+                      Instruction, Loc, MixStart, Move, MType, Output, ParseError, Program,
+                      ReservoirDecl, RKind, SemanticError, TimedLine, ValidationError, Waste,
+                      parse_program, serialize_program, validate_structure)
 
 from conftest import load
+from test_cli import _DMF_FIXTURES, _mutate_dmf
 
 SMALL = """\
 dim(5,4)
@@ -146,20 +149,21 @@ def test_parse_raises_on_semantic_issue_by_default():
 
 # --- fuzz / property -------------------------------------------------------------
 
-def test_parser_never_crashes_on_noise():
+def _noise_corpus() -> list[str]:
     rng = random.Random(20240817)
     alphabet = "dimacuryRSWO()[]<->, \n0123456789ex#:"
-    for _ in range(400):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 120)))
-        try:
-            parse_program(text)
-        except (ParseError, ValidationError):
-            pass
-    # mutated valid programs must also fail cleanly
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 120)))
+             for _ in range(400)]
+    # mutated valid programs
     base = load("pcr.dmf")
     for _ in range(200):
         i = rng.randrange(len(base))
-        text = base[:i] + rng.choice("xyz([,") + base[i + 1:]
+        texts.append(base[:i] + rng.choice("xyz([,") + base[i + 1:])
+    return texts
+
+
+def test_parser_never_crashes_on_noise():
+    for text in _noise_corpus():
         try:
             parse_program(text)
         except (ParseError, ValidationError):
@@ -203,3 +207,249 @@ def test_roundtrip_random_programs():
         again = parse_program(text, validate=False)
         assert again == p
         assert serialize_program(again) == text
+
+
+# --- the per-token parse (oracle) ---------------------------------------------------
+#
+# The parser as it was before the per-call memos: every token builds its own
+# instruction and Locs, and validation tests bounds through ChipHeader.in_bounds
+# and walks every instruction for the end marker and conditional rules.
+# ``_old_parse`` runs parse_program with these in place of the new scan and
+# validation.
+
+_OLD_DECL_PATTERNS = [
+    ("R", re.compile(r"R\((\d+),(\d+),([A-Za-z_]\w*)\)")),
+    ("O", re.compile(r"O\((\d+),(\d+)\)")),
+    ("W", re.compile(r"W\((\d+),(\d+)\)")),
+    ("D", re.compile(r"D\(([A-Za-z_]\w*),(\d+),(\d+),(\d+)\)")),
+]
+
+_OLD_INSTR_PATTERNS = [
+    ("mix_a", re.compile(r"mix\(\[(\d+),(\d+)\]\s*<->\s*\[(\d+),(\d+)\],(\d+),(\d+)\)")),
+    ("mix_c", re.compile(r"mix\((\d+),(\d+),(\d+),(\d+),(\d+),(\d+)\)")),
+    ("move_a", re.compile(r"m\(\[(\d+),(\d+)\]\s*->\s*\[(\d+),(\d+)\]\)")),
+    ("move_c", re.compile(r"m\((\d+),(\d+),(\d+),(\d+)\)")),
+    ("dispense", re.compile(r"d\((\d+),(\d+)\)")),
+    ("waste", re.compile(r"waste\((\d+),(\d+)\)")),
+    ("output", re.compile(r"output\((\d+),(\d+)\)")),
+    ("detect", re.compile(r"detect\(([A-Za-z_]\w*)\)")),
+    ("cond", re.compile(r"if\s*\(\s*([A-Za-z_]\w*)\s*\)\s*call\s*<?\s*Recovery\(\s*(\w+)\s*\)\s*>?")),
+    ("end", re.compile(r"end\b")),
+]
+
+
+def _old_scan(line: str, lineno: int, patterns, build) -> list:
+    """Scan a whole line as a whitespace-separated sequence of pattern matches."""
+    out = []
+    pos = 0
+    n = len(line)
+    while pos < n:
+        if line[pos].isspace():
+            pos += 1
+            continue
+        for name, pat in patterns:
+            m = pat.match(line, pos)
+            if m:
+                out.append(build(name, m, lineno, pos))
+                pos = m.end()
+                break
+        else:
+            raise ParseError(f"unrecognized token {line[pos:pos + 24]!r}",
+                             lineno, pos + 1, "an instruction or declaration")
+    return out
+
+
+def _old_mk_decl(name: str, m: re.Match, lineno: int, pos: int):
+    if name == "R":
+        return ReservoirDecl(Loc(int(m[1]), int(m[2])), RKind.REAGENT, m[3])
+    if name == "O":
+        return ReservoirDecl(Loc(int(m[1]), int(m[2])), RKind.OUTPUT)
+    if name == "W":
+        return ReservoirDecl(Loc(int(m[1]), int(m[2])), RKind.WASTE)
+    return DetectorDecl(m[1], Loc(int(m[2]), int(m[3])), int(m[4]))
+
+
+def _old_mk_instr(name: str, m: re.Match, lineno: int, pos: int) -> Instruction:
+    col = pos + 1
+    if name in ("move_a", "move_c"):
+        src, dst = Loc(int(m[1]), int(m[2])), Loc(int(m[3]), int(m[4]))
+        if abs(src.row - dst.row) + abs(src.col - dst.col) != 1:
+            raise ParseError(f"move destination {dst} is not a 4-neighbor of {src}",
+                             lineno, col)
+        return Move(src, dst)
+    if name in ("mix_a", "mix_c"):
+        a, b = Loc(int(m[1]), int(m[2])), Loc(int(m[3]), int(m[4]))
+        t_mix = int(m[5])
+        if t_mix < 1:
+            raise ParseError("mixing time must be at least 1", lineno, col)
+        try:
+            mtype = MType(m[6])
+        except ValueError:
+            raise ParseError(f"unknown mixer type {m[6]!r}", lineno, col, "14 or 41") from None
+        return MixStart(a, b, t_mix, mtype)
+    if name == "dispense":
+        return Dispense(Loc(int(m[1]), int(m[2])))
+    if name == "waste":
+        return Waste(Loc(int(m[1]), int(m[2])))
+    if name == "output":
+        return Output(Loc(int(m[1]), int(m[2])))
+    if name == "detect":
+        return DetectStart(m[1])
+    if name == "cond":
+        return CondCall(m[1], m[2])
+    return End()
+
+
+def _old_check_locs(p: Program, line: TimedLine, issues: list[SemanticError]) -> None:
+    def bad(loc: Loc) -> bool:
+        return not p.header.in_bounds(loc)
+
+    for instr in line.instrs:
+        locs: tuple[Loc, ...] = ()
+        if isinstance(instr, (Dispense, Waste, Output)):
+            locs = (instr.loc,)
+        elif isinstance(instr, Move):
+            locs = (instr.src, instr.dst)
+        elif isinstance(instr, MixStart):
+            locs = (instr.a, instr.b)
+        for loc in locs:
+            if bad(loc):
+                issues.append(SemanticError(
+                    "OutOfBounds", f"{instr.compact()} references {loc} outside the "
+                    f"{p.header.rows}x{p.header.cols} array", line.t))
+
+
+def _old_validate_structure(p: Program) -> list[SemanticError]:
+    """Return all structural invariant violations (empty list means valid)."""
+    issues: list[SemanticError] = []
+    hdr = p.header
+
+    if hdr.accuracy < 1:
+        issues.append(SemanticError("BadAccuracy", "accuracy must be at least 1"))
+    if not any(r.kind is RKind.REAGENT for r in hdr.reservoirs):
+        issues.append(SemanticError("NoReagentReservoir", "at least one reagent reservoir is required"))
+    seen_locs: set[Loc] = set()
+    for r in hdr.reservoirs:
+        if r.loc in seen_locs:
+            issues.append(SemanticError("DuplicateReservoir", f"two reservoirs declared at {r.loc}"))
+        seen_locs.add(r.loc)
+        if not hdr.in_bounds(r.loc):
+            issues.append(SemanticError("OutOfBounds", f"reservoir at {r.loc} outside the array"))
+    det_ids: set[str] = set()
+    for d in p.detectors:
+        if d.id in det_ids:
+            issues.append(SemanticError("DuplicateDetector", f"detector {d.id} declared twice"))
+        det_ids.add(d.id)
+        if not hdr.in_bounds(d.loc):
+            issues.append(SemanticError("OutOfBounds", f"detector {d.id} at {d.loc} outside the array"))
+        if d.duration < 1:
+            issues.append(SemanticError("BadDuration", f"detector {d.id} duration must be at least 1"))
+
+    def check_lines(lines: tuple[TimedLine, ...], in_recovery: str | None) -> None:
+        prev = None
+        for ln in lines:
+            if prev is not None and ln.t <= prev:
+                issues.append(SemanticError(
+                    "NonMonotonicTime", f"timestamp {ln.t} does not increase past {prev}", ln.t))
+            prev = ln.t
+            if ln.t < 0:
+                issues.append(SemanticError("BadTimestamp", "timestamps must be non-negative", ln.t))
+            _old_check_locs(p, ln, issues)
+            for instr in ln.instrs:
+                if isinstance(instr, (DetectStart, CondCall)) and instr.detector not in det_ids:
+                    issues.append(SemanticError(
+                        "UndeclaredDetector", f"detector {instr.detector!r} is not declared", ln.t))
+                if isinstance(instr, CondCall):
+                    if in_recovery is not None:
+                        issues.append(SemanticError(
+                            "NestedConditional", "recovery routines may not branch", ln.t))
+                    elif instr.recovery not in p.recoveries:
+                        issues.append(SemanticError(
+                            "UndeclaredRecovery", f"Recovery({instr.recovery}) has no block", ln.t))
+                    elif len(ln.instrs) != 1:
+                        issues.append(SemanticError(
+                            "CondNotAlone", "a conditional call must be alone on its line", ln.t))
+                if isinstance(instr, End) and in_recovery is not None:
+                    issues.append(SemanticError("EndInRecovery", "end is not allowed in a recovery", ln.t))
+
+    check_lines(p.main, None)
+    for rid, lines in p.recoveries.items():
+        if not lines:
+            issues.append(SemanticError("EmptyRecovery", f"Recovery({rid}) has no instruction lines"))
+        check_lines(lines, rid)
+
+    # end must be the final instruction of the final main line, nowhere else
+    for i, ln in enumerate(p.main):
+        for j, instr in enumerate(ln.instrs):
+            if isinstance(instr, End):
+                last = i == len(p.main) - 1 and j == len(ln.instrs) - 1
+                if not last:
+                    issues.append(SemanticError("EndNotLast", "end must be the final instruction", ln.t))
+
+    # each recovery referenced by at most one conditional (fault model)
+    used: dict[str, int] = {}
+    for ln in p.main:
+        for instr in ln.instrs:
+            if isinstance(instr, CondCall):
+                used[instr.recovery] = used.get(instr.recovery, 0) + 1
+    for rid, count in used.items():
+        if count > 1:
+            issues.append(SemanticError(
+                "RecoveryReused", f"Recovery({rid}) is referenced by {count} conditionals"))
+
+    if p.t_max is not None and p.main and p.t_max < p.main[-1].t:
+        issues.append(SemanticError(
+            "TMaxTooSmall", f"tmax {p.t_max} precedes the final line at t={p.main[-1].t}"))
+    return issues
+
+
+def _outcome(text: str):
+    """What parse_program makes of a text: the program, or the error text."""
+    try:
+        program = parse_program(text)
+    except (ParseError, ValidationError) as err:
+        return type(err).__name__, str(err)
+    return "ok", program
+
+
+def _old_parse(text: str, monkeypatch):
+    def scan(line, lineno, patterns, build):
+        if patterns is isa._INSTR_PATTERNS:
+            return _old_scan(line, lineno, _OLD_INSTR_PATTERNS, _old_mk_instr)
+        return _old_scan(line, lineno, _OLD_DECL_PATTERNS, _old_mk_decl)
+
+    with monkeypatch.context() as m:
+        m.setattr(isa, "_scan", scan)
+        m.setattr(isa, "validate_structure", _old_validate_structure)
+        return _outcome(text)
+
+
+# one instruction or cell in several spellings, repeated tokens and cells off the array
+_SPELLINGS = """\
+dim(6,6)
+accuracy 5
+R(1,1,S) R(1,4,B) R(01,4,B) D(d1,3,3,2) W(7,1)
+1 d(1,1) d(01,4) m(2,2,2,3) m([2,2] -> [2,3]) m([2,2]->[2,3])
+2 mix(3,1,3,4,2,14) mix([3,1] <-> [3,4],2,14) detect(d1) d(0,9)
+3 if (d1) call <Recovery(1)>
+4 end end
+recovery 1:
+5 m([4,4]->[4,5]) m(4,6,4,7) end
+endrecovery
+"""
+
+
+def test_parse_matches_per_token_oracle(monkeypatch):
+    rng = random.Random(1618)          # the .dmf fuzz corpus of test_cli
+    texts = [load(name) for name in _DMF_FIXTURES] + [_SPELLINGS]
+    texts += [_mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES))) for _ in range(200)]
+    texts += _noise_corpus()
+    kinds = {}
+    for text in texts:
+        got, want = _outcome(text), _old_parse(text, monkeypatch)
+        assert got == want, text
+        kinds[got[0]] = kinds.get(got[0], 0) + 1
+        if got[0] != "ParseError":
+            raw = parse_program(text, validate=False)
+            assert validate_structure(raw) == _old_validate_structure(raw), text
+    assert all(kinds.get(k, 0) >= 10 for k in ("ok", "ParseError", "ValidationError")), kinds

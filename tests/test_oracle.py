@@ -10,8 +10,7 @@ import random
 
 from dmfv.chip import MixerEntry, init_state, neighbors8
 from dmfv.diag import Code, classify
-from dmfv.fluidics import (RULES, LineContext, _post_checks, mixer_geometry_ok,
-                           move_clearance_cells)
+from dmfv.fluidics import RULES, LineContext, _post_checks, mixer_geometry_ok, move_conflicts
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, Loc, MixStart, Move, MType, ReservoirDecl,
                       RKind, TimedLine)
@@ -51,6 +50,20 @@ def dispense_formula(loc, rows, cols):
 
 def mixer_formula(a, b, rows, cols):
     return sfc_formula(a, rows, cols) + sfc_formula(b, rows, cols)
+
+
+def move_clearance_cells(src: Loc, dst: Loc) -> tuple[Loc, ...]:
+    """The three cells beyond the destination checked by the dynamic rule,
+    written out for each direction; cells off the array included."""
+    dr, dc = dst.row - src.row, dst.col - src.col
+    r, c = dst.row, dst.col
+    if dc == 1:    # right
+        return (Loc(r - 1, c + 1), Loc(r, c + 1), Loc(r + 1, c + 1))
+    if dc == -1:   # left
+        return (Loc(r - 1, c - 1), Loc(r, c - 1), Loc(r + 1, c - 1))
+    if dr == 1:    # down
+        return (Loc(r + 1, c - 1), Loc(r + 1, c), Loc(r + 1, c + 1))
+    return (Loc(r - 1, c - 1), Loc(r - 1, c), Loc(r - 1, c + 1))  # up
 
 
 def move_formula(src, dst, rows, cols):
@@ -182,3 +195,35 @@ def test_separation_probe_matches_pairwise_scan():
         assert _post_checks(st, line, claimed, 3) == expected
         rows_seen += len(expected)
     assert rows_seen > 400
+
+
+def test_move_conflicts_probe_matches_bounded_clearance_scan():
+    # move_conflicts probes (row, col) pairs with no bounds test; the oracle
+    # drops off-array cells first.  Every border cell is occupied half the
+    # time, so probes run along and past all four edges.
+    rng = random.Random(31337)
+    off_array = hits = 0
+    for _ in range(300):
+        rows, cols = rng.randrange(2, 9), rng.randrange(2, 9)
+        st = init_state(ChipHeader(rows, cols, 5, ()))
+        for r in range(1, rows + 1):
+            for c in range(1, cols + 1):
+                edge = r in (1, rows) or c in (1, cols)
+                if rng.random() < (0.5 if edge else 0.18):
+                    st, _ = st.add_droplet("S", Loc(r, c), CFVector.unit("S"), 0)
+        for r in range(1, rows + 1):
+            for c in range(1, cols + 1):
+                src = Loc(r, c)
+                for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                    dst = Loc(r + dr, c + dc)
+                    if not st.in_bounds(dst):
+                        continue
+                    cells = move_clearance_cells(src, dst)
+                    expected = sorted(c for c in cells
+                                      if st.in_bounds(c) and c in st.by_loc)
+                    got = move_conflicts(st, src, dst)
+                    assert got == expected, (src, dst)
+                    assert all(type(c) is Loc for c in got)
+                    off_array += sum(not st.in_bounds(c) for c in cells)
+                    hits += len(got)
+    assert off_array > 1000 and hits > 1000
