@@ -5,10 +5,17 @@ verifier snapshots the state at the start of each tick and commits all
 concurrent effects together onto one fresh copy, mirroring the per-tick
 occupancy encoding the checks are defined over.
 
+The state has one droplet index, ``by_loc``, from each occupied cell to
+its droplet, and names a droplet by the cell it sits on.  That is exact: a
+droplet that an active mixer or detection holds cannot leave its cell (every
+rule that moves or removes one rejects it with e4), and no droplet enters an
+occupied cell.  ``_add`` and ``_move`` raise InconsistentState rather than
+overwrite a droplet.
+
 Bounds are checked once, when a program is validated: every cell a
 droplet can reach is on the array, so ``by_loc`` holds only cells on the
 array, and the engine probes it with any cell, off the array too, without
-a bounds test.  ``check_consistency`` still runs after every step.
+a bounds test.
 """
 
 from __future__ import annotations
@@ -16,18 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .isa import ChipHeader, DetectorDecl, Loc, MType
+from .isa import ChipHeader, DetectorDecl, DmfError, Loc, MType
 
 if TYPE_CHECKING:
     from .graph import CFVector
 
 
-class OutOfBounds(Exception):
+class OutOfBounds(DmfError):
     pass
 
 
 class InconsistentState(Exception):
-    """The grid and the droplet registry disagree (an engine bug)."""
+    """A write would overwrite a droplet (an engine bug)."""
 
 
 def neighbors4(loc: Loc, rows: int, cols: int) -> set[Loc]:
@@ -44,12 +51,9 @@ def neighbors8(loc: Loc, rows: int, cols: int) -> set[Loc]:
 
 
 @dataclass(frozen=True)
-class DropletRecord:
-    key: int            # registry key, unique per droplet
+class Droplet:
     node: str           # sequencing-graph identity (reagent name or mix id)
-    loc: Loc
     cf: "CFVector"
-    born_at: int
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,6 @@ class MixerEntry:
     t_s: int
     t_e: int            # completion tick: t_s + t_mix + 1
     mtype: MType
-    input_keys: tuple[int, int]
     input_nodes: tuple[str, str]
 
     def span(self) -> str:
@@ -69,7 +72,6 @@ class MixerEntry:
 @dataclass(frozen=True)
 class DetectionEntry:
     detector: str
-    key: int
     loc: Loc
     t_end: int          # droplet is pinned for ticks < t_end
 
@@ -81,7 +83,6 @@ class Dispensed:
     t: int
     node: str           # reagent name
     loc: Loc
-    key: int
     cf: "CFVector"
 
 
@@ -127,103 +128,75 @@ Event = Dispensed | MixStarted | MixCompleted | Wasted | Outputted
 
 
 class ChipState:
-    """Occupancy grid, droplet registry, T_reservoir, T_mixer and detections."""
+    """Occupancy (cell -> droplet), T_reservoir, T_mixer and detections."""
 
-    __slots__ = ("header", "t", "droplets", "by_loc", "mixers", "detections",
-                 "reservoirs", "detectors", "next_key", "next_node")
+    __slots__ = ("header", "t", "by_loc", "mixers", "detections", "reservoirs",
+                 "detectors", "next_node")
 
     def __init__(self, header: ChipHeader, detectors: Iterable[DetectorDecl] = ()):
         self.header = header
         self.t = 0
-        self.droplets: dict[int, DropletRecord] = {}
-        self.by_loc: dict[Loc, int] = {}
+        self.by_loc: dict[Loc, Droplet] = {}
         self.mixers: tuple[MixerEntry, ...] = ()
         self.detections: tuple[DetectionEntry, ...] = ()
         self.reservoirs = {r.loc: r for r in header.reservoirs}
         self.detectors = {d.id: d for d in detectors}
-        self.next_key = 1
         self.next_node = 1
 
     def copy(self) -> "ChipState":
         new = ChipState.__new__(ChipState)
         new.header = self.header
         new.t = self.t
-        new.droplets = dict(self.droplets)
         new.by_loc = dict(self.by_loc)
         new.mixers = self.mixers
         new.detections = self.detections
         new.reservoirs = self.reservoirs
         new.detectors = self.detectors
-        new.next_key = self.next_key
         new.next_node = self.next_node
         return new
 
     # -- queries --
 
-    def in_bounds(self, loc: Loc) -> bool:
-        return self.header.in_bounds(loc)
-
-    def occupied(self, loc: Loc) -> bool:
-        if not self.in_bounds(loc):
-            raise OutOfBounds(f"{loc} outside {self.header.rows}x{self.header.cols} array")
-        return loc in self.by_loc
-
-    def droplet_at(self, loc: Loc) -> DropletRecord | None:
-        key = self.by_loc.get(loc)
-        return None if key is None else self.droplets[key]
-
-    def mixer_pinning(self, key: int) -> MixerEntry | None:
+    def mixer_pinning(self, loc: Loc) -> MixerEntry | None:
+        """The active mixer that holds the droplet on ``loc``, if any."""
         for mx in self.mixers:
-            if key in mx.input_keys:
+            if loc == mx.a or loc == mx.b:
                 return mx
         return None
 
-    def detection_pinning(self, key: int) -> DetectionEntry | None:
+    def detection_pinning(self, loc: Loc) -> DetectionEntry | None:
+        """The detection that holds the droplet on ``loc``, if any."""
         for det in self.detections:
-            if det.key == key:
+            if det.loc == loc:
                 return det
         return None
 
-    def add_droplet(self, node: str, loc: Loc, cf, born_at: int) -> tuple["ChipState", DropletRecord]:
+    def add_droplet(self, node: str, loc: Loc, cf) -> "ChipState":
         new = self.copy()
-        return new, new._add(node, loc, cf, born_at)
+        new._add(loc, Droplet(node, cf))
+        return new
 
     # In-place updates, for a copy that no one else holds yet: the engine
-    # copies the state once per tick and builds on that copy.
+    # copies the state once per tick and builds on that copy.  The checks
+    # are plain ifs, so they hold under python -O.
 
-    def _add(self, node: str, loc: Loc, cf, born_at: int) -> DropletRecord:
-        rec = DropletRecord(self.next_key, node, loc, cf, born_at)
-        self.droplets[rec.key] = rec
-        self.by_loc[loc] = rec.key
-        self.next_key += 1
-        return rec
+    def _add(self, loc: Loc, droplet: Droplet) -> None:
+        if loc in self.by_loc:
+            raise InconsistentState(f"a droplet added on {loc} would overwrite another")
+        self.by_loc[loc] = droplet
 
-    def _move(self, key: int, dst: Loc) -> None:
-        rec = self.droplets[key]
-        del self.by_loc[rec.loc]
-        self.droplets[key] = DropletRecord(rec.key, rec.node, dst, rec.cf, rec.born_at)
-        self.by_loc[dst] = key
+    def _move(self, src: Loc, dst: Loc) -> None:
+        if dst in self.by_loc:
+            raise InconsistentState(f"a droplet moved to {dst} would overwrite another")
+        self.by_loc[dst] = self.by_loc.pop(src)
 
-    def _remove(self, key: int) -> DropletRecord:
-        rec = self.droplets.pop(key)
-        del self.by_loc[rec.loc]
-        return rec
+    def _remove(self, loc: Loc) -> Droplet:
+        return self.by_loc.pop(loc)
 
     def at_tick(self, t: int) -> "ChipState":
         new = self.copy()
         new.t = t
         return new
-
-    def check_consistency(self) -> None:
-        """Raise InconsistentState unless grid and registry are a bijection."""
-        if len(self.by_loc) != len(self.droplets):
-            raise InconsistentState(
-                f"{len(self.by_loc)} occupied cells but {len(self.droplets)} droplets")
-        for loc, key in self.by_loc.items():
-            rec = self.droplets.get(key)
-            if rec is None or rec.loc != loc:
-                raise InconsistentState(f"cell {loc} maps to droplet {key}, "
-                                        f"which is not there")
 
 
 def init_state(header: ChipHeader, detectors: Iterable[DetectorDecl] = ()) -> ChipState:
@@ -243,15 +216,12 @@ def expire_mixers(state: ChipState, t: int) -> tuple[ChipState, list[MixComplete
     new = state.copy()
     new.mixers = tuple(mx for mx in state.mixers if mx.t_e > t)
     for mx in sorted(due, key=lambda m: (m.t_e, m.a)):
-        k1, k2 = mx.input_keys
-        cf = cf_mix(new.droplets[k1].cf, new.droplets[k2].cf)
-        new._remove(k1)
-        new._remove(k2)
-        node = f"v{new.next_node}"
+        cf = cf_mix(new._remove(mx.a).cf, new._remove(mx.b).cf)
+        result = Droplet(f"v{new.next_node}", cf)
         new.next_node += 1
         for loc in (mx.a, mx.b):
-            new._add(node, loc, cf, mx.t_e)
-        events.append(MixCompleted(mx.t_e, node, mx.a, mx.b, mx.t_s, mx.t_e,
+            new._add(loc, result)
+        events.append(MixCompleted(mx.t_e, result.node, mx.a, mx.b, mx.t_s, mx.t_e,
                                    mx.input_nodes, cf))
     return new, events
 

@@ -22,9 +22,16 @@ def _load_program(path: str) -> Program:
     return parse_program(Path(path).read_text(encoding="utf-8"))
 
 
+def _split2(text: str, sep: str) -> tuple[str, str]:
+    parts = text.split(sep)
+    if len(parts) != 2:
+        raise ValueError(f"{text!r} is not two parts joined by {sep!r}")
+    return parts[0], parts[1]
+
+
 def _parse_loc(text: str) -> Loc:
-    r, c = (int(x) for x in text.split(","))
-    return Loc(r, c)
+    r, c = _split2(text, ",")
+    return Loc(int(r), int(c))
 
 
 def _fail_input(err: Exception) -> int:
@@ -42,8 +49,6 @@ def cmd_verify(args) -> int:
         program = _load_program(args.program)
         pin_map = pins.parse_pins(Path(args.pins).read_text()) if args.pins else None
         input_sg = graph.parse_input_sg(Path(args.sg).read_text()) if args.sg else None
-        if pin_map is not None:
-            pin_map.check_chip(program.header)
     except (OSError, ParseError, ValidationError, DmfError) as err:
         return _fail_input(err)
     policy = "all" if args.all else "first"
@@ -66,8 +71,11 @@ def cmd_verify(args) -> int:
         # a conditional-free program has one path, labeled with the empty string
         return _fail_input(DmfError(f"no path labeled {args.path!r}"))
 
-    trace, report = fluidics.verify_program(program, pin_map=pin_map,
-                                            policy=policy, t_max=t_max)
+    try:
+        trace, report = fluidics.verify_program(program, pin_map=pin_map,
+                                                policy=policy, t_max=t_max)
+    except DmfError as err:
+        return _fail_input(err)
     if args.events:
         Path(args.events).write_text(trace.event_log())
     phase1_clean = not any(v.phase == 1 for v in report.violations)
@@ -138,12 +146,15 @@ def cmd_inject(args) -> int:
         print(f"wrote remapped pin assignment to {out}")
         return 0
 
-    spec = inject.InjectionSpec(
-        code=args.error, line=args.line, pos=args.pos,
-        move=tuple(map(_parse_loc, args.move.split("->"))) if args.move else None,
-        to=_parse_loc(args.to) if args.to else None,
-        duration=args.duration,
-        swap=tuple(args.swap.split(",")) if args.swap else None)
+    try:
+        spec = inject.InjectionSpec(
+            code=args.error, line=args.line, pos=args.pos,
+            move=tuple(map(_parse_loc, _split2(args.move, "->"))) if args.move else None,
+            to=_parse_loc(args.to) if args.to else None,
+            duration=args.duration,
+            swap=_split2(args.swap, ",") if args.swap else None)
+    except ValueError as err:
+        return _fail_input(err)
     try:
         mutated, note = inject.inject_error(program, spec)
     except DmfError as err:

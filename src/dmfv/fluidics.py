@@ -19,9 +19,12 @@ path walk and ``state_at`` advance it over timed lines only; ``ticks`` also
 passes the idle ticks between lines, and rendering and the injection search
 read their states from it.
 
-Probes of the occupancy grid test no bounds: validation has bounded every
-cell a program names, so the grid holds only cells on the array and a
-probe off it simply misses.
+The chip's one droplet index, ``ChipState.by_loc``, maps each occupied
+cell to its droplet, so every rule names a droplet by its cell: what a line
+consumes, what a mixer or a detection holds.  Probes of it test no bounds:
+validation has bounded every cell a program names, so the index holds only
+cells on the array and a probe off it simply misses.  A commit that would
+overwrite a droplet raises ``chip.InconsistentState`` at the write.
 
 Violation classification follows the error taxonomy: a movement conflict
 with a droplet that also moves this tick is dynamic (e2, both instructions
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import chip
-from .chip import ChipState, DetectionEntry, MixerEntry
+from .chip import ChipState, DetectionEntry, Droplet, MixerEntry
 from .diag import Code, Report, Violation, classify
 from .graph import CFVector
 from .isa import (CondCall, Dispense, DetectStart, DmfError, End, Instruction, Loc,
@@ -91,23 +94,27 @@ REMOVE, TRANSPORT, ARRIVE, BOOK = range(4)
 class LineContext:
     """One line as the checks of its instructions see it.
 
-    ``movers`` maps each cell that a transport on the line leaves to the
-    position of the first such instruction.  As instructions pass,
-    ``claimed`` maps the cells they claim, and ``engaged`` the keys of the
-    droplets they consume, to their positions.
+    ``consumed[i]`` holds the cells of the droplets that instruction i
+    consumes, and ``movers`` maps each cell that a transport on the line
+    leaves to the position of the first such instruction.  As instructions
+    pass, ``claimed`` maps the cells they claim, and ``engaged`` the cells
+    of the droplets they consume, to their positions.
     """
 
-    __slots__ = ("line", "t", "movers", "claimed", "engaged")
+    __slots__ = ("line", "t", "consumed", "movers", "claimed", "engaged")
 
     def __init__(self, state: ChipState, line: TimedLine):
         self.line, self.t = line, line.t
+        self.consumed: list[tuple[Loc, ...]] = []
         self.movers: dict[Loc, int] = {}
         self.claimed: dict[Loc, int] = {}
-        self.engaged: dict[int, int] = {}
+        self.engaged: dict[Loc, int] = {}
         for i, instr in enumerate(line.instrs):
             rule = RULES.get(type(instr))
+            cells = () if rule is None else rule.consumes(state, instr)
+            self.consumed.append(cells)
             if rule is not None and rule.phase == TRANSPORT:
-                for cell in rule.consumes(state, instr):
+                for cell in cells:
                     self.movers.setdefault(cell, i)
 
 
@@ -144,16 +151,17 @@ def _row(code: Code, response: str, instr: Instruction, t: int, cells=(),
                     detail=detail)
 
 
-def _pinned(state: ChipState, key: int, cell: Loc, instr: Instruction, t: int, *,
+def _pinned(state: ChipState, cell: Loc, instr: Instruction, t: int, *,
             name_detector: bool = False) -> Violation | None:
-    """The e4 row for a droplet that an active mixer or a detection holds."""
+    """The e4 row for the droplet on ``cell`` if an active mixer or a
+    detection holds it."""
     if not state.mixers and not state.detections:
         return None
-    mx = state.mixer_pinning(key)
+    mx = state.mixer_pinning(cell)
     if mx is not None:
         return _row(Code.E4, f"Droplet on {cell} is in active mixer", instr, t, (cell,),
                     mx.span())
-    det = state.detection_pinning(key)
+    det = state.detection_pinning(cell)
     if det is not None:
         return _row(Code.E4, f"Droplet on {cell} is under detection", instr, t, (cell,),
                     f"detector {det.detector}" if name_detector else "")
@@ -189,10 +197,9 @@ def _check_move(state: ChipState, instr: Move, i: int,
         return classify(Code.E1, "Static fluidic constraint violated", t=t,
                         instructions=_line_instrs(ctx.line, [j, i]), cells=(dst,),
                         detail="destination already claimed")
-    key = state.by_loc.get(src)
-    if key is None:
+    if src not in state.by_loc:
         return _row(Code.E4, f"No droplet present on {src}", instr, t, (src,))
-    pinned = _pinned(state, key, src, instr, t, name_detector=True)
+    pinned = _pinned(state, src, instr, t, name_detector=True)
     if pinned is not None:
         return pinned
     if dst in state.by_loc:
@@ -222,7 +229,7 @@ def _check_mix(state: ChipState, instr: MixStart, i: int,
         return _row(Code.E5, "Droplet is not present on " + " and ".join(map(str, missing)),
                     instr, t, missing)
     for endpoint in (a, b):
-        pinned = _pinned(state, state.by_loc[endpoint], endpoint, instr, t)
+        pinned = _pinned(state, endpoint, instr, t)
         if pinned is not None:
             return pinned
     conflicts = [c for c in _occupied_near(state, a, b)
@@ -241,11 +248,10 @@ def _check_detect(state: ChipState, instr: DetectStart, i: int,
         return _row(Code.STRUCTURAL, f"Detector {name} is not declared", instr, t)
     if any(d.detector == name for d in state.detections):
         return _row(Code.E4, f"Detector {name} is busy", instr, t, (decl.loc,))
-    key = state.by_loc.get(decl.loc)
-    if key is None:
+    if decl.loc not in state.by_loc:
         return _row(Code.E4, f"No droplet on detector {name} at {decl.loc}", instr, t,
                     (decl.loc,))
-    if state.mixer_pinning(key) is not None:
+    if state.mixer_pinning(decl.loc) is not None:
         return _row(Code.E4, f"Droplet on {decl.loc} is in active mixer", instr, t,
                     (decl.loc,))
     return None
@@ -253,18 +259,18 @@ def _check_detect(state: ChipState, instr: DetectStart, i: int,
 
 def _commit_dispense(state: ChipState, instr: Dispense, t: int, events: list) -> None:
     reagent = state.reservoirs[instr.loc].name
-    rec = state._add(reagent, instr.loc, CFVector.unit(reagent), t)
-    events.append(chip.Dispensed(t, reagent, instr.loc, rec.key, rec.cf))
+    cf = CFVector.unit(reagent)
+    state._add(instr.loc, Droplet(reagent, cf))
+    events.append(chip.Dispensed(t, reagent, instr.loc, cf))
 
 
 def _commit_move(state: ChipState, instr: Move, t: int, events: list) -> None:
-    state._move(state.by_loc[instr.src], instr.dst)
+    state._move(instr.src, instr.dst)
 
 
 def _commit_mix(state: ChipState, instr: MixStart, t: int, events: list) -> None:
-    ka, kb = state.by_loc[instr.a], state.by_loc[instr.b]
     entry = MixerEntry(instr.a, instr.b, t, t + instr.t_mix + 1, instr.mtype,
-                       (ka, kb), (state.droplets[ka].node, state.droplets[kb].node))
+                       (state.by_loc[instr.a].node, state.by_loc[instr.b].node))
     state.mixers = state.mixers + (entry,)
     events.append(chip.MixStarted(t, instr.a, instr.b, entry.t_e, instr.mtype,
                                   entry.input_nodes))
@@ -273,7 +279,7 @@ def _commit_mix(state: ChipState, instr: MixStart, t: int, events: list) -> None
 def _commit_detect(state: ChipState, instr: DetectStart, t: int, events: list) -> None:
     decl = state.detectors[instr.detector]
     state.detections = state.detections + (
-        DetectionEntry(instr.detector, state.by_loc[decl.loc], decl.loc, t + decl.duration),)
+        DetectionEntry(instr.detector, decl.loc, t + decl.duration),)
 
 
 def _sink(kind: RKind, event) -> Rule:
@@ -286,14 +292,13 @@ def _sink(kind: RKind, event) -> Rule:
         if decl is None or decl.kind is not kind:
             return _row(Code.E3, f"Dispense to invalid {word} reservoir", instr, t, (loc,),
                         f"{loc} is not a registered {word} cell")
-        key = state.by_loc.get(loc)
-        if key is None:
+        if loc not in state.by_loc:
             return _row(Code.E4, f"No droplet present on {loc}", instr, t, (loc,))
-        return _pinned(state, key, loc, instr, t)
+        return _pinned(state, loc, instr, t)
 
     def commit(state: ChipState, instr, t: int, events: list) -> None:
-        rec = state._remove(state.by_loc[instr.loc])
-        events.append(event(t, rec.node, instr.loc, rec.cf))
+        droplet = state._remove(instr.loc)
+        events.append(event(t, droplet.node, instr.loc, droplet.cf))
 
     return Rule(consumes=lambda state, instr: (instr.loc,), claims=_no_cells,
                 check=check, phase=REMOVE, commit=commit,
@@ -345,11 +350,11 @@ def expire(state: ChipState, t: int) -> tuple[ChipState, list[chip.MixCompleted]
     return chip.expire_detections(state, t), completed
 
 
-def _consumed_twice(snapshot: ChipState, ctx: LineContext, rule: Rule,
-                    instr: Instruction, i: int, cells: tuple[Loc, ...]) -> Violation | None:
+def _consumed_twice(ctx: LineContext, rule: Rule, instr: Instruction, i: int,
+                    cells: tuple[Loc, ...]) -> Violation | None:
     """The generic rule: no droplet is consumed by two instructions of a line."""
     for cell in cells:
-        j = ctx.engaged.get(snapshot.by_loc.get(cell))
+        j = ctx.engaged.get(cell)
         if j is not None:
             code, response, detail, both = rule.taken
             return classify(code, response.format(cell=cell, instr=instr), t=ctx.t,
@@ -382,8 +387,8 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             if isinstance(instr, CondCall):
                 raise EngineError("conditional programs must be expanded into paths first")
             continue    # end
-        consumed = rule.consumes(snapshot, instr)
-        v = _consumed_twice(snapshot, ctx, rule, instr, i, consumed)
+        consumed = ctx.consumed[i]
+        v = _consumed_twice(ctx, rule, instr, i, consumed)
         if v is None:
             v = rule.check(snapshot, instr, i, ctx)
         if v is not None:
@@ -394,7 +399,7 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
         for cell in rule.claims(instr):
             ctx.claimed[cell] = i
         for cell in consumed:
-            ctx.engaged[snapshot.by_loc[cell]] = i
+            ctx.engaged[cell] = i
         effects.append((i, instr))
 
     new, more = _commit(snapshot, effects, t)
@@ -411,7 +416,6 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             violations.extend(pin_violations)
             if policy == "first":
                 return StepResult(snapshot, violations, events)
-    new.check_consistency()
     return StepResult(new, violations, events)
 
 
@@ -485,7 +489,6 @@ def format_event(ev: chip.Event) -> str:
 
 @dataclass
 class Trace:
-    header: object
     reagents: tuple[str, ...]
     events: list[chip.Event] = field(default_factory=list)
     final_state: ChipState | None = None
@@ -507,16 +510,19 @@ class Cursor:
     policy "first" the run stops at the first failing tick and ignores later
     lines.  ``fork`` returns a second cursor that goes on independently from
     the same point: states are values, so only the event and violation
-    lists are copied.
+    lists are copied.  A pin map must have the chip's size (DmfError
+    otherwise).
     """
 
     def __init__(self, program: Program, *, pin_map=None, policy: str = "first",
                  t_max: int | None = None):
         if policy not in ("first", "all"):
             raise EngineError(f"unknown violation policy {policy!r}")
+        if pin_map is not None:
+            pin_map.check_chip(program.header)
         self.pin_map, self.policy = pin_map, policy
         self.state = chip.init_state(program.header, program.detectors)
-        self.trace = Trace(program.header, program.header.reagents)
+        self.trace = Trace(program.header.reagents)
         self.report = Report(t_max=t_max if t_max is not None else program.t_max)
         self.first_bad_t: int | None = None
         self.stopped = False
@@ -551,7 +557,7 @@ class Cursor:
 
     def fork(self) -> "Cursor":
         new = copy.copy(self)
-        new.trace = Trace(self.trace.header, self.trace.reagents, list(self.trace.events))
+        new.trace = Trace(self.trace.reagents, list(self.trace.events))
         new.report = Report(violations=list(self.report.violations),
                             t_max=self.report.t_max)
         return new

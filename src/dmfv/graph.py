@@ -59,9 +59,6 @@ class CFVector:
     def total(self) -> Fraction:
         return sum((v for _, v in self.components), Fraction(0))
 
-    def reagents(self) -> set[str]:
-        return {k for k, _ in self.components}
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{k}:{v}" for k, v in self.components) + "}"
 
@@ -143,9 +140,6 @@ class SeqGraph:
 
     def preds(self, nid: str) -> list[str]:
         return [s for s, d in self.edges if d == nid]
-
-    def succs(self, nid: str) -> list[str]:
-        return [d for s, d in self.edges if s == nid]
 
     def topo_order(self) -> list[str]:
         return _topo(*_adjacency(self))

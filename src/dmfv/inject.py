@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import chip, fluidics
-from .isa import (Dispense, DmfError, Instruction, Loc, MixStart, Move, MType,
-                  Program, RKind, ReservoirDecl, TimedLine, serialize_program)
+from .isa import (Dispense, DmfError, End, Instruction, Loc, MixStart, Move, MType,
+                  Program, RKind, ReservoirDecl, TimedLine, parse_program,
+                  serialize_program)
 
 
 class MutationInapplicable(DmfError):
@@ -38,10 +39,14 @@ def _with_lines(program: Program, lines: list[TimedLine]) -> Program:
 
 
 def add_instruction(program: Program, t: int, instr: Instruction) -> Program:
+    """Add ``instr`` to line t, before its end marker if it has one."""
     lines = list(program.main)
     for i, ln in enumerate(lines):
         if ln.t == t:
-            lines[i] = TimedLine(t, ln.instrs + (instr,))
+            if ln.instrs and isinstance(ln.instrs[-1], End):
+                lines[i] = TimedLine(t, ln.instrs[:-1] + (instr, ln.instrs[-1]))
+            else:
+                lines[i] = TimedLine(t, ln.instrs + (instr,))
             return _with_lines(program, lines)
     end_t = lines[-1].t if lines else 0
     if t > end_t:
@@ -130,13 +135,13 @@ def _sites(state: chip.ChipState, line: TimedLine | None, *, want_dynamic: bool)
     finds, trips the clearance rule next to a moving (e2) or idle (e1) droplet."""
     move_srcs, busy, claimed = _line_context(state, line)
     for src in sorted(state.by_loc):
-        rec = state.droplets[state.by_loc[src]]
-        if (src in busy or src in move_srcs or state.mixer_pinning(rec.key)
-                or state.detection_pinning(rec.key)):
+        if (src in busy or src in move_srcs or state.mixer_pinning(src)
+                or state.detection_pinning(src)):
             continue
         for d in _DIRS:
             dst = Loc(src.row + d.row, src.col + d.col)
-            if not state.in_bounds(dst) or dst in state.by_loc or dst in claimed:
+            if (not state.header.in_bounds(dst) or dst in state.by_loc
+                    or dst in claimed):
                 continue
             conflicts = fluidics.move_conflicts(state, src, dst)
             if not conflicts or any(c in busy for c in conflicts):
@@ -278,5 +283,8 @@ def inject_error(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
     if spec.code not in dispatch:
         raise MutationInapplicable(f"unknown injection code {spec.code!r}")
     mutated, note = dispatch[spec.code](program, spec)
-    serialize_program(mutated)  # must stay well formed
+    try:
+        parse_program(serialize_program(mutated))   # the written file must parse
+    except DmfError as err:
+        raise MutationInapplicable(f"the mutated program is malformed: {err}") from None
     return mutated, note

@@ -204,12 +204,6 @@ class Program:
     def has_conditionals(self) -> bool:
         return any(isinstance(i, CondCall) for ln in self.main for i in ln.instrs)
 
-    def detector(self, det_id: str) -> DetectorDecl | None:
-        for d in self.detectors:
-            if d.id == det_id:
-                return d
-        return None
-
     def line_at(self, t: int) -> TimedLine | None:
         for ln in self.main:
             if ln.t == t:

@@ -290,10 +290,6 @@ def _candidate_pairs(pmap: PinMap,
     participant under the pins of N4(old) | N4(new) and looking up the pins
     of each participant's own two cells therefore finds every such pair.
     """
-    if any(old not in pmap.pin or new not in pmap.pin for old, new, _ in participants):
-        # off-map cells: let check_pair raise exactly as an all-pairs scan would
-        n = len(participants)
-        return [(a, b) for a in range(n) for b in range(a + 1, n)]
     holders: dict[int, list[int]] = {}
     for j, (old, new, _) in enumerate(participants):
         for p in pmap.n4_pins(old) | pmap.n4_pins(new):
@@ -310,7 +306,6 @@ def _candidate_pairs(pmap: PinMap,
 def verify_program_pins(program: Program, pmap: PinMap, *, policy: str = "first",
                         t_max: int | None = None) -> Report:
     """Fluidic verification plus the per-tick pin phase."""
-    pmap.check_chip(program.header)
     _, report = fluidics.verify_program(program, pin_map=pmap, policy=policy,
                                         t_max=t_max)
     return report

@@ -47,8 +47,8 @@ def ascii_frame(state: ChipState, *, legend: bool = True) -> str:
     out = [f"t={state.t}"] + rows
     if legend:
         for loc in sorted(state.by_loc):
-            rec = state.droplets[state.by_loc[loc]]
-            out.append(f"  {loc} id={rec.node} cf={rec.cf}")
+            droplet = state.by_loc[loc]
+            out.append(f"  {loc} id={droplet.node} cf={droplet.cf}")
         for mx in state.mixers:
             out.append(f"  {mx.span()} type {mx.mtype.value}")
         for det in state.detections:
@@ -77,14 +77,13 @@ def svg_frame(state: ChipState, *, cell: int = 28) -> str:
             if loc in state.reservoirs:
                 glyph = _RES_GLYPH[state.reservoirs[loc].kind]
                 parts.append(f'<text x="{x + 3}" y="{y + 11}" font-size="9">{glyph}</text>')
-    for loc, key in sorted(state.by_loc.items()):
-        rec = state.droplets[key]
+    for loc in sorted(state.by_loc):
         x = (loc.col - 1) * cell + cell // 2
         y = (loc.row - 1) * cell + cell // 2
         color = "#3b6fd4" if loc in ends else "#444444"
         parts.append(f'<circle cx="{x}" cy="{y}" r="{cell // 3}" fill="{color}"/>')
         parts.append(f'<text x="{x - cell // 3}" y="{y - cell // 3 - 2}" '
-                     f'font-size="8">{rec.node}</text>')
+                     f'font-size="8">{state.by_loc[loc].node}</text>')
     parts.append(f'<text x="2" y="{h - 4}" font-size="9">t={state.t}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

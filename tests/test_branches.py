@@ -299,7 +299,7 @@ def _naive_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=
 def _final(state):
     if state is None:
         return None
-    return (state.t, state.droplets, state.by_loc, state.mixers, state.detections)
+    return (state.t, state.by_loc, state.mixers, state.detections)
 
 
 def _assert_same(walked, naive):

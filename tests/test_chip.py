@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from dmfv.chip import (ChipState, InconsistentState, MixerEntry,
+from dmfv.chip import (ChipState, Droplet, InconsistentState, MixerEntry,
                        OutOfBounds, expire_mixers, init_state, neighbors4, neighbors8)
 from dmfv.graph import CFVector, cf_mix
-from dmfv.isa import ChipHeader, Loc, MType, ReservoirDecl, RKind
+from dmfv.isa import ChipHeader, DmfError, Loc, MType, ReservoirDecl, RKind
 
 
 def header(rows=5, cols=4, reservoirs=None):
@@ -24,17 +24,17 @@ def test_init_state_blank():
         ReservoirDecl(Loc(5, 1), RKind.OUTPUT),
         ReservoirDecl(Loc(5, 4), RKind.WASTE))))
     assert st.t == 0
-    assert not st.droplets and not st.mixers
+    assert not st.by_loc and not st.mixers
     assert len(st.reservoirs) == 4
     assert st.header.rows * st.header.cols == 20
     for r in range(1, 6):
         for c in range(1, 5):
-            assert not st.occupied(Loc(r, c))
+            assert Loc(r, c) not in st.by_loc
 
 
 def test_init_state_single_cell_and_pcr_sizes():
     st = init_state(ChipHeader(1, 1, 1, (ReservoirDecl(Loc(1, 1), RKind.REAGENT, "S"),)))
-    assert not st.occupied(Loc(1, 1))
+    assert Loc(1, 1) not in st.by_loc
     st = init_state(ChipHeader(15, 15, 5, tuple(
         ReservoirDecl(Loc(3, k + 1), RKind.REAGENT, f"R{k}") for k in range(8))))
     assert st.header.rows * st.header.cols == 225
@@ -47,16 +47,18 @@ def test_neighbors_truncation_and_center_sets():
 
 
 def test_occupied_out_of_bounds():
-    with pytest.raises(OutOfBounds):
-        init_state(header()).occupied(Loc(9, 9))
+    # validation bounds every cell a program names, so the index holds only
+    # cells on the array and a probe off it misses; an off-array cell met
+    # elsewhere (a pin map) is an input error
+    st = init_state(header()).add_droplet("S", Loc(1, 1), CFVector.unit("S"))
+    assert Loc(9, 9) not in st.by_loc and Loc(0, 1) not in st.by_loc
+    assert issubclass(OutOfBounds, DmfError)
 
 
 def _with_mixer(st: ChipState, a: Loc, b: Loc, t_s: int, t_e: int) -> ChipState:
-    st, ra = st.add_droplet("S", a, CFVector.unit("S"), t_s)
-    st, rb = st.add_droplet("B", b, CFVector.unit("B"), t_s)
-    st = st.copy()
-    st.mixers = (MixerEntry(a, b, t_s, t_e, MType.H14, (ra.key, rb.key),
-                            (ra.node, rb.node)),)
+    st = st.add_droplet("S", a, CFVector.unit("S"))
+    st = st.add_droplet("B", b, CFVector.unit("B"))
+    st.mixers = (MixerEntry(a, b, t_s, t_e, MType.H14, ("S", "B")),)
     return st
 
 
@@ -67,8 +69,7 @@ def test_expire_mixers_places_two_droplets_with_shared_id():
     ev = events[0]
     assert (ev.a, ev.b, ev.t_s, ev.t_e) == (Loc(3, 1), Loc(3, 4), 4, 17)
     assert ev.cf == cf_mix(CFVector.unit("S"), CFVector.unit("B"))
-    assert done.occupied(Loc(3, 1)) and done.occupied(Loc(3, 4))
-    d1, d2 = (done.droplets[done.by_loc[l]] for l in (Loc(3, 1), Loc(3, 4)))
+    d1, d2 = done.by_loc[Loc(3, 1)], done.by_loc[Loc(3, 4)]
     assert d1.node == d2.node == ev.node
     assert not done.mixers
 
@@ -85,58 +86,48 @@ def test_expire_mixers_identity_without_due_entries():
 def test_two_mixers_expiring_same_tick():
     st = init_state(header(15, 15))
     st = _with_mixer(st, Loc(4, 3), Loc(7, 3), 5, 12)
-    st, ra = st.add_droplet("C", Loc(9, 13), CFVector.unit("C"), 5)
-    st, rb = st.add_droplet("D", Loc(12, 13), CFVector.unit("D"), 5)
-    st = st.copy()
+    st = st.add_droplet("C", Loc(9, 13), CFVector.unit("C"))
+    st = st.add_droplet("D", Loc(12, 13), CFVector.unit("D"))
     st.mixers = st.mixers + (MixerEntry(Loc(9, 13), Loc(12, 13), 5, 12, MType.V41,
-                                        (ra.key, rb.key), ("C", "D")),)
+                                        ("C", "D")),)
     done, events = expire_mixers(st, 12)
     assert len(events) == 2
-    assert len(done.droplets) == 4
+    assert len(done.by_loc) == 4
     assert {l for l in done.by_loc} == {Loc(4, 3), Loc(7, 3), Loc(9, 13), Loc(12, 13)}
 
 
-def test_grid_registry_bijection_after_operations():
+def test_add_and_move_refuse_an_occupied_cell():
     st = init_state(header(6, 6))
-    st, rec = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"), 0)
-    moved = st.copy()
-    moved._move(rec.key, Loc(2, 3))
-    moved.check_consistency()
-    assert moved.droplet_at(Loc(2, 3)).key == rec.key
-    assert st.droplet_at(Loc(2, 2)).key == rec.key    # the copy left st alone
-    removed = moved.copy()
-    removed._remove(rec.key)
-    removed.check_consistency()
-    assert not removed.droplets and moved.droplets
-
-
-def test_check_consistency_rejects_corrupted_states():
-    st = init_state(header(6, 6))
-    st, rec = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"), 0)
-    moved = st.copy()
-    moved.by_loc = {Loc(5, 5): rec.key}          # grid and registry disagree
+    st = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"))
+    st = st.add_droplet("B", Loc(4, 4), CFVector.unit("B"))
     with pytest.raises(InconsistentState):
-        moved.check_consistency()
-    orphan = st.copy()
-    orphan.by_loc = {}                           # droplet with no cell
+        st.add_droplet("C", Loc(4, 4), CFVector.unit("C"))
+    moved = st.copy()
     with pytest.raises(InconsistentState):
-        orphan.check_consistency()
+        moved._move(Loc(2, 2), Loc(4, 4))
+    assert moved.by_loc == st.by_loc             # the refused write changed nothing
+    moved._move(Loc(2, 2), Loc(2, 3))
+    assert moved.by_loc[Loc(2, 3)] == Droplet("S", CFVector.unit("S"))
+    assert Loc(2, 2) in st.by_loc and Loc(2, 3) not in st.by_loc   # the copy left st alone
 
 
-def test_check_consistency_raises_under_python_O():
+def test_occupied_cell_guard_raises_under_python_O():
     code = textwrap.dedent("""
         from dmfv.chip import InconsistentState, init_state
         from dmfv.graph import CFVector
         from dmfv.isa import ChipHeader, Loc
         assert False, "assert statements must be stripped under -O"
-        st, rec = init_state(ChipHeader(6, 6, 5, ())).add_droplet(
-            "S", Loc(2, 2), CFVector.unit("S"), 0)
-        st.by_loc = {Loc(5, 5): rec.key}
-        try:
-            st.check_consistency()
-        except InconsistentState:
-            raise SystemExit(0)
-        raise SystemExit(1)
+        st = init_state(ChipHeader(6, 6, 5, ()))
+        st = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"))
+        st = st.add_droplet("B", Loc(5, 5), CFVector.unit("B"))
+        refused = 0
+        for write in (lambda: st._move(Loc(2, 2), Loc(5, 5)),
+                      lambda: st.add_droplet("C", Loc(2, 2), CFVector.unit("C"))):
+            try:
+                write()
+            except InconsistentState:
+                refused += 1
+        raise SystemExit(0 if refused == 2 else 1)
     """)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -7,6 +7,8 @@ import sys
 import textwrap
 from collections import Counter
 
+import pytest
+
 from dmfv.chip import ChipState
 from dmfv.cli import main
 from dmfv.diag import format_report
@@ -279,6 +281,36 @@ def test_inject_inapplicable_exit_two(tmp_path, capsys):
     rc = main(["inject", str(empty), "--error", "e5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+
+_ENDS_AT_T3 = "dim(5,5)\naccuracy 5\nR(1,1,S) R(1,3,B)\n1 d(1,1)\n2 d(1,3)\n3 end\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["pcr.dmf", "--error", "e1", "--line", "1", "--move", "garbage"],
+    ["pcr.dmf", "--error", "e3", "--to", "5"],
+    ["pcr.dmf", "--error", "e7", "--swap", "A"],
+    ["mplex.dmf", "--error", "pin", "--pins", "mplex.pins", "--remap", "99,99=3"],
+    ["pcr.dmf", "--error", "e1", "--line", "1", "--move", "1,1->9,9"],
+    ["pcr.dmf", "--error", "e3", "--to", "99,99"],
+    ["pcr.dmf", "--error", "e6", "--duration", "0"],
+    ["ends_at_t3.dmf", "--error", "e1"],
+])
+def test_inject_writes_only_programs_that_parse(args, tmp_path, capsys):
+    (tmp_path / "ends_at_t3.dmf").write_text(_ENDS_AT_T3)
+    out = tmp_path / "out"
+    files = {name: fx(name) for name in ("pcr.dmf", "mplex.dmf", "mplex.pins")}
+    files["ends_at_t3.dmf"] = str(tmp_path / "ends_at_t3.dmf")
+    rc = main(["inject", *(files.get(a, a) for a in args), "-o", str(out)])
+    err = capsys.readouterr().err
+    if args[0] != "ends_at_t3.dmf":
+        assert (rc, err.startswith("error: "), out.exists()) == (2, True, False), err
+        return
+    # the added move goes before the end marker, and the written program shows e1
+    assert rc == 0 and out.read_text().endswith("\n3 m([1,1]->[1,2]) end\n")
+    assert main(["verify", str(out)]) == 1
+    assert "e1 " in capsys.readouterr().out
 
 
 _DMF_FIXTURES = ("pcr.dmf", "twowaymix.dmf", "mplex.dmf", "threeway_bad.dmf",

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -24,7 +25,7 @@ def header(rows, cols, reservoirs=()):
 def state_with(rows, cols, locs, reservoirs=()):
     st = init_state(header(rows, cols, reservoirs))
     for i, loc in enumerate(locs):
-        st, _ = st.add_droplet(f"n{i}", loc, CFVector.unit("S"), 0)
+        st = st.add_droplet(f"n{i}", loc, CFVector.unit("S"))
     return st
 
 
@@ -143,7 +144,7 @@ def test_droplet_consumed_by_two_instructions(first, second):
     st = init_state(header(6, 7, [ReservoirDecl(Loc(3, 2), kind)]),
                     (DetectorDecl("d1", Loc(3, 2), 2),))
     for node, loc in (("A", Loc(3, 2)), ("B", Loc(3, 5))):
-        st, _ = st.add_droplet(node, loc, CFVector.unit(node), 0)
+        st = st.add_droplet(node, loc, CFVector.unit(node))
     result = step(st, TimedLine(1, (_CONSUMERS[first], _CONSUMERS[second])))
     [v] = result.violations
     code, response, detail = _SECOND_ROW[second]
@@ -160,7 +161,87 @@ def test_step_simultaneous_moves():
     line = prog.line_at(18)
     result = step(st, line)
     assert result.violations == []
-    assert result.state.occupied(Loc(2, 4)) and result.state.occupied(Loc(5, 4))
+    assert Loc(2, 4) in result.state.by_loc and Loc(5, 4) in result.state.by_loc
+
+
+def test_consumes_runs_once_per_instruction_per_step(monkeypatch):
+    calls = [0]
+    for kind, rule in list(fluidics.RULES.items()):
+        def counted(state, instr, consumes=rule.consumes):
+            calls[0] += 1
+            return consumes(state, instr)
+        monkeypatch.setitem(fluidics.RULES, kind, dataclasses.replace(rule, consumes=counted))
+    for name in ("pcr.dmf", "twowaymix.dmf", "threeway_bad.dmf"):
+        prog = parse_program(load(name))
+        calls[0] = 0
+        verify_program(prog, policy="all")
+        assert calls[0] == sum(type(instr) in fluidics.RULES
+                               for line in prog.main for instr in line.instrs), name
+
+
+# Sinks and detectors share cells, so that wastes, outputs and detections
+# meet droplets that a mixer or a detection holds.
+_PINNED_HEADER = ChipHeader(7, 7, 5, (
+    ReservoirDecl(Loc(1, 1), RKind.REAGENT, "A"), ReservoirDecl(Loc(7, 7), RKind.REAGENT, "B"),
+    ReservoirDecl(Loc(1, 7), RKind.WASTE), ReservoirDecl(Loc(4, 1), RKind.WASTE),
+    ReservoirDecl(Loc(7, 1), RKind.OUTPUT), ReservoirDecl(Loc(4, 7), RKind.OUTPUT)))
+_PINNED_DETECTORS = tuple(DetectorDecl(f"d{i}", loc, 2 + i % 3) for i, loc in enumerate(
+    (Loc(1, 7), Loc(4, 1), Loc(7, 1), Loc(4, 7), Loc(1, 4), Loc(4, 4), Loc(7, 4))))
+
+
+def _consumer(rng, state, cell):
+    """A random instruction that takes up the droplet on ``cell``: a detection
+    or a mix where one is possible, else a move, a waste or an output."""
+    detectors = [d.id for d in _PINNED_DETECTORS if d.loc == cell]
+    if detectors and rng.random() < 0.5:
+        return DetectStart(detectors[0])
+    partners = [(other, mtype) for other, mtype in ((Loc(cell.row, cell.col + 3), MType.H14),
+                                                    (Loc(cell.row + 3, cell.col), MType.V41))
+                if other in state.by_loc]
+    if partners and rng.random() < 0.7:
+        other, mtype = rng.choice(partners)
+        return MixStart(cell, other, rng.randrange(2, 6), mtype)
+    if rng.random() < 0.3:
+        sink = state.reservoirs.get(cell)
+        return (Output if sink is not None and sink.kind is RKind.OUTPUT else Waste)(cell)
+    dr, dc = rng.choice(((-1, 0), (1, 0), (0, -1), (0, 1)))
+    dst = Loc(cell.row + dr, cell.col + dc)
+    return Move(cell, dst) if state.header.in_bounds(dst) else None
+
+
+def test_pinned_droplets_stay_on_their_cells_under_policy_all():
+    # The chip names a droplet by its cell, which is exact only while every
+    # droplet that a mixer or a detection holds stays where it was taken up.
+    seen = Counter()
+    for seed in range(30):
+        rng = random.Random(seed)
+        state = init_state(_PINNED_HEADER, _PINNED_DETECTORS)
+        held = {}
+        for t in range(1, 81):
+            instrs = [Dispense(rng.choice((Loc(1, 1), Loc(7, 7))))] if rng.random() < 0.5 else []
+            pinned = {c for mx in state.mixers for c in (mx.a, mx.b)}
+            pinned |= {det.loc for det in state.detections}
+            for cell in sorted(state.by_loc):
+                if rng.random() < (0.7 if cell in pinned else 0.5):
+                    instr = _consumer(rng, state, cell)
+                    if instr is not None:
+                        instrs.append(instr)
+            rng.shuffle(instrs)
+            result = step(state, TimedLine(t, tuple(instrs)), policy="all")
+            state = result.state
+            seen["e4 on a held droplet"] += sum(
+                v.code is Code.E4 and ("in active mixer" in v.response
+                                       or "under detection" in v.response)
+                for v in result.violations)
+            for entry in (*state.mixers, *state.detections):
+                cells = (entry.a, entry.b) if hasattr(entry, "a") else (entry.loc,)
+                assert all(c in state.by_loc for c in cells), (seed, t, entry)
+                droplets = tuple(state.by_loc[c] for c in cells)
+                first = held.setdefault(entry, droplets)
+                assert all(a is b for a, b in zip(first, droplets)), (seed, t, entry)
+                seen["mixer ticks" if len(cells) == 2 else "detection ticks"] += 1
+    assert all(seen[k] >= 100 for k in ("e4 on a held droplet", "mixer ticks",
+                                       "detection ticks")), seen
 
 
 def test_step_rejects_conditionals():
@@ -376,8 +457,8 @@ def test_ticks_match_replay_oracle(fixtures):
         prev = None
         for t, state in frames:
             want = replay_state_at(prog, t)
-            assert (state.by_loc, state.droplets, state.mixers, state.detections) == (
-                want.by_loc, want.droplets, want.mixers, want.detections), (t, prog)
+            assert (state.by_loc, state.mixers, state.detections) == (
+                want.by_loc, want.mixers, want.detections), (t, prog)
             # a failing tick shows the state its line found, one tick earlier
             assert state.t == (max(t - 1, 0) if t == bad_t else t)
             if prev is not None and t not in line_ticks:
@@ -390,8 +471,8 @@ def test_ticks_match_replay_oracle(fixtures):
         seen["line at t=0"] += first == 0
         for t in {0, first, last // 2, last, last + 3, stop}:
             state, want = state_at(prog, t), replay_state_at(prog, t)
-            assert (state.by_loc, state.droplets, state.mixers, state.detections) == (
-                want.by_loc, want.droplets, want.mixers, want.detections)
+            assert (state.by_loc, state.mixers, state.detections) == (
+                want.by_loc, want.mixers, want.detections)
             assert state.t == (frames[-1][1].t if bad_t is not None and t >= bad_t else t)
     assert all(seen[k] >= 3 for k in ("idle mixer ends", "idle detection ends",
                                       "mixer ticks", "detection ticks",

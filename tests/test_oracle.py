@@ -87,7 +87,7 @@ def random_state(rng, *, reservoir_at=None):
             if rng.random() < 0.18:
                 occupied.add(Loc(r, c))
     for i, loc in enumerate(sorted(occupied)):
-        st, _ = st.add_droplet(f"n{i}", loc, CFVector.unit("S"), 0)
+        st = st.add_droplet(f"n{i}", loc, CFVector.unit("S"))
     return st, occupied
 
 
@@ -108,7 +108,7 @@ def run_oracle_equivalence(samples: int, seed: int = 90125) -> int:
         dirs = [Loc(-1, 0), Loc(1, 0), Loc(0, -1), Loc(0, 1)]
         d = rng.choice(dirs)
         dst = Loc(loc.row + d.row, loc.col + d.col)
-        if st.in_bounds(dst) and dst not in occ:
+        if st.header.in_bounds(dst) and dst not in occ:
             ok = check(st, Move(loc, dst)) is None
             assert ok == eval_conj(move_formula(loc, dst, rows, cols), occ)
 
@@ -134,10 +134,9 @@ def test_guard_matches_mixer_formula_on_random_walks():
     for _ in range(300):
         st = init_state(ChipHeader(8, 8, 5, ()))
         a, b = Loc(4, 3), Loc(4, 6)
-        st, ra = st.add_droplet("A", a, CFVector.unit("S"), 0)
-        st, rb = st.add_droplet("B", b, CFVector.unit("S"), 0)
-        st = st.copy()
-        st.mixers = (MixerEntry(a, b, 0, 9, MType.H14, (ra.key, rb.key), ("A", "B")),)
+        st = st.add_droplet("A", a, CFVector.unit("S"))
+        st = st.add_droplet("B", b, CFVector.unit("S"))
+        st.mixers = (MixerEntry(a, b, 0, 9, MType.H14, ("A", "B")),)
         walker = Loc(rng.randrange(1, 9), rng.randrange(1, 9))
         if walker in (a, b):
             continue
@@ -145,7 +144,7 @@ def test_guard_matches_mixer_formula_on_random_walks():
             occ = {a, b}
             st2 = st
             if walker not in occ:
-                st2, _ = st.add_droplet("W", walker, CFVector.unit("S"), 0)
+                st2 = st.add_droplet("W", walker, CFVector.unit("S"))
                 occ.add(walker)
             ok = not _post_checks(st2, TimedLine(1, ()), {}, 1)
             assert ok == eval_conj(mixer_formula(a, b, 8, 8), occ)
@@ -182,8 +181,7 @@ def test_separation_probe_matches_pairwise_scan():
         mixers = []
         for _ in range(min(rng.randrange(3), len(locs) // 2)):
             a, b = rng.sample(locs, 2)
-            mixers.append(MixerEntry(a, b, 0, 9, MType.H14,
-                                     (st.by_loc[a], st.by_loc[b]), ("S", "S")))
+            mixers.append(MixerEntry(a, b, 0, 9, MType.H14, ("S", "S")))
         st.mixers = tuple(mixers)
         # droplets that arrived this tick: each claims its cell for one instruction
         arrived = rng.sample(locs, rng.randrange(len(locs) + 1))
@@ -210,20 +208,20 @@ def test_move_conflicts_probe_matches_bounded_clearance_scan():
             for c in range(1, cols + 1):
                 edge = r in (1, rows) or c in (1, cols)
                 if rng.random() < (0.5 if edge else 0.18):
-                    st, _ = st.add_droplet("S", Loc(r, c), CFVector.unit("S"), 0)
+                    st = st.add_droplet("S", Loc(r, c), CFVector.unit("S"))
         for r in range(1, rows + 1):
             for c in range(1, cols + 1):
                 src = Loc(r, c)
                 for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
                     dst = Loc(r + dr, c + dc)
-                    if not st.in_bounds(dst):
+                    if not st.header.in_bounds(dst):
                         continue
                     cells = move_clearance_cells(src, dst)
                     expected = sorted(c for c in cells
-                                      if st.in_bounds(c) and c in st.by_loc)
+                                      if st.header.in_bounds(c) and c in st.by_loc)
                     got = move_conflicts(st, src, dst)
                     assert got == expected, (src, dst)
                     assert all(type(c) is Loc for c in got)
-                    off_array += sum(not st.in_bounds(c) for c in cells)
+                    off_array += sum(not st.header.in_bounds(c) for c in cells)
                     hits += len(got)
     assert off_array > 1000 and hits > 1000

@@ -13,7 +13,7 @@ from dmfv.pins import (PinMap, _finding_to_violation, check_case1, check_dispens
                        check_pair, dedicated_map, parse_pins, pin_phase, pins_of,
                        serialize_pins, verify_program_pins)
 
-from conftest import load
+from conftest import FIXTURES, load
 
 
 def make_map(rows, cols, overrides):
@@ -40,7 +40,7 @@ def pair_checks(monkeypatch):
 def droplets(rows, cols, locs):
     st = init_state(ChipHeader(rows, cols, 5, ()))
     for i, loc in enumerate(locs):
-        st, _ = st.add_droplet(f"n{i}", loc, CFVector.unit("S"), 0)
+        st = st.add_droplet(f"n{i}", loc, CFVector.unit("S"))
     return st
 
 
@@ -253,20 +253,19 @@ def random_tick(rng, rows, cols):
     parked = [l for l in cells[5:] if rng.random() < 0.18]
     parked += [l for l in sinks if rng.random() < 0.6]
     for loc in parked:
-        snapshot, _ = snapshot.add_droplet("S", loc, CFVector.unit("A"), 0)
+        snapshot = snapshot.add_droplet("S", loc, CFVector.unit("A"))
     free = [l for l in parked if l not in sinks]
     if len(free) >= 2 and rng.random() < 0.5:
         a, b = rng.sample(free, 2)
         snapshot = snapshot.copy()
-        snapshot.mixers = (MixerEntry(a, b, 0, 99, MType.H14,
-                                      (snapshot.by_loc[a], snapshot.by_loc[b]), ("S", "S")),)
+        snapshot.mixers = (MixerEntry(a, b, 0, 99, MType.H14, ("S", "S")),)
         free = [l for l in free if l not in (a, b)]
     instrs, claimed = [], set()
     for src in free:
         if rng.random() < 0.5:
             dr, dc = rng.choice([(-1, 0), (1, 0), (0, -1), (0, 1)])
             dst = Loc(src.row + dr, src.col + dc)
-            if snapshot.in_bounds(dst) and dst not in snapshot.by_loc and dst not in claimed:
+            if snapshot.header.in_bounds(dst) and dst not in snapshot.by_loc and dst not in claimed:
                 instrs.append(Move(src, dst))
                 claimed.add(dst)
     for loc in sources:
@@ -352,3 +351,24 @@ def test_pin_map_roundtrip_and_dim_check():
     from dmfv.isa import DmfError
     with pytest.raises(DmfError):
         verify_program_pins(prog, pmap)
+
+
+
+def test_pin_map_size_must_equal_the_chip(tmp_path, capsys):
+    from dmfv.branches import verify_all_paths
+    from dmfv.cli import main
+    from dmfv.fluidics import verify_program
+
+    small = tmp_path / "5x5.pins"
+    small.write_text(serialize_pins(dedicated_map(5, 5)))
+    assert main(["verify", str(FIXTURES / "pcr.dmf"), "--pins", str(small)]) == 2
+    assert capsys.readouterr().err == "error: pin map is 5x5 but the chip is 15x15\n"
+    # a smaller and a larger map, on a straight-line 15x15 and a conditional 8x8 program
+    for name, verify, sides in (("pcr.dmf", verify_program, (5, 20)),
+                                ("recovery.dmf", verify_all_paths, (6, 11))):
+        program = parse_program(load(name))
+        n = program.header.rows
+        for side in sides:
+            with pytest.raises(DmfError, match=f"^pin map is {side}x{side} but the chip "
+                                               f"is {n}x{n}$"):
+                verify(program, pin_map=dedicated_map(side, side))
