@@ -10,16 +10,22 @@ match the all-faulty path; every other path is a compaction of it.
 Paths that share their leading outcomes run the same lines at the same
 ticks up to their next conditional, so ``verify_all_paths`` walks the tree
 of outcomes depth first and steps each shared prefix once, forking the run
-at every conditional.  ``path_shapes`` walks the same tree without
-stepping, for ``dmfv paths``.  Each path's report is the one its spliced
-straight-line program gets when verified alone.
+at every conditional.  Paths whose chip states agree at a resume point, up
+to a shift in time, share their stepped suffix as well: a recovery that
+puts the chip back as it found it leaves its path one shift away from the
+path that skipped it.  The first path to reach such a state steps what
+follows, and the others replay its clean leaves shifted in time, so
+stepping costs distinct resume states times lines, not paths times lines.
+``path_shapes`` walks the same tree without stepping, for ``dmfv paths``.
+Each path's report is the one its spliced straight-line program gets when
+verified alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fluidics, graph
+from . import chip, fluidics, graph
 from .diag import Code, Report, classify
 from .isa import CondCall, DmfError, Program, TimedLine, ValidationError, validate_structure
 
@@ -125,6 +131,22 @@ def _tagged(report: Report, label: str) -> Report:
     return tagged
 
 
+def _resume_key(main: tuple[TimedLine, ...], idx: int, cursor: fluidics.Cursor,
+                delta: int) -> tuple:
+    """What the rest of the walk from ``main[idx]`` depends on, with time
+    measured from the walk's shift ``delta``: the chip state, less its tick
+    (the next line advanced overwrites it) and less the detections over by
+    ``main[idx]``'s tick (no line advances earlier, and its ``expire`` drops
+    them before any check).
+
+    The cursor's flags need no place: an end marker is never advanced
+    before a resume point, a stopped cursor is not looked up, and only a
+    subtree without new rows, which no earlier row can change, is kept.
+    """
+    rel = chip.expire_detections(cursor.state.shifted(-delta), main[idx].t)
+    return idx, frozenset(rel.by_loc.items()), rel.mixers, rel.detections, rel.next_node
+
+
 def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
                      policy: str = "first", t_max: int | None = None,
                      only: str | None = None,
@@ -134,6 +156,9 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     Each path's report equals that of its spliced program verified alone,
     but the lines a group of paths shares up to a conditional are stepped
     once: the run is forked there, and each fork goes on under one outcome.
+    Paths that reach a resume point in the same chip state, up to a shift
+    in time, also share what follows: the first one steps it, and the
+    others replay its clean leaves shifted in time.
 
     When an input graph is supplied (annotated, as ``graph.parse_input_sg``
     returns it), each clean path is additionally required to deliver the
@@ -145,9 +170,15 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
         raise DmfError(f"no path labeled {only!r}")
     n = program.header.accuracy
     want = None if input_sg is None else _output_cfs(input_sg, n)
+    main = program.main
     out: list[PathReport] = []
+    leaves: list[tuple[tuple[bool, ...], fluidics.Cursor]] = []
+    # resume key -> (delta, outcome count, event count and last_t at the key,
+    #                the leaves below it)
+    memo: dict[tuple, tuple[int, int, int, int | None, list]] = {}
 
     def emit(outcomes: tuple[bool, ...], cursor: fluidics.Cursor) -> None:
+        leaves.append((outcomes, cursor))
         label = _label(outcomes)
         trace, report = cursor.finish()
         report = _tagged(report, label)
@@ -158,24 +189,48 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
                 _check_outputs(want, sg, n, report, label)
         out.append(PathReport(label, outcomes, report, trace, sg))
 
+    def replay(cursor: fluidics.Cursor, delta: int, outcomes: tuple[bool, ...],
+               stored: tuple) -> None:
+        delta0, depth, n_events, last_t, below = stored
+        d = delta - delta0
+        for i, (leaf_outcomes, leaf) in enumerate(below):
+            child = cursor if i == len(below) - 1 else cursor.fork()
+            if leaf.last_t != last_t:   # the leaf stepped lines after the key
+                child.trace.events.extend(
+                    chip.shifted_event(e, d) for e in leaf.trace.events[n_events:])
+                child.state = leaf.state.shifted(d)
+                child.last_t, child.ended = leaf.last_t + d, leaf.ended
+            emit(outcomes + leaf_outcomes[depth:], child)
+
     def walk(cursor: fluidics.Cursor, idx: int, delta: int,
              outcomes: tuple[bool, ...]) -> None:
-        main = program.main
+        key = None
+        if idx < len(main) and not cursor.stopped:
+            key = _resume_key(main, idx, cursor, delta)
+            if key in memo:
+                replay(cursor, delta, outcomes, memo[key])
+                return
+            first, rows = len(leaves), len(cursor.report.violations)
+            stored = (delta, len(outcomes), len(cursor.trace.events), cursor.last_t)
         while idx < len(main) and _cond_of(main[idx]) is None:
             line = main[idx]
             cursor.advance(TimedLine(line.t + delta, line.instrs) if delta else line)
             idx += 1
         if idx == len(main):
             emit(outcomes, cursor)
-            return
-        choices = (False, True) if only is None else (only[len(outcomes)] == "1",)
-        for i, taken in enumerate(choices):
-            # the last child takes the cursor over; the others get forks
-            child = cursor if i == len(choices) - 1 else cursor.fork()
-            inserted, child_delta = _branch(program, idx, delta, taken)
-            for line in inserted:
-                child.advance(line)
-            walk(child, idx + 1, child_delta, outcomes + (taken,))
+        else:
+            choices = (False, True) if only is None else (only[len(outcomes)] == "1",)
+            for i, taken in enumerate(choices):
+                # the last child takes the cursor over; the others get forks
+                child = cursor if i == len(choices) - 1 else cursor.fork()
+                inserted, child_delta = _branch(program, idx, delta, taken)
+                for line in inserted:
+                    child.advance(line)
+                walk(child, idx + 1, child_delta, outcomes + (taken,))
+        # rows carry absolute ticks, so only a subtree without new rows is kept
+        if key is not None and all(len(leaf.report.violations) == rows
+                                   for _, leaf in leaves[first:]):
+            memo[key] = stored + (leaves[first:],)
 
     walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, ())
     return out

@@ -20,7 +20,7 @@ a bounds test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
 
 from .isa import ChipHeader, DetectorDecl, DmfError, Loc, MType
@@ -127,6 +127,15 @@ class Outputted:
 Event = Dispensed | MixStarted | MixCompleted | Wasted | Outputted
 
 
+def shifted_event(ev: Event, d: int) -> Event:
+    """The same event d ticks later."""
+    if isinstance(ev, MixCompleted):
+        return replace(ev, t=ev.t + d, t_s=ev.t_s + d, t_e=ev.t_e + d)
+    if isinstance(ev, MixStarted):
+        return replace(ev, t=ev.t + d, t_e=ev.t_e + d)
+    return replace(ev, t=ev.t + d)
+
+
 class ChipState:
     """Occupancy (cell -> droplet), T_reservoir, T_mixer and detections."""
 
@@ -198,6 +207,14 @@ class ChipState:
         new.t = t
         return new
 
+    def shifted(self, d: int) -> "ChipState":
+        """The same chip d ticks later: the tick and every mixer and detection
+        deadline move by d."""
+        new = self.at_tick(self.t + d)
+        new.mixers = tuple(replace(mx, t_s=mx.t_s + d, t_e=mx.t_e + d) for mx in self.mixers)
+        new.detections = tuple(replace(det, t_end=det.t_end + d) for det in self.detections)
+        return new
+
 
 def init_state(header: ChipHeader, detectors: Iterable[DetectorDecl] = ()) -> ChipState:
     """Blank chip at t=0: every cell free, no droplets, empty mixer table."""
@@ -207,11 +224,11 @@ def init_state(header: ChipHeader, detectors: Iterable[DetectorDecl] = ()) -> Ch
 def expire_mixers(state: ChipState, t: int) -> tuple[ChipState, list[MixCompleted]]:
     """Complete every mixer with t_e <= t: the two inputs are replaced by two
     result droplets at the endpoints, both carrying one fresh id."""
-    from .graph import cf_mix  # local import keeps chip free of graph at load time
-
     due = [mx for mx in state.mixers if mx.t_e <= t]
     if not due:
         return state, []
+    from .graph import cf_mix  # local import keeps chip free of graph at load time
+
     events: list[MixCompleted] = []
     new = state.copy()
     new.mixers = tuple(mx for mx in state.mixers if mx.t_e > t)

@@ -151,13 +151,24 @@ def _sites(state: chip.ChipState, line: TimedLine | None, *, want_dynamic: bool)
 
 
 def _move_candidates(program: Program, *, want_dynamic: bool):
-    """Every site (t, src, dst), earliest first, from one pass of the clean run."""
+    """Every site (t, src, dst), earliest first, from one pass of the clean run.
+
+    A tick without a line that follows such a tick without a site, and
+    resolves nothing, finds the same state: it has no site either and is
+    not scanned.
+    """
     lines = {ln.t: ln for ln in program.main}
     prev = chip.init_state(program.header, program.detectors)
+    barren = False          # the tick before had no line and no site
     for t, after in fluidics.ticks(program):
         state, _ = fluidics.expire(prev, t)     # the state line t finds
-        prev = after
-        for src, dst in _sites(state, lines.get(t), want_dynamic=want_dynamic):
+        resolved, prev = state is not prev, after
+        line = lines.get(t)
+        if barren and line is None and not resolved:
+            continue
+        barren = line is None
+        for src, dst in _sites(state, line, want_dynamic=want_dynamic):
+            barren = False
             yield t, src, dst
 
 
@@ -181,6 +192,11 @@ def _inject_move(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
 
 
 def _inject_e3(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
+    if spec.to is not None and any(r.loc == spec.to and r.kind is RKind.REAGENT
+                                   for r in program.header.reservoirs):
+        # a dispense from a reagent reservoir is legal: the search skips these too
+        raise MutationInapplicable(f"{spec.to} is a reagent reservoir, so a dispense "
+                                   f"from it is legal")
     for ln in program.main:
         for pos, instr in enumerate(ln.instrs):
             if isinstance(instr, Dispense):

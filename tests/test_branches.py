@@ -3,10 +3,11 @@ from dataclasses import dataclass
 
 import pytest
 
-from dmfv import fluidics
-from dmfv.branches import (NestedConditional, PathLimitExceeded, _branch, _check_outputs,
-                           _cond_of, _count_conditionals, _label, _output_cfs, _tagged,
-                           merge_reports, path_shapes, verify_all_paths)
+from dmfv import chip, fluidics
+from dmfv.branches import (NestedConditional, PathLimitExceeded, PathReport, _branch,
+                           _check_outputs, _cond_of, _count_conditionals, _label,
+                           _output_cfs, _tagged, merge_reports, path_shapes,
+                           verify_all_paths)
 from dmfv.diag import Code, format_report
 from dmfv.graph import conformance, parse_input_sg, reconstruct
 from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, parse_program,
@@ -229,19 +230,32 @@ def test_fault_injected_into_recovery_hits_taken_paths_only():
 
 # --- the depth-first walk against naive per-path replay ---------------------------
 
-def _random_conditional(rng: random.Random, c: int) -> Program:
+def _random_conditional(rng: random.Random, c: int, *, extras: bool = False) -> Program:
     """A droplet P walks row 6 past c detector checkpoints; each recovery is a
-    detour up and back.  A parked droplet Q sits on (2,1) and a 1x4 mixer on
-    row 9 may still be active at the end.  Up to two faults land on random
-    main or recovery lines: a move from an empty cell (e4), a dispense onto Q
-    (e1) or one from a cell that is no reservoir (e3)."""
+    detour up and back, which puts the chip back as it found it.  A parked
+    droplet Q sits on (2,1) and a 1x4 mixer on row 9 may still be active at
+    the end.  Up to two faults land on random main or recovery lines: a move
+    from an empty cell (e4), a dispense onto Q (e1) or one from a cell that
+    is no reservoir (e3).
+
+    ``extras`` adds what merging paths must tell apart.  A detection may hold
+    Q from t=2 across the early conditionals, and a fault may move Q.  A
+    recovery past column 2 may re-mix instead of detouring: it dilutes P, or
+    mixes two fresh droplets and wastes both, so it leaves a new mix id
+    behind either way.  The main line may stop at its last conditional."""
     cols = 4 * c + 10
     decls = [f"dim(10,{cols})", "accuracy 2",
              f"R(6,1,S) R(2,1,B) R(9,1,S) R(9,4,B) O(6,{cols})"]
     main = [[1, ["d(6,1)", "d(2,1)", "d(9,1)", "d(9,4)"]],
             [2, [f"mix([9,1]<->[9,4],{rng.randint(2, 60)},14)"]]]
     recoveries = []
+    faults = ("m([3,5]->[3,6])", "d(2,1)", "d(3,3)")
     t, col = 3, 1
+    if extras:
+        faults += ("m([2,1]->[2,2])",)
+        if rng.random() < 0.5:
+            decls.append(f"D(dq,2,1,{rng.randint(8, 80)})")
+            main[1][1].append("detect(dq)")
 
     def walk_to(end_col):
         nonlocal t, col
@@ -257,21 +271,40 @@ def _random_conditional(rng: random.Random, c: int) -> Program:
         t += dur
         main.append([t, [f"if(d{i}) call Recovery({i})"]])
         t += rng.randint(1, 3)
-        trip = [(6 - j, col) for j in range(rng.randint(1, 2) + 1)]
-        trip += trip[-2::-1]
-        bt, block = rng.randint(0, 300), []
-        for (r1, c1), (r2, c2) in zip(trip, trip[1:]):
-            block.append([bt, [f"m([{r1},{c1}]->[{r2},{c2}])"]])
-            bt += rng.randint(1, 2)
+        kind = "detour"
+        if extras and col >= 3 and rng.random() < 0.4:
+            # the cells a side mix declares stay clear of the next recovery's
+            kind = "side" if i % 2 == 0 and rng.random() < 0.5 else "dilute"
+        if kind == "dilute":
+            tm, bt = rng.randint(1, 3), rng.randint(0, 300)
+            decls.append(f"R(3,{col},B) W(2,{col})")
+            block = [[bt, [f"d(3,{col})"]], [bt + 1, [f"mix([3,{col}]<->[6,{col}],{tm},41)"]],
+                     [bt + tm + 3, [f"m([3,{col}]->[2,{col}])"]],
+                     [bt + tm + 4, [f"waste(2,{col})"]]]
+        elif kind == "side":
+            tm, bt, nxt = rng.randint(1, 3), rng.randint(0, 300), col + 1
+            decls.append(f"R(1,{col},S) R(4,{col},B) W(1,{nxt}) W(4,{nxt})")
+            block = [[bt, [f"d(1,{col})", f"d(4,{col})"]],
+                     [bt + 1, [f"mix([1,{col}]<->[4,{col}],{tm},41)"]],
+                     [bt + tm + 3, [f"m([1,{col}]->[1,{nxt}])", f"m([4,{col}]->[4,{nxt}])"]],
+                     [bt + tm + 4, [f"waste(1,{nxt})", f"waste(4,{nxt})"]]]
+        else:
+            trip = [(6 - j, col) for j in range(rng.randint(1, 2) + 1)]
+            trip += trip[-2::-1]
+            bt, block = rng.randint(0, 300), []
+            for (r1, c1), (r2, c2) in zip(trip, trip[1:]):
+                block.append([bt, [f"m([{r1},{c1}]->[{r2},{c2}])"]])
+                bt += rng.randint(1, 2)
         recoveries.append(block)
-    walk_to(cols)
-    main.append([t, [f"output(6,{cols})"]])
-    if rng.random() < 0.8:
-        main.append([t + 1, ["end"]])
+    if not (extras and c and rng.random() < 0.3):
+        walk_to(cols)
+        main.append([t, [f"output(6,{cols})"]])
+        if rng.random() < 0.8:
+            main.append([t + 1, ["end"]])
     targets = [ln for ln in main[:-1] if not ln[1][0].startswith("if(")]
     targets += [ln for block in recoveries for ln in block]
     for _ in range(rng.choice((0, 1, 1, 2))):
-        rng.choice(targets)[1].append(rng.choice(("m([3,5]->[3,6])", "d(2,1)", "d(3,3)")))
+        rng.choice(targets)[1].append(rng.choice(faults))
     text = decls + [f"{t} {' '.join(ins)}" for t, ins in main]
     for i, block in enumerate(recoveries):
         text += [f"recovery {i}:"] + [f"{t} {' '.join(ins)}" for t, ins in block]
@@ -296,6 +329,45 @@ def _naive_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=
     return out
 
 
+def _unmerged_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=None):
+    """The depth-first walk that forks at each conditional and never merges:
+    every path steps its own suffix after its last conditional (oracle)."""
+    _count_conditionals(program, 16)
+    n = program.header.accuracy
+    want = None if input_sg is None else _output_cfs(input_sg, n)
+    out = []
+
+    def emit(outcomes, cursor):
+        label = _label(outcomes)
+        trace, report = cursor.finish()
+        report = _tagged(report, label)
+        sg = None
+        if not any(v.phase == 1 for v in report.violations):
+            sg = reconstruct(trace)
+            if want is not None:
+                _check_outputs(want, sg, n, report, label)
+        out.append(PathReport(label, outcomes, report, trace, sg))
+
+    def walk(cursor, idx, delta, outcomes):
+        main = program.main
+        while idx < len(main) and _cond_of(main[idx]) is None:
+            line = main[idx]
+            cursor.advance(TimedLine(line.t + delta, line.instrs) if delta else line)
+            idx += 1
+        if idx == len(main):
+            emit(outcomes, cursor)
+            return
+        for taken in (False, True):
+            child = cursor.fork() if not taken else cursor
+            inserted, child_delta = _branch(program, idx, delta, taken)
+            for line in inserted:
+                child.advance(line)
+            walk(child, idx + 1, child_delta, outcomes + (taken,))
+
+    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, ())
+    return out
+
+
 def _final(state):
     if state is None:
         return None
@@ -317,38 +389,58 @@ _OUT_SB = ("reagents S B\nnode S dispense S\nnode B dispense B\nnode M mix 1\n"
            "node O output\nedge S M\nedge B M\nedge M O\n")
 
 
-def test_walk_matches_naive_replay_on_random_programs():
+def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
+    # the merged walk, the unmerged walk and naive replay agree path by path
     rng = random.Random(20080801)
-    seen = set()
-    for c in range(6):
-        for _ in range(5):
-            prog = _random_conditional(rng, c)
-            rows, cols = prog.header.rows, prog.header.cols
-            shared = dedicated_map(rows, cols).with_remap(
-                {Loc(rng.randint(4, 7), rng.randint(1, cols)): rng.randint(1, 6)
-                 for _ in range(3)})
-            input_sg = parse_input_sg(rng.choice((_OUT_S, _OUT_SB)))
-            t_max = rng.choice((None, 20, 40))
-            for pin_map in (None, shared):
-                for policy in ("first", "all"):
-                    kw = dict(pin_map=pin_map, input_sg=input_sg, policy=policy,
-                              t_max=t_max)
-                    naive = _naive_paths(prog, **kw)
-                    _assert_same(verify_all_paths(prog, **kw), naive)
-                    for i, x in enumerate(naive):
-                        _assert_same(verify_all_paths(prog, only=x[0], **kw), naive[i:i + 1])
-                    for x in naive:
-                        # rows after the first failing tick are marked secondary
-                        rows = [v for v in x[2].violations if v.t is not None]
-                        assert all(v.secondary == (v.t > rows[0].t) for v in rows)
-                        seen.update((policy, pin_map is None, v.code, v.secondary)
-                                    for v in x[2].violations)
+    calls = []
+    step = fluidics.step
+    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    steps = {"merged": 0, "unmerged": 0}
+    seen, kinds = set(), set()
+    for extras in (False, True):
+        for c in range(6):
+            for _ in range(5):
+                prog = _random_conditional(rng, c, extras=extras)
+                rows, cols = prog.header.rows, prog.header.cols
+                shared = dedicated_map(rows, cols).with_remap(
+                    {Loc(rng.randint(4, 7), rng.randint(1, cols)): rng.randint(1, 6)
+                     for _ in range(3)})
+                input_sg = parse_input_sg(rng.choice((_OUT_S, _OUT_SB)))
+                t_max = rng.choice((None, 20, 40))
+                if _cond_of(prog.main[-1]) is not None:
+                    kinds.add("ends on a conditional")
+                for pin_map in (None, shared):
+                    for policy in ("first", "all"):
+                        kw = dict(pin_map=pin_map, input_sg=input_sg, policy=policy,
+                                  t_max=t_max)
+                        naive = _naive_paths(prog, **kw)
+                        for name, walk in (("merged", verify_all_paths),
+                                           ("unmerged", _unmerged_paths)):
+                            calls.clear()
+                            _assert_same(walk(prog, **kw), naive)
+                            steps[name] += len(calls)
+                        for i, x in enumerate(naive):
+                            _assert_same(verify_all_paths(prog, only=x[0], **kw),
+                                         naive[i:i + 1])
+                        for _, _, report, trace, _ in naive:
+                            # rows after the first failing tick are marked secondary
+                            rows = [v for v in report.violations if v.t is not None]
+                            assert all(v.secondary == (v.t > rows[0].t) for v in rows)
+                            seen.update((policy, pin_map is None, v.code, v.secondary)
+                                        for v in report.violations)
+                            kinds.update({3: "dilutes P", 1: "side mix"}.get(e.a.row)
+                                         for e in trace.events
+                                         if isinstance(e, chip.MixCompleted))
+                            kinds.update("Q held" for v in report.violations if v.response
+                                         == "Droplet on (2,1) is under detection")
     # the corpus reaches each kind of row under both policies and both modes
     codes = {code for _, _, code, _ in seen}
     assert {Code.E1, Code.E3, Code.E4, Code.E7} <= codes
     assert any(code.name.startswith("PIN") for code in codes), codes
     assert {(p, m, True) for p, m, _, s in seen if s} == {("all", True, True),
                                                             ("all", False, True)}
+    assert {"dilutes P", "side mix", "Q held", "ends on a conditional"} <= kinds, kinds
+    assert steps["merged"] < steps["unmerged"], steps
 
 
 def test_walk_steps_each_shared_prefix_once(monkeypatch):
@@ -363,3 +455,99 @@ def test_walk_steps_each_shared_prefix_once(monkeypatch):
     reports = verify_all_paths(prog)
     assert all(pr.report.ok for pr in reports)
     assert len(calls) == len(prefixes) < naive_steps
+
+
+# Path 10 reaches t=10 (written) with Q still under detection; path 01, which
+# is stepped first, reaches it with Q free in an otherwise equal state.
+_HELD_Q = """dim(4,10)
+accuracy 2
+R(3,1,S) R(1,10,B)
+D(d0,3,3,1) D(d1,3,5,1) D(dq,1,10,11)
+1 d(3,1) d(1,10)
+2 m([3,1]->[3,2]) detect(dq)
+3 m([3,2]->[3,3])
+4 detect(d0)
+5 if(d0) call Recovery(0)
+6 m([3,3]->[3,4])
+7 m([3,4]->[3,5])
+8 detect(d1)
+9 if(d1) call Recovery(1)
+10 m([1,10]->[2,10])
+11 end
+recovery 0:
+100 m([3,3]->[2,3])
+101 m([2,3]->[3,3])
+endrecovery
+recovery 1:
+200 m([3,5]->[2,5])
+201 m([2,5]->[1,5])
+202 m([1,5]->[2,5])
+203 m([2,5]->[3,5])
+endrecovery
+"""
+
+# The main line ends on two conditionals: paths 00 and 10 step no line after
+# the first one, so their last tick is their own, not a shifted one.
+_TWO_LAST = """dim(4,6)
+accuracy 2
+R(3,1,S)
+D(d0,3,2,1) D(d1,3,2,1)
+1 d(3,1)
+2 m([3,1]->[3,2])
+3 detect(d0)
+4 if(d0) call Recovery(0)
+5 if(d1) call Recovery(1)
+recovery 0:
+100 m([3,2]->[2,2])
+101 m([2,2]->[3,2])
+endrecovery
+recovery 1:
+200 m([3,2]->[3,3])
+endrecovery
+"""
+
+
+def test_merges_keep_what_the_shared_state_hides():
+    held, two = parse_program(_HELD_Q), parse_program(_TWO_LAST)
+    for policy in ("first", "all"):
+        for prog in (held, two):
+            _assert_same(verify_all_paths(prog, policy=policy),
+                         _naive_paths(prog, policy=policy))
+    assert {pr.label for pr in verify_all_paths(held) if not pr.report.ok} == {"00", "10"}
+    assert [pr.report.final_t for pr in verify_all_paths(two)] == [3, 6, 6, 8]
+
+
+def _detour_chain(c: int) -> Program:
+    """A droplet walks row 3 past c checkpoints; each recovery is a detour up
+    and back, so every path resumes the main line in the same chip state."""
+    cols = 2 * c + 3
+    dets = " ".join(f"D(d{i},3,{2 * i + 3},1)" for i in range(c))
+    text = [f"dim(4,{cols})", "accuracy 2", f"R(3,1,S) O(3,{cols})", dets, "1 d(3,1)"]
+    recoveries = []
+    t, col = 2, 1
+    for i in range(c):
+        for _ in range(2):
+            text.append(f"{t} m([3,{col}]->[3,{col + 1}])")
+            t, col = t + 1, col + 1
+        text += [f"{t} detect(d{i})", f"{t + 1} if(d{i}) call Recovery({i})"]
+        t += 2
+        recoveries += [f"recovery {i}:", f"{100 * i} m([3,{col}]->[2,{col}])",
+                       f"{100 * i + 1} m([2,{col}]->[3,{col}])", "endrecovery"]
+    text += [f"{t} m([3,{col}]->[3,{col + 1}])", f"{t + 1} m([3,{col + 1}]->[3,{col + 2}])",
+             f"{t + 2} output(3,{cols})", f"{t + 3} end"]
+    return parse_program("\n".join(text + recoveries) + "\n")
+
+
+def test_steps_grow_linearly_in_conditionals_when_recoveries_restore(monkeypatch):
+    calls = []
+    step = fluidics.step
+    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    for c in range(4, 11):
+        prog = _detour_chain(c)
+        calls.clear()
+        reports = verify_all_paths(prog)
+        assert len(reports) == 2 ** c and all(pr.report.ok for pr in reports)
+        assert {pr.report.final_t for pr in reports} == {
+            prog.main[-1].t + 2 * k for k in range(c + 1)}
+        # each of the 3c + 5 main and 2c recovery lines is stepped once
+        assert len(calls) <= 5 * c + 5, (c, len(calls))

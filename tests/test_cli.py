@@ -275,6 +275,23 @@ def test_inject_e4_line_must_fall_in_the_mixing_window(tmp_path, capsys):
         assert first.response == "Droplet on (5,5) is in active mixer"
 
 
+def test_inject_e3_refuses_a_reagent_reservoir(tmp_path, capsys):
+    # a dispense from (3,1) is legal, and one from (8,1) claims a cell the
+    # line already fills: neither program would show e3
+    out = tmp_path / "e3.dmf"
+    for to in ("3,1", "8,1"):
+        assert main(["inject", fx("pcr.dmf"), "--error", "e3", "--to", to,
+                     "-o", str(out)]) == 2, to
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is a reagent reservoir" in err, err
+        assert not out.exists()
+    assert main(["inject", fx("pcr.dmf"), "--error", "e3", "--to", "2,1",
+                 "-o", str(out)]) == 0
+    capsys.readouterr()
+    _, report = verify_program(parse_program(out.read_text()))
+    assert (report.violations[0].code.value, report.violations[0].t) == ("e3", 1)
+
+
 def test_inject_inapplicable_exit_two(tmp_path, capsys):
     empty = tmp_path / "empty.dmf"
     empty.write_text("dim(3,3)\naccuracy 1\nR(1,1,S)\n0 end\n")

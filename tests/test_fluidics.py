@@ -508,6 +508,24 @@ def test_injection_search_matches_replay_in_one_pass(monkeypatch):
             assert hits and hits == list(replay_move_candidates(prog, want_dynamic))
 
 
+def test_injection_search_skips_idle_ticks_that_change_nothing(monkeypatch):
+    scans = []
+    real = inject._sites
+    monkeypatch.setattr(inject, "_sites", lambda *a, **kw: scans.append(a[0].t) or real(*a, **kw))
+    # a lone droplet has no site: only the lines' ticks and the first idle tick are scanned
+    lone = parse_program("dim(6,6)\naccuracy 2\nR(1,1,S)\n1 d(1,1)\n3000 end\n")
+    assert list(inject._move_candidates(lone, want_dynamic=False)) == []
+    assert len(scans) == 3
+    # the mixer frees (1,4) on the idle tick t=9, and it may then land next to
+    # X, which a detection holds throughout
+    held = parse_program("dim(8,8)\naccuracy 2\nR(1,1,S) R(1,4,B) R(3,3,S)\nD(dx,3,3,60)\n"
+                         "1 d(1,1) d(1,4) d(3,3)\n2 mix([1,1]<->[1,4],6,14) detect(dx)\n"
+                         "40 m([1,1]->[1,2])\n41 end\n")
+    hits = list(inject._move_candidates(held, want_dynamic=False))
+    assert hits[0][0] == 9
+    assert hits == list(replay_move_candidates(held, False))
+
+
 def test_grid_holds_only_cells_on_the_array(monkeypatch, capsys):
     # engine probes test no bounds, which is sound only while every occupied
     # cell is on the array: check that after every step of every fixture run
