@@ -236,19 +236,21 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     return out
 
 
-def _output_cfs(sg: graph.SeqGraph, n: int) -> list[str]:
+def _output_cfs(sg: graph.SeqGraph, n: int) -> list[graph.CFVector]:
     """The sorted multiset of output concentrations, rounded to accuracy n."""
-    return sorted(str(graph.round_cf(cf, n)) for cf in sg.terminal_cfs(graph.OUTPUT))
+    return sorted(graph.round_cf(cf, n) for cf in sg.terminal_cfs(graph.OUTPUT))
 
 
-def _check_outputs(want: list[str], synth_sg, n: int, report: Report, label: str) -> None:
+def _check_outputs(want: list[graph.CFVector], synth_sg, n: int, report: Report,
+                   label: str) -> None:
     got = _output_cfs(synth_sg, n)
     if want != got:
+        got_text, want_text = sorted(map(str, got)), sorted(map(str, want))
         report.violations.append(classify(
             Code.E7, "Incorrect realization of input sequencing graph",
             path=label or None,
-            detail=f"path outputs {got or ['none']} do not match specified "
-                   f"{want or ['none']}"))
+            detail=f"path outputs {got_text or ['none']} do not match specified "
+                   f"{want_text or ['none']}"))
 
 
 def merge_reports(path_reports: list[PathReport]) -> Report:

@@ -20,7 +20,7 @@ a bounds test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .isa import ChipHeader, DetectorDecl, DmfError, Loc, MType
@@ -128,12 +128,14 @@ Event = Dispensed | MixStarted | MixCompleted | Wasted | Outputted
 
 
 def shifted_event(ev: Event, d: int) -> Event:
-    """The same event d ticks later."""
-    if isinstance(ev, MixCompleted):
-        return replace(ev, t=ev.t + d, t_s=ev.t_s + d, t_e=ev.t_e + d)
-    if isinstance(ev, MixStarted):
-        return replace(ev, t=ev.t + d, t_e=ev.t_e + d)
-    return replace(ev, t=ev.t + d)
+    """The same event d ticks later, built with its constructor."""
+    cls = type(ev)
+    if cls is MixCompleted:
+        return MixCompleted(ev.t + d, ev.node, ev.a, ev.b, ev.t_s + d, ev.t_e + d,
+                            ev.input_nodes, ev.cf)
+    if cls is MixStarted:
+        return MixStarted(ev.t + d, ev.a, ev.b, ev.t_e + d, ev.mtype, ev.input_nodes)
+    return cls(ev.t + d, ev.node, ev.loc, ev.cf)
 
 
 class ChipState:
@@ -211,8 +213,10 @@ class ChipState:
         """The same chip d ticks later: the tick and every mixer and detection
         deadline move by d."""
         new = self.at_tick(self.t + d)
-        new.mixers = tuple(replace(mx, t_s=mx.t_s + d, t_e=mx.t_e + d) for mx in self.mixers)
-        new.detections = tuple(replace(det, t_end=det.t_end + d) for det in self.detections)
+        new.mixers = tuple(MixerEntry(mx.a, mx.b, mx.t_s + d, mx.t_e + d, mx.mtype,
+                                      mx.input_nodes) for mx in self.mixers)
+        new.detections = tuple(DetectionEntry(det.detector, det.loc, det.t_end + d)
+                               for det in self.detections)
         return new
 
 

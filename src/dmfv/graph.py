@@ -1,9 +1,11 @@
 """Concentration-factor arithmetic, sequencing graphs and conformance checking.
 
-Concentration vectors are exact dyadic rationals per reagent (the (1:1)
+Concentration vectors are exact dyadic rationals per reagent: the (1:1)
 mix-split model only ever averages two vectors, so denominators stay powers
-of two).  Rounding to the declared accuracy happens at comparison and
-display time, never inside the arithmetic, and in integers.
+of two.  A vector is stored as integer numerators over one ``2**exp``, so a
+mix is a shift and an add, and all of it is integer work; ``Fraction`` is
+only the tests' oracle.  Rounding to the declared accuracy happens at
+comparison and display time, never inside the arithmetic.
 
 ``SeqGraph.edges`` is the only record of a graph's wiring.  Each operation
 that walks a graph builds its predecessor and successor lists once, in one
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import chip
 from .diag import Code, Report, classify
@@ -38,46 +40,66 @@ class OrphanDroplet(DmfError):
 
 # --- concentration vectors ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CFVector:
-    """Mapping reagent -> exact fraction of unit volume; components sum to 1."""
+class CFVector(NamedTuple):
+    """Mapping reagent -> fraction of unit volume, as integers over a power
+    of two: each component is ``numerator / 2**exp``.
 
-    components: tuple[tuple[str, Fraction], ...]
+    ``nums`` holds (reagent, numerator) pairs sorted by reagent, with no
+    zeros, and the numerators sum to ``2**exp``.  The form is normal
+    (``exp == 0`` or some numerator is odd), so equal vectors compare and
+    hash equal.
+    """
 
-    @staticmethod
-    def of(mapping: dict[str, Fraction]) -> "CFVector":
-        items = tuple(sorted((k, Fraction(v)) for k, v in mapping.items() if v != 0))
-        return CFVector(items)
+    nums: tuple[tuple[str, int], ...]
+    exp: int = 0
 
     @staticmethod
     def unit(reagent: str) -> "CFVector":
-        return CFVector(((reagent, Fraction(1)),))
-
-    def get(self, reagent: str) -> Fraction:
-        return dict(self.components).get(reagent, Fraction(0))
-
-    def total(self) -> Fraction:
-        return sum((v for _, v in self.components), Fraction(0))
+        return CFVector(((reagent, 1),))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"{k}:{v}" for k, v in self.components) + "}"
+        """Each component as a reduced fraction: ``{B:3/4, S:1/4}``, ``{S:1}``."""
+        exp, parts = self.exp, []
+        for k, v in self.nums:
+            s = min((v & -v).bit_length() - 1, exp)
+            parts.append(f"{k}:{v >> s}" if s == exp else f"{k}:{v >> s}/{1 << (exp - s)}")
+        return "{" + ", ".join(parts) + "}"
+
+
+def _normal(nums: tuple[tuple[str, int], ...], exp: int) -> CFVector:
+    """The vector nums / 2**exp with the common factors of two taken out."""
+    bits = 0
+    for _, v in nums:
+        bits |= v
+    s = min((bits & -bits).bit_length() - 1, exp) if bits else 0
+    if s:
+        nums = tuple((k, v >> s) for k, v in nums)
+    return CFVector(nums, exp - s)
 
 
 def cf_mix(a: CFVector, b: CFVector) -> CFVector:
-    """Balanced (1:1) mix-split: the component-wise average, exact."""
-    out: dict[str, Fraction] = dict(a.components)
-    for k, v in b.components:
-        out[k] = out.get(k, Fraction(0)) + v
-    return CFVector.of({k: v / 2 for k, v in out.items()})
+    """Balanced (1:1) mix-split: the component-wise average, exact.  The
+    exponents align by a shift, the numerators add and the exponent grows
+    by one."""
+    d = a.exp - b.exp
+    if d < 0:
+        a, b, d = b, a, -d
+    out = dict(a.nums)
+    for k, v in b.nums:
+        out[k] = out.get(k, 0) + (v << d)
+    return _normal(tuple(sorted(out.items())), a.exp + 1)
 
 
 def _rounded(cf: CFVector, n: int) -> dict[str, int]:
     """Numerators of cf's components over 2^n, each rounded half away from
-    zero; the residue lands on the largest so they sum to exactly 2^n."""
-    scale = 1 << n
-    rounded = {k: (2 * v.numerator * scale + v.denominator) // (2 * v.denominator)
-               for k, v in cf.components}
-    residue = scale - sum(rounded.values())
+    zero; the residue lands on the largest so they sum to exactly 2^n.
+    Within the accuracy (``exp <= n``) the shift is exact and leaves none."""
+    sh = cf.exp - n
+    if sh <= 0:
+        return {k: v << -sh for k, v in cf.nums}
+    half = 1 << (sh - 1)
+    rounded = {k: (v + half) >> sh for k, v in cf.nums}
+    residue = (1 << n) - sum(rounded.values())
     if residue and rounded:
         largest = max(rounded, key=lambda k: (rounded[k], k))
         rounded[largest] += residue
@@ -87,8 +109,7 @@ def _rounded(cf: CFVector, n: int) -> dict[str, int]:
 def round_cf(cf: CFVector, n: int) -> CFVector:
     """Round each component to denominator 2^n; the residue lands on the
     largest component so the total stays exactly 1."""
-    scale = 1 << n
-    return CFVector.of({k: Fraction(v, scale) for k, v in _rounded(cf, n).items()})
+    return _normal(tuple((k, v) for k, v in _rounded(cf, n).items() if v), n)
 
 
 def ratio_str(cf: CFVector, reagents: tuple[str, ...], n: int) -> str:
@@ -336,22 +357,24 @@ def reconstruct(trace) -> SeqGraph:
 
 # --- conformance ---------------------------------------------------------------
 
-def _cf_key(cf: CFVector, n: int):
-    return tuple(sorted((k, v) for k, v in _rounded(cf, n).items() if v))
+def _cf_key(cf: CFVector, n: int) -> tuple[tuple[str, int], ...]:
+    """cf's rounded numerators over 2^n, zeros dropped, in reagent order."""
+    return tuple((k, v) for k, v in _rounded(cf, n).items() if v)
 
 
-def _signature(sg: SeqGraph, nid: str, n: int, cfs=None, preds=None):
+def _signature(sg: SeqGraph, nid: str, n: int, keys=None, preds=None):
     """A node's kind and rounded concentration; a sink's carries the sorted
-    rounded concentrations it receives.  ``cfs`` and ``preds`` default to
-    the nodes' own ``cf`` and to ``sg.preds``."""
-    if cfs is None:
-        cfs = {k: node.cf for k, node in sg.nodes.items()}
+    rounded concentrations it receives.  ``keys`` (each node's ``_cf_key``,
+    None without a concentration) and ``preds`` default to those of the
+    nodes' own ``cf`` and to ``sg.preds``."""
+    if keys is None:
+        keys = {k: None if node.cf is None else _cf_key(node.cf, n)
+                for k, node in sg.nodes.items()}
         preds = {nid: sg.preds(nid)}
     kind = sg.nodes[nid].kind
     if kind in (OUTPUT, WASTE):
-        incoming = sorted(_cf_key(cfs[p], n) for p in preds[nid] if cfs[p] is not None)
-        return (kind, tuple(incoming))
-    return (kind, _cf_key(cfs[nid], n) if cfs[nid] is not None else ())
+        return (kind, tuple(sorted(keys[p] for p in preds[nid] if keys[p] is not None)))
+    return (kind, keys[nid] if keys[nid] is not None else ())
 
 
 def _describe(sg: SeqGraph, nid: str, reagents: tuple[str, ...], n: int,
@@ -414,6 +437,18 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int,
 
     in_preds, in_cfs, in_levels = _levels(input_sg)
     sy_preds, sy_cfs, sy_levels = _levels(synth_sg)
+    memo: dict[CFVector, tuple] = {}   # each distinct vector's key, once
+
+    def cf_key(cf: CFVector) -> tuple:
+        found = memo.get(cf)
+        if found is None:
+            found = memo[cf] = _cf_key(cf, n)
+        return found
+
+    def keys_of(cfs: dict[str, CFVector | None]) -> dict[str, tuple | None]:
+        return {nid: None if cf is None else cf_key(cf) for nid, cf in cfs.items()}
+
+    in_keys, sy_keys = keys_of(in_cfs), keys_of(sy_cfs)
     kinds = [DISPENSE, MIX, OUTPUT] + ([] if ignore_waste else [WASTE])
     rank = {kind: i for i, kind in enumerate(kinds)}
     levels = sorted({key for key in (*in_levels, *sy_levels) if key[1] in rank},
@@ -430,12 +465,12 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int,
         # multiset match on signatures: spec ids queued per signature, in id order
         by_sig: dict[tuple, deque[str]] = {}
         for sid in spec_ids:
-            by_sig.setdefault(_signature(input_sg, sid, n, in_cfs, in_preds),
+            by_sig.setdefault(_signature(input_sg, sid, n, in_keys, in_preds),
                               deque()).append(sid)
         matched: list[tuple[str, str]] = []
         leftovers: list[str] = []
         for rid in real_ids:
-            queue = by_sig.get(_signature(synth_sg, rid, n, sy_cfs, sy_preds))
+            queue = by_sig.get(_signature(synth_sg, rid, n, sy_keys, sy_preds))
             if queue:
                 matched.append((queue.popleft(), rid))
             else:

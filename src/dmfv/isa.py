@@ -13,11 +13,11 @@ Two move/mix spellings are accepted, the arrow form ``m([3,1]->[3,2])`` /
 ``mix(3,1,3,4,12,14)``; both parse to the same AST and serialize back to
 the arrow form.
 
-Within one ``parse_program`` call each distinct instruction text builds its
-frozen instruction once and each distinct cell its ``Loc`` once, so lines
-share them; the memo lives only as long as the call.  Validation checks
-every cell a program names against the array once; the engine relies on
-that and tests no bounds itself.
+Within one ``parse_program`` call each distinct line body parses once, each
+distinct instruction text builds its frozen instruction once and each
+distinct cell its ``Loc`` once, so lines share them; the memos live only as
+long as the call.  Validation checks every cell a program names against the
+array once; the engine relies on that and tests no bounds itself.
 """
 
 from __future__ import annotations
@@ -352,8 +352,11 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
     recoveries: dict[str, tuple[TimedLine, ...]] = {}
     current_recovery: str | None = None
     recovery_lines: list[TimedLine] = []
-    # Per-call memos: each distinct token text builds its value once, each
-    # distinct cell its Loc once.  Values are frozen, so lines share them.
+    # Per-call memos: each distinct line body (the text after the timestamp)
+    # parses once, each distinct token text builds its value once, each
+    # distinct cell its Loc once.  Values are frozen, so lines share them;
+    # only bodies that parse are stored, so errors are raised as before.
+    bodies: dict[str, tuple[Instruction, ...]] = {}
     built: dict[str, object] = {}
     cells: dict[tuple[str, str], Loc] = {}
 
@@ -370,6 +373,18 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
         return value
 
     for lineno, line in _content_lines(text):
+        if line[0].isdigit():
+            # no header pattern matches a line that starts with a digit
+            m = _TIMED_RE.match(line)
+            if m:
+                body = m[2]
+                instrs = bodies.get(body)
+                if instrs is None:
+                    instrs = bodies[body] = tuple(_scan(body, lineno, _INSTR_PATTERNS, build))
+                tl = TimedLine(int(m[1]), instrs)
+                (recovery_lines if current_recovery is not None else main).append(tl)
+                continue
+            raise ParseError(f"unrecognized line {line[:32]!r}", lineno)
         m = _DIM_RE.match(line)
         if m:
             if dim is not None:
@@ -401,12 +416,6 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
                 raise ParseError(f"duplicate recovery block {current_recovery!r}", lineno)
             recoveries[current_recovery] = tuple(recovery_lines)
             current_recovery = None
-            continue
-        m = _TIMED_RE.match(line)
-        if m:
-            instrs = _scan(m[2], lineno, _INSTR_PATTERNS, build)
-            tl = TimedLine(int(m[1]), tuple(instrs))
-            (recovery_lines if current_recovery is not None else main).append(tl)
             continue
         if line[0] in "ROWD":
             if main or current_recovery is not None:

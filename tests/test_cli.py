@@ -64,6 +64,11 @@ def test_verify_event_log(tmp_path, capsys):
     lines = log.read_text().splitlines()
     assert any(line.startswith("17\tmix-done\tv1") for line in lines)
     assert any("output" in line and "(5,1)" in line for line in lines)
+    # concentrations print as reduced fractions, one cf= field per line that has one
+    cfs = [(line.split("\t")[2], line.rsplit("\tcf=", 1)[1]) for line in lines
+           if "\tcf=" in line]
+    assert cfs == [("v1", "{B:1/2, S:1/2}"), ("v1", "{B:1/2, S:1/2}"),
+                   ("v2", "{B:3/4, S:1/4}"), ("v2", "{B:3/4, S:1/4}")]
 
 
 def test_verify_parse_error_exit_two(tmp_path, capsys):
@@ -533,3 +538,13 @@ def test_verify_reports_unchanged_under_python_O():
     assert (plain["optimize"], optimized["optimize"]) == (0, 1)
     assert optimized["runs"] == plain["runs"]
     assert {rc for rc, _ in plain["runs"]} == {0, 1}
+
+
+def test_cli_imports_no_fractions():
+    # concentrations are integers over a power of two; Fraction is only the
+    # tests' oracle, and importing it would also pull in decimal at start-up
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dmfv.cli; print('fractions' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr

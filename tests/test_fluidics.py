@@ -13,7 +13,7 @@ from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, Loc, MixStart, Move,
                       MType, Output, ReservoirDecl, RKind, TimedLine, Waste, parse_program)
 
-from conftest import load
+from conftest import fractions_of, load
 from test_cli import _fixture_verify_argvs
 from test_oracle import check, move_clearance_cells, separation_partners, static_fc
 
@@ -269,8 +269,8 @@ def test_verify_twowaymix_clean_and_concentrations():
     assert report.ok and report.final_t == 36
     wasted = [e for e in trace.events if type(e).__name__ == "Wasted"]
     assert len(wasted) == 1
-    assert wasted[0].cf.get("S") == 0.5           # 16/32 droplet to waste
-    assert trace.outputs[0].cf.get("S") == 0.25   # 8/32 to the output
+    assert fractions_of(wasted[0].cf)["S"] == 0.5           # 16/32 droplet to waste
+    assert fractions_of(trace.outputs[0].cf)["S"] == 0.25   # 8/32 to the output
     # determinism: identical reports byte for byte
     from dmfv.diag import format_report
     _, again = verify_program(prog)

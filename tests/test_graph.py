@@ -1,5 +1,6 @@
 import copy
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -8,11 +9,11 @@ import pytest
 from dmfv.diag import Code, Report, classify
 from dmfv.fluidics import verify_program
 from dmfv.graph import (MIX, OUTPUT, WASTE, BadArity, CFVector, CycleDetected,
-                        SeqGraph, SGNode, _duration_check, cf_mix, conformance,
+                        SeqGraph, SGNode, _cf_key, _duration_check, cf_mix, conformance,
                         parse_input_sg, ratio_str, reconstruct, round_cf, to_dot)
 from dmfv.isa import parse_program
 
-from conftest import load
+from conftest import fractions_of, load
 
 
 S, B = CFVector.unit("S"), CFVector.unit("B")
@@ -20,9 +21,9 @@ S, B = CFVector.unit("S"), CFVector.unit("B")
 
 def test_cf_mix_dilution_steps():
     half = cf_mix(S, B)
-    assert half.get("S") == Fraction(1, 2)          # 16/32
+    assert fractions_of(half)["S"] == Fraction(1, 2)        # 16/32
     quarter = cf_mix(half, B)
-    assert quarter.get("S") == Fraction(1, 4)       # 8/32
+    assert fractions_of(quarter)["S"] == Fraction(1, 4)     # 8/32
     assert cf_mix(half, half) == half               # idempotent on equal inputs
     assert cf_mix(S, B) == cf_mix(B, S)             # commutative
 
@@ -34,8 +35,8 @@ def test_cf_components_sum_to_one():
     for _ in range(300):
         a, b = rng.choice(pool), rng.choice(pool)
         m = cf_mix(a, b)
-        assert m.total() == 1
-        assert round_cf(m, rng.randrange(1, 8)).total() == 1
+        assert sum(fractions_of(m).values()) == 1
+        assert sum(fractions_of(round_cf(m, rng.randrange(1, 8))).values()) == 1
         pool.append(m)
 
 
@@ -45,10 +46,10 @@ def test_round_cf_exact_and_third_approximation():
     cf = B
     for bit in "0101010101"[::-1]:
         cf = cf_mix(cf, S if bit == "1" else B)
-    assert cf.get("S") == Fraction(341, 1024)
+    assert fractions_of(cf)["S"] == Fraction(341, 1024)
     rounded = round_cf(cf, 5)
-    assert rounded.get("S") == Fraction(11, 32)         # nearest dyadic to 1/3
-    assert rounded.total() == 1
+    assert fractions_of(rounded)["S"] == Fraction(11, 32)   # nearest dyadic to 1/3
+    assert sum(fractions_of(rounded).values()) == 1
 
 
 def test_ratio_rendering():
@@ -57,12 +58,119 @@ def test_ratio_rendering():
     assert ratio_str(tri, ("R1", "R2", "R3"), 2) == "(1:2:1)"
 
 
+# --- CF arithmetic in Fractions, as first written: the oracle for CFVector ------
+
+@dataclass(frozen=True)
+class FracCF:
+    """Mapping reagent -> exact fraction of unit volume; components sum to 1."""
+
+    components: tuple[tuple[str, Fraction], ...]
+
+    @staticmethod
+    def of(mapping: dict[str, Fraction]) -> "FracCF":
+        return FracCF(tuple(sorted((k, Fraction(v)) for k, v in mapping.items() if v != 0)))
+
+    @staticmethod
+    def unit(reagent: str) -> "FracCF":
+        return FracCF(((reagent, Fraction(1)),))
+
+    def get(self, reagent: str) -> Fraction:
+        return dict(self.components).get(reagent, Fraction(0))
+
+    def __str__(self) -> str:
+        return "{" + ", ".join(f"{k}:{v}" for k, v in self.components) + "}"
+
+
+def frac_mix(a: FracCF, b: FracCF) -> FracCF:
+    out: dict[str, Fraction] = dict(a.components)
+    for k, v in b.components:
+        out[k] = out.get(k, Fraction(0)) + v
+    return FracCF.of({k: v / 2 for k, v in out.items()})
+
+
+def frac_rounded(cf: FracCF, n: int) -> dict[str, int]:
+    scale = 1 << n
+    rounded = {k: (2 * v.numerator * scale + v.denominator) // (2 * v.denominator)
+               for k, v in cf.components}
+    residue = scale - sum(rounded.values())
+    if residue and rounded:
+        largest = max(rounded, key=lambda k: (rounded[k], k))
+        rounded[largest] += residue
+    return rounded
+
+
+def frac_round_cf(cf: FracCF, n: int) -> FracCF:
+    return FracCF.of({k: Fraction(v, 1 << n) for k, v in frac_rounded(cf, n).items()})
+
+
+def frac_ratio_str(cf: FracCF, reagents: tuple[str, ...], n: int) -> str:
+    rounded = frac_rounded(cf, n)
+    nums = [rounded.get(r, 0) for r in reagents]
+    g = gcd(*nums) if any(nums) else 1
+    return "(" + ":".join(str(v // max(g, 1)) for v in nums) + ")"
+
+
+def frac_key(cf: FracCF, n: int):
+    return tuple(sorted((k, v) for k, v in frac_rounded(cf, n).items() if v))
+
+
+def as_frac(cf: CFVector) -> FracCF:
+    return FracCF.of(fractions_of(cf))
+
+
+def test_cf_arithmetic_matches_fraction_oracle():
+    rng = random.Random(20240)
+    deep = 0
+    for case in range(60):
+        reagents = tuple(f"R{i}" for i in range(rng.randrange(2, 6)))
+        pool = [(CFVector.unit(r), FracCF.unit(r)) for r in reagents]
+        for _ in range(rng.randrange(10, 60)):
+            if rng.random() < 0.3:
+                # extend a chain from the newest vector: exp grows past n
+                (a, fa), (b, fb) = pool[-1], rng.choice(pool[:len(reagents)])
+            else:
+                # any two, older intermediates reused
+                (a, fa), (b, fb) = rng.choice(pool), rng.choice(pool)
+            pool.append((cf_mix(a, b), frac_mix(fa, fb)))
+        for cf, frac in pool:
+            assert as_frac(cf) == frac, case
+            assert str(cf) == str(frac), case
+            assert cf.exp == 0 or any(v % 2 for _, v in cf.nums), case     # normal form
+            for n in range(1, 9):
+                deep += cf.exp > n
+                assert as_frac(round_cf(cf, n)) == frac_round_cf(frac, n), (case, n)
+                assert str(round_cf(cf, n)) == str(frac_round_cf(frac, n)), (case, n)
+                assert ratio_str(cf, reagents, n) == frac_ratio_str(frac, reagents, n)
+                assert _cf_key(cf, n) == frac_key(frac, n), (case, n)
+        # equal values compare and hash equal, whatever mix order built them
+        by_value: dict[FracCF, CFVector] = {}
+        for cf, frac in pool:
+            first = by_value.setdefault(frac, cf)
+            assert first == cf and hash(first) == hash(cf), case
+        assert len(set(cf for cf, _ in pool)) == len(by_value), case
+    assert deep > 1000
+
+
+def test_equal_vectors_from_different_mix_orders():
+    A, C, D = (CFVector.unit(r) for r in "ACD")
+    left = cf_mix(cf_mix(A, B), cf_mix(C, D))
+    right = cf_mix(cf_mix(D, B), cf_mix(C, A))
+    assert left == right and hash(left) == hash(right)
+    assert str(left) == "{A:1/4, B:1/4, C:1/4, D:1/4}"
+    # a diluted chain mixed with itself reduces back to the same vector
+    chain = B
+    for _ in range(12):
+        chain = cf_mix(chain, S)
+    assert cf_mix(chain, chain) == chain and chain.exp == 12
+    assert str(cf_mix(S, S)) == "{S:1}" and cf_mix(S, S) == S
+
+
 def test_parse_input_sg_threeway():
     sg = parse_input_sg(load("threeway.sg"))
     assert len(sg.nodes) == 7
     assert sg.reagents == ("R1", "R2", "R3")
-    assert sg.nodes["M3"].cf.get("R2") == Fraction(1, 2)
-    assert [cf.get("R2") for cf in sg.terminal_cfs(OUTPUT)] == [Fraction(1, 2)]
+    assert fractions_of(sg.nodes["M3"].cf)["R2"] == Fraction(1, 2)
+    assert [fractions_of(cf)["R2"] for cf in sg.terminal_cfs(OUTPUT)] == [Fraction(1, 2)]
 
 
 def test_parse_input_sg_minimal_and_errors():
@@ -89,8 +197,8 @@ def test_reconstruct_twowaymix_matches_expected_graph():
     assert report.ok
     sg = reconstruct(trace)
     v1, v2 = sg.nodes["v1"], sg.nodes["v2"]
-    assert (v1.t_s, v1.t_e) == (4, 17) and v1.cf.get("S") == Fraction(1, 2)
-    assert (v2.t_s, v2.t_e) == (20, 33) and v2.cf.get("S") == Fraction(1, 4)
+    assert (v1.t_s, v1.t_e) == (4, 17) and fractions_of(v1.cf)["S"] == Fraction(1, 2)
+    assert (v2.t_s, v2.t_e) == (20, 33) and fractions_of(v2.cf)["S"] == Fraction(1, 4)
     assert sorted(sg.edges) == sorted([("S", "v1"), ("B", "v1"), ("v1", "W"),
                                        ("v1", "v2"), ("B", "v2"), ("v2", "O")])
 
@@ -113,7 +221,7 @@ def test_reconstruct_pcr_uniform_tree():
     mixes = [n for n in sg.nodes.values() if n.kind == MIX]
     assert len(mixes) == 7
     final = sg.nodes["v7"]
-    assert all(final.cf.get(f"R{k}") == Fraction(1, 8) for k in range(1, 9))
+    assert all(fractions_of(final.cf)[f"R{k}"] == Fraction(1, 8) for k in range(1, 9))
     for nid in sg.nodes:
         if sg.nodes[nid].kind == MIX:
             assert len(sg.preds(nid)) == 2
@@ -267,7 +375,7 @@ def test_conformance_leaves_its_graphs_unannotated():
 # Depths and concentrations by edge scans, each level rescanned for each kind,
 # spec ids matched by a first-match scan, rounding in Fractions.
 
-def _oracle_round_key(cf: CFVector, n: int):
+def _oracle_round_key(cf: FracCF, n: int):
     scale = 1 << n
     rounded = {}
     for k, v in cf.components:
@@ -277,18 +385,21 @@ def _oracle_round_key(cf: CFVector, n: int):
     if residue and rounded:
         largest = max(rounded, key=lambda k: (rounded[k], k))
         rounded[largest] += residue
-    exact = CFVector.of({k: Fraction(v, scale) for k, v in rounded.items()})
+    exact = FracCF.of({k: Fraction(v, scale) for k, v in rounded.items()})
     return exact, tuple((k, int(v * scale)) for k, v in exact.components)
 
 
 def _oracle_annotate(sg: SeqGraph) -> None:
+    """Concentrations in Fractions: recorded ones converted, the rest mixed."""
     def cf(nid):
         node = sg.nodes[nid]
         if node.kind == "dispense":
-            node.cf = CFVector.unit(node.reagent)
+            node.cf = FracCF.unit(node.reagent)
+        elif isinstance(node.cf, CFVector):
+            node.cf = as_frac(node.cf)
         elif node.kind == MIX and node.cf is None:
             a, b = sg.preds(nid)
-            node.cf = cf_mix(cf(a), cf(b))
+            node.cf = frac_mix(cf(a), cf(b))
         return node.cf
     for nid in sg.nodes:
         cf(nid)

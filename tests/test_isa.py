@@ -83,6 +83,20 @@ def test_syntax_error_reports_position():
     assert err.value.col > 1
 
 
+def test_each_distinct_line_body_parses_once(monkeypatch):
+    scanned = []
+    scan = isa._scan
+
+    def counted(line, *rest):
+        scanned.append(line)
+        return scan(line, *rest)
+    monkeypatch.setattr(isa, "_scan", counted)
+    program = parse_program("dim(4,4)\naccuracy 2\nR(1,1,S)\n1 d(1,1)\n2 m(1,1,1,2)\n"
+                            "3 m(1,2,1,1)\n4 m(1,1,1,2)\n5 m(1,2,1,1)\n6 end\n")
+    assert scanned == ["R(1,1,S)", "d(1,1)", "m(1,1,1,2)", "m(1,2,1,1)", "end"]
+    assert program.main[3].instrs is program.main[1].instrs == (Move(Loc(1, 1), Loc(1, 2)),)
+
+
 def test_pcr_fixture_parses():
     p = parse_program(load("pcr.dmf"))
     assert (p.header.rows, p.header.cols) == (15, 15)
