@@ -43,13 +43,6 @@ def neighbors4(loc: Loc, rows: int, cols: int) -> set[Loc]:
     return {p for p in cand if 1 <= p.row <= rows and 1 <= p.col <= cols}
 
 
-def neighbors8(loc: Loc, rows: int, cols: int) -> set[Loc]:
-    r, c = loc
-    cand = [Loc(r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
-            if (dr, dc) != (0, 0)]
-    return {p for p in cand if 1 <= p.row <= rows and 1 <= p.col <= cols}
-
-
 @dataclass(frozen=True)
 class Droplet:
     node: str           # sequencing-graph identity (reagent name or mix id)

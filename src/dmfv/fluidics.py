@@ -19,6 +19,16 @@ path walk and ``state_at`` advance it over timed lines only; ``ticks`` also
 passes the idle ticks between lines, and rendering and the injection search
 read their states from it.
 
+A cursor keeps, for its run, the clean verdicts of the lines it stepped,
+keyed by line body and by what the checks read in the snapshot: the
+occupied cells, the active mixers' endpoints and the busy detectors.  A
+line whose body already passed on the same cells passes again without its
+checks, and only its commit runs.  That is exact, because no rule reads
+anything else that changes during a run (``step`` gives the argument rule
+by rule); assays that repeat their transport and mix lines on the same
+layout check each once.  Forks share these verdicts, as they share the
+program.
+
 The chip's one droplet index, ``ChipState.by_loc``, maps each occupied
 cell to its droplet, so every rule names a droplet by its cell: what a line
 consumes, what a mixer or a detection holds.  Probes of it test no bounds:
@@ -346,6 +356,8 @@ class StepResult:
 
 def expire(state: ChipState, t: int) -> tuple[ChipState, list[chip.MixCompleted]]:
     """Resolve the mixers and detections due by tick t, before its line runs."""
+    if not state.mixers and not state.detections:
+        return state, []
     state, completed = chip.expire_mixers(state, t)
     return chip.expire_detections(state, t), completed
 
@@ -363,20 +375,75 @@ def _consumed_twice(ctx: LineContext, rule: Rule, instr: Instruction, i: int,
     return None
 
 
+# A run's clean verdicts: id(line.instrs) -> (that tuple, the snapshot
+# signatures on which a line with that body passed every check).  The value
+# keeps the tuple alive, so its id names it for as long as the entry lives.
+StepMemo = dict[int, tuple[tuple[Instruction, ...], set[tuple]]]
+
+
+def _signature(snapshot: ChipState) -> tuple:
+    """What the checks of a line read in its snapshot: the occupied cells,
+    each active mixer's endpoints and each live detection's detector and
+    cell, in order.  (An idle chip builds no comprehension: this runs once
+    per step.)"""
+    mixers, detections = snapshot.mixers, snapshot.detections
+    return (frozenset(snapshot.by_loc),
+            tuple([(mx.a, mx.b) for mx in mixers]) if mixers else (),
+            tuple([(d.detector, d.loc) for d in detections]) if detections else ())
+
+
 def step(state: ChipState, line: TimedLine, *, policy: str = "first",
-         pin_map=None) -> StepResult:
+         pin_map=None, memo: StepMemo | None = None) -> StepResult:
     """Advance the chip over one instruction line.
 
     Expired mixers and detections resolve first, each instruction is checked
     against the resulting snapshot plus intra-tick claims, effects commit
     together, and the committed state must satisfy the global separation
     invariant (plus the pin rules when a pin map is supplied).
+
+    With a ``memo``, a line whose body (its instruction tuple) already
+    passed on a snapshot with the same ``_signature`` passes again without
+    its checks: its effects commit, phase by phase, and nothing else runs.
+    That is exact because every check reads only the body, the signature
+    and what is fixed for a run (reservoirs, detector declarations, the pin
+    map, the policy):
+
+    - the consumed cells, claims and movers of ``LineContext`` follow from
+      the body (a detection consumes its declared detector's cell);
+    - ``_consumed_twice`` reads only those;
+    - dispense: the reservoir table, the claims and the occupied cells
+      around the reservoir;
+    - move: the claims, the occupied cells, the mixer endpoints and
+      detection cells that pin the source, and the movers;
+    - mix: the mixer geometry, the occupied cells, the mixer endpoints and
+      detection cells that pin an endpoint, and the movers;
+    - detect: the declarations, the busy detectors, the occupied cells and
+      the mixer endpoints;
+    - waste and output: the reservoir table, the occupied cells, and the
+      mixer endpoints and detection cells that pin the droplet;
+    - the committed occupancy is the snapshot's, less the cells the body
+      consumes, plus those it claims, and the committed mixers are the
+      snapshot's plus the body's, so the separation check (``_post_checks``)
+      and ``pins.pin_phase``, which read only the committed cells and mixer
+      endpoints and the snapshot's cells, find what they found before.
+
+    Ticks, droplet ids and concentrations appear only in rows and in the
+    effects of a commit, and the commit always runs, so the state and the
+    events are those of the full step.  Only steps without a row are
+    stored.  Without a memo every line is checked.
     """
     t = line.t
     if t < state.t:
         raise EngineError(f"line at t={t} precedes current state t={state.t}")
     snapshot, completed = expire(state, t)
     events: list[chip.Event] = list(completed)
+    if memo is not None:
+        signature = _signature(snapshot)
+        passed = memo.get(id(line.instrs))
+        if passed is not None and signature in passed[1]:
+            new, more = _commit(snapshot, enumerate(line.instrs), t)
+            events.extend(more)
+            return StepResult(new, [], events)
     violations: list[Violation] = []
     ctx = LineContext(snapshot, line)
     effects: list[tuple[int, Instruction]] = []
@@ -416,20 +483,25 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             violations.extend(pin_violations)
             if policy == "first":
                 return StepResult(snapshot, violations, events)
+    if memo is not None and not violations:
+        if passed is None:
+            passed = memo[id(line.instrs)] = (line.instrs, set())
+        passed[1].add(signature)
     return StepResult(new, violations, events)
 
 
-def _commit(snapshot: ChipState, effects: list[tuple[int, Instruction]],
-            t: int) -> tuple[ChipState, list[chip.Event]]:
-    """Apply the effects of the passed instructions to one copy of the snapshot,
-    phase by phase (removals, transports, arrivals, bookkeeping), each phase
-    in line order."""
+def _commit(snapshot: ChipState, effects, t: int) -> tuple[ChipState, list[chip.Event]]:
+    """Apply the effects of the passed instructions, (position, instruction)
+    pairs, to one copy of the snapshot, phase by phase (removals,
+    transports, arrivals, bookkeeping), each phase in line order.  An
+    instruction without a rule (end) has no effect."""
     new = snapshot.at_tick(t)   # the one copy of this tick; updated in place
     events: list[chip.Event] = []
     phases: tuple[list, ...] = ([], [], [], [])
     for _, instr in effects:
-        rule = RULES[type(instr)]
-        phases[rule.phase].append((rule.commit, instr))
+        rule = RULES.get(type(instr))
+        if rule is not None:
+            phases[rule.phase].append((rule.commit, instr))
     for phase in phases:
         for commit, instr in phase:
             commit(new, instr, t, events)
@@ -493,10 +565,6 @@ class Trace:
     events: list[chip.Event] = field(default_factory=list)
     final_state: ChipState | None = None
 
-    @property
-    def outputs(self) -> list[chip.Outputted]:
-        return [e for e in self.events if isinstance(e, chip.Outputted)]
-
     def event_log(self) -> str:
         """Newline-delimited event dump for debugging."""
         return "\n".join(format_event(e) for e in self.events) + "\n"
@@ -510,8 +578,8 @@ class Cursor:
     policy "first" the run stops at the first failing tick and ignores later
     lines.  ``fork`` returns a second cursor that goes on independently from
     the same point: states are values, so only the event and violation
-    lists are copied.  A pin map must have the chip's size (DmfError
-    otherwise).
+    lists are copied, and the step memo is shared.  A pin map must have the
+    chip's size (DmfError otherwise).
     """
 
     def __init__(self, program: Program, *, pin_map=None, policy: str = "first",
@@ -521,6 +589,7 @@ class Cursor:
         if pin_map is not None:
             pin_map.check_chip(program.header)
         self.pin_map, self.policy = pin_map, policy
+        self.memo: StepMemo = {}
         self.state = chip.init_state(program.header, program.detectors)
         self.trace = Trace(program.header.reagents)
         self.report = Report(t_max=t_max if t_max is not None else program.t_max)
@@ -532,7 +601,8 @@ class Cursor:
     def advance(self, line: TimedLine) -> None:
         if self.stopped:
             return
-        result = step(self.state, line, policy=self.policy, pin_map=self.pin_map)
+        result = step(self.state, line, policy=self.policy, pin_map=self.pin_map,
+                      memo=self.memo)
         for v in result.violations:
             if self.first_bad_t is not None and line.t > self.first_bad_t:
                 v = classify(v.code, v.response, t=v.t, instructions=v.instructions,

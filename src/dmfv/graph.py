@@ -162,20 +162,6 @@ class SeqGraph:
     def preds(self, nid: str) -> list[str]:
         return [s for s, d in self.edges if d == nid]
 
-    def topo_order(self) -> list[str]:
-        return _topo(*_adjacency(self))
-
-    def depths(self) -> dict[str, int]:
-        """Longest-path depth from the dummy entry; sources sit at depth 1."""
-        preds, succs = _adjacency(self)
-        return _depths(_topo(preds, succs), preds)
-
-    def annotate_cfs(self) -> None:
-        """Propagate concentration vectors from dispense sources through mixes."""
-        preds, succs = _adjacency(self)
-        for nid, cf in _concentrations(self, _topo(preds, succs), preds).items():
-            self.nodes[nid].cf = cf
-
     def terminal_cfs(self, kind: str) -> list[CFVector]:
         """Concentrations arriving at output (or waste) nodes, one per edge."""
         preds, _ = _adjacency(self)

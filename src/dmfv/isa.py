@@ -17,7 +17,9 @@ Within one ``parse_program`` call each distinct line body parses once, each
 distinct instruction text builds its frozen instruction once and each
 distinct cell its ``Loc`` once, so lines share them; the memos live only as
 long as the call.  Validation checks every cell a program names against the
-array once; the engine relies on that and tests no bounds itself.
+array once, each distinct instruction tuple once (a tuple out of bounds is
+checked on every line that holds it, so each issue keeps its tick); the
+engine relies on that and tests no bounds itself.
 """
 
 from __future__ import annotations
@@ -512,6 +514,9 @@ def validate_structure(p: Program) -> list[SemanticError]:
     # (line index, position, instruction) of each main-line instruction that
     # names no cell: the end marker and conditional rules below read only these
     main_control: list[tuple[int, int, Instruction]] = []
+    # ids of the instruction tuples found in bounds; lines share equal bodies'
+    # tuples, and p keeps every tuple alive, so each body is bounded once
+    in_bounds: set[int] = set()
 
     def check_lines(lines: tuple[TimedLine, ...], in_recovery: str | None) -> None:
         prev = None
@@ -522,7 +527,11 @@ def validate_structure(p: Program) -> list[SemanticError]:
             prev = ln.t
             if ln.t < 0:
                 issues.append(SemanticError("BadTimestamp", "timestamps must be non-negative", ln.t))
-            _check_locs(p, ln, issues)
+            if id(ln.instrs) not in in_bounds:
+                found = len(issues)
+                _check_locs(p, ln, issues)
+                if len(issues) == found:
+                    in_bounds.add(id(ln.instrs))
             control = [(j, instr) for j, instr in enumerate(ln.instrs)
                        if type(instr) not in _CELLS]
             for j, instr in control:

@@ -63,7 +63,7 @@ class PinMap:
         """Pins driving the N4 neighborhood of loc (cached)."""
         pins = self._n4_pins.get(loc)
         if pins is None:
-            pins = self._n4_pins[loc] = frozenset(pins_of(self, self.n4(loc)))
+            pins = self._n4_pins[loc] = frozenset(self.pin_of(c) for c in self.n4(loc))
         return pins
 
     def case1(self, loc: Loc) -> "PinFinding | None":
@@ -71,9 +71,6 @@ class PinMap:
         if loc not in self._case1:
             self._case1[loc] = check_case1(self, loc)
         return self._case1[loc]
-
-    def injective(self) -> bool:
-        return len(set(self.pin.values())) == len(self.pin)
 
     def with_remap(self, remap: dict[Loc, int]) -> "PinMap":
         new = dict(self.pin)
@@ -117,11 +114,6 @@ def serialize_pins(pmap: PinMap) -> str:
         rows.append(" ".join(str(pmap.pin[Loc(r, c)]).rjust(width)
                              for c in range(1, pmap.cols + 1)))
     return "\n".join(rows) + "\n"
-
-
-def pins_of(pmap: PinMap, cells) -> set[int]:
-    """Set image of the pin assignment over a cell set."""
-    return {pmap.pin_of(c) for c in cells}
 
 
 # --- rule checks ---------------------------------------------------------------

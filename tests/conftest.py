@@ -20,3 +20,30 @@ def load(name: str) -> str:
 def fractions_of(cf) -> dict[str, Fraction]:
     """A {reagent: Fraction} view of a concentration vector."""
     return {k: Fraction(v, 1 << cf.exp) for k, v in cf.nums}
+
+
+def without_memo(fn, *args, **kw):
+    """fn(*args, **kw) with every step taken by the plain step, which has no
+    memo and checks every line: the oracle of the step memo."""
+    from dmfv import fluidics
+
+    plain = fluidics.step
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fluidics, "step", lambda *a, memo=None, **k: plain(*a, **k))
+        return fn(*args, **kw)
+
+
+def count_checked_lines(monkeypatch) -> list[int]:
+    """A one-item counter of the lines whose checks run; a step that its memo
+    serves builds no ``LineContext``."""
+    from dmfv import fluidics
+
+    checked = [0]
+    real = fluidics.LineContext
+
+    def counted(*args):
+        checked[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(fluidics, "LineContext", counted)
+    return checked

@@ -14,7 +14,7 @@ from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, parse_p
                       serialize_program)
 from dmfv.pins import dedicated_map
 
-from conftest import load
+from conftest import count_checked_lines, load, without_memo
 
 
 # --- naive splicing: each path as a straight-line program (oracle) ---------------
@@ -389,14 +389,10 @@ _OUT_SB = ("reagents S B\nnode S dispense S\nnode B dispense B\nnode M mix 1\n"
            "node O output\nedge S M\nedge B M\nedge M O\n")
 
 
-def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
-    # the merged walk, the unmerged walk and naive replay agree path by path
+def _random_corpus():
+    """The random conditional corpus: 60 programs, each with the keywords of
+    its four runs (no pin map or a shared one, policy first or all)."""
     rng = random.Random(20080801)
-    calls = []
-    step = fluidics.step
-    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
-    steps = {"merged": 0, "unmerged": 0}
-    seen, kinds = set(), set()
     for extras in (False, True):
         for c in range(6):
             for _ in range(5):
@@ -407,32 +403,40 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
                      for _ in range(3)})
                 input_sg = parse_input_sg(rng.choice((_OUT_S, _OUT_SB)))
                 t_max = rng.choice((None, 20, 40))
-                if _cond_of(prog.main[-1]) is not None:
-                    kinds.add("ends on a conditional")
-                for pin_map in (None, shared):
-                    for policy in ("first", "all"):
-                        kw = dict(pin_map=pin_map, input_sg=input_sg, policy=policy,
+                yield prog, [dict(pin_map=pin_map, input_sg=input_sg, policy=policy,
                                   t_max=t_max)
-                        naive = _naive_paths(prog, **kw)
-                        for name, walk in (("merged", verify_all_paths),
-                                           ("unmerged", _unmerged_paths)):
-                            calls.clear()
-                            _assert_same(walk(prog, **kw), naive)
-                            steps[name] += len(calls)
-                        for i, x in enumerate(naive):
-                            _assert_same(verify_all_paths(prog, only=x[0], **kw),
-                                         naive[i:i + 1])
-                        for _, _, report, trace, _ in naive:
-                            # rows after the first failing tick are marked secondary
-                            rows = [v for v in report.violations if v.t is not None]
-                            assert all(v.secondary == (v.t > rows[0].t) for v in rows)
-                            seen.update((policy, pin_map is None, v.code, v.secondary)
-                                        for v in report.violations)
-                            kinds.update({3: "dilutes P", 1: "side mix"}.get(e.a.row)
-                                         for e in trace.events
-                                         if isinstance(e, chip.MixCompleted))
-                            kinds.update("Q held" for v in report.violations if v.response
-                                         == "Droplet on (2,1) is under detection")
+                             for pin_map in (None, shared) for policy in ("first", "all")]
+
+
+def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
+    # the merged walk, the unmerged walk and naive replay agree path by path
+    calls = []
+    step = fluidics.step
+    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    steps = {"merged": 0, "unmerged": 0}
+    seen, kinds = set(), set()
+    for prog, runs in _random_corpus():
+        if _cond_of(prog.main[-1]) is not None:
+            kinds.add("ends on a conditional")
+        for kw in runs:
+            pin_map, policy = kw["pin_map"], kw["policy"]
+            naive = _naive_paths(prog, **kw)
+            for name, walk in (("merged", verify_all_paths), ("unmerged", _unmerged_paths)):
+                calls.clear()
+                _assert_same(walk(prog, **kw), naive)
+                steps[name] += len(calls)
+            for i, x in enumerate(naive):
+                _assert_same(verify_all_paths(prog, only=x[0], **kw), naive[i:i + 1])
+            for _, _, report, trace, _ in naive:
+                # rows after the first failing tick are marked secondary
+                rows = [v for v in report.violations if v.t is not None]
+                assert all(v.secondary == (v.t > rows[0].t) for v in rows)
+                seen.update((policy, pin_map is None, v.code, v.secondary)
+                            for v in report.violations)
+                kinds.update({3: "dilutes P", 1: "side mix"}.get(e.a.row)
+                             for e in trace.events if isinstance(e, chip.MixCompleted))
+                kinds.update("Q held" for v in report.violations if v.response
+                             == "Droplet on (2,1) is under detection")
     # the corpus reaches each kind of row under both policies and both modes
     codes = {code for _, _, code, _ in seen}
     assert {Code.E1, Code.E3, Code.E4, Code.E7} <= codes
@@ -441,6 +445,23 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
                                                             ("all", False, True)}
     assert {"dilutes P", "side mix", "Q held", "ends on a conditional"} <= kinds, kinds
     assert steps["merged"] < steps["unmerged"], steps
+
+
+def test_walk_with_memo_matches_plain_step(monkeypatch):
+    # forks share the step memo, so paths reuse each other's clean verdicts;
+    # each path must get what the plain step, checking every line, gives it
+    checked = count_checked_lines(monkeypatch)
+    served = 0
+    for prog, runs in _random_corpus():
+        for kw in runs:
+            checked[0] = 0
+            walked = verify_all_paths(prog, **kw)
+            with_memo = checked[0]
+            plain = without_memo(verify_all_paths, prog, **kw)
+            served += checked[0] - 2 * with_memo     # the plain walk checks every line
+            _assert_same(walked, [(pr.label, pr.outcomes, pr.report, pr.trace, pr.graph)
+                                  for pr in plain])
+    assert served >= 100, served
 
 
 def test_walk_steps_each_shared_prefix_once(monkeypatch):

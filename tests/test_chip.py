@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from dmfv.chip import (ChipState, Droplet, InconsistentState, MixerEntry,
-                       OutOfBounds, expire_mixers, init_state, neighbors4, neighbors8)
+                       OutOfBounds, expire_mixers, init_state, neighbors4)
 from dmfv.graph import CFVector, cf_mix
 from dmfv.isa import ChipHeader, DmfError, Loc, MType, ReservoirDecl, RKind
+
+from test_oracle import neighbors8
 
 
 def header(rows=5, cols=4, reservoirs=None):

@@ -1,21 +1,31 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from dmfv import fluidics, inject
+from dmfv.branches import verify_all_paths
 from dmfv.cli import main
-from dmfv.chip import expire_detections, expire_mixers, init_state, neighbors8
+from dmfv.chip import DetectionEntry, MixerEntry, expire_detections, expire_mixers, init_state
 from dmfv.diag import Code
 from dmfv.fluidics import EngineError, state_at, step, ticks, verify_program
 from dmfv.graph import CFVector
-from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, Loc, MixStart, Move,
-                      MType, Output, ReservoirDecl, RKind, TimedLine, Waste, parse_program)
+from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError, Loc,
+                      MixStart, Move, MType, Output, ReservoirDecl, RKind, TimedLine, Waste,
+                      parse_program)
+from dmfv.pins import dedicated_map, parse_pins
 
-from conftest import fractions_of, load
-from test_cli import _fixture_verify_argvs
-from test_oracle import check, move_clearance_cells, separation_partners, static_fc
+from conftest import count_checked_lines, fractions_of, load, without_memo
+from test_acceptance import _random_walk
+from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
+from test_oracle import (check, move_clearance_cells, neighbors8, separation_partners,
+                         static_fc)
 
 
 def header(rows, cols, reservoirs=()):
@@ -209,26 +219,35 @@ def _consumer(rng, state, cell):
     return Move(cell, dst) if state.header.in_bounds(dst) else None
 
 
+def _pinned_walk(seed, advance):
+    """One seeded 80-tick walk on the pinned chip.  Each tick's line is drawn
+    from the state before it and stepped by ``advance(state, line)``; yields
+    each step's result."""
+    rng = random.Random(seed)
+    state = init_state(_PINNED_HEADER, _PINNED_DETECTORS)
+    for t in range(1, 81):
+        instrs = [Dispense(rng.choice((Loc(1, 1), Loc(7, 7))))] if rng.random() < 0.5 else []
+        pinned = {c for mx in state.mixers for c in (mx.a, mx.b)}
+        pinned |= {det.loc for det in state.detections}
+        for cell in sorted(state.by_loc):
+            if rng.random() < (0.7 if cell in pinned else 0.5):
+                instr = _consumer(rng, state, cell)
+                if instr is not None:
+                    instrs.append(instr)
+        rng.shuffle(instrs)
+        result = advance(state, TimedLine(t, tuple(instrs)))
+        yield result
+        state = result.state
+
+
 def test_pinned_droplets_stay_on_their_cells_under_policy_all():
     # The chip names a droplet by its cell, which is exact only while every
     # droplet that a mixer or a detection holds stays where it was taken up.
     seen = Counter()
     for seed in range(30):
-        rng = random.Random(seed)
-        state = init_state(_PINNED_HEADER, _PINNED_DETECTORS)
         held = {}
-        for t in range(1, 81):
-            instrs = [Dispense(rng.choice((Loc(1, 1), Loc(7, 7))))] if rng.random() < 0.5 else []
-            pinned = {c for mx in state.mixers for c in (mx.a, mx.b)}
-            pinned |= {det.loc for det in state.detections}
-            for cell in sorted(state.by_loc):
-                if rng.random() < (0.7 if cell in pinned else 0.5):
-                    instr = _consumer(rng, state, cell)
-                    if instr is not None:
-                        instrs.append(instr)
-            rng.shuffle(instrs)
-            result = step(state, TimedLine(t, tuple(instrs)), policy="all")
-            state = result.state
+        for result in _pinned_walk(seed, lambda state, line: step(state, line, policy="all")):
+            state, t = result.state, result.state.t
             seen["e4 on a held droplet"] += sum(
                 v.code is Code.E4 and ("in active mixer" in v.response
                                        or "under detection" in v.response)
@@ -270,7 +289,8 @@ def test_verify_twowaymix_clean_and_concentrations():
     wasted = [e for e in trace.events if type(e).__name__ == "Wasted"]
     assert len(wasted) == 1
     assert fractions_of(wasted[0].cf)["S"] == 0.5           # 16/32 droplet to waste
-    assert fractions_of(trace.outputs[0].cf)["S"] == 0.25   # 8/32 to the output
+    outputs = [e for e in trace.events if type(e).__name__ == "Outputted"]
+    assert fractions_of(outputs[0].cf)["S"] == 0.25         # 8/32 to the output
     # determinism: identical reports byte for byte
     from dmfv.diag import format_report
     _, again = verify_program(prog)
@@ -545,3 +565,274 @@ def test_grid_holds_only_cells_on_the_array(monkeypatch, capsys):
             assert main(argv + extra) in (0, 1)
     capsys.readouterr()
     assert steps[0] > 300
+
+
+# --- the step memo against the plain step (oracle) ----------------------------
+
+def _value(state):
+    return None if state is None else (state.t, state.by_loc, state.mixers,
+                                       state.detections, state.next_node)
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except DmfError as err:
+        return type(err).__name__, str(err)
+
+
+def _linear_run(prog, **kw):
+    trace, report = verify_program(prog, **kw)
+    return (trace.events, report.violations, report.notes, report.final_t,
+            _value(trace.final_state))
+
+
+def _path_run(prog, **kw):
+    return [(pr.label, pr.report.violations, pr.report.notes, pr.report.final_t,
+             pr.trace.events, _value(pr.trace.final_state))
+            for pr in verify_all_paths(prog, **kw)]
+
+
+def _runs(prog, pin_map=None):
+    """Every way a program is stepped: verification under both policies, and
+    the ticks that rendering and the injection search read."""
+    out = [_outcome(_path_run if prog.has_conditionals else _linear_run, prog,
+                    policy=policy, pin_map=pin_map) for policy in ("first", "all")]
+    if not prog.has_conditionals:
+        out.append(_outcome(lambda: [(t, _value(st)) for t, st in ticks(prog)]))
+    return out
+
+
+def test_memo_matches_plain_step_on_fixtures(capsys):
+    pins = ("mplex.pins", "mplex_pin1.pins", "mplex_pin2.pins", "mplex_pin3.pins")
+    cases = [(parse_program(load(name)), None) for name in _DMF_FIXTURES]
+    cases += [(parse_program(load("mplex.dmf")), parse_pins(load(p))) for p in pins]
+    for prog, pin_map in cases:
+        assert _runs(prog, pin_map) == without_memo(_runs, prog, pin_map)
+    # the text and JSON reports, as the command line prints them
+    for argv in _fixture_verify_argvs():
+        for extra in ([], ["--all"], ["--format", "text"], ["--format", "text", "--all"]):
+            rc = main(argv + extra)
+            got = rc, capsys.readouterr().out
+            rc = without_memo(main, argv + extra)
+            assert got == (rc, capsys.readouterr().out), argv + extra
+
+
+def test_memo_matches_plain_step_on_the_dmf_fuzz_corpus():
+    # the mutated .dmf corpus of test_cli: each text that parses is verified
+    # and walked tick by tick, with the memo and with the plain step
+    rng = random.Random(1618)
+    ran = 0
+    for _ in range(200):
+        text = _mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES)))
+        prog = _outcome(parse_program, text)
+        if not isinstance(prog, tuple):
+            ran += 1
+            assert _runs(prog) == without_memo(_runs, prog), text
+    assert ran >= 50, ran
+
+
+def step_both_ways(checked, served, **kw):
+    """An ``advance`` for one walk that steps each line with a memo of its
+    own and with the plain step, and requires the same rows, events and
+    state.  Equal bodies share one tuple, as the parser makes them;
+    ``served`` counts the steps the memo served, ``checked`` the lines
+    checked (``count_checked_lines``)."""
+    memo, interned = {}, {}
+
+    def advance(state, line):
+        line = TimedLine(line.t, interned.setdefault(line.instrs, line.instrs))
+        want = step(state, line, **kw)
+        before = checked[0]
+        got = step(state, line, memo=memo, **kw)
+        served[0] += checked[0] == before
+        assert (got.violations, got.events, _value(got.state)) == (
+            want.violations, want.events, _value(want.state)), line
+        return want
+    return advance
+
+
+def test_memo_matches_plain_step_on_random_walks(monkeypatch):
+    # the 9b/9c walks of test_acceptance and the 30 seeded pinned walks, with
+    # and without a pin map
+    checked = count_checked_lines(monkeypatch)
+    served, codes = [0], set()
+    for seed in range(25):
+        advance = step_both_ways(checked, served, policy="all")
+        for state, line in _random_walk(seed):
+            codes.update(v.code for v in advance(state, line).violations)
+    shared = dedicated_map(7, 7).with_remap({Loc(2, 2): 1, Loc(4, 3): 1, Loc(3, 5): 9,
+                                             Loc(6, 4): 9, Loc(5, 6): 33})
+    for pin_map in (None, shared):
+        for seed in range(30):
+            advance = step_both_ways(checked, served, policy="all", pin_map=pin_map)
+            for result in _pinned_walk(seed, advance):
+                codes.update(v.code for v in result.violations)
+    assert {Code.E1, Code.E2, Code.E3, Code.E4, Code.PIN_CASE1} <= codes, codes
+    assert served[0] > 0
+
+
+def cycle_program(rng):
+    """A random line cycle, repeated: the memo's case.
+
+    Three droplets ride columns 2, 5 and 8 of an 8x9 chip.  The cycle's
+    first half moves random subsets of them down a row; its second half
+    moves the same subsets back up, in reverse order, so the chip is back
+    in its layout when the cycle repeats, with the same gaps.  A line may
+    also mix two droplets that stay on one row, or detect the one that
+    stays on (4,5); the gap after it outlasts the mixer or the detection.
+    Half the programs get one faulty instruction in one line of one round.
+    """
+    dur = rng.randrange(1, 4)
+    head = ["dim(8,9)", "accuracy 4", "R(1,2,A) R(1,5,B) R(1,8,A) W(8,2)",
+            f"D(d1,4,5,{dur})", "1 d(1,2) d(1,5) d(1,8)"]
+    half = [[c for c in (2, 5, 8) if rng.random() < 0.6] for _ in range(rng.randrange(1, 5))]
+    row = {2: 1, 5: 1, 8: 1}
+    cycle = []      # (instructions, gap to the next line)
+    for movers, step_r in [(m, 1) for m in half] + [(m, -1) for m in reversed(half)]:
+        instrs = [f"m([{row[c]},{c}]->[{row[c] + step_r},{c}])" for c in movers]
+        gap = rng.randrange(1, 4)
+        pairs = [(a, b) for a, b in ((2, 5), (5, 8))
+                 if row[a] == row[b] and a not in movers and b not in movers]
+        if pairs and rng.random() < 0.4:
+            (a, b), t_mix = rng.choice(pairs), rng.randrange(1, 4)
+            instrs.append(f"mix([{row[a]},{a}]<->[{row[b]},{b}],{t_mix},14)")
+            gap = max(gap, t_mix + 1)
+        elif row[5] == 4 and 5 not in movers and rng.random() < 0.5:
+            instrs.append("detect(d1)")
+            gap = max(gap, dur)
+        cycle.append((instrs, gap))
+        for c in movers:
+            row[c] += step_r
+    rounds = rng.randrange(2, 7)
+    fault = (rng.randrange(rounds), rng.randrange(len(cycle))) if rng.random() < 0.5 else None
+    lines, t = [], 2
+    for k in range(rounds):
+        for i, (instrs, gap) in enumerate(cycle):
+            if (k, i) == fault:
+                instrs = instrs + [rng.choice(("m([7,7]->[7,6])", "d(3,3)", "waste(8,2)",
+                                               "m([1,2]->[1,3])", "detect(d1)"))]
+            if instrs:
+                lines.append(f"{t} " + " ".join(instrs))
+            t += gap
+    lines.append(f"{t} end")
+    return parse_program("\n".join(head + lines) + "\n")
+
+
+def test_memo_matches_plain_step_on_repeated_cycles(monkeypatch):
+    checked = count_checked_lines(monkeypatch)
+    rng = random.Random(5)
+    seen = Counter()
+    # Case 1 fires on a droplet at (3,5)
+    shared = dedicated_map(8, 9).with_remap({Loc(3, 4): 7, Loc(3, 6): 7})
+    for _ in range(60):
+        prog = cycle_program(rng)
+        for pin_map in (None, shared):
+            checked[0] = 0
+            got = _runs(prog, pin_map)
+            with_memo = checked[0]
+            assert got == without_memo(_runs, prog, pin_map)
+            seen["served"] += checked[0] - 2 * with_memo   # the plain runs check every line
+            seen["failing" if got[0][1] else "clean", pin_map is None] += 1
+            seen.update(v.code for v in got[1][1])
+    assert seen["served"] >= 1000, seen
+    assert all(seen[k, m] >= 10 for k in ("clean", "failing") for m in (True, False)), seen
+    assert seen[Code.E3] and seen[Code.E4] and seen[Code.PIN_CASE1], seen
+
+
+def _key_cases():
+    """For each field of the memo's key, (field, first state, second state,
+    line, step keywords): the line passes on the first state and fails on
+    the second, which differs from the first in that field only."""
+    near = TimedLine(1, (Move(Loc(2, 2), Loc(2, 3)),))
+    yield 0, state_with(6, 6, [Loc(2, 2)]), state_with(6, 6, [Loc(2, 2), Loc(3, 4)]), near, {}
+    pair = state_with(6, 6, [Loc(2, 2), Loc(2, 5)])
+    mixing = pair.copy()
+    mixing.mixers = (MixerEntry(Loc(2, 2), Loc(2, 5), 0, 9, MType.H14, ("n0", "n1")),)
+    yield 1, pair, mixing, TimedLine(1, (Move(Loc(2, 2), Loc(3, 2)),)), {}
+    # two detectors share (3,3): the other one is busy, then this one
+    shared = init_state(header(6, 6), (DetectorDecl("d1", Loc(3, 3), 4),
+                                       DetectorDecl("d2", Loc(3, 3), 4)))
+    shared = shared.add_droplet("n0", Loc(3, 3), CFVector.unit("S"))
+    other, this = shared.copy(), shared.copy()
+    other.detections = (DetectionEntry("d2", Loc(3, 3), 9),)
+    this.detections = (DetectionEntry("d1", Loc(3, 3), 9),)
+    yield 2, other, this, TimedLine(1, (DetectStart("d1"),)), {}
+    # pin Case 1 fires on a droplet at (4,4): one layout has it, one not
+    split = dedicated_map(6, 6).with_remap({Loc(4, 3): 99, Loc(4, 5): 99})
+    yield (0, state_with(6, 6, [Loc(1, 1)]), state_with(6, 6, [Loc(1, 1), Loc(4, 4)]),
+           TimedLine(1, (Move(Loc(1, 1), Loc(1, 2)),)), {"pin_map": split})
+
+
+@pytest.mark.parametrize("dropped", [None, 0, 1, 2])
+def test_memo_key_tells_apart_what_each_field_holds(monkeypatch, dropped):
+    # With the whole key, each second state gets the plain step's rows.  A
+    # mutant key without one field serves the first state's clean verdict to
+    # the cases that differ in that field, and this test sees it.
+    if dropped is not None:
+        real = fluidics._signature
+        monkeypatch.setattr(fluidics, "_signature", lambda snapshot: tuple(
+            None if i == dropped else f for i, f in enumerate(real(snapshot))))
+    for field, first, second, line, kw in _key_cases():
+        memo = {}
+        assert not step(first, line, memo=memo, **kw).violations
+        got, want = step(second, line, memo=memo, **kw), step(second, line, **kw)
+        assert want.violations, (field, line)
+        if field == dropped:
+            assert got.violations == [], (field, line)      # the mutant is caught
+        else:
+            assert (got.violations, got.events, _value(got.state)) == (
+                want.violations, want.events, _value(want.state)), (field, line)
+
+
+def test_checks_run_once_per_body_and_layout(monkeypatch):
+    # a 4-line cycle, repeated: a detour, a mix and a detection, each of
+    # which finds the same cells, mixers and detections in every round
+    calls = [0]
+    for kind, rule in list(fluidics.RULES.items()):
+        def counted(state, instr, i, ctx, check=rule.check):
+            calls[0] += 1
+            return check(state, instr, i, ctx)
+        monkeypatch.setitem(fluidics.RULES, kind, dataclasses.replace(rule, check=counted))
+    checked = count_checked_lines(monkeypatch)
+    rounds = 10
+    lines = ["1 d(3,2) d(3,5)"]
+    for k in range(rounds):
+        b = 2 + 6 * k
+        lines += [f"{b} m([3,2]->[2,2])", f"{b + 1} m([2,2]->[3,2])",
+                  f"{b + 2} mix([3,2]<->[3,5],1,14)", f"{b + 4} detect(d1)"]
+    prog = parse_program("dim(6,7)\naccuracy 2\nR(3,2,S) R(3,5,B)\nD(d1,3,5,1)\n"
+                         + "\n".join(lines) + f"\n{2 + 6 * rounds} end\n")
+    got = _linear_run(prog)
+    assert not got[1] and got[3] == 2 + 6 * rounds
+    assert (calls[0], checked[0]) == (2 + 4, 1 + 4 + 1)    # the end line has no check
+    calls[0] = checked[0] = 0
+    assert without_memo(_linear_run, prog) == got
+    assert (calls[0], checked[0]) == (2 + 4 * rounds, 1 + 4 * rounds + 1)
+
+
+def test_commit_guard_runs_on_a_memo_hit_under_python_O():
+    # a forged clean verdict for a move onto an occupied cell: the hit skips
+    # the checks, and the commit's plain check still refuses the write
+    code = textwrap.dedent("""
+        from dmfv import fluidics
+        from dmfv.chip import InconsistentState, init_state
+        from dmfv.graph import CFVector
+        from dmfv.isa import ChipHeader, Loc, Move, TimedLine
+        assert False, "assert statements must be stripped under -O"
+        st = init_state(ChipHeader(6, 6, 5, ()))
+        st = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"))
+        st = st.add_droplet("B", Loc(5, 5), CFVector.unit("B"))
+        line = TimedLine(1, (Move(Loc(2, 2), Loc(5, 5)),))
+        memo = {id(line.instrs): (line.instrs, {fluidics._signature(st)})}
+        try:
+            fluidics.step(st, line, memo=memo)
+        except InconsistentState:
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

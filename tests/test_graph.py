@@ -9,11 +9,29 @@ import pytest
 from dmfv.diag import Code, Report, classify
 from dmfv.fluidics import verify_program
 from dmfv.graph import (MIX, OUTPUT, WASTE, BadArity, CFVector, CycleDetected,
-                        SeqGraph, SGNode, _cf_key, _duration_check, cf_mix, conformance,
-                        parse_input_sg, ratio_str, reconstruct, round_cf, to_dot)
+                        SeqGraph, SGNode, _adjacency, _cf_key, _concentrations, _depths,
+                        _duration_check, _topo, cf_mix, conformance, parse_input_sg,
+                        ratio_str, reconstruct, round_cf, to_dot)
 from dmfv.isa import parse_program
 
 from conftest import fractions_of, load
+
+
+def topo_order(sg: SeqGraph) -> list[str]:
+    return _topo(*_adjacency(sg))
+
+
+def depths(sg: SeqGraph) -> dict[str, int]:
+    """Longest-path depth from the dummy entry; sources sit at depth 1."""
+    preds, succs = _adjacency(sg)
+    return _depths(_topo(preds, succs), preds)
+
+
+def annotate_cfs(sg: SeqGraph) -> None:
+    """Propagate concentration vectors from dispense sources through mixes."""
+    preds, succs = _adjacency(sg)
+    for nid, cf in _concentrations(sg, _topo(preds, succs), preds).items():
+        sg.nodes[nid].cf = cf
 
 
 S, B = CFVector.unit("S"), CFVector.unit("B")
@@ -189,7 +207,7 @@ def test_parse_input_sg_twowaymix_shape():
     assert {n.kind for n in sg.nodes.values()} == {"dispense", MIX, WASTE, OUTPUT}
     assert len([n for n in sg.nodes.values() if n.kind == MIX]) == 2
     assert sg.preds("W") == ["M1"]
-    assert sg.topo_order() == ["S", "B", "M1", "W", "M2", "O"]
+    assert topo_order(sg) == ["S", "B", "M1", "W", "M2", "O"]
 
 
 def test_reconstruct_twowaymix_matches_expected_graph():
@@ -225,7 +243,7 @@ def test_reconstruct_pcr_uniform_tree():
     for nid in sg.nodes:
         if sg.nodes[nid].kind == MIX:
             assert len(sg.preds(nid)) == 2
-    sg.topo_order()  # acyclic
+    topo_order(sg)  # acyclic
 
 
 def test_conformance_reflexive_and_relabeling_invariant():
@@ -312,9 +330,9 @@ def _brute_force_conforms(left: SeqGraph, right: SeqGraph, n: int) -> bool:
     from itertools import permutations
 
     from dmfv.graph import _signature
-    left.annotate_cfs()
-    right.annotate_cfs()
-    dl, dr = left.depths(), right.depths()
+    annotate_cfs(left)
+    annotate_cfs(right)
+    dl, dr = depths(left), depths(right)
     for depth in set(dl.values()) | set(dr.values()):
         for kind in ("dispense", MIX, OUTPUT, WASTE):
             a = sorted(_signature(left, nid, n) for nid, d in dl.items()
@@ -366,7 +384,7 @@ def test_conformance_leaves_its_graphs_unannotated():
         assert all(node.cf is None for sg in (left, right) for node in sg.nodes.values())
         annotated = [copy.deepcopy(sg) for sg in (left, right)]
         for sg in annotated:
-            sg.annotate_cfs()
+            annotate_cfs(sg)
         again = conformance(*annotated, 3)
         assert (report.violations, report.notes) == (again.violations, again.notes)
 
@@ -522,7 +540,7 @@ def _realize(rng: random.Random, spec: SeqGraph) -> SeqGraph:
     reconstructed graphs do, some recorded before the mutation; the rest
     leave them to conformance."""
     ids = list(spec.nodes)
-    order = spec.topo_order()
+    order = topo_order(spec)
     mapping = {nid: f"v{i:02d}" for i, nid in enumerate(rng.sample(ids, len(ids)))}
     nodes = {mapping[nid]: SGNode(mapping[nid], node.kind, node.reagent)
              for nid, node in spec.nodes.items()}
@@ -537,7 +555,7 @@ def _realize(rng: random.Random, spec: SeqGraph) -> SeqGraph:
     real = SeqGraph(spec.reagents, nodes, edges)
     annotate = rng.random()
     if annotate < 0.3:          # concentrations recorded before the mutation
-        real.annotate_cfs()
+        annotate_cfs(real)
     mutation = rng.choice(("none", "none", "reagent", "rewire", "add", "drop", "window"))
     if mutation == "reagent":
         src = rng.choice([n for n in nodes.values() if n.kind == "dispense"])
@@ -564,7 +582,7 @@ def _realize(rng: random.Random, spec: SeqGraph) -> SeqGraph:
         node.t_e += rng.choice((-2, -1, 1, 3))
     real.edges = edges
     if 0.3 <= annotate < 0.7:
-        real.annotate_cfs()
+        annotate_cfs(real)
     return real
 
 
@@ -578,7 +596,7 @@ def test_conformance_matches_level_order_oracle():
         if rng.random() < 0.05:
             real.reagents = reagents[:-1] + ("Z",)
         if rng.random() < 0.5:
-            spec.annotate_cfs()
+            annotate_cfs(spec)
         n = rng.randrange(1, 9)
         ignore_waste = rng.random() < 0.3
         got = conformance(spec, real, n, ignore_waste=ignore_waste)

@@ -467,3 +467,22 @@ def test_parse_matches_per_token_oracle(monkeypatch):
             raw = parse_program(text, validate=False)
             assert validate_structure(raw) == _old_validate_structure(raw), text
     assert all(kinds.get(k, 0) >= 10 for k in ("ok", "ParseError", "ValidationError")), kinds
+
+
+def test_bounds_are_checked_once_per_body_in_bounds(monkeypatch):
+    calls = []
+    real = isa._check_locs
+    monkeypatch.setattr(isa, "_check_locs", lambda p, ln, issues: calls.append(ln.t)
+                        or real(p, ln, issues))
+    # the parser shares one tuple between equal bodies; a body out of bounds
+    # is checked on each of its lines, so each line keeps its own issue
+    text = ("dim(5,4)\naccuracy 5\nR(1,1,S)\n"
+            + "".join(f"{t} m([2,2]->[2,3]) m(4,4,4,3)\n{t + 1} m([2,3]->[2,2])\n"
+                      f"{t + 2} m([1,4]->[1,5])\n" for t in range(1, 30, 3))
+            + "40 end\n")
+    raw = parse_program(text, validate=False)
+    issues = validate_structure(raw)
+    assert issues == _old_validate_structure(raw)
+    assert [i.t for i in issues] == list(range(3, 31, 3))
+    assert all(i.code == "OutOfBounds" and "(1,5)" in i.message for i in issues)
+    assert calls == [1, 2, *range(3, 31, 3), 40]

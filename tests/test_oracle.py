@@ -8,7 +8,7 @@ occupied grids, valid or not.
 
 import random
 
-from dmfv.chip import MixerEntry, init_state, neighbors8
+from dmfv.chip import MixerEntry, init_state
 from dmfv.diag import Code, classify
 from dmfv.fluidics import RULES, LineContext, _post_checks, mixer_geometry_ok, move_conflicts
 from dmfv.graph import CFVector
@@ -34,6 +34,14 @@ def static_fc(state, loc):
     """The static rule at loc as the engine applies it: a droplet sits there
     and the separation check pairs it with no other."""
     return loc in state.by_loc and not separation_partners(state, loc)
+
+
+def neighbors8(loc, rows, cols):
+    """The cells of the 3x3 block around loc, less loc, on a rows x cols array."""
+    r, c = loc
+    cand = [Loc(r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+            if (dr, dc) != (0, 0)]
+    return {p for p in cand if 1 <= p.row <= rows and 1 <= p.col <= cols}
 
 
 def eval_conj(literals, occupied):

@@ -10,7 +10,7 @@ from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
 from dmfv.pins import (PinMap, _finding_to_violation, check_case1, check_dispense_pins,
-                       check_pair, dedicated_map, parse_pins, pin_phase, pins_of,
+                       check_pair, dedicated_map, parse_pins, pin_phase,
                        serialize_pins, verify_program_pins)
 
 from conftest import FIXTURES, load
@@ -42,6 +42,11 @@ def droplets(rows, cols, locs):
     for i, loc in enumerate(locs):
         st = st.add_droplet(f"n{i}", loc, CFVector.unit("S"))
     return st
+
+
+def pins_of(pmap, cells):
+    """The set of pins driving ``cells``."""
+    return {pmap.pin_of(c) for c in cells}
 
 
 def test_pins_of_neighborhood_sets():
@@ -165,7 +170,7 @@ def test_injective_map_subsumes_general_mode():
     for name in ("twowaymix.dmf", "pcr.dmf"):
         prog = parse_program(load(name))
         pmap = dedicated_map(prog.header.rows, prog.header.cols)
-        assert pmap.injective()
+        assert len(set(pmap.pin.values())) == len(pmap.pin)
         report = verify_program_pins(prog, pmap)
         assert report.ok, report.violations
 
