@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Single-shot wall times of verify_program and verify_program_pins.
+"""Single-shot wall times of verify_program, with and without a pin map.
 
 Times the PCR fixture in general and pin mode, then synthetic programs that
 park k droplets three cells apart and shuttle the last one for 400 ticks:
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from dmfv.fluidics import verify_program
 from dmfv.isa import parse_program
-from dmfv.pins import dedicated_map, verify_program_pins
+from dmfv.pins import dedicated_map
 
 
 def synthetic(rows: int, droplets: int, ticks: int) -> str:
@@ -60,14 +60,14 @@ def main() -> None:
     prog = parse_program(pcr)
     timed("PCR (15x15, 16 lines), general mode", lambda: verify_program(prog))
     timed("PCR, pin mode (dedicated 225-pin map)",
-          lambda: verify_program_pins(prog, dedicated_map(15, 15)))
+          lambda: verify_program(prog, pin_map=dedicated_map(15, 15)))
 
     print("\nscaling in droplet count (30x30 array, 400 ticks):")
     for k in (4, 8, 16):
         text = synthetic(30, k, 400)
         p = parse_program(text)
         pmap = dedicated_map(30, 30)
-        timed(f"  {k:>2} droplets, pin mode", lambda: verify_program_pins(p, pmap))
+        timed(f"  {k:>2} droplets, pin mode", lambda: verify_program(p, pin_map=pmap))
     print("\nscaling in array size (4 droplets, 400 ticks):")
     for n in (15, 30, 60):
         text = synthetic(n, 4, 400)

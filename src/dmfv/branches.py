@@ -23,7 +23,7 @@ verified alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import chip, fluidics, graph
 from .diag import Code, Report, classify
@@ -117,18 +117,12 @@ class PathReport:
     label: str
     outcomes: tuple[bool, ...]
     report: Report
-    trace: fluidics.Trace
-    graph: "graph.SeqGraph | None" = None
 
 
 def _tagged(report: Report, label: str) -> Report:
-    tagged = Report(final_t=report.final_t, t_max=report.t_max,
-                    notes=[f"path {label}: {n}" for n in report.notes])
-    for v in report.violations:
-        tagged.violations.append(classify(
-            v.code, v.response, t=v.t, instructions=v.instructions, cells=v.cells,
-            pins=v.pins, path=label or None, detail=v.detail, secondary=v.secondary))
-    return tagged
+    return Report([replace(v, path=label or None) for v in report.violations],
+                  final_t=report.final_t, t_max=report.t_max,
+                  notes=[f"path {label}: {n}" for n in report.notes])
 
 
 def _resume_key(main: tuple[TimedLine, ...], idx: int, cursor: fluidics.Cursor,
@@ -163,7 +157,8 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     When an input graph is supplied (annotated, as ``graph.parse_input_sg``
     returns it), each clean path is additionally required to deliver the
     same multiset of output concentrations the input graph specifies;
-    recovery detours must re-produce the same mixture.
+    recovery detours must re-produce the same mixture.  A path yields its
+    report and nothing else; no graph is built.
     """
     k = _count_conditionals(program, max_conditionals)
     if only is not None and (len(only) != k or not set(only) <= {"0", "1"}):
@@ -182,12 +177,9 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
         label = _label(outcomes)
         trace, report = cursor.finish()
         report = _tagged(report, label)
-        sg = None
-        if not any(v.phase == 1 for v in report.violations):
-            sg = graph.reconstruct(trace)
-            if want is not None:
-                _check_outputs(want, sg, n, report, label)
-        out.append(PathReport(label, outcomes, report, trace, sg))
+        if want is not None and not any(v.phase == 1 for v in report.violations):
+            _check_outputs(want, _delivered_cfs(trace, n), report, label)
+        out.append(PathReport(label, outcomes, report))
 
     def replay(cursor: fluidics.Cursor, delta: int, outcomes: tuple[bool, ...],
                stored: tuple) -> None:
@@ -241,9 +233,21 @@ def _output_cfs(sg: graph.SeqGraph, n: int) -> list[graph.CFVector]:
     return sorted(graph.round_cf(cf, n) for cf in sg.terminal_cfs(graph.OUTPUT))
 
 
-def _check_outputs(want: list[graph.CFVector], synth_sg, n: int, report: Report,
-                   label: str) -> None:
-    got = _output_cfs(synth_sg, n)
+def _delivered_cfs(trace: fluidics.Trace, n: int) -> list[graph.CFVector]:
+    """``_output_cfs(graph.reconstruct(trace), n)``, read off the events.
+
+    That graph has one output edge per ``Outputted`` event, from the node of
+    its droplet, whose cf is the ``Dispensed`` unit vector or the
+    ``MixCompleted`` one.  Only a mix changes a droplet's cf, and it puts one
+    droplet on both its cells, so each edge carries the event's own cf.  Node
+    ids are unique, since no reagent may take the id of a mix or a sink.
+    """
+    return sorted(graph.round_cf(ev.cf, n) for ev in trace.events
+                  if isinstance(ev, chip.Outputted))
+
+
+def _check_outputs(want: list[graph.CFVector], got: list[graph.CFVector],
+                   report: Report, label: str) -> None:
     if want != got:
         got_text, want_text = sorted(map(str, got)), sorted(map(str, want))
         report.violations.append(classify(

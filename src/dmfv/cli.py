@@ -55,6 +55,9 @@ def cmd_verify(args) -> int:
     t_max = args.tmax
 
     if program.has_conditionals:
+        if args.events:
+            return _fail_input(DmfError("--events works on straight-line programs; "
+                                        "a conditional program has one event log per path"))
         try:
             path_reports = branches.verify_all_paths(
                 program, pin_map=pin_map, input_sg=input_sg, policy=policy,

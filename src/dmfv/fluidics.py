@@ -45,7 +45,7 @@ committed state and is static (e1).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import chip
@@ -563,7 +563,6 @@ def format_event(ev: chip.Event) -> str:
 class Trace:
     reagents: tuple[str, ...]
     events: list[chip.Event] = field(default_factory=list)
-    final_state: ChipState | None = None
 
     def event_log(self) -> str:
         """Newline-delimited event dump for debugging."""
@@ -605,9 +604,7 @@ class Cursor:
                       memo=self.memo)
         for v in result.violations:
             if self.first_bad_t is not None and line.t > self.first_bad_t:
-                v = classify(v.code, v.response, t=v.t, instructions=v.instructions,
-                             cells=v.cells, pins=v.pins, path=v.path,
-                             detail=v.detail, secondary=True)
+                v = replace(v, secondary=True)
             self.report.violations.append(v)
         if result.violations and self.first_bad_t is None:
             self.first_bad_t = line.t
@@ -641,7 +638,6 @@ class Cursor:
                     self.report.notes.append("program has no end marker")
             for mx in self.state.mixers:
                 self.report.notes.append(f"mixer still active at program end: {mx.span()}")
-            self.trace.final_state = self.state
         return self.trace, self.report
 
 

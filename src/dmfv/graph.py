@@ -159,9 +159,6 @@ class SeqGraph:
             raise OrphanDroplet(f"edge {src}->{dst} references an unknown node")
         self.edges.append((src, dst))
 
-    def preds(self, nid: str) -> list[str]:
-        return [s for s, d in self.edges if d == nid]
-
     def terminal_cfs(self, kind: str) -> list[CFVector]:
         """Concentrations arriving at output (or waste) nodes, one per edge."""
         preds, _ = _adjacency(self)
@@ -348,15 +345,11 @@ def _cf_key(cf: CFVector, n: int) -> tuple[tuple[str, int], ...]:
     return tuple((k, v) for k, v in _rounded(cf, n).items() if v)
 
 
-def _signature(sg: SeqGraph, nid: str, n: int, keys=None, preds=None):
+def _signature(sg: SeqGraph, nid: str, keys: dict[str, tuple | None],
+               preds: dict[str, list[str]]):
     """A node's kind and rounded concentration; a sink's carries the sorted
-    rounded concentrations it receives.  ``keys`` (each node's ``_cf_key``,
-    None without a concentration) and ``preds`` default to those of the
-    nodes' own ``cf`` and to ``sg.preds``."""
-    if keys is None:
-        keys = {k: None if node.cf is None else _cf_key(node.cf, n)
-                for k, node in sg.nodes.items()}
-        preds = {nid: sg.preds(nid)}
+    rounded concentrations it receives.  ``keys`` holds each node's
+    ``_cf_key``, None without a concentration."""
     kind = sg.nodes[nid].kind
     if kind in (OUTPUT, WASTE):
         return (kind, tuple(sorted(keys[p] for p in preds[nid] if keys[p] is not None)))
@@ -398,8 +391,7 @@ def _levels(sg: SeqGraph):
     return preds, cfs, levels
 
 
-def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int,
-                t_max: int | None = None, final_t: int | None = None, *,
+def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
                 ignore_waste: bool = False) -> Report:
     """Level-order conformance of the realized graph against the input graph.
 
@@ -412,7 +404,7 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int,
     Pure: concentrations missing from either graph are computed on the side,
     and neither graph changes.  Costs O(V+E) plus a sort within each level.
     """
-    report = Report(final_t=final_t, t_max=t_max)
+    report = Report()
     reagents = input_sg.reagents or synth_sg.reagents
     if set(input_sg.reagents) != set(synth_sg.reagents) and input_sg.reagents and synth_sg.reagents:
         report.violations.append(classify(
@@ -451,12 +443,12 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int,
         # multiset match on signatures: spec ids queued per signature, in id order
         by_sig: dict[tuple, deque[str]] = {}
         for sid in spec_ids:
-            by_sig.setdefault(_signature(input_sg, sid, n, in_keys, in_preds),
+            by_sig.setdefault(_signature(input_sg, sid, in_keys, in_preds),
                               deque()).append(sid)
         matched: list[tuple[str, str]] = []
         leftovers: list[str] = []
         for rid in real_ids:
-            queue = by_sig.get(_signature(synth_sg, rid, n, sy_keys, sy_preds))
+            queue = by_sig.get(_signature(synth_sg, rid, sy_keys, sy_preds))
             if queue:
                 matched.append((queue.popleft(), rid))
             else:

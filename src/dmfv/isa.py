@@ -494,6 +494,10 @@ def validate_structure(p: Program) -> list[SemanticError]:
         issues.append(SemanticError("BadAccuracy", "accuracy must be at least 1"))
     if not any(r.kind is RKind.REAGENT for r in hdr.reservoirs):
         issues.append(SemanticError("NoReagentReservoir", "at least one reagent reservoir is required"))
+    reserved = ", ".join(name for name in hdr.reagents if re.fullmatch(r"v\d+|O|W", name))
+    if reserved:
+        issues.append(SemanticError("ReservedName", f"reserved reagent name(s) {reserved}: the "
+                                    "realized graph names its mixes v1, v2, ... and its sinks O and W"))
     seen_locs: set[Loc] = set()
     for r in hdr.reservoirs:
         if r.loc in seen_locs:

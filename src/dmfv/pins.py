@@ -24,8 +24,8 @@ from itertools import filterfalse, product
 
 from . import fluidics
 from .chip import ChipState, OutOfBounds, neighbors4
-from .diag import Code, Report, Violation, classify
-from .isa import ChipHeader, DmfError, Loc, Program, TimedLine
+from .diag import Code, Violation, classify
+from .isa import ChipHeader, DmfError, Loc, TimedLine
 
 @dataclass(frozen=True)
 class PinMap:
@@ -293,11 +293,3 @@ def _candidate_pairs(pmap: PinMap,
                 if b != a:
                     pairs.add((a, b) if a < b else (b, a))
     return sorted(pairs)
-
-
-def verify_program_pins(program: Program, pmap: PinMap, *, policy: str = "first",
-                        t_max: int | None = None) -> Report:
-    """Fluidic verification plus the per-tick pin phase."""
-    _, report = fluidics.verify_program(program, pin_map=pmap, policy=policy,
-                                        t_max=t_max)
-    return report

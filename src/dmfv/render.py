@@ -25,7 +25,7 @@ def _mixer_cells(state: ChipState) -> tuple[set[Loc], set[Loc]]:
     return ends, interior
 
 
-def ascii_frame(state: ChipState, *, legend: bool = True) -> str:
+def ascii_frame(state: ChipState) -> str:
     ends, interior = _mixer_cells(state)
     det_cells = {d.loc for d in state.detectors.values()}
     rows = []
@@ -45,18 +45,18 @@ def ascii_frame(state: ChipState, *, legend: bool = True) -> str:
                 chars.append(".")
         rows.append(" ".join(chars))
     out = [f"t={state.t}"] + rows
-    if legend:
-        for loc in sorted(state.by_loc):
-            droplet = state.by_loc[loc]
-            out.append(f"  {loc} id={droplet.node} cf={droplet.cf}")
-        for mx in state.mixers:
-            out.append(f"  {mx.span()} type {mx.mtype.value}")
-        for det in state.detections:
-            out.append(f"  detect {det.detector} at {det.loc} until t={det.t_end}")
+    for loc in sorted(state.by_loc):
+        droplet = state.by_loc[loc]
+        out.append(f"  {loc} id={droplet.node} cf={droplet.cf}")
+    for mx in state.mixers:
+        out.append(f"  {mx.span()} type {mx.mtype.value}")
+    for det in state.detections:
+        out.append(f"  detect {det.detector} at {det.loc} until t={det.t_end}")
     return "\n".join(out) + "\n"
 
 
-def svg_frame(state: ChipState, *, cell: int = 28) -> str:
+def svg_frame(state: ChipState) -> str:
+    cell = 28   # side of one electrode, in pixels
     ends, interior = _mixer_cells(state)
     w = state.header.cols * cell
     h = state.header.rows * cell

@@ -11,16 +11,16 @@ from fractions import Fraction
 from dmfv.branches import verify_all_paths
 from dmfv.chip import init_state
 from dmfv.diag import CAUSE, Code
-from dmfv.fluidics import step, verify_program
+from dmfv.fluidics import Trace, step, verify_program
 from dmfv.graph import (OUTPUT, CFVector, SeqGraph, SGNode, cf_mix, conformance,
                         parse_input_sg, reconstruct, round_cf)
 from dmfv.inject import InjectionSpec, inject_error
 from dmfv.isa import (ChipHeader, Dispense, Loc, MixStart, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
 from dmfv.pins import (check_case1, check_dispense_pins, check_pair,
-                       dedicated_map, parse_pins, verify_program_pins)
+                       dedicated_map, parse_pins)
 
-from conftest import fractions_of, load
+from conftest import finished_runs, fractions_of, load
 from test_branches import enumerate_paths
 from test_oracle import run_oracle_equivalence
 from test_pins import DISPENSE_PINS, MOVE_PINS, droplets, make_map
@@ -170,7 +170,7 @@ def test_criterion_6_pin_examples():
 
 def test_criterion_7_pin_schema_rows():
     prog = parse_program(load("mplex.dmf"))
-    assert verify_program_pins(prog, parse_pins(load("mplex.pins"))).ok
+    assert verify_program(prog, pin_map=parse_pins(load("mplex.pins")))[1].ok
     expected = [
         ("mplex_pin1.pins", "Droplet stretch", 4, "m(3,3,4,3) m(13,3,13,4)"),
         ("mplex_pin2.pins", "Droplet stuck on (13,14)", 53,
@@ -180,7 +180,7 @@ def test_criterion_7_pin_schema_rows():
     ]
     rows = []
     for name, *_ in expected:
-        report = verify_program_pins(prog, parse_pins(load(name)))
+        report = verify_program(prog, pin_map=parse_pins(load(name)))[1]
         v = report.violations[0]
         rows.append((name, v.response, v.t, v.instruction_text()))
     ok = rows == expected
@@ -192,13 +192,15 @@ def test_criterion_8_cyberphysical_paths():
     prog = parse_program(load("recovery.dmf"))
     input_sg = parse_input_sg(load("recovery.sg"))
     specs = enumerate_paths(prog)
-    reports = verify_all_paths(prog, input_sg=input_sg)
+    reports, runs = finished_runs(verify_all_paths, prog, input_sg=input_sg)
     all_clean = all(r.report.ok for r in reports)
     full = next(r for r in reports if r.label == "11")
     want = sorted(str(round_cf(cf, 5)) for cf in input_sg.terminal_cfs(OUTPUT))
-    outputs_ok = all(
-        sorted(str(round_cf(cf, 5)) for cf in r.graph.terminal_cfs(OUTPUT)) == want
-        for r in reports)
+    # each path's realized graph, rebuilt from the events its run finished with
+    graphs = [reconstruct(Trace(prog.header.reagents, events)) for events, _ in runs]
+    outputs_ok = len(graphs) == 4 and all(
+        sorted(str(round_cf(cf, 5)) for cf in sg.terminal_cfs(OUTPUT)) == want
+        for sg in graphs)
     ok = (len(specs) == 4 and all_clean and full.report.final_t == 69 and outputs_ok)
     _report("8 (cyberphysical paths)", ok,
             f"4 paths, all-faulty ends t={full.report.final_t}, outputs conform")
@@ -302,7 +304,7 @@ def test_criterion_9f_injective_pin_map_subsumption():
         prog = parse_program(load(name))
         pmap = dedicated_map(prog.header.rows, prog.header.cols)
         _, general = verify_program(prog)
-        pinned = verify_program_pins(prog, pmap)
+        _, pinned = verify_program(prog, pin_map=pmap)
         ok = ok and general.ok and pinned.ok
     _report("9f (injective pin-map subsumption)", ok,
             "pin phase silent on fluidically clean programs")

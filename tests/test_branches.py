@@ -4,17 +4,16 @@ from dataclasses import dataclass
 import pytest
 
 from dmfv import chip, fluidics
-from dmfv.branches import (NestedConditional, PathLimitExceeded, PathReport, _branch,
-                           _check_outputs, _cond_of, _count_conditionals, _label,
-                           _output_cfs, _tagged, merge_reports, path_shapes,
-                           verify_all_paths)
+from dmfv.branches import (NestedConditional, PathLimitExceeded, _branch, _check_outputs,
+                           _cond_of, _count_conditionals, _label, _output_cfs, _tagged,
+                           merge_reports, path_shapes, verify_all_paths)
 from dmfv.diag import Code, format_report
 from dmfv.graph import conformance, parse_input_sg, reconstruct
 from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, parse_program,
                       serialize_program)
 from dmfv.pins import dedicated_map
 
-from conftest import count_checked_lines, load, without_memo
+from conftest import count_checked_lines, finished_runs, load, without_memo
 
 
 # --- naive splicing: each path as a straight-line program (oracle) ---------------
@@ -176,13 +175,15 @@ def test_path_shapes_match_spliced_paths():
 def test_verify_all_paths_clean_and_output_conformance():
     prog = parse_program(load("recovery.dmf"))
     input_sg = parse_input_sg(load("recovery.sg"))
-    reports = verify_all_paths(prog, input_sg=input_sg)
+    reports, runs = finished_runs(verify_all_paths, prog, input_sg=input_sg)
     assert [r.label for r in reports] == ["00", "01", "10", "11"]
     for pr in reports:
         assert pr.report.ok, (pr.label, pr.report.violations)
     assert reports[3].report.final_t == 69
     # the no-fault reconstruction conforms to the input graph in full
-    assert conformance(input_sg, reports[0].graph, 5).ok
+    events, _ = runs[0]
+    assert conformance(input_sg, reconstruct(fluidics.Trace(prog.header.reagents, events)),
+                       5).ok
     merged = merge_reports(reports)
     assert merged.ok and merged.final_t == 69
 
@@ -313,19 +314,21 @@ def _random_conditional(rng: random.Random, c: int, *, extras: bool = False) -> 
 
 
 def _naive_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=None):
-    """Verify each spliced path on its own, as verify_all_paths once did."""
+    """Verify each spliced path on its own, as verify_all_paths once did: the
+    outputs are read off the path's realized graph."""
     n = program.header.accuracy
     out = []
     for spec in enumerate_paths(program):
-        trace, report = fluidics.verify_program(spec.program, pin_map=pin_map,
-                                                policy=policy, t_max=t_max)
+        (trace, report), [(_, final)] = finished_runs(
+            fluidics.verify_program, spec.program, pin_map=pin_map, policy=policy,
+            t_max=t_max)
         report = _tagged(report, spec.label)
-        sg = None
         if not any(v.phase == 1 for v in report.violations):
-            sg = reconstruct(trace)
+            sg = reconstruct(trace)     # every clean path's events make a graph
             if input_sg is not None:
-                _check_outputs(_output_cfs(input_sg, n), sg, n, report, spec.label)
-        out.append((spec.label, spec.outcomes, report, trace, sg))
+                _check_outputs(_output_cfs(input_sg, n), _output_cfs(sg, n), report,
+                               spec.label)
+        out.append((spec.label, spec.outcomes, report, trace.events, final))
     return out
 
 
@@ -341,12 +344,10 @@ def _unmerged_paths(program, *, pin_map=None, input_sg=None, policy="first", t_m
         label = _label(outcomes)
         trace, report = cursor.finish()
         report = _tagged(report, label)
-        sg = None
-        if not any(v.phase == 1 for v in report.violations):
-            sg = reconstruct(trace)
-            if want is not None:
-                _check_outputs(want, sg, n, report, label)
-        out.append(PathReport(label, outcomes, report, trace, sg))
+        if want is not None and not any(v.phase == 1 for v in report.violations):
+            _check_outputs(want, _output_cfs(reconstruct(trace), n), report, label)
+        out.append((label, outcomes, report, trace.events,
+                    None if cursor.stopped else cursor.state))
 
     def walk(cursor, idx, delta, outcomes):
         main = program.main
@@ -368,6 +369,14 @@ def _unmerged_paths(program, *, pin_map=None, input_sg=None, policy="first", t_m
     return out
 
 
+def _walked(program, **kw):
+    """verify_all_paths as (label, outcomes, report, events, final state) per
+    path, the events and state caught as each path's run finishes."""
+    reports, runs = finished_runs(verify_all_paths, program, **kw)
+    return [(pr.label, pr.outcomes, pr.report, events, final)
+            for pr, (events, final) in zip(reports, runs, strict=True)]
+
+
 def _final(state):
     if state is None:
         return None
@@ -375,13 +384,13 @@ def _final(state):
 
 
 def _assert_same(walked, naive):
-    assert [(pr.label, pr.outcomes) for pr in walked] == [x[:2] for x in naive]
-    for pr, (label, _, report, trace, sg) in zip(walked, naive):
+    assert [x[:2] for x in walked] == [x[:2] for x in naive]
+    for (label, _, got, events, final), (_, _, report, want_events, want_final) in zip(
+            walked, naive):
         for fmt in ("json", "text"):
-            assert format_report(pr.report, fmt) == format_report(report, fmt), label
-        assert pr.graph == sg, label
-        assert pr.trace.events == trace.events, label
-        assert _final(pr.trace.final_state) == _final(trace.final_state), label
+            assert format_report(got, fmt) == format_report(report, fmt), label
+        assert events == want_events, label
+        assert _final(final) == _final(want_final), label
 
 
 _OUT_S = "reagents S B\nnode S dispense S\nnode O output\nedge S O\n"
@@ -421,20 +430,20 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
         for kw in runs:
             pin_map, policy = kw["pin_map"], kw["policy"]
             naive = _naive_paths(prog, **kw)
-            for name, walk in (("merged", verify_all_paths), ("unmerged", _unmerged_paths)):
+            for name, walk in (("merged", _walked), ("unmerged", _unmerged_paths)):
                 calls.clear()
                 _assert_same(walk(prog, **kw), naive)
                 steps[name] += len(calls)
             for i, x in enumerate(naive):
-                _assert_same(verify_all_paths(prog, only=x[0], **kw), naive[i:i + 1])
-            for _, _, report, trace, _ in naive:
+                _assert_same(_walked(prog, only=x[0], **kw), naive[i:i + 1])
+            for _, _, report, events, _ in naive:
                 # rows after the first failing tick are marked secondary
                 rows = [v for v in report.violations if v.t is not None]
                 assert all(v.secondary == (v.t > rows[0].t) for v in rows)
                 seen.update((policy, pin_map is None, v.code, v.secondary)
                             for v in report.violations)
                 kinds.update({3: "dilutes P", 1: "side mix"}.get(e.a.row)
-                             for e in trace.events if isinstance(e, chip.MixCompleted))
+                             for e in events if isinstance(e, chip.MixCompleted))
                 kinds.update("Q held" for v in report.violations if v.response
                              == "Droplet on (2,1) is under detection")
     # the corpus reaches each kind of row under both policies and both modes
@@ -455,12 +464,11 @@ def test_walk_with_memo_matches_plain_step(monkeypatch):
     for prog, runs in _random_corpus():
         for kw in runs:
             checked[0] = 0
-            walked = verify_all_paths(prog, **kw)
+            walked = _walked(prog, **kw)
             with_memo = checked[0]
-            plain = without_memo(verify_all_paths, prog, **kw)
+            plain = without_memo(_walked, prog, **kw)
             served += checked[0] - 2 * with_memo     # the plain walk checks every line
-            _assert_same(walked, [(pr.label, pr.outcomes, pr.report, pr.trace, pr.graph)
-                                  for pr in plain])
+            _assert_same(walked, plain)
     assert served >= 100, served
 
 
@@ -532,10 +540,71 @@ def test_merges_keep_what_the_shared_state_hides():
     held, two = parse_program(_HELD_Q), parse_program(_TWO_LAST)
     for policy in ("first", "all"):
         for prog in (held, two):
-            _assert_same(verify_all_paths(prog, policy=policy),
-                         _naive_paths(prog, policy=policy))
+            _assert_same(_walked(prog, policy=policy), _naive_paths(prog, policy=policy))
     assert {pr.label for pr in verify_all_paths(held) if not pr.report.ok} == {"00", "10"}
     assert [pr.report.final_t for pr in verify_all_paths(two)] == [3, 6, 6, 8]
+
+
+# Each path outputs a 1:3 mix, finer than the accuracy, and then pure B:
+# the graph's output multiset is rounded and sorted, not in output order.
+_TWO_OUTPUTS = """dim(5,4)
+accuracy 1
+R(1,1,S) R(1,4,B) O(5,1) W(5,4)
+D(d1,4,1,1)
+1 d(1,1) d(1,4)
+2 m([1,1]->[2,1]) m([1,4]->[2,4])
+3 m([2,1]->[3,1]) m([2,4]->[3,4])
+4 d(1,4) mix([3,1]<->[3,4],12,14)
+17 m([3,4]->[4,4])
+18 m([1,4]->[2,4]) m([4,4]->[5,4])
+19 m([2,4]->[3,4]) waste(5,4)
+20 mix([3,1]<->[3,4],12,14)
+33 m([3,1]->[4,1]) m([3,4]->[4,4])
+34 detect(d1) m([4,4]->[5,4])
+35 waste(5,4)
+36 if(d1) call Recovery(1)
+37 m([4,1]->[5,1])
+38 output(5,1)
+39 d(1,4)
+40 m([1,4]->[2,4])
+41 m([2,4]->[3,4])
+42 m([3,4]->[4,4])
+43 m([4,4]->[4,3])
+44 m([4,3]->[4,2])
+45 m([4,2]->[4,1])
+46 m([4,1]->[5,1])
+47 output(5,1)
+48 end
+recovery 1:
+100 m([4,1]->[4,2])
+101 m([4,2]->[4,1])
+endrecovery
+"""
+_TWO_OUTPUTS_SG = """reagents S B
+node S dispense S
+node B dispense B
+node M1 mix 12
+node M2 mix 12
+node W waste
+node O output
+edge S M1
+edge B M1
+edge M1 W
+edge M1 M2
+edge B M2
+edge M2 W
+edge M2 O
+edge B O
+"""
+
+
+def test_path_outputs_match_the_realized_graph():
+    prog = parse_program(_TWO_OUTPUTS)
+    for sg, ok in ((_TWO_OUTPUTS_SG, True), (_TWO_OUTPUTS_SG.replace("edge B O\n", ""), False)):
+        input_sg = parse_input_sg(sg)
+        walked = _walked(prog, input_sg=input_sg)
+        _assert_same(walked, _naive_paths(prog, input_sg=input_sg))
+        assert [(label, report.ok) for label, _, report, _, _ in walked] == [("0", ok), ("1", ok)]
 
 
 def _detour_chain(c: int) -> Program:

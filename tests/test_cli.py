@@ -15,6 +15,7 @@ from dmfv.diag import format_report
 from dmfv.fluidics import verify_program
 from dmfv.inject import add_instruction
 from dmfv.isa import Loc, Move, parse_program, serialize_program
+from dmfv.pins import dedicated_map, serialize_pins
 
 from conftest import FIXTURES, load
 
@@ -69,6 +70,53 @@ def test_verify_event_log(tmp_path, capsys):
            if "\tcf=" in line]
     assert cfs == [("v1", "{B:1/2, S:1/2}"), ("v1", "{B:1/2, S:1/2}"),
                    ("v2", "{B:3/4, S:1/4}"), ("v2", "{B:3/4, S:1/4}")]
+
+
+def test_verify_events_needs_a_straight_line_program(tmp_path, capsys):
+    # a conditional program has one event log per path
+    log = tmp_path / "events.log"
+    for extra in ([], ["--path", "10"]):
+        assert main(["verify", fx("recovery.dmf"), "--events", str(log), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --events "), captured
+    assert not log.exists()
+
+
+def test_pin_rows_keep_their_consequence(tmp_path, capsys):
+    # a pin row's consequence is its response: on the first failing tick, on
+    # the secondary rows after it and on the rows of each execution path
+    pmap = dedicated_map(8, 8)
+    pins = tmp_path / "recovery.pins"
+    pins.write_text(serialize_pins(pmap.with_remap({Loc(1, 2): pmap.pin[Loc(7, 6)]})))
+    kinds = set()
+    for argv in (["verify", fx("mplex.dmf"), "--pins", fx("mplex_pin1.pins"), "--all"],
+                 ["verify", fx("recovery.dmf"), "--pins", str(pins)]):
+        assert main(argv + ["--format", "json"]) == 1
+        rows = json.loads(capsys.readouterr().out)["violations"]
+        assert all(v["code"].startswith("pin-") and v["consequence"] == v["response"]
+                   for v in rows), rows
+        kinds.update((v["secondary"], v["path"]) for v in rows)
+    assert kinds == {(False, None), (True, None), (False, "10"), (False, "11")}
+
+
+# a reagent named like a realized graph's mix (v1, v2, ...) or sink (O, W)
+_RENAMED = (("pcr.dmf", "pcr.sg", "R1", "v1"), ("twowaymix.dmf", "twowaymix.sg", "S", "O"),
+            ("recovery.dmf", "recovery.sg", "S", "v2"),
+            ("twowaymix.dmf", "twowaymix.sg", "B", "W"))
+
+
+def test_reserved_reagent_names_exit_two(tmp_path, capsys):
+    for dmf, sg, old, new in _RENAMED:
+        prog, spec = tmp_path / dmf, tmp_path / sg
+        prog.write_text(load(dmf).replace(f",{old})", f",{new})"))
+        spec.write_text(re.sub(rf"\b{old}\b", new, load(sg)))
+        assert f",{new})" in prog.read_text()
+        for argv in (["verify", prog], ["verify", prog, "--sg", spec], ["graph", prog],
+                     ["render", prog]):
+            assert main(list(map(str, argv))) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(
+                f"error: ReservedName: reserved reagent name(s) {new}: "), captured
 
 
 def test_verify_parse_error_exit_two(tmp_path, capsys):

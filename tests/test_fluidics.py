@@ -21,7 +21,7 @@ from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError,
                       parse_program)
 from dmfv.pins import dedicated_map, parse_pins
 
-from conftest import count_checked_lines, fractions_of, load, without_memo
+from conftest import count_checked_lines, finished_runs, fractions_of, load, without_memo
 from test_acceptance import _random_walk
 from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
 from test_oracle import (check, move_clearance_cells, neighbors8, separation_partners,
@@ -582,15 +582,15 @@ def _outcome(fn, *args, **kw):
 
 
 def _linear_run(prog, **kw):
-    trace, report = verify_program(prog, **kw)
-    return (trace.events, report.violations, report.notes, report.final_t,
-            _value(trace.final_state))
+    (trace, report), [(_, final)] = finished_runs(verify_program, prog, **kw)
+    return (trace.events, report.violations, report.notes, report.final_t, _value(final))
 
 
 def _path_run(prog, **kw):
+    reports, runs = finished_runs(verify_all_paths, prog, **kw)
     return [(pr.label, pr.report.violations, pr.report.notes, pr.report.final_t,
-             pr.trace.events, _value(pr.trace.final_state))
-            for pr in verify_all_paths(prog, **kw)]
+             events, _value(final))
+            for pr, (events, final) in zip(reports, runs, strict=True)]
 
 
 def _runs(prog, pin_map=None):

@@ -17,6 +17,11 @@ from dmfv.isa import parse_program
 from conftest import fractions_of, load
 
 
+def preds(sg: SeqGraph, nid: str) -> list[str]:
+    """A node's predecessors, by a scan over every edge."""
+    return [s for s, d in sg.edges if d == nid]
+
+
 def topo_order(sg: SeqGraph) -> list[str]:
     return _topo(*_adjacency(sg))
 
@@ -206,7 +211,7 @@ def test_parse_input_sg_twowaymix_shape():
     sg = parse_input_sg(load("twowaymix.sg"))
     assert {n.kind for n in sg.nodes.values()} == {"dispense", MIX, WASTE, OUTPUT}
     assert len([n for n in sg.nodes.values() if n.kind == MIX]) == 2
-    assert sg.preds("W") == ["M1"]
+    assert preds(sg, "W") == ["M1"]
     assert topo_order(sg) == ["S", "B", "M1", "W", "M2", "O"]
 
 
@@ -242,7 +247,7 @@ def test_reconstruct_pcr_uniform_tree():
     assert all(fractions_of(final.cf)[f"R{k}"] == Fraction(1, 8) for k in range(1, 9))
     for nid in sg.nodes:
         if sg.nodes[nid].kind == MIX:
-            assert len(sg.preds(nid)) == 2
+            assert len(preds(sg, nid)) == 2
     topo_order(sg)  # acyclic
 
 
@@ -330,19 +335,25 @@ def _brute_force_conforms(left: SeqGraph, right: SeqGraph, n: int) -> bool:
     from itertools import permutations
 
     from dmfv.graph import _signature
+
+    def sig(sg, nid):
+        keys = {k: None if node.cf is None else _cf_key(node.cf, n)
+                for k, node in sg.nodes.items()}
+        return _signature(sg, nid, keys, {nid: preds(sg, nid)})
+
     annotate_cfs(left)
     annotate_cfs(right)
     dl, dr = depths(left), depths(right)
     for depth in set(dl.values()) | set(dr.values()):
         for kind in ("dispense", MIX, OUTPUT, WASTE):
-            a = sorted(_signature(left, nid, n) for nid, d in dl.items()
+            a = sorted(sig(left, nid) for nid, d in dl.items()
                        if d == depth and left.nodes[nid].kind == kind)
             b_ids = [nid for nid, d in dr.items()
                      if d == depth and right.nodes[nid].kind == kind]
             if len(a) != len(b_ids):
                 return False
             matched = any(
-                a == sorted(_signature(right, nid, n) for nid in perm)
+                a == sorted(sig(right, nid) for nid in perm)
                 for perm in permutations(b_ids))
             if b_ids and not matched:
                 return False
@@ -416,7 +427,7 @@ def _oracle_annotate(sg: SeqGraph) -> None:
         elif isinstance(node.cf, CFVector):
             node.cf = as_frac(node.cf)
         elif node.kind == MIX and node.cf is None:
-            a, b = sg.preds(nid)
+            a, b = preds(sg, nid)
             node.cf = frac_mix(cf(a), cf(b))
         return node.cf
     for nid in sg.nodes:
@@ -428,7 +439,7 @@ def _oracle_depths(sg: SeqGraph) -> dict:
 
     def d(nid):
         if nid not in depth:
-            ps = sg.preds(nid)
+            ps = preds(sg, nid)
             depth[nid] = 1 if not ps else 1 + max(d(p) for p in ps)
         return depth[nid]
     for nid in sg.nodes:
@@ -440,7 +451,7 @@ def _oracle_signature(sg, nid, n):
     node = sg.nodes[nid]
     if node.kind in (OUTPUT, WASTE):
         return (node.kind, tuple(sorted(_oracle_round_key(sg.nodes[p].cf, n)[1]
-                                        for p in sg.preds(nid) if sg.nodes[p].cf is not None)))
+                                        for p in preds(sg, nid) if sg.nodes[p].cf is not None)))
     return (node.kind, _oracle_round_key(node.cf, n)[1] if node.cf is not None else ())
 
 
@@ -451,7 +462,7 @@ def _oracle_describe(sg, nid, reagents, n):
         return "(" + ":".join(str(v // max(g, 1)) for v in nums) + ")"
     node = sg.nodes[nid]
     if node.kind in (OUTPUT, WASTE):
-        ratios = sorted(ratio(sg.nodes[p].cf) for p in sg.preds(nid)
+        ratios = sorted(ratio(sg.nodes[p].cf) for p in preds(sg, nid)
                         if sg.nodes[p].cf is not None)
         return " + ".join(ratios) if ratios else "(empty)"
     return ratio(node.cf) if node.cf is not None else "(none)"

@@ -151,6 +151,17 @@ def test_validate_duplicate_reservoir_and_bounds():
     assert "OutOfBounds" in codes
 
 
+def test_validate_reserved_reagent_names():
+    # the realized graph names mixes v1, v2, ... and its sinks O and W
+    names = ("v3", "S", "O", "v", "vO", "W", "Ov", "V1", "v12")
+    header = ChipHeader(9, 9, 5, tuple(ReservoirDecl(Loc(1, c), RKind.REAGENT, name)
+                                      for c, name in enumerate(names, start=1)))
+    issues = validate_structure(Program(header, (TimedLine(1, (End(),)),), (), {}))
+    assert [(i.code, i.message) for i in issues] == [(
+        "ReservedName", "reserved reagent name(s) v3, O, W, v12: the realized graph "
+                        "names its mixes v1, v2, ... and its sinks O and W")]
+
+
 def test_validate_end_must_be_last():
     p = _program([TimedLine(1, (End(),)), TimedLine(2, (Dispense(Loc(1, 1)),))])
     assert any(i.code == "EndNotLast" for i in validate_structure(p))

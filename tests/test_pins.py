@@ -5,13 +5,13 @@ import pytest
 from dmfv import pins
 from dmfv.chip import MixerEntry, OutOfBounds, init_state
 from dmfv.diag import Code
-from dmfv.fluidics import _commit
+from dmfv.fluidics import _commit, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
 from dmfv.pins import (PinMap, _finding_to_violation, check_case1, check_dispense_pins,
                        check_pair, dedicated_map, parse_pins, pin_phase,
-                       serialize_pins, verify_program_pins)
+                       serialize_pins)
 
 from conftest import FIXTURES, load
 
@@ -171,17 +171,16 @@ def test_injective_map_subsumes_general_mode():
         prog = parse_program(load(name))
         pmap = dedicated_map(prog.header.rows, prog.header.cols)
         assert len(set(pmap.pin.values())) == len(pmap.pin)
-        report = verify_program_pins(prog, pmap)
+        _, report = verify_program(prog, pin_map=pmap)
         assert report.ok, report.violations
 
 
 def test_injective_map_reports_match_general_mode_on_bad_program():
-    from dmfv.fluidics import verify_program
     from dmfv.inject import InjectionSpec, inject_error
     prog = parse_program(load("pcr.dmf"))
     bad, _ = inject_error(prog, InjectionSpec("e1"))
     _, general = verify_program(bad)
-    pinned = verify_program_pins(bad, dedicated_map(15, 15))
+    _, pinned = verify_program(bad, pin_map=dedicated_map(15, 15))
     rows = lambda r: [(v.code, v.t, v.instruction_text()) for v in r.violations]
     assert rows(general) == rows(pinned)
 
@@ -192,7 +191,7 @@ def test_pair_checks_skip_distant_droplets(pair_checks):
             "2 m([1,1]->[2,1]) m([1,9]->[2,9]) m([9,1]->[8,1])\n"
             "3 m([2,1]->[3,1])\n4 end\n")
     prog = parse_program(text)
-    report = verify_program_pins(prog, dedicated_map(9, 9))
+    _, report = verify_program(prog, pin_map=dedicated_map(9, 9))
     assert report.ok
     # no droplet sits in another's N4 region and no pin is shared, so the
     # pin index joins no pair on any tick
@@ -320,7 +319,7 @@ def test_pin_phase_matches_all_pairs_oracle(pair_checks):
 def test_mplex_fixture_rows(fixtures):
     prog = parse_program(load("mplex.dmf"))
     base = parse_pins(load("mplex.pins"))
-    assert verify_program_pins(prog, base).ok
+    assert verify_program(prog, pin_map=base)[1].ok
     expected = {
         "mplex_pin1.pins": ("Droplet stretch", 4,
                             "m(3,3,4,3) m(13,3,13,4)", (6,)),
@@ -331,7 +330,7 @@ def test_mplex_fixture_rows(fixtures):
     }
     for name, (response, t, instr, shared) in expected.items():
         pmap = parse_pins(load(name))
-        report = verify_program_pins(prog, pmap)
+        _, report = verify_program(prog, pin_map=pmap)
         v = report.violations[0]
         assert (v.response, v.t, v.instruction_text(), tuple(sorted(v.pins))) == (
             response, t, instr, shared)
@@ -355,14 +354,13 @@ def test_pin_map_roundtrip_and_dim_check():
     prog = parse_program(load("twowaymix.dmf"))
     from dmfv.isa import DmfError
     with pytest.raises(DmfError):
-        verify_program_pins(prog, pmap)
+        verify_program(prog, pin_map=pmap)
 
 
 
 def test_pin_map_size_must_equal_the_chip(tmp_path, capsys):
     from dmfv.branches import verify_all_paths
     from dmfv.cli import main
-    from dmfv.fluidics import verify_program
 
     small = tmp_path / "5x5.pins"
     small.write_text(serialize_pins(dedicated_map(5, 5)))
