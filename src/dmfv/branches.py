@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from . import chip, fluidics, graph
 from .diag import Code, Report, classify
-from .isa import CondCall, DmfError, Program, TimedLine, ValidationError, validate_structure
+from .isa import CondCall, DmfError, Program, TimedLine, ValidationError
 
 
 class PathLimitExceeded(DmfError):
@@ -68,8 +68,9 @@ def _branch(program: Program, idx: int, delta: int,
 
 
 def _count_conditionals(program: Program, max_conditionals: int) -> int:
-    """Validate a program's structure and return its number of conditionals."""
-    issues = validate_structure(program)
+    """Validate a program's structure, once per program (``Program.issues``),
+    and return its number of conditionals."""
+    issues = program.issues
     if any(i.code == "NestedConditional" for i in issues):
         raise NestedConditional("recovery routines may not branch")
     if issues:

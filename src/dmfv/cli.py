@@ -1,7 +1,10 @@
 """Command-line driver: verify | graph | paths | inject | render.
 
 Exit codes: 0 all checks pass, 1 violations found, 2 unusable input
-(parse/semantic/io errors).  All behavior is reachable through the library
+(parse/semantic errors, an input that cannot be read or decoded, an output
+that cannot be written).  ``main`` is the one place that reports these, as
+``error: ...`` with exit 2; any other exception is a fault of the verifier
+and keeps its traceback.  All behavior is reachable through the library
 modules with identical results; this file only wires them together.
 """
 
@@ -14,8 +17,7 @@ from pathlib import Path
 
 from . import branches, fluidics, graph, inject, pins, render
 from .diag import Report, format_report
-from .isa import (DmfError, Loc, ParseError, Program, ValidationError, parse_program,
-                  serialize_program)
+from .isa import DmfError, Loc, Program, parse_program, serialize_program
 
 
 def _load_program(path: str) -> Program:
@@ -34,9 +36,9 @@ def _parse_loc(text: str) -> Loc:
     return Loc(int(r), int(c))
 
 
-def _fail_input(err: Exception) -> int:
-    print(f"error: {err}", file=sys.stderr)
-    return 2
+def _non_negative(flag: str, tick: int | None) -> None:
+    if tick is not None and tick < 0:
+        raise DmfError(f"{flag} {tick}: ticks are non-negative")
 
 
 def _emit(report: Report, fmt: str) -> int:
@@ -45,25 +47,20 @@ def _emit(report: Report, fmt: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        program = _load_program(args.program)
-        pin_map = pins.parse_pins(Path(args.pins).read_text()) if args.pins else None
-        input_sg = graph.parse_input_sg(Path(args.sg).read_text()) if args.sg else None
-    except (OSError, ParseError, ValidationError, DmfError) as err:
-        return _fail_input(err)
+    _non_negative("--tmax", args.tmax)
+    program = _load_program(args.program)
+    pin_map = pins.parse_pins(Path(args.pins).read_text()) if args.pins else None
+    input_sg = graph.parse_input_sg(Path(args.sg).read_text()) if args.sg else None
     policy = "all" if args.all else "first"
     t_max = args.tmax
 
     if program.has_conditionals:
         if args.events:
-            return _fail_input(DmfError("--events works on straight-line programs; "
-                                        "a conditional program has one event log per path"))
-        try:
-            path_reports = branches.verify_all_paths(
-                program, pin_map=pin_map, input_sg=input_sg, policy=policy,
-                t_max=t_max, only=args.path, max_conditionals=args.max_paths)
-        except DmfError as err:
-            return _fail_input(err)
+            raise DmfError("--events works on straight-line programs; "
+                           "a conditional program has one event log per path")
+        path_reports = branches.verify_all_paths(
+            program, pin_map=pin_map, input_sg=input_sg, policy=policy,
+            t_max=t_max, only=args.path, max_conditionals=args.max_paths)
         report = branches.merge_reports(path_reports)
         summaries = [
             f"path {pr.label}: {'PASS' if pr.report.ok else 'FAIL'}, "
@@ -72,13 +69,10 @@ def cmd_verify(args) -> int:
         return _emit(report, args.format)
     if args.path:
         # a conditional-free program has one path, labeled with the empty string
-        return _fail_input(DmfError(f"no path labeled {args.path!r}"))
+        raise DmfError(f"no path labeled {args.path!r}")
 
-    try:
-        trace, report = fluidics.verify_program(program, pin_map=pin_map,
-                                                policy=policy, t_max=t_max)
-    except DmfError as err:
-        return _fail_input(err)
+    trace, report = fluidics.verify_program(program, pin_map=pin_map,
+                                            policy=policy, t_max=t_max)
     if args.events:
         Path(args.events).write_text(trace.event_log())
     phase1_clean = not any(v.phase == 1 for v in report.violations)
@@ -92,14 +86,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (OSError, ParseError, ValidationError) as err:
-        return _fail_input(err)
+    program = _load_program(args.program)
     if program.has_conditionals:
-        print("error: conditional programs have one graph per path; "
-              "dmfv verify checks every path", file=sys.stderr)
-        return 2
+        raise DmfError("conditional programs have one graph per path; "
+                       "dmfv verify checks every path")
     trace, report = fluidics.verify_program(program)
     if report.violations:
         sys.stdout.write(format_report(report, "text"))
@@ -113,37 +103,28 @@ def cmd_graph(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    try:
-        program = _load_program(args.program)
-        shapes = branches.path_shapes(program, max_conditionals=args.max_paths)
-    except (OSError, ParseError, ValidationError, DmfError) as err:
-        return _fail_input(err)
-    for label, lines, final in shapes:
+    program = _load_program(args.program)
+    for label, lines, final in branches.path_shapes(program, max_conditionals=args.max_paths):
         print(f"path {label or '(linear)'}: {lines} lines, ends at t={final}")
     return 0
 
 
 def cmd_inject(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (OSError, ParseError, ValidationError) as err:
-        return _fail_input(err)
+    program = _load_program(args.program)
     stem = Path(args.program)
 
     if args.error == "pin":
         if not args.pins or not args.remap:
-            print("error: pin injection needs --pins BASE and --remap 'r,c=P[;...]'",
-                  file=sys.stderr)
-            return 2
+            raise DmfError("pin injection needs --pins BASE and --remap 'r,c=P[;...]'")
+        base = pins.parse_pins(Path(args.pins).read_text())
+        remap: dict[Loc, int] = {}
         try:
-            base = pins.parse_pins(Path(args.pins).read_text())
-            remap: dict[Loc, int] = {}
             for part in args.remap.split(";"):
                 cell, pin_id = part.split("=")
                 remap[_parse_loc(cell)] = int(pin_id)
-            mutated = base.with_remap(remap)
-        except (OSError, DmfError, ValueError) as err:
-            return _fail_input(err)
+        except ValueError as err:
+            raise DmfError(str(err)) from None
+        mutated = base.with_remap(remap)
         out = Path(args.out) if args.out else stem.with_name(stem.stem + "_pin.pins")
         out.write_text(pins.serialize_pins(mutated))
         print(f"wrote remapped pin assignment to {out}")
@@ -157,11 +138,8 @@ def cmd_inject(args) -> int:
             duration=args.duration,
             swap=_split2(args.swap, ",") if args.swap else None)
     except ValueError as err:
-        return _fail_input(err)
-    try:
-        mutated, note = inject.inject_error(program, spec)
-    except DmfError as err:
-        return _fail_input(err)
+        raise DmfError(str(err)) from None
+    mutated, note = inject.inject_error(program, spec)
     out = Path(args.out) if args.out else stem.with_name(f"{stem.stem}_{args.error}.dmf")
     out.write_text(serialize_program(mutated))
     print(f"{note}\nwrote {out}")
@@ -169,14 +147,10 @@ def cmd_inject(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (OSError, ParseError, ValidationError) as err:
-        return _fail_input(err)
+    _non_negative("--at", args.at)
+    program = _load_program(args.program)
     if program.has_conditionals:
-        print("error: render works on straight-line programs; pick a path first",
-              file=sys.stderr)
-        return 2
+        raise DmfError("render works on straight-line programs; pick a path first")
     upto = args.at if args.at is not None else (
         program.main[-1].t if program.main else 0)
 
@@ -190,8 +164,7 @@ def cmd_render(args) -> int:
     draw = render.svg_frame if args.svg else render.ascii_frame
     if args.animate and args.svg:
         if not args.out:
-            print("error: --animate --svg needs -o DIRECTORY", file=sys.stderr)
-            return 2
+            raise DmfError("--animate --svg needs -o DIRECTORY")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for i, (t, state) in enumerate(fluidics.ticks(program, upto)):
@@ -272,7 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeDecodeError, DmfError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

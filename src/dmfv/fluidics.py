@@ -478,7 +478,8 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             return StepResult(snapshot, violations, events)
     if pin_map is not None:
         from . import pins
-        pin_violations = pins.pin_phase(pin_map, snapshot, new, line, effects, t)
+        pin_violations = pins.pin_phase(pin_map, snapshot, new, line, effects,
+                                        ctx.consumed, t)
         if pin_violations:
             violations.extend(pin_violations)
             if policy == "first":

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 
 class Loc(NamedTuple):
@@ -206,6 +206,11 @@ class Program:
     def has_conditionals(self) -> bool:
         return any(isinstance(i, CondCall) for ln in self.main for i in ln.instrs)
 
+    @cached_property
+    def issues(self) -> tuple[SemanticError, ...]:
+        """What :func:`validate_structure` finds, run once per program."""
+        return tuple(validate_structure(self))
+
     def line_at(self, t: int) -> TimedLine | None:
         for ln in self.main:
             if ln.t == t:
@@ -241,7 +246,7 @@ class SemanticError:
 
 
 class ValidationError(DmfError):
-    def __init__(self, issues: list[SemanticError]):
+    def __init__(self, issues: Sequence[SemanticError]):
         self.issues = issues
         super().__init__("; ".join(str(i) for i in issues))
 
@@ -436,10 +441,8 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
 
     header = ChipHeader(dim[0], dim[1], accuracy, tuple(reservoirs))
     program = Program(header, tuple(main), tuple(detectors), recoveries, t_max)
-    if validate:
-        issues = validate_structure(program)
-        if issues:
-            raise ValidationError(issues)
+    if validate and program.issues:
+        raise ValidationError(program.issues)
     return program
 
 
@@ -518,9 +521,10 @@ def validate_structure(p: Program) -> list[SemanticError]:
     # (line index, position, instruction) of each main-line instruction that
     # names no cell: the end marker and conditional rules below read only these
     main_control: list[tuple[int, int, Instruction]] = []
-    # ids of the instruction tuples found in bounds; lines share equal bodies'
-    # tuples, and p keeps every tuple alive, so each body is bounded once
-    in_bounds: set[int] = set()
+    # the (position, instruction) pairs that name no cell, of each instruction
+    # tuple found in bounds, by id; lines share equal bodies' tuples, and p
+    # keeps every tuple alive, so each clean body is checked once
+    control_of: dict[int, list[tuple[int, Instruction]]] = {}
 
     def check_lines(lines: tuple[TimedLine, ...], in_recovery: str | None) -> None:
         prev = None
@@ -531,13 +535,14 @@ def validate_structure(p: Program) -> list[SemanticError]:
             prev = ln.t
             if ln.t < 0:
                 issues.append(SemanticError("BadTimestamp", "timestamps must be non-negative", ln.t))
-            if id(ln.instrs) not in in_bounds:
+            control = control_of.get(id(ln.instrs))
+            if control is None:
                 found = len(issues)
                 _check_locs(p, ln, issues)
+                control = [(j, instr) for j, instr in enumerate(ln.instrs)
+                           if type(instr) not in _CELLS]
                 if len(issues) == found:
-                    in_bounds.add(id(ln.instrs))
-            control = [(j, instr) for j, instr in enumerate(ln.instrs)
-                       if type(instr) not in _CELLS]
+                    control_of[id(ln.instrs)] = control
             for j, instr in control:
                 if in_recovery is None:
                     main_control.append((i, j, instr))

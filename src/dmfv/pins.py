@@ -207,8 +207,11 @@ def _finding_to_violation(f: PinFinding, t: int, instructions: tuple[str, ...],
 
 
 def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
-              line: TimedLine, effects, t: int) -> list[Violation]:
+              line: TimedLine, effects, consumed, t: int) -> list[Violation]:
     """Pin rules for one tick: dispense checks, droplet pairs, Case 1.
+
+    ``consumed[i]`` holds the cells of the droplets that instruction i of
+    the line consumes, as the engine's ``LineContext`` found them.
 
     Pairs are checked in sorted order, but only those that meet in the pin
     index of ``_candidate_pairs``; every other pair passes every pairwise rule.
@@ -224,12 +227,12 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
     for i, instr in effects:
         rule = fluidics.RULES[type(instr)]
         if rule.phase == fluidics.TRANSPORT:
-            for src, dst in zip(rule.consumes(snapshot, instr), rule.claims(instr)):
+            for src, dst in zip(consumed[i], rule.claims(instr)):
                 moved[dst] = (src, i)
         elif rule.phase == fluidics.ARRIVE:
             dispensed.extend((loc, i) for loc in rule.claims(instr))
         elif rule.phase == fluidics.REMOVE:
-            removed.extend(rule.consumes(snapshot, instr))
+            removed.extend(consumed[i])
     dispensed_at = {l for l, _ in dispensed}
 
     for loc, i in dispensed:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -9,7 +10,8 @@ from collections import Counter
 
 import pytest
 
-from dmfv.chip import ChipState
+from dmfv import branches, chip, cli, fluidics, graph, isa, pins
+from dmfv.chip import ChipState, InconsistentState
 from dmfv.cli import main
 from dmfv.diag import format_report
 from dmfv.fluidics import verify_program
@@ -125,6 +127,80 @@ def test_verify_parse_error_exit_two(tmp_path, capsys):
     rc = main(["verify", str(bad)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _exits_two(argv, capsys) -> str:
+    """Run argv, which must fail as unusable input; return its stderr."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, ""), (argv, captured)
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err, captured
+    return captured.err
+
+
+def test_unwritable_outputs_exit_two(tmp_path, capsys):
+    # an output that cannot be written is unusable input, whatever the verdict
+    missing = tmp_path / "missing"
+    for argv in (["verify", fx("pcr.dmf"), "--events", str(tmp_path)],
+                 ["verify", fx("threeway_bad.dmf"), "--events", str(missing / "ev.log")],
+                 ["graph", fx("pcr.dmf"), "-o", str(missing / "x.dot")],
+                 ["render", fx("pcr.dmf"), "--at", "4", "-o", str(missing / "x.txt")],
+                 ["render", fx("pcr.dmf"), "--animate", "--svg", "-o", fx("pcr.dmf")],
+                 ["inject", fx("pcr.dmf"), "--error", "e3", "-o", str(missing / "x.dmf")],
+                 ["inject", fx("mplex.dmf"), "--error", "pin", "--pins", fx("mplex.pins"),
+                  "--remap", "1,1=3", "-o", str(missing / "x.pins")]):
+        assert "[Errno " in _exits_two(argv, capsys)
+    assert not missing.exists()
+
+
+def test_undecodable_inputs_exit_two(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00dim(2,2)\n")
+    for argv in (["verify", str(binary)], ["paths", str(binary)],
+                 ["verify", fx("pcr.dmf"), "--pins", str(binary)],
+                 ["verify", fx("pcr.dmf"), "--sg", str(binary)],
+                 ["inject", fx("mplex.dmf"), "--error", "pin", "--pins", str(binary),
+                  "--remap", "1,1=3"]):
+        assert "can't decode" in _exits_two(argv, capsys)
+
+
+def test_negative_ticks_exit_two(capsys):
+    # the .dmf grammar has no negative tick, so neither do the tick options
+    assert _exits_two(["render", fx("pcr.dmf"), "--at", "-3"], capsys) == (
+        "error: --at -3: ticks are non-negative\n")
+    for name in ("pcr.dmf", "recovery.dmf"):
+        assert _exits_two(["verify", fx(name), "--tmax", "-5"], capsys) == (
+            "error: --tmax -5: ticks are non-negative\n")
+    assert main(["verify", fx("pcr.dmf"), "--tmax", "0"]) == 1
+    assert "final t=34 > 0" in capsys.readouterr().out
+
+
+def test_engine_faults_keep_their_traceback(monkeypatch, capsys):
+    # only unusable input maps to exit 2; a fault of the verifier itself
+    # must not pass for a verdict or for bad input
+    def broken(*args, **kw):
+        raise InconsistentState("a droplet added on (1,1) would overwrite another")
+
+    monkeypatch.setattr(fluidics, "verify_program", broken)
+    with pytest.raises(InconsistentState):
+        main(["verify", fx("pcr.dmf")])
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_validates_a_program_once(monkeypatch, capsys):
+    calls = []
+    real = isa.validate_structure
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    # wherever a module binds the name, the count sees the call
+    for module in (isa, branches):
+        monkeypatch.setattr(module, "validate_structure", counted, raising=False)
+    assert main(["verify", fx("recovery.dmf")]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_verify_all_paths(capsys):
@@ -596,3 +672,21 @@ def test_cli_imports_no_fractions():
         [sys.executable, "-c", "import sys, dmfv.cli; print('fractions' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+
+
+def test_benchmark_trace_targets_resolve():
+    # the traced benchmark wraps dmfv attributes by name, and one it cannot
+    # find reads 0 instead of failing; only the two known ones may be missing
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", FIXTURES.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {"cli": cli, "fluidics": fluidics, "chip": chip, "pins": pins,
+               "branches": branches, "graph": graph}
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        absent = set(tracer.absent)
+    finally:
+        tracer.remove()
+    assert absent <= {"branches.enumerate_paths", "fluidics.check_*"}, absent

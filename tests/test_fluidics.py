@@ -183,10 +183,12 @@ def test_consumes_runs_once_per_instruction_per_step(monkeypatch):
         monkeypatch.setitem(fluidics.RULES, kind, dataclasses.replace(rule, consumes=counted))
     for name in ("pcr.dmf", "twowaymix.dmf", "threeway_bad.dmf"):
         prog = parse_program(load(name))
-        calls[0] = 0
-        verify_program(prog, policy="all")
-        assert calls[0] == sum(type(instr) in fluidics.RULES
-                               for line in prog.main for instr in line.instrs), name
+        # the pin phase reads the cells the line's checks found consumed
+        for pin_map in (None, dedicated_map(prog.header.rows, prog.header.cols)):
+            calls[0] = 0
+            verify_program(prog, policy="all", pin_map=pin_map)
+            assert calls[0] == sum(type(instr) in fluidics.RULES
+                                   for line in prog.main for instr in line.instrs), name
 
 
 # Sinks and detectors share cells, so that wastes, outputs and detections

@@ -5,7 +5,7 @@ import pytest
 from dmfv import pins
 from dmfv.chip import MixerEntry, OutOfBounds, init_state
 from dmfv.diag import Code
-from dmfv.fluidics import _commit, verify_program
+from dmfv.fluidics import LineContext, _commit, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
@@ -198,8 +198,9 @@ def test_pair_checks_skip_distant_droplets(pair_checks):
     assert pair_checks[0] == 0
 
 
-def all_pairs_pin_phase(pmap, snapshot, committed, line, effects, t):
-    """The pin phase as a plain scan over every participant pair (oracle)."""
+def all_pairs_pin_phase(pmap, snapshot, committed, line, effects, consumed, t):
+    """The pin phase as a plain scan over every participant pair (oracle); it
+    reads each instruction's cells off the instruction, not ``consumed``."""
     out = []
     moved, dispensed = {}, []
     for i, instr in effects:
@@ -247,7 +248,9 @@ def all_pairs_pin_phase(pmap, snapshot, committed, line, effects, t):
 
 
 def random_tick(rng, rows, cols):
-    """A committed tick with moves, dispenses, waste/output and a mixer."""
+    """A committed tick with moves, dispenses, waste/output and a mixer, as
+    the pin phase's arguments: snapshot, committed state, line, effects and
+    the cells each instruction consumes."""
     cells = [Loc(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
     rng.shuffle(cells)
     sources, sinks = cells[:3], cells[3:5]
@@ -283,7 +286,7 @@ def random_tick(rng, rows, cols):
     line = TimedLine(1, tuple(instrs))
     effects = list(enumerate(instrs))
     committed, _ = _commit(snapshot, effects, 1)
-    return snapshot, committed, line, effects
+    return snapshot, committed, line, effects, LineContext(snapshot, line).consumed
 
 
 def random_pin_maps(rng, rows, cols):
