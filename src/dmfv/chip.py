@@ -148,10 +148,18 @@ class ChipState:
         self.next_node = 1
 
     def copy(self) -> "ChipState":
+        """The same chip with its own droplet index, for in-place updates."""
+        new = self.at_tick(self.t)
+        new.by_loc = dict(self.by_loc)
+        return new
+
+    def at_tick(self, t: int) -> "ChipState":
+        """The same chip labelled tick t.  It shares this state's droplet
+        index, which no one writes: every update goes to a fresh ``copy``."""
         new = ChipState.__new__(ChipState)
         new.header = self.header
-        new.t = self.t
-        new.by_loc = dict(self.by_loc)
+        new.t = t
+        new.by_loc = self.by_loc
         new.mixers = self.mixers
         new.detections = self.detections
         new.reservoirs = self.reservoirs
@@ -196,11 +204,6 @@ class ChipState:
 
     def _remove(self, loc: Loc) -> Droplet:
         return self.by_loc.pop(loc)
-
-    def at_tick(self, t: int) -> "ChipState":
-        new = self.copy()
-        new.t = t
-        return new
 
     def shifted(self, d: int) -> "ChipState":
         """The same chip d ticks later: the tick and every mixer and detection

@@ -25,15 +25,27 @@ def _load_program(path: str) -> Program:
 
 
 def _split2(text: str, sep: str) -> tuple[str, str]:
-    parts = text.split(sep)
-    if len(parts) != 2:
-        raise ValueError(f"{text!r} is not two parts joined by {sep!r}")
-    return parts[0], parts[1]
+    first, second = text.split(sep)     # ValueError unless exactly two parts
+    return first, second
 
 
 def _parse_loc(text: str) -> Loc:
     r, c = _split2(text, ",")
     return Loc(int(r), int(c))
+
+
+def _parse_remap(text: str) -> dict[Loc, int]:
+    cells = (_split2(part, "=") for part in text.split(";"))
+    return {_parse_loc(cell): int(pin_id) for cell, pin_id in cells}
+
+
+def _option(flag: str, form: str, parse, text: str | None):
+    """``parse(text)`` (None for an absent option), or a DmfError that names
+    the option and the form it expects."""
+    try:
+        return None if text is None else parse(text)
+    except ValueError:
+        raise DmfError(f"{flag} {text!r}: expected {form}") from None
 
 
 def _non_negative(flag: str, tick: int | None) -> None:
@@ -117,28 +129,20 @@ def cmd_inject(args) -> int:
         if not args.pins or not args.remap:
             raise DmfError("pin injection needs --pins BASE and --remap 'r,c=P[;...]'")
         base = pins.parse_pins(Path(args.pins).read_text())
-        remap: dict[Loc, int] = {}
-        try:
-            for part in args.remap.split(";"):
-                cell, pin_id = part.split("=")
-                remap[_parse_loc(cell)] = int(pin_id)
-        except ValueError as err:
-            raise DmfError(str(err)) from None
+        remap = _option("--remap", "'r,c=P[;r,c=P...]'", _parse_remap, args.remap)
         mutated = base.with_remap(remap)
         out = Path(args.out) if args.out else stem.with_name(stem.stem + "_pin.pins")
         out.write_text(pins.serialize_pins(mutated))
         print(f"wrote remapped pin assignment to {out}")
         return 0
 
-    try:
-        spec = inject.InjectionSpec(
-            code=args.error, line=args.line, pos=args.pos,
-            move=tuple(map(_parse_loc, _split2(args.move, "->"))) if args.move else None,
-            to=_parse_loc(args.to) if args.to else None,
-            duration=args.duration,
-            swap=_split2(args.swap, ",") if args.swap else None)
-    except ValueError as err:
-        raise DmfError(str(err)) from None
+    spec = inject.InjectionSpec(
+        code=args.error, line=args.line, pos=args.pos,
+        move=_option("--move", "'r,c->r,c'",
+                     lambda text: tuple(map(_parse_loc, _split2(text, "->"))), args.move),
+        to=_option("--to", "'r,c'", _parse_loc, args.to),
+        duration=args.duration,
+        swap=_option("--swap", "'A,B'", lambda text: _split2(text, ","), args.swap))
     mutated, note = inject.inject_error(program, spec)
     out = Path(args.out) if args.out else stem.with_name(f"{stem.stem}_{args.error}.dmf")
     out.write_text(serialize_program(mutated))

@@ -496,7 +496,8 @@ def _commit(snapshot: ChipState, effects, t: int) -> tuple[ChipState, list[chip.
     pairs, to one copy of the snapshot, phase by phase (removals,
     transports, arrivals, bookkeeping), each phase in line order.  An
     instruction without a rule (end) has no effect."""
-    new = snapshot.at_tick(t)   # the one copy of this tick; updated in place
+    new = snapshot.copy()   # the one copy of this tick; updated in place
+    new.t = t
     events: list[chip.Event] = []
     phases: tuple[list, ...] = ([], [], [], [])
     for _, instr in effects:

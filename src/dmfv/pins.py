@@ -5,10 +5,10 @@ droplet can tug at another.  The rules decompose into per-droplet checks
 (distinct pins around every droplet) and pairwise checks between the time-t
 and time-t+1 positions of two droplets; a droplet that stays put is the
 degenerate case with both positions equal.  Every pairwise rule tests a pin
-of one droplet against pins on the N4 cells around the other, so each tick
-indexes droplets by the pins of their N4 regions and checks only the pairs
-that meet in that index.  Each map caches the N4 pin set and the split
-finding of every cell it is asked about.
+of one droplet's cells against the N4 pins of the other, so each tick
+indexes droplets by their own cells' pins and intersects every droplet's N4
+pin set with that index.  Each map caches the N4 pin set of every cell it is
+asked about; a droplet with as many N4 pins as N4 cells cannot split.
 
 Consequence wording: a shared pin on the cell directly behind a moving
 droplet fights the destination electrode and strands it ("Droplet stuck on
@@ -20,7 +20,8 @@ droplet split").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import filterfalse, product
+from itertools import chain, filterfalse, product
+from operator import itemgetter
 
 from . import fluidics
 from .chip import ChipState, OutOfBounds, neighbors4
@@ -31,19 +32,18 @@ from .isa import ChipHeader, DmfError, Loc, TimedLine
 class PinMap:
     rows: int
     cols: int
-    pin: dict[Loc, int]
-    # per-cell caches, filled on first use; not part of the map's value
+    pin: dict[tuple[int, int], int]     # (row, col) -> pin; Loc keys compare equal
+    # per-cell cache, filled on first use; not part of the map's value
     _n4_pins: dict[Loc, frozenset[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _case1: dict[Loc, "PinFinding | None"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # plain (r, c) tuples hash and compare equal to Loc keys
         cells = product(range(1, self.rows + 1), range(1, self.cols + 1))
         missing = next(filterfalse(self.pin.__contains__, cells), None)
         if missing is not None:
             raise DmfError(f"pin map is missing cell ({missing[0]},{missing[1]})")
+        if len(self.pin) != self.rows * self.cols:
+            raise DmfError(f"pin map has cells off its {self.rows}x{self.cols} array")
 
     def check_chip(self, header: ChipHeader) -> None:
         """Raise DmfError unless the map covers exactly the chip's array."""
@@ -60,17 +60,20 @@ class PinMap:
         return neighbors4(loc, self.rows, self.cols)
 
     def n4_pins(self, loc: Loc) -> frozenset[int]:
-        """Pins driving the N4 neighborhood of loc (cached)."""
+        """Pins driving the N4 neighborhood of loc (cached); the map holds
+        only on-array cells, so an off-array neighbour reads None."""
         pins = self._n4_pins.get(loc)
         if pins is None:
-            pins = self._n4_pins[loc] = frozenset(self.pin_of(c) for c in self.n4(loc))
+            r, c = loc
+            near = map(self.pin.get, ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)))
+            pins = self._n4_pins[loc] = frozenset(near).difference((None,))
         return pins
 
     def case1(self, loc: Loc) -> "PinFinding | None":
-        """check_case1 at loc (cached)."""
-        if loc not in self._case1:
-            self._case1[loc] = check_case1(self, loc)
-        return self._case1[loc]
+        """check_case1 at loc, run only when two N4 cells share a pin."""
+        r, c = loc
+        cells = (r > 1) + (r < self.rows) + (c > 1) + (c < self.cols)
+        return None if len(self.n4_pins(loc)) == cells else check_case1(self, loc)
 
     def with_remap(self, remap: dict[Loc, int]) -> "PinMap":
         new = dict(self.pin)
@@ -83,9 +86,8 @@ class PinMap:
 
 def dedicated_map(rows: int, cols: int) -> PinMap:
     """One pin per electrode (fully reconfigurable chip)."""
-    pin = {Loc(r, c): (r - 1) * cols + c for r in range(1, rows + 1)
-           for c in range(1, cols + 1)}
-    return PinMap(rows, cols, pin)
+    cells = product(range(1, rows + 1), range(1, cols + 1))
+    return PinMap(rows, cols, dict(zip(cells, range(1, rows * cols + 1))))
 
 
 def parse_pins(text: str) -> PinMap:
@@ -95,7 +97,7 @@ def parse_pins(text: str) -> PinMap:
         if not line:
             continue
         try:
-            grid.append([int(tok) for tok in line.split()])
+            grid.append(list(map(int, line.split())))
         except ValueError:
             raise DmfError(f"pin map line {lineno}: not a row of integers") from None
     if not grid:
@@ -103,15 +105,15 @@ def parse_pins(text: str) -> PinMap:
     cols = len(grid[0])
     if any(len(row) != cols for row in grid):
         raise DmfError("pin map rows have differing lengths")
-    pin = {Loc(r + 1, c + 1): grid[r][c] for r in range(len(grid)) for c in range(cols)}
-    return PinMap(len(grid), cols, pin)
+    cells = product(range(1, len(grid) + 1), range(1, cols + 1))
+    return PinMap(len(grid), cols, dict(zip(cells, chain.from_iterable(grid))))
 
 
 def serialize_pins(pmap: PinMap) -> str:
     width = max(len(str(p)) for p in pmap.pin.values())
     rows = []
     for r in range(1, pmap.rows + 1):
-        rows.append(" ".join(str(pmap.pin[Loc(r, c)]).rjust(width)
+        rows.append(" ".join(str(pmap.pin[r, c]).rjust(width)
                              for c in range(1, pmap.cols + 1)))
     return "\n".join(rows) + "\n"
 
@@ -241,23 +243,28 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
         if f is not None:
             out.append(_finding_to_violation(f, t, (line.instrs[i].compact(),)))
 
-    # participants: (old, new, instr index or None); mixer endpoints excluded
+    # participants: (old, new, instr index or None); mixer endpoints excluded.
+    # Case 1 covers every droplet; its rows follow the pair rows.
     participants: list[tuple[Loc, Loc, int | None]] = []
+    case1: list[Violation] = []
     pinned_cells = {c for mx in committed.mixers for c in (mx.a, mx.b)}
     for loc in sorted(committed.by_loc):
+        f = pmap.case1(loc)
+        if f is not None:
+            idx = moved.get(loc)
+            instrs = (line.instrs[idx[1]].compact(),) if idx else ()
+            case1.append(_finding_to_violation(f, t, instrs))
         if loc in pinned_cells:
             continue
         if loc in moved:
             old, i = moved[loc]
             participants.append((old, loc, i))
-        elif loc in dispensed_at:
-            continue  # covered by the dispense rule this tick
-        else:
+        elif loc not in dispensed_at:   # a dispense is covered by its own rule
             participants.append((loc, loc, None))
     # droplets sent to waste/output this tick participate as static at t
     participants.extend((loc, loc, None) for loc in removed)
 
-    participants.sort(key=lambda p: p[0])
+    participants.sort(key=itemgetter(0))
     for a, b in _candidate_pairs(pmap, participants):
         o1, n1, i1 = participants[a]
         o2, n2, i2 = participants[b]
@@ -266,13 +273,7 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
             idxs = tuple(sorted(i for i in (i1, i2) if i is not None))
             instrs = tuple(line.instrs[i].compact() for i in idxs)
             out.append(_finding_to_violation(f, t, instrs))
-
-    for loc in sorted(committed.by_loc):
-        f = pmap.case1(loc)
-        if f is not None:
-            idx = moved.get(loc)
-            instrs = (line.instrs[idx[1]].compact(),) if idx else ()
-            out.append(_finding_to_violation(f, t, instrs))
+    out.extend(case1)
     return out
 
 
@@ -282,17 +283,22 @@ def _candidate_pairs(pmap: PinMap,
 
     Each case of check_pair tests the pin of one droplet's old or new cell
     against pins in N4(old) or N4(new) of the other droplet.  Indexing every
-    participant under the pins of N4(old) | N4(new) and looking up the pins
-    of each participant's own two cells therefore finds every such pair.
+    participant under the pins of its own two cells and intersecting each
+    participant's N4 pin set (one cached set for a static droplet, the union
+    of two for a mover) with that index therefore finds every such pair.
     """
-    holders: dict[int, list[int]] = {}
-    for j, (old, new, _) in enumerate(participants):
-        for p in pmap.n4_pins(old) | pmap.n4_pins(new):
-            holders.setdefault(p, []).append(j)
-    pairs: set[tuple[int, int]] = set()
+    pin = pmap.pin
+    owners: dict[int, list[int]] = {}
     for a, (old, new, _) in enumerate(participants):
-        for p in {pmap.pin[old], pmap.pin[new]}:
-            for b in holders.get(p, ()):
-                if b != a:
+        owners.setdefault(pin[old], []).append(a)
+        if pin[new] != pin[old]:
+            owners.setdefault(pin[new], []).append(a)
+    n4_pins, owned = pmap.n4_pins, owners.keys()
+    pairs: set[tuple[int, int]] = set()
+    for b, (old, new, _) in enumerate(participants):
+        hood = n4_pins(old) if old == new else n4_pins(old) | n4_pins(new)
+        for p in owned & hood:
+            for a in owners[p]:
+                if a != b:
                     pairs.add((a, b) if a < b else (b, a))
     return sorted(pairs)

@@ -153,6 +153,24 @@ def test_unwritable_outputs_exit_two(tmp_path, capsys):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("args, form", [
+    (["mplex.dmf", "--error", "pin", "--pins", "mplex.pins", "--remap", "1,1"],
+     "--remap '1,1': expected 'r,c=P[;r,c=P...]'"),
+    (["mplex.dmf", "--error", "pin", "--pins", "mplex.pins", "--remap", "1,1=x"],
+     "--remap '1,1=x': expected 'r,c=P[;r,c=P...]'"),
+    (["pcr.dmf", "--error", "e1", "--line", "1", "--move", "1,1->x,2"],
+     "--move '1,1->x,2': expected 'r,c->r,c'"),
+    (["pcr.dmf", "--error", "e3", "--to", "5"], "--to '5': expected 'r,c'"),
+    (["pcr.dmf", "--error", "e7", "--swap", "A,B,C"], "--swap 'A,B,C': expected 'A,B'"),
+])
+def test_inject_argument_errors_name_the_option_and_its_form(args, form, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["inject", *(fx(a) if a.endswith((".dmf", ".pins")) else a for a in args),
+            "-o", str(out)]
+    assert _exits_two(argv, capsys) == f"error: {form}\n"
+    assert not out.exists()
+
+
 def test_undecodable_inputs_exit_two(tmp_path, capsys):
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe\x00dim(2,2)\n")

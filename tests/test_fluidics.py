@@ -12,7 +12,8 @@ import pytest
 from dmfv import fluidics, inject
 from dmfv.branches import verify_all_paths
 from dmfv.cli import main
-from dmfv.chip import DetectionEntry, MixerEntry, expire_detections, expire_mixers, init_state
+from dmfv.chip import (ChipState, DetectionEntry, MixerEntry, expire_detections, expire_mixers,
+                       init_state)
 from dmfv.diag import Code
 from dmfv.fluidics import EngineError, state_at, step, ticks, verify_program
 from dmfv.graph import CFVector
@@ -500,6 +501,29 @@ def test_ticks_match_replay_oracle(fixtures):
                                       "mixer ticks", "detection ticks",
                                       "failing", "line at t=0")), seen
     assert seen["failing"] <= len(programs) - 10, seen
+
+
+def test_idle_ticks_share_the_droplet_index(monkeypatch):
+    copies = [0]
+    real = ChipState.copy
+
+    def counted(self):
+        copies[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(ChipState, "copy", counted)
+    # a mixer runs over the first idle ticks; no idle tick after it is due
+    prog = parse_program("dim(8,8)\naccuracy 2\nR(1,1,S) R(1,4,B)\n1 d(1,1) d(1,4)\n"
+                         "2 mix([1,1]<->[1,4],6,14)\n3000 end\n")
+    frames = list(ticks(prog))
+    assert [t for t, _ in frames] == list(range(1, 3001))
+    # one copy per line and one where the mixer completes, none per idle tick
+    assert copies[0] == 4
+    after_mix = frames[8][1]
+    assert after_mix.t == 9 and not after_mix.mixers
+    assert all(state.by_loc is after_mix.by_loc for _, state in frames[8:-1])
+    copies[0] = 0
+    assert state_at(prog, 2999).by_loc == after_mix.by_loc and copies[0] == 3
 
 
 def replay_move_candidates(program, want_dynamic):

@@ -84,6 +84,40 @@ def test_case1_matches_bruteforce_on_random_maps():
         assert (check_case1(pmap, loc) is not None) == clash
 
 
+def test_map_probes_match_the_cell_rules_on_every_cell():
+    rng = random.Random(1411)
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        n = rng.choice((2, 4, rows * cols))
+        pmap = PinMap(rows, cols, {Loc(r, c): rng.randrange(1, n + 1)
+                                   for r in range(1, rows + 1) for c in range(1, cols + 1)})
+        for _ in range(2):   # the second pass reads the cache
+            for r in range(1, rows + 1):
+                for c in range(1, cols + 1):
+                    loc = Loc(r, c)
+                    assert pmap.n4_pins(loc) == pins_of(pmap, pmap.n4(loc))
+                    assert pmap.case1(loc) == check_case1(pmap, loc)
+
+
+def test_pin_map_refuses_a_cell_off_the_array():
+    pin = dict(dedicated_map(4, 5).pin)
+    pin[Loc(5, 1)] = 99
+    with pytest.raises(DmfError, match=r"^pin map has cells off its 4x5 array$"):
+        PinMap(4, 5, pin)
+
+
+def test_parsed_map_equals_its_loc_keyed_map():
+    text = load("mplex.pins")
+    pmap = parse_pins(text)
+    grid = [line.split() for line in text.splitlines() if line.split("#")[0].strip()]
+    by_loc = {Loc(r, c): int(p) for r, row in enumerate(grid, 1) for c, p in enumerate(row, 1)}
+    assert pmap == PinMap(pmap.rows, pmap.cols, by_loc)
+    assert parse_pins(serialize_pins(pmap)) == pmap
+    assert all(pmap.pin_of(loc) == p for loc, p in by_loc.items())
+    assert dedicated_map(3, 4) == PinMap(3, 4, {Loc(r, c): (r - 1) * 4 + c
+                                               for r in range(1, 4) for c in range(1, 5)})
+
+
 def test_case2_shared_pin_at_t():
     stretch_map = make_map(6, 6, {(2, 2): 3, (4, 5): 8, (5, 4): 6, (6, 5): 9,
                             (5, 6): 3, (5, 5): 7})
