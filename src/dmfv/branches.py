@@ -18,7 +18,7 @@ follows, and the others replay its clean leaves shifted in time, so
 stepping costs distinct resume states times lines, not paths times lines.
 ``path_shapes`` walks the same tree without stepping, for ``dmfv paths``.
 Each path's report is the one its spliced straight-line program gets when
-verified alone.
+verified alone.  A path keeps its report and its outputs, no event log.
 """
 
 from __future__ import annotations
@@ -158,8 +158,9 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     When an input graph is supplied (annotated, as ``graph.parse_input_sg``
     returns it), each clean path is additionally required to deliver the
     same multiset of output concentrations the input graph specifies;
-    recovery detours must re-produce the same mixture.  A path yields its
-    report and nothing else; no graph is built.
+    recovery detours must re-produce the same mixture: the walk carries each
+    path's output concentrations, rounded once as their lines are stepped,
+    and builds no graph.  A path yields its report and nothing else.
     """
     k = _count_conditionals(program, max_conditionals)
     if only is not None and (len(only) != k or not set(only) <= {"0", "1"}):
@@ -168,83 +169,77 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     want = None if input_sg is None else _output_cfs(input_sg, n)
     main = program.main
     out: list[PathReport] = []
-    leaves: list[tuple[tuple[bool, ...], fluidics.Cursor]] = []
-    # resume key -> (delta, outcome count, event count and last_t at the key,
+    # (outcomes, cursor, rounded output concentrations) of each path emitted
+    leaves: list[tuple[tuple[bool, ...], fluidics.Cursor, tuple]] = []
+    # resume key -> (delta, outcome count, output count and last_t at the key,
     #                the leaves below it)
     memo: dict[tuple, tuple[int, int, int, int | None, list]] = {}
 
-    def emit(outcomes: tuple[bool, ...], cursor: fluidics.Cursor) -> None:
-        leaves.append((outcomes, cursor))
+    def outputs(cursor: fluidics.Cursor, line: TimedLine) -> tuple:
+        # Each output edge of the path's realized graph carries its Outputted
+        # event's own cf: only a mix changes a droplet's cf, and it puts one
+        # droplet on both its cells.
+        return tuple(graph.round_cf(e.cf, n) for e in cursor.advance(line)
+                     if isinstance(e, chip.Outputted))
+
+    def emit(outcomes: tuple[bool, ...], cursor: fluidics.Cursor, outs: tuple) -> None:
+        leaves.append((outcomes, cursor, outs))
         label = _label(outcomes)
-        trace, report = cursor.finish()
-        report = _tagged(report, label)
+        report = _tagged(cursor.finish(), label)
         if want is not None and not any(v.phase == 1 for v in report.violations):
-            _check_outputs(want, _delivered_cfs(trace, n), report, label)
+            _check_outputs(want, sorted(outs), report, label)
         out.append(PathReport(label, outcomes, report))
 
     def replay(cursor: fluidics.Cursor, delta: int, outcomes: tuple[bool, ...],
-               stored: tuple) -> None:
-        delta0, depth, n_events, last_t, below = stored
+               outs: tuple, stored: tuple) -> None:
+        delta0, depth, n_outs, last_t, below = stored
         d = delta - delta0
-        for i, (leaf_outcomes, leaf) in enumerate(below):
+        for i, (leaf_outcomes, leaf, leaf_outs) in enumerate(below):
             child = cursor if i == len(below) - 1 else cursor.fork()
             if leaf.last_t != last_t:   # the leaf stepped lines after the key
-                child.trace.events.extend(
-                    chip.shifted_event(e, d) for e in leaf.trace.events[n_events:])
                 child.state = leaf.state.shifted(d)
                 child.last_t, child.ended = leaf.last_t + d, leaf.ended
-            emit(outcomes + leaf_outcomes[depth:], child)
+            # a concentration does not change under a shift in time
+            emit(outcomes + leaf_outcomes[depth:], child, outs + leaf_outs[n_outs:])
 
     def walk(cursor: fluidics.Cursor, idx: int, delta: int,
-             outcomes: tuple[bool, ...]) -> None:
+             outcomes: tuple[bool, ...], outs: tuple) -> None:
         key = None
         if idx < len(main) and not cursor.stopped:
             key = _resume_key(main, idx, cursor, delta)
             if key in memo:
-                replay(cursor, delta, outcomes, memo[key])
+                replay(cursor, delta, outcomes, outs, memo[key])
                 return
             first, rows = len(leaves), len(cursor.report.violations)
-            stored = (delta, len(outcomes), len(cursor.trace.events), cursor.last_t)
+            stored = (delta, len(outcomes), len(outs), cursor.last_t)
         while idx < len(main) and _cond_of(main[idx]) is None:
             line = main[idx]
-            cursor.advance(TimedLine(line.t + delta, line.instrs) if delta else line)
+            outs += outputs(cursor, TimedLine(line.t + delta, line.instrs) if delta else line)
             idx += 1
         if idx == len(main):
-            emit(outcomes, cursor)
+            emit(outcomes, cursor, outs)
         else:
             choices = (False, True) if only is None else (only[len(outcomes)] == "1",)
             for i, taken in enumerate(choices):
                 # the last child takes the cursor over; the others get forks
                 child = cursor if i == len(choices) - 1 else cursor.fork()
                 inserted, child_delta = _branch(program, idx, delta, taken)
+                child_outs = outs
                 for line in inserted:
-                    child.advance(line)
-                walk(child, idx + 1, child_delta, outcomes + (taken,))
+                    child_outs += outputs(child, line)
+                walk(child, idx + 1, child_delta, outcomes + (taken,), child_outs)
         # rows carry absolute ticks, so only a subtree without new rows is kept
         if key is not None and all(len(leaf.report.violations) == rows
-                                   for _, leaf in leaves[first:]):
+                                   for _, leaf, _ in leaves[first:]):
             memo[key] = stored + (leaves[first:],)
 
-    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, ())
+    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, (), ())
     return out
 
 
 def _output_cfs(sg: graph.SeqGraph, n: int) -> list[graph.CFVector]:
     """The sorted multiset of output concentrations, rounded to accuracy n."""
     return sorted(graph.round_cf(cf, n) for cf in sg.terminal_cfs(graph.OUTPUT))
-
-
-def _delivered_cfs(trace: fluidics.Trace, n: int) -> list[graph.CFVector]:
-    """``_output_cfs(graph.reconstruct(trace), n)``, read off the events.
-
-    That graph has one output edge per ``Outputted`` event, from the node of
-    its droplet, whose cf is the ``Dispensed`` unit vector or the
-    ``MixCompleted`` one.  Only a mix changes a droplet's cf, and it puts one
-    droplet on both its cells, so each edge carries the event's own cf.  Node
-    ids are unique, since no reagent may take the id of a mix or a sink.
-    """
-    return sorted(graph.round_cf(ev.cf, n) for ev in trace.events
-                  if isinstance(ev, chip.Outputted))
 
 
 def _check_outputs(want: list[graph.CFVector], got: list[graph.CFVector],

@@ -120,17 +120,6 @@ class Outputted:
 Event = Dispensed | MixStarted | MixCompleted | Wasted | Outputted
 
 
-def shifted_event(ev: Event, d: int) -> Event:
-    """The same event d ticks later, built with its constructor."""
-    cls = type(ev)
-    if cls is MixCompleted:
-        return MixCompleted(ev.t + d, ev.node, ev.a, ev.b, ev.t_s + d, ev.t_e + d,
-                            ev.input_nodes, ev.cf)
-    if cls is MixStarted:
-        return MixStarted(ev.t + d, ev.a, ev.b, ev.t_e + d, ev.mtype, ev.input_nodes)
-    return cls(ev.t + d, ev.node, ev.loc, ev.cf)
-
-
 class ChipState:
     """Occupancy (cell -> droplet), T_reservoir, T_mixer and detections."""
 

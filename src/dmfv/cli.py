@@ -48,9 +48,9 @@ def _option(flag: str, form: str, parse, text: str | None):
         raise DmfError(f"{flag} {text!r}: expected {form}") from None
 
 
-def _non_negative(flag: str, tick: int | None) -> None:
-    if tick is not None and tick < 0:
-        raise DmfError(f"{flag} {tick}: ticks are non-negative")
+def _non_negative(flag: str, value: int | None, what: str = "ticks") -> None:
+    if value is not None and value < 0:
+        raise DmfError(f"{flag} {value}: {what} are non-negative")
 
 
 def _emit(report: Report, fmt: str) -> int:
@@ -60,6 +60,7 @@ def _emit(report: Report, fmt: str) -> int:
 
 def cmd_verify(args) -> int:
     _non_negative("--tmax", args.tmax)
+    _non_negative("--max-paths", args.max_paths, "conditional counts")
     program = _load_program(args.program)
     pin_map = pins.parse_pins(Path(args.pins).read_text()) if args.pins else None
     input_sg = graph.parse_input_sg(Path(args.sg).read_text()) if args.sg else None
@@ -115,6 +116,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    _non_negative("--max-paths", args.max_paths, "conditional counts")
     program = _load_program(args.program)
     for label, lines, final in branches.path_shapes(program, max_conditionals=args.max_paths):
         print(f"path {label or '(linear)'}: {lines} lines, ends at t={final}")

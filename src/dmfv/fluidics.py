@@ -17,7 +17,8 @@ that two instructions of a line consume; each entry keeps its own wording.
 ``Cursor`` is the one engine that steps lines.  ``verify_program``, the
 path walk and ``state_at`` advance it over timed lines only; ``ticks`` also
 passes the idle ticks between lines, and rendering and the injection search
-read their states from it.
+read their states from it.  A cursor keeps no event log: it hands each
+line's events to its caller, and ``verify_program`` collects them.
 
 A cursor keeps, for its run, the clean verdicts of the lines it stepped,
 keyed by line body and by what the checks read in the snapshot: the
@@ -574,13 +575,14 @@ class Trace:
 class Cursor:
     """A program run, advanced one timed line or idle tick at a time.
 
-    It holds the chip state, the trace's events and the Phase-I report.
-    Violations after the first failing tick are marked secondary; under
-    policy "first" the run stops at the first failing tick and ignores later
-    lines.  ``fork`` returns a second cursor that goes on independently from
-    the same point: states are values, so only the event and violation
-    lists are copied, and the step memo is shared.  A pin map must have the
-    chip's size (DmfError otherwise).
+    It holds the chip state and the Phase-I report, and keeps no history:
+    ``advance`` hands each line's events to its caller, which keeps what it
+    needs.  Violations after the first failing tick are marked secondary;
+    under policy "first" the run stops at the first failing tick and ignores
+    later lines.  ``fork`` returns a second cursor that goes on independently
+    from the same point: states are values, so only the report's rows are
+    copied, and the step memo is shared.  A pin map must have the chip's
+    size (DmfError otherwise).
     """
 
     def __init__(self, program: Program, *, pin_map=None, policy: str = "first",
@@ -592,16 +594,16 @@ class Cursor:
         self.pin_map, self.policy = pin_map, policy
         self.memo: StepMemo = {}
         self.state = chip.init_state(program.header, program.detectors)
-        self.trace = Trace(program.header.reagents)
         self.report = Report(t_max=t_max if t_max is not None else program.t_max)
         self.first_bad_t: int | None = None
         self.stopped = False
         self.ended = False            # an end marker has been stepped
         self.last_t: int | None = None
 
-    def advance(self, line: TimedLine) -> None:
+    def advance(self, line: TimedLine) -> list[chip.Event]:
+        """Step ``line`` and return its events (none once the run has stopped)."""
         if self.stopped:
-            return
+            return []
         result = step(self.state, line, policy=self.policy, pin_map=self.pin_map,
                       memo=self.memo)
         for v in result.violations:
@@ -611,28 +613,25 @@ class Cursor:
         if result.violations and self.first_bad_t is None:
             self.first_bad_t = line.t
         self.state = result.state
-        self.trace.events.extend(result.events)
         self.last_t = line.t
         # validation puts an end marker last on its line
         if line.instrs and isinstance(line.instrs[-1], End):
             self.ended = True
         self.stopped = bool(result.violations) and self.policy == "first"
+        return result.events
 
     def idle(self, t: int) -> None:
         """Pass tick t, which has no line: only due mixers and detections resolve."""
-        state, completed = expire(self.state, t)
-        self.state = state.at_tick(t)
-        self.trace.events.extend(completed)
+        self.state = expire(self.state, t)[0].at_tick(t)
 
     def fork(self) -> "Cursor":
         new = copy.copy(self)
-        new.trace = Trace(self.trace.reagents, list(self.trace.events))
         new.report = Report(violations=list(self.report.violations),
                             t_max=self.report.t_max)
         return new
 
-    def finish(self) -> tuple[Trace, Report]:
-        """The trace and report of the lines advanced so far, as the run's end."""
+    def finish(self) -> Report:
+        """The report of the lines advanced so far, as the run's end."""
         if not self.stopped:
             if self.last_t is not None:
                 self.report.final_t = self.last_t
@@ -640,22 +639,24 @@ class Cursor:
                     self.report.notes.append("program has no end marker")
             for mx in self.state.mixers:
                 self.report.notes.append(f"mixer still active at program end: {mx.span()}")
-        return self.trace, self.report
+        return self.report
 
 
 def verify_program(program: Program, *, pin_map=None, policy: str = "first",
                    t_max: int | None = None) -> tuple[Trace, Report]:
     """Run the design-constraint phase over a straight-line program.
 
-    Returns the trace (consumed by graph reconstruction) and the Phase-I
-    report.  Conditional programs must be expanded into linear paths first.
+    Returns the trace, which collects what ``advance`` returns (consumed by
+    graph reconstruction), and the Phase-I report.  Conditional programs
+    must be expanded into linear paths first.
     """
     if program.has_conditionals:
         raise EngineError("program has conditional calls; expand paths first")
     cursor = Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max)
+    trace = Trace(program.header.reagents)
     for line in program.main:
-        cursor.advance(line)
-    return cursor.finish()
+        trace.events.extend(cursor.advance(line))
+    return trace, cursor.finish()
 
 
 def ticks(program: Program, upto: int | None = None):

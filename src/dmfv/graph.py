@@ -250,6 +250,8 @@ def parse_input_sg(text: str) -> SeqGraph:
         if parts[0] == "reagents":
             if len(parts) < 2:
                 raise ParseError("reagents header needs at least one name", lineno)
+            if sg.reagents:
+                raise ParseError("duplicate reagents declaration", lineno)
             sg.reagents = tuple(parts[1:])
         elif parts[0] == "node":
             if len(parts) < 3:

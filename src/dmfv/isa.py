@@ -254,8 +254,7 @@ class ValidationError(DmfError):
 # --- parsing ----------------------------------------------------------------
 
 _DIM_RE = re.compile(r"dim\s*(?:\(\s*(\d+)\s*,\s*(\d+)\s*\)|\s(\d+)\s+(\d+))\s*$")
-_ACC_RE = re.compile(r"accuracy\s+(\d+)\s*$")
-_TMAX_RE = re.compile(r"tmax\s+(\d+)\s*$")
+_NUMBER_RE = re.compile(r"(accuracy|tmax)\s+(\d+)\s*$")
 _RECOVERY_RE = re.compile(r"recovery\s+(\w+)\s*:\s*$")
 _TIMED_RE = re.compile(r"(\d+)\s+(\S.*)$")
 
@@ -351,8 +350,7 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
     parse and inspect issues via :func:`validate_structure`.
     """
     dim: tuple[int, int] | None = None
-    accuracy: int | None = None
-    t_max: int | None = None
+    numbers: dict[str, int] = {}      # the accuracy and tmax headers
     reservoirs: list[ReservoirDecl] = []
     detectors: list[DetectorDecl] = []
     main: list[TimedLine] = []
@@ -401,13 +399,11 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
             if dim[0] < 1 or dim[1] < 1:
                 raise ParseError("chip dimensions must be positive", lineno)
             continue
-        m = _ACC_RE.match(line)
+        m = _NUMBER_RE.match(line)
         if m:
-            accuracy = int(m[1])
-            continue
-        m = _TMAX_RE.match(line)
-        if m:
-            t_max = int(m[1])
+            if m[1] in numbers:
+                raise ParseError(f"duplicate {m[1]} declaration", lineno)
+            numbers[m[1]] = int(m[2])
             continue
         m = _RECOVERY_RE.match(line)
         if m:
@@ -436,11 +432,11 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
         raise ParseError(f"recovery block {current_recovery!r} not closed", 0, expected="endrecovery")
     if dim is None:
         raise ParseError("missing dim declaration", 0, expected="dim(r,c)")
-    if accuracy is None:
+    if "accuracy" not in numbers:
         raise ParseError("missing accuracy declaration", 0, expected="accuracy n")
 
-    header = ChipHeader(dim[0], dim[1], accuracy, tuple(reservoirs))
-    program = Program(header, tuple(main), tuple(detectors), recoveries, t_max)
+    header = ChipHeader(dim[0], dim[1], numbers["accuracy"], tuple(reservoirs))
+    program = Program(header, tuple(main), tuple(detectors), recoveries, numbers.get("tmax"))
     if validate and program.issues:
         raise ValidationError(program.issues)
     return program

@@ -50,19 +50,18 @@ def count_checked_lines(monkeypatch) -> list[int]:
 
 
 def finished_runs(fn, *args, **kw):
-    """fn(*args, **kw) and, in the order they finish, each run's events and
-    final chip state (None for a run stopped at its failing tick), caught
-    by wrapping ``Cursor.finish``.  The path walk finishes each path once, in
-    label order, and keeps only its report."""
+    """fn(*args, **kw) and, in the order they finish, each run's final chip
+    state (None for a run stopped at its failing tick), caught by wrapping
+    ``Cursor.finish``.  The path walk finishes each path once, in label
+    order, and keeps only its report and its outputs."""
     from dmfv import fluidics
 
     runs = []
     finish = fluidics.Cursor.finish
 
     def caught(cursor):
-        trace, report = finish(cursor)
-        runs.append((list(trace.events), None if cursor.stopped else cursor.state))
-        return trace, report
+        runs.append(None if cursor.stopped else cursor.state)
+        return finish(cursor)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fluidics.Cursor, "finish", caught)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from dmfv.branches import verify_all_paths
 from dmfv.chip import init_state
 from dmfv.diag import CAUSE, Code
-from dmfv.fluidics import Trace, step, verify_program
+from dmfv.fluidics import step, verify_program
 from dmfv.graph import (OUTPUT, CFVector, SeqGraph, SGNode, cf_mix, conformance,
                         parse_input_sg, reconstruct, round_cf)
 from dmfv.inject import InjectionSpec, inject_error
@@ -20,7 +20,7 @@ from dmfv.isa import (ChipHeader, Dispense, Loc, MixStart, Move, MType, Output,
 from dmfv.pins import (check_case1, check_dispense_pins, check_pair,
                        dedicated_map, parse_pins)
 
-from conftest import finished_runs, fractions_of, load
+from conftest import fractions_of, load
 from test_branches import enumerate_paths
 from test_oracle import run_oracle_equivalence
 from test_pins import DISPENSE_PINS, MOVE_PINS, droplets, make_map
@@ -192,12 +192,12 @@ def test_criterion_8_cyberphysical_paths():
     prog = parse_program(load("recovery.dmf"))
     input_sg = parse_input_sg(load("recovery.sg"))
     specs = enumerate_paths(prog)
-    reports, runs = finished_runs(verify_all_paths, prog, input_sg=input_sg)
+    reports = verify_all_paths(prog, input_sg=input_sg)
     all_clean = all(r.report.ok for r in reports)
     full = next(r for r in reports if r.label == "11")
     want = sorted(str(round_cf(cf, 5)) for cf in input_sg.terminal_cfs(OUTPUT))
-    # each path's realized graph, rebuilt from the events its run finished with
-    graphs = [reconstruct(Trace(prog.header.reagents, events)) for events, _ in runs]
+    # each path's realized graph, rebuilt from the trace of its spliced program
+    graphs = [reconstruct(verify_program(spec.program)[0]) for spec in specs]
     outputs_ok = len(graphs) == 4 and all(
         sorted(str(round_cf(cf, 5)) for cf in sg.terminal_cfs(OUTPUT)) == want
         for sg in graphs)

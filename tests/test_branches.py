@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from dmfv import chip, fluidics
+from dmfv import branches, chip, fluidics
 from dmfv.branches import (NestedConditional, PathLimitExceeded, _branch, _check_outputs,
                            _cond_of, _count_conditionals, _label, _output_cfs, _tagged,
                            merge_reports, path_shapes, verify_all_paths)
@@ -175,14 +175,16 @@ def test_path_shapes_match_spliced_paths():
 def test_verify_all_paths_clean_and_output_conformance():
     prog = parse_program(load("recovery.dmf"))
     input_sg = parse_input_sg(load("recovery.sg"))
-    reports, runs = finished_runs(verify_all_paths, prog, input_sg=input_sg)
+    reports = verify_all_paths(prog, input_sg=input_sg)
     assert [r.label for r in reports] == ["00", "01", "10", "11"]
     for pr in reports:
         assert pr.report.ok, (pr.label, pr.report.violations)
     assert reports[3].report.final_t == 69
-    # the no-fault reconstruction conforms to the input graph in full
-    events, _ = runs[0]
-    assert conformance(input_sg, reconstruct(fluidics.Trace(prog.header.reagents, events)),
+    # the no-fault path's graph, rebuilt from the trace of its spliced
+    # program, conforms to the input graph in full
+    no_fault = enumerate_paths(prog)[0]
+    assert no_fault.label == "00"
+    assert conformance(input_sg, reconstruct(fluidics.verify_program(no_fault.program)[0]),
                        5).ok
     merged = merge_reports(reports)
     assert merged.ok and merged.final_t == 69
@@ -313,68 +315,86 @@ def _random_conditional(rng: random.Random, c: int, *, extras: bool = False) -> 
     return parse_program("\n".join(text) + "\n")
 
 
+def _graph_outputs(program, events, input_sg, report, label):
+    """The sorted output concentrations of the graph that a clean path's
+    ``events`` realize, checked against ``input_sg`` as the walk checks
+    them; None where the walk checks nothing."""
+    if any(v.phase == 1 for v in report.violations):
+        return None
+    n = program.header.accuracy
+    # every clean path's events make a graph
+    got = _output_cfs(reconstruct(fluidics.Trace(program.header.reagents, events)), n)
+    if input_sg is None:
+        return None
+    _check_outputs(_output_cfs(input_sg, n), got, report, label)
+    return got
+
+
 def _naive_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=None):
     """Verify each spliced path on its own, as verify_all_paths once did: the
-    outputs are read off the path's realized graph."""
-    n = program.header.accuracy
+    outputs are read off the path's realized graph.  Each path also keeps
+    its events, last."""
     out = []
     for spec in enumerate_paths(program):
-        (trace, report), [(_, final)] = finished_runs(
+        (trace, report), [final] = finished_runs(
             fluidics.verify_program, spec.program, pin_map=pin_map, policy=policy,
             t_max=t_max)
         report = _tagged(report, spec.label)
-        if not any(v.phase == 1 for v in report.violations):
-            sg = reconstruct(trace)     # every clean path's events make a graph
-            if input_sg is not None:
-                _check_outputs(_output_cfs(input_sg, n), _output_cfs(sg, n), report,
-                               spec.label)
-        out.append((spec.label, spec.outcomes, report, trace.events, final))
+        outs = _graph_outputs(program, trace.events, input_sg, report, spec.label)
+        out.append((spec.label, spec.outcomes, report, outs, final, trace.events))
     return out
 
 
 def _unmerged_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=None):
     """The depth-first walk that forks at each conditional and never merges:
-    every path steps its own suffix after its last conditional (oracle)."""
+    every path steps its own suffix after its last conditional, and keeps
+    its own events, from which its outputs are read (oracle)."""
     _count_conditionals(program, 16)
-    n = program.header.accuracy
-    want = None if input_sg is None else _output_cfs(input_sg, n)
     out = []
 
-    def emit(outcomes, cursor):
+    def emit(outcomes, cursor, events):
         label = _label(outcomes)
-        trace, report = cursor.finish()
-        report = _tagged(report, label)
-        if want is not None and not any(v.phase == 1 for v in report.violations):
-            _check_outputs(want, _output_cfs(reconstruct(trace), n), report, label)
-        out.append((label, outcomes, report, trace.events,
-                    None if cursor.stopped else cursor.state))
+        report = _tagged(cursor.finish(), label)
+        outs = _graph_outputs(program, events, input_sg, report, label)
+        out.append((label, outcomes, report, outs, None if cursor.stopped else cursor.state))
 
-    def walk(cursor, idx, delta, outcomes):
+    def walk(cursor, idx, delta, outcomes, events):
         main = program.main
         while idx < len(main) and _cond_of(main[idx]) is None:
             line = main[idx]
-            cursor.advance(TimedLine(line.t + delta, line.instrs) if delta else line)
+            events = events + cursor.advance(
+                TimedLine(line.t + delta, line.instrs) if delta else line)
             idx += 1
         if idx == len(main):
-            emit(outcomes, cursor)
+            emit(outcomes, cursor, events)
             return
         for taken in (False, True):
             child = cursor.fork() if not taken else cursor
             inserted, child_delta = _branch(program, idx, delta, taken)
-            for line in inserted:
-                child.advance(line)
-            walk(child, idx + 1, child_delta, outcomes + (taken,))
+            child_events = events + [e for line in inserted for e in child.advance(line)]
+            walk(child, idx + 1, child_delta, outcomes + (taken,), child_events)
 
-    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, ())
+    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, (), [])
     return out
 
 
 def _walked(program, **kw):
-    """verify_all_paths as (label, outcomes, report, events, final state) per
-    path, the events and state caught as each path's run finishes."""
-    reports, runs = finished_runs(verify_all_paths, program, **kw)
-    return [(pr.label, pr.outcomes, pr.report, events, final)
-            for pr, (events, final) in zip(reports, runs, strict=True)]
+    """verify_all_paths as (label, outcomes, report, outputs, final state) per
+    path: the state is caught as each path's run finishes, and the outputs,
+    by label, as the walk hands a clean path's sorted output concentrations
+    to ``_check_outputs`` (None for a path it does not check)."""
+    outputs = {}
+    check = branches._check_outputs
+
+    def caught(want, got, report, label):
+        outputs[label] = list(got)
+        return check(want, got, report, label)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(branches, "_check_outputs", caught)
+        reports, runs = finished_runs(verify_all_paths, program, **kw)
+    return [(pr.label, pr.outcomes, pr.report, outputs.get(pr.label), final)
+            for pr, final in zip(reports, runs, strict=True)]
 
 
 def _final(state):
@@ -384,12 +404,14 @@ def _final(state):
 
 
 def _assert_same(walked, naive):
+    """The same paths with the same reports, delivered output multisets and
+    final states; a naive path's trailing events are not compared."""
     assert [x[:2] for x in walked] == [x[:2] for x in naive]
-    for (label, _, got, events, final), (_, _, report, want_events, want_final) in zip(
+    for (label, _, got, outs, final), (_, _, report, want_outs, want_final, *_) in zip(
             walked, naive):
         for fmt in ("json", "text"):
             assert format_report(got, fmt) == format_report(report, fmt), label
-        assert events == want_events, label
+        assert outs == want_outs, label
         assert _final(final) == _final(want_final), label
 
 
@@ -436,7 +458,7 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
                 steps[name] += len(calls)
             for i, x in enumerate(naive):
                 _assert_same(_walked(prog, only=x[0], **kw), naive[i:i + 1])
-            for _, _, report, events, _ in naive:
+            for _, _, report, _, _, events in naive:
                 # rows after the first failing tick are marked secondary
                 rows = [v for v in report.violations if v.t is not None]
                 assert all(v.secondary == (v.t > rows[0].t) for v in rows)
@@ -536,13 +558,57 @@ endrecovery
 """
 
 
-def test_merges_keep_what_the_shared_state_hides():
+# A droplet is output before the conditional, whose recovery puts the chip
+# back as it found it: path 1 replays path 0's suffix, and the chip state at
+# the merge no longer shows the first output.
+_OUTPUT_FIRST = """dim(4,6)
+accuracy 2
+R(3,1,S) O(3,6)
+D(d0,3,3,1)
+1 d(3,1)
+2 m([3,1]->[3,2])
+3 m([3,2]->[3,3])
+4 m([3,3]->[3,4])
+5 m([3,4]->[3,5])
+6 m([3,5]->[3,6])
+7 output(3,6)
+8 d(3,1)
+9 m([3,1]->[3,2])
+10 m([3,2]->[3,3])
+11 detect(d0)
+12 if(d0) call Recovery(0)
+13 m([3,3]->[3,4])
+14 m([3,4]->[3,5])
+15 m([3,5]->[3,6])
+16 output(3,6)
+17 end
+recovery 0:
+100 m([3,3]->[2,3])
+101 m([2,3]->[3,3])
+endrecovery
+"""
+_TWO_S = "reagents S\nnode S dispense S\nnode O output\nedge S O\nedge S O\n"
+
+
+def test_merges_keep_what_the_shared_state_hides(monkeypatch):
     held, two = parse_program(_HELD_Q), parse_program(_TWO_LAST)
     for policy in ("first", "all"):
         for prog in (held, two):
             _assert_same(_walked(prog, policy=policy), _naive_paths(prog, policy=policy))
     assert {pr.label for pr in verify_all_paths(held) if not pr.report.ok} == {"00", "10"}
     assert [pr.report.final_t for pr in verify_all_paths(two)] == [3, 6, 6, 8]
+    first = parse_program(_OUTPUT_FIRST)
+    for sg, ok in ((_TWO_S, True), (_TWO_S.replace("edge S O\n", "", 1), False)):
+        input_sg = parse_input_sg(sg)
+        walked = _walked(first, input_sg=input_sg)
+        _assert_same(walked, _naive_paths(first, input_sg=input_sg))
+        assert [(label, report.ok) for label, _, report, _, _ in walked] == [("0", ok), ("1", ok)]
+    # path 1 replays the five lines after the merge, which path 0 stepped
+    calls = []
+    step = fluidics.step
+    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    verify_all_paths(first)
+    assert len(calls) == len(first.main) - 1 + 2
 
 
 # Each path outputs a 1:3 mix, finer than the accuracy, and then pure B:

@@ -193,6 +193,32 @@ def test_negative_ticks_exit_two(capsys):
     assert "final t=34 > 0" in capsys.readouterr().out
 
 
+def test_negative_max_paths_exit_two(capsys):
+    # verify used to ignore the flag on a straight-line program, and paths
+    # blamed the program's conditionals
+    for cmd in ("verify", "paths"):
+        for name in ("pcr.dmf", "recovery.dmf"):
+            assert _exits_two([cmd, fx(name), "--max-paths", "-1"], capsys) == (
+                "error: --max-paths -1: conditional counts are non-negative\n")
+    assert main(["paths", fx("pcr.dmf"), "--max-paths", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_duplicate_headers_exit_two(tmp_path, capsys):
+    # a second header line would silently replace the first
+    prog, spec = tmp_path / "twice.dmf", tmp_path / "twice.sg"
+    for header, name in (("accuracy 3", "accuracy"), ("tmax 99\ntmax 40", "tmax"),
+                         ("dim(9,9)", "dim")):
+        prog.write_text(load("pcr.dmf").replace("R(", f"{header}\nR(", 1))
+        for cmd in ("verify", "paths", "graph", "render"):
+            err = _exits_two([cmd, str(prog)], capsys)
+            assert f"duplicate {name} declaration" in err, (cmd, err)
+    header = "reagents R1 R2 R3 R4 R5 R6 R7 R8\n"
+    spec.write_text(load("pcr.sg").replace(header, header + "reagents R1 R2\n"))
+    err = _exits_two(["verify", fx("pcr.dmf"), "--sg", str(spec)], capsys)
+    assert "duplicate reagents declaration" in err, err
+
+
 def test_engine_faults_keep_their_traceback(monkeypatch, capsys):
     # only unusable input maps to exit 2; a fault of the verifier itself
     # must not pass for a verdict or for bad input

@@ -608,15 +608,15 @@ def _outcome(fn, *args, **kw):
 
 
 def _linear_run(prog, **kw):
-    (trace, report), [(_, final)] = finished_runs(verify_program, prog, **kw)
+    (trace, report), [final] = finished_runs(verify_program, prog, **kw)
     return (trace.events, report.violations, report.notes, report.final_t, _value(final))
 
 
 def _path_run(prog, **kw):
     reports, runs = finished_runs(verify_all_paths, prog, **kw)
     return [(pr.label, pr.report.violations, pr.report.notes, pr.report.final_t,
-             events, _value(final))
-            for pr, (events, final) in zip(reports, runs, strict=True)]
+             _value(final))
+            for pr, final in zip(reports, runs, strict=True)]
 
 
 def _runs(prog, pin_map=None):

@@ -12,7 +12,7 @@ from dmfv.graph import (MIX, OUTPUT, WASTE, BadArity, CFVector, CycleDetected,
                         SeqGraph, SGNode, _adjacency, _cf_key, _concentrations, _depths,
                         _duration_check, _topo, cf_mix, conformance, parse_input_sg,
                         ratio_str, reconstruct, round_cf, to_dot)
-from dmfv.isa import parse_program
+from dmfv.isa import ParseError, parse_program
 
 from conftest import fractions_of, load
 
@@ -205,6 +205,15 @@ def test_parse_input_sg_minimal_and_errors():
            "edge S M\nedge N M\nedge M N\nedge M N\n")
     with pytest.raises(CycleDetected):
         parse_input_sg(cyc)
+
+
+def test_parse_input_sg_refuses_a_second_reagents_header():
+    # the second header is blamed, not the node line that it would break
+    for second in ("reagents S B", "reagents X"):
+        with pytest.raises(ParseError, match="duplicate reagents declaration") as err:
+            parse_input_sg(f"reagents S B\n{second}\nnode S dispense S\n"
+                           "node O output\nedge S O\n")
+        assert err.value.line == 2
 
 
 def test_parse_input_sg_twowaymix_shape():

@@ -76,6 +76,17 @@ def test_move_must_be_four_neighbor():
         parse_program("dim(5,4)\naccuracy 5\nR(1,1,S)\n1 m([3,1]->[4,2])\n2 end\n")
 
 
+def test_duplicate_headers_are_refused():
+    # a second accuracy or tmax line would silently replace the first, as a
+    # second dim line would redefine the chip
+    base = "dim(4,4)\naccuracy 3\ntmax 10\nR(1,1,S)\n1 d(1,1)\n2 end\n"
+    assert parse_program(base).t_max == 10
+    for extra, name in (("accuracy 5", "accuracy"), ("tmax 3", "tmax"), ("dim(5,5)", "dim")):
+        with pytest.raises(ParseError, match=f"duplicate {name} declaration") as err:
+            parse_program(base.replace("R(1,1,S)", f"{extra}\nR(1,1,S)"))
+        assert err.value.line == 4
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_program("dim(5,4)\naccuracy 5\nR(1,1,S)\n1 d(1,1) blargh\n")
