@@ -553,24 +553,33 @@ def _mutate_dmf(rng, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_cli_survives_mutated_dmf_files(tmp_path, capsys):
+def mutated_dmf_corpus(indir, outdir):
+    """The seeded .dmf mutation corpus: 200 mutated fixtures, each written to
+    its own file under ``indir``, with the argvs run on each (their outputs
+    go to ``outdir``).  Yields (text, argvs)."""
     rng = random.Random(1618)
     site = random.Random(1729)          # --line/--pos of the e5/e6 runs
-    prog = tmp_path / "mutated.dmf"
-    codes = Counter()
-    for _ in range(200):
+    for k in range(200):
         text = _mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES)))
+        prog = indir / f"mutated{k:03}.dmf"
         prog.write_text(text)
         at = str(rng.randrange(0, 40))
         stamps = [ln.split()[0] for ln in text.splitlines() if ln.split()[0].isdigit()]
         line = site.choice(stamps + ["0", "999"])
         pos = site.choice((0, 0, 1, 2, 9, -1, -9))
-        for argv in (["verify", str(prog)], ["render", str(prog), "--at", at],
-                     ["render", str(prog), "--animate"], ["graph", str(prog)],
-                     ["inject", str(prog), "--error", "e1", "-o", str(tmp_path / "e1.dmf")],
-                     ["inject", str(prog), "--error", "e2", "-o", str(tmp_path / "e2.dmf")],
-                     *(["inject", str(prog), "--error", e, f"--line={line}", f"--pos={pos}",
-                        "-o", str(tmp_path / f"{e}.dmf")] for e in ("e5", "e6"))):
+        yield text, [
+            ["verify", str(prog)], ["render", str(prog), "--at", at],
+            ["render", str(prog), "--animate"], ["graph", str(prog)],
+            ["inject", str(prog), "--error", "e1", "-o", str(outdir / "e1.dmf")],
+            ["inject", str(prog), "--error", "e2", "-o", str(outdir / "e2.dmf")],
+            *(["inject", str(prog), "--error", e, f"--line={line}", f"--pos={pos}",
+               "-o", str(outdir / f"{e}.dmf")] for e in ("e5", "e6"))]
+
+
+def test_cli_survives_mutated_dmf_files(tmp_path, capsys):
+    codes = Counter()
+    for text, argvs in mutated_dmf_corpus(tmp_path, tmp_path):
+        for argv in argvs:
             rc = main(argv)
             err = capsys.readouterr().err
             assert rc in (0, 1, 2), (argv, text)
@@ -652,15 +661,23 @@ def _mutate_sg(rng, text: str) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", False
 
 
-def test_verify_survives_mutated_sg_files(tmp_path, capsys):
+def mutated_sg_corpus(indir):
+    """The seeded .sg mutation corpus: 200 mutated fixture graphs, each
+    written to its own file under ``indir``.  Yields (argv, text, whether
+    the mutation always makes the graph invalid)."""
     rng = random.Random(2718)
-    sg_file = tmp_path / "mutated.sg"
-    invalid = 0
-    for _ in range(200):
+    for k in range(200):
         program, sg = rng.choice(_SG_PAIRS)
         text, always_invalid = _mutate_sg(rng, load(sg))
+        sg_file = indir / f"mutated{k:03}.sg"
         sg_file.write_text(text)
-        rc = main(["verify", fx(program), "--sg", str(sg_file)])
+        yield ["verify", fx(program), "--sg", str(sg_file)], text, always_invalid
+
+
+def test_verify_survives_mutated_sg_files(tmp_path, capsys):
+    invalid = 0
+    for argv, text, always_invalid in mutated_sg_corpus(tmp_path):
+        rc = main(argv)
         err = capsys.readouterr().err
         assert rc in (0, 1, 2), text
         if always_invalid:
