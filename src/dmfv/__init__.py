@@ -4,11 +4,11 @@ actuation programs (general-purpose, pin-constrained and cyberphysical chips).""
 from .isa import (ChipHeader, DetectorDecl, Loc, MType, Program, RKind,
                   ReservoirDecl, parse_program, serialize_program,
                   validate_structure)
-from .chip import ChipState, init_state, expire_mixers, neighbors4
+from .chip import CFVector, ChipState, cf_mix, init_state, expire_mixers, neighbors4
 from .diag import Code, Report, Violation, classify, format_report
 from .fluidics import Trace, step, verify_program
-from .graph import (CFVector, SeqGraph, cf_mix, conformance, parse_input_sg,
-                    ratio_str, reconstruct, round_cf, to_dot)
+from .graph import (SeqGraph, conformance, parse_input_sg, ratio_str, reconstruct,
+                    round_cf, to_dot)
 from .pins import (PinMap, check_case1, check_dispense_pins, check_pair,
                    parse_pins)
 from .branches import path_shapes, verify_all_paths

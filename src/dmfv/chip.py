@@ -16,17 +16,22 @@ Bounds are checked once, when a program is validated: every cell a
 droplet can reach is on the array, so ``by_loc`` holds only cells on the
 array, and the engine probes it with any cell, off the array too, without
 a bounds test.
+
+A droplet carries its concentration, so the arithmetic on concentrations
+lives here: exact dyadic rationals per reagent, since the (1:1) mix-split
+only ever averages two vectors.  A ``CFVector`` holds integer numerators
+over one ``2**exp``, so a mix (``cf_mix``) is a shift and an add;
+``Fraction`` is only the tests' oracle.  Rounding to the declared accuracy
+happens only in ``graph``.  This module imports no ``dmfv`` module but
+``isa``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, NamedTuple
 
 from .isa import ChipHeader, DetectorDecl, DmfError, Loc, MType
-
-if TYPE_CHECKING:
-    from .graph import CFVector
 
 
 class OutOfBounds(DmfError):
@@ -35,6 +40,58 @@ class OutOfBounds(DmfError):
 
 class InconsistentState(Exception):
     """A write would overwrite a droplet (an engine bug)."""
+
+
+# --- concentration vectors ---------------------------------------------------
+
+class CFVector(NamedTuple):
+    """Mapping reagent -> fraction of unit volume, as integers over a power
+    of two: each component is ``numerator / 2**exp``.
+
+    ``nums`` holds (reagent, numerator) pairs sorted by reagent, with no
+    zeros, and the numerators sum to ``2**exp``.  The form is normal
+    (``exp == 0`` or some numerator is odd), so equal vectors compare and
+    hash equal.
+    """
+
+    nums: tuple[tuple[str, int], ...]
+    exp: int = 0
+
+    @staticmethod
+    def unit(reagent: str) -> "CFVector":
+        return CFVector(((reagent, 1),))
+
+    @staticmethod
+    def normal(nums: tuple[tuple[str, int], ...], exp: int) -> "CFVector":
+        """The vector nums / 2**exp with the common factors of two taken out."""
+        bits = 0
+        for _, v in nums:
+            bits |= v
+        s = min((bits & -bits).bit_length() - 1, exp) if bits else 0
+        if s:
+            nums = tuple((k, v >> s) for k, v in nums)
+        return CFVector(nums, exp - s)
+
+    def __str__(self) -> str:
+        """Each component as a reduced fraction: ``{B:3/4, S:1/4}``, ``{S:1}``."""
+        exp, parts = self.exp, []
+        for k, v in self.nums:
+            s = min((v & -v).bit_length() - 1, exp)
+            parts.append(f"{k}:{v >> s}" if s == exp else f"{k}:{v >> s}/{1 << (exp - s)}")
+        return "{" + ", ".join(parts) + "}"
+
+
+def cf_mix(a: CFVector, b: CFVector) -> CFVector:
+    """Balanced (1:1) mix-split: the component-wise average, exact.  The
+    exponents align by a shift, the numerators add and the exponent grows
+    by one."""
+    d = a.exp - b.exp
+    if d < 0:
+        a, b, d = b, a, -d
+    out = dict(a.nums)
+    for k, v in b.nums:
+        out[k] = out.get(k, 0) + (v << d)
+    return CFVector.normal(tuple(sorted(out.items())), a.exp + 1)
 
 
 def neighbors4(loc: Loc, rows: int, cols: int) -> set[Loc]:
@@ -46,7 +103,7 @@ def neighbors4(loc: Loc, rows: int, cols: int) -> set[Loc]:
 @dataclass(frozen=True)
 class Droplet:
     node: str           # sequencing-graph identity (reagent name or mix id)
-    cf: "CFVector"
+    cf: CFVector
 
 
 @dataclass(frozen=True)
@@ -76,7 +133,7 @@ class Dispensed:
     t: int
     node: str           # reagent name
     loc: Loc
-    cf: "CFVector"
+    cf: CFVector
 
 
 @dataclass(frozen=True)
@@ -98,7 +155,7 @@ class MixCompleted:
     t_s: int
     t_e: int
     input_nodes: tuple[str, str]
-    cf: "CFVector"
+    cf: CFVector
 
 
 @dataclass(frozen=True)
@@ -106,7 +163,7 @@ class Wasted:
     t: int
     node: str
     loc: Loc
-    cf: "CFVector"
+    cf: CFVector
 
 
 @dataclass(frozen=True)
@@ -114,7 +171,7 @@ class Outputted:
     t: int
     node: str
     loc: Loc
-    cf: "CFVector"
+    cf: CFVector
 
 
 Event = Dispensed | MixStarted | MixCompleted | Wasted | Outputted
@@ -216,8 +273,6 @@ def expire_mixers(state: ChipState, t: int) -> tuple[ChipState, list[MixComplete
     due = [mx for mx in state.mixers if mx.t_e <= t]
     if not due:
         return state, []
-    from .graph import cf_mix  # local import keeps chip free of graph at load time
-
     events: list[MixCompleted] = []
     new = state.copy()
     new.mixers = tuple(mx for mx in state.mixers if mx.t_e > t)

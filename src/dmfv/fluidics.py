@@ -10,9 +10,10 @@ each droplet in that region is adjacent to an occupied mixer endpoint.
 
 What each instruction does is written once, in ``RULES``: the cells of the
 droplets it consumes, the cells it claims, its check and the phase in which
-its effect commits.  ``step`` walks that table, and the injection search
-reads the same consumes and claims.  One generic rule rejects a droplet
-that two instructions of a line consume; each entry keeps its own wording.
+its effect commits.  Only this module reads that table: ``LineContext``
+reads a line off it once, and ``step``, ``pins.pin_phase`` and the injection
+search read the line from there.  One generic rule rejects a droplet that
+two instructions of a line consume; each entry keeps its own wording.
 
 ``Cursor`` is the one engine that steps lines.  ``verify_program``, the
 path walk and ``state_at`` advance it over timed lines only; ``ticks`` also
@@ -49,10 +50,9 @@ import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from . import chip
-from .chip import ChipState, DetectionEntry, Droplet, MixerEntry
+from . import chip, pins
+from .chip import CFVector, ChipState, DetectionEntry, Droplet, MixerEntry
 from .diag import Code, Report, Violation, classify
-from .graph import CFVector
 from .isa import (CondCall, Dispense, DetectStart, DmfError, End, Instruction, Loc,
                   MixStart, Move, MType, Output, Program, RKind, TimedLine, Waste)
 
@@ -103,30 +103,52 @@ REMOVE, TRANSPORT, ARRIVE, BOOK = range(4)
 
 
 class LineContext:
-    """One line as the checks of its instructions see it.
+    """One line as the rule table reads it on a snapshot: the one reading
+    that the checks, the pin phase and the injection search share.
 
-    ``consumed[i]`` holds the cells of the droplets that instruction i
-    consumes, and ``movers`` maps each cell that a transport on the line
-    leaves to the position of the first such instruction.  As instructions
-    pass, ``claimed`` maps the cells they claim, and ``engaged`` the cells
+    ``rules[i]`` is the rule of instruction i (None for ``end`` and a
+    conditional), ``consumed[i]`` holds the cells of the droplets it
+    consumes and ``claims[i]`` the cells it fills with an arriving droplet.
+    ``movers`` maps each cell that a transport on the line leaves to the
+    position of the first such instruction.  As instructions pass their
+    checks, ``claimed`` maps the cells they claim, and ``engaged`` the cells
     of the droplets they consume, to their positions.
     """
 
-    __slots__ = ("line", "t", "consumed", "movers", "claimed", "engaged")
+    __slots__ = ("line", "t", "rules", "consumed", "claims", "movers", "claimed", "engaged")
 
     def __init__(self, state: ChipState, line: TimedLine):
         self.line, self.t = line, line.t
+        self.rules: list[Rule | None] = []
         self.consumed: list[tuple[Loc, ...]] = []
+        self.claims: list[tuple[Loc, ...]] = []
         self.movers: dict[Loc, int] = {}
         self.claimed: dict[Loc, int] = {}
         self.engaged: dict[Loc, int] = {}
         for i, instr in enumerate(line.instrs):
             rule = RULES.get(type(instr))
             cells = () if rule is None else rule.consumes(state, instr)
+            self.rules.append(rule)
             self.consumed.append(cells)
+            self.claims.append(() if rule is None else rule.claims(instr))
             if rule is not None and rule.phase == TRANSPORT:
                 for cell in cells:
                     self.movers.setdefault(cell, i)
+
+    def effects(self, passed) -> tuple[dict, list, list]:
+        """What the instructions at positions ``passed`` do to droplets: each
+        transport's {new cell: (old cell, position)}, each arrival's (cell,
+        position) and the cells of the droplets removed."""
+        moved, arrived, removed = {}, [], []
+        for i in passed:
+            phase, cells, claims = self.rules[i].phase, self.consumed[i], self.claims[i]
+            if phase == TRANSPORT:
+                moved.update((dst, (src, i)) for src, dst in zip(cells, claims))
+            elif phase == ARRIVE:
+                arrived += ((cell, i) for cell in claims)
+            elif phase == REMOVE:
+                removed += cells
+        return moved, arrived, removed
 
 
 @dataclass(frozen=True)
@@ -440,17 +462,17 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     events: list[chip.Event] = list(completed)
     if memo is not None:
         signature = _signature(snapshot)
-        passed = memo.get(id(line.instrs))
-        if passed is not None and signature in passed[1]:
-            new, more = _commit(snapshot, enumerate(line.instrs), t)
+        clean = memo.get(id(line.instrs))
+        if clean is not None and signature in clean[1]:
+            new, more = _commit(snapshot, line.instrs, t)
             events.extend(more)
             return StepResult(new, [], events)
     violations: list[Violation] = []
     ctx = LineContext(snapshot, line)
-    effects: list[tuple[int, Instruction]] = []
+    passed: list[int] = []      # positions of the instructions that pass
 
     for i, instr in enumerate(line.instrs):
-        rule = RULES.get(type(instr))
+        rule = ctx.rules[i]
         if rule is None:
             if isinstance(instr, CondCall):
                 raise EngineError("conditional programs must be expanded into paths first")
@@ -464,13 +486,13 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             if policy == "first":
                 return StepResult(snapshot, violations, events)
             continue
-        for cell in rule.claims(instr):
+        for cell in ctx.claims[i]:
             ctx.claimed[cell] = i
         for cell in consumed:
             ctx.engaged[cell] = i
-        effects.append((i, instr))
+        passed.append(i)
 
-    new, more = _commit(snapshot, effects, t)
+    new, more = _commit(snapshot, [line.instrs[i] for i in passed], t)
     events.extend(more)
     post = _post_checks(new, line, ctx.claimed, t)
     if post:
@@ -478,30 +500,28 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
         if policy == "first":
             return StepResult(snapshot, violations, events)
     if pin_map is not None:
-        from . import pins
-        pin_violations = pins.pin_phase(pin_map, snapshot, new, line, effects,
-                                        ctx.consumed, t)
+        pin_violations = pins.pin_phase(pin_map, snapshot, new, ctx, passed)
         if pin_violations:
             violations.extend(pin_violations)
             if policy == "first":
                 return StepResult(snapshot, violations, events)
     if memo is not None and not violations:
-        if passed is None:
-            passed = memo[id(line.instrs)] = (line.instrs, set())
-        passed[1].add(signature)
+        if clean is None:
+            clean = memo[id(line.instrs)] = (line.instrs, set())
+        clean[1].add(signature)
     return StepResult(new, violations, events)
 
 
-def _commit(snapshot: ChipState, effects, t: int) -> tuple[ChipState, list[chip.Event]]:
-    """Apply the effects of the passed instructions, (position, instruction)
-    pairs, to one copy of the snapshot, phase by phase (removals,
-    transports, arrivals, bookkeeping), each phase in line order.  An
-    instruction without a rule (end) has no effect."""
+def _commit(snapshot: ChipState, instrs, t: int) -> tuple[ChipState, list[chip.Event]]:
+    """Apply the effects of the passed instructions, in line order, to one
+    copy of the snapshot, phase by phase (removals, transports, arrivals,
+    bookkeeping), each phase in line order.  An instruction without a rule
+    (end) has no effect."""
     new = snapshot.copy()   # the one copy of this tick; updated in place
     new.t = t
     events: list[chip.Event] = []
     phases: tuple[list, ...] = ([], [], [], [])
-    for _, instr in effects:
+    for instr in instrs:
         rule = RULES.get(type(instr))
         if rule is not None:
             phases[rule.phase].append((rule.commit, instr))

@@ -1,11 +1,7 @@
-"""Concentration-factor arithmetic, sequencing graphs and conformance checking.
-
-Concentration vectors are exact dyadic rationals per reagent: the (1:1)
-mix-split model only ever averages two vectors, so denominators stay powers
-of two.  A vector is stored as integer numerators over one ``2**exp``, so a
-mix is a shift and an add, and all of it is integer work; ``Fraction`` is
-only the tests' oracle.  Rounding to the declared accuracy happens at
-comparison and display time, never inside the arithmetic.
+"""Sequencing graphs, conformance checking, and the rounding and display of
+concentration vectors, whose exact arithmetic (``CFVector``, ``cf_mix``)
+lives in ``chip`` with the droplets that carry them.  Rounding to the
+declared accuracy happens only here, never inside the arithmetic.
 
 ``SeqGraph.edges`` is the only record of a graph's wiring.  Each operation
 that walks a graph builds its predecessor and successor lists once, in one
@@ -19,9 +15,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
-from typing import NamedTuple
 
 from . import chip
+from .chip import CFVector, cf_mix
 from .diag import Code, Report, classify
 from .isa import DmfError, ParseError
 
@@ -38,57 +34,7 @@ class OrphanDroplet(DmfError):
     pass
 
 
-# --- concentration vectors ---------------------------------------------------
-
-class CFVector(NamedTuple):
-    """Mapping reagent -> fraction of unit volume, as integers over a power
-    of two: each component is ``numerator / 2**exp``.
-
-    ``nums`` holds (reagent, numerator) pairs sorted by reagent, with no
-    zeros, and the numerators sum to ``2**exp``.  The form is normal
-    (``exp == 0`` or some numerator is odd), so equal vectors compare and
-    hash equal.
-    """
-
-    nums: tuple[tuple[str, int], ...]
-    exp: int = 0
-
-    @staticmethod
-    def unit(reagent: str) -> "CFVector":
-        return CFVector(((reagent, 1),))
-
-    def __str__(self) -> str:
-        """Each component as a reduced fraction: ``{B:3/4, S:1/4}``, ``{S:1}``."""
-        exp, parts = self.exp, []
-        for k, v in self.nums:
-            s = min((v & -v).bit_length() - 1, exp)
-            parts.append(f"{k}:{v >> s}" if s == exp else f"{k}:{v >> s}/{1 << (exp - s)}")
-        return "{" + ", ".join(parts) + "}"
-
-
-def _normal(nums: tuple[tuple[str, int], ...], exp: int) -> CFVector:
-    """The vector nums / 2**exp with the common factors of two taken out."""
-    bits = 0
-    for _, v in nums:
-        bits |= v
-    s = min((bits & -bits).bit_length() - 1, exp) if bits else 0
-    if s:
-        nums = tuple((k, v >> s) for k, v in nums)
-    return CFVector(nums, exp - s)
-
-
-def cf_mix(a: CFVector, b: CFVector) -> CFVector:
-    """Balanced (1:1) mix-split: the component-wise average, exact.  The
-    exponents align by a shift, the numerators add and the exponent grows
-    by one."""
-    d = a.exp - b.exp
-    if d < 0:
-        a, b, d = b, a, -d
-    out = dict(a.nums)
-    for k, v in b.nums:
-        out[k] = out.get(k, 0) + (v << d)
-    return _normal(tuple(sorted(out.items())), a.exp + 1)
-
+# --- rounding and display of concentration vectors -----------------------------
 
 def _rounded(cf: CFVector, n: int) -> dict[str, int]:
     """Numerators of cf's components over 2^n, each rounded half away from
@@ -109,7 +55,7 @@ def _rounded(cf: CFVector, n: int) -> dict[str, int]:
 def round_cf(cf: CFVector, n: int) -> CFVector:
     """Round each component to denominator 2^n; the residue lands on the
     largest component so the total stays exactly 1."""
-    return _normal(tuple((k, v) for k, v in _rounded(cf, n).items() if v), n)
+    return CFVector.normal(tuple((k, v) for k, v in _rounded(cf, n).items() if v), n)
 
 
 def ratio_str(cf: CFVector, reagents: tuple[str, ...], n: int) -> str:

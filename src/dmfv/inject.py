@@ -115,25 +115,15 @@ def swap_reagent_names(program: Program, a: str, b: str) -> Program:
 _DIRS = (Loc(-1, 0), Loc(1, 0), Loc(0, -1), Loc(0, 1))
 
 
-def _line_context(state: chip.ChipState, line: TimedLine | None):
-    """Cells the line's moves leave, cells its other instructions consume, and
-    cells it claims, read from the engine's rule table."""
-    move_srcs: set[Loc] = set()
-    busy: set[Loc] = set()
-    claimed: set[Loc] = set()
-    for instr in line.instrs if line is not None else ():
-        rule = fluidics.RULES.get(type(instr))
-        if rule is not None:
-            consumed = rule.consumes(state, instr)
-            (move_srcs if rule.phase == fluidics.TRANSPORT else busy).update(consumed)
-            claimed.update(rule.claims(instr))
-    return move_srcs, busy, claimed
-
-
 def _sites(state: chip.ChipState, line: TimedLine | None, *, want_dynamic: bool):
     """(src, dst) of each move that, added to ``line`` on the state the line
-    finds, trips the clearance rule next to a moving (e2) or idle (e1) droplet."""
-    move_srcs, busy, claimed = _line_context(state, line)
+    finds, trips the clearance rule next to a moving (e2) or idle (e1) droplet.
+    A clean line consumes each droplet once, so the consumed cells that its
+    moves do not leave are those its other instructions consume."""
+    ctx = fluidics.LineContext(state, line or TimedLine(state.t, ()))
+    move_srcs = ctx.movers.keys()
+    busy = {cell for cells in ctx.consumed for cell in cells} - move_srcs
+    claimed = {cell for cells in ctx.claims for cell in cells}
     for src in sorted(state.by_loc):
         if (src in busy or src in move_srcs or state.mixer_pinning(src)
                 or state.detection_pinning(src)):

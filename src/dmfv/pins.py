@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from itertools import chain, filterfalse, product
 from operator import itemgetter
 
-from . import fluidics
 from .chip import ChipState, OutOfBounds, neighbors4
 from .diag import Code, Violation, classify
-from .isa import ChipHeader, DmfError, Loc, TimedLine
+from .isa import ChipHeader, DmfError, Loc
 
 @dataclass(frozen=True)
 class PinMap:
@@ -208,33 +207,21 @@ def _finding_to_violation(f: PinFinding, t: int, instructions: tuple[str, ...],
                     detail=f.detail, consequence=consequence or f.response)
 
 
-def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState,
-              line: TimedLine, effects, consumed, t: int) -> list[Violation]:
+def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, ctx,
+              passed: list[int]) -> list[Violation]:
     """Pin rules for one tick: dispense checks, droplet pairs, Case 1.
 
-    ``consumed[i]`` holds the cells of the droplets that instruction i of
-    the line consumes, as the engine's ``LineContext`` found them.
+    ``ctx`` is the engine's ``fluidics.LineContext`` of the line and
+    ``passed`` the positions of its instructions that passed their checks;
+    ``ctx.effects`` says what they do to droplets.
 
     Pairs are checked in sorted order, but only those that meet in the pin
     index of ``_candidate_pairs``; every other pair passes every pairwise rule.
     """
     out: list[Violation] = []
-
-    # each effect's participants, from the engine's rule table: a transport
-    # takes the droplet on its consumed cell to its claimed cell, an arrival
-    # fills its claimed cell, and a removal's droplet sits on its consumed cell
-    moved: dict[Loc, tuple[Loc, int]] = {}      # new loc -> (old loc, instr index)
-    dispensed: list[tuple[Loc, int]] = []
-    removed: list[Loc] = []
-    for i, instr in effects:
-        rule = fluidics.RULES[type(instr)]
-        if rule.phase == fluidics.TRANSPORT:
-            for src, dst in zip(consumed[i], rule.claims(instr)):
-                moved[dst] = (src, i)
-        elif rule.phase == fluidics.ARRIVE:
-            dispensed.extend((loc, i) for loc in rule.claims(instr))
-        elif rule.phase == fluidics.REMOVE:
-            removed.extend(consumed[i])
+    line, t = ctx.line, ctx.t
+    # new loc -> (old loc, instr index); (loc, instr index); locs
+    moved, dispensed, removed = ctx.effects(passed)
     dispensed_at = {l for l, _ in dispensed}
 
     for loc, i in dispensed:

@@ -232,10 +232,12 @@ def test_pair_checks_skip_distant_droplets(pair_checks):
     assert pair_checks[0] == 0
 
 
-def all_pairs_pin_phase(pmap, snapshot, committed, line, effects, consumed, t):
+def all_pairs_pin_phase(pmap, snapshot, committed, ctx, passed):
     """The pin phase as a plain scan over every participant pair (oracle); it
-    reads each instruction's cells off the instruction, not ``consumed``."""
+    reads each instruction's cells off the instruction, not ``ctx``."""
     out = []
+    line, t = ctx.line, ctx.t
+    effects = [(i, line.instrs[i]) for i in passed]
     moved, dispensed = {}, []
     for i, instr in effects:
         if isinstance(instr, Move):
@@ -283,8 +285,8 @@ def all_pairs_pin_phase(pmap, snapshot, committed, line, effects, consumed, t):
 
 def random_tick(rng, rows, cols):
     """A committed tick with moves, dispenses, waste/output and a mixer, as
-    the pin phase's arguments: snapshot, committed state, line, effects and
-    the cells each instruction consumes."""
+    the pin phase's arguments: snapshot, committed state, the line's
+    context and the positions of its instructions, all of which pass."""
     cells = [Loc(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
     rng.shuffle(cells)
     sources, sinks = cells[:3], cells[3:5]
@@ -318,9 +320,8 @@ def random_tick(rng, rows, cols):
             instrs.append(kind(loc))
     rng.shuffle(instrs)
     line = TimedLine(1, tuple(instrs))
-    effects = list(enumerate(instrs))
-    committed, _ = _commit(snapshot, effects, 1)
-    return snapshot, committed, line, effects, LineContext(snapshot, line).consumed
+    committed, _ = _commit(snapshot, instrs, 1)
+    return snapshot, committed, LineContext(snapshot, line), list(range(len(instrs)))
 
 
 def random_pin_maps(rng, rows, cols):
@@ -343,10 +344,10 @@ def test_pin_phase_matches_all_pairs_oracle(pair_checks):
             tick = random_tick(rng, rows, cols)
             for pmap in pmaps:
                 pair_checks[0] = 0
-                expected = all_pairs_pin_phase(pmap, *tick, 1)
+                expected = all_pairs_pin_phase(pmap, *tick)
                 scanned += pair_checks[0]
                 pair_checks[0] = 0
-                assert pin_phase(pmap, *tick, 1) == expected
+                assert pin_phase(pmap, *tick) == expected
                 joined += pair_checks[0]
                 codes.update(v.code for v in expected)
     assert codes >= {Code.PIN_CASE1, Code.PIN_CASE2, Code.PIN_CASE3, Code.PIN_DISPENSE}
