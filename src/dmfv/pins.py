@@ -180,16 +180,35 @@ def check_pair(pmap: PinMap, d1_t: Loc, d1_t1: Loc, d2_t: Loc, d2_t1: Loc) -> "P
 
 def check_dispense_pins(pmap: PinMap, state: ChipState, loc: Loc,
                         extra_droplets: tuple[Loc, ...] = ()) -> "PinFinding | None":
-    """A dispensed droplet's pin must avoid its own and every droplet's N4 pins."""
+    """A dispensed droplet's pin must avoid its own and every droplet's N4
+    pins: those of the droplets on ``state`` in sorted order, then those of
+    ``extra_droplets`` in their order; the first one it meets is named."""
+    return _dispense_finding(pmap, loc, _n4_owners(pmap, [*sorted(state.by_loc),
+                                                           *extra_droplets]))
+
+
+def _n4_owners(pmap: PinMap, droplets) -> dict[int, list[Loc]]:
+    """Each pin, mapped to the droplets whose N4 region it drives, in order."""
+    owners: dict[int, list[Loc]] = {}
+    for d in droplets:
+        for p in pmap.n4_pins(d):
+            owners.setdefault(p, []).append(d)
+    return owners
+
+
+def _dispense_finding(pmap: PinMap, loc: Loc,
+                      owners: dict[int, list[Loc]]) -> "PinFinding | None":
+    """check_dispense_pins at ``loc``, with the droplets indexed by
+    ``_n4_owners``.  A droplet on ``loc`` itself meets its pin only where
+    the first rule already fails, so skipping it changes nothing."""
     own = pmap.pin_of(loc)
     if own in pmap.n4_pins(loc):
         shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin_of(c) == own)
         return PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
                           cells=(loc, *shared_self),
                           detail=f"pin {own} is repeated in N4({loc})")
-    others = sorted(state.by_loc) + [c for c in extra_droplets if c != loc]
-    for d in others:
-        if own in pmap.n4_pins(d):
+    for d in owners.get(own, ()):
+        if d != loc:
             shared = sorted(c for c in pmap.n4(d) if pmap.pin_of(c) == own)
             return PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
                               cells=(loc, d, *shared),
@@ -224,11 +243,12 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, ctx,
     moved, dispensed, removed = ctx.effects(passed)
     dispensed_at = {l for l, _ in dispensed}
 
-    for loc, i in dispensed:
-        others = tuple(l for l, _ in dispensed if l != loc)
-        f = check_dispense_pins(pmap, snapshot, loc, extra_droplets=others)
-        if f is not None:
-            out.append(_finding_to_violation(f, t, (line.instrs[i].compact(),)))
+    if dispensed:
+        owners = _n4_owners(pmap, [*sorted(snapshot.by_loc), *(l for l, _ in dispensed)])
+        for loc, i in dispensed:
+            f = _dispense_finding(pmap, loc, owners)
+            if f is not None:
+                out.append(_finding_to_violation(f, t, (line.instrs[i].compact(),)))
 
     # participants: (old, new, instr index or None); mixer endpoints excluded.
     # Case 1 covers every droplet; its rows follow the pair rows.

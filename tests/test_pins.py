@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -232,6 +233,26 @@ def test_pair_checks_skip_distant_droplets(pair_checks):
     assert pair_checks[0] == 0
 
 
+def scan_dispense_pins(pmap, state, loc, extra_droplets=()):
+    """check_dispense_pins as a scan of every other droplet for each
+    dispense (oracle)."""
+    own = pmap.pin_of(loc)
+    if own in pmap.n4_pins(loc):
+        shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin_of(c) == own)
+        return pins.PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
+                               cells=(loc, *shared_self),
+                               detail=f"pin {own} is repeated in N4({loc})")
+    others = sorted(state.by_loc) + [c for c in extra_droplets if c != loc]
+    for d in others:
+        if own in pmap.n4_pins(d):
+            shared = sorted(c for c in pmap.n4(d) if pmap.pin_of(c) == own)
+            return pins.PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
+                                   cells=(loc, d, *shared),
+                                   detail=f"pin {own} of {loc} drives a neighbor of the "
+                                          f"droplet at {d}")
+    return None
+
+
 def all_pairs_pin_phase(pmap, snapshot, committed, ctx, passed):
     """The pin phase as a plain scan over every participant pair (oracle); it
     reads each instruction's cells off the instruction, not ``ctx``."""
@@ -246,7 +267,7 @@ def all_pairs_pin_phase(pmap, snapshot, committed, ctx, passed):
             dispensed.append((instr.loc, i))
     for loc, i in dispensed:
         others = tuple(l for l, _ in dispensed if l != loc)
-        f = check_dispense_pins(pmap, snapshot, loc, extra_droplets=others)
+        f = scan_dispense_pins(pmap, snapshot, loc, extra_droplets=others)
         if f is not None:
             out.append(_finding_to_violation(f, t, (line.instrs[i].compact(),)))
     participants = []
@@ -336,12 +357,13 @@ def random_pin_maps(rng, rows, cols):
 
 def test_pin_phase_matches_all_pairs_oracle(pair_checks):
     rng = random.Random(20221108)
-    codes, joined, scanned = set(), 0, 0
+    codes, joined, scanned, several = set(), 0, 0, Counter()
     for _ in range(50):
         rows, cols = rng.randrange(5, 10), rng.randrange(5, 10)
         pmaps = random_pin_maps(rng, rows, cols)
         for _ in range(3):   # several ticks per map exercise its caches
             tick = random_tick(rng, rows, cols)
+            dispenses = sum(isinstance(i, Dispense) for i in tick[2].line.instrs)
             for pmap in pmaps:
                 pair_checks[0] = 0
                 expected = all_pairs_pin_phase(pmap, *tick)
@@ -350,7 +372,11 @@ def test_pin_phase_matches_all_pairs_oracle(pair_checks):
                 assert pin_phase(pmap, *tick) == expected
                 joined += pair_checks[0]
                 codes.update(v.code for v in expected)
+                if dispenses > 1:
+                    several.update(v.code for v in expected)
     assert codes >= {Code.PIN_CASE1, Code.PIN_CASE2, Code.PIN_CASE3, Code.PIN_DISPENSE}
+    # the indexed dispense rule meets the scan on ticks with several dispenses
+    assert several[Code.PIN_DISPENSE] >= 500, several
     assert joined < scanned
 
 
