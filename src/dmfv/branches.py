@@ -82,10 +82,6 @@ def _count_conditionals(program: Program, max_conditionals: int) -> int:
     return k
 
 
-def _label(outcomes: tuple[bool, ...]) -> str:
-    return "".join("1" if o else "0" for o in outcomes)
-
-
 def path_shapes(program: Program, *,
                 max_conditionals: int = 16) -> list[tuple[str, int, int]]:
     """(label, line count, final tick) of every path, in label order.
@@ -115,8 +111,7 @@ def path_shapes(program: Program, *,
 
 @dataclass
 class PathReport:
-    label: str
-    outcomes: tuple[bool, ...]
+    label: str          # one outcome per conditional: "1" where its recovery runs
     report: Report
 
 
@@ -169,9 +164,9 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     want = None if input_sg is None else _output_cfs(input_sg, n)
     main = program.main
     out: list[PathReport] = []
-    # (outcomes, cursor, rounded output concentrations) of each path emitted
-    leaves: list[tuple[tuple[bool, ...], fluidics.Cursor, tuple]] = []
-    # resume key -> (delta, outcome count, output count and last_t at the key,
+    # (label, cursor, rounded output concentrations) of each path emitted
+    leaves: list[tuple[str, fluidics.Cursor, tuple]] = []
+    # resume key -> (delta, label length, output count and last_t at the key,
     #                the leaves below it)
     memo: dict[tuple, tuple[int, int, int, int | None, list]] = {}
 
@@ -182,44 +177,43 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
         return tuple(graph.round_cf(e.cf, n) for e in cursor.advance(line)
                      if isinstance(e, chip.Outputted))
 
-    def emit(outcomes: tuple[bool, ...], cursor: fluidics.Cursor, outs: tuple) -> None:
-        leaves.append((outcomes, cursor, outs))
-        label = _label(outcomes)
+    def emit(label: str, cursor: fluidics.Cursor, outs: tuple) -> None:
+        leaves.append((label, cursor, outs))
         report = _tagged(cursor.finish(), label)
         if want is not None and not any(v.phase == 1 for v in report.violations):
             _check_outputs(want, sorted(outs), report, label)
-        out.append(PathReport(label, outcomes, report))
+        out.append(PathReport(label, report))
 
-    def replay(cursor: fluidics.Cursor, delta: int, outcomes: tuple[bool, ...],
-               outs: tuple, stored: tuple) -> None:
+    def replay(cursor: fluidics.Cursor, delta: int, label: str, outs: tuple,
+               stored: tuple) -> None:
         delta0, depth, n_outs, last_t, below = stored
         d = delta - delta0
-        for i, (leaf_outcomes, leaf, leaf_outs) in enumerate(below):
+        for i, (leaf_label, leaf, leaf_outs) in enumerate(below):
             child = cursor if i == len(below) - 1 else cursor.fork()
             if leaf.last_t != last_t:   # the leaf stepped lines after the key
                 child.state = leaf.state.shifted(d)
                 child.last_t, child.ended = leaf.last_t + d, leaf.ended
             # a concentration does not change under a shift in time
-            emit(outcomes + leaf_outcomes[depth:], child, outs + leaf_outs[n_outs:])
+            emit(label + leaf_label[depth:], child, outs + leaf_outs[n_outs:])
 
-    def walk(cursor: fluidics.Cursor, idx: int, delta: int,
-             outcomes: tuple[bool, ...], outs: tuple) -> None:
+    def walk(cursor: fluidics.Cursor, idx: int, delta: int, label: str,
+             outs: tuple) -> None:
         key = None
         if idx < len(main) and not cursor.stopped:
             key = _resume_key(main, idx, cursor, delta)
             if key in memo:
-                replay(cursor, delta, outcomes, outs, memo[key])
+                replay(cursor, delta, label, outs, memo[key])
                 return
             first, rows = len(leaves), len(cursor.report.violations)
-            stored = (delta, len(outcomes), len(outs), cursor.last_t)
+            stored = (delta, len(label), len(outs), cursor.last_t)
         while idx < len(main) and _cond_of(main[idx]) is None:
             line = main[idx]
             outs += outputs(cursor, TimedLine(line.t + delta, line.instrs) if delta else line)
             idx += 1
         if idx == len(main):
-            emit(outcomes, cursor, outs)
+            emit(label, cursor, outs)
         else:
-            choices = (False, True) if only is None else (only[len(outcomes)] == "1",)
+            choices = (False, True) if only is None else (only[len(label)] == "1",)
             for i, taken in enumerate(choices):
                 # the last child takes the cursor over; the others get forks
                 child = cursor if i == len(choices) - 1 else cursor.fork()
@@ -227,13 +221,13 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
                 child_outs = outs
                 for line in inserted:
                     child_outs += outputs(child, line)
-                walk(child, idx + 1, child_delta, outcomes + (taken,), child_outs)
+                walk(child, idx + 1, child_delta, label + "01"[taken], child_outs)
         # rows carry absolute ticks, so only a subtree without new rows is kept
         if key is not None and all(len(leaf.report.violations) == rows
                                    for _, leaf, _ in leaves[first:]):
             memo[key] = stored + (leaves[first:],)
 
-    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, (), ())
+    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, "", ())
     return out
 
 

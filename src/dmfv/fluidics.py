@@ -46,7 +46,6 @@ committed state and is static (e1).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -645,7 +644,10 @@ class Cursor:
         self.state = expire(self.state, t)[0].at_tick(t)
 
     def fork(self) -> "Cursor":
-        new = copy.copy(self)
+        new = Cursor.__new__(Cursor)
+        new.pin_map, new.policy, new.memo = self.pin_map, self.policy, self.memo
+        new.state, new.first_bad_t = self.state, self.first_bad_t
+        new.stopped, new.ended, new.last_t = self.stopped, self.ended, self.last_t
         new.report = Report(violations=list(self.report.violations),
                             t_max=self.report.t_max)
         return new

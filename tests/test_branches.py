@@ -5,7 +5,7 @@ import pytest
 
 from dmfv import branches, chip, fluidics
 from dmfv.branches import (NestedConditional, PathLimitExceeded, _branch, _check_outputs,
-                           _cond_of, _count_conditionals, _label, _output_cfs, _tagged,
+                           _cond_of, _count_conditionals, _output_cfs, _tagged,
                            merge_reports, path_shapes, verify_all_paths)
 from dmfv.diag import Code, format_report
 from dmfv.graph import conformance, parse_input_sg, reconstruct
@@ -51,7 +51,8 @@ def enumerate_paths(program: Program, *, max_conditionals: int = 16) -> list[Pat
     paths = []
     for mask in range(1 << k):
         outcomes = tuple(bool((mask >> (k - 1 - bit)) & 1) for bit in range(k))
-        paths.append(PathSpec(outcomes, _label(outcomes), _splice(program, outcomes)))
+        label = "".join("01"[o] for o in outcomes)
+        paths.append(PathSpec(outcomes, label, _splice(program, outcomes)))
     return paths
 
 
@@ -341,7 +342,7 @@ def _naive_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=
             t_max=t_max)
         report = _tagged(report, spec.label)
         outs = _graph_outputs(program, trace.events, input_sg, report, spec.label)
-        out.append((spec.label, spec.outcomes, report, outs, final, trace.events))
+        out.append((spec.label, report, outs, final, trace.events))
     return out
 
 
@@ -352,13 +353,12 @@ def _unmerged_paths(program, *, pin_map=None, input_sg=None, policy="first", t_m
     _count_conditionals(program, 16)
     out = []
 
-    def emit(outcomes, cursor, events):
-        label = _label(outcomes)
+    def emit(label, cursor, events):
         report = _tagged(cursor.finish(), label)
         outs = _graph_outputs(program, events, input_sg, report, label)
-        out.append((label, outcomes, report, outs, None if cursor.stopped else cursor.state))
+        out.append((label, report, outs, None if cursor.stopped else cursor.state))
 
-    def walk(cursor, idx, delta, outcomes, events):
+    def walk(cursor, idx, delta, label, events):
         main = program.main
         while idx < len(main) and _cond_of(main[idx]) is None:
             line = main[idx]
@@ -366,20 +366,20 @@ def _unmerged_paths(program, *, pin_map=None, input_sg=None, policy="first", t_m
                 TimedLine(line.t + delta, line.instrs) if delta else line)
             idx += 1
         if idx == len(main):
-            emit(outcomes, cursor, events)
+            emit(label, cursor, events)
             return
         for taken in (False, True):
             child = cursor.fork() if not taken else cursor
             inserted, child_delta = _branch(program, idx, delta, taken)
             child_events = events + [e for line in inserted for e in child.advance(line)]
-            walk(child, idx + 1, child_delta, outcomes + (taken,), child_events)
+            walk(child, idx + 1, child_delta, label + "01"[taken], child_events)
 
-    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, (), [])
+    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, "", [])
     return out
 
 
 def _walked(program, **kw):
-    """verify_all_paths as (label, outcomes, report, outputs, final state) per
+    """verify_all_paths as (label, report, outputs, final state) per
     path: the state is caught as each path's run finishes, and the outputs,
     by label, as the walk hands a clean path's sorted output concentrations
     to ``_check_outputs`` (None for a path it does not check)."""
@@ -393,7 +393,7 @@ def _walked(program, **kw):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(branches, "_check_outputs", caught)
         reports, runs = finished_runs(verify_all_paths, program, **kw)
-    return [(pr.label, pr.outcomes, pr.report, outputs.get(pr.label), final)
+    return [(pr.label, pr.report, outputs.get(pr.label), final)
             for pr, final in zip(reports, runs, strict=True)]
 
 
@@ -406,8 +406,8 @@ def _final(state):
 def _assert_same(walked, naive):
     """The same paths with the same reports, delivered output multisets and
     final states; a naive path's trailing events are not compared."""
-    assert [x[:2] for x in walked] == [x[:2] for x in naive]
-    for (label, _, got, outs, final), (_, _, report, want_outs, want_final, *_) in zip(
+    assert [x[0] for x in walked] == [x[0] for x in naive]
+    for (label, got, outs, final), (_, report, want_outs, want_final, *_) in zip(
             walked, naive):
         for fmt in ("json", "text"):
             assert format_report(got, fmt) == format_report(report, fmt), label
@@ -458,7 +458,7 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
                 steps[name] += len(calls)
             for i, x in enumerate(naive):
                 _assert_same(_walked(prog, only=x[0], **kw), naive[i:i + 1])
-            for _, _, report, _, _, events in naive:
+            for _, report, _, _, events in naive:
                 # rows after the first failing tick are marked secondary
                 rows = [v for v in report.violations if v.t is not None]
                 assert all(v.secondary == (v.t > rows[0].t) for v in rows)
@@ -602,7 +602,7 @@ def test_merges_keep_what_the_shared_state_hides(monkeypatch):
         input_sg = parse_input_sg(sg)
         walked = _walked(first, input_sg=input_sg)
         _assert_same(walked, _naive_paths(first, input_sg=input_sg))
-        assert [(label, report.ok) for label, _, report, _, _ in walked] == [("0", ok), ("1", ok)]
+        assert [(label, report.ok) for label, report, _, _ in walked] == [("0", ok), ("1", ok)]
     # path 1 replays the five lines after the merge, which path 0 stepped
     calls = []
     step = fluidics.step
@@ -670,7 +670,7 @@ def test_path_outputs_match_the_realized_graph():
         input_sg = parse_input_sg(sg)
         walked = _walked(prog, input_sg=input_sg)
         _assert_same(walked, _naive_paths(prog, input_sg=input_sg))
-        assert [(label, report.ok) for label, _, report, _, _ in walked] == [("0", ok), ("1", ok)]
+        assert [(label, report.ok) for label, report, _, _ in walked] == [("0", ok), ("1", ok)]
 
 
 def _detour_chain(c: int) -> Program:
