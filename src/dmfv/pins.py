@@ -8,7 +8,12 @@ degenerate case with both positions equal.  Every pairwise rule tests a pin
 of one droplet's cells against the N4 pins of the other, so each tick
 indexes droplets by their own cells' pins and intersects every droplet's N4
 pin set with that index.  Each map caches the N4 pin set of every cell it is
-asked about; a droplet with as many N4 pins as N4 cells cannot split.
+asked about; a droplet with as many N4 pins as N4 cells cannot split.  A
+dispense looks its own pin up in one per-tick index of the droplets' N4 pins.
+
+The engine hands ``pin_phase`` its ``fluidics.LineContext`` of each line,
+which says what the line does to droplets; this module reads no rule table
+and imports no engine.
 
 Consequence wording: a shared pin on the cell directly behind a moving
 droplet fights the destination electrode and strands it ("Droplet stuck on

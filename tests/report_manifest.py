@@ -130,19 +130,11 @@ def corpus(indir: Path, outdir: Path) -> list[list[str]]:
     return argvs
 
 
-def _run(argv: list[str]) -> int:
-    from dmfv.cli import main
-
-    try:
-        return main(argv)
-    except SystemExit as stop:         # argparse refuses the argv
-        return stop.code
-
-
 def records(workdir: Path) -> dict[str, str]:
     """{argv: "exit code<TAB>digest"} for every run of the corpus; the runs
     read and write under ``workdir``."""
     from conftest import FIXTURES
+    from dmfv.cli import main
 
     indir, outdir = workdir / "in", workdir / "out"
     indir.mkdir()
@@ -158,7 +150,7 @@ def records(workdir: Path) -> dict[str, str]:
     for argv in corpus(indir, outdir):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = _run(argv)
+            rc = main(argv)
         digest = hashlib.sha256()
         for text in (stdout.getvalue(), stderr.getvalue()):
             digest.update(normal(text).encode() + b"\0")
@@ -175,9 +167,9 @@ def records(workdir: Path) -> dict[str, str]:
     return out
 
 
-def read(path: Path = MANIFEST) -> dict[str, str]:
-    """The records of a manifest file."""
-    return dict(line.split("\t", 1) for line in path.read_text().splitlines())
+def read() -> dict[str, str]:
+    """The records of the manifest file."""
+    return dict(line.split("\t", 1) for line in MANIFEST.read_text().splitlines())
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ def _relative_imports(tree: ast.Module):
             if isinstance(child, ast.ImportFrom) and child.level:
                 names = [child.module] if child.module else [a.name for a in child.names]
                 for name in names:
-                    yield name.split(".")[0], child.lineno, in_function
+                    yield name, child.lineno, in_function
             yield from visit(child, in_function or isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
 
