@@ -14,6 +14,9 @@ its effect commits.  Only this module reads that table: ``LineContext``
 reads a line off it once, and ``step``, ``pins.pin_phase`` and the injection
 search read the line from there.  One generic rule rejects a droplet that
 two instructions of a line consume; each entry keeps its own wording.
+Check fast, explain slow: a line of moves that the per-instruction checks
+would pass passes whole (``_moves_pass``); any other line is checked one
+instruction at a time, which words its rows.
 
 ``Cursor`` is the one engine that steps lines.  ``verify_program``, the
 path walk and ``state_at`` advance it over timed lines only; ``ticks`` also
@@ -71,13 +74,16 @@ def move_conflicts(state: ChipState, src: Loc, dst: Loc) -> list[Loc]:
     on the array, so a probe off the array misses without a bounds test.
     """
     by_loc = state.by_loc
+    return [Loc(*p) for p in _probes(src, dst) if p in by_loc]
+
+
+def _probes(src: Loc, dst: Loc) -> tuple[tuple[int, int], ...]:
+    """The three cells beyond the destination of a move, sorted."""
     r, c = dst
     dr, dc = r - src[0], c - src[1]
     if dc:
-        probes = ((r - 1, c + dc), (r, c + dc), (r + 1, c + dc))
-    else:
-        probes = ((r + dr, c - 1), (r + dr, c), (r + dr, c + 1))
-    return [Loc(*p) for p in probes if p in by_loc]
+        return ((r - 1, c + dc), (r, c + dc), (r + 1, c + dc))
+    return ((r + dr, c - 1), (r + dr, c), (r + dr, c + 1))
 
 
 def _occupied_near(state: ChipState, *centres: Loc) -> list[Loc]:
@@ -397,6 +403,20 @@ def _consumed_twice(ctx: LineContext, rule: Rule, instr: Instruction, i: int,
     return None
 
 
+def _moves_pass(snapshot: ChipState, instrs) -> dict[Loc, int] | None:
+    """The claims {destination: position} of a line of moves that passes its
+    checks on a snapshot with no active mixer or detection; else None."""
+    if snapshot.mixers or snapshot.detections or any(type(i) is not Move for i in instrs):
+        return None
+    claimed = {instr.dst: i for i, instr in enumerate(instrs)}
+    sources = {instr.src for instr in instrs}
+    cells = snapshot.by_loc.keys()
+    ok = (len(sources) == len(claimed) == len(instrs) and cells >= sources
+          and cells.isdisjoint(claimed)
+          and cells.isdisjoint([p for m in instrs for p in _probes(m.src, m.dst)]))
+    return claimed if ok else None
+
+
 # A run's clean verdicts: id(line.instrs) -> (that tuple, the snapshot
 # signatures on which a line with that body passed every check).  The value
 # keeps the tuple alive, so its id names it for as long as the entry lives.
@@ -453,6 +473,13 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     effects of a commit, and the commit always runs, so the state and the
     events are those of the full step.  Only steps without a row are
     stored.  Without a memo every line is checked.
+
+    Without a pin map, ``_moves_pass`` may pass a line of moves whole.  Its
+    literals are the per-instruction path's, move by move: distinct sources
+    (``_consumed_twice``), no mixer or detection (``_pinned``), and distinct
+    destinations, occupied sources, free destinations and free probes
+    (``_check_move``).  So it passes exactly the lines without a row, with
+    the same claims, and the rest of the step is shared.
     """
     t = line.t
     if t < state.t:
@@ -467,33 +494,36 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             events.extend(more)
             return StepResult(new, [], events)
     violations: list[Violation] = []
-    ctx = LineContext(snapshot, line)
-    passed: list[int] = []      # positions of the instructions that pass
+    instrs = line.instrs
+    claimed = None if pin_map is not None else _moves_pass(snapshot, instrs)
+    if claimed is None:
+        ctx = LineContext(snapshot, line)
+        passed: list[int] = []      # positions of the instructions that pass
+        for i, instr in enumerate(line.instrs):
+            rule = ctx.rules[i]
+            if rule is None:
+                if isinstance(instr, CondCall):
+                    raise EngineError("conditional programs must be expanded into paths first")
+                continue    # end
+            consumed = ctx.consumed[i]
+            v = _consumed_twice(ctx, rule, instr, i, consumed)
+            if v is None:
+                v = rule.check(snapshot, instr, i, ctx)
+            if v is not None:
+                violations.append(v)
+                if policy == "first":
+                    return StepResult(snapshot, violations, events)
+                continue
+            for cell in ctx.claims[i]:
+                ctx.claimed[cell] = i
+            for cell in consumed:
+                ctx.engaged[cell] = i
+            passed.append(i)
+        instrs, claimed = [instrs[i] for i in passed], ctx.claimed
 
-    for i, instr in enumerate(line.instrs):
-        rule = ctx.rules[i]
-        if rule is None:
-            if isinstance(instr, CondCall):
-                raise EngineError("conditional programs must be expanded into paths first")
-            continue    # end
-        consumed = ctx.consumed[i]
-        v = _consumed_twice(ctx, rule, instr, i, consumed)
-        if v is None:
-            v = rule.check(snapshot, instr, i, ctx)
-        if v is not None:
-            violations.append(v)
-            if policy == "first":
-                return StepResult(snapshot, violations, events)
-            continue
-        for cell in ctx.claims[i]:
-            ctx.claimed[cell] = i
-        for cell in consumed:
-            ctx.engaged[cell] = i
-        passed.append(i)
-
-    new, more = _commit(snapshot, [line.instrs[i] for i in passed], t)
+    new, more = _commit(snapshot, instrs, t)
     events.extend(more)
-    post = _post_checks(new, line, ctx.claimed, t)
+    post = _post_checks(new, line, claimed, t)
     if post:
         violations.extend(post)
         if policy == "first":
@@ -539,29 +569,26 @@ def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int],
     """Global separation invariant over the committed state.
 
     Each adjacent pair is found once, from its smaller cell, by probing the
-    forward half of that cell's 8-neighbourhood; rows come out in the sorted
-    (c1, c2) order of a scan over all pairs.  Every active mixer's guard
-    region is covered: its endpoints stay occupied, so any droplet in the
-    region is adjacent to one of them.
+    forward half of that cell's 8-neighbourhood.  Only the pairs found are
+    sorted, so rows come out in the (c1, c2) order of a scan over all pairs.
+    Every active mixer's guard region is covered: its endpoints stay
+    occupied, so any droplet in the region is adjacent to one of them.
     """
-    out: list[Violation] = []
     by_loc = state.by_loc
-    for c1 in sorted(by_loc):
-        r, c = c1
-        for dr, dc in _FORWARD_N8:
-            if (r + dr, c + dc) not in by_loc:
-                continue
-            c2 = Loc(r + dr, c + dc)
-            idxs = [claimed[x] for x in (c1, c2) if x in claimed]
-            detail = ""
-            for mx in state.mixers:
-                if c1 in (mx.a, mx.b) or c2 in (mx.a, mx.b):
-                    detail = mx.span()
-                    break
-            out.append(classify(
-                Code.E1, "Static fluidic constraint violated", t=t,
-                instructions=_line_instrs(line, idxs), cells=(c1, c2),
-                detail=detail))
+    pairs = sorted((c1, Loc(c1[0] + dr, c1[1] + dc)) for c1 in by_loc for dr, dc in _FORWARD_N8
+                   if (c1[0] + dr, c1[1] + dc) in by_loc)
+    out: list[Violation] = []
+    for c1, c2 in pairs:
+        idxs = [claimed[x] for x in (c1, c2) if x in claimed]
+        detail = ""
+        for mx in state.mixers:
+            if c1 in (mx.a, mx.b) or c2 in (mx.a, mx.b):
+                detail = mx.span()
+                break
+        out.append(classify(
+            Code.E1, "Static fluidic constraint violated", t=t,
+            instructions=_line_instrs(line, idxs), cells=(c1, c2),
+            detail=detail))
     return out
 
 

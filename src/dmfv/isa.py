@@ -13,13 +13,13 @@ Two move/mix spellings are accepted, the arrow form ``m([3,1]->[3,2])`` /
 ``mix(3,1,3,4,12,14)``; both parse to the same AST and serialize back to
 the arrow form.
 
-Within one ``parse_program`` call each distinct line body parses once, each
-distinct instruction text builds its frozen instruction once and each
-distinct cell its ``Loc`` once, so lines share them; the memos live only as
-long as the call.  Validation checks every cell a program names against the
-array once, each distinct instruction tuple once (a tuple out of bounds is
-checked on every line that holds it, so each issue keeps its tick); the
-engine relies on that and tests no bounds itself.
+Within one ``parse_program`` call each distinct line body parses once (by
+its tokens, else by ``_scan``), each distinct token builds its instruction
+and each distinct cell its ``Loc`` once, and lines share these frozen
+values; no memo outlives the call.  Validation checks every cell a program
+names against the array once, each distinct instruction tuple once (a tuple
+out of bounds is checked on every line that holds it, so each issue keeps
+its tick); the engine relies on that and tests no bounds itself.
 """
 
 from __future__ import annotations
@@ -310,11 +310,8 @@ _INSTR_PATTERNS = [
 ]
 
 
-def _scan(line: str, lineno: int, patterns, build) -> list:
-    """Scan a whole line as a whitespace-separated sequence of pattern matches.
-
-    ``build(builder, match, lineno, col)`` turns each match into its value.
-    """
+def _scan(line: str, lineno: int, patterns, cell) -> list:
+    """Scan a whole line as a whitespace-separated sequence of pattern matches."""
     out = []
     pos = 0
     n = len(line)
@@ -325,13 +322,34 @@ def _scan(line: str, lineno: int, patterns, build) -> list:
         for pat, builder in patterns:
             m = pat.match(line, pos)
             if m:
-                out.append(build(builder, m, lineno, pos + 1))
+                out.append(builder(m, cell, lineno, pos + 1))
                 pos = m.end()
                 break
         else:
             raise ParseError(f"unrecognized token {line[pos:pos + 24]!r}",
                              lineno, pos + 1, "an instruction or declaration")
     return out
+
+
+def _tokens(body: str, memo: dict[str, Instruction], cell) -> tuple[Instruction, ...] | None:
+    """A body's instructions as ``_scan`` reads them, if each whitespace-separated
+    token fullmatches an instruction pattern and builds; else None."""
+    out = []
+    for tok in body.split():
+        instr = memo.get(tok)
+        if instr is None:
+            for pat, builder in _INSTR_PATTERNS:
+                m = pat.fullmatch(tok)
+                if m is not None:
+                    break
+            else:
+                return None
+            try:
+                instr = memo[tok] = builder(m, cell, 0, 0)
+            except ParseError:
+                return None
+        out.append(instr)
+    return tuple(out)
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -357,12 +375,12 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
     recoveries: dict[str, tuple[TimedLine, ...]] = {}
     current_recovery: str | None = None
     recovery_lines: list[TimedLine] = []
-    # Per-call memos: each distinct line body (the text after the timestamp)
-    # parses once, each distinct token text builds its value once, each
-    # distinct cell its Loc once.  Values are frozen, so lines share them;
-    # only bodies that parse are stored, so errors are raised as before.
+    # Per-call memos: each distinct body (the text after the timestamp) parses
+    # once, each distinct cell builds its Loc once, and ``tokens`` holds only
+    # instructions (a declaration in a body is an unrecognized token).  Bodies
+    # that ``_tokens`` refuses go to ``_scan``, the only writer of parse errors.
     bodies: dict[str, tuple[Instruction, ...]] = {}
-    built: dict[str, object] = {}
+    tokens: dict[str, Instruction] = {}
     cells: dict[tuple[str, str], Loc] = {}
 
     def cell(row: str, col: str) -> Loc:
@@ -370,12 +388,6 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
         if loc is None:
             loc = cells[row, col] = Loc(int(row), int(col))
         return loc
-
-    def build(builder, m: re.Match, lineno: int, col: int):
-        value = built.get(m[0])
-        if value is None:
-            value = built[m[0]] = builder(m, cell, lineno, col)
-        return value
 
     for lineno, line in _content_lines(text):
         if line[0].isdigit():
@@ -385,7 +397,8 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
                 body = m[2]
                 instrs = bodies.get(body)
                 if instrs is None:
-                    instrs = bodies[body] = tuple(_scan(body, lineno, _INSTR_PATTERNS, build))
+                    instrs = bodies[body] = (_tokens(body, tokens, cell) or tuple(
+                        _scan(body, lineno, _INSTR_PATTERNS, cell)))
                 tl = TimedLine(int(m[1]), instrs)
                 (recovery_lines if current_recovery is not None else main).append(tl)
                 continue
@@ -423,7 +436,7 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
         if line[0] in "ROWD":
             if main or current_recovery is not None:
                 raise ParseError("declarations must precede instruction lines", lineno)
-            for decl in _scan(line, lineno, _DECL_PATTERNS, build):
+            for decl in _scan(line, lineno, _DECL_PATTERNS, cell):
                 (detectors if isinstance(decl, DetectorDecl) else reservoirs).append(decl)
             continue
         raise ParseError(f"unrecognized line {line[:32]!r}", lineno)

@@ -33,6 +33,17 @@ def without_memo(fn, *args, **kw):
         return fn(*args, **kw)
 
 
+def without_bulk(fn, *args, **kw):
+    """fn(*args, **kw) with every line checked instruction by instruction:
+    the bulk check of lines of moves never passes a line, and its oracle,
+    the per-instruction path, decides them all."""
+    from dmfv import fluidics
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fluidics, "_moves_pass", lambda snapshot, instrs: None)
+        return fn(*args, **kw)
+
+
 def count_checked_lines(monkeypatch) -> list[int]:
     """A one-item counter of the lines whose checks run; a step that its memo
     serves builds no ``LineContext``."""

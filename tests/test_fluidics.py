@@ -22,7 +22,8 @@ from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError,
                       parse_program)
 from dmfv.pins import dedicated_map, parse_pins
 
-from conftest import count_checked_lines, finished_runs, fractions_of, load, without_memo
+from conftest import (count_checked_lines, finished_runs, fractions_of, load, without_bulk,
+                      without_memo)
 from test_acceptance import _random_walk
 from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
 from test_oracle import (check, move_clearance_cells, neighbors8, separation_partners,
@@ -175,21 +176,45 @@ def test_step_simultaneous_moves():
     assert Loc(2, 4) in result.state.by_loc and Loc(5, 4) in result.state.by_loc
 
 
+def count_bulk_passes(monkeypatch) -> list:
+    """The instruction tuples of the lines that the bulk check passes, in
+    step order."""
+    passed = []
+    real = fluidics._moves_pass
+
+    def recorded(snapshot, instrs):
+        claimed = real(snapshot, instrs)
+        if claimed is not None:
+            passed.append(instrs)
+        return claimed
+    monkeypatch.setattr(fluidics, "_moves_pass", recorded)
+    return passed
+
+
 def test_consumes_runs_once_per_instruction_per_step(monkeypatch):
+    # every line the bulk check hands back to the per-instruction path reads
+    # each instruction's consumed cells once; a line it passes reads none
     calls = [0]
     for kind, rule in list(fluidics.RULES.items()):
         def counted(state, instr, consumes=rule.consumes):
             calls[0] += 1
             return consumes(state, instr)
         monkeypatch.setitem(fluidics.RULES, kind, dataclasses.replace(rule, consumes=counted))
+    bulk = count_bulk_passes(monkeypatch)
     for name in ("pcr.dmf", "twowaymix.dmf", "threeway_bad.dmf"):
         prog = parse_program(load(name))
-        # the pin phase reads the cells the line's checks found consumed
+        every = sum(type(instr) in fluidics.RULES for line in prog.main for instr in line.instrs)
+        # the pin phase reads the cells the line's checks found consumed, so
+        # in pin mode no line is passed in bulk
         for pin_map in (None, dedicated_map(prog.header.rows, prog.header.cols)):
             calls[0] = 0
+            bulk.clear()
             verify_program(prog, policy="all", pin_map=pin_map)
-            assert calls[0] == sum(type(instr) in fluidics.RULES
-                                   for line in prog.main for instr in line.instrs), name
+            assert calls[0] == every - sum(map(len, bulk)), name
+            assert bool(bulk) == (pin_map is None), name
+            calls[0] = 0
+            without_bulk(verify_program, prog, policy="all", pin_map=pin_map)
+            assert calls[0] == every, name
 
 
 # Sinks and detectors share cells, so that wastes, outputs and detections
@@ -829,11 +854,22 @@ def test_checks_run_once_per_body_and_layout(monkeypatch):
                   f"{b + 2} mix([3,2]<->[3,5],1,14)", f"{b + 4} detect(d1)"]
     prog = parse_program("dim(6,7)\naccuracy 2\nR(3,2,S) R(3,5,B)\nD(d1,3,5,1)\n"
                          + "\n".join(lines) + f"\n{2 + 6 * rounds} end\n")
+    bulk = count_bulk_passes(monkeypatch)
     got = _linear_run(prog)
     assert not got[1] and got[3] == 2 + 6 * rounds
-    assert (calls[0], checked[0]) == (2 + 4, 1 + 4 + 1)    # the end line has no check
+    # the two move lines find no mixer and no detection: the bulk check
+    # passes each once, and the memo serves them after that
+    assert (calls[0], checked[0], len(bulk)) == (2 + 2, 1 + 2 + 1, 2)  # the end line has no check
     calls[0] = checked[0] = 0
+    bulk.clear()
     assert without_memo(_linear_run, prog) == got
+    assert (calls[0], checked[0], len(bulk)) == (2 + 2 * rounds, 1 + 2 * rounds + 1, 2 * rounds)
+    # checked instruction by instruction, the move lines count as before
+    calls[0] = checked[0] = 0
+    assert without_bulk(_linear_run, prog) == got
+    assert (calls[0], checked[0]) == (2 + 4, 1 + 4 + 1)
+    calls[0] = checked[0] = 0
+    assert without_bulk(without_memo, _linear_run, prog) == got
     assert (calls[0], checked[0]) == (2 + 4 * rounds, 1 + 4 * rounds + 1)
 
 
@@ -862,3 +898,118 @@ def test_commit_guard_runs_on_a_memo_hit_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- the bulk check of lines of moves against the per-instruction path ------------
+
+def _instruction_rows(state, line):
+    """The rows of the per-instruction checks alone of ``line`` on ``state``:
+    the plain step under policy "all", without the separation check."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fluidics, "_post_checks", lambda *a: [])
+        return without_bulk(step, state, line, policy="all").violations
+
+
+def _bulk_agrees(state, line) -> bool:
+    """Whether the bulk check passes ``line`` on ``state``, asserting that it
+    passes exactly the lines of moves, on a snapshot with no active mixer and
+    no live detection, in which the per-instruction checks find no row, and
+    that it then claims each destination for its move."""
+    snapshot = fluidics.expire(state, line.t)[0]
+    claimed = fluidics._moves_pass(snapshot, line.instrs)
+    eligible = (not snapshot.mixers and not snapshot.detections
+                and all(type(instr) is Move for instr in line.instrs))
+    rows = _instruction_rows(state, line)
+    assert (claimed is not None) == (eligible and not rows), (line, rows)
+    if claimed is not None:
+        assert claimed == {instr.dst: i for i, instr in enumerate(line.instrs)}, line
+    return claimed is not None
+
+
+def random_moves(rng):
+    """A random snapshot and a random line of moves on it, at t=1.
+
+    Sources are mostly occupied cells, some free; some moves take a source
+    or a destination that an earlier move of the line took; a fifth of the
+    snapshots hold an active mixer and a fifth a live detection, each on
+    droplets that the line may move.  Densities run from one droplet to a
+    third of the cells, so probes beyond a destination meet droplets often.
+    """
+    rows, cols = rng.randrange(3, 9), rng.randrange(3, 9)
+    cells = [Loc(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    occupied = rng.sample(cells, rng.randrange(1, len(cells) // 3 + 2))
+    state = state_with(rows, cols, occupied)
+    if len(occupied) > 1 and rng.random() < 0.2:
+        a, b = rng.sample(occupied, 2)
+        state.mixers = (MixerEntry(a, b, 0, 9, MType.H14, ("n0", "n1")),)
+    if rng.random() < 0.2:
+        state.detections = (DetectionEntry("d1", rng.choice(occupied), 9),)
+
+    def neighbour(loc):
+        return rng.choice([Loc(loc.row + dr, loc.col + dc)
+                           for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                           if 1 <= loc.row + dr <= rows and 1 <= loc.col + dc <= cols])
+    moves = []
+    for _ in range(rng.choice((1, 1, 2, 2, 3, 4, 6))):
+        roll = rng.random()
+        if moves and roll < 0.1:                   # a source taken twice
+            src = rng.choice(moves).src
+            dst = neighbour(src)
+        elif moves and roll < 0.2:                 # a destination claimed twice
+            dst = rng.choice(moves).dst
+            src = neighbour(dst)
+        else:
+            src = rng.choice(occupied if rng.random() < 0.85 else cells)
+            dst = neighbour(src)
+        moves.append(Move(src, dst))
+    return state, TimedLine(1, tuple(moves))
+
+
+def test_bulk_check_matches_per_instruction_path_on_random_lines():
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(3000):
+        state, line = random_moves(rng)
+        seen["passed" if _bulk_agrees(state, line) else "refused"] += 1
+        for policy in ("first", "all"):
+            got = step(state, line, policy=policy)
+            want = without_bulk(step, state, line, policy=policy)
+            assert (got.violations, got.events, _value(got.state)) == (
+                want.violations, want.events, _value(want.state)), (policy, line)
+            seen.update((v.code, v.detail) for v in want.violations if policy == "all")
+    assert seen["passed"] >= 300 and seen["refused"] >= 300, seen
+    # every row the bulk check stands for, and the separation rows after a pass
+    assert {(Code.E1, "destination cell occupied"), (Code.E1, "move lands next to an idle droplet"),
+            (Code.E2, "two droplets head for the same cell"), (Code.E2, ""), (Code.E4, "")
+            } <= set(seen), seen
+
+
+def bulk_checked(fn, *args, **kw):
+    """fn(*args, **kw), with ``_bulk_agrees`` asserted on every line stepped;
+    returns fn's result and the number of lines the bulk check passed."""
+    plain, passed = fluidics.step, [0]
+
+    def checked(state, line, **k):
+        passed[0] += _bulk_agrees(state, line)
+        return plain(state, line, **k)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fluidics, "step", checked)
+        return fn(*args, **kw), passed[0]
+
+
+def test_bulk_check_matches_per_instruction_path_on_fixtures_and_fuzz():
+    pins = ("mplex.pins", "mplex_pin1.pins", "mplex_pin2.pins", "mplex_pin3.pins")
+    cases = [(parse_program(load(name)), None) for name in _DMF_FIXTURES]
+    cases += [(parse_program(load("mplex.dmf")), parse_pins(load(p))) for p in pins]
+    rng = random.Random(3141)
+    for _ in range(200):
+        prog = _outcome(parse_program, _mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES))))
+        if not isinstance(prog, tuple):
+            cases.append((prog, None))
+    assert len(cases) >= 60, len(cases)
+    passed = 0
+    for prog, pin_map in cases:
+        got, n = bulk_checked(_runs, prog, pin_map)
+        passed += n
+        assert got == without_bulk(_runs, prog, pin_map)
+    assert passed >= 100, passed

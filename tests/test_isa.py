@@ -4,6 +4,7 @@ import re
 import pytest
 
 from dmfv import isa
+from dmfv.cli import main
 from dmfv.isa import (ChipHeader, CondCall, DetectorDecl, DetectStart, Dispense, End,
                       Instruction, Loc, MixStart, Move, MType, Output, ParseError, Program,
                       ReservoirDecl, RKind, SemanticError, TimedLine, ValidationError, Waste,
@@ -95,17 +96,27 @@ def test_syntax_error_reports_position():
 
 
 def test_each_distinct_line_body_parses_once(monkeypatch):
-    scanned = []
-    scan = isa._scan
+    # each distinct body is split into tokens once; only the header and the
+    # bodies that the token path refuses reach the scanner, once each
+    tokenized, scanned = [], []
+    tokens, scan = isa._tokens, isa._scan
 
-    def counted(line, *rest):
+    def counted_tokens(body, *rest):
+        tokenized.append(body)
+        return tokens(body, *rest)
+
+    def counted_scan(line, *rest):
         scanned.append(line)
         return scan(line, *rest)
-    monkeypatch.setattr(isa, "_scan", counted)
+    monkeypatch.setattr(isa, "_tokens", counted_tokens)
+    monkeypatch.setattr(isa, "_scan", counted_scan)
     program = parse_program("dim(4,4)\naccuracy 2\nR(1,1,S)\n1 d(1,1)\n2 m(1,1,1,2)\n"
-                            "3 m(1,2,1,1)\n4 m(1,1,1,2)\n5 m(1,2,1,1)\n6 end\n")
-    assert scanned == ["R(1,1,S)", "d(1,1)", "m(1,1,1,2)", "m(1,2,1,1)", "end"]
+                            "3 m(1,2,1,1)\n4 m(1,1,1,2)\n5 m(1,2,1,1)\n"
+                            "6 m([1,1] -> [1,2])\n7 m(1,2,1,1)\n8 m([1,1] -> [1,2])\n9 end\n")
+    assert tokenized == ["d(1,1)", "m(1,1,1,2)", "m(1,2,1,1)", "m([1,1] -> [1,2])", "end"]
+    assert scanned == ["R(1,1,S)", "m([1,1] -> [1,2])"]
     assert program.main[3].instrs is program.main[1].instrs == (Move(Loc(1, 1), Loc(1, 2)),)
+    assert program.main[7].instrs is program.main[5].instrs == program.main[1].instrs
 
 
 def test_pcr_fixture_parses():
@@ -449,12 +460,13 @@ def _outcome(text: str):
 
 
 def _old_parse(text: str, monkeypatch):
-    def scan(line, lineno, patterns, build):
+    def scan(line, lineno, patterns, cell):
         if patterns is isa._INSTR_PATTERNS:
             return _old_scan(line, lineno, _OLD_INSTR_PATTERNS, _old_mk_instr)
         return _old_scan(line, lineno, _OLD_DECL_PATTERNS, _old_mk_decl)
 
     with monkeypatch.context() as m:
+        m.setattr(isa, "_tokens", lambda *a: None)      # every body is scanned
         m.setattr(isa, "_scan", scan)
         m.setattr(isa, "validate_structure", _old_validate_structure)
         return _outcome(text)
@@ -480,6 +492,8 @@ def test_parse_matches_per_token_oracle(monkeypatch):
     texts = [load(name) for name in _DMF_FIXTURES] + [_SPELLINGS]
     texts += [_mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES))) for _ in range(200)]
     texts += _noise_corpus()
+    head = "dim(6,6)\naccuracy 3\nR(1,1,S) R(1,4,B) O(3,3) W(6,6)\nD(d1,2,2,3)\n"
+    texts += [f"{head}1 d(1,1)\n2 {body}\n9 end\n" for body in _HAND_BODIES]
     kinds = {}
     for text in texts:
         got, want = _outcome(text), _old_parse(text, monkeypatch)
@@ -508,3 +522,77 @@ def test_bounds_are_checked_once_per_body_in_bounds(monkeypatch):
     assert [i.t for i in issues] == list(range(3, 31, 3))
     assert all(i.code == "OutOfBounds" and "(1,5)" in i.message for i in issues)
     assert calls == [1, 2, *range(3, 31, 3), 40]
+
+
+# --- the token path of the parser against the scanner ----------------------------
+
+# Bodies that the token path must read as ``_scan`` does, or refuse: spaces
+# inside a token, tokens with no space between them, bad moves and mixes,
+# and declarations where an instruction belongs.
+_HAND_BODIES = (
+    "m([1,2] -> [1,3])", "m([1,2]->[1,3])", "m(1,1,1,2)m(2,2,2,3)", "m(1,1,1,2) m(2,2,2,3)",
+    "if (x) call Recovery(y)", "if (d1) call Recovery(1)", "if(d1)callRecovery(1)",
+    "if(d1) call <Recovery(1)>", "if(d1)call<Recovery(1)>", "m(1,1,3,3)", "m([1,1]->[2,2])",
+    "mix(1,1,1,4,0,14)", "mix([1,1]<->[1,4],0,14)", "mix(1,1,1,4,3,99)",
+    "mix([1,1] <-> [1,4],3,14)", "mix([1,1]<->[1,4],3,41)", "O(3,3)", "R(1,1,S)",
+    "d(1,1) O(3,3)", "W(6,6) d(1,1)", "D(d1,2,2,3)", "end", "end end", "endx", "end(1)",
+    "d(1,1)\tm(2,2,2,3)", "d(1,1)\u00a0m(2,2,2,3)", "waste(6,6) output(3,3)", "detect(d1)",
+    "detect(d1)d(1,1)", "d(01,1) d(1,1)", "d(1,1", "zzz", "m(1,1,1,2) zzz",
+)
+_VOCABULARY = ("d(1,1)", "d(2,3)", "m(1,1,1,2)", "m([2,2]->[2,3])", "m([2,2]", "->", "[2,3])",
+               "m(1,1,2,2)", "mix(1,1,1,4,3,14)", "mix([1,1]<->[1,4],0,14)", "waste(6,6)",
+               "output(3,3)", "detect(d1)", "end", "O(3,3)", "R(1,1,S)", "if(d1)", "call",
+               "Recovery(1)", "zzz")
+
+
+def _cell_memo():
+    cells = {}
+    return lambda row, col: cells.setdefault((row, col), Loc(int(row), int(col)))
+
+
+def _scanned(body: str, cell):
+    """What the scanner makes of a body: its instructions, or its error as
+    (message, line, col)."""
+    try:
+        return tuple(isa._scan(body, 5, isa._INSTR_PATTERNS, cell))
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+def _bodies(text: str) -> list[str]:
+    return [m[2] for line in text.splitlines() if (m := isa._TIMED_RE.match(line.strip()))]
+
+
+def test_token_path_reads_each_body_as_the_scanner_or_refuses():
+    rng = random.Random(99)
+    bodies = list(_HAND_BODIES)
+    for name in _DMF_FIXTURES:
+        bodies += _bodies(load(name))
+    mutated = random.Random(1618)
+    for _ in range(200):
+        bodies += _bodies(_mutate_dmf(mutated, load(mutated.choice(_DMF_FIXTURES))))
+    bodies += ["".join(rng.choice(("", " ", "  ", "\t")) + rng.choice(_VOCABULARY)
+                       for _ in range(rng.randrange(1, 5))).strip() for _ in range(2000)]
+    memo, cell = {}, _cell_memo()      # one memo, so tokens repeat across bodies
+    seen = {"read": 0, "refused": 0, "error": 0}
+    for body in bodies:
+        got, want = isa._tokens(body, memo, cell), _scanned(body, cell)
+        if got is None:
+            seen["refused"] += 1
+            seen["error"] += not isinstance(want[0], Instruction)
+        else:
+            seen["read"] += 1
+            assert got == want, body
+    assert memo and all(isinstance(v, Instruction) for v in memo.values())
+    assert min(seen.values()) >= 200, seen
+
+
+def test_declaration_tokens_are_not_instructions(tmp_path, capsys):
+    # the parse's memo of declarations must not answer for a body
+    for token in ("O(3,3)", "R(1,1,S)"):
+        path = tmp_path / "decl.dmf"
+        path.write_text(f"dim(6,6)\naccuracy 3\nR(1,1,S) O(3,3)\n1 d(1,1)\n2 {token}\n3 end\n")
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 5, col 1: unrecognized token {token!r} "
+            "(expected an instruction or declaration)\n")
