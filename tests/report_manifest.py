@@ -16,7 +16,12 @@ seeded and fixed:
   runs' pin map, spec, policy and completion bound, and under ``paths``;
 - two droplets dispensed on one line next to each other, once for each of
   the eight neighbour offsets: only the global separation check, which
-  runs on the committed state, sees such a pair.
+  runs on the committed state, sees such a pair;
+- one small program for each report line and input error that no run above
+  reaches (``_BLIND_SPOTS``), under ``verify`` in text and JSON, and with
+  ``--all`` where that adds rows;
+- ``verify`` of the program that each default ``inject`` preset writes, and
+  one explicit move added before an end marker.
 
 ``report_manifest.txt`` holds the records, one line per run (argv, exit
 code, digest), sorted by argv; ``test_report_manifest.py`` recomputes them.
@@ -117,6 +122,104 @@ def _adjacent_dispense_argvs(indir: Path) -> list[list[str]]:
     return argvs
 
 
+_TEXT_JSON = ([], ["--format", "json"])
+_ALL = (["--all"], ["--all", "--format", "json"])
+_GRID = "dim(9,9)\naccuracy 2\n"
+_SMALL = "dim(5,5)\naccuracy 2\nR(1,1,S)\n"
+_DETECTS = _SMALL + "D(d1,1,1,1)\n1 d(1,1)\n2 detect(d1)\n"
+
+# file -> (program, the flags of each of its verify runs).  A row that only a
+# state left by an earlier violation can reach shows under --all alone.
+_BLIND_SPOTS = {
+    # Phase I rows
+    "same_cell.dmf": (_GRID + "R(3,3,S)\n1 d(3,3)\n2 m(3,3,3,4) m(3,5,3,4)\n3 end\n",
+                      _TEXT_JSON),
+    "claimed.dmf": (_GRID + "R(3,4,S)\n1 d(3,4) m(3,3,3,4)\n2 end\n", _TEXT_JSON),
+    "occupied.dmf": (_GRID + "R(5,5,S) R(5,6,B)\n1 d(5,5) d(5,6)\n2 m(5,5,5,6)\n3 end\n", _ALL),
+    "dynamic.dmf": (_GRID + "R(3,3,S) R(3,5,B)\n1 d(3,3) d(3,5)\n2 m(3,3,3,4) m(3,5,3,6)\n"
+                    "3 end\n", _TEXT_JSON),
+    "geometry.dmf": (_GRID + "R(3,3,S) R(3,5,B)\n1 d(3,3) d(3,5)\n2 mix(3,3,3,5,2,14)\n"
+                     "5 end\n", _TEXT_JSON),
+    "mix_pinned.dmf": (_GRID + "R(3,2,S) R(3,5,B)\n1 d(3,2) d(3,5)\n2 mix(3,2,3,5,4,14)\n"
+                       "3 mix(3,2,3,5,4,14)\n8 end\n", _TEXT_JSON),
+    "mix_hood.dmf": (_GRID + "R(3,2,S) R(3,3,B) R(3,5,C)\n1 d(3,2) d(3,3) d(3,5)\n"
+                     "2 mix(3,2,3,5,2,14)\n5 end\n", _ALL),
+    "busy.dmf": (_GRID + "R(3,3,S)\nD(d1,3,3,3)\n1 d(3,3)\n2 detect(d1)\n3 detect(d1)\n"
+                 "6 end\n", _TEXT_JSON),
+    "detect_mixing.dmf": (_GRID + "R(3,2,S) R(3,5,B)\nD(d1,3,2,2)\n1 d(3,2) d(3,5)\n"
+                          "2 mix(3,2,3,5,4,14)\n3 detect(d1)\n8 end\n", _TEXT_JSON),
+    "empty_sink.dmf": (_SMALL + "W(5,5)\n1 waste(5,5)\n2 end\n", _TEXT_JSON),
+    "mixer_span.dmf": (_GRID + "R(3,3,S) R(4,3,B) R(3,6,C)\n1 d(3,3) d(4,3)\n2 d(3,6)\n"
+                       "3 mix(3,3,3,6,3,14) m(4,3,4,4)\n8 end\n", _ALL),
+    # pin dispense rows, on shared5.pins
+    "pin_self.dmf": ("dim(5,5)\naccuracy 2\nR(1,1,S)\n1 d(1,1)\n2 end\n", _TEXT_JSON),
+    "pin_other.dmf": ("dim(5,5)\naccuracy 2\nR(3,3,S) R(1,5,B)\n1 d(3,3)\n2 d(1,5)\n3 end\n",
+                      _TEXT_JSON + _ALL),
+    # parse errors
+    "mix_time.dmf": (_SMALL + "1 mix(1,1,1,4,0,14)\n", ([],)),
+    "mix_type.dmf": (_SMALL + "1 mix(1,1,1,4,2,15)\n", ([],)),
+    "dup_dim.dmf": ("dim(5,5)\n" + _SMALL, ([],)),
+    "zero_dim.dmf": ("dim(0,5)\naccuracy 2\n", ([],)),
+    "dup_accuracy.dmf": (_SMALL + "accuracy 3\n", ([],)),
+    "stray_endrecovery.dmf": (_SMALL + "1 end\nendrecovery\n", ([],)),
+    "dup_recovery.dmf": (_DETECTS + "3 if(d1) call Recovery(1)\n4 end\nrecovery 1:\n"
+                         "5 waste(1,1)\nendrecovery\nrecovery 1:\n5 waste(1,1)\nendrecovery\n",
+                         ([],)),
+    "open_recovery.dmf": (_SMALL + "1 end\nrecovery 1:\n2 d(1,1)\n", ([],)),
+    # validation issues
+    "bad_accuracy.dmf": ("dim(5,5)\naccuracy 0\nR(1,1,S)\n1 end\n", ([],)),
+    "reserved.dmf": ("dim(5,5)\naccuracy 2\nR(1,1,v1)\n1 end\n", ([],)),
+    "dup_reservoir.dmf": (_SMALL + "W(1,1)\n1 end\n", ([],)),
+    "dup_detector.dmf": (_SMALL + "D(d1,2,2,1) D(d1,3,3,1)\n1 end\n", ([],)),
+    "bad_duration.dmf": (_SMALL + "D(d1,2,2,0)\n1 end\n", ([],)),
+    "reservoir_off.dmf": (_SMALL + "W(9,9)\n1 end\n", ([],)),
+    "detector_off.dmf": (_SMALL + "D(d1,9,9,1)\n1 end\n", ([],)),
+    "nested.dmf": (_DETECTS + "3 if(d1) call Recovery(1)\n4 end\nrecovery 1:\n5 detect(d1)\n"
+                   "6 if(d1) call Recovery(2)\nendrecovery\nrecovery 2:\n7 waste(1,1)\n"
+                   "endrecovery\n", ([],)),
+    "not_alone.dmf": (_DETECTS + "3 if(d1) call Recovery(1) m(1,1,1,2)\n4 end\nrecovery 1:\n"
+                      "5 m(1,1,1,2)\nendrecovery\n", ([],)),
+    "empty_recovery.dmf": (_DETECTS + "3 if(d1) call Recovery(1)\n4 end\nrecovery 1:\n"
+                           "endrecovery\n", ([],)),
+    "reused.dmf": (_DETECTS + "3 if(d1) call Recovery(1)\n4 detect(d1)\n"
+                   "5 if(d1) call Recovery(1)\n6 end\nrecovery 1:\n7 m(1,1,1,2)\nendrecovery\n",
+                   ([],)),
+    "tmax_small.dmf": (_SMALL + "tmax 1\n1 d(1,1)\n2 end\n", ([],)),
+}
+
+
+def _blind_spot_argvs(fixtures: Path, indir: Path, outdir: Path) -> list[list[str]]:
+    from dmfv.isa import Loc
+    from dmfv.pins import dedicated_map, serialize_pins
+
+    pins = indir / "shared5.pins"     # pin 1 twice in N4(1,1), pin 5 at (1,5) and (2,3)
+    pins.write_text(serialize_pins(dedicated_map(5, 5).with_remap({Loc(1, 2): 1,
+                                                                     Loc(2, 3): 5})))
+    argvs = []
+    for name, (text, runs) in _BLIND_SPOTS.items():
+        path = indir / name
+        path.write_text(text)
+        extra = ["--pins", str(pins)] if name.startswith("pin_") else []
+        argvs += [["verify", str(path), *extra, *flags] for flags in runs]
+    # twowaymix at accuracy 1: its 1/4 concentration rounds
+    coarse = indir / "coarse.dmf"
+    coarse.write_text((fixtures / "twowaymix.dmf").read_text().replace("accuracy 5",
+                                                                        "accuracy 1"))
+    argvs += [["graph", str(coarse)],
+              *(["verify", str(coarse), "--sg", str(fixtures / "twowaymix.sg"), *flags]
+                for flags in _TEXT_JSON)]
+    # what each default inject preset writes, verified; an inapplicable
+    # preset writes nothing, and its verify records the missing file
+    for dmf in _DMF:
+        for e in ("e1", "e2", "e3", "e4", "e5", "e6", "e7"):
+            written = str(indir / f"{Path(dmf).stem}_{e}.dmf")
+            argvs += [["inject", str(fixtures / dmf), "--error", e, "-o", written],
+                      ["verify", written]]
+    argvs.append(["inject", str(fixtures / "twowaymix.dmf"), "--error", "e1",
+                  "--move", "1,1->1,2", "--line", "36", "-o", str(outdir / "mutated.dmf")])
+    return argvs
+
+
 def corpus(indir: Path, outdir: Path) -> list[list[str]]:
     """Every argv of the manifest; their input files are written to ``indir``."""
     from conftest import FIXTURES
@@ -127,6 +230,7 @@ def corpus(indir: Path, outdir: Path) -> list[list[str]]:
     argvs += [argv for argv, _, _ in mutated_sg_corpus(indir)]
     argvs += _random_conditional_argvs(indir)
     argvs += _adjacent_dispense_argvs(indir)
+    argvs += _blind_spot_argvs(FIXTURES, indir, outdir)
     return argvs
 
 
