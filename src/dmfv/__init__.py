@@ -4,7 +4,7 @@ actuation programs (general-purpose, pin-constrained and cyberphysical chips).""
 from .isa import (ChipHeader, DetectorDecl, Loc, MType, Program, RKind,
                   ReservoirDecl, parse_program, serialize_program,
                   validate_structure)
-from .chip import CFVector, ChipState, cf_mix, init_state, expire_mixers, neighbors4
+from .chip import CFVector, ChipState, cf_mix, init_state, expire_mixers
 from .diag import Code, Report, Violation, classify, format_report
 from .fluidics import Trace, step, verify_program
 from .graph import (SeqGraph, conformance, parse_input_sg, ratio_str, reconstruct,

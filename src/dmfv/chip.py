@@ -1,4 +1,4 @@
-"""Symbolic chip description: occupancy, reservoir table, active mixers, droplets.
+"""Symbolic chip description: occupancy, reservoirs, mixers, detections, droplets.
 
 State is a value.  Every public operation returns a new ChipState; the
 verifier snapshots the state at the start of each tick and commits all
@@ -31,11 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .isa import ChipHeader, DetectorDecl, DmfError, Loc, MType
-
-
-class OutOfBounds(DmfError):
-    pass
+from .isa import ChipHeader, DetectorDecl, Loc, MType
 
 
 class InconsistentState(Exception):
@@ -92,12 +88,6 @@ def cf_mix(a: CFVector, b: CFVector) -> CFVector:
     for k, v in b.nums:
         out[k] = out.get(k, 0) + (v << d)
     return CFVector.normal(tuple(sorted(out.items())), a.exp + 1)
-
-
-def neighbors4(loc: Loc, rows: int, cols: int) -> set[Loc]:
-    r, c = loc
-    cand = [Loc(r - 1, c), Loc(r + 1, c), Loc(r, c - 1), Loc(r, c + 1)]
-    return {p for p in cand if 1 <= p.row <= rows and 1 <= p.col <= cols}
 
 
 @dataclass(frozen=True)

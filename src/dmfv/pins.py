@@ -7,9 +7,13 @@ and time-t+1 positions of two droplets; a droplet that stays put is the
 degenerate case with both positions equal.  Every pairwise rule tests a pin
 of one droplet's cells against the N4 pins of the other, so each tick
 indexes droplets by their own cells' pins and intersects every droplet's N4
-pin set with that index.  Each map caches the N4 pin set of every cell it is
-asked about; a droplet with as many N4 pins as N4 cells cannot split.  A
-dispense looks its own pin up in one per-tick index of the droplets' N4 pins.
+pin set with that index.  A ``PinMap`` holds exactly the cells of its array,
+so it reads N4 neighbourhoods off its own table (a cell off it is
+``OutOfBounds``) and caches the N4 pin set of every cell it is asked about;
+a droplet with as many N4 pins as N4 cells cannot split.  A dispense looks
+its own pin up in one per-tick index of the droplets' N4 pins.  Each rule
+returns its ``diag.Violation`` row, and ``pin_phase`` adds tick and
+instructions.
 
 The engine hands ``pin_phase`` its ``fluidics.LineContext`` of each line,
 which says what the line does to droplets; this module reads no rule table
@@ -19,18 +23,23 @@ Consequence wording: a shared pin on the cell directly behind a moving
 droplet fights the destination electrode and strands it ("Droplet stuck on
 (r,c)"); any other shared cell pulls the droplet sideways ("Droplet
 stretch"); duplicated pins inside one neighborhood split it ("Unintentional
-droplet split").
+droplet split").  A row's consequence is its response.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, filterfalse, product
 from operator import itemgetter
 
-from .chip import ChipState, OutOfBounds, neighbors4
+from .chip import ChipState
 from .diag import Code, Violation, classify
 from .isa import ChipHeader, DmfError, Loc
+
+
+class OutOfBounds(DmfError):
+    """A cell off the pin map's array."""
+
 
 @dataclass(frozen=True)
 class PinMap:
@@ -61,7 +70,9 @@ class PinMap:
         return self.pin[loc]
 
     def n4(self, loc: Loc) -> set[Loc]:
-        return neighbors4(loc, self.rows, self.cols)
+        r, c = loc
+        return {p for p in (Loc(r - 1, c), Loc(r + 1, c), Loc(r, c - 1), Loc(r, c + 1))
+                if p in self.pin}
 
     def n4_pins(self, loc: Loc) -> frozenset[int]:
         """Pins driving the N4 neighborhood of loc (cached); the map holds
@@ -72,12 +83,6 @@ class PinMap:
             near = map(self.pin.get, ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)))
             pins = self._n4_pins[loc] = frozenset(near).difference((None,))
         return pins
-
-    def case1(self, loc: Loc) -> "PinFinding | None":
-        """check_case1 at loc, run only when two N4 cells share a pin."""
-        r, c = loc
-        cells = (r > 1) + (r < self.rows) + (c > 1) + (c < self.cols)
-        return None if len(self.n4_pins(loc)) == cells else check_case1(self, loc)
 
     def with_remap(self, remap: dict[Loc, int]) -> "PinMap":
         new = dict(self.pin)
@@ -124,26 +129,26 @@ def serialize_pins(pmap: PinMap) -> str:
 
 # --- rule checks ---------------------------------------------------------------
 
-def check_case1(pmap: PinMap, loc: Loc) -> "PinFinding | None":
-    """Distinct pins are required on the four neighborhood electrodes."""
+def _row(code: Code, response: str, pin: int, cells: tuple[Loc, ...], detail: str) -> Violation:
+    """A pin rule's row without tick or instructions; its consequence is its response."""
+    return classify(code, response, cells=cells, pins=(pin,), detail=detail,
+                    consequence=response)
+
+
+def check_case1(pmap: PinMap, loc: Loc) -> Violation | None:
+    """Distinct pins are required on the four neighborhood electrodes.  A
+    cell with as many N4 pins as on-array N4 cells passes without a scan."""
+    r, c = loc
+    if len(pmap.n4_pins(loc)) == (r > 1) + (r < pmap.rows) + (c > 1) + (c < pmap.cols):
+        return None
     seen: dict[int, list[Loc]] = {}
     for cell in sorted(pmap.n4(loc)):
         seen.setdefault(pmap.pin_of(cell), []).append(cell)
     for p, cells in sorted(seen.items()):
         if len(cells) > 1:
-            return PinFinding(Code.PIN_CASE1, "Unintentional droplet split",
-                              pins={p}, cells=(loc, *cells),
-                              detail=f"pin {p} drives {len(cells)} neighbors of {loc}")
+            return _row(Code.PIN_CASE1, "Unintentional droplet split", p, (loc, *cells),
+                        f"pin {p} drives {len(cells)} neighbors of {loc}")
     return None
-
-
-@dataclass(frozen=True)
-class PinFinding:
-    code: Code
-    response: str
-    pins: set[int]
-    cells: tuple[Loc, ...]
-    detail: str
 
 
 def _consequence(shared_cells: list[Loc], affected_old: Loc, affected_new: Loc) -> str:
@@ -155,7 +160,7 @@ def _consequence(shared_cells: list[Loc], affected_old: Loc, affected_new: Loc) 
     return "Droplet stretch"
 
 
-def check_pair(pmap: PinMap, d1_t: Loc, d1_t1: Loc, d2_t: Loc, d2_t1: Loc) -> "PinFinding | None":
+def check_pair(pmap: PinMap, d1_t: Loc, d1_t1: Loc, d2_t: Loc, d2_t1: Loc) -> Violation | None:
     """Pairwise movement rules between two droplets (static = equal positions)."""
     checks = [
         ("2(a)", Code.PIN_CASE2, d1_t, set(pmap.n4(d2_t)), (d2_t, d2_t1)),
@@ -174,22 +179,18 @@ def check_pair(pmap: PinMap, d1_t: Loc, d1_t1: Loc, d2_t: Loc, d2_t1: Loc) -> "P
         single_pin = pmap.pin_of(single)
         shared_cells = sorted(c for c in hood if pmap.pin_of(c) == single_pin)
         if shared_cells:
-            response = _consequence(shared_cells, *affected)
-            return PinFinding(
-                code, response, pins={single_pin},
-                cells=(single, *shared_cells),
-                detail=f"case {label}: Pin({{{single}}}) meets Pin(N4 region) on "
-                       f"{{{single_pin}}}")
+            return _row(code, _consequence(shared_cells, *affected), single_pin,
+                        (single, *shared_cells),
+                        f"case {label}: Pin({{{single}}}) meets Pin(N4 region) on "
+                        f"{{{single_pin}}}")
     return None
 
 
-def check_dispense_pins(pmap: PinMap, state: ChipState, loc: Loc,
-                        extra_droplets: tuple[Loc, ...] = ()) -> "PinFinding | None":
+def check_dispense_pins(pmap: PinMap, state: ChipState, loc: Loc) -> Violation | None:
     """A dispensed droplet's pin must avoid its own and every droplet's N4
-    pins: those of the droplets on ``state`` in sorted order, then those of
-    ``extra_droplets`` in their order; the first one it meets is named."""
-    return _dispense_finding(pmap, loc, _n4_owners(pmap, [*sorted(state.by_loc),
-                                                           *extra_droplets]))
+    pins, those of the droplets on ``state`` in sorted order; the first one
+    it meets is named."""
+    return _dispense_row(pmap, loc, _n4_owners(pmap, sorted(state.by_loc)))
 
 
 def _n4_owners(pmap: PinMap, droplets) -> dict[int, list[Loc]]:
@@ -201,35 +202,24 @@ def _n4_owners(pmap: PinMap, droplets) -> dict[int, list[Loc]]:
     return owners
 
 
-def _dispense_finding(pmap: PinMap, loc: Loc,
-                      owners: dict[int, list[Loc]]) -> "PinFinding | None":
+def _dispense_row(pmap: PinMap, loc: Loc, owners: dict[int, list[Loc]]) -> Violation | None:
     """check_dispense_pins at ``loc``, with the droplets indexed by
     ``_n4_owners``.  A droplet on ``loc`` itself meets its pin only where
     the first rule already fails, so skipping it changes nothing."""
     own = pmap.pin_of(loc)
     if own in pmap.n4_pins(loc):
         shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin_of(c) == own)
-        return PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
-                          cells=(loc, *shared_self),
-                          detail=f"pin {own} is repeated in N4({loc})")
+        return _row(Code.PIN_DISPENSE, "Droplet stretch", own, (loc, *shared_self),
+                    f"pin {own} is repeated in N4({loc})")
     for d in owners.get(own, ()):
         if d != loc:
             shared = sorted(c for c in pmap.n4(d) if pmap.pin_of(c) == own)
-            return PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
-                              cells=(loc, d, *shared),
-                              detail=f"pin {own} of {loc} drives a neighbor of the "
-                                     f"droplet at {d}")
+            return _row(Code.PIN_DISPENSE, "Droplet stretch", own, (loc, d, *shared),
+                        f"pin {own} of {loc} drives a neighbor of the droplet at {d}")
     return None
 
 
 # --- per-tick phase (driven by the fluidics engine) -----------------------------
-
-def _finding_to_violation(f: PinFinding, t: int, instructions: tuple[str, ...],
-                          consequence: str = "") -> Violation:
-    return classify(f.code, f.response, t=t, instructions=instructions,
-                    cells=f.cells, pins=tuple(sorted(f.pins)),
-                    detail=f.detail, consequence=consequence or f.response)
-
 
 def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, ctx,
               passed: list[int]) -> list[Violation]:
@@ -251,9 +241,9 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, ctx,
     if dispensed:
         owners = _n4_owners(pmap, [*sorted(snapshot.by_loc), *(l for l, _ in dispensed)])
         for loc, i in dispensed:
-            f = _dispense_finding(pmap, loc, owners)
-            if f is not None:
-                out.append(_finding_to_violation(f, t, (line.instrs[i].compact(),)))
+            v = _dispense_row(pmap, loc, owners)
+            if v is not None:
+                out.append(replace(v, t=t, instructions=(line.instrs[i].compact(),)))
 
     # participants: (old, new, instr index or None); mixer endpoints excluded.
     # Case 1 covers every droplet; its rows follow the pair rows.
@@ -261,11 +251,11 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, ctx,
     case1: list[Violation] = []
     pinned_cells = {c for mx in committed.mixers for c in (mx.a, mx.b)}
     for loc in sorted(committed.by_loc):
-        f = pmap.case1(loc)
-        if f is not None:
+        v = check_case1(pmap, loc)
+        if v is not None:
             idx = moved.get(loc)
             instrs = (line.instrs[idx[1]].compact(),) if idx else ()
-            case1.append(_finding_to_violation(f, t, instrs))
+            case1.append(replace(v, t=t, instructions=instrs))
         if loc in pinned_cells:
             continue
         if loc in moved:
@@ -280,11 +270,11 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, ctx,
     for a, b in _candidate_pairs(pmap, participants):
         o1, n1, i1 = participants[a]
         o2, n2, i2 = participants[b]
-        f = check_pair(pmap, o1, n1, o2, n2)
-        if f is not None:
+        v = check_pair(pmap, o1, n1, o2, n2)
+        if v is not None:
             idxs = tuple(sorted(i for i in (i1, i2) if i is not None))
             instrs = tuple(line.instrs[i].compact() for i in idxs)
-            out.append(_finding_to_violation(f, t, instrs))
+            out.append(replace(v, t=t, instructions=instrs))
     out.extend(case1)
     return out
 

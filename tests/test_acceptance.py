@@ -136,33 +136,33 @@ def test_criterion_6_pin_examples():
 
     split_map = make_map(6, 6, {(3, 3): 3, (3, 2): 2, (3, 4): 2})
     f = check_case1(split_map, Loc(3, 3))
-    results.append(f is not None and f.pins == {2})
+    results.append(f is not None and f.pins == (2,))
 
     stretch_map = make_map(6, 6, {(2, 2): 3, (4, 5): 8, (5, 4): 6, (6, 5): 9,
                             (5, 6): 3, (5, 5): 7})
     f = check_pair(stretch_map, Loc(2, 2), Loc(2, 2), Loc(5, 5), Loc(5, 5))
-    results.append(f is not None and f.pins == {3})
+    results.append(f is not None and f.pins == (3,))
 
     ahead_map = make_map(6, 6, {(2, 3): 4, (4, 4): 1, (5, 3): 4, (6, 4): 2,
                             (5, 5): 7, (5, 4): 6})
     f = check_pair(ahead_map, Loc(2, 2), Loc(2, 3), Loc(5, 5), Loc(5, 4))
-    results.append(f is not None and f.pins == {4} and f.code is Code.PIN_CASE2)
+    results.append(f is not None and f.pins == (4,) and f.code is Code.PIN_CASE2)
 
     stuck_map = make_map(6, 6, {(2, 3): 4, (4, 5): 8, (6, 5): 9, (5, 6): 4,
                             (5, 4): 7, (5, 5): 6})
     f = check_pair(stuck_map, Loc(2, 2), Loc(2, 3), Loc(5, 5), Loc(5, 4))
-    results.append(f is not None and f.pins == {4} and f.code is Code.PIN_CASE3)
+    results.append(f is not None and f.pins == (4,) and f.code is Code.PIN_CASE3)
 
     disp_pins = make_map(5, 4, DISPENSE_PINS)
     st = droplets(5, 4, [Loc(3, 3), Loc(4, 1), Loc(5, 4)])
     results.append(check_dispense_pins(disp_pins, st, Loc(1, 1)) is None)
     bad = check_dispense_pins(disp_pins, st, Loc(1, 4))
-    results.append(bad is not None and bad.pins == {3})
+    results.append(bad is not None and bad.pins == (3,))
 
     move_pins = make_map(5, 4, MOVE_PINS)
     results.append(check_pair(move_pins, Loc(1, 2), Loc(1, 3), Loc(4, 1), Loc(4, 1)) is None)
     f = check_pair(move_pins, Loc(1, 2), Loc(2, 2), Loc(4, 1), Loc(4, 1))
-    results.append(f is not None and f.pins == {7})
+    results.append(f is not None and f.pins == (7,))
 
     _report("6 (pin rule examples)", all(results),
             f"{sum(results)}/8 shared-pin sets exact")

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from dmfv.chip import (ChipState, Droplet, InconsistentState, MixerEntry,
-                       OutOfBounds, expire_mixers, init_state, neighbors4)
+                       expire_mixers, init_state)
 from dmfv.graph import CFVector, cf_mix
-from dmfv.isa import ChipHeader, DmfError, Loc, MType, ReservoirDecl, RKind
+from dmfv.isa import ChipHeader, Loc, MType, ReservoirDecl, RKind
 
 from test_oracle import neighbors8
 
@@ -45,16 +45,14 @@ def test_init_state_single_cell_and_pcr_sizes():
 
 def test_neighbors_truncation_and_center_sets():
     assert neighbors8(Loc(1, 1), 5, 4) == {Loc(1, 2), Loc(2, 1), Loc(2, 2)}
-    assert neighbors4(Loc(3, 3), 6, 6) == {Loc(2, 3), Loc(3, 2), Loc(4, 3), Loc(3, 4)}
+    assert len(neighbors8(Loc(3, 3), 6, 6)) == 8
 
 
 def test_occupied_out_of_bounds():
     # validation bounds every cell a program names, so the index holds only
-    # cells on the array and a probe off it misses; an off-array cell met
-    # elsewhere (a pin map) is an input error
+    # cells on the array and a probe off it misses
     st = init_state(header()).add_droplet("S", Loc(1, 1), CFVector.unit("S"))
     assert Loc(9, 9) not in st.by_loc and Loc(0, 1) not in st.by_loc
-    assert issubclass(OutOfBounds, DmfError)
 
 
 def _with_mixer(st: ChipState, a: Loc, b: Loc, t_s: int, t_e: int) -> ChipState:

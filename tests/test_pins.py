@@ -1,18 +1,18 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from dmfv import pins
-from dmfv.chip import MixerEntry, OutOfBounds, init_state
-from dmfv.diag import Code
+from dmfv.chip import MixerEntry, init_state
+from dmfv.diag import Code, classify
 from dmfv.fluidics import LineContext, _commit, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
-from dmfv.pins import (PinMap, _finding_to_violation, check_case1, check_dispense_pins,
-                       check_pair, dedicated_map, parse_pins, pin_phase,
-                       serialize_pins)
+from dmfv.pins import (OutOfBounds, PinMap, check_case1, check_dispense_pins, check_pair,
+                       dedicated_map, parse_pins, pin_phase, serialize_pins)
 
 from conftest import FIXTURES, load
 
@@ -50,6 +50,27 @@ def pins_of(pmap, cells):
     return {pmap.pin_of(c) for c in cells}
 
 
+def n4_cells(rows, cols, loc):
+    """The cells of loc's N4 neighborhood on a rows x cols array (oracle)."""
+    r, c = loc
+    return {Loc(r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+            if 1 <= r + dr <= rows and 1 <= c + dc <= cols}
+
+
+def scan_case1(pmap, loc):
+    """check_case1 as a scan of every N4 cell, with no pin-count shortcut
+    (oracle)."""
+    seen = {}
+    for cell in sorted(n4_cells(pmap.rows, pmap.cols, loc)):
+        seen.setdefault(pmap.pin_of(cell), []).append(cell)
+    for p, cells in sorted(seen.items()):
+        if len(cells) > 1:
+            return classify(Code.PIN_CASE1, "Unintentional droplet split", cells=(loc, *cells),
+                            pins=(p,), detail=f"pin {p} drives {len(cells)} neighbors of {loc}",
+                            consequence="Unintentional droplet split")
+    return None
+
+
 def test_pins_of_neighborhood_sets():
     ahead_map = make_map(6, 6, {(2, 3): 4, (4, 4): 1, (5, 3): 4, (6, 4): 2,
                             (5, 5): 7, (5, 4): 6})
@@ -60,14 +81,16 @@ def test_pins_of_neighborhood_sets():
     assert pins_of(stretch_map, ()) == set()
     with pytest.raises(OutOfBounds):
         pins_of(stretch_map, [Loc(9, 9)])
+    assert issubclass(OutOfBounds, DmfError)
 
 
 def test_case1_shared_pin_splits_droplet():
     split_map = make_map(6, 6, {(3, 3): 3, (3, 2): 2, (3, 4): 2})
-    finding = check_case1(split_map, Loc(3, 3))
-    assert finding is not None
-    assert finding.pins == {2}
-    assert finding.response == "Unintentional droplet split"
+    row = check_case1(split_map, Loc(3, 3))
+    assert row is not None
+    assert row.pins == (2,)
+    assert row.response == row.consequence == "Unintentional droplet split"
+    assert (row.t, row.instructions) == (None, ())
     assert check_case1(make_map(6, 6, {}), Loc(3, 3)) is None
 
 
@@ -96,8 +119,9 @@ def test_map_probes_match_the_cell_rules_on_every_cell():
             for r in range(1, rows + 1):
                 for c in range(1, cols + 1):
                     loc = Loc(r, c)
+                    assert pmap.n4(loc) == n4_cells(rows, cols, loc)
                     assert pmap.n4_pins(loc) == pins_of(pmap, pmap.n4(loc))
-                    assert pmap.case1(loc) == check_case1(pmap, loc)
+                    assert check_case1(pmap, loc) == scan_case1(pmap, loc)
 
 
 def test_pin_map_refuses_a_cell_off_the_array():
@@ -123,7 +147,7 @@ def test_case2_shared_pin_at_t():
     stretch_map = make_map(6, 6, {(2, 2): 3, (4, 5): 8, (5, 4): 6, (6, 5): 9,
                             (5, 6): 3, (5, 5): 7})
     f = check_pair(stretch_map, Loc(2, 2), Loc(2, 2), Loc(5, 5), Loc(5, 5))
-    assert f is not None and f.pins == {3}
+    assert f is not None and f.pins == (3,)
     assert f.code is Code.PIN_CASE2
     assert f.response == "Droplet stretch"
 
@@ -132,7 +156,7 @@ def test_case2_shared_pin_at_t1():
     ahead_map = make_map(6, 6, {(2, 3): 4, (4, 4): 1, (5, 3): 4, (6, 4): 2,
                             (5, 5): 7, (5, 4): 6})
     f = check_pair(ahead_map, Loc(2, 2), Loc(2, 3), Loc(5, 5), Loc(5, 4))
-    assert f is not None and f.pins == {4}
+    assert f is not None and f.pins == (4,)
     assert f.code is Code.PIN_CASE2
     assert f.response == "Droplet stretch"   # shared cell sits ahead of the move
 
@@ -141,7 +165,7 @@ def test_case3_shared_pin_behind_move_strands_droplet():
     stuck_map = make_map(6, 6, {(2, 3): 4, (4, 5): 8, (6, 5): 9, (5, 6): 4,
                             (5, 4): 7, (5, 5): 6})
     f = check_pair(stuck_map, Loc(2, 2), Loc(2, 3), Loc(5, 5), Loc(5, 4))
-    assert f is not None and f.pins == {4}
+    assert f is not None and f.pins == (4,)
     assert f.code is Code.PIN_CASE3
     assert f.response == "Droplet stuck on (5,5)"  # pulled forward and back
 
@@ -156,7 +180,7 @@ def test_move_versus_static_droplet():
     ok = check_pair(pmap, Loc(1, 2), Loc(1, 3), Loc(4, 1), Loc(4, 1))
     assert ok is None
     bad = check_pair(pmap, Loc(1, 2), Loc(2, 2), Loc(4, 1), Loc(4, 1))
-    assert bad is not None and bad.pins == {7}
+    assert bad is not None and bad.pins == (7,)
 
 
 def test_pair_symmetry_random():
@@ -191,7 +215,7 @@ def test_dispense_pin_examples():
     assert pins_of(pmap, pmap.n4(Loc(1, 1))) == {3, 4}
     assert check_dispense_pins(pmap, st, Loc(1, 1)) is None
     bad = check_dispense_pins(pmap, st, Loc(1, 4))
-    assert bad is not None and bad.pins == {3}
+    assert bad is not None and bad.pins == (3,)
     assert bad.response == "Droplet stretch"
 
 
@@ -239,17 +263,17 @@ def scan_dispense_pins(pmap, state, loc, extra_droplets=()):
     own = pmap.pin_of(loc)
     if own in pmap.n4_pins(loc):
         shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin_of(c) == own)
-        return pins.PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
-                               cells=(loc, *shared_self),
-                               detail=f"pin {own} is repeated in N4({loc})")
+        return classify(Code.PIN_DISPENSE, "Droplet stretch", cells=(loc, *shared_self),
+                        pins=(own,), detail=f"pin {own} is repeated in N4({loc})",
+                        consequence="Droplet stretch")
     others = sorted(state.by_loc) + [c for c in extra_droplets if c != loc]
     for d in others:
         if own in pmap.n4_pins(d):
             shared = sorted(c for c in pmap.n4(d) if pmap.pin_of(c) == own)
-            return pins.PinFinding(Code.PIN_DISPENSE, "Droplet stretch", pins={own},
-                                   cells=(loc, d, *shared),
-                                   detail=f"pin {own} of {loc} drives a neighbor of the "
-                                          f"droplet at {d}")
+            return classify(Code.PIN_DISPENSE, "Droplet stretch", cells=(loc, d, *shared),
+                            pins=(own,),
+                            detail=f"pin {own} of {loc} drives a neighbor of the droplet at {d}",
+                            consequence="Droplet stretch")
     return None
 
 
@@ -269,7 +293,7 @@ def all_pairs_pin_phase(pmap, snapshot, committed, ctx, passed):
         others = tuple(l for l, _ in dispensed if l != loc)
         f = scan_dispense_pins(pmap, snapshot, loc, extra_droplets=others)
         if f is not None:
-            out.append(_finding_to_violation(f, t, (line.instrs[i].compact(),)))
+            out.append(replace(f, t=t, instructions=(line.instrs[i].compact(),)))
     participants = []
     pinned_cells = {c for mx in committed.mixers for c in (mx.a, mx.b)}
     for loc in sorted(committed.by_loc):
@@ -294,13 +318,13 @@ def all_pairs_pin_phase(pmap, snapshot, committed, ctx, passed):
             if f is not None:
                 idxs = tuple(sorted(i for i in (i1, i2) if i is not None))
                 instrs = tuple(line.instrs[i].compact() for i in idxs)
-                out.append(_finding_to_violation(f, t, instrs))
+                out.append(replace(f, t=t, instructions=instrs))
     for loc in sorted(committed.by_loc):
-        f = check_case1(pmap, loc)
+        f = scan_case1(pmap, loc)
         if f is not None:
             idx = moved.get(loc)
             instrs = (line.instrs[idx[1]].compact(),) if idx else ()
-            out.append(_finding_to_violation(f, t, instrs))
+            out.append(replace(f, t=t, instructions=instrs))
     return out
 
 
