@@ -123,7 +123,21 @@ def cmd_paths(args) -> int:
     return 0
 
 
+# The options each inject preset reads; e1 and e2 read --line only with --move.
+_INJECT_READS = {
+    "e1": ("line", "move"), "e2": ("line", "move"), "e3": ("to",), "e4": ("line",),
+    "e5": ("line", "pos"), "e6": ("line", "pos", "duration"), "e7": ("swap",),
+    "pin": ("pins", "remap"),
+}
+
+
 def cmd_inject(args) -> int:
+    reads = _INJECT_READS[args.error]
+    for opt in ("line", "pos", "move", "to", "duration", "swap", "pins", "remap"):
+        if getattr(args, opt) is not None and opt not in reads:
+            raise DmfError(f"--error {args.error} does not read --{opt}")
+    if "move" in reads and args.line is not None and args.move is None:
+        raise DmfError(f"--error {args.error} reads --line only with --move")
     program = _load_program(args.program)
     stem = Path(args.program)
 

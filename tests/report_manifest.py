@@ -21,7 +21,8 @@ seeded and fixed:
   reaches (``_BLIND_SPOTS``), under ``verify`` in text and JSON, and with
   ``--all`` where that adds rows;
 - ``verify`` of the program that each default ``inject`` preset writes, and
-  one explicit move added before an end marker.
+  one explicit move added before an end marker;
+- each ``inject`` preset given an option that it does not read.
 
 ``report_manifest.txt`` holds the records, one line per run (argv, exit
 code, digest), sorted by argv; ``test_report_manifest.py`` recomputes them.
@@ -220,6 +221,18 @@ def _blind_spot_argvs(fixtures: Path, indir: Path, outdir: Path) -> list[list[st
     return argvs
 
 
+def _inject_refusal_argvs(fixtures: Path, outdir: Path) -> list[list[str]]:
+    """Each inject preset, given an option it does not read (e1 and e2 read
+    --line only with --move)."""
+    pcr, pins = str(fixtures / "pcr.dmf"), str(fixtures / "mplex.pins")
+    unread = (("e1", ["--duration", "3"]), ("e1", ["--line", "5"]), ("e2", ["--to", "1,1"]),
+              ("e3", ["--line", "5"]), ("e4", ["--pins", pins]), ("e5", ["--swap", "A,B"]),
+              ("e6", ["--move", "1,1->1,2"]), ("e7", ["--pos", "2"]),
+              ("pin", ["--pins", pins, "--remap", "13,5=6", "--line", "3"]))
+    return [["inject", pcr, "--error", e, *flags, "-o", str(outdir / "mutated.dmf")]
+            for e, flags in unread]
+
+
 def corpus(indir: Path, outdir: Path) -> list[list[str]]:
     """Every argv of the manifest; their input files are written to ``indir``."""
     from conftest import FIXTURES
@@ -231,6 +244,7 @@ def corpus(indir: Path, outdir: Path) -> list[list[str]]:
     argvs += _random_conditional_argvs(indir)
     argvs += _adjacent_dispense_argvs(indir)
     argvs += _blind_spot_argvs(FIXTURES, indir, outdir)
+    argvs += _inject_refusal_argvs(FIXTURES, outdir)
     return argvs
 
 

@@ -431,6 +431,21 @@ def test_inject_explicit_move_needs_its_line(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args, refusal", [
+    (["--error", "e3", "--line", "5"], "--error e3 does not read --line"),
+    (["--error", "e7", "--pos", "2"], "--error e7 does not read --pos"),
+    (["--error", "e1", "--duration", "3"], "--error e1 does not read --duration"),
+    (["--error", "e4", "--pins", "x.pins"], "--error e4 does not read --pins"),
+    (["--error", "e6", "--line", "5", "--swap", "A,B"], "--error e6 does not read --swap"),
+    (["--error", "e2", "--line", "26"], "--error e2 reads --line only with --move"),
+])
+def test_inject_refuses_options_its_preset_does_not_read(args, refusal, tmp_path, capsys):
+    out = tmp_path / "out.dmf"
+    assert _exits_two(["inject", fx("pcr.dmf"), *args, "-o", str(out)], capsys) == (
+        f"error: {refusal}\n")
+    assert not out.exists()
+
+
 def test_inject_e4_line_must_fall_in_the_mixing_window(tmp_path, capsys):
     # pcr's last mix starts at t=27 with t_mix 6: its mixer holds t=28..33
     out = tmp_path / "e4.dmf"
