@@ -74,13 +74,12 @@ class Violation:
 def classify(code: Code, response: str, *, t: int | None = None,
              instructions: tuple[str, ...] = (), cells: tuple[Loc, ...] = (),
              pins: tuple[int, ...] = (), path: str | None = None,
-             detail: str = "", consequence: str | None = None,
-             secondary: bool = False) -> Violation:
+             detail: str = "", consequence: str | None = None) -> Violation:
     """Build a violation with the taxonomy consequence wired to its code."""
     if consequence is None:
         consequence = CONSEQUENCE.get(code, "")
     return Violation(code, response, t, tuple(instructions), tuple(cells),
-                     tuple(pins), consequence, path, detail, secondary)
+                     tuple(pins), consequence, path, detail)
 
 
 @dataclass

@@ -418,8 +418,9 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
     return report
 
 
-def to_dot(sg: SeqGraph, n: int | None = None) -> str:
-    """DOT rendering of a sequencing graph for external viewers."""
+def to_dot(sg: SeqGraph, n: int) -> str:
+    """DOT rendering of a sequencing graph for external viewers; each
+    concentration reads as a ratio rounded to accuracy n."""
     lines = ["digraph sg {", "  rankdir=TB;"]
     for nid, node in sg.nodes.items():
         label = nid
@@ -427,7 +428,7 @@ def to_dot(sg: SeqGraph, n: int | None = None) -> str:
             window = f" [{node.t_s},{node.t_e}]" if node.t_s is not None else ""
             spec = f" t_mix={node.t_mix}" if node.t_mix is not None else ""
             label += f"\\nmix{spec}{window}"
-        if node.cf is not None and n is not None and sg.reagents:
+        if node.cf is not None and sg.reagents:
             label += f"\\n{ratio_str(node.cf, sg.reagents, n)}"
         shape = "box" if node.kind == DISPENSE else "ellipse"
         lines.append(f'  "{nid}" [label="{label}", shape={shape}];')
