@@ -153,7 +153,7 @@ _BLIND_SPOTS = {
     "mixer_span.dmf": (_GRID + "R(3,3,S) R(4,3,B) R(3,6,C)\n1 d(3,3) d(4,3)\n2 d(3,6)\n"
                        "3 mix(3,3,3,6,3,14) m(4,3,4,4)\n8 end\n", _ALL),
     # pin dispense rows, on shared5.pins
-    "pin_self.dmf": ("dim(5,5)\naccuracy 2\nR(1,1,S)\n1 d(1,1)\n2 end\n", _TEXT_JSON),
+    "pin_self.dmf": (_SMALL + "1 d(1,1)\n2 end\n", _TEXT_JSON),
     "pin_other.dmf": ("dim(5,5)\naccuracy 2\nR(3,3,S) R(1,5,B)\n1 d(3,3)\n2 d(1,5)\n3 end\n",
                       _TEXT_JSON + _ALL),
     # parse errors
