@@ -5,7 +5,7 @@ from .isa import (ChipHeader, DetectorDecl, Loc, MType, Program, RKind,
                   ReservoirDecl, parse_program, serialize_program,
                   validate_structure)
 from .chip import CFVector, ChipState, cf_mix, init_state, expire_mixers
-from .diag import Code, Report, Violation, classify, format_report
+from .diag import Code, Report, Violation, format_report
 from .fluidics import Trace, step, verify_program
 from .graph import (SeqGraph, conformance, parse_input_sg, ratio_str, reconstruct,
                     round_cf, to_dot)

@@ -26,15 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import chip, fluidics, graph
-from .diag import Code, Report, classify
+from .diag import Code, Report, Violation
 from .isa import CondCall, DmfError, Program, TimedLine, ValidationError
 
 
 class PathLimitExceeded(DmfError):
-    pass
-
-
-class NestedConditional(DmfError):
     pass
 
 
@@ -68,13 +64,10 @@ def _branch(program: Program, idx: int, delta: int,
 
 
 def _count_conditionals(program: Program, max_conditionals: int) -> int:
-    """Validate a program's structure, once per program (``Program.issues``),
-    and return its number of conditionals."""
-    issues = program.issues
-    if any(i.code == "NestedConditional" for i in issues):
-        raise NestedConditional("recovery routines may not branch")
-    if issues:
-        raise ValidationError(issues)
+    """Refuse a program with structural issues (``Program.issues``, found
+    once per program) and return its number of conditionals."""
+    if program.issues:
+        raise ValidationError(program.issues)
     k = sum(1 for ln in program.main if _cond_of(ln) is not None)
     if k > max_conditionals:
         raise PathLimitExceeded(
@@ -240,7 +233,7 @@ def _check_outputs(want: list[graph.CFVector], got: list[graph.CFVector],
                    report: Report, label: str) -> None:
     if want != got:
         got_text, want_text = sorted(map(str, got)), sorted(map(str, want))
-        report.violations.append(classify(
+        report.violations.append(Violation(
             Code.E7, "Incorrect realization of input sequencing graph",
             path=label or None,
             detail=f"path outputs {got_text or ['none']} do not match specified "

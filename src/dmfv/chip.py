@@ -9,13 +9,15 @@ The state has one droplet index, ``by_loc``, from each occupied cell to
 its droplet, and names a droplet by the cell it sits on.  That is exact: a
 droplet that an active mixer or detection holds cannot leave its cell (every
 rule that moves or removes one rejects it with e4), and no droplet enters an
-occupied cell.  ``_add`` and ``_move`` raise InconsistentState rather than
-overwrite a droplet.
+occupied cell.  So a mixer entry holds no droplet of its own: the droplets
+it mixes are the ones on its two cells, read there when it completes.
+``_add`` and ``_move`` raise InconsistentState rather than overwrite a
+droplet.
 
-Bounds are checked once, when a program is validated: every cell a
-droplet can reach is on the array, so ``by_loc`` holds only cells on the
-array, and the engine probes it with any cell, off the array too, without
-a bounds test.
+Bounds are checked once, when a program is validated, and the engine runs
+only a program without issues: every cell a droplet can reach is on the
+array, so ``by_loc`` holds only cells on the array, and the engine probes
+it with any cell, off the array too, without a bounds test.
 
 A droplet carries its concentration, so the arithmetic on concentrations
 lives here: exact dyadic rationals per reagent, since the (1:1) mix-split
@@ -103,7 +105,6 @@ class MixerEntry:
     t_s: int
     t_e: int            # completion tick: t_s + t_mix + 1
     mtype: MType
-    input_nodes: tuple[str, str]
 
     def span(self) -> str:
         return f"mix {self.a}..{self.b} [{self.t_s},{self.t_e}]"
@@ -245,8 +246,8 @@ class ChipState:
         """The same chip d ticks later: the tick and every mixer and detection
         deadline move by d."""
         new = self.at_tick(self.t + d)
-        new.mixers = tuple(MixerEntry(mx.a, mx.b, mx.t_s + d, mx.t_e + d, mx.mtype,
-                                      mx.input_nodes) for mx in self.mixers)
+        new.mixers = tuple(MixerEntry(mx.a, mx.b, mx.t_s + d, mx.t_e + d, mx.mtype)
+                           for mx in self.mixers)
         new.detections = tuple(DetectionEntry(det.detector, det.loc, det.t_end + d)
                                for det in self.detections)
         return new
@@ -258,8 +259,8 @@ def init_state(header: ChipHeader, detectors: Iterable[DetectorDecl] = ()) -> Ch
 
 
 def expire_mixers(state: ChipState, t: int) -> tuple[ChipState, list[MixCompleted]]:
-    """Complete every mixer with t_e <= t: the two inputs are replaced by two
-    result droplets at the endpoints, both carrying one fresh id."""
+    """Complete every mixer with t_e <= t: the two droplets on its endpoints
+    are replaced by two result droplets, both carrying one fresh id."""
     due = [mx for mx in state.mixers if mx.t_e <= t]
     if not due:
         return state, []
@@ -267,13 +268,13 @@ def expire_mixers(state: ChipState, t: int) -> tuple[ChipState, list[MixComplete
     new = state.copy()
     new.mixers = tuple(mx for mx in state.mixers if mx.t_e > t)
     for mx in sorted(due, key=lambda m: (m.t_e, m.a)):
-        cf = cf_mix(new._remove(mx.a).cf, new._remove(mx.b).cf)
-        result = Droplet(f"v{new.next_node}", cf)
+        a, b = new._remove(mx.a), new._remove(mx.b)
+        result = Droplet(f"v{new.next_node}", cf_mix(a.cf, b.cf))
         new.next_node += 1
         for loc in (mx.a, mx.b):
             new._add(loc, result)
         events.append(MixCompleted(mx.t_e, result.node, mx.a, mx.b, mx.t_s, mx.t_e,
-                                   mx.input_nodes, cf))
+                                   (a.node, b.node), result.cf))
     return new, events
 
 

@@ -3,6 +3,8 @@
 Codes e1..e5 are design-constraint (Phase I) findings localized to a tick
 and the offending instruction(s); e6/e7 are realization (Phase II) findings
 carrying graph evidence.  Pin codes cover the shared-control-pin rules.
+Rules build their ``Violation`` rows directly.  A row's consequence follows
+its code (``CONSEQUENCE``); a pin row's consequence is its response.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class Violation:
     instructions: tuple[str, ...] = ()  # compact source form, line order
     cells: tuple[Loc, ...] = ()
     pins: tuple[int, ...] = ()
-    consequence: str = ""
     path: str | None = None             # execution-path label (cyberphysical)
     detail: str = ""
     secondary: bool = False             # possible cascade after an earlier failure
@@ -67,19 +68,12 @@ class Violation:
     def phase(self) -> int:
         return 2 if self.code in PHASE2_CODES else 1
 
+    @property
+    def consequence(self) -> str:
+        return CONSEQUENCE.get(self.code, self.response)
+
     def instruction_text(self) -> str:
         return " ".join(self.instructions)
-
-
-def classify(code: Code, response: str, *, t: int | None = None,
-             instructions: tuple[str, ...] = (), cells: tuple[Loc, ...] = (),
-             pins: tuple[int, ...] = (), path: str | None = None,
-             detail: str = "", consequence: str | None = None) -> Violation:
-    """Build a violation with the taxonomy consequence wired to its code."""
-    if consequence is None:
-        consequence = CONSEQUENCE.get(code, "")
-    return Violation(code, response, t, tuple(instructions), tuple(cells),
-                     tuple(pins), consequence, path, detail)
 
 
 @dataclass

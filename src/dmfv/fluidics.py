@@ -34,12 +34,14 @@ by rule); assays that repeat their transport and mix lines on the same
 layout check each once.  Forks share these verdicts, as they share the
 program.
 
-The chip's one droplet index, ``ChipState.by_loc``, maps each occupied
-cell to its droplet, so every rule names a droplet by its cell: what a line
-consumes, what a mixer or a detection holds.  Probes of it test no bounds:
-validation has bounded every cell a program names, so the index holds only
-cells on the array and a probe off it simply misses.  A commit that would
-overwrite a droplet raises ``chip.InconsistentState`` at the write.
+A cursor refuses a program with structural issues (``Program.issues``) with
+``ValidationError``, so every cell a line names is on the array and every
+detector it names is declared.  The chip's one droplet index,
+``ChipState.by_loc``, maps each occupied cell to its droplet, so every rule
+names a droplet by its cell: what a line consumes, what a mixer or a
+detection holds.  Probes of it test no bounds: the index holds only cells on
+the array, and a probe off it simply misses.  A commit that would overwrite
+a droplet raises ``chip.InconsistentState`` at the write.
 
 Violation classification follows the error taxonomy: a movement conflict
 with a droplet that also moves this tick is dynamic (e2, both instructions
@@ -54,9 +56,10 @@ from typing import Callable
 
 from . import chip, pins
 from .chip import CFVector, ChipState, DetectionEntry, Droplet, MixerEntry
-from .diag import Code, Report, Violation, classify
+from .diag import Code, Report, Violation
 from .isa import (CondCall, Dispense, DetectStart, DmfError, End, Instruction, Loc,
-                  MixStart, Move, MType, Output, Program, RKind, TimedLine, Waste)
+                  MixStart, Move, MType, Output, Program, RKind, TimedLine,
+                  ValidationError, Waste)
 
 
 class EngineError(DmfError):
@@ -185,8 +188,8 @@ def _line_instrs(line: TimedLine, idxs) -> tuple[str, ...]:
 def _row(code: Code, response: str, instr: Instruction, t: int, cells=(),
          detail: str = "") -> Violation:
     """A row that names only the instruction being checked."""
-    return classify(code, response, t=t, instructions=(instr.compact(),), cells=cells,
-                    detail=detail)
+    return Violation(code, response, t=t, instructions=(instr.compact(),), cells=cells,
+                     detail=detail)
 
 
 def _pinned(state: ChipState, cell: Loc, instr: Instruction, t: int, *,
@@ -229,12 +232,12 @@ def _check_move(state: ChipState, instr: Move, i: int,
     if dst in ctx.claimed:
         j = ctx.claimed[dst]
         if isinstance(ctx.line.instrs[j], Move):
-            return classify(Code.E2, "Dynamic fluidic constraint violated", t=t,
-                            instructions=_line_instrs(ctx.line, [j, i]), cells=(dst,),
-                            detail="two droplets head for the same cell")
-        return classify(Code.E1, "Static fluidic constraint violated", t=t,
-                        instructions=_line_instrs(ctx.line, [j, i]), cells=(dst,),
-                        detail="destination already claimed")
+            return Violation(Code.E2, "Dynamic fluidic constraint violated", t=t,
+                             instructions=_line_instrs(ctx.line, [j, i]), cells=(dst,),
+                             detail="two droplets head for the same cell")
+        return Violation(Code.E1, "Static fluidic constraint violated", t=t,
+                         instructions=_line_instrs(ctx.line, [j, i]), cells=(dst,),
+                         detail="destination already claimed")
     if src not in state.by_loc:
         return _row(Code.E4, f"No droplet present on {src}", instr, t, (src,))
     pinned = _pinned(state, src, instr, t, name_detector=True)
@@ -249,9 +252,9 @@ def _check_move(state: ChipState, instr: Move, i: int,
     moving = [ctx.movers[c] for c in conflicts if c in ctx.movers]
     if moving:
         # name every concurrent move whose droplet collides
-        return classify(Code.E2, "Dynamic fluidic constraint violated", t=t,
-                        instructions=_line_instrs(ctx.line, [i, *moving]),
-                        cells=tuple(conflicts))
+        return Violation(Code.E2, "Dynamic fluidic constraint violated", t=t,
+                         instructions=_line_instrs(ctx.line, [i, *moving]),
+                         cells=tuple(conflicts))
     return _row(Code.E1, "Static fluidic constraint violated", instr, t, tuple(conflicts),
                 "move lands next to an idle droplet")
 
@@ -281,9 +284,7 @@ def _check_mix(state: ChipState, instr: MixStart, i: int,
 def _check_detect(state: ChipState, instr: DetectStart, i: int,
                   ctx: LineContext) -> Violation | None:
     name, t = instr.detector, ctx.t
-    decl = state.detectors.get(name)
-    if decl is None:
-        return _row(Code.STRUCTURAL, f"Detector {name} is not declared", instr, t)
+    decl = state.detectors[name]
     if any(d.detector == name for d in state.detections):
         return _row(Code.E4, f"Detector {name} is busy", instr, t, (decl.loc,))
     if decl.loc not in state.by_loc:
@@ -307,11 +308,10 @@ def _commit_move(state: ChipState, instr: Move, t: int, events: list) -> None:
 
 
 def _commit_mix(state: ChipState, instr: MixStart, t: int, events: list) -> None:
-    entry = MixerEntry(instr.a, instr.b, t, t + instr.t_mix + 1, instr.mtype,
-                       (state.by_loc[instr.a].node, state.by_loc[instr.b].node))
+    entry = MixerEntry(instr.a, instr.b, t, t + instr.t_mix + 1, instr.mtype)
     state.mixers = state.mixers + (entry,)
     events.append(chip.MixStarted(t, instr.a, instr.b, entry.t_e, instr.mtype,
-                                  entry.input_nodes))
+                                  (state.by_loc[instr.a].node, state.by_loc[instr.b].node)))
 
 
 def _commit_detect(state: ChipState, instr: DetectStart, t: int, events: list) -> None:
@@ -348,11 +348,6 @@ def _no_cells(*_) -> tuple[Loc, ...]:
     return ()
 
 
-def _detector_cell(state: ChipState, instr: DetectStart) -> tuple[Loc, ...]:
-    decl = state.detectors.get(instr.detector)
-    return () if decl is None else (decl.loc,)
-
-
 RULES: dict[type, Rule] = {
     Dispense: Rule(consumes=_no_cells, claims=lambda instr: (instr.loc,),
                    check=_check_dispense, phase=ARRIVE, commit=_commit_dispense),
@@ -366,8 +361,8 @@ RULES: dict[type, Rule] = {
                           "endpoint droplet consumed by a concurrent instruction", False)),
     Waste: _sink(RKind.WASTE, chip.Wasted),
     Output: _sink(RKind.OUTPUT, chip.Outputted),
-    DetectStart: Rule(consumes=_detector_cell, claims=_no_cells,
-                      check=_check_detect, phase=BOOK, commit=_commit_detect,
+    DetectStart: Rule(consumes=lambda state, instr: (state.detectors[instr.detector].loc,),
+                      claims=_no_cells, check=_check_detect, phase=BOOK, commit=_commit_detect,
                       taken=(Code.E4, "No droplet on detector {instr.detector} at {cell}",
                              "", False)),
 }
@@ -397,9 +392,9 @@ def _consumed_twice(ctx: LineContext, rule: Rule, instr: Instruction, i: int,
         j = ctx.engaged.get(cell)
         if j is not None:
             code, response, detail, both = rule.taken
-            return classify(code, response.format(cell=cell, instr=instr), t=ctx.t,
-                            instructions=_line_instrs(ctx.line, [j, i] if both else [i]),
-                            cells=(cell,), detail=detail)
+            return Violation(code, response.format(cell=cell, instr=instr), t=ctx.t,
+                             instructions=_line_instrs(ctx.line, [j, i] if both else [i]),
+                             cells=(cell,), detail=detail)
     return None
 
 
@@ -585,7 +580,7 @@ def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int],
             if c1 in (mx.a, mx.b) or c2 in (mx.a, mx.b):
                 detail = mx.span()
                 break
-        out.append(classify(
+        out.append(Violation(
             Code.E1, "Static fluidic constraint violated", t=t,
             instructions=_line_instrs(line, idxs), cells=(c1, c2),
             detail=detail))
@@ -627,12 +622,15 @@ class Cursor:
     under policy "first" the run stops at the first failing tick and ignores
     later lines.  ``fork`` returns a second cursor that goes on independently
     from the same point: states are values, so only the report's rows are
-    copied, and the step memo is shared.  A pin map must have the chip's
-    size (DmfError otherwise).
+    copied, and the step memo is shared.  A program with structural issues
+    raises ``ValidationError``, and a pin map must have the chip's size
+    (DmfError otherwise).
     """
 
     def __init__(self, program: Program, *, pin_map=None, policy: str = "first",
                  t_max: int | None = None):
+        if program.issues:
+            raise ValidationError(program.issues)
         if policy not in ("first", "all"):
             raise EngineError(f"unknown violation policy {policy!r}")
         if pin_map is not None:

@@ -18,8 +18,8 @@ from math import gcd
 
 from . import chip
 from .chip import CFVector, cf_mix
-from .diag import Code, Report, classify
-from .isa import DmfError, ParseError
+from .diag import Code, Report, Violation
+from .isa import DmfError, ParseError, content_lines
 
 
 class CycleDetected(DmfError):
@@ -188,10 +188,7 @@ def parse_input_sg(text: str) -> SeqGraph:
     """
     sg = SeqGraph()
     pending_edges: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "reagents":
             if len(parts) < 2:
@@ -262,25 +259,17 @@ def reconstruct(trace) -> SeqGraph:
         if nid not in sg.nodes:
             sg.add_node(SGNode(nid, kind))
 
-    def require(node: str) -> None:
-        if node not in sg.nodes:
-            raise OrphanDroplet(f"event references unknown droplet origin {node!r}")
-
     for ev in trace.events:
         if isinstance(ev, chip.Dispensed):
             ensure_source(ev.node)
         elif isinstance(ev, chip.MixCompleted):
-            for parent in ev.input_nodes:
-                require(parent)
             sg.add_node(SGNode(ev.node, MIX, t_s=ev.t_s, t_e=ev.t_e, cf=ev.cf))
             for parent in ev.input_nodes:
                 sg.add_edge(parent, ev.node)
         elif isinstance(ev, chip.Wasted):
-            require(ev.node)
             ensure_sink("W", WASTE)
             sg.add_edge(ev.node, "W")
         elif isinstance(ev, chip.Outputted):
-            require(ev.node)
             ensure_sink("O", OUTPUT)
             sg.add_edge(ev.node, "O")
     return sg
@@ -319,7 +308,7 @@ def _duration_check(spec_node: SGNode, real_node: SGNode, report: Report) -> Non
     if spec is None or realized is None:
         return
     if realized < spec:
-        report.violations.append(classify(
+        report.violations.append(Violation(
             Code.E6, "Inhomogeneous mixing",
             detail=f"{real_node.id} mixed for {realized} < {spec} time units"))
     elif realized > spec:
@@ -355,7 +344,7 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
     report = Report()
     reagents = input_sg.reagents or synth_sg.reagents
     if set(input_sg.reagents) != set(synth_sg.reagents) and input_sg.reagents and synth_sg.reagents:
-        report.violations.append(classify(
+        report.violations.append(Violation(
             Code.E7, "Incorrect realization of input sequencing graph",
             detail=f"reagent universes differ: specified {sorted(input_sg.reagents)}, "
                    f"realized {sorted(synth_sg.reagents)}"))
@@ -384,7 +373,7 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
         spec_ids = sorted(in_levels.get((depth, kind), ()))
         real_ids = sorted(sy_levels.get((depth, kind), ()))
         if len(spec_ids) != len(real_ids):
-            report.violations.append(classify(
+            report.violations.append(Violation(
                 Code.E7, "Incorrect realization of input sequencing graph",
                 detail=f"depth {depth}: specified {len(spec_ids)} {kind} node(s), "
                        f"realized {len(real_ids)}"))
@@ -408,7 +397,7 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
         taken = {sid for sid, _ in matched}
         unmatched_spec = [sid for sid in spec_ids if sid not in taken]
         for rid, sid in zip(leftovers, unmatched_spec):
-            report.violations.append(classify(
+            report.violations.append(Violation(
                 Code.E7, "Incorrect realization of input sequencing graph",
                 detail=f"ratio {_describe(synth_sg, rid, reagents, n, sy_cfs, sy_preds)} "
                        f"produced, {_describe(input_sg, sid, reagents, n, in_cfs, in_preds)} "

@@ -352,7 +352,9 @@ def _tokens(body: str, memo: dict[str, Instruction], cell) -> tuple[Instruction,
     return tuple(out)
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line with more than a comment, which runs
+    from ``#`` to the end of its line: the rule of .dmf, .sg and .pins files."""
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -389,7 +391,7 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
             loc = cells[row, col] = Loc(int(row), int(col))
         return loc
 
-    for lineno, line in _content_lines(text):
+    for lineno, line in content_lines(text):
         if line[0].isdigit():
             # no header pattern matches a line that starts with a digit
             m = _TIMED_RE.match(line)

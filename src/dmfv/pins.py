@@ -8,12 +8,13 @@ degenerate case with both positions equal.  Every pairwise rule tests a pin
 of one droplet's cells against the N4 pins of the other, so each tick
 indexes droplets by their own cells' pins and intersects every droplet's N4
 pin set with that index.  A ``PinMap`` holds exactly the cells of its array,
-so it reads N4 neighbourhoods off its own table (a cell off it is
-``OutOfBounds``) and caches the N4 pin set of every cell it is asked about;
-a droplet with as many N4 pins as N4 cells cannot split.  A dispense looks
-its own pin up in one per-tick index of the droplets' N4 pins.  Each rule
-returns its ``diag.Violation`` row, and ``pin_phase`` adds tick and
-instructions.
+so it reads N4 neighbourhoods off its own table and caches the N4 pin set of
+every cell it is asked about; a droplet with as many N4 pins as N4 cells
+cannot split.  The rules index ``PinMap.pin`` directly: the engine runs
+only a program whose every cell is on the array, and ``check_chip`` gives
+the map the chip's size.  A dispense looks its own pin up in one per-tick
+index of the droplets' N4 pins.  Each rule returns its ``diag.Violation``
+row, and ``pin_phase`` adds tick and instructions.
 
 The engine hands ``pin_phase`` its ``fluidics.LineContext`` of each line,
 which says what the line does to droplets; this module reads no rule table
@@ -33,12 +34,12 @@ from itertools import chain, filterfalse, product
 from operator import itemgetter
 
 from .chip import ChipState
-from .diag import Code, Violation, classify
-from .isa import ChipHeader, DmfError, Loc
+from .diag import Code, Violation
+from .isa import ChipHeader, DmfError, Loc, content_lines
 
 
 class OutOfBounds(DmfError):
-    """A cell off the pin map's array."""
+    """A remapped cell off the pin map's array."""
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,6 @@ class PinMap:
         if (self.rows, self.cols) != (header.rows, header.cols):
             raise DmfError(f"pin map is {self.rows}x{self.cols} but the chip "
                            f"is {header.rows}x{header.cols}")
-
-    def pin_of(self, loc: Loc) -> int:
-        if not (1 <= loc.row <= self.rows and 1 <= loc.col <= self.cols):
-            raise OutOfBounds(f"{loc} outside the {self.rows}x{self.cols} pin map")
-        return self.pin[loc]
 
     def n4(self, loc: Loc) -> set[Loc]:
         r, c = loc
@@ -101,10 +97,7 @@ def dedicated_map(rows: int, cols: int) -> PinMap:
 
 def parse_pins(text: str) -> PinMap:
     grid: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         try:
             grid.append(list(map(int, line.split())))
         except ValueError:
@@ -130,9 +123,8 @@ def serialize_pins(pmap: PinMap) -> str:
 # --- rule checks ---------------------------------------------------------------
 
 def _row(code: Code, response: str, pin: int, cells: tuple[Loc, ...], detail: str) -> Violation:
-    """A pin rule's row without tick or instructions; its consequence is its response."""
-    return classify(code, response, cells=cells, pins=(pin,), detail=detail,
-                    consequence=response)
+    """A pin rule's row without tick or instructions."""
+    return Violation(code, response, cells=cells, pins=(pin,), detail=detail)
 
 
 def check_case1(pmap: PinMap, loc: Loc) -> Violation | None:
@@ -143,7 +135,7 @@ def check_case1(pmap: PinMap, loc: Loc) -> Violation | None:
         return None
     seen: dict[int, list[Loc]] = {}
     for cell in sorted(pmap.n4(loc)):
-        seen.setdefault(pmap.pin_of(cell), []).append(cell)
+        seen.setdefault(pmap.pin[cell], []).append(cell)
     for p, cells in sorted(seen.items()):
         if len(cells) > 1:
             return _row(Code.PIN_CASE1, "Unintentional droplet split", p, (loc, *cells),
@@ -176,8 +168,8 @@ def check_pair(pmap: PinMap, d1_t: Loc, d1_t1: Loc, d2_t: Loc, d2_t1: Loc) -> Vi
         if key in seen:
             continue
         seen.add(key)
-        single_pin = pmap.pin_of(single)
-        shared_cells = sorted(c for c in hood if pmap.pin_of(c) == single_pin)
+        single_pin = pmap.pin[single]
+        shared_cells = sorted(c for c in hood if pmap.pin[c] == single_pin)
         if shared_cells:
             return _row(code, _consequence(shared_cells, *affected), single_pin,
                         (single, *shared_cells),
@@ -206,14 +198,14 @@ def _dispense_row(pmap: PinMap, loc: Loc, owners: dict[int, list[Loc]]) -> Viola
     """check_dispense_pins at ``loc``, with the droplets indexed by
     ``_n4_owners``.  A droplet on ``loc`` itself meets its pin only where
     the first rule already fails, so skipping it changes nothing."""
-    own = pmap.pin_of(loc)
+    own = pmap.pin[loc]
     if own in pmap.n4_pins(loc):
-        shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin_of(c) == own)
+        shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin[c] == own)
         return _row(Code.PIN_DISPENSE, "Droplet stretch", own, (loc, *shared_self),
                     f"pin {own} is repeated in N4({loc})")
     for d in owners.get(own, ()):
         if d != loc:
-            shared = sorted(c for c in pmap.n4(d) if pmap.pin_of(c) == own)
+            shared = sorted(c for c in pmap.n4(d) if pmap.pin[c] == own)
             return _row(Code.PIN_DISPENSE, "Droplet stretch", own, (loc, d, *shared),
                         f"pin {own} of {loc} drives a neighbor of the droplet at {d}")
     return None

@@ -4,13 +4,13 @@ from dataclasses import dataclass
 import pytest
 
 from dmfv import branches, chip, fluidics
-from dmfv.branches import (NestedConditional, PathLimitExceeded, _branch, _check_outputs,
+from dmfv.branches import (PathLimitExceeded, _branch, _check_outputs,
                            _cond_of, _count_conditionals, _output_cfs, _tagged,
                            merge_reports, path_shapes, verify_all_paths)
 from dmfv.diag import Code, format_report
 from dmfv.graph import conformance, parse_input_sg, reconstruct
-from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, parse_program,
-                      serialize_program)
+from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, ValidationError,
+                      parse_program, serialize_program)
 from dmfv.pins import dedicated_map
 
 from conftest import count_checked_lines, finished_runs, load, without_memo
@@ -154,10 +154,9 @@ def test_nested_conditional_rejected():
             "1 d(1,1)\n2 detect(d1)\n3 if(d1) call Recovery(1)\n5 end\n"
             "recovery 1:\n4 if(d1) call Recovery(1)\nendrecovery\n")
     prog = parse_program(text, validate=False)
-    with pytest.raises(NestedConditional):
-        enumerate_paths(prog)
-    with pytest.raises(NestedConditional):
-        path_shapes(prog)
+    for expand in (enumerate_paths, path_shapes, verify_all_paths):
+        with pytest.raises(ValidationError, match="NestedConditional at t=4"):
+            expand(prog)
 
 
 def test_path_shapes_match_spliced_paths():

@@ -58,7 +58,7 @@ def test_occupied_out_of_bounds():
 def _with_mixer(st: ChipState, a: Loc, b: Loc, t_s: int, t_e: int) -> ChipState:
     st = st.add_droplet("S", a, CFVector.unit("S"))
     st = st.add_droplet("B", b, CFVector.unit("B"))
-    st.mixers = (MixerEntry(a, b, t_s, t_e, MType.H14, ("S", "B")),)
+    st.mixers = (MixerEntry(a, b, t_s, t_e, MType.H14),)
     return st
 
 
@@ -88,8 +88,7 @@ def test_two_mixers_expiring_same_tick():
     st = _with_mixer(st, Loc(4, 3), Loc(7, 3), 5, 12)
     st = st.add_droplet("C", Loc(9, 13), CFVector.unit("C"))
     st = st.add_droplet("D", Loc(12, 13), CFVector.unit("D"))
-    st.mixers = st.mixers + (MixerEntry(Loc(9, 13), Loc(12, 13), 5, 12, MType.V41,
-                                        ("C", "D")),)
+    st.mixers = st.mixers + (MixerEntry(Loc(9, 13), Loc(12, 13), 5, 12, MType.V41),)
     done, events = expire_mixers(st, 12)
     assert len(events) == 2
     assert len(done.by_loc) == 4

@@ -1,34 +1,34 @@
 import json
 
-from dmfv.diag import CAUSE, CONSEQUENCE, Code, Report, classify, format_report
+from dmfv.diag import CAUSE, CONSEQUENCE, Code, Report, Violation, format_report
 from dmfv.isa import Loc
 
 
 def test_classification_table():
-    v = classify(Code.E1, "Static fluidic constraint violated", t=27,
-                 instructions=("m(11,8,12,8)",))
+    v = Violation(Code.E1, "Static fluidic constraint violated", t=27,
+                  instructions=("m(11,8,12,8)",))
     assert v.consequence == "Unintentional mix of droplets"
     assert v.phase == 1
-    e6 = classify(Code.E6, "Inhomogeneous mixing")
+    e6 = Violation(Code.E6, "Inhomogeneous mixing")
     assert e6.phase == 2
     assert CAUSE[Code.E6] == "Mixing performed for lesser time"
-    e7 = classify(Code.E7, "Incorrect realization of input sequencing graph")
+    e7 = Violation(Code.E7, "Incorrect realization of input sequencing graph")
     assert CAUSE[Code.E7] == "Wrong mix operation performed"
     assert CONSEQUENCE[Code.E7] == "Incorrect realization of input assay"
 
 
 def test_localization_fields():
-    v = classify(Code.E4, "Droplet on (5,5) is in active mixer", t=28,
-                 instructions=("m(5,5,5,4)",), cells=(Loc(5, 5),))
+    v = Violation(Code.E4, "Droplet on (5,5) is in active mixer", t=28,
+                  instructions=("m(5,5,5,4)",), cells=(Loc(5, 5),))
     assert (v.t, v.instruction_text()) == (28, "m(5,5,5,4)")
 
 
 def test_text_report_mirrors_two_phase_layout():
     report = Report(final_t=34)
     report.violations = [
-        classify(Code.E1, "Static fluidic constraint violated", t=27,
-                 instructions=("m(11,8,12,8)",)),
-        classify(Code.E6, "Inhomogeneous mixing", detail="v1 mixed for 4 < 6 time units"),
+        Violation(Code.E1, "Static fluidic constraint violated", t=27,
+                  instructions=("m(11,8,12,8)",)),
+        Violation(Code.E6, "Inhomogeneous mixing", detail="v1 mixed for 4 < 6 time units"),
     ]
     text = format_report(report, "text")
     assert "Phase I - Design constraint checking" in text
@@ -45,9 +45,9 @@ def test_empty_report_is_pass_with_final_t():
 def test_json_report_schema_and_stability():
     report = Report(final_t=69, t_max=70)
     report.violations = [
-        classify(Code.PIN_CASE3, "Droplet stuck on (13,11)", t=56,
-                 instructions=("m(5,13,6,13)", "m(13,11,13,10)"),
-                 pins=(7,), path="11")]
+        Violation(Code.PIN_CASE3, "Droplet stuck on (13,11)", t=56,
+                  instructions=("m(5,13,6,13)", "m(13,11,13,10)"),
+                  pins=(7,), path="11")]
     a = format_report(report, "json")
     assert a == format_report(report, "json")
     doc = json.loads(a)
@@ -66,8 +66,8 @@ def test_multi_path_rows_keep_labels():
     report = Report()
     for label in ("01", "11"):
         report.violations.append(
-            classify(Code.E1, "Static fluidic constraint violated", t=20,
-                     instructions=("m(7,4,7,3)",), path=label))
+            Violation(Code.E1, "Static fluidic constraint violated", t=20,
+                      instructions=("m(7,4,7,3)",), path=label))
     text = format_report(report, "text")
     assert "path=01" in text and "path=11" in text
 

@@ -18,8 +18,8 @@ from dmfv.diag import Code
 from dmfv.fluidics import EngineError, state_at, step, ticks, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError, Loc,
-                      MixStart, Move, MType, Output, ReservoirDecl, RKind, TimedLine, Waste,
-                      parse_program)
+                      MixStart, Move, MType, Output, ReservoirDecl, RKind, TimedLine,
+                      ValidationError, Waste, parse_program)
 from dmfv.pins import dedicated_map, parse_pins
 
 from conftest import (count_checked_lines, finished_runs, fractions_of, load, without_bulk,
@@ -618,6 +618,30 @@ def test_grid_holds_only_cells_on_the_array(monkeypatch, capsys):
     assert steps[0] > 300
 
 
+# --- the engine's door: a program with structural issues is refused ----------
+
+def test_ticks_refuse_a_line_before_tick_zero():
+    prog = parse_program(load("twowaymix.dmf"))
+    early = dataclasses.replace(prog, main=(TimedLine(-1, (Dispense(Loc(1, 1)),)), *prog.main))
+    assert [i.code for i in early.issues] == ["BadTimestamp"]
+    with pytest.raises(ValidationError, match="BadTimestamp at t=-1"):
+        list(ticks(early))
+
+
+def test_verify_refuses_an_undeclared_detector():
+    prog = parse_program("dim(5,5)\naccuracy 2\nR(1,1,S)\n1 d(1,1)\n2 detect(d9)\n3 end\n",
+                         validate=False)
+    with pytest.raises(ValidationError, match="UndeclaredDetector at t=2"):
+        verify_program(prog)
+
+
+def test_verify_refuses_an_off_array_dispense_with_a_pin_map():
+    prog = parse_program("dim(5,5)\naccuracy 2\nR(6,6,S)\n1 d(6,6)\n2 end\n",
+                         validate=False)
+    with pytest.raises(ValidationError, match="OutOfBounds"):
+        verify_program(prog, pin_map=dedicated_map(5, 5))
+
+
 # --- the step memo against the plain step (oracle) ----------------------------
 
 def _value(state):
@@ -799,7 +823,7 @@ def _key_cases():
     yield 0, state_with(6, 6, [Loc(2, 2)]), state_with(6, 6, [Loc(2, 2), Loc(3, 4)]), near, {}
     pair = state_with(6, 6, [Loc(2, 2), Loc(2, 5)])
     mixing = pair.copy()
-    mixing.mixers = (MixerEntry(Loc(2, 2), Loc(2, 5), 0, 9, MType.H14, ("n0", "n1")),)
+    mixing.mixers = (MixerEntry(Loc(2, 2), Loc(2, 5), 0, 9, MType.H14),)
     yield 1, pair, mixing, TimedLine(1, (Move(Loc(2, 2), Loc(3, 2)),)), {}
     # two detectors share (3,3): the other one is busy, then this one
     shared = init_state(header(6, 6), (DetectorDecl("d1", Loc(3, 3), 4),
@@ -941,7 +965,7 @@ def random_moves(rng):
     state = state_with(rows, cols, occupied)
     if len(occupied) > 1 and rng.random() < 0.2:
         a, b = rng.sample(occupied, 2)
-        state.mixers = (MixerEntry(a, b, 0, 9, MType.H14, ("n0", "n1")),)
+        state.mixers = (MixerEntry(a, b, 0, 9, MType.H14),)
     if rng.random() < 0.2:
         state.detections = (DetectionEntry("d1", rng.choice(occupied), 9),)
 

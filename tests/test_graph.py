@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from dmfv.diag import Code, Report, classify
+from dmfv.diag import Code, Report, Violation
 from dmfv.fluidics import verify_program
 from dmfv.graph import (MIX, OUTPUT, WASTE, BadArity, CFVector, CycleDetected,
                         SeqGraph, SGNode, _adjacency, _cf_key, _concentrations, _depths,
@@ -481,7 +481,7 @@ def _oracle_conformance(input_sg, synth_sg, n, ignore_waste=False) -> Report:
     report = Report()
     reagents = input_sg.reagents or synth_sg.reagents
     if set(input_sg.reagents) != set(synth_sg.reagents) and input_sg.reagents and synth_sg.reagents:
-        report.violations.append(classify(
+        report.violations.append(Violation(
             Code.E7, "Incorrect realization of input sequencing graph",
             detail=f"reagent universes differ: specified {sorted(input_sg.reagents)}, "
                    f"realized {sorted(synth_sg.reagents)}"))
@@ -499,7 +499,7 @@ def _oracle_conformance(input_sg, synth_sg, n, ignore_waste=False) -> Report:
             if not spec_ids and not real_ids:
                 continue
             if len(spec_ids) != len(real_ids):
-                report.violations.append(classify(
+                report.violations.append(Violation(
                     Code.E7, "Incorrect realization of input sequencing graph",
                     detail=f"depth {depth}: specified {len(spec_ids)} {kind} node(s), "
                            f"realized {len(real_ids)}"))
@@ -518,7 +518,7 @@ def _oracle_conformance(input_sg, synth_sg, n, ignore_waste=False) -> Report:
                 if kind == MIX:
                     _duration_check(input_sg.nodes[sid], synth_sg.nodes[rid], report)
             for rid, sid in zip(sorted(leftovers), sorted(unmatched_spec)):
-                report.violations.append(classify(
+                report.violations.append(Violation(
                     Code.E7, "Incorrect realization of input sequencing graph",
                     detail=f"ratio {_oracle_describe(synth_sg, rid, reagents, n)} produced, "
                            f"{_oracle_describe(input_sg, sid, reagents, n)} specified"))

@@ -9,7 +9,7 @@ occupied grids, valid or not.
 import random
 
 from dmfv.chip import MixerEntry, init_state
-from dmfv.diag import Code, classify
+from dmfv.diag import Code, Violation
 from dmfv.fluidics import RULES, LineContext, _post_checks, mixer_geometry_ok, move_conflicts
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, Loc, MixStart, Move, MType, ReservoirDecl,
@@ -144,7 +144,7 @@ def test_guard_matches_mixer_formula_on_random_walks():
         a, b = Loc(4, 3), Loc(4, 6)
         st = st.add_droplet("A", a, CFVector.unit("S"))
         st = st.add_droplet("B", b, CFVector.unit("S"))
-        st.mixers = (MixerEntry(a, b, 0, 9, MType.H14, ("A", "B")),)
+        st.mixers = (MixerEntry(a, b, 0, 9, MType.H14),)
         walker = Loc(rng.randrange(1, 9), rng.randrange(1, 9))
         if walker in (a, b):
             continue
@@ -172,7 +172,7 @@ def pairwise_separation(state, line, claimed, t):
                 idxs = sorted({claimed[c] for c in (c1, c2) if c in claimed})
                 detail = next((mx.span() for mx in state.mixers
                                if c1 in (mx.a, mx.b) or c2 in (mx.a, mx.b)), "")
-                out.append(classify(
+                out.append(Violation(
                     Code.E1, "Static fluidic constraint violated", t=t,
                     instructions=tuple(line.instrs[i].compact() for i in idxs),
                     cells=(c1, c2), detail=detail))
@@ -189,7 +189,7 @@ def test_separation_probe_matches_pairwise_scan():
         mixers = []
         for _ in range(min(rng.randrange(3), len(locs) // 2)):
             a, b = rng.sample(locs, 2)
-            mixers.append(MixerEntry(a, b, 0, 9, MType.H14, ("S", "S")))
+            mixers.append(MixerEntry(a, b, 0, 9, MType.H14))
         st.mixers = tuple(mixers)
         # droplets that arrived this tick: each claims its cell for one instruction
         arrived = rng.sample(locs, rng.randrange(len(locs) + 1))

@@ -6,7 +6,7 @@ import pytest
 
 from dmfv import pins
 from dmfv.chip import MixerEntry, init_state
-from dmfv.diag import Code, classify
+from dmfv.diag import Code, Violation
 from dmfv.fluidics import LineContext, _commit, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
@@ -47,7 +47,7 @@ def droplets(rows, cols, locs):
 
 def pins_of(pmap, cells):
     """The set of pins driving ``cells``."""
-    return {pmap.pin_of(c) for c in cells}
+    return {pmap.pin[c] for c in cells}
 
 
 def n4_cells(rows, cols, loc):
@@ -62,12 +62,11 @@ def scan_case1(pmap, loc):
     (oracle)."""
     seen = {}
     for cell in sorted(n4_cells(pmap.rows, pmap.cols, loc)):
-        seen.setdefault(pmap.pin_of(cell), []).append(cell)
+        seen.setdefault(pmap.pin[cell], []).append(cell)
     for p, cells in sorted(seen.items()):
         if len(cells) > 1:
-            return classify(Code.PIN_CASE1, "Unintentional droplet split", cells=(loc, *cells),
-                            pins=(p,), detail=f"pin {p} drives {len(cells)} neighbors of {loc}",
-                            consequence="Unintentional droplet split")
+            return Violation(Code.PIN_CASE1, "Unintentional droplet split", cells=(loc, *cells),
+                             pins=(p,), detail=f"pin {p} drives {len(cells)} neighbors of {loc}")
     return None
 
 
@@ -80,7 +79,7 @@ def test_pins_of_neighborhood_sets():
     assert pins_of(stretch_map, stretch_map.n4(Loc(5, 5))) == {8, 6, 9, 3}
     assert pins_of(stretch_map, ()) == set()
     with pytest.raises(OutOfBounds):
-        pins_of(stretch_map, [Loc(9, 9)])
+        stretch_map.with_remap({Loc(9, 9): 1})
     assert issubclass(OutOfBounds, DmfError)
 
 
@@ -103,7 +102,7 @@ def test_case1_matches_bruteforce_on_random_maps():
         pmap = PinMap(rows, cols, pin)
         loc = Loc(rng.randrange(1, rows + 1), rng.randrange(1, cols + 1))
         n4 = sorted(pmap.n4(loc))
-        clash = any(pmap.pin_of(a) == pmap.pin_of(b)
+        clash = any(pmap.pin[a] == pmap.pin[b]
                     for i, a in enumerate(n4) for b in n4[i + 1:])
         assert (check_case1(pmap, loc) is not None) == clash
 
@@ -138,7 +137,7 @@ def test_parsed_map_equals_its_loc_keyed_map():
     by_loc = {Loc(r, c): int(p) for r, row in enumerate(grid, 1) for c, p in enumerate(row, 1)}
     assert pmap == PinMap(pmap.rows, pmap.cols, by_loc)
     assert parse_pins(serialize_pins(pmap)) == pmap
-    assert all(pmap.pin_of(loc) == p for loc, p in by_loc.items())
+    assert all(pmap.pin[loc] == p for loc, p in by_loc.items())
     assert dedicated_map(3, 4) == PinMap(3, 4, {Loc(r, c): (r - 1) * 4 + c
                                                for r in range(1, 4) for c in range(1, 5)})
 
@@ -260,20 +259,18 @@ def test_pair_checks_skip_distant_droplets(pair_checks):
 def scan_dispense_pins(pmap, state, loc, extra_droplets=()):
     """check_dispense_pins as a scan of every other droplet for each
     dispense (oracle)."""
-    own = pmap.pin_of(loc)
+    own = pmap.pin[loc]
     if own in pmap.n4_pins(loc):
-        shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin_of(c) == own)
-        return classify(Code.PIN_DISPENSE, "Droplet stretch", cells=(loc, *shared_self),
-                        pins=(own,), detail=f"pin {own} is repeated in N4({loc})",
-                        consequence="Droplet stretch")
+        shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin[c] == own)
+        return Violation(Code.PIN_DISPENSE, "Droplet stretch", cells=(loc, *shared_self),
+                         pins=(own,), detail=f"pin {own} is repeated in N4({loc})")
     others = sorted(state.by_loc) + [c for c in extra_droplets if c != loc]
     for d in others:
         if own in pmap.n4_pins(d):
-            shared = sorted(c for c in pmap.n4(d) if pmap.pin_of(c) == own)
-            return classify(Code.PIN_DISPENSE, "Droplet stretch", cells=(loc, d, *shared),
-                            pins=(own,),
-                            detail=f"pin {own} of {loc} drives a neighbor of the droplet at {d}",
-                            consequence="Droplet stretch")
+            shared = sorted(c for c in pmap.n4(d) if pmap.pin[c] == own)
+            return Violation(Code.PIN_DISPENSE, "Droplet stretch", cells=(loc, d, *shared),
+                             pins=(own,),
+                             detail=f"pin {own} of {loc} drives a neighbor of the droplet at {d}")
     return None
 
 
@@ -346,7 +343,7 @@ def random_tick(rng, rows, cols):
     if len(free) >= 2 and rng.random() < 0.5:
         a, b = rng.sample(free, 2)
         snapshot = snapshot.copy()
-        snapshot.mixers = (MixerEntry(a, b, 0, 99, MType.H14, ("S", "S")),)
+        snapshot.mixers = (MixerEntry(a, b, 0, 99, MType.H14),)
         free = [l for l in free if l not in (a, b)]
     instrs, claimed = [], set()
     for src in free:
