@@ -129,18 +129,17 @@ def _row(code: Code, response: str, pin: int, cells: tuple[Loc, ...], detail: st
 
 def check_case1(pmap: PinMap, loc: Loc) -> Violation | None:
     """Distinct pins are required on the four neighborhood electrodes.  A
-    cell with as many N4 pins as on-array N4 cells passes without a scan."""
+    cell with as many N4 pins as on-array N4 cells passes without a scan;
+    with fewer, some pin repeats, and the row names the smallest."""
     r, c = loc
     if len(pmap.n4_pins(loc)) == (r > 1) + (r < pmap.rows) + (c > 1) + (c < pmap.cols):
         return None
     seen: dict[int, list[Loc]] = {}
     for cell in sorted(pmap.n4(loc)):
         seen.setdefault(pmap.pin[cell], []).append(cell)
-    for p, cells in sorted(seen.items()):
-        if len(cells) > 1:
-            return _row(Code.PIN_CASE1, "Unintentional droplet split", p, (loc, *cells),
-                        f"pin {p} drives {len(cells)} neighbors of {loc}")
-    return None
+    p, cells = min((p, cells) for p, cells in seen.items() if len(cells) > 1)
+    return _row(Code.PIN_CASE1, "Unintentional droplet split", p, (loc, *cells),
+                f"pin {p} drives {len(cells)} neighbors of {loc}")
 
 
 def _consequence(shared_cells: list[Loc], affected_old: Loc, affected_new: Loc) -> str:
@@ -162,12 +161,7 @@ def check_pair(pmap: PinMap, d1_t: Loc, d1_t1: Loc, d2_t: Loc, d2_t1: Loc) -> Vi
         ("3(a)", Code.PIN_CASE3, d1_t1, set(pmap.n4(d2_t)) - {d2_t1}, (d2_t, d2_t1)),
         ("3(b)", Code.PIN_CASE3, d2_t1, set(pmap.n4(d1_t)) - {d1_t1}, (d1_t, d1_t1)),
     ]
-    seen: set[tuple[Loc, frozenset[Loc]]] = set()
     for label, code, single, hood, affected in checks:
-        key = (single, frozenset(hood))
-        if key in seen:
-            continue
-        seen.add(key)
         single_pin = pmap.pin[single]
         shared_cells = sorted(c for c in hood if pmap.pin[c] == single_pin)
         if shared_cells:
