@@ -139,6 +139,9 @@ def cmd_inject(args) -> int:
     if "move" in reads and args.line is not None and args.move is None:
         raise DmfError(f"--error {args.error} reads --line only with --move")
     program = _load_program(args.program)
+    if args.error in ("e1", "e2") and program.has_conditionals:
+        raise DmfError(f"--error {args.error} works on straight-line programs; "
+                       "this one has conditional calls")
     stem = Path(args.program)
 
     if args.error == "pin":

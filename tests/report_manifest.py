@@ -22,7 +22,11 @@ seeded and fixed:
   ``--all`` where that adds rows;
 - ``verify`` of the program that each default ``inject`` preset writes, and
   one explicit move added before an end marker;
-- each ``inject`` preset given an option that it does not read.
+- each ``inject`` preset given an option that it does not read;
+- one run for each input error and report line of the .pins and .sg
+  readers, the CLI, ``inject``, the serializer and ``render`` that no run
+  above reaches (``_input_gap_argvs``), among them a commented pin map that
+  guards the comment rule the three input formats share.
 
 ``report_manifest.txt`` holds the records, one line per run (argv, exit
 code, digest), sorted by argv; ``test_report_manifest.py`` recomputes them.
@@ -221,6 +225,62 @@ def _blind_spot_argvs(fixtures: Path, indir: Path, outdir: Path) -> list[list[st
     return argvs
 
 
+# file -> text, for the runs of ``_input_gap_argvs``
+_GAP_FILES = {
+    # .pins: a comment line, a blank line and a trailing comment; then errors
+    "commented.pins": None,     # mplex.pins with comments, written below
+    "word.pins": "1 2\nx 4\n",
+    "empty.pins": "# no rows\n",
+    "ragged.pins": "1 2 3\n4 5\n",
+    # .sg errors
+    "no_reagents.sg": "reagents\n",
+    "no_reagent.sg": "reagents S\nnode S dispense\n",
+    "bad_edge.sg": "reagents S\nnode S dispense S\nedge S\n",
+    # programs for inject and render
+    "boxed.dmf": "dim(2,2)\naccuracy 2\nR(1,1,S) O(1,2) W(2,1)\n1 d(1,1)\n2 end\n",
+    "no_dispense.dmf": _SMALL + "1 end\n",
+    "vertical.dmf": _GRID + "R(3,3,S) R(6,3,B)\n1 d(3,3) d(6,3)\n2 mix(3,3,6,3,3,41)\n8 end\n",
+    "mix_at_zero.dmf": _GRID + "R(3,3,S) R(3,6,B)\n0 mix(3,3,3,6,2,14)\n5 end\n",
+    "with_tmax.dmf": "dim(5,5)\naccuracy 2\nR(1,1,S) R(1,5,B)\ntmax 9\n1 d(1,1)\n2 end\n",
+    "detector.dmf": (_SMALL + "D(d1,1,3,3)\n1 d(1,1)\n2 m(1,1,1,2)\n3 m(1,2,1,3)\n"
+                     "4 detect(d1)\n8 end\n"),
+}
+
+
+def _input_gap_argvs(fixtures: Path, indir: Path, outdir: Path) -> list[list[str]]:
+    """One run for each input error and report line of the .pins and .sg
+    readers, the CLI, ``inject``, the serializer and ``render`` that no run
+    above reaches."""
+    f = {name: str(indir / f"gap_{name}") for name in _GAP_FILES}
+    for name, text in _GAP_FILES.items():
+        Path(f[name]).write_text(text if text is not None else "# mplex, commented\n\n" + (
+            fixtures / "mplex.pins").read_text().replace("\n", "  # row 1\n", 1))
+    fx = lambda name: str(fixtures / name)
+    mutated = str(outdir / "mutated.dmf")
+    argvs = [["verify", fx("mplex.dmf"), "--pins", f["commented.pins"]]]
+    argvs += [["verify", fx("twowaymix.dmf"), "--pins", f[name]]
+              for name in ("word.pins", "empty.pins", "ragged.pins")]
+    argvs += [["verify", fx("twowaymix.dmf"), "--sg", f[name]]
+              for name in ("no_reagents.sg", "no_reagent.sg", "bad_edge.sg")]
+    argvs += [["inject", fx("mplex.dmf"), "--error", "pin", "--pins", fx("mplex.pins"),
+               "-o", str(outdir / "bad.pins")],
+              ["render", fx("twowaymix.dmf"), "--animate", "--svg"],
+              ["inject", fx("twowaymix.dmf"), "--error", "e1", "--move", "1,1->1,2",
+               "--line", "999", "-o", mutated],
+              ["inject", fx("pcr.dmf"), "--error", "e7", "--swap", "R1,Zz", "-o", mutated],
+              ["inject", fx("pcr.dmf"), "--error", "e7", "--swap", "R1,R2", "-o", mutated],
+              ["inject", f["boxed.dmf"], "--error", "e3", "-o", mutated],
+              ["inject", f["no_dispense.dmf"], "--error", "e3", "-o", mutated],
+              ["inject", f["vertical.dmf"], "--error", "e4", "-o", str(indir / "gap_e4.dmf")],
+              ["verify", str(indir / "gap_e4.dmf")],
+              ["inject", f["mix_at_zero.dmf"], "--error", "e5", "-o", mutated],
+              ["inject", fx("pcr.dmf"), "--error", "e6", "--duration", "99", "-o", mutated],
+              ["inject", f["no_dispense.dmf"], "--error", "e7", "-o", mutated],
+              ["inject", f["with_tmax.dmf"], "--error", "e7", "-o", mutated],
+              ["render", f["detector.dmf"], "--animate"]]
+    return argvs
+
+
 def _inject_refusal_argvs(fixtures: Path, outdir: Path) -> list[list[str]]:
     """Each inject preset, given an option it does not read (e1 and e2 read
     --line only with --move)."""
@@ -245,6 +305,7 @@ def corpus(indir: Path, outdir: Path) -> list[list[str]]:
     argvs += _adjacent_dispense_argvs(indir)
     argvs += _blind_spot_argvs(FIXTURES, indir, outdir)
     argvs += _inject_refusal_argvs(FIXTURES, outdir)
+    argvs += _input_gap_argvs(FIXTURES, indir, outdir)
     return argvs
 
 

@@ -84,6 +84,17 @@ def test_verify_events_needs_a_straight_line_program(tmp_path, capsys):
     assert not log.exists()
 
 
+def test_inject_move_presets_need_a_straight_line_program(tmp_path, capsys):
+    # the move search replays one straight-line run; the error names the
+    # preset, not an engine step that the CLI offers no way to take
+    out = tmp_path / "mutated.dmf"
+    for e in ("e1", "e2"):
+        assert main(["inject", fx("recovery.dmf"), "--error", e, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: --error {e} works on straight-line "
+                                           "programs; this one has conditional calls\n")
+    assert not out.exists()
+
+
 def test_pin_rows_keep_their_consequence(tmp_path, capsys):
     # a pin row's consequence is its response: on the first failing tick, on
     # the secondary rows after it and on the rows of each execution path

@@ -15,3 +15,20 @@ def test_reports_match_the_manifest(tmp_path):
                          f"(want -> got):\n" + "\n".join(
                              f"{argv}: {want.get(argv)} -> {got.get(argv)}"
                              for argv in changed[:40]))
+
+
+def test_input_gaps_that_exit_2_print_one_error_line(tmp_path, capsys):
+    from conftest import FIXTURES
+    from dmfv.cli import main
+
+    indir, outdir = tmp_path / "in", tmp_path / "out"
+    indir.mkdir()
+    outdir.mkdir()
+    refused = 0
+    for argv in report_manifest._input_gap_argvs(FIXTURES, indir, outdir):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        if rc == 2:
+            refused += 1
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    assert refused == 15
