@@ -153,13 +153,14 @@ def _consequence(shared_cells: list[Loc], affected_old: Loc, affected_new: Loc) 
 
 def check_pair(pmap: PinMap, d1_t: Loc, d1_t1: Loc, d2_t: Loc, d2_t1: Loc) -> Violation | None:
     """Pairwise movement rules between two droplets (static = equal positions)."""
+    hood1, hood2 = pmap.n4(d1_t), pmap.n4(d2_t)
     checks = [
-        ("2(a)", Code.PIN_CASE2, d1_t, set(pmap.n4(d2_t)), (d2_t, d2_t1)),
-        ("2(b)", Code.PIN_CASE2, d2_t, set(pmap.n4(d1_t)), (d1_t, d1_t1)),
-        ("2(c)", Code.PIN_CASE2, d1_t1, set(pmap.n4(d2_t1)), (d2_t, d2_t1)),
-        ("2(d)", Code.PIN_CASE2, d2_t1, set(pmap.n4(d1_t1)), (d1_t, d1_t1)),
-        ("3(a)", Code.PIN_CASE3, d1_t1, set(pmap.n4(d2_t)) - {d2_t1}, (d2_t, d2_t1)),
-        ("3(b)", Code.PIN_CASE3, d2_t1, set(pmap.n4(d1_t)) - {d1_t1}, (d1_t, d1_t1)),
+        ("2(a)", Code.PIN_CASE2, d1_t, hood2, (d2_t, d2_t1)),
+        ("2(b)", Code.PIN_CASE2, d2_t, hood1, (d1_t, d1_t1)),
+        ("2(c)", Code.PIN_CASE2, d1_t1, pmap.n4(d2_t1), (d2_t, d2_t1)),
+        ("2(d)", Code.PIN_CASE2, d2_t1, pmap.n4(d1_t1), (d1_t, d1_t1)),
+        ("3(a)", Code.PIN_CASE3, d1_t1, hood2 - {d2_t1}, (d2_t, d2_t1)),
+        ("3(b)", Code.PIN_CASE3, d2_t1, hood1 - {d1_t1}, (d1_t, d1_t1)),
     ]
     for label, code, single, hood, affected in checks:
         single_pin = pmap.pin[single]
