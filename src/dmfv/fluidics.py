@@ -34,8 +34,8 @@ by rule); assays that repeat their transport and mix lines on the same
 layout check each once.  Forks share these verdicts, as they share the
 program.
 
-A cursor refuses a program with structural issues (``Program.issues``) with
-``ValidationError``, so every cell a line names is on the array and every
+A cursor raises ``ValidationError`` for a program with structural issues
+(``Program.issues``), so every cell a line names is on the array and every
 detector it names is declared.  The chip's one droplet index,
 ``ChipState.by_loc``, maps each occupied cell to its droplet, so every rule
 names a droplet by its cell: what a line consumes, what a mixer or a
