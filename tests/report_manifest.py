@@ -227,8 +227,7 @@ def _blind_spot_argvs(fixtures: Path, indir: Path, outdir: Path) -> list[list[st
 
 # file -> text, for the runs of ``_input_gap_argvs``
 _GAP_FILES = {
-    # .pins: a comment line, a blank line and a trailing comment; then errors
-    "commented.pins": None,     # mplex.pins with comments, written below
+    # .pins errors
     "word.pins": "1 2\nx 4\n",
     "empty.pins": "# no rows\n",
     "ragged.pins": "1 2 3\n4 5\n",
@@ -251,10 +250,12 @@ def _input_gap_argvs(fixtures: Path, indir: Path, outdir: Path) -> list[list[str
     """One run for each input error and report line of the .pins and .sg
     readers, the CLI, ``inject``, the serializer and ``render`` that no run
     above reaches."""
-    f = {name: str(indir / f"gap_{name}") for name in _GAP_FILES}
+    f = {name: str(indir / f"gap_{name}") for name in (*_GAP_FILES, "commented.pins")}
     for name, text in _GAP_FILES.items():
-        Path(f[name]).write_text(text if text is not None else "# mplex, commented\n\n" + (
-            fixtures / "mplex.pins").read_text().replace("\n", "  # row 1\n", 1))
+        Path(f[name]).write_text(text)
+    # mplex.pins with a comment line, a blank line and a trailing comment
+    Path(f["commented.pins"]).write_text("# mplex, commented\n\n" + (
+        fixtures / "mplex.pins").read_text().replace("\n", "  # row 1\n", 1))
     fx = lambda name: str(fixtures / name)
     mutated = str(outdir / "mutated.dmf")
     argvs = [["verify", fx("mplex.dmf"), "--pins", f["commented.pins"]]]
