@@ -15,8 +15,9 @@ reads a line off it once, and ``step``, ``pins.pin_phase`` and the injection
 search read the line from there.  One generic rule rejects a droplet that
 two instructions of a line consume; each entry keeps its own wording.
 Check fast, explain slow: a line of moves that the per-instruction checks
-would pass passes whole (``_moves_pass``); any other line is checked one
-instruction at a time, which words its rows.
+would pass passes whole (``_moves_pass``) and commits as one transport
+(``_transport``); any other line is checked one instruction at a time, which
+words its rows, and commits instruction by instruction (``_commit``).
 
 ``Cursor`` is the one engine that steps lines.  ``verify_program``, the
 path walk and ``state_at`` advance it over timed lines only; ``ticks`` also
@@ -41,7 +42,8 @@ detector it names is declared.  The chip's one droplet index,
 names a droplet by its cell: what a line consumes, what a mixer or a
 detection holds.  Probes of it test no bounds: the index holds only cells on
 the array, and a probe off it simply misses.  A commit that would overwrite
-a droplet raises ``chip.InconsistentState`` at the write.
+a droplet raises ``chip.InconsistentState``: at the write, or, for a
+transport, by the count of droplets after it.
 
 Violation classification follows the error taxonomy: a movement conflict
 with a droplet that also moves this tick is dynamic (e2, both instructions
@@ -400,16 +402,36 @@ def _consumed_twice(ctx: LineContext, rule: Rule, instr: Instruction, i: int,
 
 def _moves_pass(snapshot: ChipState, instrs) -> dict[Loc, int] | None:
     """The claims {destination: position} of a line of moves that passes its
-    checks on a snapshot with no active mixer or detection; else None."""
-    if snapshot.mixers or snapshot.detections or any(type(i) is not Move for i in instrs):
+    checks on a snapshot with no active mixer or detection; else None.  One
+    pass tests each move; the counts then find a source or destination that
+    two moves share."""
+    if snapshot.mixers or snapshot.detections:
         return None
-    claimed = {instr.dst: i for i, instr in enumerate(instrs)}
-    sources = {instr.src for instr in instrs}
     cells = snapshot.by_loc.keys()
-    ok = (len(sources) == len(claimed) == len(instrs) and cells >= sources
-          and cells.isdisjoint(claimed)
-          and cells.isdisjoint([p for m in instrs for p in _probes(m.src, m.dst)]))
-    return claimed if ok else None
+    claimed: dict[Loc, int] = {}
+    sources: set[Loc] = set()
+    for i, instr in enumerate(instrs):
+        if type(instr) is not Move:
+            return None
+        src, dst = instr.src, instr.dst
+        if src not in cells or dst in cells or not cells.isdisjoint(_probes(src, dst)):
+            return None
+        sources.add(src)
+        claimed[dst] = i
+    return claimed if len(sources) == len(claimed) == len(instrs) else None
+
+
+def _transport(snapshot: ChipState, instrs, t: int) -> ChipState:
+    """``_commit`` of a line of moves that ``_moves_pass`` passed, as one
+    transport: every source leaves, then every destination fills, in line
+    order.  A move onto a droplet shrinks the index; a plain check refuses it."""
+    new = snapshot.copy()
+    new.t = t
+    by_loc = new.by_loc
+    by_loc.update([(m.dst, by_loc.pop(m.src)) for m in instrs])
+    if len(by_loc) != len(snapshot.by_loc):
+        raise chip.InconsistentState("a line of moves would overwrite a droplet")
+    return new
 
 
 # A run's clean verdicts: id(line.instrs) -> (that tuple, the snapshot
@@ -474,7 +496,9 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     (``_consumed_twice``), no mixer or detection (``_pinned``), and distinct
     destinations, occupied sources, free destinations and free probes
     (``_check_move``).  So it passes exactly the lines without a row, with
-    the same claims, and the rest of the step is shared.
+    the same claims.  Such a line commits as one transport: ``_transport``
+    builds the state that ``_commit`` would, down to the order of
+    ``by_loc``, with no events, and the rest of the step is shared.
     """
     t = line.t
     if t < state.t:
@@ -489,9 +513,10 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             events.extend(more)
             return StepResult(new, [], events)
     violations: list[Violation] = []
-    instrs = line.instrs
-    claimed = None if pin_map is not None else _moves_pass(snapshot, instrs)
-    if claimed is None:
+    claimed = None if pin_map is not None else _moves_pass(snapshot, line.instrs)
+    if claimed is not None:
+        new = _transport(snapshot, line.instrs, t)
+    else:
         ctx = LineContext(snapshot, line)
         passed: list[int] = []      # positions of the instructions that pass
         for i, instr in enumerate(line.instrs):
@@ -514,10 +539,9 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             for cell in consumed:
                 ctx.engaged[cell] = i
             passed.append(i)
-        instrs, claimed = [instrs[i] for i in passed], ctx.claimed
-
-    new, more = _commit(snapshot, instrs, t)
-    events.extend(more)
+        claimed = ctx.claimed
+        new, more = _commit(snapshot, [line.instrs[i] for i in passed], t)
+        events.extend(more)
     post = _post_checks(new, line, claimed, t)
     if post:
         violations.extend(post)
@@ -555,10 +579,6 @@ def _commit(snapshot: ChipState, instrs, t: int) -> tuple[ChipState, list[chip.E
     return new, events
 
 
-# Of the eight neighbours of (r, c), the four that sort after it, in sorted order.
-_FORWARD_N8 = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-
 def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int],
                  t: int) -> list[Violation]:
     """Global separation invariant over the committed state.
@@ -570,8 +590,19 @@ def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int],
     occupied, so any droplet in the region is adjacent to one of them.
     """
     by_loc = state.by_loc
-    pairs = sorted((c1, Loc(c1[0] + dr, c1[1] + dc)) for c1 in by_loc for dr, dc in _FORWARD_N8
-                   if (c1[0] + dr, c1[1] + dc) in by_loc)
+    pairs = []
+    for c1 in by_loc:
+        # of the eight neighbours of c1, the four that sort after it, in order
+        r, c = c1
+        if (r, c + 1) in by_loc:
+            pairs.append((c1, Loc(r, c + 1)))
+        if (r + 1, c - 1) in by_loc:
+            pairs.append((c1, Loc(r + 1, c - 1)))
+        if (r + 1, c) in by_loc:
+            pairs.append((c1, Loc(r + 1, c)))
+        if (r + 1, c + 1) in by_loc:
+            pairs.append((c1, Loc(r + 1, c + 1)))
+    pairs.sort()
     out: list[Violation] = []
     for c1, c2 in pairs:
         idxs = [claimed[x] for x in (c1, c2) if x in claimed]

@@ -15,9 +15,10 @@ the arrow form.
 
 Within one ``parse_program`` call each distinct line body parses once (by
 its tokens, else by ``_scan``), each distinct token builds its instruction
-and each distinct cell its ``Loc`` once, and lines share these frozen
-values; no memo outlives the call.  Validation checks every cell a program
-names against the array once, each distinct instruction tuple once (a tuple
+and each distinct cell its ``Loc`` once, and lines share these values
+(instructions are slotted frozen dataclasses); no memo outlives the call.
+Validation checks every cell a program names against the array
+(``ChipHeader.in_bounds``), each distinct instruction tuple once (a tuple
 out of bounds is checked on every line that holds it, so each issue keeps
 its tick); the engine relies on that and tests no bounds itself.
 """
@@ -81,7 +82,7 @@ class ChipHeader:
     reservoirs: tuple[ReservoirDecl, ...]
 
     def in_bounds(self, loc: Loc) -> bool:
-        return 1 <= loc.row <= self.rows and 1 <= loc.col <= self.cols
+        return 0 < loc[0] <= self.rows and 0 < loc[1] <= self.cols
 
     @property
     def reagents(self) -> tuple[str, ...]:
@@ -95,7 +96,7 @@ class ChipHeader:
 
 # --- instructions ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dispense:
     loc: Loc
 
@@ -105,7 +106,7 @@ class Dispense:
     canonical = compact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     src: Loc
     dst: Loc
@@ -117,7 +118,7 @@ class Move:
         return f"m([{self.src.row},{self.src.col}]->[{self.dst.row},{self.dst.col}])"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixStart:
     a: Loc
     b: Loc
@@ -133,7 +134,7 @@ class MixStart:
                 f"{self.t_mix},{self.mtype.value})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Waste:
     loc: Loc
 
@@ -143,7 +144,7 @@ class Waste:
     canonical = compact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Output:
     loc: Loc
 
@@ -153,7 +154,7 @@ class Output:
     canonical = compact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectStart:
     detector: str
 
@@ -163,7 +164,7 @@ class DetectStart:
     canonical = compact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CondCall:
     detector: str
     recovery: str
@@ -174,7 +175,7 @@ class CondCall:
     canonical = compact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class End:
     def compact(self) -> str:
         return "end"
@@ -204,7 +205,7 @@ class Program:
 
     @cached_property
     def has_conditionals(self) -> bool:
-        return any(isinstance(i, CondCall) for ln in self.main for i in ln.instrs)
+        return any(CondCall in map(type, ln.instrs) for ln in self.main)
 
     @cached_property
     def issues(self) -> tuple[SemanticError, ...]:
@@ -260,8 +261,9 @@ _TIMED_RE = re.compile(r"(\d+)\s+(\S.*)$")
 
 
 def _move(m: re.Match, cell, lineno: int, col: int) -> Move:
-    src, dst = cell(m[1], m[2]), cell(m[3], m[4])
-    if abs(src.row - dst.row) + abs(src.col - dst.col) != 1:
+    r1, c1, r2, c2 = m.groups()
+    src, dst = cell(r1, c1), cell(r2, c2)
+    if abs(src[0] - dst[0]) + abs(src[1] - dst[1]) != 1:
         raise ParseError(f"move destination {dst} is not a 4-neighbor of {src}",
                          lineno, col)
     return Move(src, dst)
@@ -486,17 +488,25 @@ _CELLS = {
 }
 
 
-def _check_locs(p: Program, line: TimedLine, issues: list[SemanticError]) -> None:
-    rows, cols = p.header.rows, p.header.cols
-    for instr in line.instrs:
+def _check_locs(p: Program, line: TimedLine, issues: list[SemanticError]) -> list:
+    """Add an issue for each cell of the line off the array; return the
+    (position, instruction) pairs of the instructions that name no cell."""
+    hdr, in_bounds = p.header, p.header.in_bounds
+    control = []
+    for j, instr in enumerate(line.instrs):
+        # the common case, a move on the array, skips the table
+        if type(instr) is Move and in_bounds(instr.src) and in_bounds(instr.dst):
+            continue
         cells = _CELLS.get(type(instr))
         if cells is None:
+            control.append((j, instr))
             continue
         for loc in cells(instr):
-            if not (0 < loc[0] <= rows and 0 < loc[1] <= cols):
+            if not in_bounds(loc):
                 issues.append(SemanticError(
                     "OutOfBounds", f"{instr.compact()} references {loc} outside the "
-                    f"{rows}x{cols} array", line.t))
+                    f"{hdr.rows}x{hdr.cols} array", line.t))
+    return control
 
 
 def validate_structure(p: Program) -> list[SemanticError]:
@@ -549,9 +559,7 @@ def validate_structure(p: Program) -> list[SemanticError]:
             control = control_of.get(id(ln.instrs))
             if control is None:
                 found = len(issues)
-                _check_locs(p, ln, issues)
-                control = [(j, instr) for j, instr in enumerate(ln.instrs)
-                           if type(instr) not in _CELLS]
+                control = _check_locs(p, ln, issues)
                 if len(issues) == found:
                     control_of[id(ln.instrs)] = control
             for j, instr in control:

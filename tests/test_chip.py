@@ -113,20 +113,22 @@ def test_add_and_move_refuse_an_occupied_cell():
 def test_occupied_cell_guard_raises_under_python_O():
     code = textwrap.dedent("""
         from dmfv.chip import InconsistentState, init_state
+        from dmfv.fluidics import _transport
         from dmfv.graph import CFVector
-        from dmfv.isa import ChipHeader, Loc
+        from dmfv.isa import ChipHeader, Loc, Move
         assert False, "assert statements must be stripped under -O"
         st = init_state(ChipHeader(6, 6, 5, ()))
         st = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"))
         st = st.add_droplet("B", Loc(5, 5), CFVector.unit("B"))
         refused = 0
         for write in (lambda: st._move(Loc(2, 2), Loc(5, 5)),
-                      lambda: st.add_droplet("C", Loc(2, 2), CFVector.unit("C"))):
+                      lambda: st.add_droplet("C", Loc(2, 2), CFVector.unit("C")),
+                      lambda: _transport(st, (Move(Loc(2, 2), Loc(5, 5)),), 1)):
             try:
                 write()
             except InconsistentState:
                 refused += 1
-        raise SystemExit(0 if refused == 2 else 1)
+        raise SystemExit(0 if refused == 3 else 1)
     """)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

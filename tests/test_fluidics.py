@@ -12,8 +12,8 @@ import pytest
 from dmfv import fluidics, inject
 from dmfv.branches import verify_all_paths
 from dmfv.cli import main
-from dmfv.chip import (ChipState, DetectionEntry, MixerEntry, expire_detections, expire_mixers,
-                       init_state)
+from dmfv.chip import (ChipState, DetectionEntry, InconsistentState, MixerEntry,
+                       expire_detections, expire_mixers, init_state)
 from dmfv.diag import Code
 from dmfv.fluidics import EngineError, state_at, step, ticks, verify_program
 from dmfv.graph import CFVector
@@ -1006,6 +1006,31 @@ def test_bulk_check_matches_per_instruction_path_on_random_lines():
     assert {(Code.E1, "destination cell occupied"), (Code.E1, "move lands next to an idle droplet"),
             (Code.E2, "two droplets head for the same cell"), (Code.E2, ""), (Code.E4, "")
             } <= set(seen), seen
+
+
+def test_transport_matches_commit_on_bulk_passed_lines():
+    rng = random.Random(1618)
+    passed = 0
+    for _ in range(3000):
+        state, line = random_moves(rng)
+        snapshot = fluidics.expire(state, line.t)[0]
+        if not _bulk_agrees(state, line):
+            continue
+        passed += 1
+        got = fluidics._transport(snapshot, line.instrs, line.t)
+        want, events = fluidics._commit(snapshot, line.instrs, line.t)
+        assert events == [], line
+        assert (list(got.by_loc.items()), got.t, got.mixers, got.detections, got.next_node) == (
+            list(want.by_loc.items()), want.t, want.mixers, want.detections,
+            want.next_node), line
+    assert passed >= 300, passed
+    # a move onto an idle droplet, and two moves onto one cell: the count
+    # check refuses both writes
+    st = state_with(6, 6, [Loc(2, 2), Loc(2, 3), Loc(4, 4)])
+    for instrs in ((Move(Loc(2, 2), Loc(2, 3)),),
+                   (Move(Loc(2, 3), Loc(3, 3)), Move(Loc(4, 4), Loc(3, 3)))):
+        with pytest.raises(InconsistentState):
+            fluidics._transport(st, instrs, 1)
 
 
 def bulk_checked(fn, *args, **kw):
