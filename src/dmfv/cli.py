@@ -67,10 +67,11 @@ def cmd_verify(args) -> int:
     policy = "all" if args.all else "first"
     t_max = args.tmax
 
-    if program.has_conditionals:
-        if args.events:
-            raise DmfError("--events works on straight-line programs; "
-                           "a conditional program has one event log per path")
+    if args.events and program.has_conditionals:
+        raise DmfError("--events works on straight-line programs; "
+                       "a conditional program has one event log per path")
+    if program.has_conditionals or args.path:
+        # the path expansion refuses a label that names no path
         path_reports = branches.verify_all_paths(
             program, pin_map=pin_map, input_sg=input_sg, policy=policy,
             t_max=t_max, only=args.path, max_conditionals=args.max_paths)
@@ -80,9 +81,6 @@ def cmd_verify(args) -> int:
             f"ends t={pr.report.final_t}" for pr in path_reports]
         report.notes = summaries + report.notes
         return _emit(report, args.format)
-    if args.path:
-        # a conditional-free program has one path, labeled with the empty string
-        raise DmfError(f"no path labeled {args.path!r}")
 
     trace, report = fluidics.verify_program(program, pin_map=pin_map,
                                             policy=policy, t_max=t_max)

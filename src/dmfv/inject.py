@@ -187,6 +187,8 @@ def _inject_e3(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
         # a dispense from a reagent reservoir is legal: the search skips these too
         raise MutationInapplicable(f"{spec.to} is a reagent reservoir, so a dispense "
                                    f"from it is legal")
+    if not any(isinstance(instr, Dispense) for ln in program.main for instr in ln.instrs):
+        raise MutationInapplicable("no dispense instruction to corrupt")
     for ln in program.main:
         for pos, instr in enumerate(ln.instrs):
             if isinstance(instr, Dispense):
@@ -205,7 +207,8 @@ def _inject_e3(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
                 p = replace_instruction(program, ln.t, pos, Dispense(bad))
                 return p, (f"replaced {instr.compact()} with {Dispense(bad).compact()} "
                            f"at t={ln.t}")
-    raise MutationInapplicable("no dispense instruction to corrupt")
+    raise MutationInapplicable("no dispense has a neighbour on the array that is not a "
+                               "reservoir")
 
 
 def _inject_e4(program: Program, spec: InjectionSpec) -> tuple[Program, str]:

@@ -491,6 +491,19 @@ def test_inject_e3_refuses_a_reagent_reservoir(tmp_path, capsys):
     assert (report.violations[0].code.value, report.violations[0].t) == ("e3", 1)
 
 
+def test_inject_e3_names_why_no_dispense_is_corrupted(tmp_path, capsys):
+    # no dispense at all, and a dispense whose neighbours on the array are all
+    # reservoirs, are two different reasons
+    texts = {"no dispense instruction to corrupt": "dim(3,3)\naccuracy 1\nR(1,1,S)\n0 end\n",
+             "no dispense has a neighbour on the array that is not a reservoir":
+                 "dim(2,2)\naccuracy 2\nR(1,1,S) O(1,2) W(2,1)\n1 d(1,1)\n2 end\n"}
+    prog = tmp_path / "p.dmf"
+    for reason, text in texts.items():
+        prog.write_text(text)
+        assert main(["inject", str(prog), "--error", "e3"]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 def test_inject_inapplicable_exit_two(tmp_path, capsys):
     empty = tmp_path / "empty.dmf"
     empty.write_text("dim(3,3)\naccuracy 1\nR(1,1,S)\n0 end\n")
