@@ -11,9 +11,9 @@ each droplet in that region is adjacent to an occupied mixer endpoint.
 What each instruction does is written once, in ``RULES``: the cells of the
 droplets it consumes, the cells it claims, its check and the phase in which
 its effect commits.  Only this module reads that table: ``LineContext``
-reads a line off it once, and ``step``, ``pins.pin_phase`` and the injection
-search read the line from there.  One generic rule rejects a droplet that
-two instructions of a line consume; each entry keeps its own wording.
+reads a line off it once, and ``step`` and the injection search read the
+line from there.  One generic rule rejects a droplet that two instructions
+of a line consume; each entry keeps its own wording.
 Check fast, explain slow: a line of moves that the per-instruction checks
 would pass passes whole (``_moves_pass``) and commits as one transport
 (``_transport``); any other line is checked one instruction at a time, which
@@ -491,14 +491,16 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     events are those of the full step.  Only steps without a row are
     stored.  Without a memo every line is checked.
 
-    Without a pin map, ``_moves_pass`` may pass a line of moves whole.  Its
+    ``_moves_pass`` may pass a line of moves whole, in either mode.  Its
     literals are the per-instruction path's, move by move: distinct sources
     (``_consumed_twice``), no mixer or detection (``_pinned``), and distinct
     destinations, occupied sources, free destinations and free probes
     (``_check_move``).  So it passes exactly the lines without a row, with
     the same claims.  Such a line commits as one transport: ``_transport``
     builds the state that ``_commit`` would, down to the order of
-    ``by_loc``, with no events, and the rest of the step is shared.
+    ``by_loc``, with no events; the pin phase gets the effects that
+    ``LineContext.effects`` gives when every move passes, and the rest of
+    the step is shared.
     """
     t = line.t
     if t < state.t:
@@ -513,9 +515,9 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             events.extend(more)
             return StepResult(new, [], events)
     violations: list[Violation] = []
-    claimed = None if pin_map is not None else _moves_pass(snapshot, line.instrs)
+    claimed = _moves_pass(snapshot, line.instrs)
     if claimed is not None:
-        new = _transport(snapshot, line.instrs, t)
+        new, ctx = _transport(snapshot, line.instrs, t), None
     else:
         ctx = LineContext(snapshot, line)
         passed: list[int] = []      # positions of the instructions that pass
@@ -548,7 +550,9 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
         if policy == "first":
             return StepResult(snapshot, violations, events)
     if pin_map is not None:
-        pin_violations = pins.pin_phase(pin_map, snapshot, new, ctx, passed)
+        effects = (ctx.effects(passed) if ctx is not None else
+                   ({m.dst: (m.src, i) for i, m in enumerate(line.instrs)}, [], []))
+        pin_violations = pins.pin_phase(pin_map, snapshot, new, line, *effects)
         if pin_violations:
             violations.extend(pin_violations)
             if policy == "first":

@@ -8,17 +8,19 @@ degenerate case with both positions equal.  Every pairwise rule tests a pin
 of one droplet's cells against the N4 pins of the other, so each tick
 indexes droplets by their own cells' pins and intersects every droplet's N4
 pin set with that index.  A ``PinMap`` holds exactly the cells of its array,
-so it reads N4 neighbourhoods off its own table and caches the N4 pin set of
-every cell it is asked about; a droplet with as many N4 pins as N4 cells
-cannot split.  The rules index ``PinMap.pin`` directly: the engine runs
-only a program whose every cell is on the array, and ``check_chip`` gives
-the map the chip's size.  A dispense looks its own pin up in one per-tick
-index of the droplets' N4 pins.  Each rule returns its ``diag.Violation``
-row, and ``pin_phase`` adds tick and instructions.
+so it reads N4 neighbourhoods off its own table; cells do not change during
+a run, so it caches, for every cell it is asked about, the N4 pin set and
+whether Case 1 fails there.  The rules index ``PinMap.pin`` directly: the
+engine runs only a program whose every cell is on the array, and
+``check_chip`` gives the map the chip's size.  A dispense looks its own pin
+up in one per-tick index of the droplets' N4 pins.  Each rule returns its
+``diag.Violation`` row, and ``pin_phase`` adds tick and instructions.
 
-The engine hands ``pin_phase`` its ``fluidics.LineContext`` of each line,
-which says what the line does to droplets; this module reads no rule table
-and imports no engine.
+Check fast, explain slow: a tick of moves alone, with no active mixer,
+first tries to prove with set tests over those caches that it has no row
+(``_quiet``); on any doubt the full phase runs and words the rows.  The
+engine hands ``pin_phase`` each line with what its passed instructions do
+to droplets; this module reads no rule table and imports no engine.
 
 Consequence wording: a shared pin on the cell directly behind a moving
 droplet fights the destination electrode and strands it ("Droplet stuck on
@@ -35,7 +37,7 @@ from operator import itemgetter
 
 from .chip import ChipState
 from .diag import Code, Violation
-from .isa import ChipHeader, DmfError, Loc, content_lines
+from .isa import ChipHeader, DmfError, Loc, TimedLine, content_lines
 
 
 class OutOfBounds(DmfError):
@@ -47,9 +49,10 @@ class PinMap:
     rows: int
     cols: int
     pin: dict[tuple[int, int], int]     # (row, col) -> pin; Loc keys compare equal
-    # per-cell cache, filled on first use; not part of the map's value
+    # per-cell caches, filled on first use; not part of the map's value
     _n4_pins: dict[Loc, frozenset[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _split: set[Loc] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = product(range(1, self.rows + 1), range(1, self.cols + 1))
@@ -72,12 +75,16 @@ class PinMap:
 
     def n4_pins(self, loc: Loc) -> frozenset[int]:
         """Pins driving the N4 neighborhood of loc (cached); the map holds
-        only on-array cells, so an off-array neighbour reads None."""
+        only on-array cells, so an off-array neighbour reads None.  A cell
+        with fewer N4 pins than on-array N4 cells joins ``_split``, the
+        cells asked about so far on which Case 1 fails."""
         pins = self._n4_pins.get(loc)
         if pins is None:
             r, c = loc
-            near = map(self.pin.get, ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)))
+            near = [*map(self.pin.get, ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)))]
             pins = self._n4_pins[loc] = frozenset(near).difference((None,))
+            if len(pins) < 4 - near.count(None):
+                self._split.add(loc)
         return pins
 
     def with_remap(self, remap: dict[Loc, int]) -> "PinMap":
@@ -131,8 +138,8 @@ def check_case1(pmap: PinMap, loc: Loc) -> Violation | None:
     """Distinct pins are required on the four neighborhood electrodes.  A
     cell with as many N4 pins as on-array N4 cells passes without a scan;
     with fewer, some pin repeats, and the row names the smallest."""
-    r, c = loc
-    if len(pmap.n4_pins(loc)) == (r > 1) + (r < pmap.rows) + (c > 1) + (c < pmap.cols):
+    pmap.n4_pins(loc)
+    if loc not in pmap._split:
         return None
     seen: dict[int, list[Loc]] = {}
     for cell in sorted(pmap.n4(loc)):
@@ -208,21 +215,24 @@ def _dispense_row(pmap: PinMap, loc: Loc, owners: dict[int, list[Loc]]) -> Viola
 
 # --- per-tick phase (driven by the fluidics engine) -----------------------------
 
-def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, ctx,
-              passed: list[int]) -> list[Violation]:
+def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, line: TimedLine,
+              moved: dict[Loc, tuple[Loc, int]], dispensed: list[tuple[Loc, int]],
+              removed: list[Loc]) -> list[Violation]:
     """Pin rules for one tick: dispense checks, droplet pairs, Case 1.
 
-    ``ctx`` is the engine's ``fluidics.LineContext`` of the line and
-    ``passed`` the positions of its instructions that passed their checks;
-    ``ctx.effects`` says what they do to droplets.
+    ``moved``, ``dispensed`` and ``removed`` say what the line's passed
+    instructions do to droplets: each transport's {new cell: (old cell,
+    position)}, each arrival's (cell, position) and the cells of the
+    droplets removed.  A tick of moves alone, with no active mixer, that
+    ``_quiet`` proves free of rows has none.
 
     Pairs are checked in sorted order, but only those that meet in the pin
     index of ``_candidate_pairs``; every other pair passes every pairwise rule.
     """
+    if not dispensed and not removed and not committed.mixers and _quiet(pmap, committed, moved):
+        return []
     out: list[Violation] = []
-    line, t = ctx.line, ctx.t
-    # new loc -> (old loc, instr index); (loc, instr index); locs
-    moved, dispensed, removed = ctx.effects(passed)
+    t = line.t
     dispensed_at = {l for l, _ in dispensed}
 
     if dispensed:
@@ -264,6 +274,28 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, ctx,
             out.append(replace(v, t=t, instructions=instrs))
     out.extend(case1)
     return out
+
+
+def _quiet(pmap: PinMap, committed: ChipState, moved: dict[Loc, tuple[Loc, int]]) -> bool:
+    """Whether a tick of moves alone, with no mixer, provably has no pin
+    row: no droplet's cell fails Case 1, and no two droplets meet as in
+    ``_candidate_pairs``.  The static droplets' own pins are tested against
+    the union of their N4 pins at once (a droplet meeting itself only leaves
+    the tick in doubt); each mover is tested against those before it."""
+    pin, n4_pins = pmap.pin, pmap.n4_pins
+    cells = committed.by_loc.keys()
+    statics = cells - moved.keys()
+    hood = set().union(*map(n4_pins, statics))
+    own = set(map(pin.__getitem__, statics))
+    if not own.isdisjoint(hood):
+        return False
+    for new, (old, _) in moved.items():
+        near, mine = n4_pins(old) | n4_pins(new), {pin[old], pin[new]}
+        if not (near.isdisjoint(own) and hood.isdisjoint(mine)):
+            return False
+        own |= mine
+        hood |= near
+    return pmap._split.isdisjoint(cells)    # every droplet's cell is cached now
 
 
 def _candidate_pairs(pmap: PinMap,

@@ -60,6 +60,30 @@ def count_checked_lines(monkeypatch) -> list[int]:
     return checked
 
 
+def count_memo_hits(monkeypatch) -> list[int]:
+    """A one-item counter of the steps that their memo serves: a step given
+    a memo that runs no check of its line, not even the bulk check, which
+    every other step runs first."""
+    from dmfv import fluidics
+
+    hits, checked = [0], [False]
+    step, moves_pass = fluidics.step, fluidics._moves_pass
+
+    def checking(*args):
+        checked[0] = True
+        return moves_pass(*args)
+
+    def counted(*args, memo=None, **kw):
+        checked[0] = False
+        result = step(*args, memo=memo, **kw)
+        hits[0] += memo is not None and not checked[0]
+        return result
+
+    monkeypatch.setattr(fluidics, "_moves_pass", checking)
+    monkeypatch.setattr(fluidics, "step", counted)
+    return hits
+
+
 def finished_runs(fn, *args, **kw):
     """fn(*args, **kw) and, in the order they finish, each run's final chip
     state (None for a run stopped at its failing tick), caught by wrapping

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import random
 import subprocess
@@ -22,12 +23,13 @@ from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError,
                       ValidationError, Waste, parse_program)
 from dmfv.pins import dedicated_map, parse_pins
 
-from conftest import (count_checked_lines, finished_runs, fractions_of, load, without_bulk,
-                      without_memo)
+from conftest import (count_checked_lines, count_memo_hits, finished_runs, fractions_of, load,
+                      without_bulk, without_memo)
 from test_acceptance import _random_walk
 from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
 from test_oracle import (check, move_clearance_cells, neighbors8, separation_partners,
                          static_fc)
+from test_pins import random_pin_maps
 
 
 def header(rows, cols, reservoirs=()):
@@ -204,14 +206,13 @@ def test_consumes_runs_once_per_instruction_per_step(monkeypatch):
     for name in ("pcr.dmf", "twowaymix.dmf", "threeway_bad.dmf"):
         prog = parse_program(load(name))
         every = sum(type(instr) in fluidics.RULES for line in prog.main for instr in line.instrs)
-        # the pin phase reads the cells the line's checks found consumed, so
-        # in pin mode no line is passed in bulk
+        # the bulk check passes lines of moves with and without a pin map
         for pin_map in (None, dedicated_map(prog.header.rows, prog.header.cols)):
             calls[0] = 0
             bulk.clear()
             verify_program(prog, policy="all", pin_map=pin_map)
             assert calls[0] == every - sum(map(len, bulk)), name
-            assert bool(bulk) == (pin_map is None), name
+            assert bulk, name
             calls[0] = 0
             without_bulk(verify_program, prog, policy="all", pin_map=pin_map)
             assert calls[0] == every, name
@@ -296,6 +297,17 @@ def test_step_rejects_conditionals():
     st = init_state(prog.header, prog.detectors)
     with pytest.raises(EngineError):
         step(st, prog.line_at(15))
+
+
+def test_step_refuses_a_line_before_the_current_tick():
+    # a library guard: validation keeps a program's lines in time order
+    # (NonMonotonicTime), so only a direct caller of step can go back
+    st = state_with(4, 4, [Loc(2, 2)]).at_tick(5)
+    for line in (TimedLine(3, (Move(Loc(2, 2), Loc(2, 3)),)), TimedLine(4, ())):
+        with pytest.raises(EngineError, match=f"^line at t={line.t} precedes current "
+                                              "state t=5$"):
+            step(st, line)
+    assert step(st, TimedLine(5, ())).state.t == 5
 
 
 def test_empty_tick_gap_only_expires_mixers():
@@ -795,7 +807,7 @@ def cycle_program(rng):
 
 
 def test_memo_matches_plain_step_on_repeated_cycles(monkeypatch):
-    checked = count_checked_lines(monkeypatch)
+    served = count_memo_hits(monkeypatch)
     rng = random.Random(5)
     seen = Counter()
     # Case 1 fires on a droplet at (3,5)
@@ -803,14 +815,11 @@ def test_memo_matches_plain_step_on_repeated_cycles(monkeypatch):
     for _ in range(60):
         prog = cycle_program(rng)
         for pin_map in (None, shared):
-            checked[0] = 0
             got = _runs(prog, pin_map)
-            with_memo = checked[0]
             assert got == without_memo(_runs, prog, pin_map)
-            seen["served"] += checked[0] - 2 * with_memo   # the plain runs check every line
             seen["failing" if got[0][1] else "clean", pin_map is None] += 1
             seen.update(v.code for v in got[1][1])
-    assert seen["served"] >= 1000, seen
+    assert served[0] >= 1000, (served, seen)
     assert all(seen[k, m] >= 10 for k in ("clean", "failing") for m in (True, False)), seen
     assert seen[Code.E3] and seen[Code.E4] and seen[Code.PIN_CASE1], seen
 
@@ -990,18 +999,28 @@ def random_moves(rng):
 
 
 def test_bulk_check_matches_per_instruction_path_on_random_lines():
-    rng = random.Random(2024)
+    # a line the bulk check passes also runs in pin mode, under maps from
+    # dedicated to heavily shared, whose pin phase reads what the line does
+    # to droplets (a refused line takes one path either way)
+    rng, map_rng = random.Random(2024), random.Random(2025)
     seen = Counter()
     for _ in range(3000):
         state, line = random_moves(rng)
-        seen["passed" if _bulk_agrees(state, line) else "refused"] += 1
-        for policy in ("first", "all"):
-            got = step(state, line, policy=policy)
-            want = without_bulk(step, state, line, policy=policy)
+        passed = _bulk_agrees(state, line)
+        seen["passed" if passed else "refused"] += 1
+        pin_maps = random_pin_maps(map_rng, state.header.rows, state.header.cols) if passed else ()
+        for pin_map, policy in itertools.product((None, *pin_maps), ("first", "all")):
+            got = step(state, line, policy=policy, pin_map=pin_map)
+            want = without_bulk(step, state, line, policy=policy, pin_map=pin_map)
             assert (got.violations, got.events, _value(got.state)) == (
-                want.violations, want.events, _value(want.state)), (policy, line)
-            seen.update((v.code, v.detail) for v in want.violations if policy == "all")
+                want.violations, want.events, _value(want.state)), (policy, pin_map, line)
+            if pin_map is None and policy == "all":
+                seen.update((v.code, v.detail) for v in want.violations)
+            elif pin_map is not None:
+                seen.update(v.code for v in want.violations if v.pins)
     assert seen["passed"] >= 300 and seen["refused"] >= 300, seen
+    # pin rows of every pairwise and split rule on lines the bulk check passed
+    assert all(seen[c] >= 50 for c in (Code.PIN_CASE1, Code.PIN_CASE2, Code.PIN_CASE3)), seen
     # every row the bulk check stands for, and the separation rows after a pass
     assert {(Code.E1, "destination cell occupied"), (Code.E1, "move lands next to an idle droplet"),
             (Code.E2, "two droplets head for the same cell"), (Code.E2, ""), (Code.E4, "")

@@ -7,7 +7,7 @@ import pytest
 from dmfv import pins
 from dmfv.chip import MixerEntry, init_state
 from dmfv.diag import Code, Violation
-from dmfv.fluidics import LineContext, _commit, verify_program
+from dmfv.fluidics import LineContext, _commit, step, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
@@ -366,6 +366,33 @@ def random_tick(rng, rows, cols):
     return snapshot, committed, LineContext(snapshot, line), list(range(len(instrs)))
 
 
+def quiet_tick(rng, rows, cols):
+    """A sparse committed tick of moves alone, as ``random_tick`` returns
+    it: two to five droplets, about half of which move, and no dispense,
+    waste, output or mixer."""
+    cells = [Loc(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    snapshot = init_state(ChipHeader(rows, cols, 5, ()))
+    for loc in rng.sample(cells, rng.randrange(2, 6)):
+        snapshot = snapshot.add_droplet("S", loc, CFVector.unit("A"))
+    instrs, claimed = [], set()
+    for src in snapshot.by_loc:
+        dr, dc = rng.choice([(-1, 0), (1, 0), (0, -1), (0, 1)])
+        dst = Loc(src.row + dr, src.col + dc)
+        if (rng.random() < 0.5 and snapshot.header.in_bounds(dst)
+                and dst not in snapshot.by_loc and dst not in claimed):
+            instrs.append(Move(src, dst))
+            claimed.add(dst)
+    line = TimedLine(1, tuple(instrs))
+    committed, _ = _commit(snapshot, instrs, 1)
+    return snapshot, committed, LineContext(snapshot, line), list(range(len(instrs)))
+
+
+def engine_pin_phase(pmap, snapshot, committed, ctx, passed):
+    """pin_phase as the engine calls it after checking a line instruction by
+    instruction."""
+    return pin_phase(pmap, snapshot, committed, ctx.line, *ctx.effects(passed))
+
+
 def random_pin_maps(rng, rows, cols):
     """Dedicated, remapped and randomly shared maps over one grid."""
     base = dedicated_map(rows, cols)
@@ -376,29 +403,67 @@ def random_pin_maps(rng, rows, cols):
     return [base, remapped, *shared]
 
 
-def test_pin_phase_matches_all_pairs_oracle(pair_checks):
-    rng = random.Random(20221108)
-    codes, joined, scanned, several = set(), 0, 0, Counter()
+def test_pin_phase_matches_all_pairs_oracle(pair_checks, monkeypatch):
+    # a call that builds no candidate index is one the quiet-tick test decided
+    indexed = [0]
+    candidate_pairs = pins._candidate_pairs
+
+    def counted(*args):
+        indexed[0] += 1
+        return candidate_pairs(*args)
+    monkeypatch.setattr(pins, "_candidate_pairs", counted)
+    rng, quiet_rng = random.Random(20221108), random.Random(20061022)
+    codes, joined, scanned, several, quiet = set(), 0, 0, Counter(), Counter()
     for _ in range(50):
         rows, cols = rng.randrange(5, 10), rng.randrange(5, 10)
         pmaps = random_pin_maps(rng, rows, cols)
-        for _ in range(3):   # several ticks per map exercise its caches
-            tick = random_tick(rng, rows, cols)
+        # several ticks per map exercise its caches; the sparse ticks of
+        # moves alone are the ones the quiet-tick test may decide
+        ticks = [(random_tick(rng, rows, cols), False) for _ in range(3)]
+        ticks += [(quiet_tick(quiet_rng, rows, cols), True) for _ in range(4)]
+        for tick, sparse in ticks:
             dispenses = sum(isinstance(i, Dispense) for i in tick[2].line.instrs)
             for pmap in pmaps:
                 pair_checks[0] = 0
                 expected = all_pairs_pin_phase(pmap, *tick)
                 scanned += pair_checks[0]
                 pair_checks[0] = 0
-                assert pin_phase(pmap, *tick) == expected
+                indexed[0] = 0
+                assert engine_pin_phase(pmap, *tick) == expected
                 joined += pair_checks[0]
                 codes.update(v.code for v in expected)
                 if dispenses > 1:
                     several.update(v.code for v in expected)
+                if sparse:
+                    quiet["decided" if indexed[0] == 0 else "rows" if expected else "doubt"] += 1
     assert codes >= {Code.PIN_CASE1, Code.PIN_CASE2, Code.PIN_CASE3, Code.PIN_DISPENSE}
     # the indexed dispense rule meets the scan on ticks with several dispenses
     assert several[Code.PIN_DISPENSE] >= 500, several
     assert joined < scanned
+    # the quiet-tick test decides most sparse ticks, and the full phase words
+    # the rows of those that have some
+    assert quiet["decided"] >= 200 and quiet["rows"] >= 100, quiet
+
+
+@pytest.mark.parametrize("label, shared, response", [
+    ("2(c)", {(2, 3): 1, (4, 4): 1}, "Droplet stretch"),
+    ("2(d)", {(5, 4): 1, (3, 3): 1}, "Droplet stretch"),
+    ("3(a)", {(2, 3): 1, (5, 6): 1}, "Droplet stuck on (5,5)"),
+    ("3(b)", {(5, 4): 1, (2, 1): 1}, "Droplet stuck on (2,2)"),
+])
+def test_pair_rule_between_two_movers(label, shared, response):
+    # Two droplets far apart both move, (2,2)->(2,3) and (5,5)->(5,4), on a
+    # map where one pin drives the two cells named: only rule ``label`` of
+    # check_pair fails.  No droplet stays put, so the quiet-tick test finds
+    # the pair only by testing the second mover against the first.
+    state = init_state(ChipHeader(7, 7, 5, ()))
+    for loc in (Loc(2, 2), Loc(5, 5)):
+        state = state.add_droplet("S", loc, CFVector.unit("A"))
+    line = TimedLine(1, (Move(Loc(2, 2), Loc(2, 3)), Move(Loc(5, 5), Loc(5, 4))))
+    rows = step(state, line, policy="all", pin_map=make_map(7, 7, shared)).violations
+    code = Code.PIN_CASE2 if label.startswith("2") else Code.PIN_CASE3
+    assert [(v.code, v.response, v.detail.split(":")[0], v.instruction_text(), v.pins)
+            for v in rows] == [(code, response, f"case {label}", "m(2,2,2,3) m(5,5,5,4)", (1,))]
 
 
 def test_mplex_fixture_rows(fixtures):
