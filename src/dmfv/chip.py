@@ -82,23 +82,29 @@ class CFVector(NamedTuple):
 def cf_mix(a: CFVector, b: CFVector) -> CFVector:
     """Balanced (1:1) mix-split: the component-wise average, exact.  The
     exponents align by a shift, the numerators add and the exponent grows
-    by one."""
+    by one.  The sum is re-sorted only if b brings a reagent that a lacks,
+    and normalised only if the exponents were equal: otherwise a's exponent
+    is positive, so it has an odd numerator, which b's shifted, even ones
+    leave odd."""
     d = a.exp - b.exp
     if d < 0:
         a, b, d = b, a, -d
     out = dict(a.nums)
     for k, v in b.nums:
         out[k] = out.get(k, 0) + (v << d)
-    return CFVector.normal(tuple(sorted(out.items())), a.exp + 1)
+    nums = tuple(out.items())
+    if len(nums) > len(a.nums):
+        nums = tuple(sorted(nums))
+    return CFVector(nums, a.exp + 1) if d else CFVector.normal(nums, a.exp + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Droplet:
     node: str           # sequencing-graph identity (reagent name or mix id)
     cf: CFVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixerEntry:
     a: Loc
     b: Loc
@@ -110,7 +116,7 @@ class MixerEntry:
         return f"mix {self.a}..{self.b} [{self.t_s},{self.t_e}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionEntry:
     detector: str
     loc: Loc
@@ -119,7 +125,7 @@ class DetectionEntry:
 
 # --- trace events -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dispensed:
     t: int
     node: str           # reagent name
@@ -127,7 +133,7 @@ class Dispensed:
     cf: CFVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixStarted:
     t: int
     a: Loc
@@ -137,7 +143,7 @@ class MixStarted:
     input_nodes: tuple[str, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixCompleted:
     t: int              # equals the mixer's t_e
     node: str           # fresh id shared by both result droplets
@@ -149,7 +155,7 @@ class MixCompleted:
     cf: CFVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wasted:
     t: int
     node: str
@@ -157,7 +163,7 @@ class Wasted:
     cf: CFVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outputted:
     t: int
     node: str
@@ -220,11 +226,6 @@ class ChipState:
                 return det
         return None
 
-    def add_droplet(self, node: str, loc: Loc, cf) -> "ChipState":
-        new = self.copy()
-        new._add(loc, Droplet(node, cf))
-        return new
-
     # In-place updates, for a copy that no one else holds yet: the engine
     # copies the state once per tick and builds on that copy.  The checks
     # are plain ifs, so they hold under python -O.
@@ -267,7 +268,7 @@ def expire_mixers(state: ChipState, t: int) -> tuple[ChipState, list[MixComplete
     events: list[MixCompleted] = []
     new = state.copy()
     new.mixers = tuple(mx for mx in state.mixers if mx.t_e > t)
-    for mx in sorted(due, key=lambda m: (m.t_e, m.a)):
+    for mx in due if len(due) == 1 else sorted(due, key=lambda m: (m.t_e, m.a)):
         a, b = new._remove(mx.a), new._remove(mx.b)
         result = Droplet(f"v{new.next_node}", cf_mix(a.cf, b.cf))
         new.next_node += 1

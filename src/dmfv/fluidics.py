@@ -29,7 +29,8 @@ A cursor keeps, for its run, the clean verdicts of the lines it stepped,
 keyed by line body and by what the checks read in the snapshot: the
 occupied cells, the active mixers' endpoints and the busy detectors.  A
 line whose body already passed on the same cells passes again without its
-checks, and only its commit runs.  That is exact, because no rule reads
+checks: it runs the body's stored commit plan on the tick's one copy of the
+state, so it costs only its effects.  That is exact, because no rule reads
 anything else that changes during a run (``step`` gives the argument rule
 by rule); assays that repeat their transport and mix lines on the same
 layout check each once.  Forks share these verdicts, as they share the
@@ -372,7 +373,7 @@ RULES: dict[type, Rule] = {
 
 # --- stepping ------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     state: ChipState
     violations: list[Violation]
@@ -434,10 +435,18 @@ def _transport(snapshot: ChipState, instrs, t: int) -> ChipState:
     return new
 
 
-# A run's clean verdicts: id(line.instrs) -> (that tuple, the snapshot
-# signatures on which a line with that body passed every check).  The value
-# keeps the tuple alive, so its id names it for as long as the entry lives.
-StepMemo = dict[int, tuple[tuple[Instruction, ...], set[tuple]]]
+@dataclass(slots=True)
+class MemoEntry:
+    """A run's clean verdicts of one line body, kept under the body's id
+    (which the entry keeps alive): the snapshot signatures on which it
+    passed every check, and its commit plan (``_plan``), built on its first
+    hit."""
+    instrs: tuple[Instruction, ...]
+    signatures: set[tuple] = field(default_factory=set)
+    plan: tuple | None = None
+
+
+StepMemo = dict[int, MemoEntry]
 
 
 def _signature(snapshot: ChipState) -> tuple:
@@ -462,10 +471,12 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
 
     With a ``memo``, a line whose body (its instruction tuple) already
     passed on a snapshot with the same ``_signature`` passes again without
-    its checks: its effects commit, phase by phase, and nothing else runs.
-    That is exact because every check reads only the body, the signature
-    and what is fixed for a run (reservoirs, detector declarations, the pin
-    map, the policy):
+    its checks: the body's commit plan (``_plan``, stored in its entry on
+    the first hit) runs on the tick's one copy, which is ``expire``'s when
+    a mixer or a detection resolved and a fresh one otherwise, and nothing
+    else runs.  That is exact because every check reads only the body, the
+    signature and what is fixed for a run (reservoirs, detector
+    declarations, the pin map, the policy):
 
     - the consumed cells, claims and movers of ``LineContext`` follow from
       the body (a detection consumes its declared detector's cell);
@@ -510,9 +521,11 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     if memo is not None:
         signature = _signature(snapshot)
         clean = memo.get(id(line.instrs))
-        if clean is not None and signature in clean[1]:
-            new, more = _commit(snapshot, line.instrs, t)
-            events.extend(more)
+        if clean is not None and signature in clean.signatures:
+            if clean.plan is None:
+                clean.plan = _plan(line.instrs)
+            new = snapshot if snapshot is not state else snapshot.copy()
+            _apply(new, clean.plan, t, events)
             return StepResult(new, [], events)
     violations: list[Violation] = []
     claimed = _moves_pass(snapshot, line.instrs)
@@ -559,28 +572,36 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
                 return StepResult(snapshot, violations, events)
     if memo is not None and not violations:
         if clean is None:
-            clean = memo[id(line.instrs)] = (line.instrs, set())
-        clean[1].add(signature)
+            clean = memo[id(line.instrs)] = MemoEntry(line.instrs)
+        clean.signatures.add(signature)
     return StepResult(new, violations, events)
 
 
 def _commit(snapshot: ChipState, instrs, t: int) -> tuple[ChipState, list[chip.Event]]:
-    """Apply the effects of the passed instructions, in line order, to one
-    copy of the snapshot, phase by phase (removals, transports, arrivals,
-    bookkeeping), each phase in line order.  An instruction without a rule
-    (end) has no effect."""
-    new = snapshot.copy()   # the one copy of this tick; updated in place
-    new.t = t
-    events: list[chip.Event] = []
+    """Apply the effects of the passed instructions to one copy of the
+    snapshot, which stays as it was for a line that a later check fails."""
+    new, events = snapshot.copy(), []
+    _apply(new, _plan(instrs), t, events)
+    return new, events
+
+
+def _plan(instrs) -> tuple:
+    """The commit plan of instructions: each one's (commit, instruction),
+    phase by phase (removals, transports, arrivals, bookkeeping), each phase
+    in line order.  An instruction without a rule (end) has no effect."""
     phases: tuple[list, ...] = ([], [], [], [])
     for instr in instrs:
         rule = RULES.get(type(instr))
         if rule is not None:
             phases[rule.phase].append((rule.commit, instr))
-    for phase in phases:
-        for commit, instr in phase:
-            commit(new, instr, t, events)
-    return new, events
+    return (*phases[0], *phases[1], *phases[2], *phases[3])
+
+
+def _apply(new: ChipState, plan: tuple, t: int, events: list) -> None:
+    """Run a commit plan on ``new``, the one copy of tick t, in place."""
+    new.t = t
+    for commit, instr in plan:
+        commit(new, instr, t, events)
 
 
 def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int],

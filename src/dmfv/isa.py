@@ -186,7 +186,7 @@ class End:
 Instruction = Dispense | Move | MixStart | Waste | Output | DetectStart | CondCall | End
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedLine:
     t: int
     instrs: tuple[Instruction, ...]

@@ -9,9 +9,9 @@ of one droplet's cells against the N4 pins of the other, so each tick
 indexes droplets by their own cells' pins and intersects every droplet's N4
 pin set with that index.  A ``PinMap`` holds exactly the cells of its array,
 so it reads N4 neighbourhoods off its own table; cells do not change during
-a run, so it caches, for every cell it is asked about, the N4 pin set and
-whether Case 1 fails there.  The rules index ``PinMap.pin`` directly: the
-engine runs only a program whose every cell is on the array, and
+a run, so it caches, for every cell it is asked about, the N4 cells, the
+N4 pin set and whether Case 1 fails there.  The rules index ``PinMap.pin``
+directly: the engine runs only a program whose every cell is on the array, and
 ``check_chip`` gives the map the chip's size.  A dispense looks its own pin
 up in one per-tick index of the droplets' N4 pins.  Each rule returns its
 ``diag.Violation`` row, and ``pin_phase`` adds tick and instructions.
@@ -52,6 +52,8 @@ class PinMap:
     # per-cell caches, filled on first use; not part of the map's value
     _n4_pins: dict[Loc, frozenset[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _n4: dict[Loc, frozenset[Loc]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
     _split: set[Loc] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,10 +70,13 @@ class PinMap:
             raise DmfError(f"pin map is {self.rows}x{self.cols} but the chip "
                            f"is {header.rows}x{header.cols}")
 
-    def n4(self, loc: Loc) -> set[Loc]:
-        r, c = loc
-        return {p for p in (Loc(r - 1, c), Loc(r + 1, c), Loc(r, c - 1), Loc(r, c + 1))
-                if p in self.pin}
+    def n4(self, loc: Loc) -> frozenset[Loc]:
+        """The on-array N4 cells of loc (cached)."""
+        if loc not in self._n4:
+            r, c = loc
+            self._n4[loc] = frozenset(p for p in (Loc(r - 1, c), Loc(r + 1, c),
+                                                  Loc(r, c - 1), Loc(r, c + 1)) if p in self.pin)
+        return self._n4[loc]
 
     def n4_pins(self, loc: Loc) -> frozenset[int]:
         """Pins driving the N4 neighborhood of loc (cached); the map holds

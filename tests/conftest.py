@@ -22,6 +22,16 @@ def fractions_of(cf) -> dict[str, Fraction]:
     return {k: Fraction(v, 1 << cf.exp) for k, v in cf.nums}
 
 
+def with_droplet(state, node: str, loc, cf):
+    """A copy of ``state`` with one more droplet, ``node`` of concentration
+    ``cf``, on ``loc``; the chip's guard refuses an occupied cell."""
+    from dmfv.chip import Droplet
+
+    new = state.copy()
+    new._add(loc, Droplet(node, cf))
+    return new
+
+
 def without_memo(fn, *args, **kw):
     """fn(*args, **kw) with every step taken by the plain step, which has no
     memo and checks every line: the oracle of the step memo."""
@@ -61,25 +71,35 @@ def count_checked_lines(monkeypatch) -> list[int]:
 
 
 def count_memo_hits(monkeypatch) -> list[int]:
-    """A one-item counter of the steps that their memo serves: a step given
-    a memo that runs no check of its line, not even the bulk check, which
-    every other step runs first."""
+    """A two-item counter of the steps that their memo serves, and of those
+    served on a tick where ``expire`` resolved a mixer or a detection, whose
+    commit goes onto ``expire``'s copy.  A served step is one given a memo
+    that runs no check of its line, not even the bulk check, which every
+    other step runs first."""
     from dmfv import fluidics
 
-    hits, checked = [0], [False]
-    step, moves_pass = fluidics.step, fluidics._moves_pass
+    hits, checked, resolved = [0, 0], [False], [False]
+    step, moves_pass, expire = fluidics.step, fluidics._moves_pass, fluidics.expire
 
     def checking(*args):
         checked[0] = True
         return moves_pass(*args)
 
+    def expiring(state, t):
+        out = expire(state, t)
+        resolved[0] = out[0] is not state
+        return out
+
     def counted(*args, memo=None, **kw):
-        checked[0] = False
+        checked[0] = resolved[0] = False
         result = step(*args, memo=memo, **kw)
-        hits[0] += memo is not None and not checked[0]
+        hit = memo is not None and not checked[0]
+        hits[0] += hit
+        hits[1] += hit and resolved[0]
         return result
 
     monkeypatch.setattr(fluidics, "_moves_pass", checking)
+    monkeypatch.setattr(fluidics, "expire", expiring)
     monkeypatch.setattr(fluidics, "step", counted)
     return hits
 

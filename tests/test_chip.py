@@ -11,6 +11,7 @@ from dmfv.chip import (ChipState, Droplet, InconsistentState, MixerEntry,
 from dmfv.graph import CFVector, cf_mix
 from dmfv.isa import ChipHeader, Loc, MType, ReservoirDecl, RKind
 
+from conftest import with_droplet
 from test_oracle import neighbors8
 
 
@@ -51,13 +52,13 @@ def test_neighbors_truncation_and_center_sets():
 def test_occupied_out_of_bounds():
     # validation bounds every cell a program names, so the index holds only
     # cells on the array and a probe off it misses
-    st = init_state(header()).add_droplet("S", Loc(1, 1), CFVector.unit("S"))
+    st = with_droplet(init_state(header()), "S", Loc(1, 1), CFVector.unit("S"))
     assert Loc(9, 9) not in st.by_loc and Loc(0, 1) not in st.by_loc
 
 
 def _with_mixer(st: ChipState, a: Loc, b: Loc, t_s: int, t_e: int) -> ChipState:
-    st = st.add_droplet("S", a, CFVector.unit("S"))
-    st = st.add_droplet("B", b, CFVector.unit("B"))
+    st = with_droplet(st, "S", a, CFVector.unit("S"))
+    st = with_droplet(st, "B", b, CFVector.unit("B"))
     st.mixers = (MixerEntry(a, b, t_s, t_e, MType.H14),)
     return st
 
@@ -86,8 +87,8 @@ def test_expire_mixers_identity_without_due_entries():
 def test_two_mixers_expiring_same_tick():
     st = init_state(header(15, 15))
     st = _with_mixer(st, Loc(4, 3), Loc(7, 3), 5, 12)
-    st = st.add_droplet("C", Loc(9, 13), CFVector.unit("C"))
-    st = st.add_droplet("D", Loc(12, 13), CFVector.unit("D"))
+    st = with_droplet(st, "C", Loc(9, 13), CFVector.unit("C"))
+    st = with_droplet(st, "D", Loc(12, 13), CFVector.unit("D"))
     st.mixers = st.mixers + (MixerEntry(Loc(9, 13), Loc(12, 13), 5, 12, MType.V41),)
     done, events = expire_mixers(st, 12)
     assert len(events) == 2
@@ -97,10 +98,10 @@ def test_two_mixers_expiring_same_tick():
 
 def test_add_and_move_refuse_an_occupied_cell():
     st = init_state(header(6, 6))
-    st = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"))
-    st = st.add_droplet("B", Loc(4, 4), CFVector.unit("B"))
+    st = with_droplet(st, "S", Loc(2, 2), CFVector.unit("S"))
+    st = with_droplet(st, "B", Loc(4, 4), CFVector.unit("B"))
     with pytest.raises(InconsistentState):
-        st.add_droplet("C", Loc(4, 4), CFVector.unit("C"))
+        with_droplet(st, "C", Loc(4, 4), CFVector.unit("C"))
     moved = st.copy()
     with pytest.raises(InconsistentState):
         moved._move(Loc(2, 2), Loc(4, 4))
@@ -112,17 +113,17 @@ def test_add_and_move_refuse_an_occupied_cell():
 
 def test_occupied_cell_guard_raises_under_python_O():
     code = textwrap.dedent("""
-        from dmfv.chip import InconsistentState, init_state
+        from dmfv.chip import Droplet, InconsistentState, init_state
         from dmfv.fluidics import _transport
         from dmfv.graph import CFVector
         from dmfv.isa import ChipHeader, Loc, Move
         assert False, "assert statements must be stripped under -O"
         st = init_state(ChipHeader(6, 6, 5, ()))
-        st = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"))
-        st = st.add_droplet("B", Loc(5, 5), CFVector.unit("B"))
+        st._add(Loc(2, 2), Droplet("S", CFVector.unit("S")))
+        st._add(Loc(5, 5), Droplet("B", CFVector.unit("B")))
         refused = 0
         for write in (lambda: st._move(Loc(2, 2), Loc(5, 5)),
-                      lambda: st.add_droplet("C", Loc(2, 2), CFVector.unit("C")),
+                      lambda: st._add(Loc(2, 2), Droplet("C", CFVector.unit("C"))),
                       lambda: _transport(st, (Move(Loc(2, 2), Loc(5, 5)),), 1)):
             try:
                 write()

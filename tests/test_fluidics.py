@@ -24,7 +24,7 @@ from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError,
 from dmfv.pins import dedicated_map, parse_pins
 
 from conftest import (count_checked_lines, count_memo_hits, finished_runs, fractions_of, load,
-                      without_bulk, without_memo)
+                      with_droplet, without_bulk, without_memo)
 from test_acceptance import _random_walk
 from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
 from test_oracle import (check, move_clearance_cells, neighbors8, separation_partners,
@@ -39,7 +39,7 @@ def header(rows, cols, reservoirs=()):
 def state_with(rows, cols, locs, reservoirs=()):
     st = init_state(header(rows, cols, reservoirs))
     for i, loc in enumerate(locs):
-        st = st.add_droplet(f"n{i}", loc, CFVector.unit("S"))
+        st = with_droplet(st, f"n{i}", loc, CFVector.unit("S"))
     return st
 
 
@@ -158,7 +158,7 @@ def test_droplet_consumed_by_two_instructions(first, second):
     st = init_state(header(6, 7, [ReservoirDecl(Loc(3, 2), kind)]),
                     (DetectorDecl("d1", Loc(3, 2), 2),))
     for node, loc in (("A", Loc(3, 2)), ("B", Loc(3, 5))):
-        st = st.add_droplet(node, loc, CFVector.unit(node))
+        st = with_droplet(st, node, loc, CFVector.unit(node))
     result = step(st, TimedLine(1, (_CONSUMERS[first], _CONSUMERS[second])))
     [v] = result.violations
     code, response, detail = _SECOND_ROW[second]
@@ -722,19 +722,22 @@ def test_memo_matches_plain_step_on_the_dmf_fuzz_corpus():
 def step_both_ways(checked, served, **kw):
     """An ``advance`` for one walk that steps each line with a memo of its
     own and with the plain step, and requires the same rows, events and
-    state.  Equal bodies share one tuple, as the parser makes them;
-    ``served`` counts the steps the memo served, ``checked`` the lines
-    checked (``count_checked_lines``)."""
+    state, and that neither step changed the state it was given.  Equal
+    bodies share one tuple, as the parser makes them; ``served`` counts the
+    steps the memo served, ``checked`` the lines checked
+    (``count_checked_lines``)."""
     memo, interned = {}, {}
 
     def advance(state, line):
         line = TimedLine(line.t, interned.setdefault(line.instrs, line.instrs))
+        given = _value(state.copy())    # its own droplet index
         want = step(state, line, **kw)
         before = checked[0]
         got = step(state, line, memo=memo, **kw)
         served[0] += checked[0] == before
         assert (got.violations, got.events, _value(got.state)) == (
             want.violations, want.events, _value(want.state)), line
+        assert _value(state) == given, line     # neither step wrote into it
         return want
     return advance
 
@@ -819,7 +822,9 @@ def test_memo_matches_plain_step_on_repeated_cycles(monkeypatch):
             assert got == without_memo(_runs, prog, pin_map)
             seen["failing" if got[0][1] else "clean", pin_map is None] += 1
             seen.update(v.code for v in got[1][1])
-    assert served[0] >= 1000, (served, seen)
+    # some hits commit onto the copy that expire made for a mixer or a
+    # detection that resolved on their tick
+    assert served[0] >= 1000 and served[1] >= 100, (served, seen)
     assert all(seen[k, m] >= 10 for k in ("clean", "failing") for m in (True, False)), seen
     assert seen[Code.E3] and seen[Code.E4] and seen[Code.PIN_CASE1], seen
 
@@ -837,7 +842,7 @@ def _key_cases():
     # two detectors share (3,3): the other one is busy, then this one
     shared = init_state(header(6, 6), (DetectorDecl("d1", Loc(3, 3), 4),
                                        DetectorDecl("d2", Loc(3, 3), 4)))
-    shared = shared.add_droplet("n0", Loc(3, 3), CFVector.unit("S"))
+    shared = with_droplet(shared, "n0", Loc(3, 3), CFVector.unit("S"))
     other, this = shared.copy(), shared.copy()
     other.detections = (DetectionEntry("d2", Loc(3, 3), 9),)
     this.detections = (DetectionEntry("d1", Loc(3, 3), 9),)
@@ -907,23 +912,32 @@ def test_checks_run_once_per_body_and_layout(monkeypatch):
 
 
 def test_commit_guard_runs_on_a_memo_hit_under_python_O():
-    # a forged clean verdict for a move onto an occupied cell: the hit skips
-    # the checks, and the commit's plain check still refuses the write
+    # a move passes on a chip where its destination is free, and its entry
+    # then gets the signature of a chip where a droplet sits there: the hit
+    # skips the checks, builds the body's commit plan, and the plan's plain
+    # check still refuses the write
     code = textwrap.dedent("""
         from dmfv import fluidics
-        from dmfv.chip import InconsistentState, init_state
+        from dmfv.chip import Droplet, InconsistentState, init_state
         from dmfv.graph import CFVector
         from dmfv.isa import ChipHeader, Loc, Move, TimedLine
         assert False, "assert statements must be stripped under -O"
-        st = init_state(ChipHeader(6, 6, 5, ()))
-        st = st.add_droplet("S", Loc(2, 2), CFVector.unit("S"))
-        st = st.add_droplet("B", Loc(5, 5), CFVector.unit("B"))
+        clean = init_state(ChipHeader(6, 6, 5, ()))
+        clean._add(Loc(2, 2), Droplet("S", CFVector.unit("S")))
+        bad = clean.copy()
+        bad._add(Loc(5, 5), Droplet("B", CFVector.unit("B")))
         line = TimedLine(1, (Move(Loc(2, 2), Loc(5, 5)),))
-        memo = {id(line.instrs): (line.instrs, {fluidics._signature(st)})}
+        memo = {}
+        if fluidics.step(clean, line, memo=memo).violations:
+            raise SystemExit(2)
+        [entry] = memo.values()
+        if entry.plan is not None:
+            raise SystemExit(3)     # a body that has not repeated has no plan
+        entry.signatures.add(fluidics._signature(bad))
         try:
-            fluidics.step(st, line, memo=memo)
+            fluidics.step(bad, line, memo=memo)
         except InconsistentState:
-            raise SystemExit(0)
+            raise SystemExit(0 if entry.plan else 4)
         raise SystemExit(1)
     """)
     src = Path(__file__).resolve().parent.parent / "src"

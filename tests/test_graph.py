@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -61,6 +62,31 @@ def test_cf_components_sum_to_one():
         assert sum(fractions_of(m).values()) == 1
         assert sum(fractions_of(round_cf(m, rng.randrange(1, 8))).values()) == 1
         pool.append(m)
+
+
+def test_cf_mix_is_the_fraction_average_in_normal_form():
+    # the sum keeps the finer vector's order unless the other brings a
+    # reagent it lacks, and a sum over unequal exponents skips the
+    # normalisation: each of the four cases must give the exact
+    # component-wise average in normal form
+    rng = random.Random(2309)
+    kinds = Counter()
+    for case in range(40):
+        pool = [CFVector.unit(f"R{i}") for i in range(rng.randrange(1, 5))]
+        for _ in range(80):
+            a, b = rng.choice(pool), rng.choice(pool[-8:])
+            m = cf_mix(a, b)
+            fa, fb = fractions_of(a), fractions_of(b)
+            assert fractions_of(m) == {k: (fa.get(k, 0) + fb.get(k, 0)) / 2
+                                       for k in fa.keys() | fb.keys()}, (a, b)
+            keys = [k for k, _ in m.nums]
+            assert keys == sorted(keys) and all(v for _, v in m.nums), (a, b)
+            assert m.exp == 0 or any(v % 2 for _, v in m.nums), (a, b)
+            fine, coarse = (fa, fb) if a.exp >= b.exp else (fb, fa)
+            kinds[coarse.keys() <= fine.keys(), a.exp != b.exp] += 1
+            pool.append(m)
+    assert all(kinds[kept, unequal] >= 50 for kept in (True, False)
+               for unequal in (True, False)), kinds
 
 
 def test_round_cf_exact_and_third_approximation():

@@ -15,6 +15,8 @@ from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, Loc, MixStart, Move, MType, ReservoirDecl,
                       RKind, TimedLine)
 
+from conftest import with_droplet
+
 
 def check(state, instr, line=None):
     """The rule-table check of ``instr`` on ``state``, as the instruction at
@@ -95,7 +97,7 @@ def random_state(rng, *, reservoir_at=None):
             if rng.random() < 0.18:
                 occupied.add(Loc(r, c))
     for i, loc in enumerate(sorted(occupied)):
-        st = st.add_droplet(f"n{i}", loc, CFVector.unit("S"))
+        st = with_droplet(st, f"n{i}", loc, CFVector.unit("S"))
     return st, occupied
 
 
@@ -142,8 +144,8 @@ def test_guard_matches_mixer_formula_on_random_walks():
     for _ in range(300):
         st = init_state(ChipHeader(8, 8, 5, ()))
         a, b = Loc(4, 3), Loc(4, 6)
-        st = st.add_droplet("A", a, CFVector.unit("S"))
-        st = st.add_droplet("B", b, CFVector.unit("S"))
+        st = with_droplet(st, "A", a, CFVector.unit("S"))
+        st = with_droplet(st, "B", b, CFVector.unit("S"))
         st.mixers = (MixerEntry(a, b, 0, 9, MType.H14),)
         walker = Loc(rng.randrange(1, 9), rng.randrange(1, 9))
         if walker in (a, b):
@@ -152,7 +154,7 @@ def test_guard_matches_mixer_formula_on_random_walks():
             occ = {a, b}
             st2 = st
             if walker not in occ:
-                st2 = st.add_droplet("W", walker, CFVector.unit("S"))
+                st2 = with_droplet(st, "W", walker, CFVector.unit("S"))
                 occ.add(walker)
             ok = not _post_checks(st2, TimedLine(1, ()), {}, 1)
             assert ok == eval_conj(mixer_formula(a, b, 8, 8), occ)
@@ -216,7 +218,7 @@ def test_move_conflicts_probe_matches_bounded_clearance_scan():
             for c in range(1, cols + 1):
                 edge = r in (1, rows) or c in (1, cols)
                 if rng.random() < (0.5 if edge else 0.18):
-                    st = st.add_droplet("S", Loc(r, c), CFVector.unit("S"))
+                    st = with_droplet(st, "S", Loc(r, c), CFVector.unit("S"))
         for r in range(1, rows + 1):
             for c in range(1, cols + 1):
                 src = Loc(r, c)

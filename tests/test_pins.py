@@ -14,7 +14,7 @@ from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
 from dmfv.pins import (OutOfBounds, PinMap, check_case1, check_dispense_pins, check_pair,
                        dedicated_map, parse_pins, pin_phase, serialize_pins)
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, load, with_droplet
 
 
 def make_map(rows, cols, overrides):
@@ -41,7 +41,7 @@ def pair_checks(monkeypatch):
 def droplets(rows, cols, locs):
     st = init_state(ChipHeader(rows, cols, 5, ()))
     for i, loc in enumerate(locs):
-        st = st.add_droplet(f"n{i}", loc, CFVector.unit("S"))
+        st = with_droplet(st, f"n{i}", loc, CFVector.unit("S"))
     return st
 
 
@@ -338,7 +338,7 @@ def random_tick(rng, rows, cols):
     parked = [l for l in cells[5:] if rng.random() < 0.18]
     parked += [l for l in sinks if rng.random() < 0.6]
     for loc in parked:
-        snapshot = snapshot.add_droplet("S", loc, CFVector.unit("A"))
+        snapshot = with_droplet(snapshot, "S", loc, CFVector.unit("A"))
     free = [l for l in parked if l not in sinks]
     if len(free) >= 2 and rng.random() < 0.5:
         a, b = rng.sample(free, 2)
@@ -373,7 +373,7 @@ def quiet_tick(rng, rows, cols):
     cells = [Loc(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
     snapshot = init_state(ChipHeader(rows, cols, 5, ()))
     for loc in rng.sample(cells, rng.randrange(2, 6)):
-        snapshot = snapshot.add_droplet("S", loc, CFVector.unit("A"))
+        snapshot = with_droplet(snapshot, "S", loc, CFVector.unit("A"))
     instrs, claimed = [], set()
     for src in snapshot.by_loc:
         dr, dc = rng.choice([(-1, 0), (1, 0), (0, -1), (0, 1)])
@@ -458,7 +458,7 @@ def test_pair_rule_between_two_movers(label, shared, response):
     # the pair only by testing the second mover against the first.
     state = init_state(ChipHeader(7, 7, 5, ()))
     for loc in (Loc(2, 2), Loc(5, 5)):
-        state = state.add_droplet("S", loc, CFVector.unit("A"))
+        state = with_droplet(state, "S", loc, CFVector.unit("A"))
     line = TimedLine(1, (Move(Loc(2, 2), Loc(2, 3)), Move(Loc(5, 5), Loc(5, 4))))
     rows = step(state, line, policy="all", pin_map=make_map(7, 7, shared)).violations
     code = Code.PIN_CASE2 if label.startswith("2") else Code.PIN_CASE3
