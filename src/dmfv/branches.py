@@ -11,11 +11,12 @@ Paths that share their leading outcomes run the same lines at the same
 ticks up to their next conditional, so ``verify_all_paths`` walks the tree
 of outcomes depth first and steps each shared prefix once, forking the run
 at every conditional.  Paths whose chip states agree at a resume point, up
-to a shift in time, share their stepped suffix as well: a recovery that
-puts the chip back as it found it leaves its path one shift away from the
-path that skipped it.  The first path to reach such a state steps what
-follows, and the others replay its clean leaves shifted in time, so
-stepping costs distinct resume states times lines, not paths times lines.
+to a shift in time, share their stepped suffix as well, failing or not: a
+recovery that puts the chip back as it found it leaves its path one shift
+away from the path that skipped it.  The first path to reach such a state
+steps what follows and keeps a summary of each path below it; the others
+replay those summaries, rows included, shifted in time.  So stepping costs
+distinct resume states times lines, not paths times lines.
 ``path_shapes`` walks the same tree without stepping, for ``dmfv paths``.
 Each path's report is the one its spliced straight-line program gets when
 verified alone.  A path keeps its report and its outputs, no event log.
@@ -23,7 +24,8 @@ verified alone.  A path keeps its report and its outputs, no event log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import chip, fluidics, graph
 from .diag import Code, Report, Violation
@@ -108,10 +110,44 @@ class PathReport:
     report: Report
 
 
+class _Leaf(NamedTuple):
+    """A path's summary, which its report and outputs are built from: no
+    cursor and no chip state.  Rows are untagged; last_t is None if no line
+    ran."""
+    label: str
+    rows: list[Violation]
+    last_t: int | None
+    ended: bool
+    stopped: bool
+    mixers: tuple[chip.MixerEntry, ...]
+    outs: tuple
+
+
+def _summary(label: str, cursor: fluidics.Cursor, outs: tuple) -> _Leaf:
+    """The leaf of a path whose run ``cursor`` stepped to its end."""
+    return _Leaf(label, cursor.rows, cursor.last_t, cursor.ended,
+                 cursor.stopped, cursor.state.mixers, outs)
+
+
+def _later(mx: chip.MixerEntry, d: int) -> chip.MixerEntry:
+    return chip.MixerEntry(mx.a, mx.b, mx.t_s + d, mx.t_e + d, mx.mtype)
+
+
+def _shifted(v: Violation, d: int) -> Violation:
+    """Row ``v`` d ticks later: its tick and the span its detail words."""
+    mx = v.mixer and _later(v.mixer, d)
+    return Violation(v.code, v.response, v.t + d, v.instructions, v.cells, v.pins, v.path,
+                     mx.span() if mx else v.detail, v.secondary, mx)
+
+
 def _tagged(report: Report, label: str) -> Report:
-    return Report([replace(v, path=label or None) for v in report.violations],
-                  final_t=report.final_t, t_max=report.t_max,
-                  notes=[f"path {label}: {n}" for n in report.notes])
+    """``report``, its rows and notes now tagged with the path's label."""
+    path = label or None
+    report.violations = [Violation(v.code, v.response, v.t, v.instructions, v.cells, v.pins,
+                                   path, v.detail, v.secondary, v.mixer)
+                         for v in report.violations]
+    report.notes = [f"path {label}: {n}" for n in report.notes]
+    return report
 
 
 def _resume_key(main: tuple[TimedLine, ...], idx: int, cursor: fluidics.Cursor,
@@ -120,14 +156,18 @@ def _resume_key(main: tuple[TimedLine, ...], idx: int, cursor: fluidics.Cursor,
     measured from the walk's shift ``delta``: the chip state, less its tick
     (the next line advanced overwrites it) and less the detections over by
     ``main[idx]``'s tick (no line advances earlier, and its ``expire`` drops
-    them before any check).
-
-    The cursor's flags need no place: an end marker is never advanced
-    before a resume point, a stopped cursor is not looked up, and only a
-    subtree without new rows, which no earlier row can change, is kept.
+    them before any check), and whether the run has failed yet, which
+    decides whether the rows below are secondary and, under policy "first",
+    whether the run has stopped.  An end marker is never advanced before a
+    resume point.
     """
-    rel = chip.expire_detections(cursor.state.shifted(-delta), main[idx].t)
-    return idx, frozenset(rel.by_loc.items()), rel.mixers, rel.detections, rel.next_node
+    state, t = cursor.state, main[idx].t + delta
+    return (idx, cursor.first_bad_t is None, frozenset(state.by_loc.items()),
+            tuple([(mx.a, mx.b, mx.t_s - delta, mx.t_e - delta, mx.mtype)
+                   for mx in state.mixers]),
+            tuple([(det.detector, det.loc, det.t_end - delta)
+                   for det in state.detections if det.t_end > t]),
+            state.next_node)
 
 
 def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
@@ -139,9 +179,10 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     Each path's report equals that of its spliced program verified alone,
     but the lines a group of paths shares up to a conditional are stepped
     once: the run is forked there, and each fork goes on under one outcome.
-    Paths that reach a resume point in the same chip state, up to a shift
-    in time, also share what follows: the first one steps it, and the
-    others replay its clean leaves shifted in time.
+    Paths that reach a resume point in the same state, up to a shift in
+    time, also share what follows: the first one steps it and keeps a
+    ``_Leaf`` summary of each path below, and the others replay those
+    summaries shifted in time, rows included.
 
     When an input graph is supplied (annotated, as ``graph.parse_input_sg``
     returns it), each clean path is additionally required to deliver the
@@ -156,12 +197,12 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     n = program.header.accuracy
     want = None if input_sg is None else _output_cfs(input_sg, n)
     main = program.main
+    root = fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max)
     out: list[PathReport] = []
-    # (label, cursor, rounded output concentrations) of each path emitted
-    leaves: list[tuple[str, fluidics.Cursor, tuple]] = []
-    # resume key -> (delta, label length, output count and last_t at the key,
-    #                the leaves below it)
-    memo: dict[tuple, tuple[int, int, int, int | None, list]] = {}
+    leaves: list[_Leaf] = []    # of each path emitted
+    # resume key -> (delta, label length, output count, row count and last_t
+    #                at the key, the leaves below it)
+    memo: dict[tuple, tuple[int, int, int, int, int | None, list[_Leaf]]] = {}
 
     def outputs(cursor: fluidics.Cursor, line: TimedLine) -> tuple:
         # Each output edge of the path's realized graph carries its Outputted
@@ -170,41 +211,44 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
         return tuple(graph.round_cf(e.cf, n) for e in cursor.advance(line)
                      if isinstance(e, chip.Outputted))
 
-    def emit(label: str, cursor: fluidics.Cursor, outs: tuple) -> None:
-        leaves.append((label, cursor, outs))
-        report = _tagged(cursor.finish(), label)
+    def emit(leaf: _Leaf) -> None:
+        leaves.append(leaf)
+        report = _tagged(fluidics.end_report(leaf.rows, root.t_max, leaf.last_t,
+                                             leaf.ended, leaf.stopped, leaf.mixers),
+                         leaf.label)
         if want is not None and not any(v.phase == 1 for v in report.violations):
-            _check_outputs(want, sorted(outs), report, label)
-        out.append(PathReport(label, report))
+            _check_outputs(want, sorted(leaf.outs), report, leaf.label)
+        out.append(PathReport(leaf.label, report))
 
     def replay(cursor: fluidics.Cursor, delta: int, label: str, outs: tuple,
                stored: tuple) -> None:
-        delta0, depth, n_outs, last_t, below = stored
+        # The key holds whether the run has failed, so each row keeps its
+        # secondary flag; a concentration does not change under a shift.
+        delta0, depth, n_outs, n_rows, last_t, below = stored
         d = delta - delta0
-        for i, (leaf_label, leaf, leaf_outs) in enumerate(below):
-            child = cursor if i == len(below) - 1 else cursor.fork()
-            if leaf.last_t != last_t:   # the leaf stepped lines after the key
-                child.state = leaf.state.shifted(d)
-                child.last_t, child.ended = leaf.last_t + d, leaf.ended
-            # a concentration does not change under a shift in time
-            emit(label + leaf_label[depth:], child, outs + leaf_outs[n_outs:])
+        for leaf in below:
+            emit(_Leaf(label + leaf.label[depth:],
+                       cursor.rows + [_shifted(v, d) for v in leaf.rows[n_rows:]],
+                       cursor.last_t if leaf.last_t == last_t else leaf.last_t + d,
+                       leaf.ended, leaf.stopped, tuple(_later(mx, d) for mx in leaf.mixers),
+                       outs + leaf.outs[n_outs:]))
 
     def walk(cursor: fluidics.Cursor, idx: int, delta: int, label: str,
              outs: tuple) -> None:
         key = None
-        if idx < len(main) and not cursor.stopped:
+        if idx < len(main):
             key = _resume_key(main, idx, cursor, delta)
             if key in memo:
                 replay(cursor, delta, label, outs, memo[key])
                 return
-            first, rows = len(leaves), len(cursor.report.violations)
-            stored = (delta, len(label), len(outs), cursor.last_t)
+            first = len(leaves)
+            stored = (delta, len(label), len(outs), len(cursor.rows), cursor.last_t)
         while idx < len(main) and _cond_of(main[idx]) is None:
             line = main[idx]
             outs += outputs(cursor, TimedLine(line.t + delta, line.instrs) if delta else line)
             idx += 1
         if idx == len(main):
-            emit(label, cursor, outs)
+            emit(_summary(label, cursor, outs))
         else:
             choices = (False, True) if only is None else (only[len(label)] == "1",)
             for i, taken in enumerate(choices):
@@ -215,12 +259,10 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
                 for line in inserted:
                     child_outs += outputs(child, line)
                 walk(child, idx + 1, child_delta, label + "01"[taken], child_outs)
-        # rows carry absolute ticks, so only a subtree without new rows is kept
-        if key is not None and all(len(leaf.report.violations) == rows
-                                   for _, leaf, _ in leaves[first:]):
+        if key is not None:
             memo[key] = stored + (leaves[first:],)
 
-    walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, "", ())
+    walk(root, 0, 0, "", ())
     return out
 
 

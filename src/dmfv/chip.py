@@ -243,16 +243,6 @@ class ChipState:
     def _remove(self, loc: Loc) -> Droplet:
         return self.by_loc.pop(loc)
 
-    def shifted(self, d: int) -> "ChipState":
-        """The same chip d ticks later: the tick and every mixer and detection
-        deadline move by d."""
-        new = self.at_tick(self.t + d)
-        new.mixers = tuple(MixerEntry(mx.a, mx.b, mx.t_s + d, mx.t_e + d, mx.mtype)
-                           for mx in self.mixers)
-        new.detections = tuple(DetectionEntry(det.detector, det.loc, det.t_end + d)
-                               for det in self.detections)
-        return new
-
 
 def init_state(header: ChipHeader, detectors: Iterable[DetectorDecl] = ()) -> ChipState:
     """Blank chip at t=0: every cell free, no droplets, empty mixer table."""

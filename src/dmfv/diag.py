@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .chip import MixerEntry
 from .isa import Loc
 
 
@@ -63,6 +64,9 @@ class Violation:
     path: str | None = None             # execution-path label (cyberphysical)
     detail: str = ""
     secondary: bool = False             # possible cascade after an earlier failure
+    # the mixer whose span ``detail`` words, so that a row shifted in time
+    # re-words it (not part of the row's value)
+    mixer: MixerEntry | None = field(default=None, compare=False, repr=False)
 
     @property
     def phase(self) -> int:
@@ -149,31 +153,57 @@ def _format_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _violation_json(v: Violation) -> dict:
-    return {
-        "code": v.code.value,
-        "phase": v.phase,
-        "response": v.response,
-        "cause": CAUSE.get(v.code, ""),
-        "t": v.t,
-        "instructions": list(v.instructions),
-        "cells": [[c.row, c.col] for c in v.cells],
-        "pins": sorted(v.pins),
-        "consequence": v.consequence,
-        "path": v.path,
-        "detail": v.detail,
-        "secondary": v.secondary,
-    }
+# JSON strings as ``json.dumps`` writes them by default (ASCII only), by
+# the standard library's C encoder when it has one
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json_int(x: int | None) -> str:
+    return "null" if x is None else str(x)
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """A JSON array of encoded items, laid out as ``json.dumps(indent=2)``
+    lays it out with its closing bracket at ``pad``."""
+    if not items:
+        return "[]"
+    sep = ",\n" + pad + "  "
+    return "[" + sep[1:] + sep.join(items) + "\n" + pad + "]"
+
+
+def _violation_json(v: Violation, out: list[str]) -> None:
+    """Append a row, as an item of the "violations" array, to ``out``."""
+    pad = "      "
+    out += (
+        '{\n      "code": ', _string(v.code.value), ',\n      "phase": ', str(v.phase),
+        ',\n      "response": ', _string(v.response),
+        ',\n      "cause": ', _string(CAUSE.get(v.code, "")), ',\n      "t": ', _json_int(v.t),
+        ',\n      "instructions": ', _json_array([_string(i) for i in v.instructions], pad),
+        ',\n      "cells": ', _json_array([_json_array([str(c.row), str(c.col)], pad + "  ")
+                                          for c in v.cells], pad),
+        ',\n      "pins": ', _json_array([str(p) for p in sorted(v.pins)], pad),
+        ',\n      "consequence": ', _string(v.consequence),
+        ',\n      "path": ', "null" if v.path is None else _string(v.path),
+        ',\n      "detail": ', _string(v.detail),
+        ',\n      "secondary": ', "true" if v.secondary else "false", "\n    }")
 
 
 def _format_json(report: Report) -> str:
-    doc = {
-        "schema": "dmfv-report/1",
-        "ok": report.ok,
-        "final_t": report.final_t,
-        "t_max": report.t_max,
-        "tmax_exceeded": report.tmax_exceeded,
-        "violations": [_violation_json(v) for v in report.violations],
-        "notes": list(report.notes),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The report as ``json.dumps(doc, indent=2)`` would write it, written
+    piece by piece: with an indent the standard library runs its slow,
+    pure-Python encoder.  ``tests/test_diag.py`` holds that document.  The
+    pieces are small strings joined once, as ``json.dumps`` joins them; a
+    string per row raised the process's peak memory."""
+    out = ['{\n  "schema": "dmfv-report/1",\n  "ok": ', "true" if report.ok else "false",
+           ',\n  "final_t": ', _json_int(report.final_t),
+           ',\n  "t_max": ', _json_int(report.t_max),
+           ',\n  "tmax_exceeded": ', "true" if report.tmax_exceeded else "false",
+           ',\n  "violations": ']
+    sep = "[\n    "
+    for v in report.violations:
+        out.append(sep)
+        _violation_json(v, out)
+        sep = ",\n    "
+    out += ("\n  ]" if report.violations else "[]",
+            ',\n  "notes": ', _json_array([_string(n) for n in report.notes], "  "), "\n}\n")
+    return "".join(out)

@@ -189,10 +189,10 @@ def _line_instrs(line: TimedLine, idxs) -> tuple[str, ...]:
 
 
 def _row(code: Code, response: str, instr: Instruction, t: int, cells=(),
-         detail: str = "") -> Violation:
+         detail: str = "", mixer: MixerEntry | None = None) -> Violation:
     """A row that names only the instruction being checked."""
     return Violation(code, response, t=t, instructions=(instr.compact(),), cells=cells,
-                     detail=detail)
+                     detail=detail, mixer=mixer)
 
 
 def _pinned(state: ChipState, cell: Loc, instr: Instruction, t: int, *,
@@ -204,7 +204,7 @@ def _pinned(state: ChipState, cell: Loc, instr: Instruction, t: int, *,
     mx = state.mixer_pinning(cell)
     if mx is not None:
         return _row(Code.E4, f"Droplet on {cell} is in active mixer", instr, t, (cell,),
-                    mx.span())
+                    mx.span(), mx)
     det = state.detection_pinning(cell)
     if det is not None:
         return _row(Code.E4, f"Droplet on {cell} is under detection", instr, t, (cell,),
@@ -631,15 +631,12 @@ def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int],
     out: list[Violation] = []
     for c1, c2 in pairs:
         idxs = [claimed[x] for x in (c1, c2) if x in claimed]
-        detail = ""
-        for mx in state.mixers:
-            if c1 in (mx.a, mx.b) or c2 in (mx.a, mx.b):
-                detail = mx.span()
-                break
+        mixer = next((mx for mx in state.mixers
+                      if c1 in (mx.a, mx.b) or c2 in (mx.a, mx.b)), None)
         out.append(Violation(
             Code.E1, "Static fluidic constraint violated", t=t,
             instructions=_line_instrs(line, idxs), cells=(c1, c2),
-            detail=detail))
+            detail=mixer.span() if mixer else "", mixer=mixer))
     return out
 
 
@@ -672,15 +669,15 @@ class Trace:
 class Cursor:
     """A program run, advanced one timed line or idle tick at a time.
 
-    It holds the chip state and the Phase-I report, and keeps no history:
+    It holds the chip state and the Phase-I rows, and keeps no history:
     ``advance`` hands each line's events to its caller, which keeps what it
     needs.  Violations after the first failing tick are marked secondary;
     under policy "first" the run stops at the first failing tick and ignores
     later lines.  ``fork`` returns a second cursor that goes on independently
-    from the same point: states are values, so only the report's rows are
-    copied, and the step memo is shared.  A program with structural issues
-    raises ``ValidationError``, and a pin map must have the chip's size
-    (DmfError otherwise).
+    from the same point: states are values, so only the rows are copied, and
+    the step memo is shared.  ``finish`` builds the report (``end_report``).
+    A program with structural issues raises ``ValidationError``, and a pin
+    map must have the chip's size (DmfError otherwise).
     """
 
     def __init__(self, program: Program, *, pin_map=None, policy: str = "first",
@@ -694,7 +691,8 @@ class Cursor:
         self.pin_map, self.policy = pin_map, policy
         self.memo: StepMemo = {}
         self.state = chip.init_state(program.header, program.detectors)
-        self.report = Report(t_max=t_max if t_max is not None else program.t_max)
+        self.rows: list[Violation] = []
+        self.t_max = t_max if t_max is not None else program.t_max
         self.first_bad_t: int | None = None
         self.stopped = False
         self.ended = False            # an end marker has been stepped
@@ -709,7 +707,7 @@ class Cursor:
         for v in result.violations:
             if self.first_bad_t is not None and line.t > self.first_bad_t:
                 v = replace(v, secondary=True)
-            self.report.violations.append(v)
+            self.rows.append(v)
         if result.violations and self.first_bad_t is None:
             self.first_bad_t = line.t
         self.state = result.state
@@ -729,20 +727,30 @@ class Cursor:
         new.pin_map, new.policy, new.memo = self.pin_map, self.policy, self.memo
         new.state, new.first_bad_t = self.state, self.first_bad_t
         new.stopped, new.ended, new.last_t = self.stopped, self.ended, self.last_t
-        new.report = Report(violations=list(self.report.violations),
-                            t_max=self.report.t_max)
+        new.rows, new.t_max = list(self.rows), self.t_max
         return new
 
     def finish(self) -> Report:
         """The report of the lines advanced so far, as the run's end."""
-        if not self.stopped:
-            if self.last_t is not None:
-                self.report.final_t = self.last_t
-                if not self.ended:
-                    self.report.notes.append("program has no end marker")
-            for mx in self.state.mixers:
-                self.report.notes.append(f"mixer still active at program end: {mx.span()}")
-        return self.report
+        return end_report(self.rows, self.t_max, self.last_t, self.ended, self.stopped,
+                          self.state.mixers)
+
+
+def end_report(rows: list[Violation], t_max: int | None, last_t: int | None, ended: bool,
+               stopped: bool, mixers: tuple[MixerEntry, ...]) -> Report:
+    """The report of a run whose last line ran at ``last_t`` (None: none
+    ran): its rows and, unless it stopped at its first failing tick, its
+    final tick, a note if it stepped no end marker and one per mixer left
+    active.  The path walk builds each path's report here from its summary,
+    without a cursor."""
+    report = Report(rows, t_max=t_max)
+    if not stopped:
+        if last_t is not None:
+            report.final_t = last_t
+            if not ended:
+                report.notes.append("program has no end marker")
+        report.notes += [f"mixer still active at program end: {mx.span()}" for mx in mixers]
+    return report
 
 
 def verify_program(program: Program, *, pin_map=None, policy: str = "first",

@@ -107,8 +107,8 @@ def count_memo_hits(monkeypatch) -> list[int]:
 def finished_runs(fn, *args, **kw):
     """fn(*args, **kw) and, in the order they finish, each run's final chip
     state (None for a run stopped at its failing tick), caught by wrapping
-    ``Cursor.finish``.  The path walk finishes each path once, in label
-    order, and keeps only its report and its outputs."""
+    ``Cursor.finish``: one per straight-line run.  The path walk does not
+    finish its paths through a cursor; ``stepped_paths`` catches those."""
     from dmfv import fluidics
 
     runs = []
@@ -121,3 +121,26 @@ def finished_runs(fn, *args, **kw):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fluidics.Cursor, "finish", caught)
         return fn(*args, **kw), runs
+
+
+REPLAYED = "replayed"
+
+
+def stepped_paths(fn, *args, **kw):
+    """fn(*args, **kw) and, by label, the final chip state of each path that
+    the path walk steps to its end (None for a run stopped at its failing
+    tick), caught by wrapping ``branches._summary``, the one function that
+    summarises a stepped path.  A path missing from it was replayed from
+    another path's summary; tests mark it ``REPLAYED``."""
+    from dmfv import branches
+
+    finals = {}
+    summary = branches._summary
+
+    def caught(label, cursor, outs):
+        finals[label] = None if cursor.stopped else cursor.state
+        return summary(label, cursor, outs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(branches, "_summary", caught)
+        return fn(*args, **kw), finals

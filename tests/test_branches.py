@@ -13,7 +13,8 @@ from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, Validat
                       parse_program, serialize_program)
 from dmfv.pins import dedicated_map
 
-from conftest import count_checked_lines, finished_runs, load, without_memo
+from conftest import (REPLAYED, count_checked_lines, finished_runs, load, stepped_paths,
+                      without_memo)
 
 
 # --- naive splicing: each path as a straight-line program (oracle) ---------------
@@ -233,7 +234,8 @@ def test_fault_injected_into_recovery_hits_taken_paths_only():
 
 # --- the depth-first walk against naive per-path replay ---------------------------
 
-def _random_conditional(rng: random.Random, c: int, *, extras: bool = False) -> Program:
+def _random_conditional(rng: random.Random, c: int, *, extras: bool = False,
+                        spans: bool = False) -> Program:
     """A droplet P walks row 6 past c detector checkpoints; each recovery is a
     detour up and back, which puts the chip back as it found it.  A parked
     droplet Q sits on (2,1) and a 1x4 mixer on row 9 may still be active at
@@ -245,12 +247,19 @@ def _random_conditional(rng: random.Random, c: int, *, extras: bool = False) -> 
     Q from t=2 across the early conditionals, and a fault may move Q.  A
     recovery past column 2 may re-mix instead of detouring: it dilutes P, or
     mixes two fresh droplets and wastes both, so it leaves a new mix id
-    behind either way.  The main line may stop at its last conditional."""
+    behind either way.  The main line may stop at its last conditional.
+
+    ``spans`` (without ``extras``, for c >= 1) starts the mix on the first
+    main line after the first conditional, so that paths shifted apart
+    share it, and keeps it active for 40-99 ticks.  It adds a fault that
+    moves the mixer's droplet on (9,4), an e4 row naming the mixer's span,
+    and lands one to three faults, so that rows come both before and after
+    a resume point."""
     cols = 4 * c + 10
     decls = [f"dim(10,{cols})", "accuracy 2",
              f"R(6,1,S) R(2,1,B) R(9,1,S) R(9,4,B) O(6,{cols})"]
     main = [[1, ["d(6,1)", "d(2,1)", "d(9,1)", "d(9,4)"]],
-            [2, [f"mix([9,1]<->[9,4],{rng.randint(2, 60)},14)"]]]
+            [2, [f"mix([9,1]<->[9,4],{rng.randint(40, 99) if spans else rng.randint(2, 60)},14)"]]]
     recoveries = []
     faults = ("m([3,5]->[3,6])", "d(2,1)", "d(3,3)")
     t, col = 3, 1
@@ -259,6 +268,8 @@ def _random_conditional(rng: random.Random, c: int, *, extras: bool = False) -> 
         if rng.random() < 0.5:
             decls.append(f"D(dq,2,1,{rng.randint(8, 80)})")
             main[1][1].append("detect(dq)")
+    if spans:
+        faults += ("m([9,4]->[9,5])",) * 2
 
     def walk_to(end_col):
         nonlocal t, col
@@ -304,9 +315,13 @@ def _random_conditional(rng: random.Random, c: int, *, extras: bool = False) -> 
         main.append([t, [f"output(6,{cols})"]])
         if rng.random() < 0.8:
             main.append([t + 1, ["end"]])
+    if spans:
+        mix = main.pop(1)[1]
+        first = next(i for i, ln in enumerate(main) if ln[1][0].startswith("if("))
+        main[first + 1][1] += mix
     targets = [ln for ln in main[:-1] if not ln[1][0].startswith("if(")]
     targets += [ln for block in recoveries for ln in block]
-    for _ in range(rng.choice((0, 1, 1, 2))):
+    for _ in range(rng.choice((1, 2, 3) if spans else (0, 1, 1, 2))):
         rng.choice(targets)[1].append(rng.choice(faults))
     text = decls + [f"{t} {' '.join(ins)}" for t, ins in main]
     for i, block in enumerate(recoveries):
@@ -379,9 +394,11 @@ def _unmerged_paths(program, *, pin_map=None, input_sg=None, policy="first", t_m
 
 def _walked(program, **kw):
     """verify_all_paths as (label, report, outputs, final state) per
-    path: the state is caught as each path's run finishes, and the outputs,
-    by label, as the walk hands a clean path's sorted output concentrations
-    to ``_check_outputs`` (None for a path it does not check)."""
+    path: the state is caught as the walk summarises each path it steps to
+    its end (``REPLAYED`` for a path replayed from another's summary), and
+    the outputs, by label, as the walk hands a clean path's sorted output
+    concentrations to ``_check_outputs`` (None for a path it does not
+    check)."""
     outputs = {}
     check = branches._check_outputs
 
@@ -391,27 +408,31 @@ def _walked(program, **kw):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(branches, "_check_outputs", caught)
-        reports, runs = finished_runs(verify_all_paths, program, **kw)
-    return [(pr.label, pr.report, outputs.get(pr.label), final)
-            for pr, final in zip(reports, runs, strict=True)]
+        reports, finals = stepped_paths(verify_all_paths, program, **kw)
+    return [(pr.label, pr.report, outputs.get(pr.label), finals.get(pr.label, REPLAYED))
+            for pr in reports]
 
 
 def _final(state):
-    if state is None:
-        return None
+    if state is None or state is REPLAYED:
+        return state
     return (state.t, state.by_loc, state.mixers, state.detections)
 
 
-def _assert_same(walked, naive):
-    """The same paths with the same reports, delivered output multisets and
-    final states; a naive path's trailing events are not compared."""
+def _assert_same(walked, naive) -> int:
+    """The same paths with the same reports and delivered output multisets,
+    and the same final state on every path the walk stepped; a naive path's
+    trailing events are not compared.  Returns the number of walked paths
+    that were replayed."""
     assert [x[0] for x in walked] == [x[0] for x in naive]
     for (label, got, outs, final), (_, report, want_outs, want_final, *_) in zip(
             walked, naive):
         for fmt in ("json", "text"):
             assert format_report(got, fmt) == format_report(report, fmt), label
         assert outs == want_outs, label
-        assert _final(final) == _final(want_final), label
+        if final is not REPLAYED:
+            assert _final(final) == _final(want_final), label
+    return sum(x[3] is REPLAYED for x in walked)
 
 
 _OUT_S = "reagents S B\nnode S dispense S\nnode O output\nedge S O\n"
@@ -444,7 +465,7 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
     step = fluidics.step
     monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
     steps = {"merged": 0, "unmerged": 0}
-    seen, kinds = set(), set()
+    seen, kinds, replayed = set(), set(), 0
     for prog, runs in _random_corpus():
         if _cond_of(prog.main[-1]) is not None:
             kinds.add("ends on a conditional")
@@ -453,7 +474,7 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
             naive = _naive_paths(prog, **kw)
             for name, walk in (("merged", _walked), ("unmerged", _unmerged_paths)):
                 calls.clear()
-                _assert_same(walk(prog, **kw), naive)
+                replayed += _assert_same(walk(prog, **kw), naive)
                 steps[name] += len(calls)
             for i, x in enumerate(naive):
                 _assert_same(_walked(prog, only=x[0], **kw), naive[i:i + 1])
@@ -475,13 +496,71 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
                                                             ("all", False, True)}
     assert {"dilutes P", "side mix", "Q held", "ends on a conditional"} <= kinds, kinds
     assert steps["merged"] < steps["unmerged"], steps
+    assert replayed >= 100, replayed
+
+
+def _replay_cases(program, policy, **kw) -> set:
+    """What the walk's replays of ``program`` exercise, caught by wrapping
+    ``_shifted`` (each replayed row) and ``_Leaf`` (each path's leaf): rows
+    replayed at a shift d != 0, under the policy; replayed rows after rows
+    of the path that arrives (which must all be secondary); a row naming a
+    mixer's span replayed at d != 0; a stopped leaf replayed."""
+    moved, made = {}, []
+    shift, leaf = branches._shifted, branches._Leaf
+
+    def shifted(v, d):
+        out = shift(v, d)
+        moved[id(out)] = d      # the leaves keep every replayed row alive
+        return out
+
+    def made_leaf(*args):
+        made.append(leaf(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(branches, "_shifted", shifted)
+        m.setattr(branches, "_Leaf", made_leaf)
+        _, finals = stepped_paths(verify_all_paths, program, policy=policy, **kw)
+    cases = set()
+    for lf in made:
+        if lf.label in finals:
+            continue
+        rows = [v for v in lf.rows if id(v) in moved]
+        if any(moved[id(v)] for v in rows):
+            cases.add(("d != 0", policy))
+        if rows and len(rows) < len(lf.rows):
+            assert all(v.secondary for v in rows), lf
+            cases.add("after prior rows")
+        if any(v.mixer is not None and moved[id(v)] for v in rows):
+            cases.add("mixer span, d != 0")
+        if lf.stopped:
+            cases.add("stopped")
+    return cases
+
+
+def test_replayed_rows_match_naive_replay():
+    # a corpus of its own RNG, with faults on either side of the resume
+    # points, some on the active mixer: every replay case occurs, and each
+    # replayed path gets its spliced program's report
+    rng = random.Random(1013)
+    cases, replayed = set(), 0
+    for c in range(1, 6):
+        for _ in range(8):
+            prog = _random_conditional(rng, c, spans=True)
+            for policy in ("first", "all"):
+                replayed += _assert_same(_walked(prog, policy=policy),
+                                         _naive_paths(prog, policy=policy))
+                cases |= _replay_cases(prog, policy)
+    assert cases == {("d != 0", "first"), ("d != 0", "all"), "after prior rows",
+                     "mixer span, d != 0", "stopped"}, cases
+    assert replayed >= 100, replayed
 
 
 def test_walk_with_memo_matches_plain_step(monkeypatch):
     # forks share the step memo, so paths reuse each other's clean verdicts;
     # each path must get what the plain step, checking every line, gives it
     checked = count_checked_lines(monkeypatch)
-    served = 0
+    served = replayed = 0
     for prog, runs in _random_corpus():
         for kw in runs:
             checked[0] = 0
@@ -489,8 +568,9 @@ def test_walk_with_memo_matches_plain_step(monkeypatch):
             with_memo = checked[0]
             plain = without_memo(_walked, prog, **kw)
             served += checked[0] - 2 * with_memo     # the plain walk checks every line
-            _assert_same(walked, plain)
+            replayed += _assert_same(walked, plain)
     assert served >= 100, served
+    assert replayed >= 100, replayed
 
 
 def test_walk_steps_each_shared_prefix_once(monkeypatch):
@@ -591,17 +671,20 @@ _TWO_S = "reagents S\nnode S dispense S\nnode O output\nedge S O\nedge S O\n"
 
 def test_merges_keep_what_the_shared_state_hides(monkeypatch):
     held, two = parse_program(_HELD_Q), parse_program(_TWO_LAST)
+    replayed = 0
     for policy in ("first", "all"):
         for prog in (held, two):
-            _assert_same(_walked(prog, policy=policy), _naive_paths(prog, policy=policy))
+            replayed += _assert_same(_walked(prog, policy=policy),
+                                     _naive_paths(prog, policy=policy))
     assert {pr.label for pr in verify_all_paths(held) if not pr.report.ok} == {"00", "10"}
     assert [pr.report.final_t for pr in verify_all_paths(two)] == [3, 6, 6, 8]
     first = parse_program(_OUTPUT_FIRST)
     for sg, ok in ((_TWO_S, True), (_TWO_S.replace("edge S O\n", "", 1), False)):
         input_sg = parse_input_sg(sg)
         walked = _walked(first, input_sg=input_sg)
-        _assert_same(walked, _naive_paths(first, input_sg=input_sg))
+        replayed += _assert_same(walked, _naive_paths(first, input_sg=input_sg))
         assert [(label, report.ok) for label, report, _, _ in walked] == [("0", ok), ("1", ok)]
+    assert replayed >= 6, replayed
     # path 1 replays the five lines after the merge, which path 0 stepped
     calls = []
     step = fluidics.step
@@ -668,13 +751,15 @@ def test_path_outputs_match_the_realized_graph():
     for sg, ok in ((_TWO_OUTPUTS_SG, True), (_TWO_OUTPUTS_SG.replace("edge B O\n", ""), False)):
         input_sg = parse_input_sg(sg)
         walked = _walked(prog, input_sg=input_sg)
-        _assert_same(walked, _naive_paths(prog, input_sg=input_sg))
+        assert _assert_same(walked, _naive_paths(prog, input_sg=input_sg)) == 1
         assert [(label, report.ok) for label, report, _, _ in walked] == [("0", ok), ("1", ok)]
 
 
-def _detour_chain(c: int) -> Program:
+def _detour_chain(c: int, *, fault: bool = False) -> Program:
     """A droplet walks row 3 past c checkpoints; each recovery is a detour up
-    and back, so every path resumes the main line in the same chip state."""
+    and back, so every path resumes the main line in the same chip state.
+    ``fault`` adds a dispense from (1,1), which is no reservoir (e3), to the
+    first main line after the last conditional."""
     cols = 2 * c + 3
     dets = " ".join(f"D(d{i},3,{2 * i + 3},1)" for i in range(c))
     text = [f"dim(4,{cols})", "accuracy 2", f"R(3,1,S) O(3,{cols})", dets, "1 d(3,1)"]
@@ -688,7 +773,8 @@ def _detour_chain(c: int) -> Program:
         t += 2
         recoveries += [f"recovery {i}:", f"{100 * i} m([3,{col}]->[2,{col}])",
                        f"{100 * i + 1} m([2,{col}]->[3,{col}])", "endrecovery"]
-    text += [f"{t} m([3,{col}]->[3,{col + 1}])", f"{t + 1} m([3,{col + 1}]->[3,{col + 2}])",
+    text += [f"{t} m([3,{col}]->[3,{col + 1}])" + " d(1,1)" * fault,
+             f"{t + 1} m([3,{col + 1}]->[3,{col + 2}])",
              f"{t + 2} output(3,{cols})", f"{t + 3} end"]
     return parse_program("\n".join(text + recoveries) + "\n")
 
@@ -706,3 +792,23 @@ def test_steps_grow_linearly_in_conditionals_when_recoveries_restore(monkeypatch
             prog.main[-1].t + 2 * k for k in range(c + 1)}
         # each of the 3c + 5 main and 2c recovery lines is stepped once
         assert len(calls) <= 5 * c + 5, (c, len(calls))
+
+
+def test_steps_grow_linearly_in_conditionals_when_every_path_fails(monkeypatch):
+    # the fault after the last conditional fails all 2^c paths, each at its
+    # own shift of the faulty line; the first path to reach a resume point
+    # steps its subtree, rows included, and the others replay it
+    calls = []
+    step = fluidics.step
+    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    for c in range(4, 11):
+        prog = _detour_chain(c, fault=True)
+        fault_t = prog.main[-4].t
+        for policy in ("first", "all"):
+            calls.clear()
+            reports = verify_all_paths(prog, policy=policy)
+            assert len(reports) == 2 ** c
+            assert all([v.code for v in pr.report.violations] == [Code.E3] for pr in reports)
+            assert {pr.report.violations[0].t for pr in reports} == {
+                fault_t + 2 * k for k in range(c + 1)}
+            assert len(calls) <= 5 * c + 5, (c, policy, len(calls))

@@ -1,4 +1,5 @@
 import json
+import random
 
 from dmfv.diag import CAUSE, CONSEQUENCE, Code, Report, Violation, format_report
 from dmfv.isa import Loc
@@ -78,3 +79,75 @@ def test_tmax_row():
     text = format_report(report, "text")
     assert "exceeds T_max" in text and "36 > 30" in text
     assert report.exit_code == 1
+
+
+# --- the JSON writer against json.dumps (oracle) --------------------------------
+
+def _violation_doc(v: Violation) -> dict:
+    return {
+        "code": v.code.value,
+        "phase": v.phase,
+        "response": v.response,
+        "cause": CAUSE.get(v.code, ""),
+        "t": v.t,
+        "instructions": list(v.instructions),
+        "cells": [[c.row, c.col] for c in v.cells],
+        "pins": sorted(v.pins),
+        "consequence": v.consequence,
+        "path": v.path,
+        "detail": v.detail,
+        "secondary": v.secondary,
+    }
+
+
+def _dumped(report: Report) -> str:
+    """The JSON report as the standard library writes its document."""
+    doc = {
+        "schema": "dmfv-report/1",
+        "ok": report.ok,
+        "final_t": report.final_t,
+        "t_max": report.t_max,
+        "tmax_exceeded": report.tmax_exceeded,
+        "violations": [_violation_doc(v) for v in report.violations],
+        "notes": list(report.notes),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII (one outside the BMP)
+_AWKWARD = ('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "µ", "—", "\u2028", "😀",
+            "m(1,2,1,3)", "path 01: mixer still active", "", " ")
+
+
+def _text(rng: random.Random) -> str:
+    return "".join(rng.choice(_AWKWARD) for _ in range(rng.randint(0, 4)))
+
+
+def _random_report(rng: random.Random) -> Report:
+    rows = []
+    for _ in range(rng.choice((0, 1, 1, 3, 6))):
+        rows.append(Violation(
+            rng.choice(list(Code)), _text(rng),
+            t=rng.choice((None, 0, 7, 12345)),
+            instructions=tuple(_text(rng) for _ in range(rng.choice((0, 1, 3)))),
+            cells=tuple(Loc(rng.randint(0, 60), rng.randint(0, 60))
+                        for _ in range(rng.choice((0, 1, 2)))),
+            pins=tuple(rng.randint(1, 999) for _ in range(rng.choice((0, 1, 3)))),
+            path=rng.choice((None, "", "0", "0110")),
+            detail=_text(rng), secondary=rng.random() < 0.3))
+    return Report(rows, final_t=rng.choice((None, 0, 69)), t_max=rng.choice((None, 30, 70)),
+                  notes=[_text(rng) for _ in range(rng.choice((0, 1, 2)))])
+
+
+def test_json_writer_matches_json_dumps_on_random_reports():
+    rng = random.Random(404)
+    seen = set()
+    for _ in range(2000):
+        report = _random_report(rng)
+        assert format_report(report, "json") == _dumped(report)
+        seen.update(v.code for v in report.violations)
+        seen.update(("t", v.t is None) for v in report.violations)
+        seen.add(("ok", report.ok, report.tmax_exceeded))
+    assert set(Code) <= seen
+    assert {("t", True), ("t", False), ("ok", True, False), ("ok", False, True)} <= seen
+

@@ -15,17 +15,18 @@ from dmfv.branches import verify_all_paths
 from dmfv.cli import main
 from dmfv.chip import (ChipState, DetectionEntry, InconsistentState, MixerEntry,
                        expire_detections, expire_mixers, init_state)
-from dmfv.diag import Code
+from dmfv.diag import Code, format_report
 from dmfv.fluidics import EngineError, state_at, step, ticks, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError, Loc,
                       MixStart, Move, MType, Output, ReservoirDecl, RKind, TimedLine,
-                      ValidationError, Waste, parse_program)
+                      ValidationError, Waste, parse_program, serialize_program)
 from dmfv.pins import dedicated_map, parse_pins
 
-from conftest import (count_checked_lines, count_memo_hits, finished_runs, fractions_of, load,
-                      with_droplet, without_bulk, without_memo)
+from conftest import (REPLAYED, count_checked_lines, count_memo_hits, finished_runs, fractions_of,
+                      load, stepped_paths, with_droplet, without_bulk, without_memo)
 from test_acceptance import _random_walk
+from test_branches import _HELD_Q, _OUTPUT_FIRST, _TWO_LAST, _detour_chain
 from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
 from test_oracle import (check, move_clearance_cells, neighbors8, separation_partners,
                          static_fc)
@@ -657,8 +658,9 @@ def test_verify_refuses_an_off_array_dispense_with_a_pin_map():
 # --- the step memo against the plain step (oracle) ----------------------------
 
 def _value(state):
-    return None if state is None else (state.t, state.by_loc, state.mixers,
-                                       state.detections, state.next_node)
+    if state is None or state is REPLAYED:
+        return state
+    return (state.t, state.by_loc, state.mixers, state.detections, state.next_node)
 
 
 def _outcome(fn, *args, **kw):
@@ -674,10 +676,30 @@ def _linear_run(prog, **kw):
 
 
 def _path_run(prog, **kw):
-    reports, runs = finished_runs(verify_all_paths, prog, **kw)
-    return [(pr.label, pr.report.violations, pr.report.notes, pr.report.final_t,
-             _value(final))
-            for pr, final in zip(reports, runs, strict=True)]
+    """Each path's label, JSON and text reports and, on a path the walk
+    stepped to its end, its final state (``REPLAYED`` on the others)."""
+    reports, finals = stepped_paths(verify_all_paths, prog, **kw)
+    return [(pr.label, format_report(pr.report, "json"), format_report(pr.report, "text"),
+             _value(finals.get(pr.label, REPLAYED)))
+            for pr in reports]
+
+
+# Conditional programs whose paths merge, so that the path walk replays:
+# the recoveries of the fixtures never put the chip back as they found it.
+_MERGING = (_HELD_Q, _OUTPUT_FIRST, _TWO_LAST, serialize_program(_detour_chain(3)))
+
+
+def _merging_mutants(rng, n: int):
+    """The programs among n random mutants of ``_MERGING``."""
+    for _ in range(n):
+        prog = _outcome(parse_program, _mutate_dmf(rng, rng.choice(_MERGING)))
+        if not isinstance(prog, tuple):
+            yield prog
+
+
+def _replayed(runs) -> int:
+    """The number of replayed paths in ``_runs``' outcomes."""
+    return sum(run[-1] is REPLAYED for out in runs if isinstance(out, list) for run in out)
 
 
 def _runs(prog, pin_map=None):
@@ -694,8 +716,13 @@ def test_memo_matches_plain_step_on_fixtures(capsys):
     pins = ("mplex.pins", "mplex_pin1.pins", "mplex_pin2.pins", "mplex_pin3.pins")
     cases = [(parse_program(load(name)), None) for name in _DMF_FIXTURES]
     cases += [(parse_program(load("mplex.dmf")), parse_pins(load(p))) for p in pins]
+    cases += [(parse_program(text), None) for text in _MERGING]
+    replayed = 0
     for prog, pin_map in cases:
-        assert _runs(prog, pin_map) == without_memo(_runs, prog, pin_map)
+        got = _runs(prog, pin_map)
+        assert got == without_memo(_runs, prog, pin_map)
+        replayed += _replayed(got)
+    assert replayed >= 20, replayed
     # the text and JSON reports, as the command line prints them
     for argv in _fixture_verify_argvs():
         for extra in ([], ["--all"], ["--format", "text"], ["--format", "text", "--all"]):
@@ -709,14 +736,19 @@ def test_memo_matches_plain_step_on_the_dmf_fuzz_corpus():
     # the mutated .dmf corpus of test_cli: each text that parses is verified
     # and walked tick by tick, with the memo and with the plain step
     rng = random.Random(1618)
-    ran = 0
+    ran = replayed = 0
     for _ in range(200):
         text = _mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES)))
         prog = _outcome(parse_program, text)
         if not isinstance(prog, tuple):
             ran += 1
             assert _runs(prog) == without_memo(_runs, prog), text
+    for prog in _merging_mutants(random.Random(2718), 150):
+        got = _runs(prog)
+        assert got == without_memo(_runs, prog)
+        replayed += _replayed(got)
     assert ran >= 50, ran
+    assert replayed >= 50, replayed
 
 
 def step_both_ways(checked, served, **kw):
@@ -1088,10 +1120,13 @@ def test_bulk_check_matches_per_instruction_path_on_fixtures_and_fuzz():
         prog = _outcome(parse_program, _mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES))))
         if not isinstance(prog, tuple):
             cases.append((prog, None))
+    cases += [(prog, None) for prog in _merging_mutants(random.Random(2718), 150)]
     assert len(cases) >= 60, len(cases)
-    passed = 0
+    passed = replayed = 0
     for prog, pin_map in cases:
         got, n = bulk_checked(_runs, prog, pin_map)
         passed += n
         assert got == without_bulk(_runs, prog, pin_map)
+        replayed += _replayed(got)
     assert passed >= 100, passed
+    assert replayed >= 50, replayed
