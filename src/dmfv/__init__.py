@@ -9,8 +9,7 @@ from .diag import Code, Report, Violation, format_report
 from .fluidics import Trace, step, verify_program
 from .graph import (SeqGraph, conformance, parse_input_sg, ratio_str, reconstruct,
                     round_cf, to_dot)
-from .pins import (PinMap, check_case1, check_dispense_pins, check_pair,
-                   parse_pins)
+from .pins import PinMap, check_case1, check_pair, parse_pins
 from .branches import path_shapes, verify_all_paths
 
 __version__ = "0.1.0"

@@ -86,8 +86,7 @@ def cmd_verify(args) -> int:
                                             policy=policy, t_max=t_max)
     if args.events:
         Path(args.events).write_text(trace.event_log())
-    phase1_clean = not any(v.phase == 1 for v in report.violations)
-    if input_sg is not None and phase1_clean:
+    if input_sg is not None and not report.violations:     # Phase I clean
         synth = graph.reconstruct(trace)
         conf = graph.conformance(input_sg, synth, program.header.accuracy,
                                  ignore_waste=args.ignore_waste)

@@ -81,12 +81,6 @@ class SGNode:
     t_e: int | None = None
     cf: CFVector | None = None
 
-    @property
-    def realized_duration(self) -> int | None:
-        if self.t_s is None or self.t_e is None:
-            return None
-        return self.t_e - self.t_s - 1
-
 
 @dataclass
 class SeqGraph:
@@ -304,9 +298,10 @@ def _describe(sg: SeqGraph, nid: str, reagents: tuple[str, ...], n: int,
 
 
 def _duration_check(spec_node: SGNode, real_node: SGNode, report: Report) -> None:
-    spec, realized = spec_node.t_mix, real_node.realized_duration
-    if spec is None or realized is None:
+    spec, t_s, t_e = spec_node.t_mix, real_node.t_s, real_node.t_e
+    if spec is None or t_s is None or t_e is None:
         return
+    realized = t_e - t_s - 1     # the mixer holds its droplets on t_s+1 .. t_e-1
     if realized < spec:
         report.violations.append(Violation(
             Code.E6, "Inhomogeneous mixing",

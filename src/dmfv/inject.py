@@ -55,39 +55,17 @@ def add_instruction(program: Program, t: int, instr: Instruction) -> Program:
     return _with_lines(program, lines)
 
 
-def replace_instruction(program: Program, t: int, pos: int,
-                        instr: Instruction) -> Program:
+def _edit(program: Program, i: int, pos: int, instr: Instruction | None) -> Program:
+    """``instr`` in place of instruction ``pos`` of main line ``i``, or, when
+    None, that instruction dropped and the line with it if it empties."""
     lines = list(program.main)
-    for i, ln in enumerate(lines):
-        if ln.t == t:
-            if not 0 <= pos < len(ln.instrs):
-                raise MutationInapplicable(f"line {t} has no instruction #{pos}")
-            instrs = list(ln.instrs)
-            instrs[pos] = instr
-            lines[i] = TimedLine(t, tuple(instrs))
-            return _with_lines(program, lines)
-    raise MutationInapplicable(f"no line at t={t}")
-
-
-def remove_instruction(program: Program, t: int, pos: int) -> tuple[Program, Instruction]:
-    lines = list(program.main)
-    for i, ln in enumerate(lines):
-        if ln.t == t:
-            if not 0 <= pos < len(ln.instrs):
-                raise MutationInapplicable(f"line {t} has no instruction #{pos}")
-            instrs = list(ln.instrs)
-            removed = instrs.pop(pos)
-            if instrs:
-                lines[i] = TimedLine(t, tuple(instrs))
-            else:
-                lines.pop(i)
-            return _with_lines(program, lines), removed
-    raise MutationInapplicable(f"no line at t={t}")
-
-
-def shift_instruction(program: Program, t: int, pos: int, new_t: int) -> Program:
-    program, instr = remove_instruction(program, t, pos)
-    return add_instruction(program, new_t, instr)
+    ln = lines[i]
+    instrs = ln.instrs[:pos] + (() if instr is None else (instr,)) + ln.instrs[pos + 1:]
+    if instrs:
+        lines[i] = TimedLine(ln.t, instrs)
+    else:
+        del lines[i]
+    return _with_lines(program, lines)
 
 
 def swap_reagent_names(program: Program, a: str, b: str) -> Program:
@@ -189,7 +167,7 @@ def _inject_e3(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
                                    f"from it is legal")
     if not any(isinstance(instr, Dispense) for ln in program.main for instr in ln.instrs):
         raise MutationInapplicable("no dispense instruction to corrupt")
-    for ln in program.main:
+    for i, ln in enumerate(program.main):
         for pos, instr in enumerate(ln.instrs):
             if isinstance(instr, Dispense):
                 if spec.to is not None:
@@ -204,7 +182,7 @@ def _inject_e3(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
                             break
                     if bad is None:
                         continue
-                p = replace_instruction(program, ln.t, pos, Dispense(bad))
+                p = _edit(program, i, pos, Dispense(bad))
                 return p, (f"replaced {instr.compact()} with {Dispense(bad).compact()} "
                            f"at t={ln.t}")
     raise MutationInapplicable("no dispense has a neighbour on the array that is not a "
@@ -237,37 +215,38 @@ def _inject_e4(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
 
 
 def _mix_at(program: Program, t: int | None, pos: int | None) -> tuple[int, int, MixStart]:
-    """(t, pos, mix) of the mix at position ``pos`` (default 0) of line t, or
-    of the program's first mix when t is None."""
+    """(i, pos, mix) of the mix at position ``pos`` (default 0) of the first
+    main line i at tick t, or of the program's first mix when t is None."""
     if t is None:
-        for ln in program.main:
+        for i, ln in enumerate(program.main):
             for p, instr in enumerate(ln.instrs):
                 if isinstance(instr, MixStart):
-                    return ln.t, p, instr
+                    return i, p, instr
         raise MutationInapplicable("no mixing operation present")
     pos = pos or 0
-    line = program.line_at(t)
-    if line is None or not 0 <= pos < len(line.instrs) or not isinstance(
-            line.instrs[pos], MixStart):
+    i = next((i for i, ln in enumerate(program.main) if ln.t == t), None)
+    instrs = () if i is None else program.main[i].instrs
+    if not 0 <= pos < len(instrs) or not isinstance(instrs[pos], MixStart):
         raise MutationInapplicable(f"no mix instruction at t={t} #{pos}")
-    return t, pos, line.instrs[pos]
+    return i, pos, instrs[pos]
 
 
 def _inject_e5(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
-    t, pos, mix = _mix_at(program, spec.line, spec.pos)
+    i, pos, mix = _mix_at(program, spec.line, spec.pos)
+    t = program.main[i].t
     if t < 1:
         raise MutationInapplicable("cannot schedule the mixer any earlier")
-    p = shift_instruction(program, t, pos, t - 1)
+    p = add_instruction(_edit(program, i, pos, None), t - 1, mix)
     return p, f"moved {mix.compact()} one tick early, from t={t} to t={t - 1}"
 
 
 def _inject_e6(program: Program, spec: InjectionSpec) -> tuple[Program, str]:
-    t, pos, mix = _mix_at(program, spec.line, spec.pos)
+    i, pos, mix = _mix_at(program, spec.line, spec.pos)
+    t = program.main[i].t
     duration = spec.duration if spec.duration is not None else max(1, mix.t_mix - 2)
     if duration >= mix.t_mix:
         raise MutationInapplicable("shortened duration must be below the original")
-    p = replace_instruction(program, t, pos,
-                            MixStart(mix.a, mix.b, duration, mix.mtype))
+    p = _edit(program, i, pos, MixStart(mix.a, mix.b, duration, mix.mtype))
     return p, f"shortened {mix.compact()} at t={t} to t_mix={duration}"
 
 

@@ -212,12 +212,6 @@ class Program:
         """What :func:`validate_structure` finds, run once per program."""
         return tuple(validate_structure(self))
 
-    def line_at(self, t: int) -> TimedLine | None:
-        for ln in self.main:
-            if ln.t == t:
-                return ln
-        return None
-
 
 # --- errors ----------------------------------------------------------------
 

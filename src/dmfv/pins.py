@@ -185,13 +185,6 @@ def check_pair(pmap: PinMap, d1_t: Loc, d1_t1: Loc, d2_t: Loc, d2_t1: Loc) -> Vi
     return None
 
 
-def check_dispense_pins(pmap: PinMap, state: ChipState, loc: Loc) -> Violation | None:
-    """A dispensed droplet's pin must avoid its own and every droplet's N4
-    pins, those of the droplets on ``state`` in sorted order; the first one
-    it meets is named."""
-    return _dispense_row(pmap, loc, _n4_owners(pmap, sorted(state.by_loc)))
-
-
 def _n4_owners(pmap: PinMap, droplets) -> dict[int, list[Loc]]:
     """Each pin, mapped to the droplets whose N4 region it drives, in order."""
     owners: dict[int, list[Loc]] = {}
@@ -202,9 +195,11 @@ def _n4_owners(pmap: PinMap, droplets) -> dict[int, list[Loc]]:
 
 
 def _dispense_row(pmap: PinMap, loc: Loc, owners: dict[int, list[Loc]]) -> Violation | None:
-    """check_dispense_pins at ``loc``, with the droplets indexed by
-    ``_n4_owners``.  A droplet on ``loc`` itself meets its pin only where
-    the first rule already fails, so skipping it changes nothing."""
+    """The dispense rule at ``loc``: a dispensed droplet's pin must avoid its
+    own N4 pins and those of every droplet in ``owners`` (``_n4_owners``);
+    the first droplet it meets, in the owners' order, is named.  A droplet
+    on ``loc`` itself meets its pin only where the first rule already
+    fails, so skipping it changes nothing."""
     own = pmap.pin[loc]
     if own in pmap.n4_pins(loc):
         shared_self = sorted(c for c in pmap.n4(loc) if pmap.pin[c] == own)

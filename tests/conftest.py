@@ -22,6 +22,11 @@ def fractions_of(cf) -> dict[str, Fraction]:
     return {k: Fraction(v, 1 << cf.exp) for k, v in cf.nums}
 
 
+def line_at(program, t: int):
+    """The first main line of ``program`` at tick t."""
+    return next(ln for ln in program.main if ln.t == t)
+
+
 def with_droplet(state, node: str, loc, cf):
     """A copy of ``state`` with one more droplet, ``node`` of concentration
     ``cf``, on ``loc``; the chip's guard refuses an occupied cell."""
@@ -30,6 +35,14 @@ def with_droplet(state, node: str, loc, cf):
     new = state.copy()
     new._add(loc, Droplet(node, cf))
     return new
+
+
+def check_dispense_pins(pmap, state, loc):
+    """The pin dispense rule at ``loc``, against the droplets on ``state`` in
+    sorted order, through the owner index that ``pins.pin_phase`` builds."""
+    from dmfv import pins
+
+    return pins._dispense_row(pmap, loc, pins._n4_owners(pmap, sorted(state.by_loc)))
 
 
 def without_memo(fn, *args, **kw):

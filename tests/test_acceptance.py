@@ -17,10 +17,9 @@ from dmfv.graph import (OUTPUT, CFVector, SeqGraph, SGNode, cf_mix, conformance,
 from dmfv.inject import InjectionSpec, inject_error
 from dmfv.isa import (ChipHeader, Dispense, Loc, MixStart, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
-from dmfv.pins import (check_case1, check_dispense_pins, check_pair,
-                       dedicated_map, parse_pins)
+from dmfv.pins import check_case1, check_pair, dedicated_map, parse_pins
 
-from conftest import fractions_of, load
+from conftest import check_dispense_pins, fractions_of, load
 from test_branches import enumerate_paths
 from test_oracle import run_oracle_equivalence
 from test_pins import DISPENSE_PINS, MOVE_PINS, droplets, make_map

@@ -15,7 +15,7 @@ from dmfv.chip import ChipState, InconsistentState
 from dmfv.cli import main
 from dmfv.diag import format_report
 from dmfv.fluidics import verify_program
-from dmfv.inject import add_instruction
+from dmfv.inject import InjectionSpec, MutationInapplicable, add_instruction, inject_error
 from dmfv.isa import Loc, Move, parse_program, serialize_program
 from dmfv.pins import dedicated_map, serialize_pins
 
@@ -407,6 +407,12 @@ def test_inject_pin_companion_file(tmp_path, capsys):
     assert rc == 0
     written = (tmp_path / "remap.pins").read_text()
     assert written == load("mplex_pin1.pins")
+
+
+def test_inject_error_leaves_pin_remaps_to_the_cli():
+    # a pin remap mutates the pin map, not the program, so only the CLI makes one
+    with pytest.raises(MutationInapplicable, match="^unknown injection code 'pin'$"):
+        inject_error(parse_program(load("pcr.dmf")), InjectionSpec("pin"))
 
 
 def test_inject_e1_skips_droplet_under_detect(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from dmfv.diag import CAUSE, CONSEQUENCE, Code, Report, Violation, format_report
 from dmfv.isa import Loc
 
@@ -71,6 +73,11 @@ def test_multi_path_rows_keep_labels():
                       instructions=("m(7,4,7,3)",), path=label))
     text = format_report(report, "text")
     assert "path=01" in text and "path=11" in text
+
+
+def test_format_report_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown report mode 'xml'$"):
+        format_report(Report(), "xml")
 
 
 def test_tmax_row():

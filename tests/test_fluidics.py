@@ -16,7 +16,7 @@ from dmfv.cli import main
 from dmfv.chip import (ChipState, DetectionEntry, InconsistentState, MixerEntry,
                        expire_detections, expire_mixers, init_state)
 from dmfv.diag import Code, format_report
-from dmfv.fluidics import EngineError, state_at, step, ticks, verify_program
+from dmfv.fluidics import Cursor, EngineError, state_at, step, ticks, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError, Loc,
                       MixStart, Move, MType, Output, ReservoirDecl, RKind, TimedLine,
@@ -24,7 +24,7 @@ from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError,
 from dmfv.pins import dedicated_map, parse_pins
 
 from conftest import (REPLAYED, count_checked_lines, count_memo_hits, finished_runs, fractions_of,
-                      load, stepped_paths, with_droplet, without_bulk, without_memo)
+                      line_at, load, stepped_paths, with_droplet, without_bulk, without_memo)
 from test_acceptance import _random_walk
 from test_branches import _HELD_Q, _OUTPUT_FIRST, _TWO_LAST, _detour_chain
 from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
@@ -173,7 +173,7 @@ def test_droplet_consumed_by_two_instructions(first, second):
 def test_step_simultaneous_moves():
     prog = parse_program(load("twowaymix.dmf"))
     st = state_at(prog, 17)
-    line = prog.line_at(18)
+    line = line_at(prog, 18)
     result = step(st, line)
     assert result.violations == []
     assert Loc(2, 4) in result.state.by_loc and Loc(5, 4) in result.state.by_loc
@@ -297,7 +297,19 @@ def test_step_rejects_conditionals():
     prog = parse_program(load("recovery.dmf"))
     st = init_state(prog.header, prog.detectors)
     with pytest.raises(EngineError):
-        step(st, prog.line_at(15))
+        step(st, line_at(prog, 15))
+
+
+def test_cursor_refuses_an_unknown_policy():
+    prog = parse_program(load("twowaymix.dmf"))
+    with pytest.raises(EngineError, match="^unknown violation policy 'last'$"):
+        Cursor(prog, policy="last")
+
+
+def test_verify_program_refuses_a_conditional_program():
+    # the path walk expands a conditional program; the CLI never hands one here
+    with pytest.raises(EngineError, match="^program has conditional calls"):
+        verify_program(parse_program(load("recovery.dmf")))
 
 
 def test_step_refuses_a_line_before_the_current_tick():

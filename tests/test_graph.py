@@ -7,13 +7,15 @@ from math import gcd
 
 import pytest
 
+from dmfv import chip
 from dmfv.diag import Code, Report, Violation
-from dmfv.fluidics import verify_program
-from dmfv.graph import (MIX, OUTPUT, WASTE, BadArity, CFVector, CycleDetected,
+from dmfv.fluidics import Trace, verify_program
+from dmfv.graph import (DISPENSE, MIX, OUTPUT, WASTE, BadArity, CFVector, CycleDetected,
+                        OrphanDroplet,
                         SeqGraph, SGNode, _adjacency, _cf_key, _concentrations, _depths,
                         _duration_check, _topo, cf_mix, conformance, parse_input_sg,
                         ratio_str, reconstruct, round_cf, to_dot)
-from dmfv.isa import ParseError, parse_program
+from dmfv.isa import Loc, ParseError, parse_program
 
 from conftest import fractions_of, load
 
@@ -284,6 +286,44 @@ def test_reconstruct_pcr_uniform_tree():
         if sg.nodes[nid].kind == MIX:
             assert len(preds(sg, nid)) == 2
     topo_order(sg)  # acyclic
+
+
+def test_reconstruct_refuses_a_mix_of_a_droplet_never_dispensed():
+    # a forged trace: the engine records a dispense before any mix of its droplet
+    trace = Trace(("S", "B"), [
+        chip.Dispensed(1, "S", Loc(1, 1), S),
+        chip.MixCompleted(6, "v1", Loc(2, 2), Loc(2, 3), 1, 6, ("S", "B"), cf_mix(S, B))])
+    with pytest.raises(OrphanDroplet, match="^edge B->v1 references an unknown node$"):
+        reconstruct(trace)
+
+
+def _hand_built(nodes, edges) -> SeqGraph:
+    """A graph built node by node, without the checks of ``parse_input_sg``."""
+    sg = SeqGraph(("S", "B"))
+    for node in nodes:
+        sg.add_node(node)
+    for src, dst in edges:
+        sg.add_edge(src, dst)
+    return sg
+
+
+def test_conformance_refuses_a_mix_without_two_concentrations():
+    source, mix, out = SGNode("S", DISPENSE, reagent="S"), SGNode("M", MIX), SGNode("O", OUTPUT)
+    one_input = _hand_built([source, mix, out], [("S", "M"), ("M", "O")])
+    with pytest.raises(BadArity, match="^mix node 'M' has in-degree 1, needs 2$"):
+        conformance(one_input, one_input, 2)
+    from_waste = _hand_built([source, SGNode("W", WASTE), mix, out],
+                             [("S", "W"), ("W", "M"), ("S", "M"), ("M", "O")])
+    with pytest.raises(BadArity, match="^mix node 'M' fed by a node without a concentration$"):
+        conformance(from_waste, from_waste, 2)
+
+
+def test_conformance_of_two_spec_graphs_checks_no_mixing_time():
+    # a spec graph has no realized windows, so no mix is too short or too long
+    spec, shorter = parse_input_sg(load("twowaymix.sg")), parse_input_sg(load("twowaymix.sg"))
+    shorter.nodes["M1"].t_mix = 1
+    report = conformance(spec, shorter, 5)
+    assert report.ok and not report.notes
 
 
 def test_conformance_reflexive_and_relabeling_invariant():

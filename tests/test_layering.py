@@ -5,6 +5,8 @@ imports.  An import under ``if TYPE_CHECKING:`` counts as well."""
 import ast
 from pathlib import Path
 
+from unreached_code import ALLOWED, Allowed, Finding, problems, unnamed_defs
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "dmfv"
 
 
@@ -74,3 +76,21 @@ def test_module_imports_are_acyclic():
 def test_cycle_finder_sees_a_cycle():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+
+def test_every_def_is_named_in_src():
+    """The name scan of ``unreached_code``, whose line trace runs outside
+    tier-1: a def or class of ``src/dmfv`` that no ``src/`` code names
+    fails here unless its allowlist entry says why."""
+    defs = tuple(a for a in ALLOWED if a.text.startswith(("def ", "async def ", "class ")))
+    assert problems(unnamed_defs(), defs) == []
+
+
+def test_unreached_code_verdict_sees_both_faults():
+    found = Finding("inject.py", 64, "raise MutationInapplicable(x)", "unreached")
+    listed = Allowed("inject.py", "raise MutationInapplicable(x)", "a reason")
+    stale = Allowed("cli.py", "sys.exit(main())", "a reason")
+    assert problems([found], (listed,)) == []
+    assert problems([found], (stale,)) == [
+        "src/dmfv/inject.py:64: unreached: raise MutationInapplicable(x)",
+        "allowlist entry matches nothing: cli.py: sys.exit(main())"]
