@@ -18,13 +18,12 @@ steps what follows and keeps a summary of each path below it; the others
 replay those summaries, rows included, shifted in time.  So stepping costs
 distinct resume states times lines, not paths times lines.
 ``path_shapes`` walks the same tree without stepping, for ``dmfv paths``.
-Each path's report is the one its spliced straight-line program gets when
-verified alone.  A path keeps its report and its outputs, no event log.
+The walk writes each path straight into the one report ``dmfv verify``
+prints; a path keeps no report of its own and no event log.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import chip, fluidics, graph
@@ -104,12 +103,6 @@ def path_shapes(program: Program, *,
     return out
 
 
-@dataclass
-class PathReport:
-    label: str          # one outcome per conditional: "1" where its recovery runs
-    report: Report
-
-
 class _Leaf(NamedTuple):
     """A path's summary, which its report and outputs are built from: no
     cursor and no chip state.  Rows are untagged; last_t is None if no line
@@ -140,16 +133,6 @@ def _shifted(v: Violation, d: int) -> Violation:
                      mx.span() if mx else v.detail, v.secondary, mx)
 
 
-def _tagged(report: Report, label: str) -> Report:
-    """``report``, its rows and notes now tagged with the path's label."""
-    path = label or None
-    report.violations = [Violation(v.code, v.response, v.t, v.instructions, v.cells, v.pins,
-                                   path, v.detail, v.secondary, v.mixer)
-                         for v in report.violations]
-    report.notes = [f"path {label}: {n}" for n in report.notes]
-    return report
-
-
 def _resume_key(main: tuple[TimedLine, ...], idx: int, cursor: fluidics.Cursor,
                 delta: int) -> tuple:
     """What the rest of the walk from ``main[idx]`` depends on, with time
@@ -173,11 +156,13 @@ def _resume_key(main: tuple[TimedLine, ...], idx: int, cursor: fluidics.Cursor,
 def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
                      policy: str = "first", t_max: int | None = None,
                      only: str | None = None,
-                     max_conditionals: int = 16) -> list[PathReport]:
-    """Verify every path (or the one selected by ``only``), in label order.
+                     max_conditionals: int = 16) -> Report:
+    """Verify every path (or the one selected by ``only``) into one report:
+    a ``path L: PASS|FAIL, ends t=T`` note per path in label order, then the
+    rows and notes of each path's spliced program verified alone, tagged
+    with its label, and the latest final tick of any path.
 
-    Each path's report equals that of its spliced program verified alone,
-    but the lines a group of paths shares up to a conditional are stepped
+    The lines a group of paths shares up to a conditional are stepped
     once: the run is forked there, and each fork goes on under one outcome.
     Paths that reach a resume point in the same state, up to a shift in
     time, also share what follows: the first one steps it and keeps a
@@ -189,7 +174,7 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     same multiset of output concentrations the input graph specifies;
     recovery detours must re-produce the same mixture: the walk carries each
     path's output concentrations, rounded once as their lines are stepped,
-    and builds no graph.  A path yields its report and nothing else.
+    and builds no graph.
     """
     k = _count_conditionals(program, max_conditionals)
     if only is not None and (len(only) != k or not set(only) <= {"0", "1"}):
@@ -198,7 +183,8 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     want = None if input_sg is None else _output_cfs(input_sg, n)
     main = program.main
     root = fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max)
-    out: list[PathReport] = []
+    report = Report(t_max=root.t_max)
+    notes: list[str] = []       # the paths' own notes, after every summary
     leaves: list[_Leaf] = []    # of each path emitted
     # resume key -> (delta, label length, output count, row count and last_t
     #                at the key, the leaves below it)
@@ -213,12 +199,18 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
 
     def emit(leaf: _Leaf) -> None:
         leaves.append(leaf)
-        report = _tagged(fluidics.end_report(leaf.rows, root.t_max, leaf.last_t,
-                                             leaf.ended, leaf.stopped, leaf.mixers),
-                         leaf.label)
+        label, path = leaf.label, leaf.label or None
+        end = fluidics.end_report([Violation(v.code, v.response, v.t, v.instructions, v.cells,
+                                             v.pins, path, v.detail, v.secondary, v.mixer)
+                                   for v in leaf.rows],
+                                  root.t_max, leaf.last_t, leaf.ended, leaf.stopped, leaf.mixers)
         if want is not None and not leaf.rows:      # Phase I clean
-            _check_outputs(want, sorted(leaf.outs), report, leaf.label)
-        out.append(PathReport(leaf.label, report))
+            _check_outputs(want, sorted(leaf.outs), end, label)
+        report.violations += end.violations
+        report.notes.append(f"path {label}: {'PASS' if end.ok else 'FAIL'}, ends t={end.final_t}")
+        notes.extend(f"path {label}: {n}" for n in end.notes)
+        if end.final_t is not None and (report.final_t is None or end.final_t > report.final_t):
+            report.final_t = end.final_t
 
     def replay(cursor: fluidics.Cursor, delta: int, label: str, outs: tuple,
                stored: tuple) -> None:
@@ -263,7 +255,8 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
             memo[key] = stored + (leaves[first:],)
 
     walk(root, 0, 0, "", ())
-    return out
+    report.notes += notes
+    return report
 
 
 def _output_cfs(sg: graph.SeqGraph, n: int) -> list[graph.CFVector]:
@@ -281,14 +274,3 @@ def _check_outputs(want: list[graph.CFVector], got: list[graph.CFVector],
             detail=f"path outputs {got_text or ['none']} do not match specified "
                    f"{want_text or ['none']}"))
 
-
-def merge_reports(path_reports: list[PathReport]) -> Report:
-    merged = Report()
-    for pr in path_reports:
-        merged.violations.extend(pr.report.violations)
-        merged.notes.extend(pr.report.notes)
-        if pr.report.final_t is not None:
-            if merged.final_t is None or pr.report.final_t > merged.final_t:
-                merged.final_t = pr.report.final_t
-        merged.t_max = pr.report.t_max
-    return merged

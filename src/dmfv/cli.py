@@ -20,8 +20,13 @@ from .diag import Report, format_report
 from .isa import DmfError, Loc, Program, parse_program, serialize_program
 
 
+def _read(path: str) -> str:
+    """An input file's text (.dmf, .sg or .pins), as UTF-8 whatever the locale."""
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _load_program(path: str) -> Program:
-    return parse_program(Path(path).read_text(encoding="utf-8"))
+    return parse_program(_read(path))
 
 
 def _split2(text: str, sep: str) -> tuple[str, str]:
@@ -62,8 +67,8 @@ def cmd_verify(args) -> int:
     _non_negative("--tmax", args.tmax)
     _non_negative("--max-paths", args.max_paths, "conditional counts")
     program = _load_program(args.program)
-    pin_map = pins.parse_pins(Path(args.pins).read_text()) if args.pins else None
-    input_sg = graph.parse_input_sg(Path(args.sg).read_text()) if args.sg else None
+    pin_map = pins.parse_pins(_read(args.pins)) if args.pins else None
+    input_sg = graph.parse_input_sg(_read(args.sg)) if args.sg else None
     policy = "all" if args.all else "first"
     t_max = args.tmax
 
@@ -72,15 +77,9 @@ def cmd_verify(args) -> int:
                        "a conditional program has one event log per path")
     if program.has_conditionals or args.path:
         # the path expansion refuses a label that names no path
-        path_reports = branches.verify_all_paths(
+        return _emit(branches.verify_all_paths(
             program, pin_map=pin_map, input_sg=input_sg, policy=policy,
-            t_max=t_max, only=args.path, max_conditionals=args.max_paths)
-        report = branches.merge_reports(path_reports)
-        summaries = [
-            f"path {pr.label}: {'PASS' if pr.report.ok else 'FAIL'}, "
-            f"ends t={pr.report.final_t}" for pr in path_reports]
-        report.notes = summaries + report.notes
-        return _emit(report, args.format)
+            t_max=t_max, only=args.path, max_conditionals=args.max_paths), args.format)
 
     trace, report = fluidics.verify_program(program, pin_map=pin_map,
                                             policy=policy, t_max=t_max)
@@ -144,7 +143,7 @@ def cmd_inject(args) -> int:
     if args.error == "pin":
         if not args.pins or not args.remap:
             raise DmfError("pin injection needs --pins BASE and --remap 'r,c=P[;...]'")
-        base = pins.parse_pins(Path(args.pins).read_text())
+        base = pins.parse_pins(_read(args.pins))
         remap = _option("--remap", "'r,c=P[;r,c=P...]'", _parse_remap, args.remap)
         mutated = base.with_remap(remap)
         out = Path(args.out) if args.out else stem.with_name(stem.stem + "_pin.pins")

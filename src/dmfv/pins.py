@@ -101,12 +101,6 @@ class PinMap:
         return PinMap(self.rows, self.cols, new)
 
 
-def dedicated_map(rows: int, cols: int) -> PinMap:
-    """One pin per electrode (fully reconfigurable chip)."""
-    cells = product(range(1, rows + 1), range(1, cols + 1))
-    return PinMap(rows, cols, dict(zip(cells, range(1, rows * cols + 1))))
-
-
 def parse_pins(text: str) -> PinMap:
     grid: list[list[int]] = []
     for lineno, line in content_lines(text):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,16 @@ def fractions_of(cf) -> dict[str, Fraction]:
 def line_at(program, t: int):
     """The first main line of ``program`` at tick t."""
     return next(ln for ln in program.main if ln.t == t)
+
+
+def dedicated_map(rows: int, cols: int):
+    """One pin per electrode (fully reconfigurable chip)."""
+    from itertools import product
+
+    from dmfv.pins import PinMap
+
+    cells = product(range(1, rows + 1), range(1, cols + 1))
+    return PinMap(rows, cols, dict(zip(cells, range(1, rows * cols + 1))))
 
 
 def with_droplet(state, node: str, loc, cf):
@@ -137,6 +148,24 @@ def finished_runs(fn, *args, **kw):
 
 
 REPLAYED = "replayed"
+
+
+def path_verdicts(report) -> dict[str, tuple[bool, int | None]]:
+    """By label, in the report's order, whether each path passed and its
+    final tick, read off the ``path L: PASS|FAIL, ends t=T`` notes that open
+    the path walk's report."""
+    found = (re.fullmatch(r"path ([01]*): (PASS|FAIL), ends t=(\d+|None)", n)
+             for n in report.notes)
+    return {m[1]: (m[2] == "PASS", None if m[3] == "None" else int(m[3]))
+            for m in found if m}
+
+
+def path_rows(report) -> dict[str | None, list]:
+    """The path walk's rows, grouped by the label each is tagged with."""
+    rows: dict[str | None, list] = {}
+    for v in report.violations:
+        rows.setdefault(v.path, []).append(v)
+    return rows
 
 
 def stepped_paths(fn, *args, **kw):

@@ -195,7 +195,8 @@ _BLIND_SPOTS = {
 
 def _blind_spot_argvs(fixtures: Path, indir: Path, outdir: Path) -> list[list[str]]:
     from dmfv.isa import Loc
-    from dmfv.pins import dedicated_map, serialize_pins
+    from conftest import dedicated_map
+    from dmfv.pins import serialize_pins
 
     pins = indir / "shared5.pins"     # pin 1 twice in N4(1,1), pin 5 at (1,5) and (2,3)
     pins.write_text(serialize_pins(dedicated_map(5, 5).with_remap({Loc(1, 2): 1,

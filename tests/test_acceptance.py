@@ -17,9 +17,9 @@ from dmfv.graph import (OUTPUT, CFVector, SeqGraph, SGNode, cf_mix, conformance,
 from dmfv.inject import InjectionSpec, inject_error
 from dmfv.isa import (ChipHeader, Dispense, Loc, MixStart, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
-from dmfv.pins import check_case1, check_pair, dedicated_map, parse_pins
+from dmfv.pins import check_case1, check_pair, parse_pins
 
-from conftest import check_dispense_pins, fractions_of, load
+from conftest import check_dispense_pins, dedicated_map, fractions_of, load, path_verdicts
 from test_branches import enumerate_paths
 from test_oracle import run_oracle_equivalence
 from test_pins import DISPENSE_PINS, MOVE_PINS, droplets, make_map
@@ -191,18 +191,19 @@ def test_criterion_8_cyberphysical_paths():
     prog = parse_program(load("recovery.dmf"))
     input_sg = parse_input_sg(load("recovery.sg"))
     specs = enumerate_paths(prog)
-    reports = verify_all_paths(prog, input_sg=input_sg)
-    all_clean = all(r.report.ok for r in reports)
-    full = next(r for r in reports if r.label == "11")
+    verdicts = path_verdicts(verify_all_paths(prog, input_sg=input_sg))
+    all_clean = list(verdicts) == [s.label for s in specs] and all(
+        ok for ok, _ in verdicts.values())
+    full_t = verdicts["11"][1]
     want = sorted(str(round_cf(cf, 5)) for cf in input_sg.terminal_cfs(OUTPUT))
     # each path's realized graph, rebuilt from the trace of its spliced program
     graphs = [reconstruct(verify_program(spec.program)[0]) for spec in specs]
     outputs_ok = len(graphs) == 4 and all(
         sorted(str(round_cf(cf, 5)) for cf in sg.terminal_cfs(OUTPUT)) == want
         for sg in graphs)
-    ok = (len(specs) == 4 and all_clean and full.report.final_t == 69 and outputs_ok)
+    ok = (len(specs) == 4 and all_clean and full_t == 69 and outputs_ok)
     _report("8 (cyberphysical paths)", ok,
-            f"4 paths, all-faulty ends t={full.report.final_t}, outputs conform")
+            f"4 paths, all-faulty ends t={full_t}, outputs conform")
 
 
 # --- criterion 9: property suites -------------------------------------------------

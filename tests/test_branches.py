@@ -1,20 +1,18 @@
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
 from dmfv import branches, chip, fluidics
-from dmfv.branches import (PathLimitExceeded, _branch, _check_outputs,
-                           _cond_of, _count_conditionals, _output_cfs, _tagged,
-                           merge_reports, path_shapes, verify_all_paths)
-from dmfv.diag import Code, format_report
+from dmfv.branches import (PathLimitExceeded, _branch, _check_outputs, _cond_of,
+                           _count_conditionals, _output_cfs, path_shapes, verify_all_paths)
+from dmfv.diag import Code, Report, format_report
 from dmfv.graph import conformance, parse_input_sg, reconstruct
 from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, ValidationError,
                       parse_program, serialize_program)
-from dmfv.pins import dedicated_map
 
-from conftest import (REPLAYED, count_checked_lines, finished_runs, load, stepped_paths,
-                      without_memo)
+from conftest import (count_checked_lines, dedicated_map, finished_runs, load,
+                      path_rows, path_verdicts, stepped_paths, without_memo)
 
 
 # --- naive splicing: each path as a straight-line program (oracle) ---------------
@@ -55,6 +53,31 @@ def enumerate_paths(program: Program, *, max_conditionals: int = 16) -> list[Pat
         label = "".join("01"[o] for o in outcomes)
         paths.append(PathSpec(outcomes, label, _splice(program, outcomes)))
     return paths
+
+
+def _tagged(report: Report, label: str) -> Report:
+    """``report``, its rows and notes now tagged with the path's label."""
+    report.violations = [replace(v, path=label or None) for v in report.violations]
+    report.notes = [f"path {label}: {n}" for n in report.notes]
+    return report
+
+
+def _merged(paths: list[tuple[str, Report]]) -> Report:
+    """The one report of the tagged reports of ``(label, report)`` paths in
+    label order, as ``dmfv verify`` prints it: a PASS/FAIL note per path,
+    then every path's rows and notes, and the latest final tick of any path
+    (the reference for the report that ``verify_all_paths`` writes)."""
+    merged = Report()
+    for _, report in paths:
+        merged.violations.extend(report.violations)
+        merged.notes.extend(report.notes)
+        if report.final_t is not None:
+            if merged.final_t is None or report.final_t > merged.final_t:
+                merged.final_t = report.final_t
+        merged.t_max = report.t_max
+    merged.notes[:0] = [f"path {label}: {'PASS' if report.ok else 'FAIL'}, "
+                        f"ends t={report.final_t}" for label, report in paths]
+    return merged
 
 
 def test_linear_program_single_path():
@@ -176,35 +199,33 @@ def test_path_shapes_match_spliced_paths():
 def test_verify_all_paths_clean_and_output_conformance():
     prog = parse_program(load("recovery.dmf"))
     input_sg = parse_input_sg(load("recovery.sg"))
-    reports = verify_all_paths(prog, input_sg=input_sg)
-    assert [r.label for r in reports] == ["00", "01", "10", "11"]
-    for pr in reports:
-        assert pr.report.ok, (pr.label, pr.report.violations)
-    assert reports[3].report.final_t == 69
+    report = verify_all_paths(prog, input_sg=input_sg)
+    assert path_verdicts(report) == {"00": (True, 35), "01": (True, 56), "10": (True, 48),
+                                     "11": (True, 69)}
+    assert report.ok and report.final_t == 69, report.violations
     # the no-fault path's graph, rebuilt from the trace of its spliced
     # program, conforms to the input graph in full
     no_fault = enumerate_paths(prog)[0]
     assert no_fault.label == "00"
     assert conformance(input_sg, reconstruct(fluidics.verify_program(no_fault.program)[0]),
                        5).ok
-    merged = merge_reports(reports)
-    assert merged.ok and merged.final_t == 69
 
 
 def test_path_independence():
     # verifying one path in isolation reproduces its slice of the full run
-    from dmfv.diag import format_report
     prog = parse_program(load("recovery.dmf"))
-    full = {r.label: r.report for r in verify_all_paths(prog)}
+    full = verify_all_paths(prog)
     for label in ("00", "01", "10", "11"):
-        alone = verify_all_paths(prog, only=label)[0].report
-        assert format_report(alone, "json") == format_report(full[label], "json")
+        alone = verify_all_paths(prog, only=label)
+        assert alone.violations == path_rows(full).get(label, [])
+        assert alone.notes == [n for n in full.notes if n.startswith(f"path {label}: ")]
+        assert alone.final_t == path_verdicts(full)[label][1]
 
 
 def test_single_path_selection():
     prog = parse_program(load("recovery.dmf"))
     only = verify_all_paths(prog, only="10")
-    assert len(only) == 1 and only[0].label == "10"
+    assert list(path_verdicts(only)) == ["10"]
     with pytest.raises(DmfError):
         verify_all_paths(prog, only="777")
 
@@ -224,12 +245,14 @@ def test_fault_injected_into_recovery_hits_taken_paths_only():
         patched.append(ln)
     bad = Program(prog.header, prog.main, prog.detectors,
                   {**prog.recoveries, "1": tuple(patched)}, prog.t_max)
-    reports = {r.label: r.report for r in verify_all_paths(bad)}
-    assert reports["00"].ok and reports["01"].ok
+    report = verify_all_paths(bad)
+    verdicts, rows = path_verdicts(report), path_rows(report)
+    assert verdicts["00"][0] and verdicts["01"][0]
+    assert rows.keys() == {"10", "11"}
     for label in ("10", "11"):
-        vs = reports[label].violations
-        assert vs and vs[0].code is Code.E1 and vs[0].t == 20
-        assert vs[0].path == label
+        assert not verdicts[label][0]
+        vs = rows[label]
+        assert vs[0].code is Code.E1 and vs[0].t == 20
 
 
 # --- the depth-first walk against naive per-path replay ---------------------------
@@ -363,14 +386,18 @@ def _naive_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=
 def _unmerged_paths(program, *, pin_map=None, input_sg=None, policy="first", t_max=None):
     """The depth-first walk that forks at each conditional and never merges:
     every path steps its own suffix after its last conditional, and keeps
-    its own events, from which its outputs are read (oracle)."""
+    its own events, from which its outputs are read (oracle).  Returns what
+    ``_walked`` returns."""
     _count_conditionals(program, 16)
-    out = []
+    paths, outputs, finals = [], {}, {}
 
     def emit(label, cursor, events):
         report = _tagged(cursor.finish(), label)
         outs = _graph_outputs(program, events, input_sg, report, label)
-        out.append((label, report, outs, None if cursor.stopped else cursor.state))
+        paths.append((label, report))
+        if outs is not None:
+            outputs[label] = outs
+        finals[label] = None if cursor.stopped else cursor.state
 
     def walk(cursor, idx, delta, label, events):
         main = program.main
@@ -389,16 +416,16 @@ def _unmerged_paths(program, *, pin_map=None, input_sg=None, policy="first", t_m
             walk(child, idx + 1, child_delta, label + "01"[taken], child_events)
 
     walk(fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max), 0, 0, "", [])
-    return out
+    return _merged(paths), outputs, finals
 
 
 def _walked(program, **kw):
-    """verify_all_paths as (label, report, outputs, final state) per
-    path: the state is caught as the walk summarises each path it steps to
-    its end (``REPLAYED`` for a path replayed from another's summary), and
-    the outputs, by label, as the walk hands a clean path's sorted output
-    concentrations to ``_check_outputs`` (None for a path it does not
-    check)."""
+    """verify_all_paths' report, and by label the outputs and final state of
+    its paths: the state is caught as the walk summarises each path it
+    steps to its end (a path replayed from another's summary has none), and
+    the outputs as the walk hands a clean path's sorted output
+    concentrations to ``_check_outputs`` (a path it does not check has
+    none)."""
     outputs = {}
     check = branches._check_outputs
 
@@ -408,31 +435,41 @@ def _walked(program, **kw):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(branches, "_check_outputs", caught)
-        reports, finals = stepped_paths(verify_all_paths, program, **kw)
-    return [(pr.label, pr.report, outputs.get(pr.label), finals.get(pr.label, REPLAYED))
-            for pr in reports]
+        report, finals = stepped_paths(verify_all_paths, program, **kw)
+    return report, outputs, finals
 
 
 def _final(state):
-    if state is None or state is REPLAYED:
+    if state is None:
         return state
     return (state.t, state.by_loc, state.mixers, state.detections)
 
 
-def _assert_same(walked, naive) -> int:
-    """The same paths with the same reports and delivered output multisets,
-    and the same final state on every path the walk stepped; a naive path's
-    trailing events are not compared.  Returns the number of walked paths
-    that were replayed."""
-    assert [x[0] for x in walked] == [x[0] for x in naive]
-    for (label, got, outs, final), (_, report, want_outs, want_final, *_) in zip(
-            walked, naive):
-        for fmt in ("json", "text"):
-            assert format_report(got, fmt) == format_report(report, fmt), label
-        assert outs == want_outs, label
-        if final is not REPLAYED:
-            assert _final(final) == _final(want_final), label
-    return sum(x[3] is REPLAYED for x in walked)
+def _as_walked(naive) -> tuple:
+    """Naive paths as ``_walked`` returns a walk: the merged report, and by
+    label the outputs of each path checked and the final state of each."""
+    return (_merged([(label, report) for label, report, *_ in naive]),
+            {label: outs for label, _, outs, *_ in naive if outs is not None},
+            {label: final for label, _, _, final, _ in naive})
+
+
+def _naive(program, **kw) -> tuple:
+    return _as_walked(_naive_paths(program, **kw))
+
+
+def _assert_same(walked, want) -> int:
+    """The same report, text and JSON, the same delivered output multiset on
+    each path, and the same final state on every path the walk stepped; a
+    naive path's trailing events are not compared.  Returns the number of
+    walked paths that were replayed."""
+    (report, outputs, finals), (want_report, want_outputs, want_finals) = walked, want
+    for fmt in ("json", "text"):
+        assert format_report(report, fmt) == format_report(want_report, fmt)
+    assert outputs == want_outputs
+    assert finals.keys() <= want_finals.keys()
+    for label, final in finals.items():
+        assert _final(final) == _final(want_finals[label]), label
+    return len(path_verdicts(report)) - len(finals)
 
 
 _OUT_S = "reagents S B\nnode S dispense S\nnode O output\nedge S O\n"
@@ -474,10 +511,10 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
             naive = _naive_paths(prog, **kw)
             for name, walk in (("merged", _walked), ("unmerged", _unmerged_paths)):
                 calls.clear()
-                replayed += _assert_same(walk(prog, **kw), naive)
+                replayed += _assert_same(walk(prog, **kw), _as_walked(naive))
                 steps[name] += len(calls)
             for i, x in enumerate(naive):
-                _assert_same(_walked(prog, only=x[0], **kw), naive[i:i + 1])
+                _assert_same(_walked(prog, only=x[0], **kw), _as_walked(naive[i:i + 1]))
             for _, report, _, _, events in naive:
                 # rows after the first failing tick are marked secondary
                 rows = [v for v in report.violations if v.t is not None]
@@ -497,6 +534,64 @@ def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
     assert {"dilutes P", "side mix", "Q held", "ends on a conditional"} <= kinds, kinds
     assert steps["merged"] < steps["unmerged"], steps
     assert replayed >= 100, replayed
+
+
+# Recovery 0 leaves a droplet on (1,1) that recovery 1 moves next to, so
+# only path 11 fails: under policy "first" it stops with no final tick, and
+# the latest final tick, path 01's, is not that of the last path with one.
+_LAST_STOPS = """dim(5,8)
+accuracy 2
+R(3,1,S) R(1,1,B)
+D(d0,3,2,1) D(d1,3,2,1)
+1 d(3,1)
+2 m([3,1]->[3,2])
+3 detect(d0)
+4 if(d0) call Recovery(0)
+5 detect(d1)
+6 if(d1) call Recovery(1)
+7 m([3,2]->[3,3])
+8 end
+recovery 0:
+100 d(1,1)
+endrecovery
+recovery 1:
+200 m([3,2]->[2,2])
+201 m([2,2]->[2,3])
+202 m([2,3]->[3,3])
+203 m([3,3]->[3,2])
+endrecovery
+"""
+
+
+def test_whole_reports_match_with_a_tmax_between_the_paths():
+    # the corpus once more with each program's input graph and a t_max at
+    # the median of its paths' final ticks, under both policies: the merged
+    # report holds PASS and FAIL summaries side by side, e7 rows of some
+    # paths among the rows of others, and the tmax row
+    cases = set()
+    for prog, runs in _random_corpus():
+        finals = sorted(t for _, _, t in path_shapes(prog))
+        t_max = finals[len(finals) // 2]
+        for policy in ("first", "all"):
+            kw = dict(input_sg=runs[0]["input_sg"], policy=policy, t_max=t_max)
+            walked = _walked(prog, **kw)
+            _assert_same(walked, _naive(prog, **kw))
+            report = walked[0]
+            ticks = [t for _, t in path_verdicts(report).values()]
+            if report.tmax_exceeded and any(t is not None and t <= t_max for t in ticks):
+                cases.add(("tmax row, some paths within", policy))
+            if any(v.code is Code.E7 for v in report.violations):
+                cases.add(("e7", policy))
+    assert cases == {("tmax row, some paths within", "first"),
+                     ("tmax row, some paths within", "all"), ("e7", "first"), ("e7", "all")}
+    # the report's final tick is the latest of any path, not the last one's
+    prog = parse_program(_LAST_STOPS)
+    for policy, t11, final_t in (("first", None, 12), ("all", 13, 13)):
+        walked = _walked(prog, policy=policy)
+        _assert_same(walked, _naive(prog, policy=policy))
+        assert path_verdicts(walked[0]) == {"00": (True, 8), "01": (True, 12),
+                                            "10": (True, 9), "11": (False, t11)}
+        assert walked[0].final_t == final_t
 
 
 def _replay_cases(program, policy, **kw) -> set:
@@ -549,7 +644,7 @@ def test_replayed_rows_match_naive_replay():
             prog = _random_conditional(rng, c, spans=True)
             for policy in ("first", "all"):
                 replayed += _assert_same(_walked(prog, policy=policy),
-                                         _naive_paths(prog, policy=policy))
+                                         _naive(prog, policy=policy))
                 cases |= _replay_cases(prog, policy)
     assert cases == {("d != 0", "first"), ("d != 0", "all"), "after prior rows",
                      "mixer span, d != 0", "stopped"}, cases
@@ -582,8 +677,7 @@ def test_walk_steps_each_shared_prefix_once(monkeypatch):
     calls = []
     step = fluidics.step
     monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
-    reports = verify_all_paths(prog)
-    assert all(pr.report.ok for pr in reports)
+    assert verify_all_paths(prog).ok
     assert len(calls) == len(prefixes) < naive_steps
 
 
@@ -675,15 +769,16 @@ def test_merges_keep_what_the_shared_state_hides(monkeypatch):
     for policy in ("first", "all"):
         for prog in (held, two):
             replayed += _assert_same(_walked(prog, policy=policy),
-                                     _naive_paths(prog, policy=policy))
-    assert {pr.label for pr in verify_all_paths(held) if not pr.report.ok} == {"00", "10"}
-    assert [pr.report.final_t for pr in verify_all_paths(two)] == [3, 6, 6, 8]
+                                     _naive(prog, policy=policy))
+    assert [label for label, (ok, _) in path_verdicts(verify_all_paths(held)).items()
+            if not ok] == ["00", "10"]
+    assert [t for _, t in path_verdicts(verify_all_paths(two)).values()] == [3, 6, 6, 8]
     first = parse_program(_OUTPUT_FIRST)
     for sg, ok in ((_TWO_S, True), (_TWO_S.replace("edge S O\n", "", 1), False)):
         input_sg = parse_input_sg(sg)
         walked = _walked(first, input_sg=input_sg)
-        replayed += _assert_same(walked, _naive_paths(first, input_sg=input_sg))
-        assert [(label, report.ok) for label, report, _, _ in walked] == [("0", ok), ("1", ok)]
+        replayed += _assert_same(walked, _naive(first, input_sg=input_sg))
+        assert [passed for passed, _ in path_verdicts(walked[0]).values()] == [ok, ok]
     assert replayed >= 6, replayed
     # path 1 replays the five lines after the merge, which path 0 stepped
     calls = []
@@ -751,8 +846,8 @@ def test_path_outputs_match_the_realized_graph():
     for sg, ok in ((_TWO_OUTPUTS_SG, True), (_TWO_OUTPUTS_SG.replace("edge B O\n", ""), False)):
         input_sg = parse_input_sg(sg)
         walked = _walked(prog, input_sg=input_sg)
-        assert _assert_same(walked, _naive_paths(prog, input_sg=input_sg)) == 1
-        assert [(label, report.ok) for label, report, _, _ in walked] == [("0", ok), ("1", ok)]
+        assert _assert_same(walked, _naive(prog, input_sg=input_sg)) == 1
+        assert [passed for passed, _ in path_verdicts(walked[0]).values()] == [ok, ok]
 
 
 def _detour_chain(c: int, *, fault: bool = False) -> Program:
@@ -786,9 +881,9 @@ def test_steps_grow_linearly_in_conditionals_when_recoveries_restore(monkeypatch
     for c in range(4, 11):
         prog = _detour_chain(c)
         calls.clear()
-        reports = verify_all_paths(prog)
-        assert len(reports) == 2 ** c and all(pr.report.ok for pr in reports)
-        assert {pr.report.final_t for pr in reports} == {
+        verdicts = path_verdicts(verify_all_paths(prog))
+        assert len(verdicts) == 2 ** c and all(ok for ok, _ in verdicts.values())
+        assert {t for _, t in verdicts.values()} == {
             prog.main[-1].t + 2 * k for k in range(c + 1)}
         # each of the 3c + 5 main and 2c recovery lines is stepped once
         assert len(calls) <= 5 * c + 5, (c, len(calls))
@@ -806,9 +901,9 @@ def test_steps_grow_linearly_in_conditionals_when_every_path_fails(monkeypatch):
         fault_t = prog.main[-4].t
         for policy in ("first", "all"):
             calls.clear()
-            reports = verify_all_paths(prog, policy=policy)
-            assert len(reports) == 2 ** c
-            assert all([v.code for v in pr.report.violations] == [Code.E3] for pr in reports)
-            assert {pr.report.violations[0].t for pr in reports} == {
+            rows = path_rows(verify_all_paths(prog, policy=policy))
+            assert len(rows) == 2 ** c
+            assert all([v.code for v in vs] == [Code.E3] for vs in rows.values())
+            assert {vs[0].t for vs in rows.values()} == {
                 fault_t + 2 * k for k in range(c + 1)}
             assert len(calls) <= 5 * c + 5, (c, policy, len(calls))

@@ -17,9 +17,9 @@ from dmfv.diag import format_report
 from dmfv.fluidics import verify_program
 from dmfv.inject import InjectionSpec, MutationInapplicable, add_instruction, inject_error
 from dmfv.isa import Loc, Move, parse_program, serialize_program
-from dmfv.pins import dedicated_map, serialize_pins
+from dmfv.pins import serialize_pins
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, dedicated_map, load
 
 
 def fx(name: str) -> str:
@@ -778,6 +778,50 @@ def test_cli_imports_no_fractions():
         [sys.executable, "-c", "import sys, dmfv.cli; print('fractions' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+
+
+def _module_cli(argv, **env) -> subprocess.CompletedProcess:
+    """``python -m dmfv.cli`` on ``argv`` in a fresh interpreter, with ``env``
+    added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"), **env)
+    return subprocess.run([sys.executable, "-m", "dmfv.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_exits_with_the_verdict(tmp_path):
+    # sys.exit(main()) hands the exit code to the shell
+    passed = _module_cli(["verify", fx("pcr.dmf")])
+    assert passed.returncode == 0 and "PASS" in passed.stdout, passed.stderr
+    failed = _module_cli(["verify", fx("threeway_bad.dmf"), "--sg", fx("threeway.sg")])
+    assert failed.returncode == 1 and "FAIL" in failed.stdout, failed.stderr
+    missing = _module_cli(["verify", str(tmp_path / "missing.dmf")])
+    assert (missing.returncode, missing.stdout) == (2, "")
+    [line] = missing.stderr.splitlines()
+    assert line.startswith("error: ") and "missing.dmf" in line
+
+
+def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode the default encoding is ASCII; a
+    # non-ASCII comment in a .dmf, .sg or .pins file must still be read
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    probe = subprocess.run([sys.executable, "-c", "import locale; "
+                            "print(locale.getpreferredencoding(False))"],
+                           env=dict(os.environ, **ascii_locale), capture_output=True,
+                           text=True, timeout=60)
+    assert "utf" not in probe.stdout.lower(), probe.stdout
+    f = {}
+    for name in ("pcr.dmf", "pcr.sg", "mplex.dmf", "mplex_pin1.pins"):
+        f[name] = tmp_path / name
+        f[name].write_text("# résumé\n" + load(name), encoding="utf-8")
+    runs = [(["verify", str(f["pcr.dmf"]), "--sg", str(f["pcr.sg"])], 0),
+            (["verify", str(f["mplex.dmf"]), "--pins", str(f["mplex_pin1.pins"])], 1),
+            (["inject", str(f["mplex.dmf"]), "--error", "pin", "--pins",
+              str(f["mplex_pin1.pins"]), "--remap", "1,1=2", "-o", str(tmp_path / "bad.pins")],
+             0)]
+    for argv, rc in runs:
+        proc = _module_cli(argv, **ascii_locale)
+        assert (proc.returncode, proc.stderr) == (rc, ""), argv
+    assert (tmp_path / "bad.pins").read_text().split()[:2] == ["2", "2"]
 
 
 def test_benchmark_trace_targets_resolve():

@@ -21,10 +21,11 @@ from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError, Loc,
                       MixStart, Move, MType, Output, ReservoirDecl, RKind, TimedLine,
                       ValidationError, Waste, parse_program, serialize_program)
-from dmfv.pins import dedicated_map, parse_pins
+from dmfv.pins import parse_pins
 
-from conftest import (REPLAYED, count_checked_lines, count_memo_hits, finished_runs, fractions_of,
-                      line_at, load, stepped_paths, with_droplet, without_bulk, without_memo)
+from conftest import (REPLAYED, count_checked_lines, count_memo_hits, dedicated_map,
+                      finished_runs, fractions_of, line_at, load, path_verdicts, stepped_paths,
+                      with_droplet, without_bulk, without_memo)
 from test_acceptance import _random_walk
 from test_branches import _HELD_Q, _OUTPUT_FIRST, _TWO_LAST, _detour_chain
 from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
@@ -688,12 +689,13 @@ def _linear_run(prog, **kw):
 
 
 def _path_run(prog, **kw):
-    """Each path's label, JSON and text reports and, on a path the walk
-    stepped to its end, its final state (``REPLAYED`` on the others)."""
-    reports, finals = stepped_paths(verify_all_paths, prog, **kw)
-    return [(pr.label, format_report(pr.report, "json"), format_report(pr.report, "text"),
-             _value(finals.get(pr.label, REPLAYED)))
-            for pr in reports]
+    """The walk's JSON and text reports, and each path's label with its
+    final state where the walk stepped it to its end (``REPLAYED`` where it
+    was replayed)."""
+    report, finals = stepped_paths(verify_all_paths, prog, **kw)
+    return {"json": format_report(report, "json"), "text": format_report(report, "text"),
+            "finals": [(label, _value(finals.get(label, REPLAYED)))
+                       for label in path_verdicts(report)]}
 
 
 # Conditional programs whose paths merge, so that the path walk replays:
@@ -711,7 +713,8 @@ def _merging_mutants(rng, n: int):
 
 def _replayed(runs) -> int:
     """The number of replayed paths in ``_runs``' outcomes."""
-    return sum(run[-1] is REPLAYED for out in runs if isinstance(out, list) for run in out)
+    return sum(final is REPLAYED for out in runs if isinstance(out, dict)
+               for _, final in out["finals"])
 
 
 def _runs(prog, pin_map=None):

@@ -11,10 +11,10 @@ from dmfv.fluidics import LineContext, _commit, step, verify_program
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, DmfError, Loc, Move, MType, Output,
                       ReservoirDecl, RKind, TimedLine, Waste, parse_program)
-from dmfv.pins import (OutOfBounds, PinMap, check_case1, check_pair, dedicated_map,
-                       parse_pins, pin_phase, serialize_pins)
+from dmfv.pins import (OutOfBounds, PinMap, check_case1, check_pair, parse_pins,
+                       pin_phase, serialize_pins)
 
-from conftest import FIXTURES, check_dispense_pins, load, with_droplet
+from conftest import FIXTURES, check_dispense_pins, dedicated_map, load, with_droplet
 
 
 def make_map(rows, cols, overrides):

@@ -43,11 +43,9 @@ class Allowed(NamedTuple):
 
 ALLOWED = (
     Allowed("cli.py", "sys.exit(main())",
-            "runs only as `python -m dmfv.cli`, in a subprocess, which the "
-            "tracer does not see; the in-process tests call main()"),
-    Allowed("pins.py", "def dedicated_map(rows: int, cols: int) -> PinMap:",
-            "the library's pin map of a fully reconfigurable chip; "
-            "benchmarks/bench_verify.py and the pin-equals-general tests build it"),
+            "runs only as `python -m dmfv.cli`, in the subprocesses of "
+            "test_cli.py's module-entry tests, which the tracer does not see; "
+            "the in-process tests call main()"),
 )
 
 
