@@ -14,16 +14,21 @@ at every conditional.  Paths whose chip states agree at a resume point, up
 to a shift in time, share their stepped suffix as well, failing or not: a
 recovery that puts the chip back as it found it leaves its path one shift
 away from the path that skipped it.  The first path to reach such a state
-steps what follows and keeps a summary of each path below it; the others
-replay those summaries, rows included, shifted in time.  So stepping costs
-distinct resume states times lines, not paths times lines.
-``path_shapes`` walks the same tree without stepping, for ``dmfv paths``.
-The walk writes each path straight into the one report ``dmfv verify``
-prints; a path keeps no report of its own and no event log.
+steps what follows, and its resume point becomes a node of a path DAG: the
+node keeps what lies below it once, in time relative to its shift (each
+path stepped to its end, with its rows, outputs and end facts, and an edge
+to each node replayed below it).  Every other path that reaches the state
+is written from the DAG, its rows and end notes shifted in time as they
+are written.  So stepping costs distinct resume states times lines, not
+paths times lines, and a replayed path costs only the writing of its own
+text.  ``path_shapes`` walks the same tree without stepping, for ``dmfv
+paths``.  The walk writes each path straight into the one report ``dmfv
+verify`` prints; a path keeps no report of its own and no event log.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 from . import chip, fluidics, graph
@@ -104,33 +109,75 @@ def path_shapes(program: Program, *,
 
 
 class _Leaf(NamedTuple):
-    """A path's summary, which its report and outputs are built from: no
-    cursor and no chip state.  Rows are untagged; last_t is None if no line
-    ran."""
+    """A path the walk stepped to its end: its label, untagged rows, last
+    tick (None if no line ran) and output concentrations from the root, the
+    mixers left active, and its end as ``Cursor.finish`` builds it."""
     label: str
     rows: list[Violation]
     last_t: int | None
-    ended: bool
-    stopped: bool
-    mixers: tuple[chip.MixerEntry, ...]
     outs: tuple
+    mixers: tuple[chip.MixerEntry, ...]
+    end: Report
+
+
+class _Edge(NamedTuple):
+    """A replay: what the arriving run had from the root (label, untagged
+    rows, last tick, output concentrations), its shift, and the node it
+    replayed."""
+    label: str
+    rows: list[Violation]
+    last_t: int | None
+    outs: tuple
+    delta: int
+    node: _Node
+
+
+class _Node(NamedTuple):
+    """A resume point of the path DAG: the shift at which it was stepped,
+    and in label order what lies below it, relative to its key.  Each entry
+    is a leaf stepped below it or an edge to a node replayed there:
+    (label suffix, output suffix, rows after the key as (rows, start) or
+    None, last tick less the shift or None if no line ran after the key,
+    then the child node and its shift less this one for an edge, or None
+    and the ``_Leaf`` for a leaf)."""
+    delta: int
+    below: list[tuple]
+
+
+def _node(delta: int, depth: int, n_outs: int, n_rows: int, last_t: int | None,
+          entries: list[_Leaf | _Edge]) -> _Node:
+    """The node of a resume point stepped at shift ``delta`` by a run that
+    had ``depth`` outcomes, ``n_outs`` outputs and ``n_rows`` rows at its key
+    and last ran a line at ``last_t``; ``entries`` are its leaves and edges."""
+    below = []
+    for e in entries:
+        rows = (e.rows, n_rows) if len(e.rows) > n_rows else None
+        t = None if e.last_t == last_t else e.last_t - delta
+        tail = (e.node, e.delta - delta) if type(e) is _Edge else (None, e)
+        below.append((e.label[depth:], e.outs[n_outs:], rows, t, *tail))
+    return _Node(delta, below)
 
 
 def _summary(label: str, cursor: fluidics.Cursor, outs: tuple) -> _Leaf:
     """The leaf of a path whose run ``cursor`` stepped to its end."""
-    return _Leaf(label, cursor.rows, cursor.last_t, cursor.ended,
-                 cursor.stopped, cursor.state.mixers, outs)
+    return _Leaf(label, cursor.rows, cursor.last_t, outs, cursor.state.mixers, cursor.finish())
 
 
 def _later(mx: chip.MixerEntry, d: int) -> chip.MixerEntry:
     return chip.MixerEntry(mx.a, mx.b, mx.t_s + d, mx.t_e + d, mx.mtype)
 
 
-def _shifted(v: Violation, d: int) -> Violation:
-    """Row ``v`` d ticks later: its tick and the span its detail words."""
-    mx = v.mixer and _later(v.mixer, d)
-    return Violation(v.code, v.response, v.t + d, v.instructions, v.cells, v.pins, v.path,
-                     mx.span() if mx else v.detail, v.secondary, mx)
+def _write_rows(out: list[Violation], path: str | None,
+                segments: list[tuple[list[Violation], int, int]]) -> None:
+    """Append to ``out`` the rows of each (rows, start, d) segment from
+    ``start`` on, d ticks later and tagged with ``path``: one row each, and
+    a row that words a mixer's span re-words it."""
+    for rows, start, d in segments:
+        for v in islice(rows, start, None):
+            mx = d and v.mixer and _later(v.mixer, d)
+            out.append(Violation(v.code, v.response, v.t + d, v.instructions, v.cells, v.pins,
+                                 path, mx.span() if mx else v.detail, v.secondary,
+                                 mx or v.mixer))
 
 
 def _resume_key(main: tuple[TimedLine, ...], idx: int, cursor: fluidics.Cursor,
@@ -139,13 +186,15 @@ def _resume_key(main: tuple[TimedLine, ...], idx: int, cursor: fluidics.Cursor,
     measured from the walk's shift ``delta``: the chip state, less its tick
     (the next line advanced overwrites it) and less the detections over by
     ``main[idx]``'s tick (no line advances earlier, and its ``expire`` drops
-    them before any check), and whether the run has failed yet, which
-    decides whether the rows below are secondary and, under policy "first",
-    whether the run has stopped.  An end marker is never advanced before a
-    resume point.
+    them before any check); whether the run has failed yet, which decides
+    whether the rows below are secondary and, under policy "first", whether
+    the run has stopped; and whether any line has run, without which a run
+    has no final tick.  An end marker is never advanced before a resume
+    point.
     """
     state, t = cursor.state, main[idx].t + delta
-    return (idx, cursor.first_bad_t is None, frozenset(state.by_loc.items()),
+    return (idx, cursor.first_bad_t is None, cursor.last_t is None,
+            frozenset(state.by_loc.items()),
             tuple([(mx.a, mx.b, mx.t_s - delta, mx.t_e - delta, mx.mtype)
                    for mx in state.mixers]),
             tuple([(det.detector, det.loc, det.t_end - delta)
@@ -164,10 +213,13 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
 
     The lines a group of paths shares up to a conditional are stepped
     once: the run is forked there, and each fork goes on under one outcome.
-    Paths that reach a resume point in the same state, up to a shift in
-    time, also share what follows: the first one steps it and keeps a
-    ``_Leaf`` summary of each path below, and the others replay those
-    summaries shifted in time, rows included.
+    Each resume point the walk steps from becomes a node of a path DAG,
+    which keeps its subtree once, relative to the node's shift: the leaf of
+    each path stepped to its end below it (label, rows, outputs and end
+    facts) and an edge to each node replayed below it.  A run that reaches
+    a resume point in a node's state, up to a shift in time, goes no
+    further: each path below the node is written straight into the report
+    from the DAG, its rows and mixer notes shifted as they are written.
 
     When an input graph is supplied (annotated, as ``graph.parse_input_sg``
     returns it), each clean path is additionally required to deliver the
@@ -183,12 +235,11 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     want = None if input_sg is None else _output_cfs(input_sg, n)
     main = program.main
     root = fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max)
-    report = Report(t_max=root.t_max)
-    notes: list[str] = []       # the paths' own notes, after every summary
-    leaves: list[_Leaf] = []    # of each path emitted
-    # resume key -> (delta, label length, output count, row count and last_t
-    #                at the key, the leaves below it)
-    memo: dict[tuple, tuple[int, int, int, int, int | None, list[_Leaf]]] = {}
+    t_max = root.t_max
+    report = Report(t_max=t_max)
+    notes: list[str] = []               # the paths' own notes, after every summary
+    entries: list[_Leaf | _Edge] = []   # every leaf stepped and edge replayed
+    memo: dict[tuple, _Node] = {}       # resume key -> its node
 
     def outputs(cursor: fluidics.Cursor, line: TimedLine) -> tuple:
         # Each output edge of the path's realized graph carries its Outputted
@@ -197,50 +248,66 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
         return tuple(graph.round_cf(e.cf, n) for e in cursor.advance(line)
                      if isinstance(e, chip.Outputted))
 
-    def emit(leaf: _Leaf) -> None:
-        leaves.append(leaf)
-        label, path = leaf.label, leaf.label or None
-        end = fluidics.end_report([Violation(v.code, v.response, v.t, v.instructions, v.cells,
-                                             v.pins, path, v.detail, v.secondary, v.mixer)
-                                   for v in leaf.rows],
-                                  root.t_max, leaf.last_t, leaf.ended, leaf.stopped, leaf.mixers)
-        if want is not None and not leaf.rows:      # Phase I clean
-            _check_outputs(want, sorted(leaf.outs), end, label)
-        report.violations += end.violations
-        report.notes.append(f"path {label}: {'PASS' if end.ok else 'FAIL'}, ends t={end.final_t}")
-        notes.extend(f"path {label}: {n}" for n in end.notes)
-        if end.final_t is not None and (report.final_t is None or end.final_t > report.final_t):
-            report.final_t = end.final_t
+    def write(label: str, rows: list, final_t: int | None, path_notes: list[str],
+              outs: tuple) -> None:
+        # One path: its rows, given as the segments ``_write_rows`` reads
+        # (the arriving run's first, then the DAG's), its e7 output row if
+        # Phase I is clean, its summary note and its own notes.
+        count = len(report.violations)
+        if len(rows) > 1 or rows[0][0]:
+            _write_rows(report.violations, label or None, rows)
+        clean = len(report.violations) == count
+        if clean and want is not None:
+            clean = _check_outputs(want, sorted(outs), report, label)
+        ok = clean and (t_max is None or final_t is None or final_t <= t_max)
+        report.notes.append(f"path {label}: {'PASS' if ok else 'FAIL'}, ends t={final_t}")
+        if path_notes:
+            notes.extend([f"path {label}: {n}" for n in path_notes])
+        if final_t is not None and (report.final_t is None or final_t > report.final_t):
+            report.final_t = final_t
 
-    def replay(cursor: fluidics.Cursor, delta: int, label: str, outs: tuple,
-               stored: tuple) -> None:
-        # The key holds whether the run has failed, so each row keeps its
-        # secondary flag; a concentration does not change under a shift.
-        delta0, depth, n_outs, n_rows, last_t, below = stored
-        d = delta - delta0
-        for leaf in below:
-            emit(_Leaf(label + leaf.label[depth:],
-                       cursor.rows + [_shifted(v, d) for v in leaf.rows[n_rows:]],
-                       cursor.last_t if leaf.last_t == last_t else leaf.last_t + d,
-                       leaf.ended, leaf.stopped, tuple(_later(mx, d) for mx in leaf.mixers),
-                       outs + leaf.outs[n_outs:]))
+    def replay(node: _Node, delta: int, label: str, rows: list, last_t: int | None,
+               outs: tuple) -> None:
+        # Write each path below ``node`` for a run that arrives at its key at
+        # shift ``delta``.  The key holds whether the run has failed, so each
+        # row keeps its secondary flag; a concentration does not change
+        # under a shift.
+        d = delta - node.delta
+        for suffix, e_outs, after, t, child, e in node.below:
+            e_label = label + suffix
+            e_rows = rows if after is None else rows + [(*after, d)]
+            e_last = last_t if t is None else t + delta
+            if child is not None:
+                replay(child, e + delta, e_label, e_rows, e_last, outs + e_outs)
+                continue
+            path_notes = e.end.notes
+            if d and e.mixers and path_notes:
+                # a run that did not stop ends its notes with one per mixer
+                path_notes = path_notes[:-len(e.mixers)] + [
+                    fluidics.mixer_note(_later(mx, d)) for mx in e.mixers]
+            write(e_label, e_rows, None if e.end.final_t is None else e_last,
+                  path_notes, outs + e_outs)
 
     def walk(cursor: fluidics.Cursor, idx: int, delta: int, label: str,
              outs: tuple) -> None:
         key = None
         if idx < len(main):
             key = _resume_key(main, idx, cursor, delta)
-            if key in memo:
-                replay(cursor, delta, label, outs, memo[key])
+            node = memo.get(key)
+            if node is not None:
+                entries.append(_Edge(label, cursor.rows, cursor.last_t, outs, delta, node))
+                replay(node, delta, label, [(cursor.rows, 0, 0)], cursor.last_t, outs)
                 return
-            first = len(leaves)
-            stored = (delta, len(label), len(outs), len(cursor.rows), cursor.last_t)
+            first = len(entries)
+            at_key = (delta, len(label), len(outs), len(cursor.rows), cursor.last_t)
         while idx < len(main) and _cond_of(main[idx]) is None:
             line = main[idx]
             outs += outputs(cursor, TimedLine(line.t + delta, line.instrs) if delta else line)
             idx += 1
         if idx == len(main):
-            emit(_summary(label, cursor, outs))
+            leaf = _summary(label, cursor, outs)
+            entries.append(leaf)
+            write(label, [(leaf.rows, 0, 0)], leaf.end.final_t, leaf.end.notes, outs)
         else:
             choices = (False, True) if only is None else (only[len(label)] == "1",)
             for i, taken in enumerate(choices):
@@ -252,7 +319,7 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
                     child_outs += outputs(child, line)
                 walk(child, idx + 1, child_delta, label + "01"[taken], child_outs)
         if key is not None:
-            memo[key] = stored + (leaves[first:],)
+            memo[key] = _node(*at_key, entries[first:])
 
     walk(root, 0, 0, "", ())
     report.notes += notes
@@ -265,12 +332,15 @@ def _output_cfs(sg: graph.SeqGraph, n: int) -> list[graph.CFVector]:
 
 
 def _check_outputs(want: list[graph.CFVector], got: list[graph.CFVector],
-                   report: Report, label: str) -> None:
-    if want != got:
-        got_text, want_text = sorted(map(str, got)), sorted(map(str, want))
-        report.violations.append(Violation(
-            Code.E7, "Incorrect realization of input sequencing graph",
-            path=label or None,
-            detail=f"path outputs {got_text or ['none']} do not match specified "
-                   f"{want_text or ['none']}"))
+                   report: Report, label: str) -> bool:
+    """Whether a path delivers the specified outputs; if not, add its e7 row."""
+    if want == got:
+        return True
+    got_text, want_text = sorted(map(str, got)), sorted(map(str, want))
+    report.violations.append(Violation(
+        Code.E7, "Incorrect realization of input sequencing graph",
+        path=label or None,
+        detail=f"path outputs {got_text or ['none']} do not match specified "
+               f"{want_text or ['none']}"))
+    return False
 

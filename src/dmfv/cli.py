@@ -2,9 +2,11 @@
 
 Exit codes: 0 all checks pass, 1 violations found, 2 unusable input
 (parse/semantic errors, an input that cannot be read or decoded, an output
-that cannot be written).  ``main`` is the one place that reports these, as
-``error: ...`` with exit 2; any other exception is a fault of the verifier
-and keeps its traceback.  All behavior is reachable through the library
+that cannot be written, or text that stdout's encoding cannot hold).
+``main`` is the one place that reports these, as ``error: ...`` with exit
+2; any other exception is a fault of the verifier and keeps its traceback.
+Files are read and written as UTF-8 whatever the locale; stdout keeps the
+locale's encoding.  All behavior is reachable through the library
 modules with identical results; this file only wires them together.
 """
 
@@ -23,6 +25,11 @@ from .isa import DmfError, Loc, Program, parse_program, serialize_program
 def _read(path: str) -> str:
     """An input file's text (.dmf, .sg or .pins), as UTF-8 whatever the locale."""
     return Path(path).read_text(encoding="utf-8")
+
+
+def _write(path: Path | str, text: str) -> None:
+    """Write an output file (event log, DOT, program, pin map or frame) as UTF-8."""
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _load_program(path: str) -> Program:
@@ -84,7 +91,7 @@ def cmd_verify(args) -> int:
     trace, report = fluidics.verify_program(program, pin_map=pin_map,
                                             policy=policy, t_max=t_max)
     if args.events:
-        Path(args.events).write_text(trace.event_log())
+        _write(args.events, trace.event_log())
     if input_sg is not None and not report.violations:     # Phase I clean
         synth = graph.reconstruct(trace)
         conf = graph.conformance(input_sg, synth, program.header.accuracy,
@@ -105,7 +112,7 @@ def cmd_graph(args) -> int:
         return 1
     dot = graph.to_dot(graph.reconstruct(trace), n=program.header.accuracy)
     if args.out:
-        Path(args.out).write_text(dot)
+        _write(args.out, dot)
     else:
         sys.stdout.write(dot)
     return 0
@@ -147,7 +154,7 @@ def cmd_inject(args) -> int:
         remap = _option("--remap", "'r,c=P[;r,c=P...]'", _parse_remap, args.remap)
         mutated = base.with_remap(remap)
         out = Path(args.out) if args.out else stem.with_name(stem.stem + "_pin.pins")
-        out.write_text(pins.serialize_pins(mutated))
+        _write(out, pins.serialize_pins(mutated))
         print(f"wrote remapped pin assignment to {out}")
         return 0
 
@@ -160,7 +167,7 @@ def cmd_inject(args) -> int:
         swap=_option("--swap", "'A,B'", lambda text: _split2(text, ","), args.swap))
     mutated, note = inject.inject_error(program, spec)
     out = Path(args.out) if args.out else stem.with_name(f"{stem.stem}_{args.error}.dmf")
-    out.write_text(serialize_program(mutated))
+    _write(out, serialize_program(mutated))
     print(f"{note}\nwrote {out}")
     return 0
 
@@ -187,13 +194,13 @@ def cmd_render(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for i, (t, state) in enumerate(fluidics.ticks(program, upto)):
-            (outdir / f"frame_{i:04d}_t{t}.svg").write_text(draw(state))
+            _write(outdir / f"frame_{i:04d}_t{t}.svg", draw(state))
     else:
         states = ([state for _, state in fluidics.ticks(program, upto)] if args.animate
                   else [fluidics.state_at(program, upto)])
         body = "\n".join(map(draw, states))
         if args.out:
-            Path(args.out).write_text(body)
+            _write(args.out, body)
         else:
             sys.stdout.write(body)
     if bad_t is not None and (args.at is None or bad_t <= args.at):
@@ -266,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, DmfError) as err:
+    except (OSError, UnicodeError, DmfError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -675,7 +675,7 @@ class Cursor:
     under policy "first" the run stops at the first failing tick and ignores
     later lines.  ``fork`` returns a second cursor that goes on independently
     from the same point: states are values, so only the rows are copied, and
-    the step memo is shared.  ``finish`` builds the report (``end_report``).
+    the step memo is shared.  ``finish`` builds the report.
     A program with structural issues raises ``ValidationError``, and a pin
     map must have the chip's size (DmfError otherwise).
     """
@@ -731,26 +731,24 @@ class Cursor:
         return new
 
     def finish(self) -> Report:
-        """The report of the lines advanced so far, as the run's end."""
-        return end_report(self.rows, self.t_max, self.last_t, self.ended, self.stopped,
-                          self.state.mixers)
+        """The report of the lines advanced so far, as the run's end: the
+        one builder of a run's end facts.  It holds the rows and, unless the
+        run stopped at its first failing tick, the final tick (if a line
+        ran), a note if no end marker was stepped and, last, one per mixer
+        left active (``mixer_note``)."""
+        report = Report(self.rows, t_max=self.t_max)
+        if not self.stopped:
+            if self.last_t is not None:
+                report.final_t = self.last_t
+                if not self.ended:
+                    report.notes.append("program has no end marker")
+            report.notes += map(mixer_note, self.state.mixers)
+        return report
 
 
-def end_report(rows: list[Violation], t_max: int | None, last_t: int | None, ended: bool,
-               stopped: bool, mixers: tuple[MixerEntry, ...]) -> Report:
-    """The report of a run whose last line ran at ``last_t`` (None: none
-    ran): its rows and, unless it stopped at its first failing tick, its
-    final tick, a note if it stepped no end marker and one per mixer left
-    active.  The path walk builds each path's report here from its summary,
-    without a cursor."""
-    report = Report(rows, t_max=t_max)
-    if not stopped:
-        if last_t is not None:
-            report.final_t = last_t
-            if not ended:
-                report.notes.append("program has no end marker")
-        report.notes += [f"mixer still active at program end: {mx.span()}" for mx in mixers]
-    return report
+def mixer_note(mx: MixerEntry) -> str:
+    """The end note of a mixer still active when its run ends."""
+    return f"mixer still active at program end: {mx.span()}"
 
 
 def verify_program(program: Program, *, pin_map=None, policy: str = "first",

@@ -482,24 +482,33 @@ _CELLS = {
 }
 
 
-def _check_locs(p: Program, line: TimedLine, issues: list[SemanticError]) -> list:
+def _check_locs(p: Program, line: TimedLine, issues: list[SemanticError],
+                clean: set[int]) -> list:
     """Add an issue for each cell of the line off the array; return the
-    (position, instruction) pairs of the instructions that name no cell."""
+    (position, instruction) pairs of the instructions that name no cell.
+    ``clean`` holds the ids of the instructions found on the array so far,
+    which are not checked again: a parse shares equal instructions."""
     hdr, in_bounds = p.header, p.header.in_bounds
     control = []
     for j, instr in enumerate(line.instrs):
+        if id(instr) in clean:
+            continue
         # the common case, a move on the array, skips the table
         if type(instr) is Move and in_bounds(instr.src) and in_bounds(instr.dst):
+            clean.add(id(instr))
             continue
         cells = _CELLS.get(type(instr))
         if cells is None:
             control.append((j, instr))
             continue
+        found = len(issues)
         for loc in cells(instr):
             if not in_bounds(loc):
                 issues.append(SemanticError(
                     "OutOfBounds", f"{instr.compact()} references {loc} outside the "
                     f"{hdr.rows}x{hdr.cols} array", line.t))
+        if len(issues) == found:
+            clean.add(id(instr))
     return control
 
 
@@ -540,6 +549,8 @@ def validate_structure(p: Program) -> list[SemanticError]:
     # tuple found in bounds, by id; lines share equal bodies' tuples, and p
     # keeps every tuple alive, so each clean body is checked once
     control_of: dict[int, list[tuple[int, Instruction]]] = {}
+    # the ids of the instructions found on the array, which p keeps alive
+    clean: set[int] = set()
 
     def check_lines(lines: tuple[TimedLine, ...], in_recovery: str | None) -> None:
         prev = None
@@ -553,7 +564,7 @@ def validate_structure(p: Program) -> list[SemanticError]:
             control = control_of.get(id(ln.instrs))
             if control is None:
                 found = len(issues)
-                control = _check_locs(p, ln, issues)
+                control = _check_locs(p, ln, issues, clean)
                 if len(issues) == found:
                     control_of[id(ln.instrs)] = control
             for j, instr in control:

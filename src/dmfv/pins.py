@@ -32,6 +32,7 @@ droplet split").  A row's consequence is its response.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import chain, filterfalse, product
 from operator import itemgetter
 
@@ -57,11 +58,12 @@ class PinMap:
     _split: set[Loc] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cells = product(range(1, self.rows + 1), range(1, self.cols + 1))
-        missing = next(filterfalse(self.pin.__contains__, cells), None)
-        if missing is not None:
-            raise DmfError(f"pin map is missing cell ({missing[0]},{missing[1]})")
-        if len(self.pin) != self.rows * self.cols:
+        # the one coverage check: the map's cells are exactly its array's
+        order, cells = _cells(self.rows, self.cols)
+        if self.pin.keys() != cells:
+            missing = next(filterfalse(self.pin.__contains__, order), None)
+            if missing is not None:
+                raise DmfError(f"pin map is missing cell ({missing[0]},{missing[1]})")
             raise DmfError(f"pin map has cells off its {self.rows}x{self.cols} array")
 
     def check_chip(self, header: ChipHeader) -> None:
@@ -113,8 +115,15 @@ def parse_pins(text: str) -> PinMap:
     cols = len(grid[0])
     if any(len(row) != cols for row in grid):
         raise DmfError("pin map rows have differing lengths")
-    cells = product(range(1, len(grid) + 1), range(1, cols + 1))
-    return PinMap(len(grid), cols, dict(zip(cells, chain.from_iterable(grid))))
+    order, _ = _cells(len(grid), cols)
+    return PinMap(len(grid), cols, dict(zip(order, chain.from_iterable(grid))))
+
+
+@lru_cache(maxsize=16)
+def _cells(rows: int, cols: int) -> tuple[tuple[tuple[int, int], ...], frozenset]:
+    """The (row, col) cells of a rows x cols array, in row order and as a set."""
+    order = tuple(product(range(1, rows + 1), range(1, cols + 1)))
+    return order, frozenset(order)
 
 
 def serialize_pins(pmap: PinMap) -> str:

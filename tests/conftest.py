@@ -131,8 +131,8 @@ def count_memo_hits(monkeypatch) -> list[int]:
 def finished_runs(fn, *args, **kw):
     """fn(*args, **kw) and, in the order they finish, each run's final chip
     state (None for a run stopped at its failing tick), caught by wrapping
-    ``Cursor.finish``: one per straight-line run.  The path walk does not
-    finish its paths through a cursor; ``stepped_paths`` catches those."""
+    ``Cursor.finish``: one per straight-line run.  For the path walk, which
+    finishes only the paths it steps to their end, use ``stepped_paths``."""
     from dmfv import fluidics
 
     runs = []
@@ -172,8 +172,9 @@ def stepped_paths(fn, *args, **kw):
     """fn(*args, **kw) and, by label, the final chip state of each path that
     the path walk steps to its end (None for a run stopped at its failing
     tick), caught by wrapping ``branches._summary``, the one function that
-    summarises a stepped path.  A path missing from it was replayed from
-    another path's summary; tests mark it ``REPLAYED``."""
+    summarises a stepped path.  A path missing from it was written from
+    the path DAG, replayed from a path stepped before; tests mark it
+    ``REPLAYED``."""
     from dmfv import branches
 
     finals = {}

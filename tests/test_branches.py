@@ -596,39 +596,36 @@ def test_whole_reports_match_with_a_tmax_between_the_paths():
 
 def _replay_cases(program, policy, **kw) -> set:
     """What the walk's replays of ``program`` exercise, caught by wrapping
-    ``_shifted`` (each replayed row) and ``_Leaf`` (each path's leaf): rows
-    replayed at a shift d != 0, under the policy; replayed rows after rows
-    of the path that arrives (which must all be secondary); a row naming a
-    mixer's span replayed at d != 0; a stopped leaf replayed."""
-    moved, made = {}, []
-    shift, leaf = branches._shifted, branches._Leaf
+    ``_write_rows``, which writes each path's rows as segments: the rows of
+    the run that arrives, then those replayed from the path DAG, each
+    segment at its shift d.  The cases: rows replayed at d != 0, under the
+    policy; replayed rows after rows of the path that arrives (which must
+    all be secondary); a row naming a mixer's span replayed at d != 0; a
+    path replayed that stopped at its first failing tick."""
+    written = []
+    write = branches._write_rows
 
-    def shifted(v, d):
-        out = shift(v, d)
-        moved[id(out)] = d      # the leaves keep every replayed row alive
-        return out
-
-    def made_leaf(*args):
-        made.append(leaf(*args))
-        return made[-1]
+    def caught(out, path, segments):
+        written.append((path or "", [(rows[start:], d) for rows, start, d in segments]))
+        return write(out, path, segments)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(branches, "_shifted", shifted)
-        m.setattr(branches, "_Leaf", made_leaf)
-        _, finals = stepped_paths(verify_all_paths, program, policy=policy, **kw)
+        m.setattr(branches, "_write_rows", caught)
+        report, finals = stepped_paths(verify_all_paths, program, policy=policy, **kw)
+    verdicts = path_verdicts(report)
     cases = set()
-    for lf in made:
-        if lf.label in finals:
+    for label, ((arrived, _), *segments) in written:
+        if label in finals:
             continue
-        rows = [v for v in lf.rows if id(v) in moved]
-        if any(moved[id(v)] for v in rows):
+        rows = [(v, d) for vs, d in segments for v in vs]
+        if any(d for _, d in rows):
             cases.add(("d != 0", policy))
-        if rows and len(rows) < len(lf.rows):
-            assert all(v.secondary for v in rows), lf
+        if rows and arrived:
+            assert all(v.secondary for v, _ in rows), label
             cases.add("after prior rows")
-        if any(v.mixer is not None and moved[id(v)] for v in rows):
+        if any(v.mixer is not None and d for v, d in rows):
             cases.add("mixer span, d != 0")
-        if lf.stopped:
+        if verdicts[label] == (False, None):
             cases.add("stopped")
     return cases
 
@@ -907,3 +904,25 @@ def test_steps_grow_linearly_in_conditionals_when_every_path_fails(monkeypatch):
             assert {vs[0].t for vs in rows.values()} == {
                 fault_t + 2 * k for k in range(c + 1)}
             assert len(calls) <= 5 * c + 5, (c, policy, len(calls))
+
+
+def test_replays_write_each_path_from_the_dag(monkeypatch):
+    # on the detour chain every path but the first is written from the path
+    # DAG: a run's end facts (the report ``fluidics`` builds of a run's end)
+    # are built once per path stepped to its end, not once per path, and
+    # each row written is the one row built for it
+    ends, built = [], []
+    end, violation = fluidics.Report, branches.Violation
+    monkeypatch.setattr(fluidics, "Report", lambda *a, **kw: ends.append(1) or end(*a, **kw))
+    monkeypatch.setattr(branches, "Violation",
+                        lambda *a, **kw: built.append(1) or violation(*a, **kw))
+    for c in range(4, 11):
+        for fault in (False, True):
+            prog = _detour_chain(c, fault=fault)
+            for policy in ("first", "all"):
+                ends.clear()
+                built.clear()
+                report = verify_all_paths(prog, policy=policy)
+                assert len(path_verdicts(report)) == 2 ** c
+                assert len(ends) <= 5 * c + 5, (c, fault, policy, len(ends))
+                assert len(built) == len(report.violations) == fault * 2 ** c, (c, policy)

@@ -800,10 +800,13 @@ def test_module_entry_exits_with_the_verdict(tmp_path):
     assert line.startswith("error: ") and "missing.dmf" in line
 
 
+# the C locale without UTF-8 mode, whose default encoding is ASCII
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
 def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
-    # under the C locale without UTF-8 mode the default encoding is ASCII; a
-    # non-ASCII comment in a .dmf, .sg or .pins file must still be read
-    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    # a non-ASCII comment in a .dmf, .sg or .pins file must still be read
+    ascii_locale = _ASCII_LOCALE
     probe = subprocess.run([sys.executable, "-c", "import locale; "
                             "print(locale.getpreferredencoding(False))"],
                            env=dict(os.environ, **ascii_locale), capture_output=True,
@@ -822,6 +825,57 @@ def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
         proc = _module_cli(argv, **ascii_locale)
         assert (proc.returncode, proc.stderr) == (rc, ""), argv
     assert (tmp_path / "bad.pins").read_text().split()[:2] == ["2", "2"]
+
+
+_SE = """dim(3,3)
+accuracy 2
+R(1,1,S\u00e9) O(1,3)
+1 d(1,1)
+2 m([1,1]->[1,2])
+3 m([1,2]->[1,3])
+4 output(1,3)
+5 end
+"""
+
+
+def _se_files(tmp_path):
+    """A program whose reagent is named S\u00e9, and a graph of reagent B."""
+    prog, sg = tmp_path / "se.dmf", tmp_path / "b.sg"
+    prog.write_text(_SE, encoding="utf-8")
+    sg.write_text("reagents B\nnode B dispense B\nnode O output\nedge B O\n", encoding="utf-8")
+    return prog, sg
+
+
+@pytest.mark.parametrize("command", ["graph", "verify"])
+def test_stdout_that_cannot_encode_the_text_exits_2(tmp_path, command):
+    # under the ASCII locale, a DOT graph or a text report naming S\u00e9
+    # (verify's e7 row names the realized reagents) is an output that
+    # cannot be written: exit 2 with one error line, no traceback
+    prog, sg = _se_files(tmp_path)
+    argv = {"graph": ["graph", prog], "verify": ["verify", prog, "--sg", sg]}[command]
+    proc = _module_cli(list(map(str, argv)), **_ASCII_LOCALE)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: "), line
+
+
+@pytest.mark.parametrize("command", ["graph -o", "verify --events", "inject -o", "render -o",
+                                     "render --svg"])
+def test_files_are_written_as_utf8_whatever_the_locale(tmp_path, command):
+    prog, _ = _se_files(tmp_path)
+    out, frames = tmp_path / "out", tmp_path / "frames"
+    argv, written = {
+        "graph -o": (["graph", prog, "-o", out], [out]),
+        "verify --events": (["verify", prog, "--events", out], [out]),
+        "inject -o": (["inject", prog, "--error", "e3", "--to", "2,2", "-o", out], [out]),
+        "render -o": (["render", prog, "--at", "2", "-o", out], [out]),
+        "render --svg": (["render", prog, "--svg", "--animate", "-o", frames],
+                         [frames / f"frame_000{i}_t{i + 1}.svg" for i in range(3)]),
+    }[command]
+    proc = _module_cli(list(map(str, argv)), **_ASCII_LOCALE)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    for path in written:
+        assert "S\u00e9" in path.read_text(encoding="utf-8"), path
 
 
 def test_benchmark_trace_targets_resolve():

@@ -508,8 +508,8 @@ def test_parse_matches_per_token_oracle(monkeypatch):
 def test_bounds_are_checked_once_per_body_in_bounds(monkeypatch):
     calls = []
     real = isa._check_locs
-    monkeypatch.setattr(isa, "_check_locs", lambda p, ln, issues: calls.append(ln.t)
-                        or real(p, ln, issues))
+    monkeypatch.setattr(isa, "_check_locs", lambda p, ln, issues, clean: calls.append(ln.t)
+                        or real(p, ln, issues, clean))
     # the parser shares one tuple between equal bodies; a body out of bounds
     # is checked on each of its lines, so each line keeps its own issue
     text = ("dim(5,4)\naccuracy 5\nR(1,1,S)\n"
@@ -522,6 +522,27 @@ def test_bounds_are_checked_once_per_body_in_bounds(monkeypatch):
     assert [i.t for i in issues] == list(range(3, 31, 3))
     assert all(i.code == "OutOfBounds" and "(1,5)" in i.message for i in issues)
     assert calls == [1, 2, *range(3, 31, 3), 40]
+
+
+def test_bounds_are_checked_once_per_distinct_instruction(monkeypatch):
+    # every body differs, but the parser builds each move once, so each
+    # distinct move on the array has its two cells checked once; the move
+    # off the array is checked, and reported, on each of its two lines
+    text = ("dim(5,5)\naccuracy 5\nR(1,1,S)\n1 m([2,2]->[2,3]) m([3,3]->[3,4])\n"
+            "2 m([3,3]->[3,4]) m([2,2]->[2,3])\n3 m([2,2]->[2,3]) m([4,4]->[4,5])\n"
+            "4 m([4,4]->[4,5]) m([1,5]->[1,6])\n5 m([1,5]->[1,6]) m([2,2]->[2,3])\n6 end\n")
+    raw = parse_program(text, validate=False)
+    calls = []
+    in_bounds = isa.ChipHeader.in_bounds
+    monkeypatch.setattr(isa.ChipHeader, "in_bounds",
+                        lambda hdr, loc: calls.append(loc) or in_bounds(hdr, loc))
+    issues = validate_structure(raw)
+    monkeypatch.undo()
+    assert issues == _old_validate_structure(raw)
+    assert [(i.code, i.t) for i in issues] == [("OutOfBounds", 4), ("OutOfBounds", 5)]
+    # the reservoir, three moves on the array once, and on each of its lines
+    # the move off it, whose cells the quick test and then the wording read
+    assert len(calls) == 1 + 3 * 2 + 2 * 4, calls
 
 
 # --- the token path of the parser against the scanner ----------------------------
