@@ -5,7 +5,8 @@ Exit codes: 0 all checks pass, 1 violations found, 2 unusable input
 that cannot be written, or text that stdout's encoding cannot hold).
 ``main`` is the one place that reports these, as ``error: ...`` with exit
 2; any other exception is a fault of the verifier and keeps its traceback.
-Files are read and written as UTF-8 whatever the locale; stdout keeps the
+Files are read and written as UTF-8 whatever the locale, and ``--swap``'s
+reagent names are decoded as UTF-8 from argv's bytes; stdout keeps the
 locale's encoding.  All behavior is reachable through the library
 modules with identical results; this file only wires them together.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -158,13 +160,16 @@ def cmd_inject(args) -> int:
         print(f"wrote remapped pin assignment to {out}")
         return 0
 
+    # the locale decoded argv's bytes; the reagent names must be read as the
+    # program file is, as UTF-8 (bytes that are not raise UnicodeDecodeError)
+    swap = None if args.swap is None else os.fsencode(args.swap).decode("utf-8")
     spec = inject.InjectionSpec(
         code=args.error, line=args.line, pos=args.pos,
         move=_option("--move", "'r,c->r,c'",
                      lambda text: tuple(map(_parse_loc, _split2(text, "->"))), args.move),
         to=_option("--to", "'r,c'", _parse_loc, args.to),
         duration=args.duration,
-        swap=_option("--swap", "'A,B'", lambda text: _split2(text, ","), args.swap))
+        swap=_option("--swap", "'A,B'", lambda text: _split2(text, ","), swap))
     mutated, note = inject.inject_error(program, spec)
     out = Path(args.out) if args.out else stem.with_name(f"{stem.stem}_{args.error}.dmf")
     _write(out, serialize_program(mutated))

@@ -14,9 +14,14 @@ Two move/mix spellings are accepted, the arrow form ``m([3,1]->[3,2])`` /
 the arrow form.
 
 Within one ``parse_program`` call each distinct line body parses once (by
-its tokens, else by ``_scan``), each distinct token builds its instruction
-and each distinct cell its ``Loc`` once, and lines share these values
-(instructions are slotted frozen dataclasses); no memo outlives the call.
+its tokens, else by ``_scan``) and each distinct cell builds its ``Loc``
+once.  Each distinct token builds its instruction once per process, in the
+table ``_TOKENS``: an instruction is a slotted frozen dataclass that depends
+only on its token's text, so programs for one chip share it exactly (bounds
+depend on the array and are checked per program).  A parse that finds more
+than ``_TOKENS_BOUND`` tokens there clears the table first, which bounds its
+memory; the bound lies above the token universe of one 60x60 array, so a
+process serving one chip never clears it.
 Validation checks every cell a program names against the array
 (``ChipHeader.in_bounds``), each distinct instruction tuple once (a tuple
 out of bounds is checked on every line that holds it, so each issue keeps
@@ -327,6 +332,11 @@ def _scan(line: str, lineno: int, patterns, cell) -> list:
     return out
 
 
+# token text -> its instruction, shared by every parse in the process
+_TOKENS: dict[str, Instruction] = {}
+_TOKENS_BOUND = 1 << 15
+
+
 def _tokens(body: str, memo: dict[str, Instruction], cell) -> tuple[Instruction, ...] | None:
     """A body's instructions as ``_scan`` reads them, if each whitespace-separated
     token fullmatches an instruction pattern and builds; else None."""
@@ -374,12 +384,13 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
     current_recovery: str | None = None
     recovery_lines: list[TimedLine] = []
     # Per-call memos: each distinct body (the text after the timestamp) parses
-    # once, each distinct cell builds its Loc once, and ``tokens`` holds only
+    # once and each distinct cell builds its Loc once.  ``_TOKENS`` holds only
     # instructions (a declaration in a body is an unrecognized token).  Bodies
     # that ``_tokens`` refuses go to ``_scan``, the only writer of parse errors.
     bodies: dict[str, tuple[Instruction, ...]] = {}
-    tokens: dict[str, Instruction] = {}
     cells: dict[tuple[str, str], Loc] = {}
+    if len(_TOKENS) > _TOKENS_BOUND:
+        _TOKENS.clear()
 
     def cell(row: str, col: str) -> Loc:
         loc = cells.get((row, col))
@@ -395,7 +406,7 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
                 body = m[2]
                 instrs = bodies.get(body)
                 if instrs is None:
-                    instrs = bodies[body] = (_tokens(body, tokens, cell) or tuple(
+                    instrs = bodies[body] = (_tokens(body, _TOKENS, cell) or tuple(
                         _scan(body, lineno, _INSTR_PATTERNS, cell)))
                 tl = TimedLine(int(m[1]), instrs)
                 (recovery_lines if current_recovery is not None else main).append(tl)

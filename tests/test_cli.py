@@ -878,6 +878,31 @@ def test_files_are_written_as_utf8_whatever_the_locale(tmp_path, command):
         assert "S\u00e9" in path.read_text(encoding="utf-8"), path
 
 
+def test_swap_names_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # argv arrives as bytes: --swap S\u00e9,B must name the reagent that the
+    # UTF-8 program declares, and bytes that are not UTF-8 exit 2; argv and
+    # output are bytes here, so the test runs under any locale
+    prog, out = tmp_path / "two.dmf", tmp_path / "out.dmf"
+    prog.write_text(_SE.replace("O(1,3)", "R(3,1,B) O(1,3)"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"), PYTHONIOENCODING="utf-8",
+               **_ASCII_LOCALE)
+
+    def inject_swap(names: bytes) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "dmfv.cli", "inject", str(prog), "--error",
+                               "e7", "--swap", names, "-o", str(out)],
+                              env=env, capture_output=True, timeout=120)
+    swapped = inject_swap("S\u00e9,B".encode())
+    assert (swapped.returncode, swapped.stderr) == (0, b""), swapped.stderr
+    assert swapped.stdout.decode().startswith("interchanged reagents S\u00e9 and B")
+    assert "R(1,1,B) R(3,1,S\u00e9)" in out.read_text(encoding="utf-8")
+    out.unlink()
+    refused = inject_swap(b"S\xff,B")
+    assert (refused.returncode, refused.stdout) == (2, b"")
+    [line] = refused.stderr.decode().splitlines()
+    assert line.startswith("error: 'utf-8' codec can't decode"), line
+    assert not out.exists()
+
+
 def test_benchmark_trace_targets_resolve():
     # the traced benchmark wraps dmfv attributes by name, and one it cannot
     # find reads 0 instead of failing; only the two known ones may be missing

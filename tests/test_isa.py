@@ -487,15 +487,19 @@ endrecovery
 """
 
 
-def test_parse_matches_per_token_oracle(monkeypatch):
-    rng = random.Random(1618)          # the .dmf fuzz corpus of test_cli
+def _parse_corpus(mutants: int) -> list[str]:
+    """The fixtures, the spellings, ``mutants`` texts of the .dmf fuzz corpus
+    of test_cli, the noise corpus and a program around each hand body."""
+    rng = random.Random(1618)
     texts = [load(name) for name in _DMF_FIXTURES] + [_SPELLINGS]
-    texts += [_mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES))) for _ in range(200)]
+    texts += [_mutate_dmf(rng, load(rng.choice(_DMF_FIXTURES))) for _ in range(mutants)]
     texts += _noise_corpus()
-    head = "dim(6,6)\naccuracy 3\nR(1,1,S) R(1,4,B) O(3,3) W(6,6)\nD(d1,2,2,3)\n"
-    texts += [f"{head}1 d(1,1)\n2 {body}\n9 end\n" for body in _HAND_BODIES]
+    return texts + [f"{_HAND_HEAD}1 d(1,1)\n2 {body}\n9 end\n" for body in _HAND_BODIES]
+
+
+def test_parse_matches_per_token_oracle(monkeypatch):
     kinds = {}
-    for text in texts:
+    for text in _parse_corpus(200):
         got, want = _outcome(text), _old_parse(text, monkeypatch)
         assert got == want, text
         kinds[got[0]] = kinds.get(got[0], 0) + 1
@@ -560,6 +564,7 @@ _HAND_BODIES = (
     "d(1,1)\tm(2,2,2,3)", "d(1,1)\u00a0m(2,2,2,3)", "waste(6,6) output(3,3)", "detect(d1)",
     "detect(d1)d(1,1)", "d(01,1) d(1,1)", "d(1,1", "zzz", "m(1,1,1,2) zzz",
 )
+_HAND_HEAD = "dim(6,6)\naccuracy 3\nR(1,1,S) R(1,4,B) O(3,3) W(6,6)\nD(d1,2,2,3)\n"
 _VOCABULARY = ("d(1,1)", "d(2,3)", "m(1,1,1,2)", "m([2,2]->[2,3])", "m([2,2]", "->", "[2,3])",
                "m(1,1,2,2)", "mix(1,1,1,4,3,14)", "mix([1,1]<->[1,4],0,14)", "waste(6,6)",
                "output(3,3)", "detect(d1)", "end", "O(3,3)", "R(1,1,S)", "if(d1)", "call",
@@ -617,3 +622,75 @@ def test_declaration_tokens_are_not_instructions(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: line 5, col 1: unrecognized token {token!r} "
             "(expected an instruction or declaration)\n")
+
+
+# --- the token table, which outlives a parse --------------------------------------
+
+# a body whose second token fails to build after its first has built
+_NOT_ADJACENT = f"{_HAND_HEAD}1 d(1,1)\n2 d(2,2) m(1,1,3,3)\n9 end\n"
+
+
+def test_warm_and_cold_parses_agree(monkeypatch):
+    # a parse that finds the table filled by other programs, in another
+    # order, reads every text as a parse that finds it empty and as the
+    # memo-free oracle; a token that failed to build in an earlier parse
+    # is still worded by the scanner with its line and column
+    texts = _parse_corpus(150) + [_NOT_ADJACENT] * 2
+    monkeypatch.setattr(isa, "_TOKENS", {})
+    cold = [_outcome(text) for text in texts]
+    warm = [_outcome(text) for text in reversed(texts)][::-1]
+    for text, got_cold, got_warm in zip(texts, cold, warm):
+        assert got_cold == got_warm == _old_parse(text, monkeypatch), text
+    assert cold[-1] == ("ParseError",
+                        "line 6, col 8: move destination (3,3) is not a 4-neighbor of (1,1)")
+    # the table holds each token that built, as the one instruction the
+    # scanner reads it as: no declaration and no token that failed
+    table, cell = isa._TOKENS, _cell_memo()
+    assert "d(2,2)" in table and "m(1,1,3,3)" not in table
+    assert not table.keys() & {"O(3,3)", "R(1,1,S)", "D(d1,2,2,3)"}
+    for token, instr in table.items():
+        assert isinstance(instr, Instruction) and _scanned(token, cell) == (instr,), token
+
+
+def _counted_builds(monkeypatch) -> list[str]:
+    """The text of each instruction token built from now on."""
+    built = []
+
+    def counted(builder):
+        return lambda m, *rest: built.append(m[0]) or builder(m, *rest)
+    monkeypatch.setattr(isa, "_INSTR_PATTERNS",
+                        [(pat, counted(builder)) for pat, builder in isa._INSTR_PATTERNS])
+    return built
+
+
+def _pairs_program(tokens: list[str]) -> str:
+    lines = "".join(f"{t} {a} {b}\n" for t, (a, b) in enumerate(zip(tokens[::2], tokens[1::2]), 1))
+    return f"dim(9,9)\naccuracy 2\nR(1,1,S)\n{lines}"
+
+
+def test_a_token_an_earlier_program_built_builds_nothing(monkeypatch):
+    monkeypatch.setattr(isa, "_TOKENS", {})
+    built = _counted_builds(monkeypatch)
+    moves = [f"m([{r},{c}]->[{r},{c + 1}])" for r in range(1, 10) for c in range(1, 9)]
+    first = parse_program(_pairs_program(moves))
+    assert built == moves
+    # no body of the second program is a body of the first, and four of
+    # its tokens are new: only those four build
+    built.clear()
+    new = ["d(9,9)", "m(9,9,8,9)", "waste(5,5)", "output(2,2)"]
+    second = parse_program(_pairs_program(moves[1:] + new + moves[:1]))
+    assert built == new
+    assert {ln.instrs for ln in first.main}.isdisjoint(ln.instrs for ln in second.main)
+    assert second.main[0].instrs[0] is first.main[0].instrs[1]
+
+
+def test_a_parse_past_the_bound_starts_from_an_empty_table(monkeypatch):
+    monkeypatch.setattr(isa, "_TOKENS", {})
+    monkeypatch.setattr(isa, "_TOKENS_BOUND", 4)
+    head = "dim(9,9)\naccuracy 2\nR(1,1,S)\n"
+    parse_program(f"{head}1 d(1,1) d(2,2)\n2 m(1,1,1,2) m(2,2,2,3)\n")
+    parse_program(f"{head}1 d(3,3)\n")            # at the bound: kept
+    assert list(isa._TOKENS) == ["d(1,1)", "d(2,2)", "m(1,1,1,2)", "m(2,2,2,3)", "d(3,3)"]
+    built = _counted_builds(monkeypatch)
+    parse_program(f"{head}1 d(1,1)\n")            # past it: cleared first
+    assert list(isa._TOKENS) == ["d(1,1)"] and built == ["d(1,1)"]
