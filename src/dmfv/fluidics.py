@@ -71,25 +71,17 @@ class EngineError(DmfError):
 
 # --- constraint geometry -------------------------------------------------------
 
-def move_conflicts(state: ChipState, src: Loc, dst: Loc) -> list[Loc]:
+def move_conflicts(state: ChipState, move: Move) -> list[Loc]:
     """The occupied cells among the three beyond the destination that the
-    dynamic rule checks, in sorted order.
+    dynamic rule checks (``Move.probes``, built with the move), in sorted
+    order.
 
     The probes are plain (row, col) pairs, which hash and compare equal to
     Loc keys; a Loc is built only for a hit.  ``by_loc`` holds only cells
     on the array, so a probe off the array misses without a bounds test.
     """
     by_loc = state.by_loc
-    return [Loc(*p) for p in _probes(src, dst) if p in by_loc]
-
-
-def _probes(src: Loc, dst: Loc) -> tuple[tuple[int, int], ...]:
-    """The three cells beyond the destination of a move, sorted."""
-    r, c = dst
-    dr, dc = r - src[0], c - src[1]
-    if dc:
-        return ((r - 1, c + dc), (r, c + dc), (r + 1, c + dc))
-    return ((r + dr, c - 1), (r + dr, c), (r + dr, c + 1))
+    return [Loc(*p) for p in move.probes if p in by_loc]
 
 
 def _occupied_near(state: ChipState, *centres: Loc) -> list[Loc]:
@@ -249,7 +241,7 @@ def _check_move(state: ChipState, instr: Move, i: int,
     if dst in state.by_loc:
         return _row(Code.E1, "Static fluidic constraint violated", instr, t, (dst,),
                     "destination cell occupied")
-    conflicts = move_conflicts(state, src, dst)
+    conflicts = move_conflicts(state, instr)
     if not conflicts:
         return None
     moving = [ctx.movers[c] for c in conflicts if c in ctx.movers]
@@ -404,8 +396,8 @@ def _consumed_twice(ctx: LineContext, rule: Rule, instr: Instruction, i: int,
 def _moves_pass(snapshot: ChipState, instrs) -> dict[Loc, int] | None:
     """The claims {destination: position} of a line of moves that passes its
     checks on a snapshot with no active mixer or detection; else None.  One
-    pass tests each move; the counts then find a source or destination that
-    two moves share."""
+    pass tests each move, its probes read off the move (``Move.probes``);
+    the counts then find a source or destination that two moves share."""
     if snapshot.mixers or snapshot.detections:
         return None
     cells = snapshot.by_loc.keys()
@@ -415,7 +407,7 @@ def _moves_pass(snapshot: ChipState, instrs) -> dict[Loc, int] | None:
         if type(instr) is not Move:
             return None
         src, dst = instr.src, instr.dst
-        if src not in cells or dst in cells or not cells.isdisjoint(_probes(src, dst)):
+        if src not in cells or dst in cells or not cells.isdisjoint(instr.probes):
             return None
         sources.add(src)
         claimed[dst] = i

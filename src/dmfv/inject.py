@@ -111,7 +111,7 @@ def _sites(state: chip.ChipState, line: TimedLine | None, *, want_dynamic: bool)
             if (not state.header.in_bounds(dst) or dst in state.by_loc
                     or dst in claimed):
                 continue
-            conflicts = fluidics.move_conflicts(state, src, dst)
+            conflicts = fluidics.move_conflicts(state, Move(src, dst))
             if not conflicts or any(c in busy for c in conflicts):
                 continue
             if any(c in move_srcs for c in conflicts) == want_dynamic:

@@ -18,14 +18,20 @@ its tokens, else by ``_scan``) and each distinct cell builds its ``Loc``
 once.  Each distinct token builds its instruction once per process, in the
 table ``_TOKENS``: an instruction is a slotted frozen dataclass that depends
 only on its token's text, so programs for one chip share it exactly (bounds
-depend on the array and are checked per program).  A parse that finds more
-than ``_TOKENS_BOUND`` tokens there clears the table first, which bounds its
+depend on the array and are checked per program).  What the checks read of
+an instruction's cells is built with it, out of equality and repr: an
+instruction that names cells carries its extent (``max_row``, ``max_col``)
+and a move its probes (``Move.probes``), whose cells all moves share
+(``_PROBE_CELLS``).  A parse that finds more than ``_TOKENS_BOUND`` tokens
+in the table clears it and the probe cells first, which bounds their
 memory; the bound lies above the token universe of one 60x60 array, so a
-process serving one chip never clears it.
-Validation checks every cell a program names against the array
-(``ChipHeader.in_bounds``), each distinct instruction tuple once (a tuple
-out of bounds is checked on every line that holds it, so each issue keeps
-its tick); the engine relies on that and tests no bounds itself.
+process serving one chip never clears them.
+Validation checks every cell a program names against the array, each
+distinct instruction tuple once: a line whose extents lie on the array
+passes whole, and any other line takes a per-instruction loop, which words
+an issue with the line's tick for each cell off the array (a tuple out of
+bounds is checked on every line that holds it).  The engine relies on that
+and tests no bounds itself.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -101,8 +108,37 @@ class ChipHeader:
 
 # --- instructions ---------------------------------------------------------
 
+# the extent of an instruction that names a row or column below 1, or of one
+# that names no cell (a class attribute), so that its line takes the loop of
+# ``_check_locs``; no array reaches it
+_OFF = float("inf")
+# each probe cell (row, col), as the one tuple that every move's probes
+# share; cleared with ``_TOKENS``
+_PROBE_CELLS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 @dataclass(frozen=True, slots=True)
-class Dispense:
+class _Placed:
+    """An instruction that names cells, with its extent: the largest row and
+    column it names, or ``_OFF``.  It is built with the instruction
+    (``_place``) and is out of equality, hashing and repr."""
+    max_row: int = field(init=False, compare=False, repr=False)
+    max_col: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # the one cell of a dispense, waste or output; moves and mixes name two
+        _place(self, self.loc, self.loc)
+
+
+def _place(instr: _Placed, a: Loc, b: Loc) -> None:
+    (r1, c1), (r2, c2) = a, b
+    setattr_ = object.__setattr__
+    setattr_(instr, "max_row", (r1 if r1 > r2 else r2) if r1 > 0 < r2 else _OFF)
+    setattr_(instr, "max_col", (c1 if c1 > c2 else c2) if c1 > 0 < c2 else _OFF)
+
+
+@dataclass(frozen=True, slots=True)
+class Dispense(_Placed):
     loc: Loc
 
     def compact(self) -> str:
@@ -112,9 +148,27 @@ class Dispense:
 
 
 @dataclass(frozen=True, slots=True)
-class Move:
+class Move(_Placed):
     src: Loc
     dst: Loc
+    # the three cells beyond the destination that the dynamic rule checks,
+    # sorted, as shared (row, col) pairs; they may lie off the array
+    probes: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # _place inline, as a move is the commonest instruction to build
+        (r0, c0), (r, c) = self.src, self.dst
+        setattr_ = object.__setattr__
+        setattr_(self, "max_row", (r if r > r0 else r0) if r > 0 < r0 else _OFF)
+        setattr_(self, "max_col", (c if c > c0 else c0) if c > 0 < c0 else _OFF)
+        if c != c0:
+            beyond = c + c - c0
+            a, b, d = (r - 1, beyond), (r, beyond), (r + 1, beyond)
+        else:
+            beyond = r + r - r0
+            a, b, d = (beyond, c - 1), (beyond, c), (beyond, c + 1)
+        share = _PROBE_CELLS.setdefault
+        setattr_(self, "probes", (share(a, a), share(b, b), share(d, d)))
 
     def compact(self) -> str:
         return f"m({self.src.row},{self.src.col},{self.dst.row},{self.dst.col})"
@@ -124,11 +178,14 @@ class Move:
 
 
 @dataclass(frozen=True, slots=True)
-class MixStart:
+class MixStart(_Placed):
     a: Loc
     b: Loc
     t_mix: int
     mtype: MType
+
+    def __post_init__(self) -> None:
+        _place(self, self.a, self.b)
 
     def compact(self) -> str:
         return (f"mix({self.a.row},{self.a.col},{self.b.row},{self.b.col},"
@@ -140,7 +197,7 @@ class MixStart:
 
 
 @dataclass(frozen=True, slots=True)
-class Waste:
+class Waste(_Placed):
     loc: Loc
 
     def compact(self) -> str:
@@ -150,7 +207,7 @@ class Waste:
 
 
 @dataclass(frozen=True, slots=True)
-class Output:
+class Output(_Placed):
     loc: Loc
 
     def compact(self) -> str:
@@ -162,6 +219,7 @@ class Output:
 @dataclass(frozen=True, slots=True)
 class DetectStart:
     detector: str
+    max_row = max_col = _OFF
 
     def compact(self) -> str:
         return f"detect({self.detector})"
@@ -173,6 +231,7 @@ class DetectStart:
 class CondCall:
     detector: str
     recovery: str
+    max_row = max_col = _OFF
 
     def compact(self) -> str:
         return f"if({self.detector}) call Recovery({self.recovery})"
@@ -182,6 +241,8 @@ class CondCall:
 
 @dataclass(frozen=True, slots=True)
 class End:
+    max_row = max_col = _OFF
+
     def compact(self) -> str:
         return "end"
 
@@ -391,6 +452,7 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
     cells: dict[tuple[str, str], Loc] = {}
     if len(_TOKENS) > _TOKENS_BOUND:
         _TOKENS.clear()
+        _PROBE_CELLS.clear()
 
     def cell(row: str, col: str) -> Loc:
         loc = cells.get((row, col))
@@ -493,33 +555,32 @@ _CELLS = {
 }
 
 
-def _check_locs(p: Program, line: TimedLine, issues: list[SemanticError],
-                clean: set[int]) -> list:
+_MAX_ROW, _MAX_COL = attrgetter("max_row"), attrgetter("max_col")
+
+
+def _check_locs(p: Program, line: TimedLine, issues: list[SemanticError]) -> list:
     """Add an issue for each cell of the line off the array; return the
     (position, instruction) pairs of the instructions that name no cell.
-    ``clean`` holds the ids of the instructions found on the array so far,
-    which are not checked again: a parse shares equal instructions."""
-    hdr, in_bounds = p.header, p.header.in_bounds
+    A line whose extents lie on the array holds neither, and passes whole;
+    on any other line, so does each instruction whose extent does."""
+    hdr, instrs = p.header, line.instrs
+    rows, cols = hdr.rows, hdr.cols
+    if not instrs or (max(map(_MAX_ROW, instrs)) <= rows
+                      and max(map(_MAX_COL, instrs)) <= cols):
+        return []
     control = []
-    for j, instr in enumerate(line.instrs):
-        if id(instr) in clean:
-            continue
-        # the common case, a move on the array, skips the table
-        if type(instr) is Move and in_bounds(instr.src) and in_bounds(instr.dst):
-            clean.add(id(instr))
+    for j, instr in enumerate(instrs):
+        if instr.max_row <= rows and instr.max_col <= cols:
             continue
         cells = _CELLS.get(type(instr))
         if cells is None:
             control.append((j, instr))
             continue
-        found = len(issues)
         for loc in cells(instr):
-            if not in_bounds(loc):
+            if not hdr.in_bounds(loc):
                 issues.append(SemanticError(
                     "OutOfBounds", f"{instr.compact()} references {loc} outside the "
                     f"{hdr.rows}x{hdr.cols} array", line.t))
-        if len(issues) == found:
-            clean.add(id(instr))
     return control
 
 
@@ -560,8 +621,6 @@ def validate_structure(p: Program) -> list[SemanticError]:
     # tuple found in bounds, by id; lines share equal bodies' tuples, and p
     # keeps every tuple alive, so each clean body is checked once
     control_of: dict[int, list[tuple[int, Instruction]]] = {}
-    # the ids of the instructions found on the array, which p keeps alive
-    clean: set[int] = set()
 
     def check_lines(lines: tuple[TimedLine, ...], in_recovery: str | None) -> None:
         prev = None
@@ -575,7 +634,7 @@ def validate_structure(p: Program) -> list[SemanticError]:
             control = control_of.get(id(ln.instrs))
             if control is None:
                 found = len(issues)
-                control = _check_locs(p, ln, issues, clean)
+                control = _check_locs(p, ln, issues)
                 if len(issues) == found:
                     control_of[id(ln.instrs)] = control
             for j, instr in control:

@@ -512,8 +512,8 @@ def test_parse_matches_per_token_oracle(monkeypatch):
 def test_bounds_are_checked_once_per_body_in_bounds(monkeypatch):
     calls = []
     real = isa._check_locs
-    monkeypatch.setattr(isa, "_check_locs", lambda p, ln, issues, clean: calls.append(ln.t)
-                        or real(p, ln, issues, clean))
+    monkeypatch.setattr(isa, "_check_locs", lambda p, ln, issues: calls.append(ln.t)
+                        or real(p, ln, issues))
     # the parser shares one tuple between equal bodies; a body out of bounds
     # is checked on each of its lines, so each line keeps its own issue
     text = ("dim(5,4)\naccuracy 5\nR(1,1,S)\n"
@@ -528,10 +528,11 @@ def test_bounds_are_checked_once_per_body_in_bounds(monkeypatch):
     assert calls == [1, 2, *range(3, 31, 3), 40]
 
 
-def test_bounds_are_checked_once_per_distinct_instruction(monkeypatch):
-    # every body differs, but the parser builds each move once, so each
-    # distinct move on the array has its two cells checked once; the move
-    # off the array is checked, and reported, on each of its two lines
+def test_a_line_on_the_array_makes_no_bounds_call(monkeypatch):
+    # every body differs; a line whose extents lie on the array passes whole,
+    # and only the lines that hold the move off it, and the end line, take
+    # the per-instruction loop, which reports that move with each line's tick
+    # and tests the cells of no instruction whose own extent is on the array
     text = ("dim(5,5)\naccuracy 5\nR(1,1,S)\n1 m([2,2]->[2,3]) m([3,3]->[3,4])\n"
             "2 m([3,3]->[3,4]) m([2,2]->[2,3])\n3 m([2,2]->[2,3]) m([4,4]->[4,5])\n"
             "4 m([4,4]->[4,5]) m([1,5]->[1,6])\n5 m([1,5]->[1,6]) m([2,2]->[2,3])\n6 end\n")
@@ -543,10 +544,120 @@ def test_bounds_are_checked_once_per_distinct_instruction(monkeypatch):
     issues = validate_structure(raw)
     monkeypatch.undo()
     assert issues == _old_validate_structure(raw)
-    assert [(i.code, i.t) for i in issues] == [("OutOfBounds", 4), ("OutOfBounds", 5)]
-    # the reservoir, three moves on the array once, and on each of its lines
-    # the move off it, whose cells the quick test and then the wording read
-    assert len(calls) == 1 + 3 * 2 + 2 * 4, calls
+    assert [(i.code, i.t, i.message) for i in issues] == [
+        ("OutOfBounds", t, "m(1,5,1,6) references (1,6) outside the 5x5 array") for t in (4, 5)]
+    # the reservoir, then the cells of the move off the array on lines 4 and 5
+    assert calls == [Loc(1, 1), Loc(1, 5), Loc(1, 6), Loc(1, 5), Loc(1, 6)]
+
+
+# --- the geometry an instruction carries (oracle) -----------------------------------
+
+def _beyond(src: Loc, dst: Loc) -> tuple:
+    """The cells the dynamic rule checks: the cell one step past the
+    destination in the move's direction and its two neighbours across that
+    direction, sorted."""
+    dr, dc = dst.row - src.row, dst.col - src.col
+    ahead = (dst.row + dr, dst.col + dc)
+    return tuple(sorted({ahead, (ahead[0] + dc, ahead[1] + dr), (ahead[0] - dc, ahead[1] - dr)}))
+
+
+def _cells_named(instr) -> tuple:
+    if isinstance(instr, (Dispense, Waste, Output)):
+        return (instr.loc,)
+    if isinstance(instr, Move):
+        return (instr.src, instr.dst)
+    if isinstance(instr, MixStart):
+        return (instr.a, instr.b)
+    return ()
+
+
+_DIRS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def test_move_probes_are_the_three_cells_beyond_the_destination(monkeypatch):
+    monkeypatch.setattr(isa, "_TOKENS", {})
+    monkeypatch.setattr(isa, "_PROBE_CELLS", {})
+    moves = []
+    for text in _parse_corpus(150):
+        try:
+            p = parse_program(text, validate=False)
+        except ParseError:
+            continue
+        lines = [*p.main, *(ln for block in p.recoveries.values() for ln in block)]
+        moves += [i for ln in lines for i in ln.instrs if type(i) is Move]
+    parsed = len(moves)
+    rng = random.Random(2029)
+    for _ in range(2000):
+        n = rng.randrange(1, 9)
+        src = Loc(rng.randrange(0, n + 2), rng.randrange(0, n + 2))
+        dr, dc = rng.choice(_DIRS)
+        dst = Loc(src.row + dr, src.col + dc)
+        if 0 <= dst.row <= n + 1 and 0 <= dst.col <= n + 1:
+            moves.append(Move(src, dst))
+    assert parsed > 1000 and len(moves) - parsed > 1000
+    for m in moves:
+        assert m.probes == _beyond(m.src, m.dst), m
+        # each probe cell is the one shared pair for its cell
+        assert all(isa._PROBE_CELLS[c] is c for c in m.probes), m
+        built = Move(Loc(*m.src), Loc(*m.dst))
+        assert built == m and hash(built) == hash(m) and built.probes == m.probes
+        assert repr(m) == f"Move(src={m.src!r}, dst={m.dst!r})"
+
+
+def test_derived_fields_stay_out_of_equality_and_repr():
+    cases = [(Dispense(Loc(0, 2)), "Dispense(loc=Loc(row=0, col=2))"),
+             (Waste(Loc(3, 1)), "Waste(loc=Loc(row=3, col=1))"),
+             (Output(Loc(2, 2)), "Output(loc=Loc(row=2, col=2))"),
+             (MixStart(Loc(1, 1), Loc(1, 4), 3, MType.H14),
+              "MixStart(a=Loc(row=1, col=1), b=Loc(row=1, col=4), t_mix=3, mtype=<MType.H14: '14'>)")]
+    for instr, text in cases:
+        again = type(instr)(*(getattr(instr, f) for f in instr.__match_args__))
+        assert repr(instr) == text and again == instr and hash(again) == hash(instr)
+
+
+def _random_placed(rng: random.Random, rows: int, cols: int):
+    """An instruction that names cells, with rows and columns from 0 to one
+    past the array."""
+    def cell():
+        return Loc(rng.randrange(0, rows + 2), rng.randrange(0, cols + 2))
+    kind = rng.choice((Dispense, Waste, Output, Move, MixStart))
+    if kind is Move:
+        src = cell()
+        dr, dc = rng.choice(_DIRS)
+        return Move(src, Loc(src.row + dr, src.col + dc))
+    if kind is MixStart:
+        return MixStart(cell(), cell(), rng.randrange(1, 9), rng.choice(list(MType)))
+    return kind(cell())
+
+
+def test_extent_lies_on_the_array_exactly_when_every_cell_does():
+    rng = random.Random(7151)
+    control = (DetectStart("d1"), CondCall("d1", "1"), End())
+    seen = {True: 0, False: 0, "line on the array": 0}
+    for _ in range(3000):
+        n = rng.randrange(1, 7)
+        rows, cols = rng.choice(((1, n), (n, 1), (rng.randrange(1, 7), rng.randrange(1, 7))))
+        hdr = ChipHeader(rows, cols, 5, ())
+        p = Program(hdr, ())
+        instr = _random_placed(rng, rows, cols)
+        on_array = all(hdr.in_bounds(c) for c in _cells_named(instr))
+        assert (instr.max_row <= rows and instr.max_col <= cols) == on_array, (rows, cols, instr)
+        seen[on_array] += 1
+        # a line of such instructions, some control: _check_locs reports
+        # what the per-instruction oracle reports and returns the control ones
+        instrs = [instr] + [rng.choice(control) if rng.random() < 0.1
+                            else _random_placed(rng, rows, cols) for _ in range(rng.randrange(4))]
+        rng.shuffle(instrs)
+        line = TimedLine(rng.randrange(20), tuple(instrs))
+        got, want = [], []
+        assert isa._check_locs(p, line, got) == [
+            (j, i) for j, i in enumerate(instrs) if not _cells_named(i)]
+        _old_check_locs(p, line, want)
+        assert got == want, line
+        seen["line on the array"] += not want and all(map(_cells_named, instrs))
+    assert min(seen.values()) > 150, seen
+    issues = []
+    assert isa._check_locs(p, TimedLine(1, ()), issues) == [] and issues == []
 
 
 # --- the token path of the parser against the scanner ----------------------------
@@ -686,11 +797,14 @@ def test_a_token_an_earlier_program_built_builds_nothing(monkeypatch):
 
 def test_a_parse_past_the_bound_starts_from_an_empty_table(monkeypatch):
     monkeypatch.setattr(isa, "_TOKENS", {})
+    monkeypatch.setattr(isa, "_PROBE_CELLS", {})
     monkeypatch.setattr(isa, "_TOKENS_BOUND", 4)
     head = "dim(9,9)\naccuracy 2\nR(1,1,S)\n"
     parse_program(f"{head}1 d(1,1) d(2,2)\n2 m(1,1,1,2) m(2,2,2,3)\n")
     parse_program(f"{head}1 d(3,3)\n")            # at the bound: kept
     assert list(isa._TOKENS) == ["d(1,1)", "d(2,2)", "m(1,1,1,2)", "m(2,2,2,3)", "d(3,3)"]
+    assert sorted(isa._PROBE_CELLS) == [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     built = _counted_builds(monkeypatch)
-    parse_program(f"{head}1 d(1,1)\n")            # past it: cleared first
+    parse_program(f"{head}1 d(1,1)\n")            # past it: both cleared first
     assert list(isa._TOKENS) == ["d(1,1)"] and built == ["d(1,1)"]
+    assert isa._PROBE_CELLS == {}

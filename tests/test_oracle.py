@@ -229,7 +229,7 @@ def test_move_conflicts_probe_matches_bounded_clearance_scan():
                     cells = move_clearance_cells(src, dst)
                     expected = sorted(c for c in cells
                                       if st.header.in_bounds(c) and c in st.by_loc)
-                    got = move_conflicts(st, src, dst)
+                    got = move_conflicts(st, Move(src, dst))
                     assert got == expected, (src, dst)
                     assert all(type(c) is Loc for c in got)
                     off_array += sum(not st.header.in_bounds(c) for c in cells)
