@@ -13,27 +13,28 @@ of outcomes depth first and steps each shared prefix once, forking the run
 at every conditional.  Paths whose chip states agree at a resume point, up
 to a shift in time, share their stepped suffix as well, failing or not: a
 recovery that puts the chip back as it found it leaves its path one shift
-away from the path that skipped it.  The first path to reach such a state
-steps what follows, and its resume point becomes a node of a path DAG: the
-node keeps what lies below it once, in time relative to its shift (each
-path stepped to its end, with its rows, outputs and end facts, and an edge
-to each node replayed below it).  Every other path that reaches the state
-is written from the DAG, its rows and end notes shifted in time as they
-are written.  So stepping costs distinct resume states times lines, not
-paths times lines, and a replayed path costs only the writing of its own
-text.  ``path_shapes`` walks the same tree without stepping, for ``dmfv
-paths``.  The walk writes each path straight into the one report ``dmfv
-verify`` prints; a path keeps no report of its own and no event log.
+away from the path that skipped it.  The walk only steps: each resume
+point it steps from becomes a node of a path DAG, which keeps the segment
+stepped from it and what lies below it once, in time relative to its
+shift, and a run that reaches a node's state takes that node and goes no
+further.  So stepping costs distinct resume states times lines, not paths
+times lines.  Then one depth-first pass over the DAG writes every path
+straight into the one report ``dmfv verify`` prints, its rows, ticks and
+mixer notes shifted as they are written; a path keeps no report of its own
+and no event log.  ``path_shapes`` walks the same tree without stepping,
+for ``dmfv paths``.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import NamedTuple
 
 from . import chip, fluidics, graph
 from .diag import Code, Report, Violation
 from .isa import CondCall, DmfError, Program, TimedLine, ValidationError
+
+
+MAX_CONDITIONALS = 16       # the default limit on a program's conditionals
 
 
 class PathLimitExceeded(DmfError):
@@ -82,7 +83,7 @@ def _count_conditionals(program: Program, max_conditionals: int) -> int:
 
 
 def path_shapes(program: Program, *,
-                max_conditionals: int = 16) -> list[tuple[str, int, int]]:
+                max_conditionals: int = MAX_CONDITIONALS) -> list[tuple[str, int, int]]:
     """(label, line count, final tick) of every path, in label order.
 
     A conditional-free program has the one path labeled with the empty
@@ -108,59 +109,35 @@ def path_shapes(program: Program, *,
     return out
 
 
-class _Leaf(NamedTuple):
-    """A path the walk stepped to its end: its label, untagged rows, last
-    tick (None if no line ran) and output concentrations from the root, the
-    mixers left active, and its end as ``Cursor.finish`` builds it."""
-    label: str
-    rows: list[Violation]
-    last_t: int | None
-    outs: tuple
-    mixers: tuple[chip.MixerEntry, ...]
-    end: Report
-
-
-class _Edge(NamedTuple):
-    """A replay: what the arriving run had from the root (label, untagged
-    rows, last tick, output concentrations), its shift, and the node it
-    replayed."""
-    label: str
-    rows: list[Violation]
-    last_t: int | None
-    outs: tuple
-    delta: int
-    node: _Node
-
-
 class _Node(NamedTuple):
-    """A resume point of the path DAG: the shift at which it was stepped,
-    and in label order what lies below it, relative to its key.  Each entry
-    is a leaf stepped below it or an edge to a node replayed there:
-    (label suffix, output suffix, rows after the key as (rows, start) or
-    None, last tick less the shift or None if no line ran after the key,
-    then the child node and its shift less this one for an edge, or None
-    and the ``_Leaf`` for a leaf)."""
+    """A resume point of the path DAG, stepped at shift ``delta``: the
+    segment stepped from it to the next conditional or to the program's end
+    (its rows, rounded outputs and last tick less ``delta``, None if no line
+    ran), then how the segment ends.  At the program's end, ``end`` holds
+    the run's end facts (``_leaf``).  At a conditional, ``below`` holds one
+    outcome each, in label order: (label digit, the recovery lines' rows
+    and last tick as the segment's, their outputs, the child node, and the
+    child's shift less ``delta``)."""
     delta: int
-    below: list[tuple]
+    rows: list[Violation]
+    outs: tuple
+    last_t: int | None
+    end: tuple[Report, tuple[chip.MixerEntry, ...]] | None
+    below: tuple[tuple, ...]
 
 
-def _node(delta: int, depth: int, n_outs: int, n_rows: int, last_t: int | None,
-          entries: list[_Leaf | _Edge]) -> _Node:
-    """The node of a resume point stepped at shift ``delta`` by a run that
-    had ``depth`` outcomes, ``n_outs`` outputs and ``n_rows`` rows at its key
-    and last ran a line at ``last_t``; ``entries`` are its leaves and edges."""
-    below = []
-    for e in entries:
-        rows = (e.rows, n_rows) if len(e.rows) > n_rows else None
-        t = None if e.last_t == last_t else e.last_t - delta
-        tail = (e.node, e.delta - delta) if type(e) is _Edge else (None, e)
-        below.append((e.label[depth:], e.outs[n_outs:], rows, t, *tail))
-    return _Node(delta, below)
+def _leaf(label: str, cursor: fluidics.Cursor) -> tuple[Report, tuple[chip.MixerEntry, ...]]:
+    """The end facts of the path ``label``, whose run ``cursor`` stepped to
+    its end: its end as ``Cursor.finish`` builds it, and the mixers left
+    active."""
+    return cursor.finish(), cursor.state.mixers
 
 
-def _summary(label: str, cursor: fluidics.Cursor, outs: tuple) -> _Leaf:
-    """The leaf of a path whose run ``cursor`` stepped to its end."""
-    return _Leaf(label, cursor.rows, cursor.last_t, outs, cursor.state.mixers, cursor.finish())
+def _since(cursor: fluidics.Cursor, n_rows: int, last_t: int | None,
+           delta: int) -> tuple[list[Violation], int | None]:
+    """The rows ``cursor`` added after its first ``n_rows``, and its last
+    tick less ``delta`` if a line ran since it was ``last_t`` (else None)."""
+    return cursor.rows[n_rows:], None if cursor.last_t == last_t else cursor.last_t - delta
 
 
 def _later(mx: chip.MixerEntry, d: int) -> chip.MixerEntry:
@@ -168,12 +145,12 @@ def _later(mx: chip.MixerEntry, d: int) -> chip.MixerEntry:
 
 
 def _write_rows(out: list[Violation], path: str | None,
-                segments: list[tuple[list[Violation], int, int]]) -> None:
-    """Append to ``out`` the rows of each (rows, start, d) segment from
-    ``start`` on, d ticks later and tagged with ``path``: one row each, and
-    a row that words a mixer's span re-words it."""
-    for rows, start, d in segments:
-        for v in islice(rows, start, None):
+                segments: list[tuple[list[Violation], int]]) -> None:
+    """Append to ``out`` the rows of each (rows, d) segment, d ticks later
+    and tagged with ``path``: one row each, and a row that words a mixer's
+    span re-words it."""
+    for rows, d in segments:
+        for v in rows:
             mx = d and v.mixer and _later(v.mixer, d)
             out.append(Violation(v.code, v.response, v.t + d, v.instructions, v.cells, v.pins,
                                  path, mx.span() if mx else v.detail, v.secondary,
@@ -205,28 +182,27 @@ def _resume_key(main: tuple[TimedLine, ...], idx: int, cursor: fluidics.Cursor,
 def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
                      policy: str = "first", t_max: int | None = None,
                      only: str | None = None,
-                     max_conditionals: int = 16) -> Report:
+                     max_conditionals: int = MAX_CONDITIONALS) -> Report:
     """Verify every path (or the one selected by ``only``) into one report:
     a ``path L: PASS|FAIL, ends t=T`` note per path in label order, then the
     rows and notes of each path's spliced program verified alone, tagged
     with its label, and the latest final tick of any path.
 
-    The lines a group of paths shares up to a conditional are stepped
-    once: the run is forked there, and each fork goes on under one outcome.
-    Each resume point the walk steps from becomes a node of a path DAG,
-    which keeps its subtree once, relative to the node's shift: the leaf of
-    each path stepped to its end below it (label, rows, outputs and end
-    facts) and an edge to each node replayed below it.  A run that reaches
-    a resume point in a node's state, up to a shift in time, goes no
-    further: each path below the node is written straight into the report
-    from the DAG, its rows and mixer notes shifted as they are written.
+    It runs in two passes.  The walk steps and writes nothing: the lines a
+    group of paths shares up to a conditional are stepped once, the run is
+    forked there, and each fork goes on under one outcome.  Each resume
+    point it steps from becomes a ``_Node`` of a path DAG, relative to the
+    node's shift; a run that reaches a resume point in a node's state, up
+    to a shift in time, goes no further and takes that node.  Then one
+    depth-first pass over the DAG writes every path in label order, its
+    rows, last tick and mixer notes shifted as they are written.
 
     When an input graph is supplied (annotated, as ``graph.parse_input_sg``
     returns it), each clean path is additionally required to deliver the
     same multiset of output concentrations the input graph specifies;
-    recovery detours must re-produce the same mixture: the walk carries each
-    path's output concentrations, rounded once as their lines are stepped,
-    and builds no graph.
+    recovery detours must re-produce the same mixture: the walk keeps the
+    output concentrations of each segment, rounded once as their lines are
+    stepped, and builds no graph.
     """
     k = _count_conditionals(program, max_conditionals)
     if only is not None and (len(only) != k or not set(only) <= {"0", "1"}):
@@ -236,9 +212,6 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
     main = program.main
     root = fluidics.Cursor(program, pin_map=pin_map, policy=policy, t_max=t_max)
     t_max = root.t_max
-    report = Report(t_max=t_max)
-    notes: list[str] = []               # the paths' own notes, after every summary
-    entries: list[_Leaf | _Edge] = []   # every leaf stepped and edge replayed
     memo: dict[tuple, _Node] = {}       # resume key -> its node
 
     def outputs(cursor: fluidics.Cursor, line: TimedLine) -> tuple:
@@ -248,80 +221,93 @@ def verify_all_paths(program: Program, *, pin_map=None, input_sg=None,
         return tuple(graph.round_cf(e.cf, n) for e in cursor.advance(line)
                      if isinstance(e, chip.Outputted))
 
-    def write(label: str, rows: list, final_t: int | None, path_notes: list[str],
-              outs: tuple) -> None:
-        # One path: its rows, given as the segments ``_write_rows`` reads
-        # (the arriving run's first, then the DAG's), its e7 output row if
-        # Phase I is clean, its summary note and its own notes.
-        count = len(report.violations)
-        if len(rows) > 1 or rows[0][0]:
-            _write_rows(report.violations, label or None, rows)
-        clean = len(report.violations) == count
-        if clean and want is not None:
-            clean = _check_outputs(want, sorted(outs), report, label)
-        ok = clean and (t_max is None or final_t is None or final_t <= t_max)
-        report.notes.append(f"path {label}: {'PASS' if ok else 'FAIL'}, ends t={final_t}")
-        if path_notes:
-            notes.extend([f"path {label}: {n}" for n in path_notes])
-        if final_t is not None and (report.final_t is None or final_t > report.final_t):
-            report.final_t = final_t
-
-    def replay(node: _Node, delta: int, label: str, rows: list, last_t: int | None,
-               outs: tuple) -> None:
-        # Write each path below ``node`` for a run that arrives at its key at
-        # shift ``delta``.  The key holds whether the run has failed, so each
-        # row keeps its secondary flag; a concentration does not change
-        # under a shift.
-        d = delta - node.delta
-        for suffix, e_outs, after, t, child, e in node.below:
-            e_label = label + suffix
-            e_rows = rows if after is None else rows + [(*after, d)]
-            e_last = last_t if t is None else t + delta
-            if child is not None:
-                replay(child, e + delta, e_label, e_rows, e_last, outs + e_outs)
-                continue
-            path_notes = e.end.notes
-            if d and e.mixers and path_notes:
-                # a run that did not stop ends its notes with one per mixer
-                path_notes = path_notes[:-len(e.mixers)] + [
-                    fluidics.mixer_note(_later(mx, d)) for mx in e.mixers]
-            write(e_label, e_rows, None if e.end.final_t is None else e_last,
-                  path_notes, outs + e_outs)
-
-    def walk(cursor: fluidics.Cursor, idx: int, delta: int, label: str,
-             outs: tuple) -> None:
+    def walk(cursor: fluidics.Cursor, idx: int, delta: int, label: str) -> _Node:
+        # The node of the resume point ``main[idx]``, reached at shift
+        # ``delta``: one stepped before in the same state, or a new one.
         key = None
         if idx < len(main):
             key = _resume_key(main, idx, cursor, delta)
             node = memo.get(key)
             if node is not None:
-                entries.append(_Edge(label, cursor.rows, cursor.last_t, outs, delta, node))
-                replay(node, delta, label, [(cursor.rows, 0, 0)], cursor.last_t, outs)
-                return
-            first = len(entries)
-            at_key = (delta, len(label), len(outs), len(cursor.rows), cursor.last_t)
+                return node
+        n_rows, last_t, outs = len(cursor.rows), cursor.last_t, ()
         while idx < len(main) and _cond_of(main[idx]) is None:
             line = main[idx]
             outs += outputs(cursor, TimedLine(line.t + delta, line.instrs) if delta else line)
             idx += 1
+        rows, t = _since(cursor, n_rows, last_t, delta)
         if idx == len(main):
-            leaf = _summary(label, cursor, outs)
-            entries.append(leaf)
-            write(label, [(leaf.rows, 0, 0)], leaf.end.final_t, leaf.end.notes, outs)
+            node = _Node(delta, rows, outs, t, _leaf(label, cursor), ())
         else:
+            below = []
             choices = (False, True) if only is None else (only[len(label)] == "1",)
             for i, taken in enumerate(choices):
                 # the last child takes the cursor over; the others get forks
                 child = cursor if i == len(choices) - 1 else cursor.fork()
                 inserted, child_delta = _branch(program, idx, delta, taken)
-                child_outs = outs
+                n_rows, last_t, child_outs = len(child.rows), child.last_t, ()
                 for line in inserted:
                     child_outs += outputs(child, line)
-                walk(child, idx + 1, child_delta, label + "01"[taken], child_outs)
+                digit = "01"[taken]
+                # the recovery's rows and last tick, taken before the child steps on
+                below.append((digit, *_since(child, n_rows, last_t, delta), child_outs,
+                              walk(child, idx + 1, child_delta, label + digit),
+                              child_delta - delta))
+            node = _Node(delta, rows, outs, t, None, tuple(below))
         if key is not None:
-            memo[key] = _node(*at_key, entries[first:])
+            memo[key] = node
+        return node
 
-    walk(root, 0, 0, "", ())
+    report = Report(t_max=t_max)
+    notes: list[str] = []               # the paths' own notes, after every summary
+
+    def write(below: tuple[tuple, ...], delta: int, d: int, label: str, last_t: int | None,
+              outs: tuple, segments: tuple[tuple[list[Violation], int], ...]) -> None:
+        # Write each path below the outcomes ``below`` of a node that a run
+        # reached at shift ``delta``, ``d`` ticks later than the node was
+        # stepped, with ``label`` and, after the node's segment, last tick
+        # ``last_t``, outputs ``outs`` and its rows as (rows, d) segments.
+        # A leaf's path is written here, in its parent's loop.  The resume key holds
+        # whether the run has failed, so each row keeps its secondary flag;
+        # a concentration does not change under a shift.
+        for digit, rec_rows, rec_t, rec_outs, child, shift in below:
+            base, c_rows, c_o, c_t, end, c_below = child
+            c_delta, c_label, c_outs = delta + shift, label + digit, outs + rec_outs + c_o
+            c_last = last_t if rec_t is None else rec_t + delta
+            if c_t is not None:
+                c_last = c_t + c_delta
+            c_d = c_delta - base
+            c_segments = segments
+            if rec_rows:
+                c_segments += ((rec_rows, d),)
+            if c_rows:
+                c_segments += ((c_rows, c_d),)
+            if end is None:
+                write(c_below, c_delta, c_d, c_label, c_last, c_outs, c_segments)
+                continue
+            # One path: its rows, its e7 output row if Phase I is clean,
+            # its summary note and its own notes.
+            finish, mixers = end
+            clean = not c_segments
+            if c_segments:
+                _write_rows(report.violations, c_label or None, c_segments)
+            elif want is not None:
+                clean = _check_outputs(want, sorted(c_outs), report, c_label)
+            final_t = None if finish.final_t is None else c_last
+            ok = clean and (t_max is None or final_t is None or final_t <= t_max)
+            report.notes.append(f"path {c_label}: {'PASS' if ok else 'FAIL'}, ends t={final_t}")
+            path_notes = finish.notes
+            if path_notes:
+                if c_d and mixers:
+                    # a run that did not stop ends its notes with one per mixer
+                    path_notes = path_notes[:-len(mixers)] + [
+                        fluidics.mixer_note(_later(mx, c_d)) for mx in mixers]
+                notes.extend([f"path {c_label}: {n}" for n in path_notes])
+            if final_t is not None and (report.final_t is None or final_t > report.final_t):
+                report.final_t = final_t
+
+    # the root is the one outcome of a node above it
+    write((("", [], None, (), walk(root, 0, 0, ""), 0),), 0, 0, "", None, (), ())
     report.notes += notes
     return report
 

@@ -75,6 +75,8 @@ def _emit(report: Report, fmt: str) -> int:
 def cmd_verify(args) -> int:
     _non_negative("--tmax", args.tmax)
     _non_negative("--max-paths", args.max_paths, "conditional counts")
+    if args.ignore_waste and not args.sg:
+        raise DmfError("verify reads --ignore-waste only with --sg")
     program = _load_program(args.program)
     pin_map = pins.parse_pins(_read(args.pins)) if args.pins else None
     input_sg = graph.parse_input_sg(_read(args.sg)) if args.sg else None
@@ -221,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmfv", description="Verifier for digital microfluidic actuation programs")
     sub = parser.add_subparsers(dest="command", required=True)
+    max_paths_help = f"conditional count guard (default {branches.MAX_CONDITIONALS})"
 
     pv = sub.add_parser("verify", help="check design rules and protocol conformance")
     pv.add_argument("program", help=".dmf actuation program")
@@ -228,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--pins", help="pin assignment (.pins); enables pin-constrained mode")
     pv.add_argument("--tmax", type=int, help="override the completion bound")
     pv.add_argument("--path", help="verify a single path, e.g. --path 10")
-    pv.add_argument("--max-paths", type=int, default=16,
-                    help="conditional count guard (default 16)")
+    pv.add_argument("--max-paths", type=int, default=branches.MAX_CONDITIONALS,
+                    help=max_paths_help)
     pv.add_argument("--all", action="store_true",
                     help="report every violation instead of stopping at the first")
     pv.add_argument("--ignore-waste", action="store_true",
@@ -246,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("paths", help="list the execution paths of a conditional program")
     pp.add_argument("program")
-    pp.add_argument("--max-paths", type=int, default=16)
+    pp.add_argument("--max-paths", type=int, default=branches.MAX_CONDITIONALS,
+                    help=max_paths_help)
     pp.set_defaults(func=cmd_paths)
 
     pi = sub.add_parser("inject", help="write a mutated program reproducing an error class")

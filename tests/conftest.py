@@ -171,19 +171,19 @@ def path_rows(report) -> dict[str | None, list]:
 def stepped_paths(fn, *args, **kw):
     """fn(*args, **kw) and, by label, the final chip state of each path that
     the path walk steps to its end (None for a run stopped at its failing
-    tick), caught by wrapping ``branches._summary``, the one function that
-    summarises a stepped path.  A path missing from it was written from
-    the path DAG, replayed from a path stepped before; tests mark it
-    ``REPLAYED``."""
+    tick), caught by wrapping ``branches._leaf``, the one function that
+    builds the end facts of a path stepped to its end.  A path missing from
+    it reached a node of the path DAG that another path stepped before;
+    tests mark it ``REPLAYED``."""
     from dmfv import branches
 
     finals = {}
-    summary = branches._summary
+    leaf = branches._leaf
 
-    def caught(label, cursor, outs):
+    def caught(label, cursor):
         finals[label] = None if cursor.stopped else cursor.state
-        return summary(label, cursor, outs)
+        return leaf(label, cursor)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(branches, "_summary", caught)
+        m.setattr(branches, "_leaf", caught)
         return fn(*args, **kw), finals

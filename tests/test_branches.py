@@ -596,17 +596,18 @@ def test_whole_reports_match_with_a_tmax_between_the_paths():
 
 def _replay_cases(program, policy, **kw) -> set:
     """What the walk's replays of ``program`` exercise, caught by wrapping
-    ``_write_rows``, which writes each path's rows as segments: the rows of
-    the run that arrives, then those replayed from the path DAG, each
-    segment at its shift d.  The cases: rows replayed at d != 0, under the
-    policy; replayed rows after rows of the path that arrives (which must
-    all be secondary); a row naming a mixer's span replayed at d != 0; a
-    path replayed that stopped at its first failing tick."""
+    ``_write_rows``, which writes each path's rows as segments, each at its
+    shift d: the segments before the first one at d != 0 are the rows of
+    the run that arrives, the rest those replayed from the path DAG.  The
+    cases: rows replayed at d != 0, under the policy; replayed rows after
+    rows of the path that arrives (which must all be secondary); a row
+    naming a mixer's span replayed at d != 0; a path replayed that stopped
+    at its first failing tick."""
     written = []
     write = branches._write_rows
 
     def caught(out, path, segments):
-        written.append((path or "", [(rows[start:], d) for rows, start, d in segments]))
+        written.append((path or "", segments))
         return write(out, path, segments)
 
     with pytest.MonkeyPatch.context() as m:
@@ -614,10 +615,12 @@ def _replay_cases(program, policy, **kw) -> set:
         report, finals = stepped_paths(verify_all_paths, program, policy=policy, **kw)
     verdicts = path_verdicts(report)
     cases = set()
-    for label, ((arrived, _), *segments) in written:
+    for label, segments in written:
         if label in finals:
             continue
-        rows = [(v, d) for vs, d in segments for v in vs]
+        first = next((i for i, (_, d) in enumerate(segments) if d), len(segments))
+        arrived = [v for vs, _ in segments[:first] for v in vs]
+        rows = [(v, d) for vs, d in segments[first:] for v in vs]
         if any(d for _, d in rows):
             cases.add(("d != 0", policy))
         if rows and arrived:

@@ -215,6 +215,26 @@ def test_negative_max_paths_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_max_paths_guard_and_its_boundary(capsys):
+    # recovery.dmf has two conditionals: a limit of one refuses it, and a
+    # limit equal to the count lets it through
+    for cmd in ("verify", "paths"):
+        assert _exits_two([cmd, fx("recovery.dmf"), "--max-paths", "1"], capsys) == (
+            "error: 2 conditionals expand to 2^2 paths; raise the limit explicitly\n")
+        assert main([cmd, fx("recovery.dmf"), "--max-paths", "2"]) == 0
+        assert capsys.readouterr().out.count("path ") == 4
+
+
+def test_ignore_waste_without_sg_exits_two(capsys):
+    # without an input graph there is no conformance for the flag to relax
+    for name in ("pcr.dmf", "recovery.dmf"):
+        assert _exits_two(["verify", fx(name), "--ignore-waste"], capsys) == (
+            "error: verify reads --ignore-waste only with --sg\n")
+        assert main(["verify", fx(name), "--sg", fx(name.replace(".dmf", ".sg")),
+                     "--ignore-waste"]) == 0
+        capsys.readouterr()
+
+
 def test_duplicate_headers_exit_two(tmp_path, capsys):
     # a second header line would silently replace the first
     prog, spec = tmp_path / "twice.dmf", tmp_path / "twice.sg"
