@@ -30,10 +30,9 @@ happens only in ``graph``.  This module imports no ``dmfv`` module but
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .isa import ChipHeader, DetectorDecl, Loc, MType
+from .isa import ChipHeader, DetectorDecl, Loc, MType, value
 
 
 class InconsistentState(Exception):
@@ -98,14 +97,14 @@ def cf_mix(a: CFVector, b: CFVector) -> CFVector:
     return CFVector(nums, a.exp + 1) if d else CFVector.normal(nums, a.exp + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Droplet:
+@value
+class Droplet(NamedTuple):
     node: str           # sequencing-graph identity (reagent name or mix id)
     cf: CFVector
 
 
-@dataclass(frozen=True, slots=True)
-class MixerEntry:
+@value
+class MixerEntry(NamedTuple):
     a: Loc
     b: Loc
     t_s: int
@@ -116,8 +115,8 @@ class MixerEntry:
         return f"mix {self.a}..{self.b} [{self.t_s},{self.t_e}]"
 
 
-@dataclass(frozen=True, slots=True)
-class DetectionEntry:
+@value
+class DetectionEntry(NamedTuple):
     detector: str
     loc: Loc
     t_end: int          # droplet is pinned for ticks < t_end
@@ -125,16 +124,16 @@ class DetectionEntry:
 
 # --- trace events -------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Dispensed:
+@value
+class Dispensed(NamedTuple):
     t: int
     node: str           # reagent name
     loc: Loc
     cf: CFVector
 
 
-@dataclass(frozen=True, slots=True)
-class MixStarted:
+@value
+class MixStarted(NamedTuple):
     t: int
     a: Loc
     b: Loc
@@ -143,8 +142,8 @@ class MixStarted:
     input_nodes: tuple[str, str]
 
 
-@dataclass(frozen=True, slots=True)
-class MixCompleted:
+@value
+class MixCompleted(NamedTuple):
     t: int              # equals the mixer's t_e
     node: str           # fresh id shared by both result droplets
     a: Loc
@@ -155,16 +154,16 @@ class MixCompleted:
     cf: CFVector
 
 
-@dataclass(frozen=True, slots=True)
-class Wasted:
+@value
+class Wasted(NamedTuple):
     t: int
     node: str
     loc: Loc
     cf: CFVector
 
 
-@dataclass(frozen=True, slots=True)
-class Outputted:
+@value
+class Outputted(NamedTuple):
     t: int
     node: str
     loc: Loc

@@ -10,11 +10,11 @@ its code (``CONSEQUENCE``); a pin row's consequence is its response.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .chip import MixerEntry
-from .isa import Loc
+from .isa import Loc, Record, Value, value
 
 
 class Code(Enum):
@@ -53,8 +53,8 @@ CAUSE = {
 PHASE2_CODES = {Code.E6, Code.E7}
 
 
-@dataclass(frozen=True)
-class Violation:
+@value
+class Violation(NamedTuple):
     code: Code
     response: str                       # verifier response column
     t: int | None = None
@@ -65,8 +65,13 @@ class Violation:
     detail: str = ""
     secondary: bool = False             # possible cascade after an earlier failure
     # the mixer whose span ``detail`` words, so that a row shifted in time
-    # re-words it (not part of the row's value)
-    mixer: MixerEntry | None = field(default=None, compare=False, repr=False)
+    # re-words it: not part of the row's value, so out of its equality, hash
+    # and repr (``_replace`` keeps it)
+    mixer: MixerEntry | None = None
+
+    __match_args__ = ("code", "response", "t", "instructions", "cells", "pins", "path",
+                      "detail", "secondary")
+    __hash__, __repr__ = Value.__hash__, Record.__repr__
 
     @property
     def phase(self) -> int:
@@ -80,12 +85,14 @@ class Violation:
         return " ".join(self.instructions)
 
 
-@dataclass
-class Report:
-    violations: list[Violation] = field(default_factory=list)
-    final_t: int | None = None
-    t_max: int | None = None
-    notes: list[str] = field(default_factory=list)
+class Report(Record):
+    __slots__ = __match_args__ = ("violations", "final_t", "t_max", "notes")
+
+    def __init__(self, violations: list[Violation] | None = None, final_t: int | None = None,
+                 t_max: int | None = None, notes: list[str] | None = None) -> None:
+        self.violations = [] if violations is None else violations
+        self.final_t, self.t_max = final_t, t_max
+        self.notes = [] if notes is None else notes
 
     @property
     def tmax_exceeded(self) -> bool:

@@ -54,15 +54,14 @@ committed state and is static (e1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import chip, pins
 from .chip import CFVector, ChipState, DetectionEntry, Droplet, MixerEntry
 from .diag import Code, Report, Violation
 from .isa import (CondCall, Dispense, DetectStart, DmfError, End, Instruction, Loc,
-                  MixStart, Move, MType, Output, Program, RKind, TimedLine,
-                  ValidationError, Waste)
+                  MixStart, Move, MType, Output, Program, Record, RKind, TimedLine,
+                  ValidationError, Waste, value)
 
 
 class EngineError(DmfError):
@@ -154,8 +153,8 @@ class LineContext:
         return moved, arrived, removed
 
 
-@dataclass(frozen=True)
-class Rule:
+@value
+class Rule(NamedTuple):
     """What one instruction type does on a tick.
 
     ``consumes(state, instr)`` gives the cells of the droplets it takes up,
@@ -365,11 +364,12 @@ RULES: dict[type, Rule] = {
 
 # --- stepping ------------------------------------------------------------------
 
-@dataclass(slots=True)
-class StepResult:
-    state: ChipState
-    violations: list[Violation]
-    events: list[chip.Event]
+class StepResult(Record):
+    __slots__ = __match_args__ = ("state", "violations", "events")
+
+    def __init__(self, state: ChipState, violations: list[Violation],
+                 events: list[chip.Event]) -> None:
+        self.state, self.violations, self.events = state, violations, events
 
 
 def expire(state: ChipState, t: int) -> tuple[ChipState, list[chip.MixCompleted]]:
@@ -427,15 +427,18 @@ def _transport(snapshot: ChipState, instrs, t: int) -> ChipState:
     return new
 
 
-@dataclass(slots=True)
-class MemoEntry:
+class MemoEntry(Record):
     """A run's clean verdicts of one line body, kept under the body's id
     (which the entry keeps alive): the snapshot signatures on which it
     passed every check, and its commit plan (``_plan``), built on its first
     hit."""
-    instrs: tuple[Instruction, ...]
-    signatures: set[tuple] = field(default_factory=set)
-    plan: tuple | None = None
+
+    __slots__ = __match_args__ = ("instrs", "signatures", "plan")
+
+    def __init__(self, instrs: tuple[Instruction, ...]) -> None:
+        self.instrs = instrs
+        self.signatures: set[tuple] = set()
+        self.plan: tuple | None = None
 
 
 StepMemo = dict[int, MemoEntry]
@@ -648,10 +651,12 @@ def format_event(ev: chip.Event) -> str:
     return f"{ev.t}\toutput\t{ev.node}\t{ev.loc}\tcf={ev.cf}"
 
 
-@dataclass
-class Trace:
-    reagents: tuple[str, ...]
-    events: list[chip.Event] = field(default_factory=list)
+class Trace(Record):
+    __slots__ = __match_args__ = ("reagents", "events")
+
+    def __init__(self, reagents: tuple[str, ...], events: list[chip.Event] | None = None) -> None:
+        self.reagents = reagents
+        self.events = [] if events is None else events
 
     def event_log(self) -> str:
         """Newline-delimited event dump for debugging."""
@@ -698,7 +703,7 @@ class Cursor:
                       memo=self.memo)
         for v in result.violations:
             if self.first_bad_t is not None and line.t > self.first_bad_t:
-                v = replace(v, secondary=True)
+                v = v._replace(secondary=True)
             self.rows.append(v)
         if result.violations and self.first_bad_t is None:
             self.first_bad_t = line.t

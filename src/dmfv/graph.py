@@ -13,13 +13,12 @@ level).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from math import gcd
 
 from . import chip
 from .chip import CFVector, cf_mix
 from .diag import Code, Report, Violation
-from .isa import DmfError, ParseError, content_lines
+from .isa import DmfError, ParseError, Record, content_lines
 
 
 class CycleDetected(DmfError):
@@ -71,22 +70,26 @@ def ratio_str(cf: CFVector, reagents: tuple[str, ...], n: int) -> str:
 DISPENSE, MIX, OUTPUT, WASTE = "dispense", "mix", "output", "waste"
 
 
-@dataclass
-class SGNode:
-    id: str
-    kind: str
-    reagent: str | None = None
-    t_mix: int | None = None       # specified duration (input graphs)
-    t_s: int | None = None         # realized window (reconstructed graphs)
-    t_e: int | None = None
-    cf: CFVector | None = None
+class SGNode(Record):
+    __slots__ = __match_args__ = ("id", "kind", "reagent", "t_mix", "t_s", "t_e", "cf")
+
+    def __init__(self, id: str, kind: str, reagent: str | None = None,
+                 t_mix: int | None = None, t_s: int | None = None, t_e: int | None = None,
+                 cf: CFVector | None = None) -> None:
+        self.id, self.kind, self.reagent = id, kind, reagent
+        self.t_mix = t_mix          # specified duration (input graphs)
+        self.t_s, self.t_e = t_s, t_e   # realized window (reconstructed graphs)
+        self.cf = cf
 
 
-@dataclass
-class SeqGraph:
-    reagents: tuple[str, ...] = ()
-    nodes: dict[str, SGNode] = field(default_factory=dict)
-    edges: list[tuple[str, str]] = field(default_factory=list)  # repeats = multiplicity
+class SeqGraph(Record):
+    __slots__ = __match_args__ = ("reagents", "nodes", "edges")
+
+    def __init__(self, reagents: tuple[str, ...] = (), nodes: dict[str, SGNode] | None = None,
+                 edges: list[tuple[str, str]] | None = None) -> None:
+        self.reagents = reagents
+        self.nodes = {} if nodes is None else nodes
+        self.edges = [] if edges is None else edges     # repeats = multiplicity
 
     def add_node(self, node: SGNode) -> SGNode:
         if node.id in self.nodes:

@@ -7,20 +7,20 @@ e5/e6/e7 take the mutation site as parameters with simple defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import chip, fluidics
 from .isa import (Dispense, DmfError, End, Instruction, Loc, MixStart, Move, MType,
                   Program, RKind, ReservoirDecl, TimedLine, parse_program,
-                  serialize_program)
+                  serialize_program, value)
 
 
 class MutationInapplicable(DmfError):
     pass
 
 
-@dataclass(frozen=True)
-class InjectionSpec:
+@value
+class InjectionSpec(NamedTuple):
     code: str                       # e1..e7 or "pin"
     line: int | None = None         # timestamp of the targeted line
     pos: int | None = None          # instruction index within that line

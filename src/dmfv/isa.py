@@ -16,7 +16,7 @@ the arrow form.
 Within one ``parse_program`` call each distinct line body parses once (by
 its tokens, else by ``_scan``) and each distinct cell builds its ``Loc``
 once.  Each distinct token builds its instruction once per process, in the
-table ``_TOKENS``: an instruction is a slotted frozen dataclass that depends
+table ``_TOKENS``: an instruction is a slotted frozen ``Value`` that depends
 only on its token's text, so programs for one chip share it exactly (bounds
 depend on the array and are checked per program).  What the checks read of
 an instruction's cells is built with it, out of equality and repr: an
@@ -37,11 +37,74 @@ and tests no bounds itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
+
+
+# --- records and values -----------------------------------------------------
+
+# dmfv's record and value types are plain classes, slotted classes and
+# NamedTuples rather than dataclasses: importing ``dataclasses`` and
+# generating each class's methods with it took most of ``import dmfv.cli``.
+
+def _astuple(x) -> tuple:
+    # the values of a record's fields, which are its ``__match_args__``
+    return tuple([getattr(x, name) for name in x.__match_args__])
+
+
+class Record:
+    """Base of the plain record classes.  A record's fields are its
+    ``__match_args__``: it equals only a record of its own type with equal
+    fields, and its repr shows them.  A record may change, so it has no hash."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and _astuple(self) == _astuple(other)
+
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({shown})"
+
+
+class Value(Record):
+    """A record that never changes: ``__init__`` sets its attributes through
+    ``object.__setattr__`` and nothing sets them later.  It hashes as the
+    tuple of its fields.  Any other attribute is built from its fields, out
+    of its equality, hash and repr."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(_astuple(self))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is frozen")
+
+    def _replace(self, **changes):
+        """The value built from its fields, with those in ``changes`` replaced."""
+        return type(self)(**{name: getattr(self, name) for name in self.__match_args__} | changes)
+
+    def __reduce__(self):
+        # copy and pickle rebuild a value from its fields, as it refuses assignment
+        return type(self), _astuple(self)
+
+
+def value(cls):
+    """Give a ``NamedTuple`` class the equality of a record, so that it equals
+    no plain tuple and no value of another type.  It keeps the tuple's hash,
+    which is the hash of its fields, as a ``Value``'s is."""
+    cls.__eq__, cls.__ne__ = Record.__eq__, Record.__ne__
+    return cls
 
 
 class Loc(NamedTuple):
@@ -64,8 +127,8 @@ class MType(Enum):
     V41 = "41"
 
 
-@dataclass(frozen=True)
-class ReservoirDecl:
+@value
+class ReservoirDecl(NamedTuple):
     loc: Loc
     kind: RKind
     name: str | None = None  # reagent name, only for RKind.REAGENT
@@ -76,8 +139,8 @@ class ReservoirDecl:
         return f"{self.kind.value}({self.loc.row},{self.loc.col})"
 
 
-@dataclass(frozen=True)
-class DetectorDecl:
+@value
+class DetectorDecl(NamedTuple):
     id: str
     loc: Loc
     duration: int
@@ -86,8 +149,8 @@ class DetectorDecl:
         return f"D({self.id},{self.loc.row},{self.loc.col},{self.duration})"
 
 
-@dataclass(frozen=True)
-class ChipHeader:
+@value
+class ChipHeader(NamedTuple):
     rows: int
     cols: int
     accuracy: int
@@ -117,17 +180,17 @@ _OFF = float("inf")
 _PROBE_CELLS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class _Placed:
+class _Placed(Value):
     """An instruction that names cells, with its extent: the largest row and
-    column it names, or ``_OFF``.  It is built with the instruction
-    (``_place``) and is out of equality, hashing and repr."""
-    max_row: int = field(init=False, compare=False, repr=False)
-    max_col: int = field(init=False, compare=False, repr=False)
+    column it names, or ``_OFF``.  It is built with the instruction and is
+    out of equality, hashing and repr.  This ``__init__`` is that of an
+    instruction whose one field is its one cell (dispense, waste, output)."""
 
-    def __post_init__(self) -> None:
-        # the one cell of a dispense, waste or output; moves and mixes name two
-        _place(self, self.loc, self.loc)
+    __slots__ = ("max_row", "max_col")
+
+    def __init__(self, loc: Loc) -> None:
+        object.__setattr__(self, "loc", loc)
+        _place(self, loc, loc)
 
 
 def _place(instr: _Placed, a: Loc, b: Loc) -> None:
@@ -137,9 +200,8 @@ def _place(instr: _Placed, a: Loc, b: Loc) -> None:
     setattr_(instr, "max_col", (c1 if c1 > c2 else c2) if c1 > 0 < c2 else _OFF)
 
 
-@dataclass(frozen=True, slots=True)
 class Dispense(_Placed):
-    loc: Loc
+    __slots__ = __match_args__ = ("loc",)
 
     def compact(self) -> str:
         return f"d({self.loc.row},{self.loc.col})"
@@ -147,20 +209,16 @@ class Dispense(_Placed):
     canonical = compact
 
 
-@dataclass(frozen=True, slots=True)
 class Move(_Placed):
-    src: Loc
-    dst: Loc
-    # the three cells beyond the destination that the dynamic rule checks,
-    # sorted, as shared (row, col) pairs; they may lie off the array
-    probes: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    # ``probes``: the three cells beyond the destination that the dynamic
+    # rule checks, sorted, as shared (row, col) pairs; they may lie off the
+    # array
+    __slots__ = ("src", "dst", "probes")
+    __match_args__ = ("src", "dst")
 
-    def __post_init__(self) -> None:
+    def __init__(self, src: Loc, dst: Loc) -> None:
         # _place inline, as a move is the commonest instruction to build
-        (r0, c0), (r, c) = self.src, self.dst
-        setattr_ = object.__setattr__
-        setattr_(self, "max_row", (r if r > r0 else r0) if r > 0 < r0 else _OFF)
-        setattr_(self, "max_col", (c if c > c0 else c0) if c > 0 < c0 else _OFF)
+        (r0, c0), (r, c) = src, dst
         if c != c0:
             beyond = c + c - c0
             a, b, d = (r - 1, beyond), (r, beyond), (r + 1, beyond)
@@ -168,6 +226,11 @@ class Move(_Placed):
             beyond = r + r - r0
             a, b, d = (beyond, c - 1), (beyond, c), (beyond, c + 1)
         share = _PROBE_CELLS.setdefault
+        setattr_ = object.__setattr__
+        setattr_(self, "src", src)
+        setattr_(self, "dst", dst)
+        setattr_(self, "max_row", (r if r > r0 else r0) if r > 0 < r0 else _OFF)
+        setattr_(self, "max_col", (c if c > c0 else c0) if c > 0 < c0 else _OFF)
         setattr_(self, "probes", (share(a, a), share(b, b), share(d, d)))
 
     def compact(self) -> str:
@@ -177,15 +240,16 @@ class Move(_Placed):
         return f"m([{self.src.row},{self.src.col}]->[{self.dst.row},{self.dst.col}])"
 
 
-@dataclass(frozen=True, slots=True)
 class MixStart(_Placed):
-    a: Loc
-    b: Loc
-    t_mix: int
-    mtype: MType
+    __slots__ = __match_args__ = ("a", "b", "t_mix", "mtype")
 
-    def __post_init__(self) -> None:
-        _place(self, self.a, self.b)
+    def __init__(self, a: Loc, b: Loc, t_mix: int, mtype: MType) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "a", a)
+        setattr_(self, "b", b)
+        setattr_(self, "t_mix", t_mix)
+        setattr_(self, "mtype", mtype)
+        _place(self, a, b)
 
     def compact(self) -> str:
         return (f"mix({self.a.row},{self.a.col},{self.b.row},{self.b.col},"
@@ -196,9 +260,8 @@ class MixStart(_Placed):
                 f"{self.t_mix},{self.mtype.value})")
 
 
-@dataclass(frozen=True, slots=True)
 class Waste(_Placed):
-    loc: Loc
+    __slots__ = __match_args__ = ("loc",)
 
     def compact(self) -> str:
         return f"waste({self.loc.row},{self.loc.col})"
@@ -206,9 +269,8 @@ class Waste(_Placed):
     canonical = compact
 
 
-@dataclass(frozen=True, slots=True)
 class Output(_Placed):
-    loc: Loc
+    __slots__ = __match_args__ = ("loc",)
 
     def compact(self) -> str:
         return f"output({self.loc.row},{self.loc.col})"
@@ -216,10 +278,12 @@ class Output(_Placed):
     canonical = compact
 
 
-@dataclass(frozen=True, slots=True)
-class DetectStart:
-    detector: str
+class DetectStart(Value):
+    __slots__ = __match_args__ = ("detector",)
     max_row = max_col = _OFF
+
+    def __init__(self, detector: str) -> None:
+        object.__setattr__(self, "detector", detector)
 
     def compact(self) -> str:
         return f"detect({self.detector})"
@@ -227,11 +291,13 @@ class DetectStart:
     canonical = compact
 
 
-@dataclass(frozen=True, slots=True)
-class CondCall:
-    detector: str
-    recovery: str
+class CondCall(Value):
+    __slots__ = __match_args__ = ("detector", "recovery")
     max_row = max_col = _OFF
+
+    def __init__(self, detector: str, recovery: str) -> None:
+        object.__setattr__(self, "detector", detector)
+        object.__setattr__(self, "recovery", recovery)
 
     def compact(self) -> str:
         return f"if({self.detector}) call Recovery({self.recovery})"
@@ -239,8 +305,8 @@ class CondCall:
     canonical = compact
 
 
-@dataclass(frozen=True, slots=True)
-class End:
+class End(Value):
+    __slots__ = ()
     max_row = max_col = _OFF
 
     def compact(self) -> str:
@@ -252,8 +318,8 @@ class End:
 Instruction = Dispense | Move | MixStart | Waste | Output | DetectStart | CondCall | End
 
 
-@dataclass(frozen=True, slots=True)
-class TimedLine:
+@value
+class TimedLine(NamedTuple):
     t: int
     instrs: tuple[Instruction, ...]
 
@@ -261,13 +327,22 @@ class TimedLine:
         return f"{self.t} " + " ".join(i.canonical() for i in self.instrs)
 
 
-@dataclass(frozen=True)
-class Program:
-    header: ChipHeader
-    main: tuple[TimedLine, ...]
-    detectors: tuple[DetectorDecl, ...] = ()
-    recoveries: dict[str, tuple[TimedLine, ...]] = field(default_factory=dict)
-    t_max: int | None = None
+class Program(Value):
+    """A parsed program: its five fields are its value.  What is worked out
+    from them (``issues``, ``has_conditionals``) is kept in its ``__dict__``."""
+
+    __match_args__ = ("header", "main", "detectors", "recoveries", "t_max")
+
+    def __init__(self, header: ChipHeader, main: tuple[TimedLine, ...],
+                 detectors: tuple[DetectorDecl, ...] = (),
+                 recoveries: dict[str, tuple[TimedLine, ...]] | None = None,
+                 t_max: int | None = None) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "header", header)
+        setattr_(self, "main", main)
+        setattr_(self, "detectors", detectors)
+        setattr_(self, "recoveries", {} if recoveries is None else recoveries)
+        setattr_(self, "t_max", t_max)
 
     @cached_property
     def has_conditionals(self) -> bool:
@@ -295,8 +370,8 @@ class ParseError(DmfError):
         super().__init__(f"{loc}: {message}{suffix}")
 
 
-@dataclass(frozen=True)
-class SemanticError:
+@value
+class SemanticError(NamedTuple):
     code: str
     message: str
     t: int | None = None

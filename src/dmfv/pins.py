@@ -31,36 +31,33 @@ droplet split").  A row's consequence is its response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, filterfalse, product
 from operator import itemgetter
 
 from .chip import ChipState
 from .diag import Code, Violation
-from .isa import ChipHeader, DmfError, Loc, TimedLine, content_lines
+from .isa import ChipHeader, DmfError, Loc, Record, TimedLine, content_lines
 
 
 class OutOfBounds(DmfError):
     """A remapped cell off the pin map's array."""
 
 
-@dataclass(frozen=True)
-class PinMap:
-    rows: int
-    cols: int
-    pin: dict[tuple[int, int], int]     # (row, col) -> pin; Loc keys compare equal
-    # per-cell caches, filled on first use; not part of the map's value
-    _n4_pins: dict[Loc, frozenset[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _n4: dict[Loc, frozenset[Loc]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _split: set[Loc] = field(default_factory=set, init=False, repr=False, compare=False)
+class PinMap(Record):
+    __slots__ = ("rows", "cols", "pin", "_n4_pins", "_n4", "_split")
+    __match_args__ = ("rows", "cols", "pin")
 
-    def __post_init__(self):
+    def __init__(self, rows: int, cols: int, pin: dict[tuple[int, int], int]) -> None:
+        self.rows, self.cols = rows, cols
+        self.pin = pin      # (row, col) -> pin; Loc keys compare equal
+        # per-cell caches, filled on first use; not part of the map's value
+        self._n4_pins: dict[Loc, frozenset[int]] = {}
+        self._n4: dict[Loc, frozenset[Loc]] = {}
+        self._split: set[Loc] = set()
         # the one coverage check: the map's cells are exactly its array's
-        order, cells = _cells(self.rows, self.cols)
-        if self.pin.keys() != cells:
+        order, cells = _cells(rows, cols)
+        if pin.keys() != cells:
             missing = next(filterfalse(self.pin.__contains__, order), None)
             if missing is not None:
                 raise DmfError(f"pin map is missing cell ({missing[0]},{missing[1]})")
@@ -243,7 +240,7 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, line: Tim
         for loc, i in dispensed:
             v = _dispense_row(pmap, loc, owners)
             if v is not None:
-                out.append(replace(v, t=t, instructions=(line.instrs[i].compact(),)))
+                out.append(v._replace(t=t, instructions=(line.instrs[i].compact(),)))
 
     # participants: (old, new, instr index or None); mixer endpoints excluded.
     # Case 1 covers every droplet; its rows follow the pair rows.
@@ -255,7 +252,7 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, line: Tim
         if v is not None:
             idx = moved.get(loc)
             instrs = (line.instrs[idx[1]].compact(),) if idx else ()
-            case1.append(replace(v, t=t, instructions=instrs))
+            case1.append(v._replace(t=t, instructions=instrs))
         if loc in pinned_cells:
             continue
         if loc in moved:
@@ -274,7 +271,7 @@ def pin_phase(pmap: PinMap, snapshot: ChipState, committed: ChipState, line: Tim
         if v is not None:
             idxs = tuple(sorted(i for i in (i1, i2) if i is not None))
             instrs = tuple(line.instrs[i].compact() for i in idxs)
-            out.append(replace(v, t=t, instructions=instrs))
+            out.append(v._replace(t=t, instructions=instrs))
     out.extend(case1)
     return out
 

@@ -1,5 +1,5 @@
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -57,7 +57,7 @@ def enumerate_paths(program: Program, *, max_conditionals: int = 16) -> list[Pat
 
 def _tagged(report: Report, label: str) -> Report:
     """``report``, its rows and notes now tagged with the path's label."""
-    report.violations = [replace(v, path=label or None) for v in report.violations]
+    report.violations = [v._replace(path=label or None) for v in report.violations]
     report.notes = [f"path {label}: {n}" for n in report.notes]
     return report
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import random
@@ -203,7 +202,7 @@ def test_consumes_runs_once_per_instruction_per_step(monkeypatch):
         def counted(state, instr, consumes=rule.consumes):
             calls[0] += 1
             return consumes(state, instr)
-        monkeypatch.setitem(fluidics.RULES, kind, dataclasses.replace(rule, consumes=counted))
+        monkeypatch.setitem(fluidics.RULES, kind, rule._replace(consumes=counted))
     bulk = count_bulk_passes(monkeypatch)
     for name in ("pcr.dmf", "twowaymix.dmf", "threeway_bad.dmf"):
         prog = parse_program(load(name))
@@ -648,7 +647,7 @@ def test_grid_holds_only_cells_on_the_array(monkeypatch, capsys):
 
 def test_ticks_refuse_a_line_before_tick_zero():
     prog = parse_program(load("twowaymix.dmf"))
-    early = dataclasses.replace(prog, main=(TimedLine(-1, (Dispense(Loc(1, 1)),)), *prog.main))
+    early = prog._replace(main=(TimedLine(-1, (Dispense(Loc(1, 1)),)), *prog.main))
     assert [i.code for i in early.issues] == ["BadTimestamp"]
     with pytest.raises(ValidationError, match="BadTimestamp at t=-1"):
         list(ticks(early))
@@ -929,7 +928,7 @@ def test_checks_run_once_per_body_and_layout(monkeypatch):
         def counted(state, instr, i, ctx, check=rule.check):
             calls[0] += 1
             return check(state, instr, i, ctx)
-        monkeypatch.setitem(fluidics.RULES, kind, dataclasses.replace(rule, check=counted))
+        monkeypatch.setitem(fluidics.RULES, kind, rule._replace(check=counted))
     checked = count_checked_lines(monkeypatch)
     rounds = 10
     lines = ["1 d(3,2) d(3,5)"]

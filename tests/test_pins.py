@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -290,7 +289,7 @@ def all_pairs_pin_phase(pmap, snapshot, committed, ctx, passed):
         others = tuple(l for l, _ in dispensed if l != loc)
         f = scan_dispense_pins(pmap, snapshot, loc, extra_droplets=others)
         if f is not None:
-            out.append(replace(f, t=t, instructions=(line.instrs[i].compact(),)))
+            out.append(f._replace(t=t, instructions=(line.instrs[i].compact(),)))
     participants = []
     pinned_cells = {c for mx in committed.mixers for c in (mx.a, mx.b)}
     for loc in sorted(committed.by_loc):
@@ -315,13 +314,13 @@ def all_pairs_pin_phase(pmap, snapshot, committed, ctx, passed):
             if f is not None:
                 idxs = tuple(sorted(i for i in (i1, i2) if i is not None))
                 instrs = tuple(line.instrs[i].compact() for i in idxs)
-                out.append(replace(f, t=t, instructions=instrs))
+                out.append(f._replace(t=t, instructions=instrs))
     for loc in sorted(committed.by_loc):
         f = scan_case1(pmap, loc)
         if f is not None:
             idx = moved.get(loc)
             instrs = (line.instrs[idx[1]].compact(),) if idx else ()
-            out.append(replace(f, t=t, instructions=instrs))
+            out.append(f._replace(t=t, instructions=instrs))
     return out
 
 
