@@ -6,7 +6,10 @@ table lookup (witness checking, no solver).  Concurrent instructions on one
 line are all validated against that snapshot plus the intra-tick claim set,
 then their effects commit together; a global separation check runs on the
 committed state.  It also covers every active mixer's guard region, since
-each droplet in that region is adjacent to an occupied mixer endpoint.
+each droplet in that region is adjacent to an occupied mixer endpoint.  One
+C-level ``isdisjoint`` over each droplet's forward neighbours
+(``isa.FORWARD``) proves a clean state clean; only a state with an
+adjacent pair takes the loop that finds and words the pairs.
 
 What each instruction does is written once, in ``RULES``: the cells of the
 droplets it consumes, the cells it claims, its check and the phase in which
@@ -14,10 +17,11 @@ its effect commits.  Only this module reads that table: ``LineContext``
 reads a line off it once, and ``step`` and the injection search read the
 line from there.  One generic rule rejects a droplet that two instructions
 of a line consume; each entry keeps its own wording.
-Check fast, explain slow: a line of moves that the per-instruction checks
-would pass passes whole (``_moves_pass``) and commits as one transport
-(``_transport``); any other line is checked one instruction at a time, which
-words its rows, and commits instruction by instruction (``_commit``).
+Check fast, explain slow: a line of moves is checked and committed in one
+pass (``_transport``), whose plain tests are the per-instruction checks'
+literals; a line it refuses, and any other line, is checked one instruction
+at a time, which words its rows, and commits instruction by instruction
+(``_commit``).
 
 ``Cursor`` is the one engine that steps lines.  ``verify_program``, the
 path walk and ``state_at`` advance it over timed lines only; ``ticks`` also
@@ -25,16 +29,19 @@ passes the idle ticks between lines, and rendering and the injection search
 read their states from it.  A cursor keeps no event log: it hands each
 line's events to its caller, and ``verify_program`` collects them.
 
-A cursor keeps, for its run, the clean verdicts of the lines it stepped,
-keyed by line body and by what the checks read in the snapshot: the
-occupied cells, the active mixers' endpoints and the busy detectors.  A
-line whose body already passed on the same cells passes again without its
-checks: it runs the body's stored commit plan on the tick's one copy of the
-state, so it costs only its effects.  That is exact, because no rule reads
-anything else that changes during a run (``step`` gives the argument rule
-by rule); assays that repeat their transport and mix lines on the same
-layout check each once.  Forks share these verdicts, as they share the
-program.
+A cursor keeps, for its run, the clean verdicts of the lines it stepped
+whose body the run can step twice (``Program.repeats``: a body on two or
+more lines, or any body of a conditional program, whose forks re-step
+shared suffixes), keyed by line body and by what the checks read in the
+snapshot: the occupied cells, the active mixers' endpoints and the busy
+detectors.  A line whose body already passed on the same cells passes
+again without its checks: it runs the body's stored commit plan on the
+tick's one copy of the state, so it costs only its effects.  That is exact,
+because no rule reads anything else that changes during a run (``step``
+gives the argument rule by rule); assays that repeat their transport and
+mix lines on the same layout check each once.  A body that cannot repeat
+builds no key and keeps no entry.  Forks share these verdicts, as they
+share the program.
 
 A cursor raises ``ValidationError`` for a program with structural issues
 (``Program.issues``), so every cell a line names is on the array and every
@@ -43,8 +50,8 @@ detector it names is declared.  The chip's one droplet index,
 names a droplet by its cell: what a line consumes, what a mixer or a
 detection holds.  Probes of it test no bounds: the index holds only cells on
 the array, and a probe off it simply misses.  A commit that would overwrite
-a droplet raises ``chip.InconsistentState``: at the write, or, for a
-transport, by the count of droplets after it.
+a droplet raises ``chip.InconsistentState`` at the write; the one-pass
+transport refuses such a line, and the per-instruction path words its rows.
 
 Violation classification follows the error taxonomy: a movement conflict
 with a droplet that also moves this tick is dynamic (e2, both instructions
@@ -54,13 +61,15 @@ committed state and is static (e1).
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import chip, pins
 from .chip import CFVector, ChipState, DetectionEntry, Droplet, MixerEntry
 from .diag import Code, Report, Violation
-from .isa import (CondCall, Dispense, DetectStart, DmfError, End, Instruction, Loc,
-                  MixStart, Move, MType, Output, Program, Record, RKind, TimedLine,
+from .isa import (FORWARD, CondCall, Dispense, DetectStart, DmfError, End, Instruction,
+                  Loc, MixStart, Move, MType, Output, Program, Record, RKind, TimedLine,
                   ValidationError, Waste, value)
 
 
@@ -393,37 +402,46 @@ def _consumed_twice(ctx: LineContext, rule: Rule, instr: Instruction, i: int,
     return None
 
 
-def _moves_pass(snapshot: ChipState, instrs) -> dict[Loc, int] | None:
-    """The claims {destination: position} of a line of moves that passes its
-    checks on a snapshot with no active mixer or detection; else None.  One
-    pass tests each move, its probes read off the move (``Move.probes``);
-    the counts then find a source or destination that two moves share."""
+_probes = attrgetter("probes")
+
+
+def _transport(snapshot: ChipState, instrs, t: int) -> ChipState | None:
+    """The committed state of a line of moves that passes every check, on a
+    snapshot with no active mixer or detection, as ``_commit`` builds it
+    down to the order of ``by_loc``, with no events; else None, and nothing
+    is written into the snapshot.
+
+    One loop tests each instruction with plain ifs: a move whose source is
+    occupied in the snapshot and not yet taken by the line, and whose
+    destination is free there; then it moves the droplet in one copy of the
+    index.  A destination that two moves share shrinks the index, and one
+    ``isdisjoint`` over every move's probes (``Move.probes``) finds a
+    droplet beyond a destination.  A line that opens or ends with another
+    instruction (as moves that run beside a mix or a sink do) is refused
+    before the copy."""
     if snapshot.mixers or snapshot.detections:
         return None
-    cells = snapshot.by_loc.keys()
-    claimed: dict[Loc, int] = {}
-    sources: set[Loc] = set()
-    for i, instr in enumerate(instrs):
+    if instrs and (type(instrs[0]) is not Move or type(instrs[-1]) is not Move):
+        return None
+    cells = snapshot.by_loc
+    new = snapshot.copy()
+    by_loc = new.by_loc
+    pop = by_loc.pop
+    for instr in instrs:
         if type(instr) is not Move:
             return None
         src, dst = instr.src, instr.dst
-        if src not in cells or dst in cells or not cells.isdisjoint(instr.probes):
+        if src not in cells or dst in cells:
             return None
-        sources.add(src)
-        claimed[dst] = i
-    return claimed if len(sources) == len(claimed) == len(instrs) else None
-
-
-def _transport(snapshot: ChipState, instrs, t: int) -> ChipState:
-    """``_commit`` of a line of moves that ``_moves_pass`` passed, as one
-    transport: every source leaves, then every destination fills, in line
-    order.  A move onto a droplet shrinks the index; a plain check refuses it."""
-    new = snapshot.copy()
+        droplet = pop(src, None)
+        if droplet is None:         # an earlier move of the line took it
+            return None
+        by_loc[dst] = droplet
+    if len(by_loc) != len(cells):
+        return None
+    if not cells.keys().isdisjoint(chain.from_iterable(map(_probes, instrs))):
+        return None
     new.t = t
-    by_loc = new.by_loc
-    by_loc.update([(m.dst, by_loc.pop(m.src)) for m in instrs])
-    if len(by_loc) != len(snapshot.by_loc):
-        raise chip.InconsistentState("a line of moves would overwrite a droplet")
     return new
 
 
@@ -495,18 +513,22 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
     Ticks, droplet ids and concentrations appear only in rows and in the
     effects of a commit, and the commit always runs, so the state and the
     events are those of the full step.  Only steps without a row are
-    stored.  Without a memo every line is checked.
+    stored.  Without a memo every line is checked; ``Cursor`` passes one
+    only for a body in ``Program.repeats``, since a body that a run steps
+    once can never hit.
 
-    ``_moves_pass`` may pass a line of moves whole, in either mode.  Its
-    literals are the per-instruction path's, move by move: distinct sources
-    (``_consumed_twice``), no mixer or detection (``_pinned``), and distinct
-    destinations, occupied sources, free destinations and free probes
-    (``_check_move``).  So it passes exactly the lines without a row, with
-    the same claims.  Such a line commits as one transport: ``_transport``
-    builds the state that ``_commit`` would, down to the order of
-    ``by_loc``, with no events; the pin phase gets the effects that
-    ``LineContext.effects`` gives when every move passes, and the rest of
-    the step is shared.
+    ``_transport`` may check and commit a line of moves in one pass, in
+    either mode.  Its plain tests are the per-instruction path's literals,
+    move by move: no mixer or detection (``_pinned``), occupied sources,
+    free destinations and free probes (``_check_move``), a source no
+    earlier move took (``_consumed_twice``) and, by the droplet count after
+    the line, distinct destinations (``_check_move``).  So it accepts
+    exactly the lines without a row; it builds the state that ``_commit``
+    would, down to the order of ``by_loc``, with no events.  The claims
+    {destination: position} are built only where a row or the pin phase
+    reads them: ``_post_checks`` builds them for a state with an adjacent
+    pair, and the pin phase gets the effects that ``LineContext.effects``
+    gives when every move passes.  The rest of the step is shared.
     """
     t = line.t
     if t < state.t:
@@ -523,9 +545,9 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             _apply(new, clean.plan, t, events)
             return StepResult(new, [], events)
     violations: list[Violation] = []
-    claimed = _moves_pass(snapshot, line.instrs)
-    if claimed is not None:
-        new, ctx = _transport(snapshot, line.instrs, t), None
+    new = _transport(snapshot, line.instrs, t)
+    if new is not None:
+        ctx = claimed = None
     else:
         ctx = LineContext(snapshot, line)
         passed: list[int] = []      # positions of the instructions that pass
@@ -599,29 +621,27 @@ def _apply(new: ChipState, plan: tuple, t: int, events: list) -> None:
         commit(new, instr, t, events)
 
 
-def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int],
+def _post_checks(state: ChipState, line: TimedLine, claimed: dict[Loc, int] | None,
                  t: int) -> list[Violation]:
     """Global separation invariant over the committed state.
 
-    Each adjacent pair is found once, from its smaller cell, by probing the
-    forward half of that cell's 8-neighbourhood.  Only the pairs found are
-    sorted, so rows come out in the (c1, c2) order of a scan over all pairs.
-    Every active mixer's guard region is covered: its endpoints stay
-    occupied, so any droplet in the region is adjacent to one of them.
+    Each adjacent pair is found once, from its smaller cell, in the forward
+    half of that cell's 8-neighbourhood (``isa.FORWARD``).  One
+    ``isdisjoint`` over every droplet's forward cells first proves a clean
+    state clean; only a state with a pair takes the loop that finds them.
+    Only the pairs found are sorted, so rows come out in the (c1, c2) order
+    of a scan over all pairs.  Every active mixer's guard region is covered:
+    its endpoints stay occupied, so any droplet in the region is adjacent
+    to one of them.  ``claimed`` maps each cell that an instruction filled
+    to its position; None stands for a line that ``_transport`` committed,
+    whose moves claim their destinations.
     """
     by_loc = state.by_loc
-    pairs = []
-    for c1 in by_loc:
-        # of the eight neighbours of c1, the four that sort after it, in order
-        r, c = c1
-        if (r, c + 1) in by_loc:
-            pairs.append((c1, Loc(r, c + 1)))
-        if (r + 1, c - 1) in by_loc:
-            pairs.append((c1, Loc(r + 1, c - 1)))
-        if (r + 1, c) in by_loc:
-            pairs.append((c1, Loc(r + 1, c)))
-        if (r + 1, c + 1) in by_loc:
-            pairs.append((c1, Loc(r + 1, c + 1)))
+    if by_loc.keys().isdisjoint(chain.from_iterable(map(FORWARD.__getitem__, by_loc))):
+        return []
+    if claimed is None:
+        claimed = {m.dst: i for i, m in enumerate(line.instrs)}
+    pairs = [(c1, Loc(*c2)) for c1 in by_loc for c2 in FORWARD[c1] if c2 in by_loc]
     pairs.sort()
     out: list[Violation] = []
     for c1, c2 in pairs:
@@ -687,6 +707,7 @@ class Cursor:
             pin_map.check_chip(program.header)
         self.pin_map, self.policy = pin_map, policy
         self.memo: StepMemo = {}
+        self.repeats = program.repeats
         self.state = chip.init_state(program.header, program.detectors)
         self.rows: list[Violation] = []
         self.t_max = t_max if t_max is not None else program.t_max
@@ -700,7 +721,7 @@ class Cursor:
         if self.stopped:
             return []
         result = step(self.state, line, policy=self.policy, pin_map=self.pin_map,
-                      memo=self.memo)
+                      memo=self.memo if id(line.instrs) in self.repeats else None)
         for v in result.violations:
             if self.first_bad_t is not None and line.t > self.first_bad_t:
                 v = v._replace(secondary=True)
@@ -722,6 +743,7 @@ class Cursor:
     def fork(self) -> "Cursor":
         new = Cursor.__new__(Cursor)
         new.pin_map, new.policy, new.memo = self.pin_map, self.policy, self.memo
+        new.repeats = self.repeats
         new.state, new.first_bad_t = self.state, self.first_bad_t
         new.stopped, new.ended, new.last_t = self.stopped, self.ended, self.last_t
         new.rows, new.t_max = list(self.rows), self.t_max

@@ -22,10 +22,12 @@ depend on the array and are checked per program).  What the checks read of
 an instruction's cells is built with it, out of equality and repr: an
 instruction that names cells carries its extent (``max_row``, ``max_col``)
 and a move its probes (``Move.probes``), whose cells all moves share
-(``_PROBE_CELLS``).  A parse that finds more than ``_TOKENS_BOUND`` tokens
-in the table clears it and the probe cells first, which bounds their
-memory; the bound lies above the token universe of one 60x60 array, so a
-process serving one chip never clears them.
+(``_PROBE_CELLS``, which also hold the cells of ``FORWARD``, each cell's
+forward neighbours for the separation check).  A parse that finds more than
+``_TOKENS_BOUND`` tokens in the table clears it, the probe cells and
+``FORWARD`` first, which bounds their memory; the bound lies above the
+token universe of one 60x60 array, so a process serving one chip never
+clears them.
 Validation checks every cell a program names against the array, each
 distinct instruction tuple once: a line whose extents lie on the array
 passes whole, and any other line takes a per-instruction loop, which words
@@ -37,7 +39,9 @@ and tests no bounds itself.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from enum import Enum
+from itertools import chain
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -176,8 +180,27 @@ class ChipHeader(NamedTuple):
 # ``_check_locs``; no array reaches it
 _OFF = float("inf")
 # each probe cell (row, col), as the one tuple that every move's probes
-# share; cleared with ``_TOKENS``
+# and ``FORWARD`` share; cleared with ``_TOKENS``
 _PROBE_CELLS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+class _Forward(dict):
+    """Each cell -> the four of its eight neighbours that sort after it, in
+    order: (r, c+1), (r+1, c-1), (r+1, c), (r+1, c+1).  An entry is built
+    on its first lookup, from cells shared through ``_PROBE_CELLS``, and
+    may lie off the array; cleared with ``_TOKENS``."""
+
+    __slots__ = ()
+
+    def __missing__(self, cell: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        r, c = cell
+        share = _PROBE_CELLS.setdefault
+        a, b, d, e = (r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)
+        out = self[cell] = (share(a, a), share(b, b), share(d, d), share(e, e))
+        return out
+
+
+FORWARD = _Forward()
 
 
 class _Placed(Value):
@@ -327,9 +350,13 @@ class TimedLine(NamedTuple):
         return f"{self.t} " + " ".join(i.canonical() for i in self.instrs)
 
 
+_BODY = attrgetter("instrs")
+
+
 class Program(Value):
     """A parsed program: its five fields are its value.  What is worked out
-    from them (``issues``, ``has_conditionals``) is kept in its ``__dict__``."""
+    from them (``issues``, ``has_conditionals``, ``repeats``) is kept in its
+    ``__dict__``."""
 
     __match_args__ = ("header", "main", "detectors", "recoveries", "t_max")
 
@@ -352,6 +379,19 @@ class Program(Value):
     def issues(self) -> tuple[SemanticError, ...]:
         """What :func:`validate_structure` finds, run once per program."""
         return tuple(validate_structure(self))
+
+    @cached_property
+    def repeats(self) -> frozenset[int]:
+        """The ids of the instruction tuples that one run may step twice:
+        each that two or more lines share (the parser gives equal bodies one
+        tuple; a recovery line counts, though a straight-line run never
+        steps it) and, in a conditional program, whose forks re-step shared
+        suffixes, every tuple.  The program keeps them alive.
+        ``parse_program`` fills it from the bodies it met twice."""
+        bodies = map(id, map(_BODY, chain(self.main, *self.recoveries.values())))
+        if self.has_conditionals:
+            return frozenset(bodies)
+        return frozenset(key for key, n in Counter(bodies).items() if n > 1)
 
 
 # --- errors ----------------------------------------------------------------
@@ -475,9 +515,14 @@ _TOKENS_BOUND = 1 << 15
 
 def _tokens(body: str, memo: dict[str, Instruction], cell) -> tuple[Instruction, ...] | None:
     """A body's instructions as ``_scan`` reads them, if each whitespace-separated
-    token fullmatches an instruction pattern and builds; else None."""
+    token fullmatches an instruction pattern and builds; else None.  A body
+    whose tokens are all in ``memo`` is read in one lookup per token."""
+    toks = body.split()
+    out = list(map(memo.get, toks))
+    if all(out):
+        return tuple(out)
     out = []
-    for tok in body.split():
+    for tok in toks:
         instr = memo.get(tok)
         if instr is None:
             for pat, builder in _INSTR_PATTERNS:
@@ -524,10 +569,12 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
     # instructions (a declaration in a body is an unrecognized token).  Bodies
     # that ``_tokens`` refuses go to ``_scan``, the only writer of parse errors.
     bodies: dict[str, tuple[Instruction, ...]] = {}
+    again: set[str] = set()     # the bodies met on an earlier line
     cells: dict[tuple[str, str], Loc] = {}
     if len(_TOKENS) > _TOKENS_BOUND:
         _TOKENS.clear()
         _PROBE_CELLS.clear()
+        FORWARD.clear()
 
     def cell(row: str, col: str) -> Loc:
         loc = cells.get((row, col))
@@ -545,6 +592,8 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
                 if instrs is None:
                     instrs = bodies[body] = (_tokens(body, _TOKENS, cell) or tuple(
                         _scan(body, lineno, _INSTR_PATTERNS, cell)))
+                else:
+                    again.add(body)
                 tl = TimedLine(int(m[1]), instrs)
                 (recovery_lines if current_recovery is not None else main).append(tl)
                 continue
@@ -596,6 +645,9 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
 
     header = ChipHeader(dim[0], dim[1], numbers["accuracy"], tuple(reservoirs))
     program = Program(header, tuple(main), tuple(detectors), recoveries, numbers.get("tmax"))
+    # ``repeats`` as the parse found it, which spares a pass over the lines
+    repeated = bodies.values() if program.has_conditionals else map(bodies.get, again)
+    program.__dict__["repeats"] = frozenset(map(id, repeated))
     if validate and program.issues:
         raise ValidationError(program.issues)
     return program

@@ -56,6 +56,23 @@ def check_dispense_pins(pmap, state, loc):
     return pins._dispense_row(pmap, loc, pins._n4_owners(pmap, sorted(state.by_loc)))
 
 
+def mutant(fn, old: str, new: str):
+    """``fn`` rebuilt from its source with the one occurrence of ``old``
+    replaced by ``new``, in its own module's namespace: a mutant to
+    monkeypatch in its place, which an oracle test must catch."""
+    import __future__
+    import inspect
+    import textwrap
+
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    code = compile(source.replace(old, new), f"<mutant of {fn.__qualname__}>", "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace: dict = {}
+    exec(code, fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
 def without_memo(fn, *args, **kw):
     """fn(*args, **kw) with every step taken by the plain step, which has no
     memo and checks every line: the oracle of the step memo."""
@@ -69,12 +86,12 @@ def without_memo(fn, *args, **kw):
 
 def without_bulk(fn, *args, **kw):
     """fn(*args, **kw) with every line checked instruction by instruction:
-    the bulk check of lines of moves never passes a line, and its oracle,
-    the per-instruction path, decides them all."""
+    the one-pass transport of lines of moves refuses every line, and its
+    oracle, the per-instruction path, decides and commits them all."""
     from dmfv import fluidics
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(fluidics, "_moves_pass", lambda snapshot, instrs: None)
+        m.setattr(fluidics, "_transport", lambda snapshot, instrs, t: None)
         return fn(*args, **kw)
 
 
@@ -98,16 +115,16 @@ def count_memo_hits(monkeypatch) -> list[int]:
     """A two-item counter of the steps that their memo serves, and of those
     served on a tick where ``expire`` resolved a mixer or a detection, whose
     commit goes onto ``expire``'s copy.  A served step is one given a memo
-    that runs no check of its line, not even the bulk check, which every
-    other step runs first."""
+    that runs no check of its line, not even the one-pass transport, which
+    every other step runs first."""
     from dmfv import fluidics
 
     hits, checked, resolved = [0, 0], [False], [False]
-    step, moves_pass, expire = fluidics.step, fluidics._moves_pass, fluidics.expire
+    step, transport, expire = fluidics.step, fluidics._transport, fluidics.expire
 
     def checking(*args):
         checked[0] = True
-        return moves_pass(*args)
+        return transport(*args)
 
     def expiring(state, t):
         out = expire(state, t)
@@ -122,7 +139,7 @@ def count_memo_hits(monkeypatch) -> list[int]:
         hits[1] += hit and resolved[0]
         return result
 
-    monkeypatch.setattr(fluidics, "_moves_pass", checking)
+    monkeypatch.setattr(fluidics, "_transport", checking)
     monkeypatch.setattr(fluidics, "expire", expiring)
     monkeypatch.setattr(fluidics, "step", counted)
     return hits

@@ -112,24 +112,43 @@ def test_add_and_move_refuse_an_occupied_cell():
 
 
 def test_occupied_cell_guard_raises_under_python_O():
+    # _move and _add raise; the one-pass transport refuses, with plain ifs,
+    # a move onto an idle droplet and two moves onto one cell, so step words
+    # the per-instruction rows, and the per-instruction commit of such a
+    # line still meets _move's raise
     code = textwrap.dedent("""
+        from dmfv import fluidics
         from dmfv.chip import Droplet, InconsistentState, init_state
-        from dmfv.fluidics import _transport
         from dmfv.graph import CFVector
-        from dmfv.isa import ChipHeader, Loc, Move
+        from dmfv.isa import ChipHeader, Loc, Move, TimedLine
         assert False, "assert statements must be stripped under -O"
         st = init_state(ChipHeader(6, 6, 5, ()))
         st._add(Loc(2, 2), Droplet("S", CFVector.unit("S")))
         st._add(Loc(5, 5), Droplet("B", CFVector.unit("B")))
+        st._add(Loc(1, 4), Droplet("A", CFVector.unit("A")))
+        st._add(Loc(2, 5), Droplet("C", CFVector.unit("C")))
+        # the two moves onto (2,4) probe no droplet
+        lines = {"destination cell occupied": (Move(Loc(2, 2), Loc(5, 5)),),
+                 "two droplets head for the same cell": (Move(Loc(1, 4), Loc(2, 4)),
+                                                         Move(Loc(2, 5), Loc(2, 4)))}
         refused = 0
-        for write in (lambda: st._move(Loc(2, 2), Loc(5, 5)),
-                      lambda: st._add(Loc(2, 2), Droplet("C", CFVector.unit("C"))),
-                      lambda: _transport(st, (Move(Loc(2, 2), Loc(5, 5)),), 1)):
+        writes = [lambda: st._move(Loc(2, 2), Loc(5, 5)),
+                  lambda: st._add(Loc(2, 2), Droplet("C", CFVector.unit("C")))]
+        writes += [lambda instrs=instrs: fluidics._commit(st, instrs, 1) for instrs in lines.values()]
+        for write in writes:
             try:
                 write()
             except InconsistentState:
                 refused += 1
-        raise SystemExit(0 if refused == 3 else 1)
+        if refused != 4:
+            raise SystemExit(1)
+        for detail, instrs in lines.items():
+            if fluidics._transport(st, instrs, 1) is not None:
+                raise SystemExit(2)
+            rows = fluidics.step(st, TimedLine(1, instrs), policy="all").violations
+            if rows[0].detail != detail:
+                raise SystemExit(3)
+        raise SystemExit(0)
     """)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

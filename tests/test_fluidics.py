@@ -12,7 +12,7 @@ import pytest
 from dmfv import fluidics, inject
 from dmfv.branches import verify_all_paths
 from dmfv.cli import main
-from dmfv.chip import (ChipState, DetectionEntry, InconsistentState, MixerEntry,
+from dmfv.chip import (ChipState, DetectionEntry, MixerEntry,
                        expire_detections, expire_mixers, init_state)
 from dmfv.diag import Code, format_report
 from dmfv.fluidics import Cursor, EngineError, state_at, step, ticks, verify_program
@@ -22,7 +22,7 @@ from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError,
                       ValidationError, Waste, parse_program, serialize_program)
 from dmfv.pins import parse_pins
 
-from conftest import (REPLAYED, count_checked_lines, count_memo_hits, dedicated_map,
+from conftest import (REPLAYED, count_checked_lines, count_memo_hits, dedicated_map, mutant,
                       finished_runs, fractions_of, line_at, load, path_verdicts, stepped_paths,
                       with_droplet, without_bulk, without_memo)
 from test_acceptance import _random_walk
@@ -180,22 +180,22 @@ def test_step_simultaneous_moves():
 
 
 def count_bulk_passes(monkeypatch) -> list:
-    """The instruction tuples of the lines that the bulk check passes, in
-    step order."""
+    """The instruction tuples of the lines that the bulk pass (the one-pass
+    transport, ``_transport``) accepts, in step order."""
     passed = []
-    real = fluidics._moves_pass
+    real = fluidics._transport
 
-    def recorded(snapshot, instrs):
-        claimed = real(snapshot, instrs)
-        if claimed is not None:
+    def recorded(snapshot, instrs, t):
+        new = real(snapshot, instrs, t)
+        if new is not None:
             passed.append(instrs)
-        return claimed
-    monkeypatch.setattr(fluidics, "_moves_pass", recorded)
+        return new
+    monkeypatch.setattr(fluidics, "_transport", recorded)
     return passed
 
 
 def test_consumes_runs_once_per_instruction_per_step(monkeypatch):
-    # every line the bulk check hands back to the per-instruction path reads
+    # every line the bulk pass hands back to the per-instruction path reads
     # each instruction's consumed cells once; a line it passes reads none
     calls = [0]
     for kind, rule in list(fluidics.RULES.items()):
@@ -207,7 +207,7 @@ def test_consumes_runs_once_per_instruction_per_step(monkeypatch):
     for name in ("pcr.dmf", "twowaymix.dmf", "threeway_bad.dmf"):
         prog = parse_program(load(name))
         every = sum(type(instr) in fluidics.RULES for line in prog.main for instr in line.instrs)
-        # the bulk check passes lines of moves with and without a pin map
+        # the bulk pass passes lines of moves with and without a pin map
         for pin_map in (None, dedicated_map(prog.header.rows, prog.header.cols)):
             calls[0] = 0
             bulk.clear()
@@ -941,7 +941,7 @@ def test_checks_run_once_per_body_and_layout(monkeypatch):
     bulk = count_bulk_passes(monkeypatch)
     got = _linear_run(prog)
     assert not got[1] and got[3] == 2 + 6 * rounds
-    # the two move lines find no mixer and no detection: the bulk check
+    # the two move lines find no mixer and no detection: the bulk pass
     # passes each once, and the memo serves them after that
     assert (calls[0], checked[0], len(bulk)) == (2 + 2, 1 + 2 + 1, 2)  # the end line has no check
     calls[0] = checked[0] = 0
@@ -955,6 +955,48 @@ def test_checks_run_once_per_body_and_layout(monkeypatch):
     calls[0] = checked[0] = 0
     assert without_bulk(without_memo, _linear_run, prog) == got
     assert (calls[0], checked[0]) == (2 + 4 * rounds, 1 + 4 * rounds + 1)
+
+
+def test_memo_keeps_only_bodies_that_a_run_can_step_twice(monkeypatch):
+    signatures = [0]
+    real = fluidics._signature
+
+    def counted(snapshot):
+        signatures[0] += 1
+        return real(snapshot)
+    monkeypatch.setattr(fluidics, "_signature", counted)
+    # every body of pcr.dmf is distinct: no signature is built, no entry kept
+    prog = parse_program(load("pcr.dmf"))
+    assert prog.repeats == frozenset()
+    for policy in ("first", "all"):
+        cursor = Cursor(prog, policy=policy)
+        for line in prog.main:
+            cursor.advance(line)
+        assert (signatures[0], cursor.memo, cursor.rows) == (0, {}, [])
+    # a body on two lines is kept and served the second time
+    prog = parse_program("dim(6,6)\naccuracy 2\nR(2,2,S)\n1 d(2,2)\n2 m([2,2]->[2,3])\n"
+                         "3 m([2,3]->[2,2])\n4 m([2,2]->[2,3])\n5 m([2,3]->[3,3])\n6 end\n")
+    twice = prog.main[1].instrs
+    assert prog.main[3].instrs is twice and prog.repeats == {id(twice)}
+    served = count_memo_hits(monkeypatch)
+    cursor = Cursor(prog)
+    for line in prog.main:
+        cursor.advance(line)
+    assert (signatures[0], list(cursor.memo), served[0]) == (2, [id(twice)], 1)
+    # every line of a conditional program may be stepped again by a fork
+    prog = parse_program(load("recovery.dmf"))
+    lines = [*prog.main, *(ln for block in prog.recoveries.values() for ln in block)]
+    assert prog.repeats == {id(ln.instrs) for ln in lines}
+    steps = [0]
+    plain = fluidics.step
+
+    def stepped(*args, memo=None, **kw):
+        steps[0] += memo is not None
+        return plain(*args, memo=memo, **kw)
+    monkeypatch.setattr(fluidics, "step", stepped)
+    signatures[0] = 0
+    verify_all_paths(prog)
+    assert signatures[0] == steps[0] > len(prog.main)
 
 
 def test_commit_guard_runs_on_a_memo_hit_under_python_O():
@@ -993,37 +1035,56 @@ def test_commit_guard_runs_on_a_memo_hit_under_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
-# --- the bulk check of lines of moves against the per-instruction path ------------
+# --- the bulk pass of lines of moves against the per-instruction path ------------
 
 def _instruction_rows(state, line):
-    """The rows of the per-instruction checks alone of ``line`` on ``state``:
-    the plain step under policy "all", without the separation check."""
+    """The rows of the per-instruction checks alone of ``line`` on ``state``
+    (the plain step under policy "all", without the separation check) and
+    the cells claimed by the instructions that passed them."""
+    contexts, real = [], fluidics.LineContext
+
+    def kept(*args):
+        contexts.append(real(*args))
+        return contexts[-1]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fluidics, "_post_checks", lambda *a: [])
-        return without_bulk(step, state, line, policy="all").violations
+        m.setattr(fluidics, "LineContext", kept)
+        rows = without_bulk(step, state, line, policy="all").violations
+    return rows, contexts[0].claimed
 
 
 def _bulk_agrees(state, line) -> bool:
-    """Whether the bulk check passes ``line`` on ``state``, asserting that it
-    passes exactly the lines of moves, on a snapshot with no active mixer and
-    no live detection, in which the per-instruction checks find no row, and
-    that it then claims each destination for its move."""
+    """Whether the bulk pass accepts ``line`` on ``state``, asserting that it
+    accepts exactly the lines of moves, on a snapshot with no active mixer
+    and no live detection, in which the per-instruction checks find no row;
+    that those checks then claim each destination for its move, as the
+    separation check and the pin phase read an accepted line; and that it
+    builds ``_commit``'s state, down to the order of ``by_loc``, without
+    writing into the snapshot."""
     snapshot = fluidics.expire(state, line.t)[0]
-    claimed = fluidics._moves_pass(snapshot, line.instrs)
+    given = list(snapshot.by_loc.items())
+    new = fluidics._transport(snapshot, line.instrs, line.t)
+    assert list(snapshot.by_loc.items()) == given, line
     eligible = (not snapshot.mixers and not snapshot.detections
                 and all(type(instr) is Move for instr in line.instrs))
-    rows = _instruction_rows(state, line)
-    assert (claimed is not None) == (eligible and not rows), (line, rows)
-    if claimed is not None:
+    rows, claimed = _instruction_rows(state, line)
+    assert (new is not None) == (eligible and not rows), (line, rows)
+    if new is not None:
         assert claimed == {instr.dst: i for i, instr in enumerate(line.instrs)}, line
-    return claimed is not None
+        want, events = fluidics._commit(snapshot, line.instrs, line.t)
+        assert events == [], line
+        assert (list(new.by_loc.items()), new.t, new.mixers, new.detections, new.next_node) == (
+            list(want.by_loc.items()), want.t, want.mixers, want.detections,
+            want.next_node), line
+    return new is not None
 
 
 def random_moves(rng):
     """A random snapshot and a random line of moves on it, at t=1.
 
     Sources are mostly occupied cells, some free; some moves take a source
-    or a destination that an earlier move of the line took; a fifth of the
+    or a destination that an earlier move of the line took, or leave the
+    cell that an earlier move fills; a fifth of the
     snapshots hold an active mixer and a fifth a live detection, each on
     droplets that the line may move.  Densities run from one droplet to a
     third of the cells, so probes beyond a destination meet droplets often.
@@ -1051,6 +1112,9 @@ def random_moves(rng):
         elif moves and roll < 0.2:                 # a destination claimed twice
             dst = rng.choice(moves).dst
             src = neighbour(dst)
+        elif moves and roll < 0.25:                # a chain: from an earlier destination
+            src = rng.choice(moves).dst
+            dst = neighbour(src)
         else:
             src = rng.choice(occupied if rng.random() < 0.85 else cells)
             dst = neighbour(src)
@@ -1059,7 +1123,7 @@ def random_moves(rng):
 
 
 def test_bulk_check_matches_per_instruction_path_on_random_lines():
-    # a line the bulk check passes also runs in pin mode, under maps from
+    # a line the bulk pass passes also runs in pin mode, under maps from
     # dedicated to heavily shared, whose pin phase reads what the line does
     # to droplets (a refused line takes one path either way)
     rng, map_rng = random.Random(2024), random.Random(2025)
@@ -1079,42 +1143,39 @@ def test_bulk_check_matches_per_instruction_path_on_random_lines():
             elif pin_map is not None:
                 seen.update(v.code for v in want.violations if v.pins)
     assert seen["passed"] >= 300 and seen["refused"] >= 300, seen
-    # pin rows of every pairwise and split rule on lines the bulk check passed
+    # pin rows of every pairwise and split rule on lines the bulk pass passed
     assert all(seen[c] >= 50 for c in (Code.PIN_CASE1, Code.PIN_CASE2, Code.PIN_CASE3)), seen
-    # every row the bulk check stands for, and the separation rows after a pass
+    # every row the bulk pass stands for, and the separation rows after a pass
     assert {(Code.E1, "destination cell occupied"), (Code.E1, "move lands next to an idle droplet"),
             (Code.E2, "two droplets head for the same cell"), (Code.E2, ""), (Code.E4, "")
             } <= set(seen), seen
 
 
 def test_transport_matches_commit_on_bulk_passed_lines():
+    # _bulk_agrees compares each accepted line's state with _commit's
     rng = random.Random(1618)
-    passed = 0
-    for _ in range(3000):
-        state, line = random_moves(rng)
-        snapshot = fluidics.expire(state, line.t)[0]
-        if not _bulk_agrees(state, line):
-            continue
-        passed += 1
-        got = fluidics._transport(snapshot, line.instrs, line.t)
-        want, events = fluidics._commit(snapshot, line.instrs, line.t)
-        assert events == [], line
-        assert (list(got.by_loc.items()), got.t, got.mixers, got.detections, got.next_node) == (
-            list(want.by_loc.items()), want.t, want.mixers, want.detections,
-            want.next_node), line
+    passed = sum(_bulk_agrees(*random_moves(rng)) for _ in range(3000))
     assert passed >= 300, passed
-    # a move onto an idle droplet, and two moves onto one cell: the count
-    # check refuses both writes
-    st = state_with(6, 6, [Loc(2, 2), Loc(2, 3), Loc(4, 4)])
-    for instrs in ((Move(Loc(2, 2), Loc(2, 3)),),
-                   (Move(Loc(2, 3), Loc(3, 3)), Move(Loc(4, 4), Loc(3, 3)))):
-        with pytest.raises(InconsistentState):
-            fluidics._transport(st, instrs, 1)
+    # a move onto an idle droplet, two moves onto one cell, two moves from
+    # one cell and a move from the cell an earlier move fills: the pass
+    # refuses each, and the per-instruction path words its row
+    st = state_with(6, 6, [Loc(1, 4), Loc(2, 5), Loc(5, 2), Loc(5, 3)])
+    for instrs, row in (
+            ((Move(Loc(5, 2), Loc(5, 3)),), "Static fluidic constraint violated"),
+            ((Move(Loc(1, 4), Loc(2, 4)), Move(Loc(2, 5), Loc(2, 4))),
+             "Dynamic fluidic constraint violated"),
+            ((Move(Loc(5, 2), Loc(4, 2)), Move(Loc(5, 2), Loc(6, 2))),
+             "Droplet on (5,2) is used by a concurrent instruction"),
+            ((Move(Loc(5, 3), Loc(4, 3)), Move(Loc(4, 3), Loc(3, 3))),
+             "No droplet present on (4,3)")):
+        assert fluidics._transport(st, instrs, 1) is None, instrs
+        rows = step(st, TimedLine(1, instrs), policy="all").violations
+        assert rows and rows[0].response == row, rows
 
 
 def bulk_checked(fn, *args, **kw):
     """fn(*args, **kw), with ``_bulk_agrees`` asserted on every line stepped;
-    returns fn's result and the number of lines the bulk check passed."""
+    returns fn's result and the number of lines the bulk pass passed."""
     plain, passed = fluidics.step, [0]
 
     def checked(state, line, **k):
@@ -1144,3 +1205,22 @@ def test_bulk_check_matches_per_instruction_path_on_fixtures_and_fuzz():
         replayed += _replayed(got)
     assert passed >= 100, passed
     assert replayed >= 50, replayed
+
+
+# each mutant drops one test of the one-pass transport
+_TRANSPORT_MUTANTS = {
+    "occupied source": ("if src not in cells or dst in cells:", "if dst in cells:"),
+    "count": ("if len(by_loc) != len(cells):", "if False:"),
+    "probes": ("if not cells.keys().isdisjoint(chain.from_iterable(map(_probes, instrs))):",
+               "if False:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSPORT_MUTANTS))
+def test_bulk_oracle_catches_each_transport_mutant(monkeypatch, name):
+    monkeypatch.setattr(fluidics, "_transport",
+                        mutant(fluidics._transport, *_TRANSPORT_MUTANTS[name]))
+    for oracle in (test_bulk_check_matches_per_instruction_path_on_random_lines,
+                   test_transport_matches_commit_on_bulk_passed_lines):
+        with pytest.raises(AssertionError):
+            oracle()

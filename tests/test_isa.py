@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -497,6 +498,22 @@ def _parse_corpus(mutants: int) -> list[str]:
     return texts + [f"{_HAND_HEAD}1 d(1,1)\n2 {body}\n9 end\n" for body in _HAND_BODIES]
 
 
+def test_parse_fills_repeats_as_a_pass_over_the_lines_finds_them():
+    # the parse's set of bodies met twice is what ``Program.repeats`` finds
+    # on the same program built in code
+    kinds = Counter()
+    for text in _parse_corpus(150):
+        try:
+            p = parse_program(text, validate=False)
+        except ParseError:
+            continue
+        built = Program(p.header, p.main, p.detectors, p.recoveries, p.t_max)
+        assert "repeats" in p.__dict__ and "repeats" not in built.__dict__
+        assert p.repeats == built.repeats, text
+        kinds["conditional" if p.has_conditionals else "repeats" if p.repeats else "none"] += 1
+    assert all(kinds[k] >= 5 for k in ("conditional", "repeats", "none")), kinds
+
+
 def test_parse_matches_per_token_oracle(monkeypatch):
     kinds = {}
     for text in _parse_corpus(200):
@@ -804,7 +821,12 @@ def test_a_parse_past_the_bound_starts_from_an_empty_table(monkeypatch):
     parse_program(f"{head}1 d(3,3)\n")            # at the bound: kept
     assert list(isa._TOKENS) == ["d(1,1)", "d(2,2)", "m(1,1,1,2)", "m(2,2,2,3)", "d(3,3)"]
     assert sorted(isa._PROBE_CELLS) == [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    # the separation check's forward neighbours share the probe cells (the
+    # table is a cache that other tests filled, from other probe cells)
+    isa.FORWARD.clear()
+    assert isa.FORWARD[Loc(2, 3)] == ((2, 4), (3, 2), (3, 3), (3, 4))
+    assert all(isa._PROBE_CELLS[c] is c for c in isa.FORWARD[Loc(2, 3)])
     built = _counted_builds(monkeypatch)
-    parse_program(f"{head}1 d(1,1)\n")            # past it: both cleared first
+    parse_program(f"{head}1 d(1,1)\n")            # past it: all three cleared first
     assert list(isa._TOKENS) == ["d(1,1)"] and built == ["d(1,1)"]
-    assert isa._PROBE_CELLS == {}
+    assert isa._PROBE_CELLS == {} and isa.FORWARD == {}

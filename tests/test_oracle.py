@@ -8,14 +8,19 @@ occupied grids, valid or not.
 
 import random
 
+import pytest
+
+from dmfv import fluidics, isa
 from dmfv.chip import MixerEntry, init_state
+from dmfv.cli import main
 from dmfv.diag import Code, Violation
-from dmfv.fluidics import RULES, LineContext, _post_checks, mixer_geometry_ok, move_conflicts
+from dmfv.fluidics import RULES, LineContext, mixer_geometry_ok, move_conflicts
 from dmfv.graph import CFVector
 from dmfv.isa import (ChipHeader, Dispense, Loc, MixStart, Move, MType, ReservoirDecl,
-                      RKind, TimedLine)
+                      RKind, TimedLine, parse_program)
 
-from conftest import with_droplet
+from conftest import load, mutant, with_droplet
+from test_cli import _DMF_FIXTURES, _fixture_verify_argvs
 
 
 def check(state, instr, line=None):
@@ -28,7 +33,7 @@ def check(state, instr, line=None):
 
 def separation_partners(state, loc):
     """The droplets the separation check pairs with the one on loc."""
-    rows = _post_checks(state, TimedLine(state.t, ()), {}, state.t)
+    rows = fluidics._post_checks(state, TimedLine(state.t, ()), {}, state.t)
     return sorted(c for v in rows if loc in v.cells for c in v.cells if c != loc)
 
 
@@ -156,7 +161,7 @@ def test_guard_matches_mixer_formula_on_random_walks():
             if walker not in occ:
                 st2 = with_droplet(st, "W", walker, CFVector.unit("S"))
                 occ.add(walker)
-            ok = not _post_checks(st2, TimedLine(1, ()), {}, 1)
+            ok = not fluidics._post_checks(st2, TimedLine(1, ()), {}, 1)
             assert ok == eval_conj(mixer_formula(a, b, 8, 8), occ)
             d = rng.choice([Loc(-1, 0), Loc(1, 0), Loc(0, -1), Loc(0, 1)])
             nxt = Loc(walker.row + d.row, walker.col + d.col)
@@ -200,9 +205,133 @@ def test_separation_probe_matches_pairwise_scan():
         claimed = {c: i for i, c in enumerate(arrived)}
         line = TimedLine(3, tuple(instrs))
         expected = pairwise_separation(st, line, claimed, 3)
-        assert _post_checks(st, line, claimed, 3) == expected
+        assert fluidics._post_checks(st, line, claimed, 3) == expected
         rows_seen += len(expected)
     assert rows_seen > 400
+
+
+def dense_state(rng):
+    """A random committed state, the separation check's input, with the
+    cells of the rows it arrived on.
+
+    A third of the states are clean: droplets on a lattice of pitch 2 or
+    more, each possibly shifted off it.  The rest are dense (up to half the
+    cells), with the last row and column occupied more often.  Half the
+    states hold one or two active mixers of either type, on droplets that
+    stay on their endpoints, with droplets in their guard regions."""
+    rows, cols = rng.randrange(2, 10), rng.randrange(2, 10)
+    cells = [Loc(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    if rng.random() < 1 / 3:
+        pitch = rng.randrange(2, 4)
+        occupied = {Loc(r, c) for r, c in cells if r % pitch == 1 and c % pitch == 1}
+        shift = {Loc(r + rng.choice((0, 0, 0, 1)), c) for r, c in occupied}
+        occupied = {c for c in shift if c.row <= rows}
+    else:
+        density = rng.uniform(0.05, 0.5)
+        occupied = {c for c in cells
+                    if rng.random() < (2 * density if rows in c or c.col == cols else density)}
+    mixers = []
+    for _ in range(rng.randrange(3) if rng.random() < 0.5 else 0):
+        mtype = rng.choice((MType.H14, MType.V41))
+        dr, dc = (0, 3) if mtype is MType.H14 else (3, 0)
+        if rows > dr and cols > dc:
+            a = Loc(rng.randrange(1, rows + 1 - dr), rng.randrange(1, cols + 1 - dc))
+            b = Loc(a.row + dr, a.col + dc)
+            occupied |= {a, b}
+            mixers.append(MixerEntry(a, b, 0, 9, mtype))
+    st = init_state(ChipHeader(rows, cols, 5, ())).copy()
+    for i, loc in enumerate(sorted(occupied)):
+        st = with_droplet(st, f"n{i}", loc, CFVector.unit("S"))
+    st.mixers = tuple(mixers)
+    arrived = rng.sample(sorted(occupied), rng.randrange(len(occupied) + 1))
+    line = TimedLine(3, tuple(Dispense(c) if rng.random() < 0.3 else Move(Loc(c.row, c.col + 1), c)
+                              for c in arrived))
+    return st, line, {c: i for i, c in enumerate(arrived)}
+
+
+def test_separation_check_matches_all_pairs_on_dense_states():
+    # pairs on the last row or column, pairs that touch only diagonally, in
+    # both directions, pairs in an active mixer's guard region, and clean
+    # states, which the separation proof alone decides
+    rng = random.Random(6021)
+    seen = {"clean": 0, "last row": 0, "last col": 0, "down-left": 0, "down-right": 0,
+            "guard": 0}
+    for _ in range(1500):
+        st, line, claimed = dense_state(rng)
+        expected = pairwise_separation(st, line, claimed, 3)
+        assert fluidics._post_checks(st, line, claimed, 3) == expected
+        rows, cols = st.header.rows, st.header.cols
+        seen["clean"] += not expected
+        for v in expected:
+            (r1, c1), (r2, c2) = v.cells
+            seen["last row"] += r1 == r2 == rows
+            seen["last col"] += c1 == c2 == cols
+            seen["down-left"] += (r2 - r1, c2 - c1) == (1, -1)
+            seen["down-right"] += (r2 - r1, c2 - c1) == (1, 1)
+            seen["guard"] += v.detail != ""       # a mixer's span
+    assert all(n >= 200 for n in seen.values()), seen
+
+
+def test_separation_oracle_catches_an_always_clean_proof(monkeypatch):
+    proof = ("if by_loc.keys().isdisjoint(chain.from_iterable(map(FORWARD.__getitem__, "
+             "by_loc))):")
+    monkeypatch.setattr(fluidics, "_post_checks", mutant(fluidics._post_checks, proof, "if True:"))
+    for oracle in (test_separation_check_matches_all_pairs_on_dense_states,
+                   test_separation_probe_matches_pairwise_scan,
+                   test_guard_matches_mixer_formula_on_random_walks):
+        with pytest.raises(AssertionError):
+            oracle()
+
+
+def _verdicts(capsys) -> list:
+    """The exit code and JSON report of each fixture's verify run, under both
+    policies, and the Phase-I rows of random dense programs."""
+    out = []
+    for argv in _fixture_verify_argvs():
+        for extra in ([], ["--all"]):
+            out.append((main(argv + extra), capsys.readouterr().out))
+    rng = random.Random(77)
+    for _ in range(20):
+        text = dense_program(rng)
+        report = fluidics.verify_program(parse_program(text), policy="all")[1]
+        out.append((text, report.violations, report.final_t))
+    return out
+
+
+def dense_program(rng) -> str:
+    """A random program in which droplets on a lattice of pitch 3 take
+    random steps together, every one of them on every line."""
+    n = rng.randrange(6, 12)
+    start = [Loc(r, c) for r in range(2, n, 3) for c in range(2, n, 3)]
+    decls = " ".join(f"R({r},{c},S)" for r, c in start)
+    lines = ["1 " + " ".join(f"d({r},{c})" for r, c in start)]
+    at = list(start)
+    for t in range(2, 12):
+        moves = []
+        for i, (r, c) in enumerate(at):
+            dr, dc = rng.choice(((0, 1), (0, -1), (1, 0), (-1, 0)))
+            if 1 <= r + dr <= n and 1 <= c + dc <= n:
+                moves.append(f"m([{r},{c}]->[{r + dr},{c + dc}])")
+                at[i] = Loc(r + dr, c + dc)
+        if moves:
+            lines.append(f"{t} " + " ".join(moves))
+    return f"dim({n},{n})\naccuracy 2\n{decls}\n" + "\n".join(lines) + "\n12 end\n"
+
+
+def test_clearing_the_neighbour_table_at_its_bound_keeps_verdicts(monkeypatch, capsys):
+    # at a bound of 0 every parse clears the token table, the shared cells
+    # and the table of forward neighbours, which the separation check then
+    # builds again
+    want = _verdicts(capsys)
+    assert len(isa.FORWARD) > 0
+    monkeypatch.setattr(isa, "_TOKENS", {})
+    monkeypatch.setattr(isa, "_PROBE_CELLS", {})
+    monkeypatch.setattr(isa, "_TOKENS_BOUND", 0)
+    assert _verdicts(capsys) == want
+    assert len(isa.FORWARD) > 0
+    parse_program(load(_DMF_FIXTURES[0]))
+    assert len(isa.FORWARD) == 0
+    assert any(rows for _, rows, _ in want[-20:])
 
 
 def test_move_conflicts_probe_matches_bounded_clearance_scan():
