@@ -35,13 +35,17 @@ more lines, or any body of a conditional program, whose forks re-step
 shared suffixes), keyed by line body and by what the checks read in the
 snapshot: the occupied cells, the active mixers' endpoints and the busy
 detectors.  A line whose body already passed on the same cells passes
-again without its checks: it runs the body's stored commit plan on the
-tick's one copy of the state, so it costs only its effects.  That is exact,
-because no rule reads anything else that changes during a run (``step``
-gives the argument rule by rule); assays that repeat their transport and
-mix lines on the same layout check each once.  A body that cannot repeat
-builds no key and keeps no entry.  Forks share these verdicts, as they
-share the program.
+again without its checks, and the cursor serves it itself: one ``expire``,
+one ``_signature`` and the body's stored commit plan, run on the tick's one
+copy of the state, so it costs only its effects and builds no
+``StepResult``.  On a miss the cursor hands the snapshot it expired to
+``step``, so no line expires or is signed twice.  ``step`` keeps no memo:
+it checks every line it is given, and so it is the memo's oracle.  That is
+exact, because no rule reads anything else that changes during a run
+(``MemoEntry`` gives the argument rule by rule); assays that repeat their
+transport and mix lines on the same layout check each once.  A body that
+cannot repeat builds no key and keeps no entry.  Forks share these
+verdicts, as they share the program.
 
 A cursor raises ``ValidationError`` for a program with structural issues
 (``Program.issues``), so every cell a line names is on the array and every
@@ -411,35 +415,31 @@ def _transport(snapshot: ChipState, instrs, t: int) -> ChipState | None:
     down to the order of ``by_loc``, with no events; else None, and nothing
     is written into the snapshot.
 
-    One loop tests each instruction with plain ifs: a move whose source is
-    occupied in the snapshot and not yet taken by the line, and whose
-    destination is free there; then it moves the droplet in one copy of the
-    index.  A destination that two moves share shrinks the index, and one
+    One loop tests each instruction with plain ifs, on the snapshot: a move
+    whose source is occupied and whose destination is free; then one
     ``isdisjoint`` over every move's probes (``Move.probes``) finds a
-    droplet beyond a destination.  A line that opens or ends with another
-    instruction (as moves that run beside a mix or a sink do) is refused
-    before the copy."""
+    droplet beyond a destination.  Only a line that passes both is copied:
+    a second loop moves each droplet in one copy of the index, refusing a
+    source that an earlier move of the line took, and a destination that
+    two moves share shrinks the index.  So a line that a test refuses costs
+    no copy, and the per-instruction path makes the only one."""
     if snapshot.mixers or snapshot.detections:
         return None
-    if instrs and (type(instrs[0]) is not Move or type(instrs[-1]) is not Move):
-        return None
     cells = snapshot.by_loc
+    for instr in instrs:
+        if type(instr) is not Move or instr.src not in cells or instr.dst in cells:
+            return None
+    if not cells.keys().isdisjoint(chain.from_iterable(map(_probes, instrs))):
+        return None
     new = snapshot.copy()
     by_loc = new.by_loc
     pop = by_loc.pop
     for instr in instrs:
-        if type(instr) is not Move:
-            return None
-        src, dst = instr.src, instr.dst
-        if src not in cells or dst in cells:
-            return None
-        droplet = pop(src, None)
+        droplet = pop(instr.src, None)
         if droplet is None:         # an earlier move of the line took it
             return None
-        by_loc[dst] = droplet
+        by_loc[instr.dst] = droplet
     if len(by_loc) != len(cells):
-        return None
-    if not cells.keys().isdisjoint(chain.from_iterable(map(_probes, instrs))):
         return None
     new.t = t
     return new
@@ -447,9 +447,38 @@ def _transport(snapshot: ChipState, instrs, t: int) -> ChipState | None:
 
 class MemoEntry(Record):
     """A run's clean verdicts of one line body, kept under the body's id
-    (which the entry keeps alive): the snapshot signatures on which it
-    passed every check, and its commit plan (``_plan``), built on its first
-    hit."""
+    (which the entry keeps alive): the snapshot signatures (``_signature``)
+    on which it passed every check, and its commit plan (``_plan``), built
+    on its first hit.
+
+    A body that passed on a snapshot passes on any snapshot with the same
+    signature, because every check reads only the body, the signature and
+    what is fixed for a run (reservoirs, detector declarations, the pin
+    map, the policy):
+
+    - the consumed cells, claims and movers of ``LineContext`` follow from
+      the body (a detection consumes its declared detector's cell);
+    - ``_consumed_twice`` reads only those;
+    - dispense: the reservoir table, the claims and the occupied cells
+      around the reservoir;
+    - move: the claims, the occupied cells, the mixer endpoints and
+      detection cells that pin the source, and the movers;
+    - mix: the mixer geometry, the occupied cells, the mixer endpoints and
+      detection cells that pin an endpoint, and the movers;
+    - detect: the declarations, the busy detectors, the occupied cells and
+      the mixer endpoints;
+    - waste and output: the reservoir table, the occupied cells, and the
+      mixer endpoints and detection cells that pin the droplet;
+    - the committed occupancy is the snapshot's, less the cells the body
+      consumes, plus those it claims, and the committed mixers are the
+      snapshot's plus the body's, so the separation check (``_post_checks``)
+      and ``pins.pin_phase``, which read only the committed cells and mixer
+      endpoints and the snapshot's cells, find what they found before.
+
+    Ticks, droplet ids and concentrations appear only in rows and in the
+    effects of a commit, and a served line's plan always runs, so its state
+    and events are those of the full step.  Only clean verdicts are stored.
+    """
 
     __slots__ = __match_args__ = ("instrs", "signatures", "plan")
 
@@ -474,76 +503,36 @@ def _signature(snapshot: ChipState) -> tuple:
 
 
 def step(state: ChipState, line: TimedLine, *, policy: str = "first",
-         pin_map=None, memo: StepMemo | None = None) -> StepResult:
-    """Advance the chip over one instruction line.
+         pin_map=None, expired: tuple[ChipState, list] | None = None) -> StepResult:
+    """Advance the chip over one instruction line, checking every rule.
 
     Expired mixers and detections resolve first, each instruction is checked
     against the resulting snapshot plus intra-tick claims, effects commit
     together, and the committed state must satisfy the global separation
-    invariant (plus the pin rules when a pin map is supplied).
+    invariant (plus the pin rules when a pin map is supplied).  A caller
+    that has already resolved them (``Cursor``, which signs the snapshot
+    for its memo) passes ``expired``, what ``expire(state, line.t)`` gave
+    it; the events list in it becomes this step's.
 
-    With a ``memo``, a line whose body (its instruction tuple) already
-    passed on a snapshot with the same ``_signature`` passes again without
-    its checks: the body's commit plan (``_plan``, stored in its entry on
-    the first hit) runs on the tick's one copy, which is ``expire``'s when
-    a mixer or a detection resolved and a fresh one otherwise, and nothing
-    else runs.  That is exact because every check reads only the body, the
-    signature and what is fixed for a run (reservoirs, detector
-    declarations, the pin map, the policy):
-
-    - the consumed cells, claims and movers of ``LineContext`` follow from
-      the body (a detection consumes its declared detector's cell);
-    - ``_consumed_twice`` reads only those;
-    - dispense: the reservoir table, the claims and the occupied cells
-      around the reservoir;
-    - move: the claims, the occupied cells, the mixer endpoints and
-      detection cells that pin the source, and the movers;
-    - mix: the mixer geometry, the occupied cells, the mixer endpoints and
-      detection cells that pin an endpoint, and the movers;
-    - detect: the declarations, the busy detectors, the occupied cells and
-      the mixer endpoints;
-    - waste and output: the reservoir table, the occupied cells, and the
-      mixer endpoints and detection cells that pin the droplet;
-    - the committed occupancy is the snapshot's, less the cells the body
-      consumes, plus those it claims, and the committed mixers are the
-      snapshot's plus the body's, so the separation check (``_post_checks``)
-      and ``pins.pin_phase``, which read only the committed cells and mixer
-      endpoints and the snapshot's cells, find what they found before.
-
-    Ticks, droplet ids and concentrations appear only in rows and in the
-    effects of a commit, and the commit always runs, so the state and the
-    events are those of the full step.  Only steps without a row are
-    stored.  Without a memo every line is checked; ``Cursor`` passes one
-    only for a body in ``Program.repeats``, since a body that a run steps
-    once can never hit.
-
-    ``_transport`` may check and commit a line of moves in one pass, in
-    either mode.  Its plain tests are the per-instruction path's literals,
-    move by move: no mixer or detection (``_pinned``), occupied sources,
-    free destinations and free probes (``_check_move``), a source no
-    earlier move took (``_consumed_twice``) and, by the droplet count after
-    the line, distinct destinations (``_check_move``).  So it accepts
-    exactly the lines without a row; it builds the state that ``_commit``
-    would, down to the order of ``by_loc``, with no events.  The claims
-    {destination: position} are built only where a row or the pin phase
-    reads them: ``_post_checks`` builds them for a state with an adjacent
-    pair, and the pin phase gets the effects that ``LineContext.effects``
-    gives when every move passes.  The rest of the step is shared.
+    ``_transport`` may check and commit a line of moves in one pass.  Its
+    plain tests are the per-instruction path's literals, move by move: no
+    mixer or detection (``_pinned``), occupied sources, free destinations
+    and free probes (``_check_move``), a source no earlier move took
+    (``_consumed_twice``) and, by the droplet count after the line, distinct
+    destinations (``_check_move``).  So it accepts exactly the lines without
+    a row; it builds the state that ``_commit`` would, down to the order of
+    ``by_loc``, with no events.  The claims {destination: position} are
+    built only where a row or the pin phase reads them: ``_post_checks``
+    builds them for a state with an adjacent pair, and the pin phase gets
+    the effects that ``LineContext.effects`` gives when every move passes.
+    The rest of the step is shared.
     """
     t = line.t
-    if t < state.t:
-        raise EngineError(f"line at t={t} precedes current state t={state.t}")
-    snapshot, completed = expire(state, t)
-    events: list[chip.Event] = list(completed)
-    if memo is not None:
-        signature = _signature(snapshot)
-        clean = memo.get(id(line.instrs))
-        if clean is not None and signature in clean.signatures:
-            if clean.plan is None:
-                clean.plan = _plan(line.instrs)
-            new = snapshot if snapshot is not state else snapshot.copy()
-            _apply(new, clean.plan, t, events)
-            return StepResult(new, [], events)
+    if expired is None:
+        if t < state.t:
+            raise EngineError(f"line at t={t} precedes current state t={state.t}")
+        expired = expire(state, t)
+    snapshot, events = expired
     violations: list[Violation] = []
     new = _transport(snapshot, line.instrs, t)
     if new is not None:
@@ -587,10 +576,6 @@ def step(state: ChipState, line: TimedLine, *, policy: str = "first",
             violations.extend(pin_violations)
             if policy == "first":
                 return StepResult(snapshot, violations, events)
-    if memo is not None and not violations:
-        if clean is None:
-            clean = memo[id(line.instrs)] = MemoEntry(line.instrs)
-        clean.signatures.add(signature)
     return StepResult(new, violations, events)
 
 
@@ -717,22 +702,50 @@ class Cursor:
         self.last_t: int | None = None
 
     def advance(self, line: TimedLine) -> list[chip.Event]:
-        """Step ``line`` and return its events (none once the run has stopped)."""
+        """Step ``line`` and return its events (none once the run has stopped).
+
+        The cursor resolves the line's due mixers and detections
+        (``expire``) itself.  A line whose body can repeat
+        (``Program.repeats``) is also signed (``_signature``); if its body
+        already passed on a snapshot with that signature, the cursor serves
+        it: the body's commit plan (``_plan``, stored in its entry on the
+        first hit) runs on the tick's one copy, which is ``expire``'s when a
+        mixer or a detection resolved and a fresh one otherwise, and nothing
+        else runs.  Any other line is checked by ``step`` on that snapshot,
+        and a clean verdict of a body that can repeat stores the signature.
+        """
         if self.stopped:
             return []
-        result = step(self.state, line, policy=self.policy, pin_map=self.pin_map,
-                      memo=self.memo if id(line.instrs) in self.repeats else None)
+        state, t, body = self.state, line.t, line.instrs
+        if t < state.t:
+            raise EngineError(f"line at t={t} precedes current state t={state.t}")
+        self.last_t = t
+        # validation puts an end marker last on its line
+        if body and isinstance(body[-1], End):
+            self.ended = True
+        expired = snapshot, events = expire(state, t)
+        signature = None
+        if id(body) in self.repeats:
+            signature = _signature(snapshot)
+            clean = self.memo.get(id(body))
+            if clean is not None and signature in clean.signatures:
+                if clean.plan is None:
+                    clean.plan = _plan(body)
+                self.state = new = snapshot if snapshot is not state else snapshot.copy()
+                _apply(new, clean.plan, t, events)
+                return events
+        result = step(state, line, policy=self.policy, pin_map=self.pin_map, expired=expired)
+        if signature is not None and not result.violations:
+            if clean is None:
+                clean = self.memo[id(body)] = MemoEntry(body)
+            clean.signatures.add(signature)
         for v in result.violations:
-            if self.first_bad_t is not None and line.t > self.first_bad_t:
+            if self.first_bad_t is not None and t > self.first_bad_t:
                 v = v._replace(secondary=True)
             self.rows.append(v)
         if result.violations and self.first_bad_t is None:
-            self.first_bad_t = line.t
+            self.first_bad_t = t
         self.state = result.state
-        self.last_t = line.t
-        # validation puts an end marker last on its line
-        if line.instrs and isinstance(line.instrs[-1], End):
-            self.ended = True
         self.stopped = bool(result.violations) and self.policy == "first"
         return result.events
 

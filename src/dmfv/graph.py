@@ -5,9 +5,14 @@ declared accuracy happens only here, never inside the arithmetic.
 
 ``SeqGraph.edges`` is the only record of a graph's wiring.  Each operation
 that walks a graph builds its predecessor and successor lists once, in one
-pass over the edges, so parsing, ordering, depths, concentration propagation
-and conformance all cost O(V+E) (conformance adds a sort within each depth
-level).
+pass over the edges, and one topological pass (``_graded``) gives every
+node its depth and exact concentration, so parsing, concentration
+propagation and conformance all cost O(V+E).  Conformance adds one sort of
+each graph's nodes by (depth, kind, id), which gives its levels, and it
+compares exact values before rounded ones: a level with one node on each
+side is matched by exact equality, and rounds only where the exact values
+differ; only a level with several nodes on a side is matched by rounded
+signatures.
 """
 
 from __future__ import annotations
@@ -127,43 +132,30 @@ def _adjacency(sg: SeqGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]
     return preds, succs
 
 
-def _topo(preds: dict[str, list[str]], succs: dict[str, list[str]]) -> list[str]:
-    """Kahn's order: sources in node order, then FIFO as in-degrees reach 0."""
+def _graded(sg: SeqGraph, preds: dict[str, list[str]],
+            succs: dict[str, list[str]]) -> tuple[dict[str, int], dict[str, CFVector | None]]:
+    """One topological pass (Kahn's order: sources in node order, then FIFO
+    as in-degrees reach 0) that gives every node its depth (sources sit at
+    1) and its exact concentration, leaving the nodes as they are: a
+    dispense node's unit vector, a mix node's own ``cf`` or else the mix of
+    its two predecessors', any other node's own ``cf``.  Both dicts are in
+    that order."""
+    nodes = sg.nodes
     indeg = {nid: len(ps) for nid, ps in preds.items()}
-    queue = deque(nid for nid, deg in indeg.items() if deg == 0)
-    order: list[str] = []
-    while queue:
-        nid = queue.popleft()
-        order.append(nid)
-        for d in succs[nid]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    if len(order) != len(preds):
-        raise CycleDetected("sequencing graph has a cycle")
-    return order
-
-
-def _depths(order: list[str], preds: dict[str, list[str]]) -> dict[str, int]:
+    order = [nid for nid, deg in indeg.items() if deg == 0]   # grows as it is read
     depth: dict[str, int] = {}
-    for nid in order:
-        ps = preds[nid]
-        depth[nid] = 1 if not ps else 1 + max(depth[p] for p in ps)
-    return depth
-
-
-def _concentrations(sg: SeqGraph, order: list[str],
-                    preds: dict[str, list[str]]) -> dict[str, CFVector | None]:
-    """Every node's concentration, leaving the nodes as they are: a dispense
-    node's unit vector, a mix node's own ``cf`` or else the mix of its two
-    predecessors', any other node's own ``cf``."""
     cfs: dict[str, CFVector | None] = {}
     for nid in order:
-        node = sg.nodes[nid]
-        if node.kind == DISPENSE:
+        ps, node = preds[nid], nodes[nid]
+        below = 0
+        for p in ps:
+            if depth[p] > below:
+                below = depth[p]
+        depth[nid] = below + 1
+        kind = node.kind
+        if kind == DISPENSE:
             cfs[nid] = CFVector.unit(node.reagent)
-        elif node.kind == MIX and node.cf is None:
-            ps = preds[nid]
+        elif kind == MIX and node.cf is None:
             if len(ps) != 2:
                 raise BadArity(f"mix node {nid!r} has in-degree {len(ps)}, needs 2")
             ca, cb = cfs[ps[0]], cfs[ps[1]]
@@ -172,7 +164,14 @@ def _concentrations(sg: SeqGraph, order: list[str],
             cfs[nid] = cf_mix(ca, cb)
         else:
             cfs[nid] = node.cf
-    return cfs
+        for d in succs[nid]:
+            left = indeg[d] - 1
+            indeg[d] = left
+            if not left:
+                order.append(d)
+    if len(depth) != len(nodes):
+        raise CycleDetected("sequencing graph has a cycle")
+    return depth, cfs
 
 
 def parse_input_sg(text: str) -> SeqGraph:
@@ -233,8 +232,7 @@ def parse_input_sg(text: str) -> SeqGraph:
                 raise BadArity(f"{node.kind} node {nid!r} cannot have successors")
             if not preds[nid]:
                 raise BadArity(f"{node.kind} node {nid!r} receives no droplets")
-    order = _topo(preds, succs)  # raises CycleDetected
-    for nid, cf in _concentrations(sg, order, preds).items():
+    for nid, cf in _graded(sg, preds, succs)[1].items():   # raises CycleDetected
         sg.nodes[nid].cf = cf
     return sg
 
@@ -279,15 +277,25 @@ def _cf_key(cf: CFVector, n: int) -> tuple[tuple[str, int], ...]:
     return tuple((k, v) for k, v in _rounded(cf, n).items() if v)
 
 
-def _signature(sg: SeqGraph, nid: str, keys: dict[str, tuple | None],
-               preds: dict[str, list[str]]):
-    """A node's kind and rounded concentration; a sink's carries the sorted
-    rounded concentrations it receives.  ``keys`` holds each node's
-    ``_cf_key``, None without a concentration."""
-    kind = sg.nodes[nid].kind
+def _exact(nid: str, kind: str, cfs: dict[str, CFVector | None],
+           preds: dict[str, list[str]]):
+    """A node's exact concentration within its level: a sink's is the
+    sorted concentrations it receives, any other node's its own (None
+    without one)."""
     if kind in (OUTPUT, WASTE):
-        return (kind, tuple(sorted(keys[p] for p in preds[nid] if keys[p] is not None)))
-    return (kind, keys[nid] if keys[nid] is not None else ())
+        return sorted([cf for cf in map(cfs.__getitem__, preds[nid]) if cf is not None])
+    return cfs[nid]
+
+
+def _signature(nid: str, kind: str, cfs: dict[str, CFVector | None],
+               preds: dict[str, list[str]], key) -> tuple:
+    """``_exact`` rounded, as a level matches it: each vector through
+    ``key`` (its ``_cf_key``), () for a node without one."""
+    if kind in (OUTPUT, WASTE):
+        return tuple(sorted([key(cf) for cf in map(cfs.__getitem__, preds[nid])
+                             if cf is not None]))
+    cf = cfs[nid]
+    return () if cf is None else key(cf)
 
 
 def _describe(sg: SeqGraph, nid: str, reagents: tuple[str, ...], n: int,
@@ -314,15 +322,17 @@ def _duration_check(spec_node: SGNode, real_node: SGNode, report: Report) -> Non
             f"{real_node.id} mixed for {realized} > {spec} time units (allowed)")
 
 
-def _levels(sg: SeqGraph):
-    """Adjacency, concentrations and the (depth, kind) buckets of sg."""
+def _leveled(sg: SeqGraph, ranks: dict[str, int]):
+    """Predecessors, exact concentrations and levels of sg: its nodes of
+    the kinds in ``ranks`` by (depth, kind rank), each level in id order,
+    from one topological pass and one sort."""
     preds, succs = _adjacency(sg)
-    order = _topo(preds, succs)
-    cfs = _concentrations(sg, order, preds)
-    depth = _depths(order, preds)
-    levels: dict[tuple[int, str], list[str]] = {}
-    for nid in order:
-        levels.setdefault((depth[nid], sg.nodes[nid].kind), []).append(nid)
+    depth, cfs = _graded(sg, preds, succs)
+    nodes = sg.nodes
+    levels: dict[tuple[int, int], list[str]] = {}
+    for d, r, nid in sorted([(d, ranks[kind], nid) for nid, d in depth.items()
+                             if (kind := nodes[nid].kind) in ranks]):
+        levels.setdefault((d, r), []).append(nid)
     return preds, cfs, levels
 
 
@@ -330,14 +340,20 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
                 ignore_waste: bool = False) -> Report:
     """Level-order conformance of the realized graph against the input graph.
 
-    Nodes are matched per depth and kind by (kind, rounded concentration)
-    signature; mismatched signatures or counts raise e7, matched mixes whose
+    Nodes are matched per depth and kind by their concentration rounded to
+    accuracy n (a sink's: the sorted rounded concentrations it receives);
+    mismatched concentrations or counts raise e7, matched mixes whose
     realized window is shorter than the specified mixing time raise e6.
-    Within a level, each realized node in id order takes the first spec node
-    in id order with its signature; the leftovers are paired in id order.
+    A level with one node on each side has one possible pairing, and equal
+    exact concentrations round equal: it is matched by exact equality
+    first, and rounds only when the exact values differ.  In a level with
+    several nodes, each realized node in id order takes the first spec node
+    in id order with its rounded signature; the leftovers are paired in id
+    order.
 
     Pure: concentrations missing from either graph are computed on the side,
-    and neither graph changes.  Costs O(V+E) plus a sort within each level.
+    and neither graph changes.  Costs O(V+E) plus one sort of each graph's
+    nodes by (depth, kind, id).
     """
     report = Report()
     reagents = input_sg.reagents or synth_sg.reagents
@@ -348,53 +364,57 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
                    f"realized {sorted(synth_sg.reagents)}"))
         return report
 
-    in_preds, in_cfs, in_levels = _levels(input_sg)
-    sy_preds, sy_cfs, sy_levels = _levels(synth_sg)
+    kinds = (DISPENSE, MIX, OUTPUT) if ignore_waste else (DISPENSE, MIX, OUTPUT, WASTE)
+    ranks = {kind: i for i, kind in enumerate(kinds)}
+    in_preds, in_cfs, in_levels = _leveled(input_sg, ranks)
+    sy_preds, sy_cfs, sy_levels = _leveled(synth_sg, ranks)
     memo: dict[CFVector, tuple] = {}   # each distinct vector's key, once
 
-    def cf_key(cf: CFVector) -> tuple:
+    def key(cf: CFVector) -> tuple:
         found = memo.get(cf)
         if found is None:
             found = memo[cf] = _cf_key(cf, n)
         return found
 
-    def keys_of(cfs: dict[str, CFVector | None]) -> dict[str, tuple | None]:
-        return {nid: None if cf is None else cf_key(cf) for nid, cf in cfs.items()}
-
-    in_keys, sy_keys = keys_of(in_cfs), keys_of(sy_cfs)
-    kinds = [DISPENSE, MIX, OUTPUT] + ([] if ignore_waste else [WASTE])
-    rank = {kind: i for i, kind in enumerate(kinds)}
-    levels = sorted({key for key in (*in_levels, *sy_levels) if key[1] in rank},
-                    key=lambda key: (key[0], rank[key[1]]))
-
-    for depth, kind in levels:
-        spec_ids = sorted(in_levels.get((depth, kind), ()))
-        real_ids = sorted(sy_levels.get((depth, kind), ()))
+    levels = list(in_levels)
+    if levels != list(sy_levels):
+        levels = sorted(in_levels.keys() | sy_levels.keys())
+    for level in levels:
+        depth, kind = level[0], kinds[level[1]]
+        spec_ids, real_ids = in_levels.get(level, ()), sy_levels.get(level, ())
         if len(spec_ids) != len(real_ids):
             report.violations.append(Violation(
                 Code.E7, "Incorrect realization of input sequencing graph",
                 detail=f"depth {depth}: specified {len(spec_ids)} {kind} node(s), "
                        f"realized {len(real_ids)}"))
-        # multiset match on signatures: spec ids queued per signature, in id order
-        by_sig: dict[tuple, deque[str]] = {}
-        for sid in spec_ids:
-            by_sig.setdefault(_signature(input_sg, sid, in_keys, in_preds),
-                              deque()).append(sid)
-        matched: list[tuple[str, str]] = []
-        leftovers: list[str] = []
-        for rid in real_ids:
-            queue = by_sig.get(_signature(synth_sg, rid, sy_keys, sy_preds))
-            if queue:
-                matched.append((queue.popleft(), rid))
+        if len(spec_ids) == 1 == len(real_ids):
+            sid, rid = spec_ids[0], real_ids[0]
+            if (_exact(sid, kind, in_cfs, in_preds) == _exact(rid, kind, sy_cfs, sy_preds)
+                    or _signature(sid, kind, in_cfs, in_preds, key)
+                    == _signature(rid, kind, sy_cfs, sy_preds, key)):
+                matched, pairs = [(sid, rid)], []
             else:
-                leftovers.append(rid)
-        for sid, rid in matched:
-            if kind == MIX:
+                matched, pairs = [], [(rid, sid)]
+        else:
+            # multiset match on signatures: spec ids queued per signature, in id order
+            by_sig: dict[tuple, deque[str]] = {}
+            for sid in spec_ids:
+                by_sig.setdefault(_signature(sid, kind, in_cfs, in_preds, key),
+                                  deque()).append(sid)
+            matched, leftovers = [], []
+            for rid in real_ids:
+                queue = by_sig.get(_signature(rid, kind, sy_cfs, sy_preds, key))
+                if queue:
+                    matched.append((queue.popleft(), rid))
+                else:
+                    leftovers.append(rid)
+            # pair leftovers of the same kind for ratio evidence
+            taken = {sid for sid, _ in matched}
+            pairs = list(zip(leftovers, [sid for sid in spec_ids if sid not in taken]))
+        if kind == MIX:
+            for sid, rid in matched:
                 _duration_check(input_sg.nodes[sid], synth_sg.nodes[rid], report)
-        # pair leftovers of the same kind for ratio evidence
-        taken = {sid for sid, _ in matched}
-        unmatched_spec = [sid for sid in spec_ids if sid not in taken]
-        for rid, sid in zip(leftovers, unmatched_spec):
+        for rid, sid in pairs:
             report.violations.append(Violation(
                 Code.E7, "Incorrect realization of input sequencing graph",
                 detail=f"ratio {_describe(synth_sg, rid, reagents, n, sy_cfs, sy_preds)} "

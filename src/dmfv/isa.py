@@ -79,7 +79,8 @@ class Record:
 
 class Value(Record):
     """A record that never changes: ``__init__`` sets its attributes through
-    ``object.__setattr__`` and nothing sets them later.  It hashes as the
+    their slot descriptors (``_setters``), or ``object.__setattr__`` where it
+    has a ``__dict__``, and nothing sets them later.  It hashes as the
     tuple of its fields.  Any other attribute is built from its fields, out
     of its equality, hash and repr."""
 
@@ -203,28 +204,47 @@ class _Forward(dict):
 FORWARD = _Forward()
 
 
+def _setters(cls, *names: str) -> tuple:
+    """The ``__set__`` of each named slot of ``cls``.  A slotted value's
+    ``__init__`` writes its fields through them: past
+    ``Value.__setattr__``, and cheaper than ``object.__setattr__``, which
+    looks each slot up by name."""
+    return tuple(getattr(cls, name).__set__ for name in names)
+
+
 class _Placed(Value):
     """An instruction that names cells, with its extent: the largest row and
     column it names, or ``_OFF``.  It is built with the instruction and is
-    out of equality, hashing and repr.  This ``__init__`` is that of an
-    instruction whose one field is its one cell (dispense, waste, output)."""
+    out of equality, hashing and repr."""
 
     __slots__ = ("max_row", "max_col")
 
-    def __init__(self, loc: Loc) -> None:
-        object.__setattr__(self, "loc", loc)
-        _place(self, loc, loc)
+
+_set_max_row, _set_max_col = _setters(_Placed, "max_row", "max_col")
 
 
 def _place(instr: _Placed, a: Loc, b: Loc) -> None:
     (r1, c1), (r2, c2) = a, b
-    setattr_ = object.__setattr__
-    setattr_(instr, "max_row", (r1 if r1 > r2 else r2) if r1 > 0 < r2 else _OFF)
-    setattr_(instr, "max_col", (c1 if c1 > c2 else c2) if c1 > 0 < c2 else _OFF)
+    _set_max_row(instr, (r1 if r1 > r2 else r2) if r1 > 0 < r2 else _OFF)
+    _set_max_col(instr, (c1 if c1 > c2 else c2) if c1 > 0 < c2 else _OFF)
 
 
-class Dispense(_Placed):
+class _OneCell(_Placed):
+    """An instruction whose one field is its one cell (dispense, waste,
+    output)."""
+
     __slots__ = __match_args__ = ("loc",)
+
+    def __init__(self, loc: Loc) -> None:
+        _set_loc(self, loc)
+        _place(self, loc, loc)
+
+
+(_set_loc,) = _setters(_OneCell, "loc")
+
+
+class Dispense(_OneCell):
+    __slots__ = ()
 
     def compact(self) -> str:
         return f"d({self.loc.row},{self.loc.col})"
@@ -249,12 +269,11 @@ class Move(_Placed):
             beyond = r + r - r0
             a, b, d = (beyond, c - 1), (beyond, c), (beyond, c + 1)
         share = _PROBE_CELLS.setdefault
-        setattr_ = object.__setattr__
-        setattr_(self, "src", src)
-        setattr_(self, "dst", dst)
-        setattr_(self, "max_row", (r if r > r0 else r0) if r > 0 < r0 else _OFF)
-        setattr_(self, "max_col", (c if c > c0 else c0) if c > 0 < c0 else _OFF)
-        setattr_(self, "probes", (share(a, a), share(b, b), share(d, d)))
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_max_row(self, (r if r > r0 else r0) if r > 0 < r0 else _OFF)
+        _set_max_col(self, (c if c > c0 else c0) if c > 0 < c0 else _OFF)
+        _set_probes(self, (share(a, a), share(b, b), share(d, d)))
 
     def compact(self) -> str:
         return f"m({self.src.row},{self.src.col},{self.dst.row},{self.dst.col})"
@@ -263,15 +282,17 @@ class Move(_Placed):
         return f"m([{self.src.row},{self.src.col}]->[{self.dst.row},{self.dst.col}])"
 
 
+_set_src, _set_dst, _set_probes = _setters(Move, "src", "dst", "probes")
+
+
 class MixStart(_Placed):
     __slots__ = __match_args__ = ("a", "b", "t_mix", "mtype")
 
     def __init__(self, a: Loc, b: Loc, t_mix: int, mtype: MType) -> None:
-        setattr_ = object.__setattr__
-        setattr_(self, "a", a)
-        setattr_(self, "b", b)
-        setattr_(self, "t_mix", t_mix)
-        setattr_(self, "mtype", mtype)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_t_mix(self, t_mix)
+        _set_mtype(self, mtype)
         _place(self, a, b)
 
     def compact(self) -> str:
@@ -283,8 +304,11 @@ class MixStart(_Placed):
                 f"{self.t_mix},{self.mtype.value})")
 
 
-class Waste(_Placed):
-    __slots__ = __match_args__ = ("loc",)
+_set_a, _set_b, _set_t_mix, _set_mtype = _setters(MixStart, "a", "b", "t_mix", "mtype")
+
+
+class Waste(_OneCell):
+    __slots__ = ()
 
     def compact(self) -> str:
         return f"waste({self.loc.row},{self.loc.col})"
@@ -292,8 +316,8 @@ class Waste(_Placed):
     canonical = compact
 
 
-class Output(_Placed):
-    __slots__ = __match_args__ = ("loc",)
+class Output(_OneCell):
+    __slots__ = ()
 
     def compact(self) -> str:
         return f"output({self.loc.row},{self.loc.col})"
@@ -306,7 +330,7 @@ class DetectStart(Value):
     max_row = max_col = _OFF
 
     def __init__(self, detector: str) -> None:
-        object.__setattr__(self, "detector", detector)
+        _set_detector(self, detector)
 
     def compact(self) -> str:
         return f"detect({self.detector})"
@@ -314,18 +338,24 @@ class DetectStart(Value):
     canonical = compact
 
 
+(_set_detector,) = _setters(DetectStart, "detector")
+
+
 class CondCall(Value):
     __slots__ = __match_args__ = ("detector", "recovery")
     max_row = max_col = _OFF
 
     def __init__(self, detector: str, recovery: str) -> None:
-        object.__setattr__(self, "detector", detector)
-        object.__setattr__(self, "recovery", recovery)
+        _set_cond_detector(self, detector)
+        _set_recovery(self, recovery)
 
     def compact(self) -> str:
         return f"if({self.detector}) call Recovery({self.recovery})"
 
     canonical = compact
+
+
+_set_cond_detector, _set_recovery = _setters(CondCall, "detector", "recovery")
 
 
 class End(Value):

@@ -74,14 +74,39 @@ def mutant(fn, old: str, new: str):
 
 
 def without_memo(fn, *args, **kw):
-    """fn(*args, **kw) with every step taken by the plain step, which has no
-    memo and checks every line: the oracle of the step memo."""
+    """fn(*args, **kw) with every line stepped by the plain step, which has
+    no memo and checks every line: the oracle of the step memo.  Each cursor
+    is built as if no body could repeat, so it hands every line to
+    ``fluidics.step`` and keeps no verdict."""
     from dmfv import fluidics
 
-    plain = fluidics.step
+    init = fluidics.Cursor.__init__
+
+    def plain(cursor, *a, **k):
+        init(cursor, *a, **k)
+        cursor.repeats = frozenset()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(fluidics, "step", lambda *a, memo=None, **k: plain(*a, **k))
+        m.setattr(fluidics.Cursor, "__init__", plain)
         return fn(*args, **kw)
+
+
+def memo_step(memo: dict, **kw):
+    """A ``step(state, line)`` for lines drawn outside a program that
+    consults and fills ``memo`` as a cursor does for a body that can
+    repeat: a cursor, with ``kw`` (policy, pin map), put on ``state`` before
+    the line.  It returns the cursor's state after the line, the line's rows
+    and its events as a ``StepResult``."""
+    from dmfv import fluidics
+    from dmfv.isa import Program
+
+    def stepped(state, line):
+        program = Program(state.header, ())
+        program.__dict__["issues"] = ()     # the lines come from outside it
+        cursor = fluidics.Cursor(program, **kw)
+        cursor.state, cursor.memo, cursor.repeats = state, memo, {id(line.instrs)}
+        events = cursor.advance(line)
+        return fluidics.StepResult(cursor.state, cursor.rows, events)
+    return stepped
 
 
 def without_bulk(fn, *args, **kw):
@@ -111,37 +136,57 @@ def count_checked_lines(monkeypatch) -> list[int]:
     return checked
 
 
-def count_memo_hits(monkeypatch) -> list[int]:
-    """A two-item counter of the steps that their memo serves, and of those
-    served on a tick where ``expire`` resolved a mixer or a detection, whose
-    commit goes onto ``expire``'s copy.  A served step is one given a memo
-    that runs no check of its line, not even the one-pass transport, which
-    every other step runs first."""
+def count_stepped_lines(monkeypatch) -> list:
+    """A list that gets one item for each line that a cursor steps, whether
+    its memo serves the line or its checks run: each ``Cursor.advance`` on a
+    cursor that has not stopped."""
     from dmfv import fluidics
 
-    hits, checked, resolved = [0, 0], [False], [False]
-    step, transport, expire = fluidics.step, fluidics._transport, fluidics.expire
+    calls = []
+    advance = fluidics.Cursor.advance
+
+    def counted(cursor, line):
+        if not cursor.stopped:
+            calls.append(1)
+        return advance(cursor, line)
+
+    monkeypatch.setattr(fluidics.Cursor, "advance", counted)
+    return calls
+
+
+def count_memo_hits(monkeypatch) -> list[int]:
+    """A two-item counter of the lines that their cursor's memo serves, and
+    of those served on a tick where ``expire`` resolved a mixer or a
+    detection, whose commit goes onto ``expire``'s copy.  A served line is
+    one that a cursor steps (it expires the line's snapshot) without any
+    check of it, not even the one-pass transport, which every checked line
+    runs first."""
+    from dmfv import fluidics
+
+    hits, stepped, checked, resolved = [0, 0], [False], [False], [False]
+    advance, transport, expire = fluidics.Cursor.advance, fluidics._transport, fluidics.expire
 
     def checking(*args):
         checked[0] = True
         return transport(*args)
 
     def expiring(state, t):
+        stepped[0] = True
         out = expire(state, t)
         resolved[0] = out[0] is not state
         return out
 
-    def counted(*args, memo=None, **kw):
-        checked[0] = resolved[0] = False
-        result = step(*args, memo=memo, **kw)
-        hit = memo is not None and not checked[0]
+    def counted(cursor, line):
+        stepped[0] = checked[0] = resolved[0] = False
+        events = advance(cursor, line)
+        hit = stepped[0] and not checked[0]
         hits[0] += hit
         hits[1] += hit and resolved[0]
-        return result
+        return events
 
     monkeypatch.setattr(fluidics, "_transport", checking)
     monkeypatch.setattr(fluidics, "expire", expiring)
-    monkeypatch.setattr(fluidics, "step", counted)
+    monkeypatch.setattr(fluidics.Cursor, "advance", counted)
     return hits
 
 

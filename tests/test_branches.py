@@ -11,8 +11,8 @@ from dmfv.graph import conformance, parse_input_sg, reconstruct
 from dmfv.isa import (CondCall, DmfError, Loc, Move, Program, TimedLine, ValidationError,
                       parse_program, serialize_program)
 
-from conftest import (count_checked_lines, dedicated_map, finished_runs, load,
-                      path_rows, path_verdicts, stepped_paths, without_memo)
+from conftest import (count_checked_lines, count_stepped_lines, dedicated_map, finished_runs,
+                      load, path_rows, path_verdicts, stepped_paths, without_memo)
 
 
 # --- naive splicing: each path as a straight-line program (oracle) ---------------
@@ -498,9 +498,7 @@ def _random_corpus():
 
 def test_walk_matches_naive_replay_on_random_programs(monkeypatch):
     # the merged walk, the unmerged walk and naive replay agree path by path
-    calls = []
-    step = fluidics.step
-    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    calls = count_stepped_lines(monkeypatch)
     steps = {"merged": 0, "unmerged": 0}
     seen, kinds, replayed = set(), set(), 0
     for prog, runs in _random_corpus():
@@ -674,9 +672,7 @@ def test_walk_steps_each_shared_prefix_once(monkeypatch):
     prefixes = {spec.program.main[:i + 1] for spec in specs
                 for i in range(len(spec.program.main))}
     naive_steps = sum(len(spec.program.main) for spec in specs)
-    calls = []
-    step = fluidics.step
-    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    calls = count_stepped_lines(monkeypatch)
     assert verify_all_paths(prog).ok
     assert len(calls) == len(prefixes) < naive_steps
 
@@ -781,9 +777,7 @@ def test_merges_keep_what_the_shared_state_hides(monkeypatch):
         assert [passed for passed, _ in path_verdicts(walked[0]).values()] == [ok, ok]
     assert replayed >= 6, replayed
     # path 1 replays the five lines after the merge, which path 0 stepped
-    calls = []
-    step = fluidics.step
-    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    calls = count_stepped_lines(monkeypatch)
     verify_all_paths(first)
     assert len(calls) == len(first.main) - 1 + 2
 
@@ -875,9 +869,7 @@ def _detour_chain(c: int, *, fault: bool = False) -> Program:
 
 
 def test_steps_grow_linearly_in_conditionals_when_recoveries_restore(monkeypatch):
-    calls = []
-    step = fluidics.step
-    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    calls = count_stepped_lines(monkeypatch)
     for c in range(4, 11):
         prog = _detour_chain(c)
         calls.clear()
@@ -893,9 +885,7 @@ def test_steps_grow_linearly_in_conditionals_when_every_path_fails(monkeypatch):
     # the fault after the last conditional fails all 2^c paths, each at its
     # own shift of the faulty line; the first path to reach a resume point
     # steps its subtree, rows included, and the others replay it
-    calls = []
-    step = fluidics.step
-    monkeypatch.setattr(fluidics, "step", lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    calls = count_stepped_lines(monkeypatch)
     for c in range(4, 11):
         prog = _detour_chain(c, fault=True)
         fault_t = prog.main[-4].t

@@ -22,9 +22,10 @@ from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError,
                       ValidationError, Waste, parse_program, serialize_program)
 from dmfv.pins import parse_pins
 
-from conftest import (REPLAYED, count_checked_lines, count_memo_hits, dedicated_map, mutant,
-                      finished_runs, fractions_of, line_at, load, path_verdicts, stepped_paths,
-                      with_droplet, without_bulk, without_memo)
+from conftest import (REPLAYED, count_checked_lines, count_memo_hits, count_stepped_lines,
+                      dedicated_map, finished_runs, fractions_of, line_at, load, memo_step,
+                      mutant, path_verdicts, stepped_paths, with_droplet, without_bulk,
+                      without_memo)
 from test_acceptance import _random_walk
 from test_branches import _HELD_Q, _OUTPUT_FIRST, _TWO_LAST, _detour_chain
 from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
@@ -320,6 +321,9 @@ def test_step_refuses_a_line_before_the_current_tick():
         with pytest.raises(EngineError, match=f"^line at t={line.t} precedes current "
                                               "state t=5$"):
             step(st, line)
+        with pytest.raises(EngineError, match=f"^line at t={line.t} precedes current "
+                                              "state t=5$"):
+            memo_step({})(st, line)     # a cursor's line, in the same words
     assert step(st, TimedLine(5, ())).state.t == 5
 
 
@@ -772,14 +776,15 @@ def step_both_ways(checked, served, **kw):
     bodies share one tuple, as the parser makes them; ``served`` counts the
     steps the memo served, ``checked`` the lines checked
     (``count_checked_lines``)."""
-    memo, interned = {}, {}
+    interned = {}
+    stepped = memo_step({}, **kw)
 
     def advance(state, line):
         line = TimedLine(line.t, interned.setdefault(line.instrs, line.instrs))
         given = _value(state.copy())    # its own droplet index
         want = step(state, line, **kw)
         before = checked[0]
-        got = step(state, line, memo=memo, **kw)
+        got = stepped(state, line)
         served[0] += checked[0] == before
         assert (got.violations, got.events, _value(got.state)) == (
             want.violations, want.events, _value(want.state)), line
@@ -875,6 +880,16 @@ def test_memo_matches_plain_step_on_repeated_cycles(monkeypatch):
     assert seen[Code.E3] and seen[Code.E4] and seen[Code.PIN_CASE1], seen
 
 
+def test_memo_oracle_catches_a_hit_that_drops_completions():
+    # a served line must hand on the completions that its ``expire`` resolved
+    dropped = mutant(fluidics.Cursor.advance, "_apply(new, clean.plan, t, events)",
+                     "events = []; _apply(new, clean.plan, t, events)")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fluidics.Cursor, "advance", dropped)
+        with pytest.raises(AssertionError):
+            test_memo_matches_plain_step_on_repeated_cycles(m)
+
+
 def _key_cases():
     """For each field of the memo's key, (field, first state, second state,
     line, step keywords): the line passes on the first state and fails on
@@ -909,9 +924,9 @@ def test_memo_key_tells_apart_what_each_field_holds(monkeypatch, dropped):
         monkeypatch.setattr(fluidics, "_signature", lambda snapshot: tuple(
             None if i == dropped else f for i, f in enumerate(real(snapshot))))
     for field, first, second, line, kw in _key_cases():
-        memo = {}
-        assert not step(first, line, memo=memo, **kw).violations
-        got, want = step(second, line, memo=memo, **kw), step(second, line, **kw)
+        stepped = memo_step({}, **kw)
+        assert not stepped(first, line).violations
+        got, want = stepped(second, line), step(second, line, **kw)
         assert want.violations, (field, line)
         if field == dropped:
             assert got.violations == [], (field, line)      # the mutant is caught
@@ -987,16 +1002,10 @@ def test_memo_keeps_only_bodies_that_a_run_can_step_twice(monkeypatch):
     prog = parse_program(load("recovery.dmf"))
     lines = [*prog.main, *(ln for block in prog.recoveries.values() for ln in block)]
     assert prog.repeats == {id(ln.instrs) for ln in lines}
-    steps = [0]
-    plain = fluidics.step
-
-    def stepped(*args, memo=None, **kw):
-        steps[0] += memo is not None
-        return plain(*args, memo=memo, **kw)
-    monkeypatch.setattr(fluidics, "step", stepped)
+    steps = count_stepped_lines(monkeypatch)
     signatures[0] = 0
     verify_all_paths(prog)
-    assert signatures[0] == steps[0] > len(prog.main)
+    assert signatures[0] == len(steps) > len(prog.main)
 
 
 def test_commit_guard_runs_on_a_memo_hit_under_python_O():
@@ -1015,15 +1024,20 @@ def test_commit_guard_runs_on_a_memo_hit_under_python_O():
         bad = clean.copy()
         bad._add(Loc(5, 5), Droplet("B", CFVector.unit("B")))
         line = TimedLine(1, (Move(Loc(2, 2), Loc(5, 5)),))
-        memo = {}
-        if fluidics.step(clean, line, memo=memo).violations:
+        program = fluidics.Program(clean.header, (line,))
+        program.__dict__.update(issues=(), repeats={id(line.instrs)})
+        cursor = fluidics.Cursor(program)
+        cursor.state = clean
+        cursor.advance(line)
+        if cursor.rows:
             raise SystemExit(2)
-        [entry] = memo.values()
+        [entry] = cursor.memo.values()
         if entry.plan is not None:
             raise SystemExit(3)     # a body that has not repeated has no plan
         entry.signatures.add(fluidics._signature(bad))
+        cursor.state = bad
         try:
-            fluidics.step(bad, line, memo=memo)
+            cursor.advance(line)
         except InconsistentState:
             raise SystemExit(0 if entry.plan else 4)
         raise SystemExit(1)
@@ -1209,7 +1223,8 @@ def test_bulk_check_matches_per_instruction_path_on_fixtures_and_fuzz():
 
 # each mutant drops one test of the one-pass transport
 _TRANSPORT_MUTANTS = {
-    "occupied source": ("if src not in cells or dst in cells:", "if dst in cells:"),
+    "occupied source": ("or instr.src not in cells or instr.dst in cells:",
+                        "or instr.dst in cells:"),
     "count": ("if len(by_loc) != len(cells):", "if False:"),
     "probes": ("if not cells.keys().isdisjoint(chain.from_iterable(map(_probes, instrs))):",
                "if False:"),

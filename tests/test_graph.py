@@ -7,17 +7,17 @@ from math import gcd
 
 import pytest
 
-from dmfv import chip
+from dmfv import chip, graph
 from dmfv.diag import Code, Report, Violation
 from dmfv.fluidics import Trace, verify_program
 from dmfv.graph import (DISPENSE, MIX, OUTPUT, WASTE, BadArity, CFVector, CycleDetected,
                         OrphanDroplet,
-                        SeqGraph, SGNode, _adjacency, _cf_key, _concentrations, _depths,
-                        _duration_check, _topo, cf_mix, conformance, parse_input_sg,
+                        SeqGraph, SGNode, _adjacency, _cf_key, _duration_check, _graded,
+                        cf_mix, conformance, parse_input_sg,
                         ratio_str, reconstruct, round_cf, to_dot)
 from dmfv.isa import Loc, ParseError, parse_program
 
-from conftest import fractions_of, load
+from conftest import fractions_of, load, mutant
 
 
 def preds(sg: SeqGraph, nid: str) -> list[str]:
@@ -26,19 +26,17 @@ def preds(sg: SeqGraph, nid: str) -> list[str]:
 
 
 def topo_order(sg: SeqGraph) -> list[str]:
-    return _topo(*_adjacency(sg))
+    return list(_graded(sg, *_adjacency(sg))[0])
 
 
 def depths(sg: SeqGraph) -> dict[str, int]:
     """Longest-path depth from the dummy entry; sources sit at depth 1."""
-    preds, succs = _adjacency(sg)
-    return _depths(_topo(preds, succs), preds)
+    return _graded(sg, *_adjacency(sg))[0]
 
 
 def annotate_cfs(sg: SeqGraph) -> None:
     """Propagate concentration vectors from dispense sources through mixes."""
-    preds, succs = _adjacency(sg)
-    for nid, cf in _concentrations(sg, _topo(preds, succs), preds).items():
+    for nid, cf in _graded(sg, *_adjacency(sg))[1].items():
         sg.nodes[nid].cf = cf
 
 
@@ -412,9 +410,9 @@ def _brute_force_conforms(left: SeqGraph, right: SeqGraph, n: int) -> bool:
     from dmfv.graph import _signature
 
     def sig(sg, nid):
-        keys = {k: None if node.cf is None else _cf_key(node.cf, n)
-                for k, node in sg.nodes.items()}
-        return _signature(sg, nid, keys, {nid: preds(sg, nid)})
+        cfs = {k: node.cf for k, node in sg.nodes.items()}
+        return _signature(nid, sg.nodes[nid].kind, cfs, {nid: preds(sg, nid)},
+                          lambda cf: _cf_key(cf, n))
 
     annotate_cfs(left)
     annotate_cfs(right)
@@ -620,11 +618,13 @@ def _random_dag(rng: random.Random, reagents: tuple[str, ...]) -> SeqGraph:
     return sg
 
 
-def _realize(rng: random.Random, spec: SeqGraph) -> SeqGraph:
-    """A realized graph for spec under fresh ids, with one mutation or none,
-    mixed for about the specified times.  Some carry concentrations, as
-    reconstructed graphs do, some recorded before the mutation; the rest
-    leave them to conformance."""
+def _realize(rng: random.Random, spec: SeqGraph, mutation: str | None = None,
+             drift=(0, 0, 0, -1, 1, 2)) -> SeqGraph:
+    """A realized graph for spec under fresh ids, with one mutation (drawn
+    unless given) or none, each mix mixed for its specified time plus a
+    draw from ``drift``.  Some carry concentrations, as reconstructed graphs
+    do, some recorded before the mutation; the rest leave them to
+    conformance."""
     ids = list(spec.nodes)
     order = topo_order(spec)
     mapping = {nid: f"v{i:02d}" for i, nid in enumerate(rng.sample(ids, len(ids)))}
@@ -635,15 +635,24 @@ def _realize(rng: random.Random, spec: SeqGraph) -> SeqGraph:
     for nid in spec.nodes:
         if spec.nodes[nid].kind == MIX:
             t_s = rng.randrange(1, 50)
-            dur = spec.nodes[nid].t_mix + rng.choice((0, 0, 0, -1, 1, 2))
+            dur = spec.nodes[nid].t_mix + rng.choice(drift)
             nodes[mapping[nid]].t_s, nodes[mapping[nid]].t_e = t_s, t_s + dur + 1
     rng.shuffle(edges)          # realized edges come in event order
     real = SeqGraph(spec.reagents, nodes, edges)
     annotate = rng.random()
     if annotate < 0.3:          # concentrations recorded before the mutation
         annotate_cfs(real)
-    mutation = rng.choice(("none", "none", "reagent", "rewire", "add", "drop", "window"))
-    if mutation == "reagent":
+    if mutation is None:
+        mutation = rng.choice(("none", "none", "reagent", "rewire", "add", "drop", "window"))
+    if mutation == "feed":
+        # one mix takes its feed from a dispense of another reagent
+        feeds = [k for k, (a, b) in enumerate(edges)
+                 if b in mixes and nodes[a].kind == "dispense"]
+        k = rng.choice(feeds)
+        other = [n for n in nodes if nodes[n].kind == "dispense"
+                 and nodes[n].reagent != nodes[edges[k][0]].reagent]
+        edges[k] = (rng.choice(other), edges[k][1])
+    elif mutation == "reagent":
         src = rng.choice([n for n in nodes.values() if n.kind == "dispense"])
         src.reagent = rng.choice([r for r in spec.reagents if r != src.reagent])
     elif mutation == "rewire":
@@ -672,10 +681,49 @@ def _realize(rng: random.Random, spec: SeqGraph) -> SeqGraph:
     return real
 
 
-def test_conformance_matches_level_order_oracle():
-    rng = random.Random(50321)
-    seen_e6 = seen_e7 = seen_allowed = 0
-    for case in range(400):
+def _dilution_chain(rng: random.Random, mixes: int) -> SeqGraph:
+    """A spec graph of the serial-dilution shape: the first mix takes both
+    reagents, each later mix the one before it and a reagent, and each mix
+    sends one half to the waste or the output; the last sends both."""
+    sg = SeqGraph(("S", "B"))
+    for node in (SGNode("S", "dispense", reagent="S"), SGNode("B", "dispense", reagent="B"),
+                 SGNode("W", WASTE), SGNode("O", OUTPUT)):
+        sg.add_node(node)
+    prev = "S"
+    for i in range(1, mixes + 1):
+        nid = sg.add_node(SGNode(f"M{i}", MIX, t_mix=rng.randint(1, 3))).id
+        sg.add_edge(prev, nid)
+        sg.add_edge("B" if i == 1 else rng.choice("SB"), nid)
+        sg.add_edge(nid, rng.choice("WWO"))
+        prev = nid
+    sg.add_edge(prev, "W")
+    return sg
+
+
+def _blurred(rng: random.Random, spec: SeqGraph, n: int) -> SeqGraph:
+    """A faithful realization of spec whose mixes record concentrations
+    that differ from the specified ones, some by less than accuracy n
+    shows: each of some mixes records its vector moved 2^-k of the way to a
+    reagent, for k from n - 1 to n + 3."""
+    real = _realize(rng, spec, "none", drift=(0,))
+    annotate_cfs(real)
+    for node in real.nodes.values():
+        if node.kind == MIX and rng.random() < 0.5:
+            blur = CFVector.unit(rng.choice(spec.reagents))
+            for _ in range(rng.randint(max(n - 1, 1), n + 3)):
+                blur = cf_mix(node.cf, blur)
+            node.cf = blur
+    return real
+
+
+def _conformance_corpus(rng: random.Random):
+    """(spec, realized, accuracy, ignore_waste) cases: random DAGs with one
+    mutation or none, at accuracy 1 to 8; serial-dilution chains of 50 to
+    300 mixes, faithful or with a short mix (e6), a swapped feed (e7) or a
+    rewired input, whose deep levels differ by less than the accuracy;
+    and random DAGs at accuracy 1 to 3 whose recorded concentrations differ
+    from the specified ones, some by less than the accuracy shows."""
+    for _ in range(400):
         reagents = ("A", "B", "C", "D")[:rng.randrange(2, 5)]
         spec = _random_dag(rng, reagents)
         real = _realize(rng, spec)
@@ -683,9 +731,22 @@ def test_conformance_matches_level_order_oracle():
             real.reagents = reagents[:-1] + ("Z",)
         if rng.random() < 0.5:
             annotate_cfs(spec)
-        n = rng.randrange(1, 9)
-        ignore_waste = rng.random() < 0.3
-        got = conformance(spec, real, n, ignore_waste=ignore_waste)
+        yield spec, real, rng.randrange(1, 9), rng.random() < 0.3
+    for mutation in ("none", "window", "feed", "rewire") * 3:
+        spec = _dilution_chain(rng, rng.randint(50, 300))
+        real = _realize(rng, spec, mutation, drift=(0,))
+        yield spec, real, rng.choice((1, 2, 3, 8)), rng.random() < 0.3
+    for _ in range(100):
+        spec = _random_dag(rng, ("A", "B", "C", "D")[:rng.randrange(2, 5)])
+        n = rng.randint(1, 3)
+        yield spec, _blurred(rng, spec, n), n, rng.random() < 0.3
+
+
+def test_conformance_matches_level_order_oracle():
+    seen_e6 = seen_e7 = seen_allowed = 0
+    for case, (spec, real, n, ignore_waste) in enumerate(
+            _conformance_corpus(random.Random(50321))):
+        got = graph.conformance(spec, real, n, ignore_waste=ignore_waste)
         want = _oracle_conformance(copy.deepcopy(spec), copy.deepcopy(real), n,
                                    ignore_waste=ignore_waste)
         assert got.violations == want.violations, case
@@ -694,3 +755,26 @@ def test_conformance_matches_level_order_oracle():
         seen_e7 += any(v.code is Code.E7 for v in got.violations)
         seen_allowed += any("(allowed)" in note for note in got.notes)
     assert seen_e6 and seen_e7 and seen_allowed
+
+
+# Mutants of conformance's exact-first match, each of which the level-order
+# oracle must catch: a 1:1 level matched whatever its values, a 1:1 level
+# matched by exact values alone (no rounded fallback, so a difference that
+# the accuracy hides reads as e7), and the 1:1 match applied to every level
+# with as many nodes on each side, which pairs their first ids.
+_EXACT_FIRST_MUTANTS = {
+    "one-to-one always matches": ("or _signature(sid, kind, in_cfs, in_preds, key)",
+                                  "or True or _signature(sid, kind, in_cfs, in_preds, key)"),
+    "one-to-one never rounds": ("or _signature(sid, kind, in_cfs, in_preds, key)",
+                                "and _signature(sid, kind, in_cfs, in_preds, key)"),
+    "several nodes matched exact-first": ("if len(spec_ids) == 1 == len(real_ids):",
+                                          "if spec_ids and len(spec_ids) == len(real_ids):"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_FIRST_MUTANTS))
+def test_level_order_oracle_catches_each_exact_first_mutant(monkeypatch, name):
+    monkeypatch.setattr(graph, "conformance",
+                        mutant(graph.conformance, *_EXACT_FIRST_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        test_conformance_matches_level_order_oracle()
