@@ -421,8 +421,8 @@ def _transport(snapshot: ChipState, instrs, t: int) -> ChipState | None:
     droplet beyond a destination.  Only a line that passes both is copied:
     a second loop moves each droplet in one copy of the index, refusing a
     source that an earlier move of the line took, and a destination that
-    two moves share shrinks the index.  So a line that a test refuses costs
-    no copy, and the per-instruction path makes the only one."""
+    two moves share shrinks the index.  So a line refused for a source, a
+    destination or a probe costs no copy before the per-instruction path's."""
     if snapshot.mixers or snapshot.detections:
         return None
     cells = snapshot.by_loc
