@@ -30,22 +30,22 @@ read their states from it.  A cursor keeps no event log: it hands each
 line's events to its caller, and ``verify_program`` collects them.
 
 A cursor keeps, for its run, the clean verdicts of the lines it stepped
-whose body the run can step twice (``Program.repeats``: a body on two or
-more lines, or any body of a conditional program, whose forks re-step
-shared suffixes), keyed by line body and by what the checks read in the
-snapshot: the occupied cells, the active mixers' endpoints and the busy
-detectors.  A line whose body already passed on the same cells passes
-again without its checks, and the cursor serves it itself: one ``expire``,
-one ``_signature`` and the body's stored commit plan, run on the tick's one
-copy of the state, so it costs only its effects and builds no
+whose body two or more lines share (``Program.repeats``), in one dict from
+line body and what the checks read in the snapshot (``_signature``: the
+occupied cells, the active mixers' endpoints and the busy detectors) to
+the body's commit plan.  A line whose body already passed on the same
+cells passes again without its checks, and the cursor serves it itself:
+one ``expire``, one ``_signature`` and the stored plan, run on the tick's
+one copy of the state, so it costs only its effects and builds no
 ``StepResult``.  On a miss the cursor hands the snapshot it expired to
 ``step``, so no line expires or is signed twice.  ``step`` keeps no memo:
 it checks every line it is given, and so it is the memo's oracle.  That is
 exact, because no rule reads anything else that changes during a run
-(``MemoEntry`` gives the argument rule by rule); assays that repeat their
-transport and mix lines on the same layout check each once.  A body that
-cannot repeat builds no key and keeps no entry.  Forks share these
-verdicts, as they share the program.
+(``_signature`` gives the argument rule by rule); assays that repeat their
+transport and mix lines on the same layout check each once.  A body on one
+line builds no key and keeps no entry: the step memo shares what lines
+share, and the path walk (``branches``) what paths share.  Forks share
+these verdicts, as they share the program.
 
 A cursor raises ``ValidationError`` for a program with structural issues
 (``Program.issues``), so every cell a line names is on the array and every
@@ -445,11 +445,11 @@ def _transport(snapshot: ChipState, instrs, t: int) -> ChipState | None:
     return new
 
 
-class MemoEntry(Record):
-    """A run's clean verdicts of one line body, kept under the body's id
-    (which the entry keeps alive): the snapshot signatures (``_signature``)
-    on which it passed every check, and its commit plan (``_plan``), built
-    on its first hit.
+def _signature(snapshot: ChipState) -> tuple:
+    """What the checks of a line read in its snapshot: the occupied cells,
+    each active mixer's endpoints and each live detection's detector and
+    cell, in order.  (An idle chip builds no comprehension: this runs once
+    per line of a shared body.)  With the body's id it keys a cursor's memo.
 
     A body that passed on a snapshot passes on any snapshot with the same
     signature, because every check reads only the body, the signature and
@@ -479,23 +479,6 @@ class MemoEntry(Record):
     effects of a commit, and a served line's plan always runs, so its state
     and events are those of the full step.  Only clean verdicts are stored.
     """
-
-    __slots__ = __match_args__ = ("instrs", "signatures", "plan")
-
-    def __init__(self, instrs: tuple[Instruction, ...]) -> None:
-        self.instrs = instrs
-        self.signatures: set[tuple] = set()
-        self.plan: tuple | None = None
-
-
-StepMemo = dict[int, MemoEntry]
-
-
-def _signature(snapshot: ChipState) -> tuple:
-    """What the checks of a line read in its snapshot: the occupied cells,
-    each active mixer's endpoints and each live detection's detector and
-    cell, in order.  (An idle chip builds no comprehension: this runs once
-    per step.)"""
     mixers, detections = snapshot.mixers, snapshot.detections
     return (frozenset(snapshot.by_loc),
             tuple([(mx.a, mx.b) for mx in mixers]) if mixers else (),
@@ -691,7 +674,9 @@ class Cursor:
         if pin_map is not None:
             pin_map.check_chip(program.header)
         self.pin_map, self.policy = pin_map, policy
-        self.memo: StepMemo = {}
+        # (id(body), _signature(snapshot)) -> (body, commit plan), for the
+        # clean verdicts of shared bodies; the body keeps its id alive
+        self.memo: dict[tuple[int, tuple], tuple[tuple, tuple]] = {}
         self.repeats = program.repeats
         self.state = chip.init_state(program.header, program.detectors)
         self.rows: list[Violation] = []
@@ -705,14 +690,14 @@ class Cursor:
         """Step ``line`` and return its events (none once the run has stopped).
 
         The cursor resolves the line's due mixers and detections
-        (``expire``) itself.  A line whose body can repeat
+        (``expire``) itself.  A line whose body two lines share
         (``Program.repeats``) is also signed (``_signature``); if its body
         already passed on a snapshot with that signature, the cursor serves
-        it: the body's commit plan (``_plan``, stored in its entry on the
-        first hit) runs on the tick's one copy, which is ``expire``'s when a
-        mixer or a detection resolved and a fresh one otherwise, and nothing
-        else runs.  Any other line is checked by ``step`` on that snapshot,
-        and a clean verdict of a body that can repeat stores the signature.
+        it: the commit plan (``_plan``) stored with that verdict runs on the
+        tick's one copy, which is ``expire``'s when a mixer or a detection
+        resolved and a fresh one otherwise, and nothing else runs.  Any
+        other line is checked by ``step`` on that snapshot, and a clean
+        verdict of a shared body is stored with the body's plan.
         """
         if self.stopped:
             return []
@@ -724,21 +709,17 @@ class Cursor:
         if body and isinstance(body[-1], End):
             self.ended = True
         expired = snapshot, events = expire(state, t)
-        signature = None
+        key = None
         if id(body) in self.repeats:
-            signature = _signature(snapshot)
-            clean = self.memo.get(id(body))
-            if clean is not None and signature in clean.signatures:
-                if clean.plan is None:
-                    clean.plan = _plan(body)
+            key = id(body), _signature(snapshot)
+            clean = self.memo.get(key)
+            if clean is not None:
                 self.state = new = snapshot if snapshot is not state else snapshot.copy()
-                _apply(new, clean.plan, t, events)
+                _apply(new, clean[1], t, events)
                 return events
         result = step(state, line, policy=self.policy, pin_map=self.pin_map, expired=expired)
-        if signature is not None and not result.violations:
-            if clean is None:
-                clean = self.memo[id(body)] = MemoEntry(body)
-            clean.signatures.add(signature)
+        if key is not None and not result.violations:
+            self.memo[key] = body, _plan(body)
         for v in result.violations:
             if self.first_bad_t is not None and t > self.first_bad_t:
                 v = v._replace(secondary=True)

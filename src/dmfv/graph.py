@@ -288,14 +288,14 @@ def _exact(nid: str, kind: str, cfs: dict[str, CFVector | None],
 
 
 def _signature(nid: str, kind: str, cfs: dict[str, CFVector | None],
-               preds: dict[str, list[str]], key) -> tuple:
-    """``_exact`` rounded, as a level matches it: each vector through
-    ``key`` (its ``_cf_key``), () for a node without one."""
+               preds: dict[str, list[str]], n: int) -> tuple:
+    """``_exact`` rounded, as a level matches it: each vector's
+    ``_cf_key`` at accuracy n, () for a node without one."""
     if kind in (OUTPUT, WASTE):
-        return tuple(sorted([key(cf) for cf in map(cfs.__getitem__, preds[nid])
+        return tuple(sorted([_cf_key(cf, n) for cf in map(cfs.__getitem__, preds[nid])
                              if cf is not None]))
     cf = cfs[nid]
-    return () if cf is None else key(cf)
+    return () if cf is None else _cf_key(cf, n)
 
 
 def _describe(sg: SeqGraph, nid: str, reagents: tuple[str, ...], n: int,
@@ -368,14 +368,6 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
     ranks = {kind: i for i, kind in enumerate(kinds)}
     in_preds, in_cfs, in_levels = _leveled(input_sg, ranks)
     sy_preds, sy_cfs, sy_levels = _leveled(synth_sg, ranks)
-    memo: dict[CFVector, tuple] = {}   # each distinct vector's key, once
-
-    def key(cf: CFVector) -> tuple:
-        found = memo.get(cf)
-        if found is None:
-            found = memo[cf] = _cf_key(cf, n)
-        return found
-
     levels = list(in_levels)
     if levels != list(sy_levels):
         levels = sorted(in_levels.keys() | sy_levels.keys())
@@ -390,8 +382,8 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
         if len(spec_ids) == 1 == len(real_ids):
             sid, rid = spec_ids[0], real_ids[0]
             if (_exact(sid, kind, in_cfs, in_preds) == _exact(rid, kind, sy_cfs, sy_preds)
-                    or _signature(sid, kind, in_cfs, in_preds, key)
-                    == _signature(rid, kind, sy_cfs, sy_preds, key)):
+                    or _signature(sid, kind, in_cfs, in_preds, n)
+                    == _signature(rid, kind, sy_cfs, sy_preds, n)):
                 matched, pairs = [(sid, rid)], []
             else:
                 matched, pairs = [], [(rid, sid)]
@@ -399,11 +391,11 @@ def conformance(input_sg: SeqGraph, synth_sg: SeqGraph, n: int, *,
             # multiset match on signatures: spec ids queued per signature, in id order
             by_sig: dict[tuple, deque[str]] = {}
             for sid in spec_ids:
-                by_sig.setdefault(_signature(sid, kind, in_cfs, in_preds, key),
+                by_sig.setdefault(_signature(sid, kind, in_cfs, in_preds, n),
                                   deque()).append(sid)
             matched, leftovers = [], []
             for rid in real_ids:
-                queue = by_sig.get(_signature(rid, kind, sy_cfs, sy_preds, key))
+                queue = by_sig.get(_signature(rid, kind, sy_cfs, sy_preds, n))
                 if queue:
                     matched.append((queue.popleft(), rid))
                 else:

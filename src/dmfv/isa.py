@@ -412,15 +412,13 @@ class Program(Value):
 
     @cached_property
     def repeats(self) -> frozenset[int]:
-        """The ids of the instruction tuples that one run may step twice:
-        each that two or more lines share (the parser gives equal bodies one
-        tuple; a recovery line counts, though a straight-line run never
-        steps it) and, in a conditional program, whose forks re-step shared
-        suffixes, every tuple.  The program keeps them alive.
+        """The ids of the instruction tuples that two or more lines share,
+        main or recovery (the parser gives equal bodies one tuple): the
+        bodies whose clean verdicts the step memo keeps.  A conditional
+        program adds none: its path walk steps each suffix that paths share
+        once (``branches``).  The program keeps them alive.
         ``parse_program`` fills it from the bodies it met twice."""
         bodies = map(id, map(_BODY, chain(self.main, *self.recoveries.values())))
-        if self.has_conditionals:
-            return frozenset(bodies)
         return frozenset(key for key, n in Counter(bodies).items() if n > 1)
 
 
@@ -676,8 +674,7 @@ def parse_program(text: str, *, validate: bool = True) -> Program:
     header = ChipHeader(dim[0], dim[1], numbers["accuracy"], tuple(reservoirs))
     program = Program(header, tuple(main), tuple(detectors), recoveries, numbers.get("tmax"))
     # ``repeats`` as the parse found it, which spares a pass over the lines
-    repeated = bodies.values() if program.has_conditionals else map(bodies.get, again)
-    program.__dict__["repeats"] = frozenset(map(id, repeated))
+    program.__dict__["repeats"] = frozenset(map(id, map(bodies.get, again)))
     if validate and program.issues:
         raise ValidationError(program.issues)
     return program

@@ -258,7 +258,7 @@ def test_fault_injected_into_recovery_hits_taken_paths_only():
 # --- the depth-first walk against naive per-path replay ---------------------------
 
 def _random_conditional(rng: random.Random, c: int, *, extras: bool = False,
-                        spans: bool = False) -> Program:
+                        spans: bool = False, shuttles: bool = False) -> Program:
     """A droplet P walks row 6 past c detector checkpoints; each recovery is a
     detour up and back, which puts the chip back as it found it.  A parked
     droplet Q sits on (2,1) and a 1x4 mixer on row 9 may still be active at
@@ -277,7 +277,11 @@ def _random_conditional(rng: random.Random, c: int, *, extras: bool = False,
     share it, and keeps it active for 40-99 ticks.  It adds a fault that
     moves the mixer's droplet on (9,4), an e4 row naming the mixer's span,
     and lands one to three faults, so that rows come both before and after
-    a resume point."""
+    a resume point.
+
+    ``shuttles`` makes lines repeat bodies, for the step memo: P may step
+    on, back and on again along row 6, and a recovery may nudge P on and
+    back, which repeats the main line's next transport."""
     cols = 4 * c + 10
     decls = [f"dim(10,{cols})", "accuracy 2",
              f"R(6,1,S) R(2,1,B) R(9,1,S) R(9,4,B) O(6,{cols})"]
@@ -297,7 +301,11 @@ def _random_conditional(rng: random.Random, c: int, *, extras: bool = False,
     def walk_to(end_col):
         nonlocal t, col
         while col < end_col:
-            main.append([t, [f"m([6,{col}]->[6,{col + 1}])"]])
+            on, back = f"m([6,{col}]->[6,{col + 1}])", f"m([6,{col + 1}]->[6,{col}])"
+            if shuttles and rng.random() < 0.5:
+                main.extend(([t, [on]], [t + 1, [back]]))
+                t += 2
+            main.append([t, [on]])
             t, col = t + rng.randint(1, 2), col + 1
 
     for i in range(c):
@@ -309,10 +317,16 @@ def _random_conditional(rng: random.Random, c: int, *, extras: bool = False,
         main.append([t, [f"if(d{i}) call Recovery({i})"]])
         t += rng.randint(1, 3)
         kind = "detour"
-        if extras and col >= 3 and rng.random() < 0.4:
+        if shuttles and rng.random() < 0.5:
+            kind = "nudge"
+        elif extras and col >= 3 and rng.random() < 0.4:
             # the cells a side mix declares stay clear of the next recovery's
             kind = "side" if i % 2 == 0 and rng.random() < 0.5 else "dilute"
-        if kind == "dilute":
+        if kind == "nudge":
+            bt = rng.randint(0, 300)
+            block = [[bt, [f"m([6,{col}]->[6,{col + 1}])"]],
+                     [bt + 1, [f"m([6,{col + 1}]->[6,{col}])"]]]
+        elif kind == "dilute":
             tm, bt = rng.randint(1, 3), rng.randint(0, 300)
             decls.append(f"R(3,{col},B) W(2,{col})")
             block = [[bt, [f"d(3,{col})"]], [bt + 1, [f"mix([3,{col}]<->[6,{col}],{tm},41)"]],
@@ -477,14 +491,15 @@ _OUT_SB = ("reagents S B\nnode S dispense S\nnode B dispense B\nnode M mix 1\n"
            "node O output\nedge S M\nedge B M\nedge M O\n")
 
 
-def _random_corpus():
+def _random_corpus(**kw):
     """The random conditional corpus: 60 programs, each with the keywords of
-    its four runs (no pin map or a shared one, policy first or all)."""
+    its four runs (no pin map or a shared one, policy first or all).  ``kw``
+    goes to ``_random_conditional``."""
     rng = random.Random(20080801)
     for extras in (False, True):
         for c in range(6):
             for _ in range(5):
-                prog = _random_conditional(rng, c, extras=extras)
+                prog = _random_conditional(rng, c, extras=extras, **kw)
                 rows, cols = prog.header.rows, prog.header.cols
                 shared = dedicated_map(rows, cols).with_remap(
                     {Loc(rng.randint(4, 7), rng.randint(1, cols)): rng.randint(1, 6)
@@ -650,11 +665,13 @@ def test_replayed_rows_match_naive_replay():
 
 
 def test_walk_with_memo_matches_plain_step(monkeypatch):
-    # forks share the step memo, so paths reuse each other's clean verdicts;
-    # each path must get what the plain step, checking every line, gives it
+    # the step memo keeps the bodies that two lines share, and forks share
+    # it, so paths reuse each other's clean verdicts; each path must get
+    # what the plain step, checking every line, gives it.  The corpus has
+    # no body on two lines, so its programs shuttle here
     checked = count_checked_lines(monkeypatch)
     served = replayed = 0
-    for prog, runs in _random_corpus():
+    for prog, runs in _random_corpus(shuttles=True):
         for kw in runs:
             checked[0] = 0
             walked = _walked(prog, **kw)

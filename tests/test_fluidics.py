@@ -22,10 +22,9 @@ from dmfv.isa import (ChipHeader, DetectorDecl, DetectStart, Dispense, DmfError,
                       ValidationError, Waste, parse_program, serialize_program)
 from dmfv.pins import parse_pins
 
-from conftest import (REPLAYED, count_checked_lines, count_memo_hits, count_stepped_lines,
-                      dedicated_map, finished_runs, fractions_of, line_at, load, memo_step,
-                      mutant, path_verdicts, stepped_paths, with_droplet, without_bulk,
-                      without_memo)
+from conftest import (REPLAYED, count_checked_lines, count_memo_hits, dedicated_map,
+                      finished_runs, fractions_of, line_at, load, memo_step, mutant,
+                      path_verdicts, stepped_paths, with_droplet, without_bulk, without_memo)
 from test_acceptance import _random_walk
 from test_branches import _HELD_Q, _OUTPUT_FIRST, _TWO_LAST, _detour_chain
 from test_cli import _DMF_FIXTURES, _fixture_verify_argvs, _mutate_dmf
@@ -882,8 +881,8 @@ def test_memo_matches_plain_step_on_repeated_cycles(monkeypatch):
 
 def test_memo_oracle_catches_a_hit_that_drops_completions():
     # a served line must hand on the completions that its ``expire`` resolved
-    dropped = mutant(fluidics.Cursor.advance, "_apply(new, clean.plan, t, events)",
-                     "events = []; _apply(new, clean.plan, t, events)")
+    dropped = mutant(fluidics.Cursor.advance, "_apply(new, clean[1], t, events)",
+                     "events = []; _apply(new, clean[1], t, events)")
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fluidics.Cursor, "advance", dropped)
         with pytest.raises(AssertionError):
@@ -997,22 +996,33 @@ def test_memo_keeps_only_bodies_that_a_run_can_step_twice(monkeypatch):
     cursor = Cursor(prog)
     for line in prog.main:
         cursor.advance(line)
-    assert (signatures[0], list(cursor.memo), served[0]) == (2, [id(twice)], 1)
-    # every line of a conditional program may be stepped again by a fork
+    assert signatures[0] == 2 and served[0] == 1
+    assert list(cursor.memo.values()) == [(twice, fluidics._plan(twice))]
+    # a conditional program keeps the bodies that two of its lines share,
+    # main or recovery, and no other (the path walk steps each suffix that
+    # its paths share once), and its walk signs only those
     prog = parse_program(load("recovery.dmf"))
     lines = [*prog.main, *(ln for block in prog.recoveries.values() for ln in block)]
-    assert prog.repeats == {id(ln.instrs) for ln in lines}
-    steps = count_stepped_lines(monkeypatch)
-    signatures[0] = 0
-    verify_all_paths(prog)
-    assert signatures[0] == len(steps) > len(prog.main)
+    shared = {id(body) for body, n in Counter(ln.instrs for ln in lines).items() if n > 1}
+    assert prog.repeats == shared and 0 < len(shared) < len(lines)
+    signed, unsigned = set(), set()
+    advance = fluidics.Cursor.advance
+
+    def watched(cursor, line):
+        before = signatures[0]
+        events = advance(cursor, line)
+        (signed if signatures[0] > before else unsigned).add(id(line.instrs))
+        return events
+    monkeypatch.setattr(fluidics.Cursor, "advance", watched)
+    assert verify_all_paths(prog).ok
+    assert signed == shared and unsigned and unsigned.isdisjoint(shared)
 
 
 def test_commit_guard_runs_on_a_memo_hit_under_python_O():
-    # a move passes on a chip where its destination is free, and its entry
-    # then gets the signature of a chip where a droplet sits there: the hit
-    # skips the checks, builds the body's commit plan, and the plan's plain
-    # check still refuses the write
+    # a move passes on a chip where its destination is free, and its stored
+    # plan is then filed under the signature of a chip where a droplet sits
+    # there: the hit skips the checks and runs the plan, whose plain check
+    # still refuses the write
     code = textwrap.dedent("""
         from dmfv import fluidics
         from dmfv.chip import Droplet, InconsistentState, init_state
@@ -1031,15 +1041,15 @@ def test_commit_guard_runs_on_a_memo_hit_under_python_O():
         cursor.advance(line)
         if cursor.rows:
             raise SystemExit(2)
-        [entry] = cursor.memo.values()
-        if entry.plan is not None:
-            raise SystemExit(3)     # a body that has not repeated has no plan
-        entry.signatures.add(fluidics._signature(bad))
+        [(key, (body, plan))] = cursor.memo.items()
+        if key != (id(line.instrs), fluidics._signature(clean)) or body is not line.instrs:
+            raise SystemExit(3)
+        cursor.memo[id(body), fluidics._signature(bad)] = body, plan
         cursor.state = bad
         try:
             cursor.advance(line)
         except InconsistentState:
-            raise SystemExit(0 if entry.plan else 4)
+            raise SystemExit(0)
         raise SystemExit(1)
     """)
     src = Path(__file__).resolve().parent.parent / "src"

@@ -411,8 +411,7 @@ def _brute_force_conforms(left: SeqGraph, right: SeqGraph, n: int) -> bool:
 
     def sig(sg, nid):
         cfs = {k: node.cf for k, node in sg.nodes.items()}
-        return _signature(nid, sg.nodes[nid].kind, cfs, {nid: preds(sg, nid)},
-                          lambda cf: _cf_key(cf, n))
+        return _signature(nid, sg.nodes[nid].kind, cfs, {nid: preds(sg, nid)}, n)
 
     annotate_cfs(left)
     annotate_cfs(right)
@@ -763,10 +762,10 @@ def test_conformance_matches_level_order_oracle():
 # the accuracy hides reads as e7), and the 1:1 match applied to every level
 # with as many nodes on each side, which pairs their first ids.
 _EXACT_FIRST_MUTANTS = {
-    "one-to-one always matches": ("or _signature(sid, kind, in_cfs, in_preds, key)",
-                                  "or True or _signature(sid, kind, in_cfs, in_preds, key)"),
-    "one-to-one never rounds": ("or _signature(sid, kind, in_cfs, in_preds, key)",
-                                "and _signature(sid, kind, in_cfs, in_preds, key)"),
+    "one-to-one always matches": ("or _signature(sid, kind, in_cfs, in_preds, n)",
+                                  "or True or _signature(sid, kind, in_cfs, in_preds, n)"),
+    "one-to-one never rounds": ("or _signature(sid, kind, in_cfs, in_preds, n)",
+                                "and _signature(sid, kind, in_cfs, in_preds, n)"),
     "several nodes matched exact-first": ("if len(spec_ids) == 1 == len(real_ids):",
                                           "if spec_ids and len(spec_ids) == len(real_ids):"),
 }

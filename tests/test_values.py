@@ -70,7 +70,6 @@ RECORDS = {
     Report: lambda: Report([Violation(Code.E3, "No droplet present on (2,2)", t=1)], 4, 9, ["n"]),
     fluidics.Trace: lambda: fluidics.Trace(("A",), [Dispensed(1, "A", Loc(1, 1), _CF)]),
     fluidics.StepResult: lambda: fluidics.StepResult(_STATE, [], []),
-    fluidics.MemoEntry: lambda: fluidics.MemoEntry(_LINE.instrs),
     SGNode: lambda: SGNode("v1", MIX, t_mix=3),
     SeqGraph: lambda: SeqGraph(("A",), {"v1": SGNode("v1", MIX, t_mix=3)}, [("A", "v1")]),
 }
